@@ -1,9 +1,12 @@
 """Perception/action backends behind a single tool contract.
 
-Three implementations share one interface: a deterministic synthetic backend
-answering from scene-graph ground truth (the normative one), an HTTP client
-that forwards each operation to a configured endpoint, and a record/replay
-wrapper for hermetic runs.
+`ToolBackend` is the contract; the deterministic `SyntheticBackend`, which
+answers from scene-graph ground truth, is the normative implementation.
+`OPERATIONS` names each of the six operations once, with the parameters
+that make up its request. The record, replay and HTTP wrappers get every
+operation from `_ForwardingBackend` and add only their own step. The tool
+cache has the gateway's format (`modgrow.cache`): a record holds the request
+hash as ``key``, the ``request`` and the encoded ``response``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import urllib.error
 import urllib.request
 from typing import Protocol
 
-from .errors import BackendError, ToolCacheMiss
+from .cache import append_record, load_responses
+from .errors import BackendError, CacheMissError
 from .scene import (
     CATEGORY_LEXICON,
     KNOWLEDGE_LISTS,
@@ -200,23 +204,38 @@ class SyntheticBackend:
 
 
 # ---------------------------------------------------------------------------
-# Record / replay
+# The operation table, and the record / replay / HTTP wrappers built on it
 # ---------------------------------------------------------------------------
 
-_OPERATIONS = (
-    "locate", "answer_question", "score_alignment", "depth_of", "inpaint_region", "general_text",
-)
+# The tool surface, each operation once, with its parameters as the
+# `ToolBackend` methods name them. A request carries the image, when the
+# operation takes one, and the other parameters as JSON args.
+OPERATIONS = {
+    "locate": ("image", "name"),
+    "answer_question": ("image", "question"),
+    "score_alignment": ("image", "texts"),
+    "depth_of": ("image",),
+    "inpaint_region": ("image", "mask", "prompt"),
+    "general_text": ("prompt",),
+}
 
 
-def _request_doc(operation: str, image: ImageHandle | None, args: dict) -> dict:
-    doc = {"operation": operation, "args": args}
-    if image is not None:
-        doc["image"] = image.fingerprint()
+def _as_json(value):
+    if isinstance(value, (list, tuple)):
+        return [_as_json(v) for v in value]
+    return value
+
+
+def request_doc(operation: str, call: dict, image_doc=ImageHandle.fingerprint) -> dict:
+    """The JSON request of one call; `image_doc` renders its image."""
+    doc = {"operation": operation, "args": {k: _as_json(v) for k, v in call.items() if k != "image"}}
+    if "image" in call:
+        doc["image"] = image_doc(call["image"])
     return doc
 
 
-def request_hash(operation: str, image: ImageHandle | None, args: dict) -> str:
-    payload = json.dumps(_request_doc(operation, image, args), sort_keys=True, separators=(",", ":"))
+def request_hash(operation: str, call: dict) -> str:
+    payload = json.dumps(request_doc(operation, call), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -240,86 +259,58 @@ def _decode_response(operation: str, raw):
     return raw
 
 
-class RecordingToolBackend:
-    """Wraps another backend and appends each (request, response) to a cache file."""
+class _ForwardingBackend:
+    """Defines every operation in `OPERATIONS` as one call of the subclass's
+    `_forward(operation, call)`, where `call` maps parameter names to arguments."""
+
+
+def _forwarder(operation: str, params: tuple[str, ...]):
+    def forward(self, *args, **kwargs):
+        call = dict(zip(params, args), **kwargs)
+        if len(args) + len(kwargs) != len(params) or call.keys() != set(params):
+            raise TypeError(f"{operation}() takes ({', '.join(params)})")
+        return self._forward(operation, call)
+
+    forward.__name__ = forward.__qualname__ = operation
+    return forward
+
+
+for _operation, _params in OPERATIONS.items():
+    setattr(_ForwardingBackend, _operation, _forwarder(_operation, _params))
+
+
+class RecordingToolBackend(_ForwardingBackend):
+    """Wraps another backend and appends each call's record to a cache file."""
 
     def __init__(self, inner: ToolBackend, cache_path: str):
         self.inner = inner
         self.cache_path = cache_path
 
-    def _record(self, operation: str, image, args, result):
+    def _forward(self, operation, call):
+        result = getattr(self.inner, operation)(**call)
         record = {
-            "request_hash": request_hash(operation, image, args),
-            "operation": operation,
+            "key": request_hash(operation, call),
+            "request": request_doc(operation, call),
             "response": _encode_response(operation, result),
         }
-        with open(self.cache_path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        append_record(self.cache_path, record)
         return result
 
-    def locate(self, image, name):
-        return self._record("locate", image, {"name": name}, self.inner.locate(image, name))
 
-    def answer_question(self, image, question):
-        return self._record(
-            "answer_question", image, {"question": question}, self.inner.answer_question(image, question)
-        )
-
-    def score_alignment(self, image, texts):
-        return self._record(
-            "score_alignment", image, {"texts": list(texts)}, self.inner.score_alignment(image, texts)
-        )
-
-    def depth_of(self, image):
-        return self._record("depth_of", image, {}, self.inner.depth_of(image))
-
-    def inpaint_region(self, image, mask, prompt):
-        args = {"mask": [list(b) for b in mask], "prompt": prompt}
-        return self._record("inpaint_region", image, args, self.inner.inpaint_region(image, mask, prompt))
-
-    def general_text(self, prompt):
-        return self._record("general_text", None, {"prompt": prompt}, self.inner.general_text(prompt))
-
-
-class ReplayToolBackend:
+class ReplayToolBackend(_ForwardingBackend):
     """Serves recorded responses only; a cache miss is an error, never a live call."""
 
     def __init__(self, cache_path: str):
-        self.responses: dict[str, object] = {}
-        with open(cache_path, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                record = json.loads(line)
-                self.responses[record["request_hash"]] = (record["operation"], record["response"])
+        self.responses = load_responses(cache_path)
 
-    def _lookup(self, operation: str, image, args):
-        key = request_hash(operation, image, args)
+    def _forward(self, operation, call):
+        key = request_hash(operation, call)
         if key not in self.responses:
-            raise ToolCacheMiss(f"no recorded response for {operation} request {key[:12]}…")
-        op, raw = self.responses[key]
-        return _decode_response(op, raw)
-
-    def locate(self, image, name):
-        return self._lookup("locate", image, {"name": name})
-
-    def answer_question(self, image, question):
-        return self._lookup("answer_question", image, {"question": question})
-
-    def score_alignment(self, image, texts):
-        return self._lookup("score_alignment", image, {"texts": list(texts)})
-
-    def depth_of(self, image):
-        return self._lookup("depth_of", image, {})
-
-    def inpaint_region(self, image, mask, prompt):
-        return self._lookup("inpaint_region", image, {"mask": [list(b) for b in mask], "prompt": prompt})
-
-    def general_text(self, prompt):
-        return self._lookup("general_text", None, {"prompt": prompt})
+            raise CacheMissError(f"no recorded response for {operation} request {key[:12]}…")
+        return _decode_response(operation, self.responses[key][-1])
 
 
-class HttpToolBackend:
+class HttpToolBackend(_ForwardingBackend):
     """Forwards each operation as JSON POST to `TOOL_API_URL` (or an explicit URL)."""
 
     def __init__(self, url: str | None = None, timeout: float = 10.0):
@@ -328,11 +319,8 @@ class HttpToolBackend:
         if not self.url:
             raise BackendError("BACKEND_ERROR", "no tool endpoint configured (TOOL_API_URL)")
 
-    def _post(self, operation: str, image: ImageHandle | None, args: dict):
-        body = {"operation": operation, "args": args}
-        if image is not None:
-            body["image"] = image.to_doc()
-        data = json.dumps(body).encode("utf-8")
+    def _forward(self, operation, call):
+        data = json.dumps(request_doc(operation, call, ImageHandle.to_doc)).encode("utf-8")
         req = urllib.request.Request(
             self.url, data=data, headers={"Content-Type": "application/json"}, method="POST"
         )
@@ -344,21 +332,3 @@ class HttpToolBackend:
         except (urllib.error.URLError, TimeoutError, json.JSONDecodeError) as exc:
             raise BackendError("BACKEND_ERROR", str(exc)) from exc
         return _decode_response(operation, payload["result"])
-
-    def locate(self, image, name):
-        return self._post("locate", image, {"name": name})
-
-    def answer_question(self, image, question):
-        return self._post("answer_question", image, {"question": question})
-
-    def score_alignment(self, image, texts):
-        return self._post("score_alignment", image, {"texts": list(texts)})
-
-    def depth_of(self, image):
-        return self._post("depth_of", image, {})
-
-    def inpaint_region(self, image, mask, prompt):
-        return self._post("inpaint_region", image, {"mask": [list(b) for b in mask], "prompt": prompt})
-
-    def general_text(self, prompt):
-        return self._post("general_text", None, {"prompt": prompt})

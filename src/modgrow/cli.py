@@ -10,6 +10,7 @@ from pathlib import Path
 
 from . import values as V
 from .backends import SyntheticBackend
+from .cache import load_responses
 from .dsl import parse_program, validate_program
 from .errors import DslSyntaxError, ModgrowError
 from .executor import Environment, execute_program, trace_to_jsonl
@@ -222,15 +223,12 @@ def cmd_cache_seed(args) -> int:
 
 def cmd_cache_show(args) -> int:
     try:
-        with open(args.cache, encoding="utf-8") as fh:
-            records = [json.loads(line) for line in fh if line.strip()]
-    except OSError as exc:
+        responses = load_responses(args.cache)
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    keys = {}
-    for record in records:
-        keys[record["key"]] = keys.get(record["key"], 0) + 1
-    print(f"{len(records)} records under {len(keys)} distinct keys")
+    records = sum(len(r) for r in responses.values())
+    print(f"{records} records under {len(responses)} distinct keys")
     return 0
 
 

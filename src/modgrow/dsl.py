@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import DslSyntaxError, SignatureParseError
-from .values import SIGNATURE_TAGS
+from .values import tags_compatible
 
 IDENT_RE = re.compile(r"[A-Z][A-Z0-9_]*")
 PLACEHOLDER_RE = re.compile(r"\{([A-Z][A-Z0-9_]*)\}")
@@ -415,7 +415,7 @@ def _check_arg(st: Statement, pname: str, arg: Arg, declared: str, bound) -> lis
         actual = bound[name]
         if st.module_name == "RESULT" or actual == "any" or declared == "template":
             return diags
-        if not _signature_tags_compatible(declared, actual):
+        if not tags_compatible(declared, actual):
             diags.append(
                 Diagnostic(
                     "TYPE_MISMATCH",
@@ -427,7 +427,7 @@ def _check_arg(st: Statement, pname: str, arg: Arg, declared: str, bound) -> lis
     literal_tag = _LITERAL_KIND_TO_TAG[arg.kind]
     if declared == "template" and literal_tag == "text":
         return diags  # a literal with no placeholders is a degenerate template
-    if not _signature_tags_compatible(declared, literal_tag):
+    if not tags_compatible(declared, literal_tag):
         diags.append(
             Diagnostic(
                 "TYPE_MISMATCH",
@@ -436,14 +436,6 @@ def _check_arg(st: Statement, pname: str, arg: Arg, declared: str, bound) -> lis
             )
         )
     return diags
-
-
-def _signature_tags_compatible(declared: str, actual: str) -> bool:
-    if declared == actual:
-        return True
-    if declared == "list" and actual == "box-list":
-        return True
-    return False
 
 
 def check_program(
@@ -588,7 +580,3 @@ def render_signature_block(sig: ModuleSignature) -> str:
             lines.append(f"        {ex}")
     lines.append('    """')
     return "\n".join(lines)
-
-
-def signature_tags_ok(sig: ModuleSignature) -> bool:
-    return sig.returns in SIGNATURE_TAGS and all(t in SIGNATURE_TAGS for _, t in sig.params)

@@ -33,12 +33,8 @@ class BackendError(ModgrowError):
         super().__init__(f"{kind}: {message}" if message else kind)
 
 
-class ToolCacheMiss(ModgrowError):
-    """A replay tool backend was asked for a request it never recorded."""
-
-
 class CacheMissError(ModgrowError):
-    """CACHE_MISS: replay gateway has no recorded response for this request."""
+    """CACHE_MISS: a replay cache (gateway or tool) has no recorded response for this request."""
 
 
 class EndpointError(ModgrowError):

@@ -20,10 +20,12 @@ from .values import Value
 
 
 class ExecutorRuntimeError(Exception):
-    """Internal signal carrying (kind, message) for a failed statement."""
+    """Internal signal carrying (kind, message) for a failed statement; a
+    sandbox failure also carries the sandbox's own CapturedError."""
 
-    def __init__(self, kind: str, message: str):
+    def __init__(self, kind: str, message: str, captured=None):
         self.kind = kind  # backend | sandbox | type | template
+        self.captured = captured
         super().__init__(message)
 
 
@@ -59,6 +61,7 @@ class ExecutionError:
     line_no: int
     kind: str
     message: str
+    captured: object | None = None  # the sandbox's CapturedError, for kind "sandbox"
 
 
 @dataclass(frozen=True)
@@ -236,7 +239,6 @@ def _half_image_box(handle: ImageHandle, which: str):
 def _crop_builtin(which: str):
     def run(args, backend):
         handle = _expect(args, "image", ("image",)).payload
-        boxes = _expect(args, "box", ("box-list", "mask")).payload
         first = _first_box_or_none(_expect(args, "box", ("box-list", "mask")))
         if first is None:
             return V.image(handle.crop((0, 0, handle.width, handle.height)))
@@ -448,7 +450,7 @@ def execute_program(program: Program, init: Environment, registry, backend) -> E
                 final=None,
                 trace=tuple(trace),
                 status="error",
-                error=ExecutionError(line_no=st.line_no, kind=exc.kind, message=str(exc)),
+                error=ExecutionError(st.line_no, exc.kind, str(exc), exc.captured),
             )
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         trace.append(

@@ -3,9 +3,10 @@
 Prompts are plain-text template files with ``__SLOT__`` markers filled by
 byte-exact substitution. Completions run in one of three modes: ``live``
 (POST to a configured endpoint), ``record`` (live, then persisted keyed by a
-request hash) and ``replay`` (served from the cache only; a miss is an
-error). Because sampled candidates share one prompt, the cache keeps a FIFO
-of responses per key and replay consumes them in call order.
+request hash, in the record format of `modgrow.cache`) and ``replay``
+(served from the cache only; a miss is an error). Because sampled
+candidates share one prompt, the cache keeps a FIFO of responses per key
+and replay consumes them in call order.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import urllib.request
 from dataclasses import dataclass, field
 from importlib import resources
 
+from .cache import append_record, load_responses
 from .dsl import ModuleSignature, parse_signature_block
 from .errors import (
     AuthMissingError,
@@ -33,8 +35,6 @@ from .errors import (
 )
 
 logger = logging.getLogger(__name__)
-
-STAGES = ("initialization", "generation", "execution", "repair")
 
 _TEMPLATE_FILES = {
     "initialization": "stage1_initialization.txt",
@@ -145,18 +145,19 @@ class CompletionRequest:
             raise ValueError("temperature must be >= 0")
 
 
+def request_doc(req: CompletionRequest) -> dict:
+    """The request fields a cache record holds and its key hashes."""
+    return {
+        "prompt": req.prompt,
+        "model_id": req.model_id,
+        "temperature": req.temperature,
+        "max_tokens": req.max_tokens,
+        "stop": list(req.stop) if req.stop else None,
+    }
+
+
 def cache_key(req: CompletionRequest) -> str:
-    payload = json.dumps(
-        {
-            "prompt": req.prompt,
-            "model_id": req.model_id,
-            "temperature": req.temperature,
-            "max_tokens": req.max_tokens,
-            "stop": list(req.stop) if req.stop else None,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    payload = json.dumps(request_doc(req), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -213,12 +214,7 @@ class LlmGateway:
         self._lock = threading.Lock()
         self._inflight: dict[str, threading.Lock] = {}
         if cache_path and os.path.exists(cache_path):
-            with open(cache_path, encoding="utf-8") as fh:
-                for line in fh:
-                    if not line.strip():
-                        continue
-                    record = json.loads(line)
-                    self._cache.setdefault(record["key"], []).append(record["response"])
+            self._cache = load_responses(cache_path)
 
     def reset_replay_cursors(self) -> None:
         with self._lock:
@@ -227,19 +223,12 @@ class LlmGateway:
     def _append_record(self, key: str, req: CompletionRequest, response: str) -> None:
         record = {
             "key": key,
-            "request": {
-                "model_id": req.model_id,
-                "temperature": req.temperature,
-                "max_tokens": req.max_tokens,
-                "stop": list(req.stop) if req.stop else None,
-                "prompt": req.prompt,
-            },
+            "request": request_doc(req),
             "response": response,
             "timestamp": time.time(),
         }
         if self.cache_path:
-            with open(self.cache_path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+            append_record(self.cache_path, record)
         self._cache.setdefault(key, []).append(response)
 
     def complete(self, req: CompletionRequest) -> str:

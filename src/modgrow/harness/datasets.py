@@ -1172,9 +1172,6 @@ TAGGING_TEMPLATES = {
     "filter": _tagging_filter,
 }
 
-DEFAULT_SPLIT_SIZES = {"vqa": 300, "grounding": 100, "raven": 10, "mewl-analog": 10}
-
-
 def generate_dataset(task: str, seed: int, n: int, knobs: dict | None = None) -> list[TaskInstance]:
     """Deterministic-in-seed instance generation for one task family.
 

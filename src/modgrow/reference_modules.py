@@ -13,7 +13,7 @@ import statistics
 
 from .dsl import ModuleSignature, parse_signature_block
 from .registry import ModuleRecord
-from .scene import SceneGraph, box_area, intersect_boxes
+from .scene import SceneGraph, box_area
 
 CHOOSE_ATTRIBUTE_SOURCE = '''class CHOOSE_ATTRIBUTE():
     """
@@ -635,19 +635,6 @@ def sort_spatial_oracle(scene: SceneGraph, boxes, location: str, index: int):
     if index > len(ranked):
         return []
     return [list(ranked[index - 1])]
-
-
-def detect_shape_oracle(scene: SceneGraph, region=None):
-    """Attribute record pairs for the single object inside `region` (default: whole panel)."""
-    objs = scene.objects
-    if region is not None:
-        objs = tuple(o for o in objs if intersect_boxes(o.box, tuple(region)))
-    if len(objs) == 0:
-        return []
-    if len(objs) > 1:
-        raise ValueError("MULTI_OBJECT")
-    obj = objs[0]
-    return [[key, obj.attributes.get(key, "unknown")] for key in ("shape", "color", "size")]
 
 
 _RULE_SCALES = {

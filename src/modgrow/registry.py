@@ -256,8 +256,8 @@ class ExecutionRegistry:
 
         handle = self._handle_for(name)
         if handle.load_state != "loaded":
-            err = handle.error
-            raise ExecutorRuntimeError("sandbox", err.render() if err else "candidate failed to load")
+            err = handle.error or CapturedError("compile", "candidate failed to load")
+            raise ExecutorRuntimeError("sandbox", err.render(), err)
         sig = self._signature_for(name)
         ordered = []
         for pname, _ in sig.params:
@@ -266,7 +266,7 @@ class ExecutionRegistry:
             ordered.append(V.to_plain(resolved_args[pname]))
         result = invoke_candidate(handle, ordered, backend, self.limits)
         if isinstance(result, CapturedError):
-            raise ExecutorRuntimeError("sandbox", result.render())
+            raise ExecutorRuntimeError("sandbox", result.render(), result)
         return result
 
     def _signature_for(self, name: str) -> ModuleSignature:

@@ -7,6 +7,11 @@ dynamically via guard builtins otherwise), loops are bounded by a line-event
 budget and a wall clock, and every failure is captured as a structured error
 the repair loop can feed back to the code generator.
 
+`API` is a `SandboxApi`: the six short aliases the stage-2 prompt teaches,
+each a direct backend call, and the canonical names of `backends.OPERATIONS`,
+the one definition of the tool surface, which are the backend's own methods.
+A record or replay backend serves them through the shared `modgrow.cache`.
+
 This is a test-harness isolation layer, not a hardened security boundary.
 """
 
@@ -21,17 +26,9 @@ import traceback
 from dataclasses import dataclass, field
 
 from . import values as V
+from .backends import OPERATIONS
 from .errors import BackendError
 from .values import Value
-
-API_SURFACE = (
-    "locate",
-    "answer_question",
-    "score_alignment",
-    "depth_of",
-    "inpaint_region",
-    "general_text",
-)
 
 
 @dataclass(frozen=True)
@@ -95,49 +92,35 @@ _SAFE_BUILTINS = {
 
 
 class SandboxApi:
-    """The tool surface visible to candidates, under the short names their
-    training examples use plus the canonical operation names."""
+    """The tool surface visible to candidates: the short names that
+    `DEFAULT_API_DOC` teaches, each calling the backend directly, and the
+    canonical operation names, which are the backend's own methods."""
 
     def __init__(self, backend):
         self._backend = backend
 
-    # canonical names
-    def locate(self, image, name):
+    def __getattr__(self, name):
+        if name not in OPERATIONS:
+            raise AttributeError(f"the tool API has no operation {name!r}")
+        return getattr(self._backend, name)
+
+    def loc(self, image, name):
         return self._backend.locate(image, name)
 
-    def answer_question(self, image, question):
+    def vqa(self, image, question):
         return self._backend.answer_question(image, question)
 
-    def score_alignment(self, image, texts):
-        return self._backend.score_alignment(image, texts)
-
-    def depth_of(self, image):
-        return self._backend.depth_of(image)
-
-    def inpaint_region(self, image, mask, prompt):
-        return self._backend.inpaint_region(image, mask, prompt)
-
-    def general_text(self, prompt):
-        return self._backend.general_text(prompt)
-
-    # short aliases matching generated-module style
-    def loc(self, image, name):
-        return self.locate(image, name)
-
-    def vqa(self, image, question):
-        return self.answer_question(image, question)
-
     def clip(self, image, text):
-        return self.score_alignment(image, [text])[0]
+        return self._backend.score_alignment(image, [text])[0]
 
     def gpt3(self, prompt, mode=None):
-        return self.general_text(prompt)
+        return self._backend.general_text(prompt)
 
     def depth(self, image):
-        return self.depth_of(image)
+        return self._backend.depth_of(image)
 
     def replace(self, image, mask, prompt):
-        return self.inpaint_region(image, mask, prompt)
+        return self._backend.inpaint_region(image, mask, prompt)
 
 
 @dataclass
@@ -145,7 +128,6 @@ class CandidateHandle:
     name: str
     source: str
     load_state: str  # loaded | compile_error
-    api_surface: tuple[str, ...] = API_SURFACE
     error: CapturedError | None = None
     expected_return: str | None = None
     signature: object | None = None
@@ -169,7 +151,7 @@ def _scan_source(tree: ast.AST) -> str | None:
     return None
 
 
-def load_candidate(source: str, api_surface=API_SURFACE, signature=None) -> CandidateHandle:
+def load_candidate(source: str, signature=None) -> CandidateHandle:
     """Compile and define a candidate in an isolated namespace.
 
     Loading runs class/function definitions only; module logic executes later
@@ -266,7 +248,6 @@ def load_candidate(source: str, api_surface=API_SURFACE, signature=None) -> Cand
     handle._instance = instance
     handle._namespace = namespace
     handle._filename = filename
-    handle.api_surface = tuple(api_surface)
     return handle
 
 
@@ -287,6 +268,7 @@ def invoke_candidate(handle: CandidateHandle, args, backend, limits: Limits | No
     if handle.load_state != "loaded":
         return handle.error or CapturedError("compile", "candidate not loaded")
     limits = limits or Limits()
+    handle.prints.clear()
     handle._namespace["API"] = SandboxApi(backend)
 
     deadline = time.monotonic() + limits.wall_time_ms / 1000.0

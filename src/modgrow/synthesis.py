@@ -227,58 +227,41 @@ def _tupleize(payload):
 # ---------------------------------------------------------------------------
 
 
+def _case_error(case: TestCase, registry: ExecutionRegistry, backend) -> CapturedError | None:
+    """Run one case program: the error that fails it, or None if it passes."""
+    try:
+        program = parse_program(case.program)
+    except Exception as exc:
+        return CapturedError("runtime", f"bad case program: {exc}")
+    env = case.initial_environment()
+    binding_tags = {name: value.tag for name, value in env.bindings.items()}
+    diags = validate_program(program, registry.signatures(), binding_tags)
+    if diags:
+        return CapturedError("runtime", f"case program invalid: {diags[0].message}")
+    outcome = execute_program(program, env, registry, backend)
+    if outcome.status != "ok":
+        # a sandbox failure keeps the sandbox's own kind, message and
+        # candidate line; any other failure is a runtime error of the case
+        return outcome.error.captured or CapturedError(
+            "runtime", outcome.error.message, location=outcome.error.line_no
+        )
+    if compare_values(outcome.final, case.expected, case.comparator):
+        return None
+    return CapturedError(
+        "wrong_output",
+        f"case {case.id} produced a wrong answer",
+        expected=V.summarize(case.expected),
+        actual=V.summarize(outcome.final),
+    )
+
+
 def compute_pass_rate(handle: CandidateHandle, cases, lib: Library, backend, limits=None):
     """Execute every case program with the candidate bound under its name."""
     registry = ExecutionRegistry(lib, limits=limits, overlay={handle.name: handle})
     results: list[CaseResult] = []
     for case in cases:
-        try:
-            program = parse_program(case.program)
-        except Exception as exc:
-            results.append(
-                CaseResult(case.id, False, CapturedError("runtime", f"bad case program: {exc}"))
-            )
-            continue
-        env = case.initial_environment()
-        binding_tags = {name: value.tag for name, value in env.bindings.items()}
-        diags = validate_program(program, registry.signatures(), binding_tags)
-        if diags:
-            results.append(
-                CaseResult(
-                    case.id,
-                    False,
-                    CapturedError("runtime", f"case program invalid: {diags[0].message}"),
-                )
-            )
-            continue
-        outcome = execute_program(program, env, registry, backend)
-        if outcome.status != "ok":
-            kind = "timeout" if outcome.error.kind == "sandbox" and "time" in outcome.error.message else "runtime"
-            if "forbidden" in (outcome.error.message or ""):
-                kind = "forbidden_access"
-            results.append(
-                CaseResult(
-                    case.id,
-                    False,
-                    CapturedError(kind, outcome.error.message, location=outcome.error.line_no),
-                )
-            )
-            continue
-        if compare_values(outcome.final, case.expected, case.comparator):
-            results.append(CaseResult(case.id, True))
-        else:
-            results.append(
-                CaseResult(
-                    case.id,
-                    False,
-                    CapturedError(
-                        "wrong_output",
-                        f"case {case.id} produced a wrong answer",
-                        expected=V.summarize(case.expected),
-                        actual=V.summarize(outcome.final),
-                    ),
-                )
-            )
+        error = _case_error(case, registry, backend)
+        results.append(CaseResult(case.id, error is None, error))
     rate = sum(1 for r in results if r.passed) / len(results)
     return rate, results
 
@@ -335,29 +318,25 @@ def generate_module(
     prompt = render_prompt(template, base_slots)
     outcomes: list[CandidateOutcome] = []
 
+    def failed(index: int, source: str, error: CapturedError, round_no: int) -> CandidateOutcome:
+        """A candidate that fails every case with one error."""
+        return CandidateOutcome(
+            candidate_index=index,
+            source=source,
+            per_case=tuple(CaseResult(c.id, False, error) for c in cases),
+            pass_rate=0.0,
+            accepted=False,
+            repair_round=round_no,
+        )
+
     def score_source(response_text: str, index: int, round_no: int) -> CandidateOutcome:
         try:
             source = extract_module_source(response_text)
         except ResponseParseError as exc:
-            err = CapturedError("compile", str(exc))
-            return CandidateOutcome(
-                candidate_index=index,
-                source=response_text,
-                per_case=tuple(CaseResult(c.id, False, err) for c in cases),
-                pass_rate=0.0,
-                accepted=False,
-                repair_round=round_no,
-            )
+            return failed(index, response_text, CapturedError("compile", str(exc)), round_no)
         handle = load_candidate(source, signature=proposal.signature)
         if handle.load_state != "loaded":
-            return CandidateOutcome(
-                candidate_index=index,
-                source=source,
-                per_case=tuple(CaseResult(c.id, False, handle.error) for c in cases),
-                pass_rate=0.0,
-                accepted=False,
-                repair_round=round_no,
-            )
+            return failed(index, source, handle.error, round_no)
         rate, results = compute_pass_rate(handle, cases, lib, backend, cfg.limits)
         return CandidateOutcome(
             candidate_index=index,
@@ -381,17 +360,7 @@ def generate_module(
         except CacheMissError as exc:
             raise
         except Exception as exc:  # endpoint hiccups are data, not fatal
-            err = CapturedError("runtime", f"gateway error: {exc}")
-            outcomes.append(
-                CandidateOutcome(
-                    candidate_index=index,
-                    source="",
-                    per_case=tuple(CaseResult(c.id, False, err) for c in cases),
-                    pass_rate=0.0,
-                    accepted=False,
-                    repair_round=0,
-                )
-            )
+            outcomes.append(failed(index, "", CapturedError("runtime", f"gateway error: {exc}"), 0))
             index += 1
             continue
         outcomes.append(score_source(response, index, 0))

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modgrow.backends import HttpToolBackend, RecordingToolBackend, ReplayToolBackend, SyntheticBackend
-from modgrow.errors import BackendError, ToolCacheMiss
+from modgrow.errors import BackendError, CacheMissError
 from modgrow.scene import ImageHandle, intersect_boxes
 
 from conftest import make_scene, obj
@@ -220,11 +220,21 @@ class TestRecordReplay:
         assert replay.general_text("Name 2 kinds of fruit.") == live[4]
         assert replay.inpaint_region(coat_image, [(200, 150, 380, 330)], "a red coat") == live[5]
 
+    def test_arguments_bind_by_parameter_name(self, tmp_path, backend, coat_image):
+        recorder = RecordingToolBackend(backend, str(tmp_path / "tools.jsonl"))
+        assert recorder.locate(image=coat_image, name="coat") == recorder.locate(coat_image, "coat")
+        replay = ReplayToolBackend(str(tmp_path / "tools.jsonl"))
+        assert replay.locate(coat_image, name="coat") == [(200, 150, 380, 330)]
+        for bad_call in (lambda: replay.locate(coat_image), lambda: replay.locate(coat_image, "coat", 1),
+                         lambda: replay.locate(coat_image, "coat", name="coat")):
+            with pytest.raises(TypeError):
+                bad_call()
+
     def test_cache_miss_is_error(self, tmp_path, backend, coat_image):
         cache = tmp_path / "tools.jsonl"
         RecordingToolBackend(backend, str(cache)).locate(coat_image, "coat")
         replay = ReplayToolBackend(str(cache))
-        with pytest.raises(ToolCacheMiss):
+        with pytest.raises(CacheMissError):
             replay.locate(coat_image, "dog")
 
 
@@ -258,6 +268,9 @@ def http_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/"
     server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 class TestHttpBackend:

@@ -5,7 +5,6 @@ import pytest
 from modgrow import reference_modules as rm
 from modgrow.dsl import parse_signature_block
 from modgrow.sandbox import (
-    API_SURFACE,
     CapturedError,
     Limits,
     invoke_candidate,
@@ -46,7 +45,6 @@ class TestLoad:
         for name, source in rm.FIXTURE_SOURCES.items():
             handle = load_candidate(source, signature=rm.fixture_signature(name))
             assert handle.load_state == "loaded", (name, handle.error)
-            assert handle.api_surface == API_SURFACE
 
     def test_sort_spatial_entry_point_order(self):
         handle = load_candidate(rm.SORT_SPATIAL_SOURCE, signature=sig_of(rm.SORT_SPATIAL_SOURCE))
@@ -175,6 +173,25 @@ class TestInvoke:
                 handle, [coat_image, [], "coat", "thick", "thin"], backend
             )
             assert out.payload == "thick"  # empty box list falls back to the whole image
+
+    def test_prints_hold_only_the_last_invocation(self, backend, probe_image):
+        source = simple_source("for i in range(1000):\n    print(i)\nreturn 'x'")
+        handle = load_candidate(source, signature=sig_of(source))
+        for _ in range(3):
+            assert invoke_candidate(handle, [probe_image], backend).payload == "x"
+        assert len(handle.prints) == 1000
+
+    def test_canonical_operation_names(self, backend, probe_image):
+        source = simple_source("return API.answer_question(img, 'What color is the cat?')")
+        handle = load_candidate(source, signature=sig_of(source))
+        assert invoke_candidate(handle, [probe_image], backend).payload == "black"
+
+    def test_unknown_operation_is_runtime_error(self, backend, probe_image):
+        source = simple_source("return API.open_file(img)")
+        handle = load_candidate(source, signature=sig_of(source))
+        out = invoke_candidate(handle, [probe_image], backend)
+        assert is_error(out) and out.kind == "runtime"
+        assert "open_file" in out.message
 
     def test_error_messages_render_for_repair_prompts(self):
         errors = [
