@@ -133,16 +133,13 @@ class SyntheticBackend:
         return scores
 
     def depth_of(self, image: ImageHandle) -> DepthGrid:
-        w, h = image.width, image.height
-        values = [1.0] * (w * h)
-        # nearest object wins each pixel; iterate far-to-near so near overwrites
-        for obj, clipped in sorted(image.visible_objects(), key=lambda p: -p[0].depth):
-            x1, y1, x2, y2 = image.to_relative(clipped)
-            for y in range(max(0, y1), min(h, y2)):
-                row = y * w
-                for x in range(max(0, x1), min(w, x2)):
-                    values[row + x] = obj.depth
-        return DepthGrid(width=w, height=h, values=tuple(values))
+        # far to near, so nearer layers paint over farther ones; among equal
+        # depths the later visible object wins
+        layers = tuple(
+            (image.to_relative(clipped), obj.depth)
+            for obj, clipped in sorted(image.visible_objects(), key=lambda p: -p[0].depth)
+        )
+        return DepthGrid(width=image.width, height=image.height, layers=layers)
 
     def inpaint_region(self, image: ImageHandle, mask, prompt: str) -> ImageHandle:
         w, h = image.width, image.height
@@ -243,7 +240,11 @@ def _encode_response(operation: str, result):
     if operation == "locate":
         return [list(b) for b in result]
     if operation == "depth_of":
-        return {"width": result.width, "height": result.height, "values": list(result.values)}
+        return {
+            "width": result.width,
+            "height": result.height,
+            "layers": [[list(box), depth] for box, depth in result.layers],
+        }
     if operation == "inpaint_region":
         return result.to_doc()
     return result
@@ -253,7 +254,13 @@ def _decode_response(operation: str, raw):
     if operation == "locate":
         return [tuple(b) for b in raw]
     if operation == "depth_of":
-        return DepthGrid(width=raw["width"], height=raw["height"], values=tuple(raw["values"]))
+        if "layers" not in raw:
+            raise ValueError(
+                "depth_of record holds dense 'values', a format no longer read; "
+                "re-record the tool cache"
+            )
+        layers = tuple((tuple(box), depth) for box, depth in raw["layers"])
+        return DepthGrid(width=raw["width"], height=raw["height"], layers=layers)
     if operation == "inpaint_region":
         return ImageHandle.from_doc(raw)
     return raw

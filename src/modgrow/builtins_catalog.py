@@ -178,5 +178,3 @@ BUILTIN_SIGNATURES: tuple[ModuleSignature, ...] = (
         ["BOX0=MASK2BOX(mask=MASK0)"],
     ),
 )
-
-BUILTIN_NAMES = tuple(sig.name for sig in BUILTIN_SIGNATURES)

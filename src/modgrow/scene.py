@@ -206,14 +206,27 @@ def load_scene(document: str | dict) -> SceneGraph:
 
 @dataclass(frozen=True)
 class DepthGrid:
-    """Per-pixel depth for a viewport; smaller values are nearer the camera."""
+    """Per-pixel depth for a viewport; smaller values are nearer the camera.
+
+    The grid stores its painter's-order layers, not pixels: `(box, depth)`
+    pairs, far to near, in grid coordinates. A pixel takes the depth of the
+    last layer whose box contains it, or 1.0 (background) when none does.
+    Depth values are built only for the region a caller asks for.
+    """
 
     width: int
     height: int
-    values: tuple[float, ...]
+    layers: tuple[tuple[Box, float], ...]
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        """Every pixel, row-major."""
+        return tuple(self._paint(0, 0, self.width, self.height))
 
     def at(self, x: int, y: int) -> float:
-        return self.values[y * self.width + x]
+        if not (0 <= x < self.width and 0 <= y < self.height):
+            raise IndexError(f"pixel ({x}, {y}) outside the {self.width}x{self.height} grid")
+        return self._paint(x, y, x + 1, y + 1)[0]
 
     def region(self, box) -> list[float]:
         """Row-major values inside `box` clipped to the grid; [1.0] when empty."""
@@ -223,10 +236,27 @@ class DepthGrid:
         y2 = min(self.height, int(box[3]))
         if x1 >= x2 or y1 >= y2:
             return [1.0]
+        return self._paint(x1, y1, x2, y2)
+
+    def _paint(self, x1: int, y1: int, x2: int, y2: int) -> list[float]:
+        """Row-major values inside the in-grid box (x1, y1, x2, y2)."""
+        clipped = []  # layers cut to the box, x relative to its left edge
+        edges = {y1, y2}
+        for (lx1, ly1, lx2, ly2), depth in self.layers:
+            left, top, right, bottom = max(x1, lx1), max(y1, ly1), min(x2, lx2), min(y2, ly2)
+            if left < right and top < bottom:
+                clipped.append((left - x1, top, right - x1, bottom, depth))
+                edges.update((top, bottom))
+        # rows between consecutive layer edges are identical: paint one row
+        # per band and repeat it
+        edges = sorted(edges)
         out: list[float] = []
-        for y in range(y1, y2):
-            row = y * self.width
-            out.extend(self.values[row + x1 : row + x2])
+        for top, bottom in zip(edges, edges[1:]):
+            row = [1.0] * (x2 - x1)
+            for left, layer_top, right, layer_bottom, depth in clipped:
+                if layer_top <= top and bottom <= layer_bottom:
+                    row[left:right] = [depth] * (right - left)
+            out += row * (bottom - top)
         return out
 
 

@@ -237,6 +237,25 @@ class TestRecordReplay:
         with pytest.raises(CacheMissError):
             replay.locate(coat_image, "dog")
 
+    def test_depth_record_holds_layers(self, tmp_path, backend, coat_image):
+        cache = tmp_path / "tools.jsonl"
+        RecordingToolBackend(backend, str(cache)).depth_of(coat_image)
+        line = cache.read_bytes()
+        assert (coat_image.width, coat_image.height) == (640, 480)
+        assert len(line) < 1024
+        response = json.loads(line)["response"]
+        assert response == {"width": 640, "height": 480, "layers": [[[200, 150, 380, 330], 0.5]]}
+
+    def test_dense_depth_record_asks_to_rerecord(self, tmp_path, backend, coat_image):
+        cache = tmp_path / "tools.jsonl"
+        RecordingToolBackend(backend, str(cache)).depth_of(coat_image)
+        record = json.loads(cache.read_text())
+        record["response"] = {"width": 640, "height": 480,
+                              "values": list(backend.depth_of(coat_image).values)}
+        cache.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ValueError, match="re-record"):
+            ReplayToolBackend(str(cache)).depth_of(coat_image)
+
 
 class _Handler(BaseHTTPRequestHandler):
     def do_POST(self):

@@ -85,10 +85,18 @@ def test_handle_doc_round_trip():
 
 
 def test_depth_grid_region_clips_and_defaults():
-    grid = DepthGrid(width=4, height=3, values=tuple([0.5] * 12))
+    grid = DepthGrid(width=4, height=3, layers=(((0, 0, 4, 3), 0.5),))
     assert grid.region((0, 0, 2, 2)) == [0.5] * 4
     assert grid.region((10, 10, 20, 20)) == [1.0]
     assert grid.at(3, 2) == 0.5
+
+
+def test_depth_grid_at_outside_the_grid_raises():
+    grid = DepthGrid(width=3, height=2, layers=(((0, 0, 3, 2), 0.5),))
+    assert grid.at(2, 1) == 0.5
+    for x, y in ((3, 0), (-1, 0), (0, 2), (0, -1), (3, 2), (-1, -1)):
+        with pytest.raises(IndexError):
+            grid.at(x, y)
 
 
 def test_rasterizer_writes_ppm(tmp_path):
