@@ -225,7 +225,7 @@ class LlmGateway:
             "key": key,
             "request": request_doc(req),
             "response": response,
-            "timestamp": time.time(),
+            "timestamp": int(time.time()),  # whole seconds: same work, same bytes
         }
         if self.cache_path:
             append_record(self.cache_path, record)

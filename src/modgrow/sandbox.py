@@ -3,9 +3,16 @@
 Candidates are executed in-process inside a stripped namespace: a curated
 builtin set, a tool `API` object, and nothing else. File, network, import
 and dunder access attempts are rejected (statically at load where possible,
-dynamically via guard builtins otherwise), loops are bounded by a line-event
-budget and a wall clock, and every failure is captured as a structured error
-the repair loop can feed back to the code generator.
+dynamically via guard builtins otherwise), and every failure is captured as a
+structured error the repair loop can feed back to the code generator.
+
+Loops are bounded by a step budget and a wall clock compiled into the
+candidate: at load, every loop body, function body, lambda and comprehension
+item of the candidate's own code gets a call to the reserved name `__tick__`,
+which counts one step against `Limits` and checks the clock every 64 steps.
+Code the candidate calls (the backend, builtins) runs at full speed and
+unbudgeted, so a single long C-level call such as `sum(range(10**9))` cannot
+be interrupted; deep recursion ends as `RecursionError`, reported as `timeout`.
 
 `API` is a `SandboxApi`: the six short aliases the stage-2 prompt teaches,
 each a direct backend call, and the canonical names of `backends.OPERATIONS`,
@@ -20,6 +27,7 @@ from __future__ import annotations
 import ast
 import builtins
 import statistics
+import string
 import sys
 import time
 import traceback
@@ -33,6 +41,9 @@ from .values import Value
 
 @dataclass(frozen=True)
 class Limits:
+    """Budget of one candidate call. A step is one loop pass, one function or
+    lambda call, or one comprehension item in the candidate's own code."""
+
     wall_time_ms: int = 2000
     max_steps: int = 2_000_000
 
@@ -57,11 +68,65 @@ class CapturedError:
 
 
 class _SandboxInterrupt(BaseException):
-    """Raised from the trace hook when a candidate exceeds its limits."""
+    """Raised from `__tick__` when a candidate exceeds its limits."""
 
 
 class _ForbiddenAccess(BaseException):
     """Raised when a candidate touches a capability outside the allowlist."""
+
+
+_TICK = "__tick__"
+
+
+class _Budget:
+    """Counts the steps of one candidate call against `Limits`; `tick` is
+    bound as the candidate's `__tick__`. Once the budget is spent, every later
+    tick raises again, so a bare `except:` in the candidate cannot swallow it,
+    and `spent` holds the timeout message."""
+
+    __slots__ = ("wall_time_ms", "deadline", "max_steps", "steps", "spent")
+
+    def __init__(self, limits: Limits):
+        self.wall_time_ms = limits.wall_time_ms
+        self.deadline = time.monotonic() + limits.wall_time_ms / 1000.0
+        self.max_steps = limits.max_steps
+        self.steps = 0
+        self.spent: str | None = None
+
+    def tick(self) -> bool:
+        self.steps += 1
+        if self.steps > self.max_steps or (self.steps % 64 == 0 and time.monotonic() > self.deadline):
+            if self.spent is None:
+                if time.monotonic() > self.deadline:
+                    self.spent = f"wall time budget of {self.wall_time_ms} ms exceeded"
+                else:
+                    self.spent = f"step budget of {self.max_steps} exceeded"
+                self.max_steps = 0
+            raise _SandboxInterrupt(self.spent)
+        return True
+
+
+def _tick_call(at: ast.AST) -> ast.Call:
+    name = ast.copy_location(ast.Name(id=_TICK, ctx=ast.Load()), at)
+    return ast.copy_location(ast.Call(func=name, args=[], keywords=[]), at)
+
+
+def _insert_ticks(nodes: list[ast.AST]) -> None:
+    """Call `__tick__()` first in every loop body and function body (after a
+    docstring), first in every lambda and first among the conditions of
+    every comprehension; `__tick__()` returns True."""
+    for node in nodes:
+        kind = type(node)
+        if kind in (ast.For, ast.AsyncFor, ast.While, ast.FunctionDef, ast.AsyncFunctionDef):
+            first = node.body[0]
+            at = int(kind in (ast.FunctionDef, ast.AsyncFunctionDef)
+                     and ast.get_docstring(node, clean=False) is not None)
+            node.body.insert(at, ast.copy_location(ast.Expr(_tick_call(first)), first))
+        elif kind is ast.Lambda:
+            tick = ast.BoolOp(op=ast.And(), values=[_tick_call(node.body), node.body])
+            node.body = ast.copy_location(tick, node.body)
+        elif kind is ast.comprehension:
+            node.ifs.insert(0, _tick_call(node.iter))
 
 
 def _guard(name: str):
@@ -137,18 +202,49 @@ class CandidateHandle:
     _filename: str = ""
 
 
-def _scan_source(tree: ast.AST) -> str | None:
+def _format_fields(text: str):
+    """The `{…}` replacement fields of a format string, with their specs."""
+    try:
+        return [field + (spec or "") for _, field, spec, _ in string.Formatter().parse(text)
+                if field is not None]
+    except ValueError:  # not a valid format string, so `str.format` on it raises
+        return []
+
+
+# the field that holds the name each kind of node binds
+_BOUND_NAME = {
+    ast.arg: "arg", ast.MatchMapping: "rest", ast.FunctionDef: "name",
+    ast.AsyncFunctionDef: "name", ast.ClassDef: "name", ast.ExceptHandler: "name",
+    ast.MatchAs: "name", ast.MatchStar: "name",
+}
+
+
+def _scan_source(nodes: list[ast.AST]) -> str | None:
     """Static allowlist scan; returns a refusal message or None."""
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             return "import statements are not permitted inside candidate modules"
         if isinstance(node, ast.Attribute) and node.attr.startswith("__"):
             return f"dunder attribute access ({node.attr}) is not permitted"
         if isinstance(node, ast.Name) and node.id.startswith("__"):
             return f"dunder name access ({node.id}) is not permitted"
+        bound = _BOUND_NAME.get(type(node))
+        if bound and getattr(node, bound) == _TICK:
+            return f"the name {_TICK} is reserved"
         if isinstance(node, (ast.Global, ast.Nonlocal)):
             return "global/nonlocal declarations are not permitted"
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "{" in node.value:
+            if any("__" in field for field in _format_fields(node.value)):
+                return "dunder access in a format field is not permitted"
     return None
+
+
+def _load_failure(exc: BaseException, budget: _Budget, stage: str) -> CapturedError:
+    if budget.spent is not None:
+        return CapturedError("timeout", budget.spent)
+    if isinstance(exc, _ForbiddenAccess):
+        return CapturedError("forbidden_access", str(exc))
+    return CapturedError("compile", f"{stage} failed: {exc}")
 
 
 def load_candidate(source: str, signature=None) -> CandidateHandle:
@@ -174,15 +270,20 @@ def load_candidate(source: str, signature=None) -> CandidateHandle:
     except SyntaxError as exc:
         handle.error = CapturedError("compile", f"{exc.msg}", location=exc.lineno)
         return handle
-    refusal = _scan_source(tree)
+    nodes = list(ast.walk(tree))  # the candidate's own code, walked once
+    refusal = _scan_source(nodes)
     if refusal:
         handle.error = CapturedError("forbidden_access", refusal)
         return handle
 
+    _insert_ticks(nodes)
+    # class bodies and the constructor run now, under the default budget
+    budget = _Budget(Limits())
     namespace: dict = {
         "__builtins__": dict(_SAFE_BUILTINS),
         "__name__": "candidate",
         "API": None,  # bound per invocation
+        _TICK: budget.tick,  # the load budget now, then bound per invocation
         "median": statistics.median,
         "print": lambda *a, **k: handle.prints.append(" ".join(str(x) for x in a)),
     }
@@ -195,14 +296,11 @@ def load_candidate(source: str, signature=None) -> CandidateHandle:
     try:
         code = compile(tree, filename, "exec")
         exec(code, namespace)  # definitions only; bodies run at invoke time
-    except _ForbiddenAccess as exc:
-        handle.error = CapturedError("forbidden_access", str(exc))
-        return handle
     except SyntaxError as exc:
         handle.error = CapturedError("compile", f"{exc.msg}", location=exc.lineno)
         return handle
     except BaseException as exc:
-        handle.error = CapturedError("compile", f"definition failed: {exc}")
+        handle.error = _load_failure(exc, budget, "definition")
         return handle
 
     classes = {k: v for k, v in namespace.items() if isinstance(v, type)}
@@ -235,12 +333,13 @@ def load_candidate(source: str, signature=None) -> CandidateHandle:
         return handle
     try:
         instance = cls()
-    except _ForbiddenAccess as exc:
-        handle.error = CapturedError("forbidden_access", str(exc))
-        return handle
     except BaseException as exc:
-        handle.error = CapturedError("compile", f"constructor failed: {exc}")
+        handle.error = _load_failure(exc, budget, "constructor")
         return handle
+    if budget.spent is not None:  # the candidate swallowed the interrupt
+        handle.error = CapturedError("timeout", budget.spent)
+        return handle
+    namespace[_TICK] = None
 
     handle.load_state = "loaded"
     handle.error = None
@@ -262,52 +361,37 @@ def invoke_candidate(handle: CandidateHandle, args, backend, limits: Limits | No
     """Call a loaded candidate's entry point; returns a Value or CapturedError.
 
     The invocation is hermetic: the only reachable capability is the backend
-    passed in, and the candidate's own line events are budgeted against the
-    step and wall-clock limits.
+    passed in, and the candidate's own steps (see `Limits`) are budgeted
+    against the step and wall-clock limits.
     """
     if handle.load_state != "loaded":
         return handle.error or CapturedError("compile", "candidate not loaded")
-    limits = limits or Limits()
+    budget = _Budget(limits or Limits())
     handle.prints.clear()
-    handle._namespace["API"] = SandboxApi(backend)
-
-    deadline = time.monotonic() + limits.wall_time_ms / 1000.0
-    steps = 0
-    filename = handle._filename
-
-    def tracer(frame, event, arg):
-        nonlocal steps
-        if frame.f_code.co_filename != filename:
-            return None
-        if event == "line":
-            steps += 1
-            if steps > limits.max_steps:
-                raise _SandboxInterrupt(f"step budget of {limits.max_steps} exceeded")
-            if steps % 64 == 0 and time.monotonic() > deadline:
-                raise _SandboxInterrupt(f"wall time budget of {limits.wall_time_ms} ms exceeded")
-        return tracer
-
-    previous = sys.gettrace()
-    sys.settrace(tracer)
+    namespace, filename = handle._namespace, handle._filename
+    namespace["API"] = SandboxApi(backend)
+    namespace[_TICK] = budget.tick
+    error = None
     try:
         raw = handle._instance.execute(*args)
-    except _SandboxInterrupt as exc:
-        if time.monotonic() > deadline:
-            return CapturedError("timeout", f"wall time budget of {limits.wall_time_ms} ms exceeded")
-        return CapturedError("timeout", str(exc))
+    except _SandboxInterrupt:
+        pass  # budget.spent holds the message
     except _ForbiddenAccess as exc:
-        return CapturedError("forbidden_access", str(exc), location=_candidate_line(filename))
+        error = CapturedError("forbidden_access", str(exc), location=_candidate_line(filename))
     except BackendError as exc:
-        return CapturedError("runtime", f"backend error: {exc}", location=_candidate_line(filename))
+        error = CapturedError("runtime", f"backend error: {exc}", location=_candidate_line(filename))
     except RecursionError:
-        return CapturedError("timeout", "recursion limit exceeded")
+        error = CapturedError("timeout", "recursion limit exceeded")
     except Exception as exc:
-        return CapturedError(
+        error = CapturedError(
             "runtime", f"{type(exc).__name__}: {exc}", location=_candidate_line(filename)
         )
     finally:
-        sys.settrace(previous)
-        handle._namespace["API"] = None
+        namespace["API"] = namespace[_TICK] = None
+    if budget.spent is not None:  # also when the candidate swallowed the interrupt
+        return CapturedError("timeout", budget.spent)
+    if error is not None:
+        return error
 
     if handle.expected_return is not None:
         coerced = V.coerce_to_tag(raw, handle.expected_return)

@@ -83,7 +83,7 @@ class TestOneFormat:
         assert cache.read_text(encoding="utf-8") == (
             f'{{"key": "{key}", "request": {{"max_tokens": 1024, "model_id": "m", '
             f'"prompt": "p", "stop": null, "temperature": 0.0}}, '
-            f'"response": "re: p", "timestamp": 1234.5}}\n'
+            f'"response": "re: p", "timestamp": 1234}}\n'
         )
 
     def test_tool_records_share_the_gateway_shape(self, tmp_path, backend, coat_image):

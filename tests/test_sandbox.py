@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from modgrow import reference_modules as rm
@@ -98,6 +100,49 @@ class TestLoad:
         handle = load_candidate(source, signature=sig_of(source))
         assert "execute" in handle.error.message
 
+    @pytest.mark.parametrize("line", [
+        "__tick__ = lambda: True",
+        "__tick__()",
+        "def __tick__():\n    return True",
+        "def inner(__tick__=None):\n    return 1",
+        "try:\n    pass\nexcept Exception as __tick__:\n    pass",
+    ])
+    def test_tick_name_is_reserved(self, line):
+        source = simple_source(f"{line}\nreturn 'x'")
+        handle = load_candidate(source, signature=sig_of(source))
+        assert handle.load_state == "compile_error"
+        assert handle.error.kind == "forbidden_access"
+
+    @pytest.mark.parametrize("template", [
+        "{0._backend.__class__.locate.__globals__[__name__]}",
+        "{0:{1.__class__}}",
+        "{__x}",
+    ])
+    def test_dunder_format_field_rejected_at_load(self, template):
+        source = simple_source(f"return '{template}'.format(API, API)")
+        handle = load_candidate(source, signature=sig_of(source))
+        assert handle.load_state == "compile_error"
+        assert handle.error.kind == "forbidden_access"
+
+    def test_plain_format_fields_still_run(self, backend, probe_image):
+        source = simple_source("return '{0}-{1:>3}-{{__x}}'.format('a', 'b')")
+        handle = load_candidate(source, signature=sig_of(source))
+        assert invoke_candidate(handle, [probe_image], backend).payload == "a-  b-{__x}"
+
+    def test_constructor_loop_times_out_at_load(self):
+        source = simple_source("return 'x'").replace(
+            "    def execute(self,img):\n",
+            "    def __init__(self):\n        while True:\n            pass\n    def execute(self,img):\n",
+        )
+        handle = load_candidate(source, signature=sig_of(source))
+        assert handle.load_state == "compile_error"
+        assert handle.error.kind == "timeout"
+
+    def test_docstrings_keep_their_value(self):
+        source = simple_source('"""Return x."""\nreturn \'x\'')
+        handle = load_candidate(source, signature=sig_of(source))
+        assert type(handle._instance).execute.__doc__ == "Return x."
+
     def test_constructor_print_is_captured(self):
         handle = load_candidate(
             rm.CHOOSE_ATTRIBUTE_SOURCE, signature=rm.fixture_signature("CHOOSE_ATTRIBUTE")
@@ -120,6 +165,45 @@ class TestInvoke:
         handle = load_candidate(source, signature=sig_of(source))
         out = invoke_candidate(handle, [probe_image], backend, Limits(wall_time_ms=150))
         assert is_error(out) and out.kind == "timeout"
+
+    def test_one_line_loop_times_out(self, backend, probe_image):
+        source = simple_source("while True: pass")
+        handle = load_candidate(source, signature=sig_of(source))
+        out = invoke_candidate(handle, [probe_image], backend, Limits(wall_time_ms=100))
+        assert is_error(out) and out.kind == "timeout"
+
+    @pytest.mark.parametrize("body", [
+        "return str(len([i for i in range(10**9)]))",
+        "return str(sum(i for i in range(10**9)))",
+        "return str({i: i for i in range(10**9) if i % 2})",
+        "def f(n):\n    return f(n + 1)\nreturn f(0)",
+        "return str(sum(map(lambda i: 1, range(10**9))))",
+        "try:\n    while True:\n        pass\nexcept:\n    pass\nreturn 'x'",
+    ])
+    def test_step_budget_reaches_every_step_kind(self, backend, probe_image, body):
+        source = simple_source(body)
+        handle = load_candidate(source, signature=sig_of(source))
+        out = invoke_candidate(handle, [probe_image], backend, Limits(wall_time_ms=60_000, max_steps=5000))
+        assert is_error(out) and out.kind == "timeout"
+
+    def test_caller_tracer_stays_installed(self, backend, probe_image):
+        source = simple_source("return 'x'")
+        handle = load_candidate(source, signature=sig_of(source))
+        seen = []
+
+        def tracer(frame, event, arg):
+            seen.append(frame.f_code.co_filename)
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            out = invoke_candidate(handle, [probe_image], backend)
+            after = sys.gettrace()
+        finally:
+            sys.settrace(previous)
+        assert out.payload == "x"
+        assert after is tracer
+        assert "<candidate:PROBE>" in seen
 
     def test_step_budget(self, backend, probe_image):
         source = simple_source("n = 0\nfor i in range(10**9):\n    n = n + 1\nreturn 'x'")
