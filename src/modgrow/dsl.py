@@ -9,9 +9,10 @@ fresh uppercase variable:
 
 The grammar is deliberately small: keyword arguments only, single-quoted
 string literals, decimal numbers, bare uppercase identifiers as variable
-references, and f"..." expression templates with {VAR} placeholders. The
-serializer emits a canonical form (no spaces outside string payloads) that
-round-trips through the parser.
+references, and f"..." expression templates with {VAR} placeholders. Blanks
+and tabs are allowed between tokens; the serializer emits none (no spaces
+outside string payloads), and its canonical form round-trips through the
+parser.
 """
 
 from __future__ import annotations
@@ -108,6 +109,9 @@ class Diagnostic:
 
 
 class _LineScanner:
+    """Token-by-token walk of one line. It names the syntax error of a line
+    that _STATEMENT_RE rejects."""
+
     def __init__(self, line: str, line_no: int):
         self.text = line
         self.pos = 0
@@ -199,40 +203,80 @@ class _LineScanner:
             return Arg("identifier-constant", word)
         raise self.error(f"unexpected character {ch!r} in argument value")
 
+    def statement(self) -> Statement:
+        target = self.ident("a target variable name")
+        if not IDENT_RE.fullmatch(target):
+            raise self.error(f"target {target!r} must be uppercase alphanumeric")
+        self.expect("=")
+        module_name = self.ident("a module name")
+        if not IDENT_RE.fullmatch(module_name):
+            raise self.error(f"module name {module_name!r} must match [A-Z][A-Z0-9_]*")
+        self.expect("(")
+        args: list[tuple[str, Arg]] = []
+        seen: set[str] = set()
+        self.skip_spaces()
+        if self.peek() == ")":
+            self.pos += 1
+        else:
+            while True:
+                pname = self.ident("a parameter name")
+                if pname in seen:
+                    raise self.error(f"duplicate keyword argument {pname!r}")
+                seen.add(pname)
+                self.expect("=")
+                args.append((pname, self.value()))
+                self.skip_spaces()
+                if self.peek() == ",":
+                    self.pos += 1
+                    continue
+                self.expect(")")
+                break
+        self.skip_spaces()
+        if not self.eof():
+            raise self.error(f"trailing text after statement: {self.text[self.pos:]!r}")
+        return Statement(target, module_name, tuple(args), self.line_no)
+
+
+# One statement, matched whole; blanks and tabs may separate any two tokens.
+# The value alternatives start with distinct characters (an identifier value
+# `f` fails on the `"` after it), and a string body is runs of plain
+# characters between escapes, so a failed match backtracks at most one token
+# at a time and the regex stays linear in the line's length.
+_BLANK = r"[ \t]*"
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_KWARG = (
+    rf"({_NAME}){_BLANK}={_BLANK}"
+    rf"""(?:'([^'\\]*(?:\\['\\][^'\\]*)*)'|f"([^"]*)"|(-?\d+(?:\.\d+)?)|({_NAME}))"""
+)
+_STATEMENT_RE = re.compile(
+    rf"{_BLANK}([A-Z][A-Z0-9_]*){_BLANK}={_BLANK}([A-Z][A-Z0-9_]*){_BLANK}\({_BLANK}"
+    rf"((?:{_KWARG}(?:{_BLANK},{_BLANK}{_KWARG})*{_BLANK})?)\){_BLANK}"
+)
+_KWARG_RE = re.compile(_KWARG)
+# the value kind of each of _KWARG's value groups, by group number
+_VALUE_KINDS = {2: "string-literal", 3: "template-string", 4: "number", 5: "identifier"}
+_ESCAPE_RE = re.compile(r"\\(['\\])")
+
 
 def parse_statement(line: str, line_no: int) -> Statement:
-    sc = _LineScanner(line, line_no)
-    target = sc.ident("a target variable name")
-    if not IDENT_RE.fullmatch(target):
-        raise sc.error(f"target {target!r} must be uppercase alphanumeric")
-    sc.expect("=")
-    module_name = sc.ident("a module name")
-    if not IDENT_RE.fullmatch(module_name):
-        raise sc.error(f"module name {module_name!r} must match [A-Z][A-Z0-9_]*")
-    sc.expect("(")
-    args: list[tuple[str, Arg]] = []
-    seen: set[str] = set()
-    sc.skip_spaces()
-    if sc.peek() == ")":
-        sc.pos += 1
-    else:
-        while True:
-            pname = sc.ident("a parameter name")
-            if pname in seen:
-                raise sc.error(f"duplicate keyword argument {pname!r}")
-            seen.add(pname)
-            sc.expect("=")
-            args.append((pname, sc.value()))
-            sc.skip_spaces()
-            if sc.peek() == ",":
-                sc.pos += 1
-                continue
-            sc.expect(")")
-            break
-    sc.skip_spaces()
-    if not sc.eof():
-        raise sc.error(f"trailing text after statement: {sc.text[sc.pos:]!r}")
-    return Statement(target=target, module_name=module_name, args=tuple(args), line_no=line_no)
+    """Parse one statement. A line that _STATEMENT_RE rejects, or that repeats
+    a keyword, is walked by _LineScanner, which raises the syntax error."""
+    m = _STATEMENT_RE.fullmatch(line)
+    if m is None:
+        return _LineScanner(line, line_no).statement()
+    args = []
+    for kw in _KWARG_RE.finditer(m.group(3)):
+        kind, raw = _VALUE_KINDS[kw.lastindex], kw.group(kw.lastindex)
+        if kind == "string-literal" and "\\" in raw:
+            raw = _ESCAPE_RE.sub(r"\1", raw)
+        elif kind == "number":
+            raw = float(raw) if "." in raw else int(raw)
+        elif kind == "identifier":
+            kind = "variable-reference" if IDENT_RE.fullmatch(raw) else "identifier-constant"
+        args.append((kw.group(1), Arg(kind, raw)))
+    if len({name for name, _ in args}) < len(args):
+        return _LineScanner(line, line_no).statement()
+    return Statement(m.group(1), m.group(2), tuple(args), line_no)
 
 
 def parse_program(source: str) -> Program:

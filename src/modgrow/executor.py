@@ -51,9 +51,14 @@ class StepRecord:
     statement: str
     line_no: int
     module_kind: str  # builtin | generated
-    resolved_inputs: dict[str, str]
+    inputs: dict[str, Value]
     output: str
     elapsed_ms: float
+
+    @property
+    def resolved_inputs(self) -> dict[str, str]:
+        """The inputs, summarized; built on read, since few runs keep a trace."""
+        return {name: V.summarize(value) for name, value in self.inputs.items()}
 
 
 @dataclass(frozen=True)
@@ -410,7 +415,7 @@ def _execute_statement(st: Statement, env: Environment, registry, backend) -> tu
         template = arg.value if arg.kind in ("template-string", "string-literal") else None
         if template is None:
             raise ExecutorRuntimeError("type", "EVAL expr must be a template")
-        inputs = {ph: V.summarize(env.lookup(ph)) for ph in PLACEHOLDER_RE.findall(template)}
+        inputs = {ph: env.lookup(ph) for ph in PLACEHOLDER_RE.findall(template)}
         try:
             return eval_template(template, env), inputs, "builtin"
         except TemplateEvalError as exc:
@@ -419,18 +424,17 @@ def _execute_statement(st: Statement, env: Environment, registry, backend) -> tu
     resolved: dict[str, Value] = {}
     for pname, arg in st.args:
         resolved[pname] = _resolve_arg(arg, env)
-    inputs = {k: V.summarize(v) for k, v in resolved.items()}
 
     if st.module_name == "RESULT":
         if "var" not in resolved:
             raise ExecutorRuntimeError("type", "RESULT requires a var argument")
-        return resolved["var"], inputs, "builtin"
+        return resolved["var"], resolved, "builtin"
 
     if registry is not None and registry.is_generated(st.module_name):
         value = registry.invoke_generated(st.module_name, resolved, backend)
-        return value, inputs, "generated"
+        return value, resolved, "generated"
 
-    return run_builtin(st.module_name, resolved, backend), inputs, "builtin"
+    return run_builtin(st.module_name, resolved, backend), resolved, "builtin"
 
 
 def execute_program(program: Program, init: Environment, registry, backend) -> ExecutionResult:
@@ -458,7 +462,7 @@ def execute_program(program: Program, init: Environment, registry, backend) -> E
                 statement=serialize_statement(st),
                 line_no=st.line_no,
                 module_kind=kind,
-                resolved_inputs=inputs,
+                inputs=inputs,
                 output=V.summarize(value),
                 elapsed_ms=elapsed_ms,
             )

@@ -85,8 +85,16 @@ class TaskInstance:
     query_scene: SceneGraph | None = None
     module_cases: dict = field(default_factory=dict)
 
-    def bindings_doc(self) -> dict:
-        doc = {"task": self.task, "query": self.query}
+    def to_doc(self) -> dict:
+        doc = {
+            "id": self.id,
+            "task": self.task,
+            "query": self.query,
+            "query_spec": self.query_spec,
+            "gold": self.gold,
+            "programs": {"canonical": self.canonical_program, "fallback": self.fallback_program},
+            "module_cases": self.module_cases,
+        }
         if self.scene is not None:
             doc["scene"] = self.scene.to_doc()
         if self.puzzle is not None:
@@ -96,18 +104,6 @@ class TaskInstance:
         if self.query_scene is not None:
             doc["query_scene"] = self.query_scene.to_doc()
         return doc
-
-    def to_doc(self) -> dict:
-        return {
-            "id": self.id,
-            "task": self.task,
-            "query": self.query,
-            "query_spec": self.query_spec,
-            "gold": self.gold,
-            "programs": {"canonical": self.canonical_program, "fallback": self.fallback_program},
-            "module_cases": self.module_cases,
-            **self.bindings_doc(),
-        }
 
     @classmethod
     def from_doc(cls, doc: dict) -> "TaskInstance":
@@ -141,36 +137,30 @@ def binding_tags(task: str) -> dict[str, str]:
     return dict(INITIAL_BINDING_NAMES[task])
 
 
-def build_bindings(doc: dict) -> Environment:
-    """Initial environment for a bindings document (scene + query per task)."""
-    task = doc["task"]
+def build_bindings(instance: TaskInstance) -> Environment:
+    """Initial environment of an instance: its loaded scenes and its query.
+
+    Scenes are immutable, so every run of the instance binds the same ones."""
+    task = instance.task
     bindings: dict[str, V.Value] = {}
     if task in ("vqa", "grounding", "tagging", "editing"):
-        handle = ImageHandle.of_scene(load_scene(doc["scene"]))
+        handle = ImageHandle.of_scene(instance.scene)
         bindings["IMAGE"] = V.image(handle)
         text_name = {"vqa": "QUESTION", "grounding": "EXPRESSION", "tagging": "EXPRESSION",
                      "editing": "INSTRUCTION"}[task]
-        bindings[text_name] = V.text(doc["query"])
+        bindings[text_name] = V.text(instance.query)
     elif task == "raven":
-        puzzle = doc["puzzle"]
-        bindings["PANELS"] = V.list_value(
-            ImageHandle.of_scene(load_scene(p)) for p in puzzle["panels"]
-        )
-        bindings["CANDIDATES"] = V.list_value(
-            ImageHandle.of_scene(load_scene(c)) for c in puzzle["candidates"]
-        )
+        puzzle = instance.puzzle
+        bindings["PANELS"] = V.list_value(ImageHandle.of_scene(p) for p in puzzle.panels)
+        bindings["CANDIDATES"] = V.list_value(ImageHandle.of_scene(c) for c in puzzle.candidates)
     elif task == "mewl-analog":
         bindings["EXAMPLES"] = V.list_value(
-            (ImageHandle.of_scene(load_scene(s)), w) for s, w in doc["examples"]
+            (ImageHandle.of_scene(s), w) for s, w in instance.example_pairs
         )
-        bindings["QUERY"] = V.image(ImageHandle.of_scene(load_scene(doc["query_scene"])))
+        bindings["QUERY"] = V.image(ImageHandle.of_scene(instance.query_scene))
     else:
         raise ValueError(f"unknown task {task!r}")
     return Environment(bindings=bindings)
-
-
-def instance_environment(instance: TaskInstance) -> Environment:
-    return build_bindings(instance.bindings_doc())
 
 
 # ---------------------------------------------------------------------------

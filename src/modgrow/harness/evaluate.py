@@ -19,7 +19,7 @@ from ..errors import EmptyGridError, ModgrowError
 from ..executor import execute_program
 from ..gateway import CompletionRequest, LlmGateway, load_template, parse_program_response, render_prompt
 from ..registry import ExecutionRegistry, Library, signature_prompt_text
-from .datasets import TaskInstance, binding_tags, instance_environment
+from .datasets import TaskInstance, binding_tags, build_bindings
 from .metrics import iou, match_region_sets, match_tag, precision_recall_f1
 
 
@@ -249,7 +249,7 @@ def evaluate(
                 outcome.error = f"validation: {diagnostics[0].code} {diagnostics[0].message}"
                 outcomes.append(outcome)
                 continue
-            result = execute_program(program, instance_environment(instance), registry, backend)
+            result = execute_program(program, build_bindings(instance), registry, backend)
             outcome.trace = _trace_docs(result.trace)
             if result.status != "ok":
                 outcome.error = f"{result.error.kind}: {result.error.message}"

@@ -82,9 +82,11 @@ class _Budget:
     """Counts the steps of one candidate call against `Limits`; `tick` is
     bound as the candidate's `__tick__`. Once the budget is spent, every later
     tick raises again, so a bare `except:` in the candidate cannot swallow it,
-    and `spent` holds the timeout message."""
+    and `spent` holds the timeout message. `refused` holds the first forbidden
+    access of the call, which the guards record before they raise, so a
+    swallowed `_ForbiddenAccess` is still reported."""
 
-    __slots__ = ("wall_time_ms", "deadline", "max_steps", "steps", "spent")
+    __slots__ = ("wall_time_ms", "deadline", "max_steps", "steps", "spent", "refused")
 
     def __init__(self, limits: Limits):
         self.wall_time_ms = limits.wall_time_ms
@@ -92,6 +94,7 @@ class _Budget:
         self.max_steps = limits.max_steps
         self.steps = 0
         self.spent: str | None = None
+        self.refused: CapturedError | None = None
 
     def tick(self) -> bool:
         self.steps += 1
@@ -129,9 +132,20 @@ def _insert_ticks(nodes: list[ast.AST]) -> None:
             node.ifs.insert(0, _tick_call(node.iter))
 
 
-def _guard(name: str):
+def _guard(name: str, namespace: dict, filename: str):
+    """A stand-in for a forbidden builtin: records the attempt on the budget
+    of the running call (bound as the namespace's `__tick__`), then raises."""
+    message = f"use of {name} is not permitted inside candidate modules"
+
     def blocked(*args, **kwargs):
-        raise _ForbiddenAccess(f"use of {name} is not permitted inside candidate modules")
+        budget = namespace[_TICK].__self__
+        if budget.refused is None:
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code.co_filename != filename:
+                frame = frame.f_back
+            line = frame.f_lineno if frame is not None else None
+            budget.refused = CapturedError("forbidden_access", message, location=line)
+        raise _ForbiddenAccess(message)
 
     return blocked
 
@@ -236,15 +250,19 @@ def _scan_source(nodes: list[ast.AST]) -> str | None:
         if isinstance(node, ast.Constant) and isinstance(node.value, str) and "{" in node.value:
             if any("__" in field for field in _format_fields(node.value)):
                 return "dunder access in a format field is not permitted"
+        if (isinstance(node, ast.Attribute) and node.attr in ("format", "format_map")
+                and not (isinstance(node.value, ast.Constant) and isinstance(node.value.value, str))):
+            # only a constant template has fields the scan above can read
+            return f"{node.attr} on anything but a string constant is not permitted"
     return None
 
 
-def _load_failure(exc: BaseException, budget: _Budget, stage: str) -> CapturedError:
+def _budget_failure(budget: _Budget) -> CapturedError | None:
+    """The timeout or forbidden access of a call, even if the candidate
+    swallowed the exception that signalled it."""
     if budget.spent is not None:
         return CapturedError("timeout", budget.spent)
-    if isinstance(exc, _ForbiddenAccess):
-        return CapturedError("forbidden_access", str(exc))
-    return CapturedError("compile", f"{stage} failed: {exc}")
+    return budget.refused
 
 
 def load_candidate(source: str, signature=None) -> CandidateHandle:
@@ -291,7 +309,7 @@ def load_candidate(source: str, signature=None) -> CandidateHandle:
     namespace["__builtins__"]["__name__"] = "candidate"
     namespace["__builtins__"]["print"] = namespace["print"]
     for guarded in _GUARDED:
-        namespace["__builtins__"][guarded] = _guard(guarded)
+        namespace["__builtins__"][guarded] = _guard(guarded, namespace, filename)
 
     try:
         code = compile(tree, filename, "exec")
@@ -300,7 +318,7 @@ def load_candidate(source: str, signature=None) -> CandidateHandle:
         handle.error = CapturedError("compile", f"{exc.msg}", location=exc.lineno)
         return handle
     except BaseException as exc:
-        handle.error = _load_failure(exc, budget, "definition")
+        handle.error = _budget_failure(budget) or CapturedError("compile", f"definition failed: {exc}")
         return handle
 
     classes = {k: v for k, v in namespace.items() if isinstance(v, type)}
@@ -334,10 +352,10 @@ def load_candidate(source: str, signature=None) -> CandidateHandle:
     try:
         instance = cls()
     except BaseException as exc:
-        handle.error = _load_failure(exc, budget, "constructor")
+        handle.error = _budget_failure(budget) or CapturedError("compile", f"constructor failed: {exc}")
         return handle
-    if budget.spent is not None:  # the candidate swallowed the interrupt
-        handle.error = CapturedError("timeout", budget.spent)
+    if failure := _budget_failure(budget):  # the class body or constructor swallowed it
+        handle.error = failure
         return handle
     namespace[_TICK] = None
 
@@ -374,10 +392,8 @@ def invoke_candidate(handle: CandidateHandle, args, backend, limits: Limits | No
     error = None
     try:
         raw = handle._instance.execute(*args)
-    except _SandboxInterrupt:
-        pass  # budget.spent holds the message
-    except _ForbiddenAccess as exc:
-        error = CapturedError("forbidden_access", str(exc), location=_candidate_line(filename))
+    except (_SandboxInterrupt, _ForbiddenAccess):
+        pass  # budget.spent or budget.refused holds the error
     except BackendError as exc:
         error = CapturedError("runtime", f"backend error: {exc}", location=_candidate_line(filename))
     except RecursionError:
@@ -388,10 +404,8 @@ def invoke_candidate(handle: CandidateHandle, args, backend, limits: Limits | No
         )
     finally:
         namespace["API"] = namespace[_TICK] = None
-    if budget.spent is not None:  # also when the candidate swallowed the interrupt
-        return CapturedError("timeout", budget.spent)
-    if error is not None:
-        return error
+    if failure := _budget_failure(budget) or error:  # also when the candidate swallowed it
+        return failure
 
     if handle.expected_return is not None:
         coerced = V.coerce_to_tag(raw, handle.expected_return)

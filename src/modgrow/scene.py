@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 from .errors import SceneSchemaError
 
@@ -99,9 +101,13 @@ class SceneObject:
     id: str
     name: str
     box: Box
-    attributes: dict[str, str] = field(default_factory=dict)
+    attributes: Mapping[str, str] = field(default_factory=dict)
     depth: float = 1.0
     tags: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        # read-only, because every run of an instance shares its scenes
+        object.__setattr__(self, "attributes", MappingProxyType(dict(self.attributes)))
 
     def to_doc(self) -> dict:
         doc = {

@@ -38,7 +38,6 @@ from .registry import (
     signature_prompt_text,
 )
 from .sandbox import CandidateHandle, CapturedError, Limits, load_candidate
-from .scene import ImageHandle, load_scene
 
 logger = logging.getLogger(__name__)
 
@@ -63,7 +62,7 @@ class SynthesisConfig:
 @dataclass(frozen=True)
 class TestCase:
     id: str
-    bindings: dict  # initial environment spec: scene document + query text
+    example: object  # the training TaskInstance: loaded scenes + query text
     program: str
     expected: V.Value
     comparator: str  # exact-text | numeric-eq | iou-at-0.5 | set-eq
@@ -71,7 +70,7 @@ class TestCase:
     def initial_environment(self) -> Environment:
         from .harness.datasets import build_bindings
 
-        return build_bindings(self.bindings)
+        return build_bindings(self.example)
 
 
 @dataclass(frozen=True)
@@ -205,7 +204,7 @@ def build_test_cases(proposal: Proposal, train_examples) -> list[TestCase]:
         cases.append(
             TestCase(
                 id=f"{example.id}:{name}",
-                bindings=example.bindings_doc(),
+                example=example,
                 program=case_spec["program"],
                 expected=V.Value(case_spec["expected"]["tag"], _tupleize(case_spec["expected"]["payload"])),
                 comparator=case_spec["comparator"],
@@ -285,7 +284,7 @@ def render_error_report(outcome: CandidateOutcome) -> str:
 def _cases_as_examples(cases) -> str:
     lines = []
     for case in cases[:5]:
-        query = case.bindings.get("query", "")
+        query = case.example.query
         lines.append(f"Question: {query}")
         lines.append(case.program)
         lines.append("")

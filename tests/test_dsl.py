@@ -1,4 +1,14 @@
+"""The DSL: parsing, serialization, validation and signature blocks.
+
+`ReferenceScanner` and `reference_parse_statement` are the token-by-token
+statement parser that `dsl.parse_statement` used before it matched whole
+lines with one compiled regex; every statement and every syntax diagnostic
+the regex parser gives must equal theirs.
+"""
+
 from __future__ import annotations
+
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +17,7 @@ from hypothesis import strategies as st
 from modgrow import dsl
 from modgrow.errors import DslSyntaxError, SignatureParseError
 from modgrow.gateway import load_template
+from modgrow.harness.datasets import generate_dataset
 from modgrow.reference_modules import (
     CHOOSE_ATTRIBUTE_SOURCE,
     SORT_SPATIAL_SOURCE,
@@ -232,3 +243,224 @@ def test_round_trip_property(program):
     parsed = dsl.parse_program(text)
     assert dsl.programs_equal(parsed, program)
     assert dsl.serialize_program(parsed) == text
+
+
+# --- the regex parser against the scanner it replaced ----------------------
+
+
+class ReferenceScanner:
+    def __init__(self, line: str, line_no: int):
+        self.text = line
+        self.pos = 0
+        self.line_no = line_no
+
+    def error(self, message: str) -> DslSyntaxError:
+        return DslSyntaxError([dsl.Diagnostic("SYNTAX", message, self.line_no)])
+
+    def eof(self) -> bool:
+        return self.pos >= len(self.text)
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def skip_spaces(self) -> None:
+        while not self.eof() and self.text[self.pos] in " \t":
+            self.pos += 1
+
+    def expect(self, ch: str) -> None:
+        self.skip_spaces()
+        if self.eof() or self.text[self.pos] != ch:
+            got = self.peek() or "end of line"
+            raise self.error(f"expected {ch!r}, found {got!r}")
+        self.pos += 1
+
+    def ident(self, what: str) -> str:
+        self.skip_spaces()
+        m = re.match(r"[A-Za-z_][A-Za-z0-9_]*", self.text[self.pos :])
+        if not m:
+            raise self.error(f"expected {what}")
+        self.pos += m.end()
+        return m.group(0)
+
+    def string_literal(self) -> str:
+        out = []
+        while True:
+            if self.eof():
+                raise self.error("unterminated string literal")
+            ch = self.text[self.pos]
+            self.pos += 1
+            if ch == "\\":
+                if self.eof():
+                    raise self.error("dangling escape in string literal")
+                nxt = self.text[self.pos]
+                self.pos += 1
+                if nxt in ("'", "\\"):
+                    out.append(nxt)
+                else:
+                    raise self.error(f"unsupported escape \\{nxt} in string literal")
+            elif ch == "'":
+                return "".join(out)
+            else:
+                out.append(ch)
+
+    def template_body(self) -> str:
+        start = self.pos
+        while not self.eof() and self.text[self.pos] != '"':
+            self.pos += 1
+        if self.eof():
+            raise self.error("unterminated template string")
+        body = self.text[start : self.pos]
+        self.pos += 1
+        return body
+
+    def value(self) -> dsl.Arg:
+        self.skip_spaces()
+        if self.eof():
+            raise self.error("expected a value")
+        ch = self.text[self.pos]
+        if ch == "'":
+            self.pos += 1
+            return dsl.Arg("string-literal", self.string_literal())
+        if ch == "f" and self.text[self.pos : self.pos + 2] == 'f"':
+            self.pos += 2
+            return dsl.Arg("template-string", self.template_body())
+        m = re.match(r"-?\d+\.\d+|-?\d+", self.text[self.pos :])
+        if m:
+            raw = m.group(0)
+            self.pos += m.end()
+            return dsl.Arg("number", float(raw) if "." in raw else int(raw))
+        m = re.match(r"[A-Za-z_][A-Za-z0-9_]*", self.text[self.pos :])
+        if m:
+            word = m.group(0)
+            self.pos += m.end()
+            if dsl.IDENT_RE.fullmatch(word):
+                return dsl.Arg("variable-reference", word)
+            return dsl.Arg("identifier-constant", word)
+        raise self.error(f"unexpected character {ch!r} in argument value")
+
+
+def reference_parse_statement(line: str, line_no: int) -> dsl.Statement:
+    sc = ReferenceScanner(line, line_no)
+    target = sc.ident("a target variable name")
+    if not dsl.IDENT_RE.fullmatch(target):
+        raise sc.error(f"target {target!r} must be uppercase alphanumeric")
+    sc.expect("=")
+    module_name = sc.ident("a module name")
+    if not dsl.IDENT_RE.fullmatch(module_name):
+        raise sc.error(f"module name {module_name!r} must match [A-Z][A-Z0-9_]*")
+    sc.expect("(")
+    args = []
+    seen = set()
+    sc.skip_spaces()
+    if sc.peek() == ")":
+        sc.pos += 1
+    else:
+        while True:
+            pname = sc.ident("a parameter name")
+            if pname in seen:
+                raise sc.error(f"duplicate keyword argument {pname!r}")
+            seen.add(pname)
+            sc.expect("=")
+            args.append((pname, sc.value()))
+            sc.skip_spaces()
+            if sc.peek() == ",":
+                sc.pos += 1
+                continue
+            sc.expect(")")
+            break
+    sc.skip_spaces()
+    if not sc.eof():
+        raise sc.error(f"trailing text after statement: {sc.text[sc.pos:]!r}")
+    return dsl.Statement(target=target, module_name=module_name, args=tuple(args), line_no=line_no)
+
+
+def parse_outcome(parse, line: str):
+    """The statement a parser returns, or the diagnostics it raises."""
+    try:
+        return parse(line, 7)
+    except DslSyntaxError as exc:
+        return exc.diagnostics
+
+
+def assert_parses_as_reference(line: str) -> None:
+    expected = parse_outcome(reference_parse_statement, line)
+    assert parse_outcome(dsl.parse_statement, line) == expected
+    if isinstance(expected, dsl.Statement):  # a valid line never needs the scanner
+        assert dsl._STATEMENT_RE.fullmatch(line), line
+
+
+_blank = st.sampled_from(["", "", " ", "\t", " \t "])
+_upper = st.sampled_from(["IMAGE", "BOX0", "FINAL_RESULT", "F", "X_1"])
+_lower = st.sampled_from(["image", "object", "f", "x_1", "Ab", "_p"])
+_string_body = st.lists(
+    st.sampled_from(["a", " ", "\t", "\\'", "\\\\", '"', "{BOX0}", "é", ",", ")"]), max_size=5
+).map("".join)
+_template_body = st.lists(
+    st.sampled_from(["{ANSWER0}", " ", "\t", "'", "\\", "+", "1.5", "a", ")", ","]), max_size=5
+).map("".join)
+_value = st.one_of(
+    st.builds("'{}'".format, _string_body),
+    st.builds('f"{}"'.format, _template_body),
+    st.sampled_from(["0", "-1", "1.5", "-0.25", "007", "٣", "12.50"]),
+    _upper,
+    _lower,
+)
+# what a broken piece may be instead
+_bad_blank = st.sampled_from(["\n", "\r", "\xa0"])
+_bad_name = st.sampled_from(["9x", "", "-", "a-b"])
+_bad_value = st.sampled_from(
+    ["'x", "'a\\n'", "'a\\", 'f"x', "1.", ".5", "-", "1e3", "", "f 'x'", "a b", "'x''y'"]
+)
+
+
+@st.composite
+def _line(draw):
+    """A statement line from the grammar's pieces; each piece is sometimes
+    swapped for a broken one, so about a third of the lines are valid."""
+
+    def piece(good, bad):
+        return draw(bad if draw(st.integers(0, 19)) == 0 else good)
+
+    def blank():
+        return piece(_blank, _bad_blank)
+
+    def token(good, *bad):
+        return blank() + piece(st.just(good) if isinstance(good, str) else good, st.sampled_from(bad))
+
+    names = [piece(_lower, st.one_of(_upper, _bad_name)) for _ in range(draw(st.integers(0, 3)))]
+    if names and draw(st.integers(0, 7)) == 0:
+        names.append(names[0])  # a duplicate keyword
+    args = [blank() + name + token("=", "==", ":") + blank() + piece(_value, _bad_value)
+            for name in names]
+    separator = blank() + piece(st.just(","), st.sampled_from([",,", ";", ""])) + blank()
+    return (
+        token(_upper, "box", "9A", "") + token("=", ":", "==") + token(_upper, "Vqa", "")
+        + token("(", "[", "") + separator.join(args) + token(")", "", "]")
+        + blank() + piece(st.just(""), st.sampled_from(["x", ")", "#", "'"]))
+    )
+
+
+@given(_line())
+@settings(max_examples=600, deadline=None)
+def test_regex_parser_matches_reference_scanner(line):
+    assert_parses_as_reference(line)
+
+
+@pytest.mark.parametrize("line", [
+    "A=B()", " A =\tB ( ) ", "A=B(a=1,a=2)", "A=B(a='x\\'y\\\\z', b=f\"{C}+1\", c=-0.5, d=left)",
+    "A=B(a='x\\n')", "A=B(a='x", "A=B(a=f\"x)", "A=B(a=1.)", "A=B(a=1)x", "a=B()", "A=b()",
+    "A=B(a=1,)", "A=B(,a=1)", "A=B(a=)", "A=B", "", "A=B(a='x' b=1)",
+])
+def test_regex_parser_edge_lines(line):
+    assert_parses_as_reference(line)
+
+
+def test_generated_programs_parse_as_reference():
+    for task in ("vqa", "grounding", "tagging", "editing", "raven", "mewl-analog"):
+        for instance in generate_dataset(task, 3, 40):
+            programs = [instance.canonical_program, instance.fallback_program]
+            programs += [case["program"] for case in instance.module_cases.values()]
+            for program in programs:
+                for line in program.split("\n"):
+                    if line.strip():
+                        assert_parses_as_reference(line.strip())

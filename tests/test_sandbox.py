@@ -124,6 +124,18 @@ class TestLoad:
         assert handle.load_state == "compile_error"
         assert handle.error.kind == "forbidden_access"
 
+    @pytest.mark.parametrize("body", [
+        "return ('{0._backend._' + '_class__.locate.__globals__[_' + '_name__]}').format(API)",
+        "template = '{0}'\nreturn template.format(API)",
+        "return str.format('{0}', API)",
+        "return ('{x' + '}').format_map({'x': API})",
+    ])
+    def test_format_on_a_built_template_rejected_at_load(self, body):
+        source = simple_source(body)
+        handle = load_candidate(source, signature=sig_of(source))
+        assert handle.load_state == "compile_error"
+        assert handle.error.kind == "forbidden_access"
+
     def test_plain_format_fields_still_run(self, backend, probe_image):
         source = simple_source("return '{0}-{1:>3}-{{__x}}'.format('a', 'b')")
         handle = load_candidate(source, signature=sig_of(source))
@@ -137,6 +149,22 @@ class TestLoad:
         handle = load_candidate(source, signature=sig_of(source))
         assert handle.load_state == "compile_error"
         assert handle.error.kind == "timeout"
+
+    @pytest.mark.parametrize("where", ["class body", "constructor"])
+    def test_forbidden_access_swallowed_at_load(self, where):
+        swallow = "try:\n    open('/etc/passwd')\nexcept:\n    pass\n"
+        if where == "class body":
+            lines = "".join(f"    {line}\n" for line in swallow.splitlines())
+        else:
+            lines = "    def __init__(self):\n" + "".join(
+                f"        {line}\n" for line in swallow.splitlines())
+        source = simple_source("return 'x'").replace("    def execute(self,img):\n",
+                                                   lines + "    def execute(self,img):\n")
+        handle = load_candidate(source, signature=sig_of(source))
+        assert handle.load_state == "compile_error"
+        assert handle.error.kind == "forbidden_access"
+        assert handle.error.location == source.split("\n").index(
+            next(line for line in source.split("\n") if "open(" in line)) + 1
 
     def test_docstrings_keep_their_value(self):
         source = simple_source('"""Return x."""\nreturn \'x\'')
@@ -240,6 +268,37 @@ class TestInvoke:
         handle = load_candidate(source, signature=sig_of(source))
         out = invoke_candidate(handle, [probe_image], backend)
         assert is_error(out) and out.kind == "forbidden_access"
+
+    def test_forbidden_survives_bare_except(self, backend, probe_image):
+        source = simple_source("try:\n    open('/etc/passwd')\nexcept:\n    pass\nreturn 'clean'")
+        handle = load_candidate(source, signature=sig_of(source))
+        out = invoke_candidate(handle, [probe_image], backend)
+        assert is_error(out) and out.kind == "forbidden_access"
+        assert "open" in out.message
+        assert out.location == source.split("\n").index("            open('/etc/passwd')") + 1
+        # the attempt belongs to that call only
+        clean = load_candidate(simple_source("return 'x'"), signature=sig_of(source))
+        assert invoke_candidate(clean, [probe_image], backend).payload == "x"
+
+    def test_propagated_forbidden_access_names_its_line(self, backend, probe_image):
+        source = simple_source("x = 1\nreturn open('/etc/passwd')")
+        handle = load_candidate(source, signature=sig_of(source))
+        out = invoke_candidate(handle, [probe_image], backend)
+        assert out.kind == "forbidden_access" and out.location == 11
+
+    def test_scene_attributes_are_read_only(self, backend, probe_image):
+        source = simple_source(
+            "before = img.scene.objects[0].attributes['color']\n"
+            "if before == 'black':\n"
+            "    img.scene.objects[0].attributes['color'] = 'pink'\n"
+            "return before"
+        )
+        handle = load_candidate(source, signature=sig_of(source))
+        for _ in range(2):
+            out = invoke_candidate(handle, [probe_image], backend)
+            assert is_error(out) and out.kind == "runtime"
+            assert "does not support item assignment" in out.message
+        assert probe_image.scene.objects[0].attributes == {"color": "black"}
 
     def test_determinism_over_synthetic_backend(self, backend, coat_image):
         handle = load_candidate(

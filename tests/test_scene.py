@@ -5,7 +5,14 @@ import json
 import pytest
 
 from modgrow.errors import SceneSchemaError
-from modgrow.scene import DepthGrid, ImageHandle, load_scene, render_scene_ppm, singularize
+from modgrow.scene import (
+    DepthGrid,
+    ImageHandle,
+    SceneObject,
+    load_scene,
+    render_scene_ppm,
+    singularize,
+)
 
 from conftest import make_scene, obj
 
@@ -24,6 +31,18 @@ def test_load_minimal_scene():
     scene = load_scene(json.dumps(MINIMAL_DOC))
     assert scene.width == 100 and len(scene.objects) == 1
     assert scene.objects[0].attributes["color"] == "black"
+
+
+def test_object_attributes_are_read_only():
+    attributes = {"color": "black"}
+    scene = load_scene(MINIMAL_DOC)
+    made = SceneObject("a", "cat", (10, 10, 40, 40), attributes, depth=0.5)
+    attributes["color"] = "pink"  # the object keeps its own copy
+    assert made.attributes == scene.objects[0].attributes == {"color": "black"}
+    with pytest.raises(TypeError):
+        made.attributes["color"] = "pink"
+    assert dict(made.attributes) == {"color": "black"}
+    assert json.dumps(scene.to_doc()) == json.dumps(MINIMAL_DOC)
 
 
 @pytest.mark.parametrize(

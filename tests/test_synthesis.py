@@ -1,16 +1,24 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from modgrow import reference_modules as rm
+from modgrow import scene
+from modgrow.gateway import LlmGateway
 from modgrow.harness import datasets as ds
+from modgrow.harness.evaluate import evaluate
+from modgrow.replay_seed import SyntheticResponder
 from modgrow.sandbox import Limits, load_candidate
 from modgrow.synthesis import (
     CandidateOutcome,
     Proposal,
+    SynthesisConfig,
     build_test_cases,
     compute_pass_rate,
     render_error_report,
+    run_synthesis,
 )
 
 NAME = "CHOOSE_ATTRIBUTE"
@@ -63,3 +71,34 @@ def test_repair_report_names_the_candidate_line(cases, builtin_lib, backend):
     outcome = CandidateOutcome(0, source, tuple(results), rate, False, 0)
     errors = render_error_report(outcome).split("Errors:\n")[1]
     assert errors == f"- runtime (line {line}): ValueError: injected fault"
+
+
+@pytest.mark.parametrize("task", ["vqa", "raven", "mewl-analog"])
+def test_scenes_are_loaded_once_per_dataset(tmp_path, monkeypatch, builtin_lib, backend, task):
+    """Only `load_dataset` parses scene documents: neither the case runs of
+    learning nor evaluation parse a scene again."""
+    calls = []
+    original = scene.load_scene
+
+    def counting(document):
+        calls.append(1)
+        return original(document)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("modgrow") and getattr(module, "load_scene", None) is original:
+            monkeypatch.setattr(module, "load_scene", counting)
+
+    for name, seed in (("train", 5), ("test", 6)):
+        ds.save_dataset(ds.generate_dataset(task, seed, 8), tmp_path / f"{name}.jsonl")
+    train, test = (ds.load_dataset(tmp_path / f"{name}.jsonl") for name in ("train", "test"))
+    assert calls  # load_dataset parses every scene document
+    responder = SyntheticResponder()
+    responder.add(train)
+    responder.add(test)
+    gateway = LlmGateway(mode="record", cache_path=str(tmp_path / "cache.jsonl"), transport=responder)
+
+    calls.clear()
+    lib, report = run_synthesis(train, builtin_lib, gateway, backend, SynthesisConfig(k_candidates=2))
+    assert report.accepted and sum(len(o) for o in report.outcomes.values()) > 0
+    assert evaluate(task, test, lib, backend, gateway).metrics["accuracy"] == 1.0
+    assert calls == []
