@@ -17,6 +17,7 @@ import os
 import re
 import urllib.error
 import urllib.request
+from functools import lru_cache
 from typing import Protocol
 
 from .cache import append_record, load_responses
@@ -31,6 +32,7 @@ from .scene import (
     SceneGraph,
     SceneObject,
     box_area,
+    intersect_boxes,
     singularize,
 )
 
@@ -74,8 +76,32 @@ _DESCRIPTION_FIXTURES = {
 }
 
 
+@lru_cache(maxsize=1024)
+def _question_form(q: str) -> tuple[str, ...]:
+    """What a normalised perception question asks: ("count", name),
+    ("who", tag), ("attribute", attribute, name) or ("unknown",)."""
+    m = _HOW_MANY_RE.match(q)
+    if m:
+        return ("count", m.group(1).strip())
+    m = _WHO_RE.match(q)
+    if m:
+        return ("who", f"{m.group(1)} the {m.group(2).strip()}")
+    m = _ATTR_QUESTION_RE.match(q)
+    if m:
+        return ("attribute", m.group(1), m.group(2).strip())
+    return ("unknown",)
+
+
 class SyntheticBackend:
-    """Pure ground-truth backend: every answer is a function of (scene, request)."""
+    """Pure ground-truth backend: every answer is a function of (scene, request).
+
+    Perception reads a viewport's objects from `ImageHandle.visible_objects`,
+    which scans the scene once per handle and keeps the result for the
+    handle's lifetime; the four questions `DETECT_SHAPE` asks of one crop
+    share one scan. What a question asks, and the singular of a noun, depend
+    on the text alone and are kept in bounded LRU caches. All of it is safe
+    to keep because handles, scenes and the cached tuples are immutable.
+    """
 
     def _matching(self, image: ImageHandle, name: str) -> list[tuple[SceneObject, Box]]:
         wanted = singularize(name)
@@ -94,25 +120,20 @@ class SyntheticBackend:
         return [image.to_relative(clipped) for _, clipped in found]
 
     def answer_question(self, image: ImageHandle, question: str) -> str:
-        q = question.lower().strip().rstrip("?").strip()
-        m = _HOW_MANY_RE.match(q)
-        if m:
-            return str(len(self._matching(image, m.group(1).strip())))
-        m = _WHO_RE.match(q)
-        if m:
-            tag = f"{m.group(1)} the {m.group(2).strip()}"
+        form = _question_form(question.lower().strip().rstrip("?").strip())
+        if form[0] == "count":
+            return str(len(self._matching(image, form[1])))
+        if form[0] == "who":
             for obj, _ in image.visible_objects():
-                if any(t.lower() == tag for t in obj.tags):
+                if any(t.lower() == form[1] for t in obj.tags):
                     return obj.name.lower()
             return "unknown"
-        m = _ATTR_QUESTION_RE.match(q)
-        if m:
-            attr, name = m.group(1), m.group(2).strip()
-            found = self._matching(image, name)
+        if form[0] == "attribute":
+            found = self._matching(image, form[2])
             if not found:
                 return "unknown"
             found.sort(key=lambda pair: (-box_area(pair[1]), pair[1]))
-            return found[0][0].attributes.get(attr, "unknown").lower()
+            return found[0][0].attributes.get(form[1], "unknown").lower()
         return "unknown"
 
     def score_alignment(self, image: ImageHandle, texts: list[str]) -> list[float]:
@@ -153,8 +174,6 @@ class SyntheticBackend:
         covered = [image.to_absolute(b) for b in mask]
 
         def rewrite(obj: SceneObject) -> SceneObject:
-            from .scene import intersect_boxes
-
             if not any(intersect_boxes(obj.box, c) for c in covered):
                 return obj
             attrs = dict(obj.attributes)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import values as V
-from .dsl import PLACEHOLDER_RE, Arg, Program, Statement
+from .dsl import PLACEHOLDER_RE, Arg, Program, Statement, serialize_statement
 from .errors import BackendError, TemplateEvalError
 from .scene import ImageHandle
 from .values import Value
@@ -406,8 +406,6 @@ def _resolve_arg(arg: Arg, env: Environment) -> Value:
 
 
 def _execute_statement(st: Statement, env: Environment, registry, backend) -> tuple[Value, dict, str]:
-    from .dsl import serialize_statement  # local to avoid import cycle at module load
-
     if st.module_name == "EVAL":
         arg = st.arg_map().get("expr")
         if arg is None:
@@ -439,8 +437,6 @@ def _execute_statement(st: Statement, env: Environment, registry, backend) -> tu
 
 def execute_program(program: Program, init: Environment, registry, backend) -> ExecutionResult:
     """Run a validated program; on failure the partial trace is retained."""
-    from .dsl import serialize_statement
-
     env = Environment(bindings=dict(init.bindings))
     trace: list[StepRecord] = []
     final: Value | None = None

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .. import values as V
 from ..dsl import parse_program, validate_program
@@ -19,7 +19,9 @@ from ..errors import EmptyGridError, ModgrowError
 from ..executor import execute_program
 from ..gateway import CompletionRequest, LlmGateway, load_template, parse_program_response, render_prompt
 from ..registry import ExecutionRegistry, Library, signature_prompt_text
-from .datasets import TaskInstance, binding_tags, build_bindings
+from ..scene import ImageHandle
+from ..synthesis import compare_values, run_synthesis
+from .datasets import GOLD_COMPARATOR, TaskInstance, _gold_value, binding_tags, build_bindings
 from .metrics import iou, match_region_sets, match_tag, precision_recall_f1
 
 
@@ -66,13 +68,76 @@ class EvalReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_doc(), sort_keys=True, indent=2) + "\n"
+        return report_json(self.to_doc())
 
     def render_table(self) -> str:
         parts = [f"task={self.task} n={self.n}"]
         for key in sorted(self.metrics):
             parts.append(f"{key}={self.metrics[key]:.4f}")
         return "  ".join(parts)
+
+
+def report_json(doc) -> str:
+    """`json.dumps(doc, sort_keys=True, indent=2) + "\\n"`, byte for byte.
+
+    With `indent`, `json.dumps` runs the pure-Python encoder; this one
+    writes the JSON types a report holds by joining strings, escaping them
+    with the C `encode_basestring_ascii`. Anything else, such as a dict with
+    a key that is not a string or a subclass of a JSON type, is written by
+    `json.dumps` itself, which also raises what it raises on an unknown
+    type; a document deeper than the recursion limit or circular goes to
+    `json.dumps` whole, which fails on it as it would have.
+    """
+    try:
+        return _json_text(doc, "\n") + "\n"
+    except RecursionError:
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+_escape = json.encoder.encode_basestring_ascii
+_INFINITY = float("inf")
+
+
+def _json_text(value, newline: str) -> str:
+    """`value` as `json.dumps(value, sort_keys=True, indent=2)` writes it,
+    nested after `newline` (a line break and the current indent)."""
+    kind = type(value)
+    if kind is str:
+        return _escape(value)
+    if kind is dict and all(type(key) is str for key in value):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        # string leaves, most of a report, are escaped here without a call
+        return "{" + inner + ("," + inner).join([
+            _escape(key) + ": " + (_escape(item) if type(item) is str else _json_text(item, inner))
+            for key, item in sorted(value.items())
+        ]) + newline + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([
+            _escape(item) if type(item) is str else _json_text(item, inner) for item in value
+        ]) + newline + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float:
+        if value != value:
+            return "NaN"
+        if value == _INFINITY:
+            return "Infinity"
+        if value == -_INFINITY:
+            return "-Infinity"
+        return float.__repr__(value)
+    # json.dumps starts its text at indent 0; its strings hold no raw line break
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", newline)
 
 
 def _trace_docs(trace) -> list:
@@ -93,10 +158,6 @@ def _boxes_of(value: V.Value):
 
 
 def _judge_vqa(final: V.Value, gold: dict) -> bool:
-    from ..synthesis import compare_values
-
-    from .datasets import GOLD_COMPARATOR, _gold_value
-
     return compare_values(final, _gold_value(gold), GOLD_COMPARATOR[gold["type"]])
 
 
@@ -163,7 +224,6 @@ def solve_puzzle_with_modules(puzzle, registry: ExecutionRegistry, backend) -> i
     re-synthesis.
     """
     layout = puzzle.layout
-    from ..scene import ImageHandle
 
     def records_for(scene) -> list:
         handle = ImageHandle.of_scene(scene)
@@ -342,8 +402,6 @@ def run_ablation(
     clock=None,
 ) -> AblationReport:
     """One evaluate() per grid cell; cells name a library variant and train size."""
-    from ..synthesis import run_synthesis
-
     if not grid:
         raise EmptyGridError("ablation grid has no cells")
     rows: list[AblationRow] = []
@@ -384,6 +442,4 @@ def run_ablation(
 
 
 def _with_model(cfg, model_id: str):
-    from dataclasses import replace
-
     return replace(cfg, model_id=model_id) if model_id != cfg.model_id else cfg

@@ -13,9 +13,12 @@ import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from . import values as V
 from .builtins_catalog import BUILTIN_SIGNATURES
 from .dsl import ModuleSignature, render_signature_block
 from .errors import GateViolationError, LibraryFormatError, NameCollisionError, NotFoundError
+from .executor import ExecutorRuntimeError
+from .sandbox import CapturedError, Limits, invoke_candidate, load_candidate
 
 EPOCH_TIMESTAMP = "1970-01-01T00:00:00Z"
 
@@ -217,8 +220,6 @@ class ExecutionRegistry:
     candidate under a proposal name without touching the library."""
 
     def __init__(self, lib: Library, limits=None, overlay: dict | None = None):
-        from .sandbox import Limits
-
         self.lib = lib
         self.limits = limits or Limits()
         self.overlay = dict(overlay or {})  # name -> CandidateHandle
@@ -239,8 +240,6 @@ class ExecutionRegistry:
         return rec is not None and rec.kind == "generated"
 
     def _handle_for(self, name: str):
-        from .sandbox import load_candidate
-
         if name in self.overlay:
             return self.overlay[name]
         if name not in self._handles:
@@ -250,10 +249,6 @@ class ExecutionRegistry:
         return self._handles[name]
 
     def invoke_generated(self, name: str, resolved_args: dict, backend):
-        from . import values as V
-        from .executor import ExecutorRuntimeError
-        from .sandbox import CapturedError, invoke_candidate
-
         handle = self._handle_for(name)
         if handle.load_state != "loaded":
             err = handle.error or CapturedError("compile", "candidate failed to load")

@@ -12,7 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 from .errors import SceneSchemaError
@@ -56,7 +57,13 @@ _IRREGULAR_PLURALS = {
 
 def singularize(word: str) -> str:
     """Best-effort singular form: irregulars table, then suffix stripping."""
-    w = word.lower().strip()
+    return _singular(word.lower().strip())
+
+
+@lru_cache(maxsize=4096)
+def _singular(w: str) -> str:
+    # keyed on the normalised word, so an argument that is not a string
+    # fails in `singularize` as it would without the cache
     if w in _IRREGULAR_PLURALS:
         return _IRREGULAR_PLURALS[w]
     if w.endswith("ies") and len(w) > 3:
@@ -328,7 +335,7 @@ class ImageHandle:
         if y1 >= y2:
             y2 = min(self.crop_box[3], y1 + 1)
             y1 = max(self.crop_box[1], y2 - 1)
-        return replace(self, crop_box=(x1, y1, x2, y2))
+        return ImageHandle(self.scene, (x1, y1, x2, y2), self.overlays, self.edits)
 
     def to_absolute(self, box) -> Box:
         ox, oy = self.crop_box[0], self.crop_box[1]
@@ -338,22 +345,34 @@ class ImageHandle:
         ox, oy = self.crop_box[0], self.crop_box[1]
         return (box[0] - ox, box[1] - oy, box[2] - ox, box[3] - oy)
 
-    def visible_objects(self) -> list[tuple[SceneObject, Box]]:
-        """Objects intersecting the viewport, paired with their clipped absolute box."""
+    def visible_objects(self) -> tuple[tuple[SceneObject, Box], ...]:
+        """Objects intersecting the viewport, paired with their clipped absolute box.
+
+        The scan runs once per handle: the `_visible` cached property keeps
+        its result in the handle's own `__dict__`, so it dies with the handle.
+        That is safe because a handle and its scene never change and the
+        result is a tuple of frozen objects and box tuples, so no caller,
+        sandboxed candidates included, can alter what later calls read.
+        Every crop, overlay or edit makes a new handle, which scans afresh.
+        """
+        return self._visible
+
+    @cached_property
+    def _visible(self) -> tuple[tuple[SceneObject, Box], ...]:
         out = []
         for obj in self.scene.objects:
             clipped = intersect_boxes(obj.box, self.crop_box)
             if clipped is not None:
                 out.append((obj, clipped))
-        return out
+        return tuple(out)
 
     def with_overlay(self, box_rel, label: str) -> "ImageHandle":
         ov = Overlay(box=self.to_absolute(box_rel), label=label)
-        return replace(self, overlays=self.overlays + (ov,))
+        return ImageHandle(self.scene, self.crop_box, self.overlays + (ov,), self.edits)
 
     def with_edit(self, kind: str, boxes_rel, prompt: str = "") -> "ImageHandle":
         rec = EditRecord(kind=kind, boxes=tuple(self.to_absolute(b) for b in boxes_rel), prompt=prompt)
-        return replace(self, edits=self.edits + (rec,))
+        return ImageHandle(self.scene, self.crop_box, self.overlays, self.edits + (rec,))
 
     def to_doc(self) -> dict:
         return {

@@ -27,6 +27,7 @@ from .gateway import (
     parse_initialization_response,
     render_prompt,
 )
+from .harness.datasets import build_bindings
 from .harness.metrics import iou
 from .registry import (
     EPOCH_TIMESTAMP,
@@ -68,8 +69,6 @@ class TestCase:
     comparator: str  # exact-text | numeric-eq | iou-at-0.5 | set-eq
 
     def initial_environment(self) -> Environment:
-        from .harness.datasets import build_bindings
-
         return build_bindings(self.example)
 
 

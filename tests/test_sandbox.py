@@ -300,6 +300,26 @@ class TestInvoke:
             assert "does not support item assignment" in out.message
         assert probe_image.scene.objects[0].attributes == {"color": "black"}
 
+    @pytest.mark.parametrize(
+        "write, message",
+        [
+            ("seen.append(seen[0])", "has no attribute 'append'"),
+            ("seen[0] = seen[0]", "does not support item assignment"),
+            ("seen[0][1] = (0, 0, 1, 1)", "does not support item assignment"),
+            ("img._visible = ()", "cannot assign to field"),
+        ],
+    )
+    def test_visible_objects_memo_cannot_be_poisoned(self, backend, probe_image, write, message):
+        ask = "return API.vqa(img, 'How many cats are there?')"
+        asker = load_candidate(simple_source(ask), signature=sig_of(simple_source(ask)))
+        assert invoke_candidate(asker, [probe_image], backend).payload == "1"
+        source = simple_source(f"seen = img.visible_objects()\n{write}\nreturn 'written'")
+        handle = load_candidate(source, signature=sig_of(source))
+        out = invoke_candidate(handle, [probe_image], backend)
+        assert is_error(out) and out.kind == "runtime" and message in out.message
+        assert invoke_candidate(asker, [probe_image], backend).payload == "1"
+        assert [o.id for o, _ in probe_image.visible_objects()] == ["c"]
+
     def test_determinism_over_synthetic_backend(self, backend, coat_image):
         handle = load_candidate(
             rm.CHOOSE_ATTRIBUTE_SOURCE, signature=rm.fixture_signature("CHOOSE_ATTRIBUTE")
