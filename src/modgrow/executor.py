@@ -8,6 +8,7 @@ once, and appends a step record so every run leaves a complete trace.
 from __future__ import annotations
 
 import ast
+import json
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -478,8 +479,6 @@ def execute_program(program: Program, init: Environment, registry, backend) -> E
 
 def trace_to_jsonl(trace, include_timings: bool = True) -> str:
     """Render step records as JSON lines for the CLI trace dump."""
-    import json
-
     lines = []
     for step in trace:
         doc = {

@@ -7,6 +7,18 @@ request hash, in the record format of `modgrow.cache`) and ``replay``
 (served from the cache only; a miss is an error). Because sampled
 candidates share one prompt, the cache keeps a FIFO of responses per key
 and replay consumes them in call order.
+
+A request's key is the SHA-256 of its `request_doc` as compact JSON with
+sorted keys (`cache_key`). Stage-1 and stage-3 prompts repeat one long head,
+the module catalogue and the worked examples, and differ only in the
+question, which is the template's last marker. `TailSlotPrompt` keys them
+without escaping the head again: it feeds a hash with the JSON text up to
+the opening quote of ``"prompt"`` and the escaped head once, then for
+each request copies that hash and feeds the copy the escaped question, the
+escaped tail and the closing fields. This is `cache_key` of the same
+request: with sorted keys ``prompt`` follows ``max_tokens`` and
+``model_id``, and JSON escapes a string character by character, so the
+escape of a concatenation is the concatenation of the escapes.
 """
 
 from __future__ import annotations
@@ -156,9 +168,61 @@ def request_doc(req: CompletionRequest) -> dict:
     }
 
 
+def _key_json(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 def cache_key(req: CompletionRequest) -> str:
-    payload = json.dumps(request_doc(req), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_key_json(request_doc(req)).encode("utf-8")).hexdigest()
+
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+class TailSlotPrompt:
+    """Requests from one template whose last marker is the only slot that
+    varies, keyed as `cache_key` keys them without escaping the rest again.
+
+    The head, the template up to that marker with its `fixed` slots filled,
+    is rendered by `render_prompt` and hashed once; `request(value)` returns
+    the request with `value` in the slot, and its key.
+    """
+
+    def __init__(
+        self,
+        template: PromptTemplate,
+        fixed: dict[str, str],
+        varying: str,
+        model_id: str,
+        temperature: float = 0.0,
+        max_tokens: int = 1024,
+        stop: tuple[str, ...] | None = None,
+    ):
+        markers = list(_SLOT_RE.finditer(template.body))
+        names = [m.group(1) for m in markers]
+        if names[-1:] != [varying] or varying in names[:-1]:
+            raise ValueError(
+                f"template {template.stage!r}: slot {varying!r} is not the single last marker"
+            )
+        last = markers[-1]
+        self._head = render_prompt(PromptTemplate(template.stage, template.body[: last.start()]), fixed)
+        self._tail = template.body[last.end() :]
+        self._fields = {
+            "model_id": model_id, "temperature": temperature, "max_tokens": max_tokens, "stop": stop
+        }
+        # only the key can hold this text: a string value escapes its quotes
+        doc = _key_json(request_doc(CompletionRequest(prompt="", **self._fields)))
+        opening, _, closing = doc.partition('"prompt":""')
+        head = opening + '"prompt":"' + _escape(self._head)[1:-1]
+        self._head_state = hashlib.sha256(head.encode("utf-8"))
+        self._closing = (_escape(self._tail)[1:-1] + '"' + closing).encode("utf-8")
+
+    def request(self, value: str) -> tuple[CompletionRequest, str]:
+        state = self._head_state.copy()
+        state.update(_escape(value)[1:-1].encode("utf-8"))
+        state.update(self._closing)
+        request = CompletionRequest(prompt=self._head + value + self._tail, **self._fields)
+        return request, state.hexdigest()
 
 
 def http_transport(req: CompletionRequest) -> str:
@@ -231,8 +295,11 @@ class LlmGateway:
             append_record(self.cache_path, record)
         self._cache.setdefault(key, []).append(response)
 
-    def complete(self, req: CompletionRequest) -> str:
-        key = cache_key(req)
+    def complete(self, req: CompletionRequest, key: str | None = None) -> str:
+        """Serve `req`; `key`, when given, must be `cache_key(req)`, such as
+        the key `TailSlotPrompt.request` returns with the request."""
+        if key is None:
+            key = cache_key(req)
         if self.mode == "replay":
             with self._lock:
                 responses = self._cache.get(key)

@@ -17,7 +17,7 @@ from .. import values as V
 from ..dsl import parse_program, validate_program
 from ..errors import EmptyGridError, ModgrowError
 from ..executor import execute_program
-from ..gateway import CompletionRequest, LlmGateway, load_template, parse_program_response, render_prompt
+from ..gateway import LlmGateway, TailSlotPrompt, load_template, parse_program_response
 from ..registry import ExecutionRegistry, Library, signature_prompt_text
 from ..scene import ImageHandle
 from ..synthesis import compare_values, run_synthesis
@@ -280,8 +280,12 @@ def evaluate(
 ) -> EvalReport:
     """Run every instance, judge per task, aggregate metrics into a report."""
     registry = ExecutionRegistry(lib, limits=limits)
-    template = load_template("execution")
-    catalogue = signature_prompt_text(lib)
+    prompts = TailSlotPrompt(
+        load_template("execution"),
+        {"MODULE_SIGNATURES": signature_prompt_text(lib)},
+        "NEW_QUESTION",
+        model_id=model_id,
+    )
     sigs = registry.signatures()
     outcomes: list[InstanceOutcome] = []
 
@@ -296,12 +300,8 @@ def evaluate(
                 outcome.correct = answer == instance.gold["value"]
                 outcomes.append(outcome)
                 continue
-            prompt = render_prompt(
-                template, {"MODULE_SIGNATURES": catalogue, "NEW_QUESTION": instance.query}
-            )
-            response = gateway.complete(
-                CompletionRequest(prompt=prompt, model_id=model_id, temperature=0.0)
-            )
+            request, key = prompts.request(instance.query)
+            response = gateway.complete(request, key)
             program_text = parse_program_response(response)
             program = parse_program(program_text)
             diagnostics = validate_program(program, sigs, binding_tags(instance.task))
@@ -316,10 +316,7 @@ def evaluate(
                 outcomes.append(outcome)
                 continue
             final = result.final
-            if instance.task in ("vqa", "mewl-analog"):
-                outcome.correct = _judge_vqa(final, instance.gold)
-                outcome.predicted = V.summarize(final)
-            elif instance.task == "raven":
+            if instance.task in ("vqa", "mewl-analog", "raven"):
                 outcome.correct = _judge_vqa(final, instance.gold)
                 outcome.predicted = V.summarize(final)
             elif instance.task == "grounding":

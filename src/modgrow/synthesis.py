@@ -22,6 +22,7 @@ from .gateway import (
     CompletionRequest,
     InitializationDecision,
     LlmGateway,
+    TailSlotPrompt,
     extract_module_source,
     load_template,
     parse_initialization_response,
@@ -155,19 +156,19 @@ def initialize_modules(train_examples, lib: Library, gateway: LlmGateway, cfg: S
     examples contribute nothing; infeasible ones contribute every header the
     response proposes, keyed by module name.
     """
-    template = load_template("initialization")
-    catalogue = signature_prompt_text(lib)
+    prompts = TailSlotPrompt(
+        load_template("initialization"),
+        {"MODULE_SIGNATURES": signature_prompt_text(lib)},
+        "NEW_QUESTION",
+        model_id=cfg.model_id,
+        max_tokens=cfg.max_tokens,
+    )
     proposals: dict[str, Proposal] = {}
     errors: list[tuple[str, str]] = []
     for example in train_examples:
-        prompt = render_prompt(
-            template, {"MODULE_SIGNATURES": catalogue, "NEW_QUESTION": example.query}
-        )
-        request = CompletionRequest(
-            prompt=prompt, model_id=cfg.model_id, temperature=0.0, max_tokens=cfg.max_tokens
-        )
+        request, key = prompts.request(example.query)
         try:
-            response = gateway.complete(request)
+            response = gateway.complete(request, key)
             decision = parse_initialization_response(response)
         except (ResponseParseError, CacheMissError) as exc:
             errors.append((example.id, str(exc)))

@@ -63,6 +63,20 @@ class TestCache:
             CompletionRequest(prompt="p", model_id="m", temperature=0.0, max_tokens=10)
         )
 
+    def test_key_format_is_pinned(self):
+        """A replay cache stays readable only while keys keep their bytes."""
+        req = CompletionRequest(
+            prompt='Question: Is the "coat" thick?\n\u00e9\u2603\U0001f600\x01',
+            model_id="model-x",
+            temperature=0.7,
+            max_tokens=300,
+            stop=("\n\n", "END"),
+        )
+        assert cache_key(req) == "438dfa31661ece4ef8876fe055b9d6d20fb23d2071274d2b9e6d02229a724471"
+        assert cache_key(CompletionRequest(prompt="hello", model_id="default-model")) == (
+            "d5b48a269de7d4d67a0a4cd88c5bc872a9db28f815bf53bc7bf52227b7a41374"
+        )
+
     def test_record_then_replay_byte_identical(self, tmp_path):
         cache = str(tmp_path / "llm.jsonl")
         responses = iter(["first response", "second response"])

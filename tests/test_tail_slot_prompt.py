@@ -1,0 +1,211 @@
+"""Stage-1 and stage-3 requests keyed from a head hashed once.
+
+`TailSlotPrompt` must build the request `render_prompt` builds and give it
+the key `cache_key` gives it, and `evaluate` and `initialize_modules`, which
+key their requests through it, must replay a cache recorded the plain way
+while escaping the module catalogue once per run.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from modgrow import gateway
+from modgrow.errors import MissingSlotError
+from modgrow.gateway import (
+    CompletionRequest,
+    LlmGateway,
+    PromptTemplate,
+    TailSlotPrompt,
+    cache_key,
+    load_template,
+    render_prompt,
+)
+from modgrow.harness.datasets import generate_dataset
+from modgrow.harness.evaluate import evaluate
+from modgrow.registry import builtin_library, signature_prompt_text
+from modgrow.replay_seed import SyntheticResponder
+from modgrow.synthesis import SynthesisConfig, initialize_modules
+
+ODD_TEXT = 'quote " back \\ slash\nline\ttab\x01 naïve 日本 \U0001f600  \x7f'
+CATALOGUES = (
+    signature_prompt_text(builtin_library()),
+    ODD_TEXT,
+    "",
+    "holds __NEW_QUESTION__ and __MODULE_SIGNATURES__",
+)
+QUESTIONS = (
+    "How many cats are there?",
+    'Is the "coat" thick \\ thin?',
+    "line\nbreak\ttab\r",
+    "bell\x07 and nul\x00",
+    "café 日本",
+    "emoji \U0001f600 clef \U0001d11e",
+    "",
+    "What is __NEW_QUESTION__?",
+    "__MODULE_SIGNATURES__",
+    ODD_TEXT,
+)
+FIELDS = (
+    {"model_id": "default-model"},
+    {"model_id": 'model "x" \\ é', "temperature": 0.7, "max_tokens": 77,
+     "stop": ("\n\n", 'Question:"', "\U0001f600")},
+    {"model_id": "m", "temperature": 1e-07, "max_tokens": 0, "stop": ()},
+)
+
+
+@pytest.mark.parametrize("stage", ["initialization", "execution"])
+@pytest.mark.parametrize("fields", FIELDS)
+def test_request_and_key_equal_the_rendered_request(stage, fields):
+    template = load_template(stage)
+    for catalogue in CATALOGUES:
+        prompts = TailSlotPrompt(template, {"MODULE_SIGNATURES": catalogue}, "NEW_QUESTION", **fields)
+        for question in QUESTIONS:
+            request, key = prompts.request(question)
+            slots = {"MODULE_SIGNATURES": catalogue, "NEW_QUESTION": question}
+            expected = CompletionRequest(prompt=render_prompt(template, slots), **fields)
+            assert request == expected
+            assert key == cache_key(expected)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "__Q__ then __A__",  # not last
+        "__Q__ twice __Q__",
+        "__A__ only",
+        "no markers at all",
+        "__A__ and __Q__ and __B__ after",
+    ],
+)
+def test_varying_slot_must_be_the_single_last_marker(body):
+    with pytest.raises(ValueError, match="single last marker"):
+        TailSlotPrompt(PromptTemplate("t", body), {"A": "a", "B": "b"}, "Q", model_id="m")
+
+
+def test_missing_fixed_slot_raises():
+    with pytest.raises(MissingSlotError):
+        TailSlotPrompt(load_template("execution"), {}, "NEW_QUESTION", model_id="m")
+
+
+def test_tail_text_after_the_marker_is_kept():
+    prompts = TailSlotPrompt(
+        PromptTemplate("t", '__A__ "head"\n__Q__\ttail "é"'), {"A": "\\a"}, "Q", model_id="m"
+    )
+    request, key = prompts.request("q\n")
+    assert request.prompt == '\\a "head"\nq\n\ttail "é"'
+    assert key == cache_key(request)
+
+
+def _record_plainly(tmp_path, stage, instances, catalogue, **fields):
+    """A cache recorded through `render_prompt` and `complete(request)`."""
+    responder = SyntheticResponder(instances)
+    cache = str(tmp_path / f"{stage}.jsonl")
+    recorder = LlmGateway(mode="record", cache_path=cache, transport=responder)
+    template = load_template(stage)
+    for instance in instances:
+        prompt = render_prompt(template, {"MODULE_SIGNATURES": catalogue, "NEW_QUESTION": instance.query})
+        recorder.complete(CompletionRequest(prompt=prompt, **fields))
+    return cache
+
+
+def _records(path):
+    """Cache records without their timestamps."""
+    docs = [json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines()]
+    for doc in docs:
+        del doc["timestamp"]
+    return docs
+
+
+def test_evaluate_replays_a_cache_recorded_plainly(tmp_path, full_lib, backend):
+    test = generate_dataset("vqa", 11, 12)
+    cache = _record_plainly(
+        tmp_path, "execution", test, signature_prompt_text(full_lib),
+        model_id="model-x", temperature=0.0,
+    )
+    replay = LlmGateway(mode="replay", cache_path=cache)
+    report = evaluate("vqa", test, full_lib, backend, replay, model_id="model-x")
+    assert [o.error for o in report.per_instance] == [None] * len(test)
+    assert report.metrics["accuracy"] == 1.0
+
+    recorded = tmp_path / "through-evaluate.jsonl"
+    recorder = LlmGateway(mode="record", cache_path=str(recorded), transport=SyntheticResponder(test))
+    evaluate("vqa", test, full_lib, backend, recorder, model_id="model-x")
+    assert sorted(_records(recorded), key=lambda d: d["key"]) == sorted(
+        _records(cache), key=lambda d: d["key"]
+    )
+
+
+def test_initialize_modules_replays_a_cache_recorded_plainly(tmp_path):
+    train = generate_dataset("vqa", 12, 12)
+    lib = builtin_library()
+    cfg = SynthesisConfig(model_id="model-x", max_tokens=300)
+    cache = _record_plainly(
+        tmp_path, "initialization", train, signature_prompt_text(lib),
+        model_id=cfg.model_id, temperature=0.0, max_tokens=cfg.max_tokens,
+    )
+    replay = LlmGateway(mode="replay", cache_path=cache)
+    proposals, errors = initialize_modules(train, lib, replay, cfg)
+    assert errors == []
+    assert proposals
+
+    recorded = tmp_path / "through-initialize.jsonl"
+    recorder = LlmGateway(mode="record", cache_path=str(recorded), transport=SyntheticResponder(train))
+    assert initialize_modules(train, lib, recorder, cfg) == (proposals, errors)
+    assert _records(recorded) == _records(cache)
+
+
+def _count_catalogue_escapes(monkeypatch, catalogue) -> list:
+    """Count whole-prompt keyings and escapes of text as long as `catalogue`.
+
+    `cache_key` escapes the whole prompt on every call; `gateway._escape`
+    is what `TailSlotPrompt` escapes with.
+    """
+    calls = []
+    original_key = gateway.cache_key
+    original_escape = gateway.json.encoder.encode_basestring_ascii
+
+    def counting_key(req):
+        calls.append("cache_key")
+        return original_key(req)
+
+    def counting_escape(text):
+        if len(text) >= len(catalogue):
+            calls.append("escape")
+        return original_escape(text)
+
+    monkeypatch.setattr(gateway, "cache_key", counting_key)
+    monkeypatch.setattr(gateway, "_escape", counting_escape, raising=False)
+    return calls
+
+
+def test_evaluate_escapes_the_catalogue_once(tmp_path, monkeypatch, full_lib, backend):
+    test = generate_dataset("vqa", 13, 10)
+    catalogue = signature_prompt_text(full_lib)
+    cache = _record_plainly(tmp_path, "execution", test, catalogue, model_id="default-model")
+    replay = LlmGateway(mode="replay", cache_path=cache)
+
+    calls = _count_catalogue_escapes(monkeypatch, catalogue)
+    report = evaluate("vqa", test, full_lib, backend, replay)
+    assert report.metrics["accuracy"] == 1.0
+    assert calls == ["escape"]
+
+
+def test_initialize_modules_escapes_the_catalogue_once(tmp_path, monkeypatch):
+    train = generate_dataset("vqa", 14, 10)
+    lib = builtin_library()
+    cfg = SynthesisConfig()
+    catalogue = signature_prompt_text(lib)
+    cache = _record_plainly(
+        tmp_path, "initialization", train, catalogue,
+        model_id=cfg.model_id, max_tokens=cfg.max_tokens,
+    )
+    replay = LlmGateway(mode="replay", cache_path=cache)
+
+    calls = _count_catalogue_escapes(monkeypatch, catalogue)
+    proposals, errors = initialize_modules(train, lib, replay, cfg)
+    assert proposals and errors == []
+    assert calls == ["escape"]
