@@ -1,27 +1,18 @@
 """Perception/action backends behind a single tool contract.
 
 `ToolBackend` is the contract; the deterministic `SyntheticBackend`, which
-answers from scene-graph ground truth, is the normative implementation.
-`OPERATIONS` names each of the six operations once, with the parameters
-that make up its request. The record, replay and HTTP wrappers get every
-operation from `_ForwardingBackend` and add only their own step. The tool
-cache has the gateway's format (`modgrow.cache`): a record holds the request
-hash as ``key``, the ``request`` and the encoded ``response``.
+answers from scene-graph ground truth, is the one implementation.
+`OPERATIONS` names each of the six operations once, with its parameters;
+the sandbox serves generated modules exactly these names.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import re
-import urllib.error
-import urllib.request
 from functools import lru_cache
 from typing import Protocol
 
-from .cache import append_record, load_responses
-from .errors import BackendError, CacheMissError
+from .errors import BackendError
 from .scene import (
     CATEGORY_LEXICON,
     KNOWLEDGE_LISTS,
@@ -55,6 +46,18 @@ class ToolBackend(Protocol):
     def inpaint_region(self, image: ImageHandle, mask, prompt: str) -> ImageHandle: ...
 
     def general_text(self, prompt: str) -> str: ...
+
+
+# The tool surface, each operation once, with its parameters as the
+# `ToolBackend` methods name them.
+OPERATIONS = {
+    "locate": ("image", "name"),
+    "answer_question": ("image", "question"),
+    "score_alignment": ("image", "texts"),
+    "depth_of": ("image",),
+    "inpaint_region": ("image", "mask", "prompt"),
+    "general_text": ("prompt",),
+}
 
 
 def _content_words(text: str) -> list[str]:
@@ -218,143 +221,3 @@ class SyntheticBackend:
                 return "\n".join(entries)
         return prompt
 
-
-# ---------------------------------------------------------------------------
-# The operation table, and the record / replay / HTTP wrappers built on it
-# ---------------------------------------------------------------------------
-
-# The tool surface, each operation once, with its parameters as the
-# `ToolBackend` methods name them. A request carries the image, when the
-# operation takes one, and the other parameters as JSON args.
-OPERATIONS = {
-    "locate": ("image", "name"),
-    "answer_question": ("image", "question"),
-    "score_alignment": ("image", "texts"),
-    "depth_of": ("image",),
-    "inpaint_region": ("image", "mask", "prompt"),
-    "general_text": ("prompt",),
-}
-
-
-def _as_json(value):
-    if isinstance(value, (list, tuple)):
-        return [_as_json(v) for v in value]
-    return value
-
-
-def request_doc(operation: str, call: dict, image_doc=ImageHandle.fingerprint) -> dict:
-    """The JSON request of one call; `image_doc` renders its image."""
-    doc = {"operation": operation, "args": {k: _as_json(v) for k, v in call.items() if k != "image"}}
-    if "image" in call:
-        doc["image"] = image_doc(call["image"])
-    return doc
-
-
-def request_hash(operation: str, call: dict) -> str:
-    payload = json.dumps(request_doc(operation, call), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def _encode_response(operation: str, result):
-    if operation == "locate":
-        return [list(b) for b in result]
-    if operation == "depth_of":
-        return {
-            "width": result.width,
-            "height": result.height,
-            "layers": [[list(box), depth] for box, depth in result.layers],
-        }
-    if operation == "inpaint_region":
-        return result.to_doc()
-    return result
-
-
-def _decode_response(operation: str, raw):
-    if operation == "locate":
-        return [tuple(b) for b in raw]
-    if operation == "depth_of":
-        if "layers" not in raw:
-            raise ValueError(
-                "depth_of record holds dense 'values', a format no longer read; "
-                "re-record the tool cache"
-            )
-        layers = tuple((tuple(box), depth) for box, depth in raw["layers"])
-        return DepthGrid(width=raw["width"], height=raw["height"], layers=layers)
-    if operation == "inpaint_region":
-        return ImageHandle.from_doc(raw)
-    return raw
-
-
-class _ForwardingBackend:
-    """Defines every operation in `OPERATIONS` as one call of the subclass's
-    `_forward(operation, call)`, where `call` maps parameter names to arguments."""
-
-
-def _forwarder(operation: str, params: tuple[str, ...]):
-    def forward(self, *args, **kwargs):
-        call = dict(zip(params, args), **kwargs)
-        if len(args) + len(kwargs) != len(params) or call.keys() != set(params):
-            raise TypeError(f"{operation}() takes ({', '.join(params)})")
-        return self._forward(operation, call)
-
-    forward.__name__ = forward.__qualname__ = operation
-    return forward
-
-
-for _operation, _params in OPERATIONS.items():
-    setattr(_ForwardingBackend, _operation, _forwarder(_operation, _params))
-
-
-class RecordingToolBackend(_ForwardingBackend):
-    """Wraps another backend and appends each call's record to a cache file."""
-
-    def __init__(self, inner: ToolBackend, cache_path: str):
-        self.inner = inner
-        self.cache_path = cache_path
-
-    def _forward(self, operation, call):
-        result = getattr(self.inner, operation)(**call)
-        record = {
-            "key": request_hash(operation, call),
-            "request": request_doc(operation, call),
-            "response": _encode_response(operation, result),
-        }
-        append_record(self.cache_path, record)
-        return result
-
-
-class ReplayToolBackend(_ForwardingBackend):
-    """Serves recorded responses only; a cache miss is an error, never a live call."""
-
-    def __init__(self, cache_path: str):
-        self.responses = load_responses(cache_path)
-
-    def _forward(self, operation, call):
-        key = request_hash(operation, call)
-        if key not in self.responses:
-            raise CacheMissError(f"no recorded response for {operation} request {key[:12]}…")
-        return _decode_response(operation, self.responses[key][-1])
-
-
-class HttpToolBackend(_ForwardingBackend):
-    """Forwards each operation as JSON POST to `TOOL_API_URL` (or an explicit URL)."""
-
-    def __init__(self, url: str | None = None, timeout: float = 10.0):
-        self.url = url or os.environ.get("TOOL_API_URL", "")
-        self.timeout = timeout
-        if not self.url:
-            raise BackendError("BACKEND_ERROR", "no tool endpoint configured (TOOL_API_URL)")
-
-    def _forward(self, operation, call):
-        data = json.dumps(request_doc(operation, call, ImageHandle.to_doc)).encode("utf-8")
-        req = urllib.request.Request(
-            self.url, data=data, headers={"Content-Type": "application/json"}, method="POST"
-        )
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                if resp.status < 200 or resp.status >= 300:
-                    raise BackendError("BACKEND_ERROR", f"endpoint returned {resp.status}")
-                payload = json.loads(resp.read().decode("utf-8"))
-        except (urllib.error.URLError, TimeoutError, json.JSONDecodeError) as exc:
-            raise BackendError("BACKEND_ERROR", str(exc)) from exc
-        return _decode_response(operation, payload["result"])

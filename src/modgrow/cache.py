@@ -1,8 +1,8 @@
 """The one replay-cache format: JSON Lines, one record per call.
 
-The gateway's and the tool backends' records both hold the call's ``key``
-(a hash of its request), the ``request`` and the ``response``; a key called
-more than once keeps its responses in call order. A crash during an append
+A gateway record holds the call's ``key`` (a hash of its request), the
+``request`` and the ``response``; a key called more than once keeps its
+responses in call order. A crash during an append
 can leave a torn last line without its newline: loading drops it with a
 warning (a bad line anywhere else is an error), and the next append cuts it.
 """

@@ -17,14 +17,8 @@ from .executor import Environment, execute_program, trace_to_jsonl
 from .gateway import LlmGateway
 from .harness import datasets as ds
 from .harness.evaluate import evaluate, run_ablation
-from .registry import (
-    ExecutionRegistry,
-    builtin_library,
-    load_library,
-    save_library,
-    signature_prompt_text,
-)
-from .replay_seed import SyntheticResponder, seed_learn_and_eval
+from .registry import ExecutionRegistry, builtin_library, load_library, save_library
+from .replay_seed import seed_learn_and_eval
 from .sandbox import Limits
 from .scene import ImageHandle, load_scene
 from .synthesis import SynthesisConfig, run_synthesis
@@ -132,7 +126,11 @@ def cmd_eval(args) -> int:
             (root / "ablation.txt").write_text(report.render_table() + "\n", encoding="utf-8")
         return 0
 
-    report = evaluate(args.task, dataset, lib, backend, gateway, model_id=model_id)
+    try:
+        report = evaluate(args.task, dataset, lib, backend, gateway, model_id=model_id)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(report.render_table())
     if args.report:
         _write_report(report, args.report)
@@ -203,14 +201,14 @@ def cmd_library(args) -> int:
 
 def cmd_cache_seed(args) -> int:
     """Generate seeded datasets and record the matching completion cache."""
+    knobs = {"templates": args.templates.split(",")} if args.templates else None
     try:
         lib = load_library(args.library) if args.library else builtin_library()
-    except ModgrowError as exc:
+        train = ds.generate_dataset(args.task, seed=args.seed, n=args.n_train, knobs=knobs)
+        test = ds.generate_dataset(args.task, seed=args.seed + 1, n=args.n_test, knobs=knobs)
+    except (ModgrowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    knobs = {"templates": args.templates.split(",")} if args.templates else None
-    train = ds.generate_dataset(args.task, seed=args.seed, n=args.n_train, knobs=knobs)
-    test = ds.generate_dataset(args.task, seed=args.seed + 1, n=args.n_test, knobs=knobs)
     ds.save_dataset(train, args.train_out)
     ds.save_dataset(test, args.test_out)
     cfg = SynthesisConfig(eta=args.eta, k_candidates=args.k, r_repairs=args.repairs)
@@ -237,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--task", default="vqa")
+        p.add_argument("--task", choices=sorted(ds.TASKS), default="vqa")
         p.add_argument("--mode", choices=["live", "replay", "record"], default=None)
         p.add_argument("--cache", default=None)
         p.add_argument("--model", default=None)
@@ -280,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     cachep = sub.add_parser("cache", help="manage replay caches")
     cache_sub = cachep.add_subparsers(dest="cache_command", required=True)
     seedp = cache_sub.add_parser("seed", help="generate datasets and record their cache")
-    seedp.add_argument("--task", default="vqa")
+    seedp.add_argument("--task", choices=sorted(ds.TASKS), default="vqa")
     seedp.add_argument("--seed", type=int, default=7)
     seedp.add_argument("--n-train", type=int, default=48)
     seedp.add_argument("--n-test", type=int, default=20)

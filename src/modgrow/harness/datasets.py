@@ -1,10 +1,16 @@
-"""Seeded synthetic datasets for the six task families.
+"""Seeded synthetic datasets for the six task families, and the task table.
 
 Each generated instance bundles a scene (or panel set), the natural-language
 query, a structured query spec the brute-force oracle can answer, the gold
 answer, a canonical program solving it with the full module catalogue, a
 fallback program restricted to builtins, and per-module case programs used
 to gate synthesized candidates.
+
+`TASKS` holds one `TaskSpec` per task family: its templates, how an
+instance is bound, how a result is judged, whether the report carries
+region metrics, and which instances the puzzle driver answers instead of a
+program. Dataset generation, binding and evaluation look a task up there
+and name no task themselves.
 """
 
 from __future__ import annotations
@@ -12,11 +18,14 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .. import values as V
 from ..executor import Environment
-from ..scene import ImageHandle, SceneGraph, SceneObject, load_scene
+from ..reference_modules import solver_violations
+from ..scene import KNOWLEDGE_LISTS, ImageHandle, SceneGraph, SceneObject, load_scene
 from . import oracle as oracle_mod
+from .metrics import compare_values, iou, match_region_sets, match_tag
 
 VQA_OBJECTS = ["coat", "towel", "box", "knife", "purse", "umbrella", "sandwich",
                "dog", "cat", "cup", "book", "bottle", "plant", "pillow", "lamp", "vase"]
@@ -123,44 +132,11 @@ class TaskInstance:
         )
 
 
-INITIAL_BINDING_NAMES = {
-    "vqa": {"IMAGE": "image", "QUESTION": "text"},
-    "grounding": {"IMAGE": "image", "EXPRESSION": "text"},
-    "tagging": {"IMAGE": "image", "EXPRESSION": "text"},
-    "editing": {"IMAGE": "image", "INSTRUCTION": "text"},
-    "raven": {"PANELS": "list", "CANDIDATES": "list"},
-    "mewl-analog": {"EXAMPLES": "list", "QUERY": "image"},
-}
-
-
-def binding_tags(task: str) -> dict[str, str]:
-    return dict(INITIAL_BINDING_NAMES[task])
-
-
 def build_bindings(instance: TaskInstance) -> Environment:
     """Initial environment of an instance: its loaded scenes and its query.
 
     Scenes are immutable, so every run of the instance binds the same ones."""
-    task = instance.task
-    bindings: dict[str, V.Value] = {}
-    if task in ("vqa", "grounding", "tagging", "editing"):
-        handle = ImageHandle.of_scene(instance.scene)
-        bindings["IMAGE"] = V.image(handle)
-        text_name = {"vqa": "QUESTION", "grounding": "EXPRESSION", "tagging": "EXPRESSION",
-                     "editing": "INSTRUCTION"}[task]
-        bindings[text_name] = V.text(instance.query)
-    elif task == "raven":
-        puzzle = instance.puzzle
-        bindings["PANELS"] = V.list_value(ImageHandle.of_scene(p) for p in puzzle.panels)
-        bindings["CANDIDATES"] = V.list_value(ImageHandle.of_scene(c) for c in puzzle.candidates)
-    elif task == "mewl-analog":
-        bindings["EXAMPLES"] = V.list_value(
-            (ImageHandle.of_scene(s), w) for s, w in instance.example_pairs
-        )
-        bindings["QUERY"] = V.image(ImageHandle.of_scene(instance.query_scene))
-    else:
-        raise ValueError(f"unknown task {task!r}")
-    return Environment(bindings=bindings)
+    return Environment(bindings=task_spec(instance.task).bind(instance))
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +517,6 @@ def _vqa_material_verify(rng: random.Random, iid: str) -> TaskInstance:
 
 
 def _vqa_knowledge_list(rng: random.Random, iid: str) -> TaskInstance:
-    from ..scene import KNOWLEDGE_LISTS
-
     topic = rng.choice(sorted(KNOWLEDGE_LISTS))
     count = rng.randint(2, 4)
     scene = _scene([_obj("t", rng.choice(VQA_OBJECTS), (250, 180, 390, 300), color=rng.choice(COLORS))])
@@ -590,7 +564,7 @@ def _pick_ordinal(rng, count, boxes, location):
     return index, target
 
 
-def _grounding_ordinal(rng: random.Random, iid: str, task="grounding", label=None) -> TaskInstance:
+def _grounding_ordinal(rng: random.Random, iid: str) -> TaskInstance:
     name = rng.choice(["sandwich", "cup", "book", "bottle", "box"])
     location = rng.choice(["left", "right"])
     count, boxes = _ordinal_row_scene(rng, name)
@@ -602,7 +576,7 @@ def _grounding_ordinal(rng: random.Random, iid: str, task="grounding", label=Non
     ]
     scene = _scene(objects)
     expression = f"the {_ORDINALS[index]} {name} from the {location}"
-    ground_program = (
+    program = (
         f"BOXLIST0=LOC(image=IMAGE,object='{name}')\n"
         f"BOXLIST1=SORT_SPATIAL(image=IMAGE,box_list=BOXLIST0,location='{location}',index={index})\n"
         "FINAL_RESULT=RESULT(var=BOXLIST1)"
@@ -611,27 +585,29 @@ def _grounding_ordinal(rng: random.Random, iid: str, task="grounding", label=Non
     gold_box = oracle_mod.oracle_answer(
         TaskInstance(iid, "grounding", expression, spec, {}, "", "", scene=scene)
     )
-    if task == "grounding":
-        fallback = (
-            f"BOXLIST0=LOC(image=IMAGE,object='{name}')\n"
-            "FINAL_RESULT=RESULT(var=BOXLIST0)"
-        )
-        instance = TaskInstance(
-            id=iid,
-            task="grounding",
-            query=expression,
-            query_spec=spec,
-            gold=gold_box,
-            canonical_program=ground_program,
-            fallback_program=fallback,
-            scene=scene,
-        )
-        instance.module_cases["SORT_SPATIAL"] = _default_case(instance, "SORT_SPATIAL")
-        return instance
+    fallback = (
+        f"BOXLIST0=LOC(image=IMAGE,object='{name}')\n"
+        "FINAL_RESULT=RESULT(var=BOXLIST0)"
+    )
+    instance = TaskInstance(
+        id=iid,
+        task="grounding",
+        query=expression,
+        query_spec=spec,
+        gold=gold_box,
+        canonical_program=program,
+        fallback_program=fallback,
+        scene=scene,
+    )
+    instance.module_cases["SORT_SPATIAL"] = _default_case(instance, "SORT_SPATIAL")
+    return instance
 
-    # tagging flavor: same selection chain plus a TAG step
-    tag_label = label or rng.choice(TAG_LABELS)
-    spec = {**spec, "kind": "ordinal-tag", "label": tag_label}
+
+def _tagging_ordinal(rng: random.Random, iid: str) -> TaskInstance:
+    """The grounding ordinal selection chain, plus a TAG step."""
+    ground = _grounding_ordinal(rng, iid)
+    name, location, index = (ground.query_spec[key] for key in ("name", "location", "index"))
+    tag_label = rng.choice(TAG_LABELS)
     program = (
         f"BOXLIST0=LOC(image=IMAGE,object='{name}')\n"
         f"BOXLIST1=SORT_SPATIAL(image=IMAGE,box_list=BOXLIST0,location='{location}',index={index})\n"
@@ -646,21 +622,16 @@ def _grounding_ordinal(rng: random.Random, iid: str, task="grounding", label=Non
     instance = TaskInstance(
         id=iid,
         task="tagging",
-        query=f"Tag {expression} with '{tag_label}'",
-        query_spec=spec,
-        gold={"type": "tagged-regions", "value": [{"box": gold_box["value"], "label": tag_label}]},
+        query=f"Tag {ground.query} with '{tag_label}'",
+        query_spec={**ground.query_spec, "kind": "ordinal-tag", "label": tag_label},
+        gold={"type": "tagged-regions", "value": [{"box": ground.gold["value"], "label": tag_label}]},
         canonical_program=program,
         fallback_program=fallback,
-        scene=scene,
-    )
-    case_program = (
-        f"BOXLIST0=LOC(image=IMAGE,object='{name}')\n"
-        f"BOXLIST1=SORT_SPATIAL(image=IMAGE,box_list=BOXLIST0,location='{location}',index={index})\n"
-        "FINAL_RESULT=RESULT(var=BOXLIST1)"
+        scene=ground.scene,
     )
     instance.module_cases["SORT_SPATIAL"] = {
-        "program": case_program,
-        "expected": {"tag": "box-list", "payload": [gold_box["value"]]},
+        "program": ground.canonical_program,
+        "expected": {"tag": "box-list", "payload": [ground.gold["value"]]},
         "comparator": "iou-at-0.5",
     }
     return instance
@@ -791,10 +762,6 @@ def _grounding_region(rng: random.Random, iid: str) -> TaskInstance:
         fallback_program=program,
         scene=scene,
     )
-
-
-def _tagging_ordinal(rng: random.Random, iid: str) -> TaskInstance:
-    return _grounding_ordinal(rng, iid, task="tagging")
 
 
 def _tagging_filter(rng: random.Random, iid: str) -> TaskInstance:
@@ -1015,8 +982,6 @@ def generate_raven_puzzle(rng: random.Random, layout: str = "center", rules=None
             out[region][dim] = rng.choice([v for v in scale if v != current])
         return out
 
-    from ..reference_modules import solver_violations
-
     candidates = [answer]
     seen = {json.dumps(answer, sort_keys=True)}
     attempts = 0
@@ -1135,73 +1100,218 @@ def _mewl_instance(rng: random.Random, iid: str) -> TaskInstance:
 
 
 # ---------------------------------------------------------------------------
+# The task table
+# ---------------------------------------------------------------------------
+
+
+def _bind_image(text_name: str) -> Callable[[TaskInstance], dict]:
+    """Binder of a one-image task whose query is bound to `text_name`."""
+
+    def bind(instance: TaskInstance) -> dict:
+        return {
+            "IMAGE": V.image(ImageHandle.of_scene(instance.scene)),
+            text_name: V.text(instance.query),
+        }
+
+    return bind
+
+
+def _bind_puzzle(instance: TaskInstance) -> dict:
+    puzzle = instance.puzzle
+    return {
+        "PANELS": V.list_value(ImageHandle.of_scene(p) for p in puzzle.panels),
+        "CANDIDATES": V.list_value(ImageHandle.of_scene(c) for c in puzzle.candidates),
+    }
+
+
+def _bind_examples(instance: TaskInstance) -> dict:
+    return {
+        "EXAMPLES": V.list_value((ImageHandle.of_scene(s), w) for s, w in instance.example_pairs),
+        "QUERY": V.image(ImageHandle.of_scene(instance.query_scene)),
+    }
+
+
+def _split_layout(instance: TaskInstance) -> bool:
+    return instance.puzzle.layout != "center"
+
+
+# A judge fills `correct` and `predicted` of an `evaluate.InstanceOutcome`
+# from a program's final value, and the region counts for region tasks.
+
+
+def _judge_answer(outcome, final: V.Value, gold: dict) -> None:
+    outcome.correct = compare_values(final, _gold_value(gold), GOLD_COMPARATOR[gold["type"]])
+    outcome.predicted = V.summarize(final)
+
+
+def _boxes_of(value: V.Value):
+    if value is not None and value.tag in ("box-list", "mask"):
+        return [list(b) for b in value.payload]
+    return []
+
+
+def _judge_grounding(outcome, final: V.Value, gold: dict) -> None:
+    predictions = _boxes_of(final)
+    gold_boxes = [gold["value"]] if gold["value"] else []
+    outcome.predicted_regions = len(predictions)
+    outcome.gold_regions = len(gold_boxes)
+    outcome.correct_pairs = match_region_sets(
+        predictions, gold_boxes, lambda p, g: iou(p, g) >= 0.5
+    )
+    outcome.correct = bool(predictions) and bool(gold_boxes) and iou(predictions[0], gold_boxes[0]) >= 0.5
+    outcome.predicted = json.dumps(predictions[:1])
+
+
+def _judge_tagging(outcome, final: V.Value, gold: dict) -> None:
+    regions = []
+    if final is not None and final.tag == "image":
+        regions = [(list(ov.box), ov.label) for ov in final.payload.overlays]
+    gold_regions = gold["value"]
+    outcome.predicted_regions = len(regions)
+    outcome.gold_regions = len(gold_regions)
+    outcome.correct_pairs = match_region_sets(
+        regions,
+        gold_regions,
+        lambda p, g: iou(p[0], g["box"]) >= 0.5 and match_tag(p[1], g["label"]),
+    )
+    outcome.correct = (
+        outcome.correct_pairs == len(gold_regions) and len(regions) == len(gold_regions)
+    )
+    outcome.predicted = json.dumps([[b, l] for b, l in regions])
+
+
+def _edit_matches(final: V.Value, gold: dict) -> bool:
+    if final is None or final.tag != "image":
+        return False
+    handle = final.payload
+    spec = gold["value"]
+    if spec["kind"] == "emoji":
+        return any(
+            match_tag(ov.label, spec["label"]) and iou(list(ov.box), spec["region"]) >= 0.5
+            for ov in handle.overlays
+        )
+    for edit in handle.edits:
+        if edit.kind != spec["kind"] or not edit.boxes:
+            continue
+        if iou(list(edit.boxes[0]), spec["region"]) < 0.5:
+            continue
+        if spec["kind"] == "replace" and spec.get("category", "") not in edit.prompt.lower():
+            continue
+        return True
+    return False
+
+
+def _judge_editing(outcome, final: V.Value, gold: dict) -> None:
+    outcome.correct = _edit_matches(final, gold)
+    outcome.predicted = V.summarize(final)
+
+
+@dataclass(frozen=True)
+class TaskSpec:
+    """One task family.
+
+    `templates` maps a template name to ``template(rng, iid, **knobs)``,
+    which returns one instance. `bind(instance)` returns the instance's
+    initial bindings by name. `judge(outcome, final, gold)` scores a
+    program's final value. `regions` adds region precision, recall and F1 to
+    the task's report. `split_layout(instance)`, when set, is true for the
+    instances `evaluate.solve_puzzle_with_modules` answers instead of a
+    program.
+    """
+
+    templates: dict[str, Callable[..., TaskInstance]]
+    bind: Callable[[TaskInstance], dict]
+    judge: Callable[..., None]
+    regions: bool = False
+    split_layout: Callable[[TaskInstance], bool] | None = None
+
+
+TASKS = {
+    "vqa": TaskSpec(
+        templates={
+            "count": _vqa_count,
+            "left-right": _vqa_left_right,
+            "above-below": _vqa_above_below,
+            "top-check": _vqa_top_check,
+            "attr-choice": _vqa_attr_choice,
+            "color-compare": _vqa_color_compare,
+            "who-action": _vqa_who_action,
+            "attr-of": _vqa_attr_of,
+            "material-verify": _vqa_material_verify,
+            "knowledge-list": _vqa_knowledge_list,
+        },
+        bind=_bind_image("QUESTION"),
+        judge=_judge_answer,
+    ),
+    "grounding": TaskSpec(
+        templates={
+            "ordinal": _grounding_ordinal,
+            "depth": _grounding_depth,
+            "select": _grounding_select,
+            "half": _grounding_half,
+            "region": _grounding_region,
+        },
+        bind=_bind_image("EXPRESSION"),
+        judge=_judge_grounding,
+        regions=True,
+    ),
+    "tagging": TaskSpec(
+        templates={
+            "ordinal": _tagging_ordinal,
+            "filter": _tagging_filter,
+        },
+        bind=_bind_image("EXPRESSION"),
+        judge=_judge_tagging,
+        regions=True,
+    ),
+    "editing": TaskSpec(
+        templates={"edit": _editing_instance}, bind=_bind_image("INSTRUCTION"), judge=_judge_editing
+    ),
+    "raven": TaskSpec(
+        templates={"matrix": _raven_instance},
+        bind=_bind_puzzle,
+        judge=_judge_answer,
+        split_layout=_split_layout,
+    ),
+    "mewl-analog": TaskSpec(
+        templates={"word": _mewl_instance}, bind=_bind_examples, judge=_judge_answer
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
 # Entry points
 # ---------------------------------------------------------------------------
 
-VQA_TEMPLATES = {
-    "count": _vqa_count,
-    "left-right": _vqa_left_right,
-    "above-below": _vqa_above_below,
-    "top-check": _vqa_top_check,
-    "attr-choice": _vqa_attr_choice,
-    "color-compare": _vqa_color_compare,
-    "who-action": _vqa_who_action,
-    "attr-of": _vqa_attr_of,
-    "material-verify": _vqa_material_verify,
-    "knowledge-list": _vqa_knowledge_list,
-}
-GROUNDING_TEMPLATES = {
-    "ordinal": lambda rng, iid: _grounding_ordinal(rng, iid, task="grounding"),
-    "depth": _grounding_depth,
-    "select": _grounding_select,
-    "half": _grounding_half,
-    "region": _grounding_region,
-}
-TAGGING_TEMPLATES = {
-    "ordinal": _tagging_ordinal,
-    "filter": _tagging_filter,
-}
+
+def task_spec(task: str) -> TaskSpec:
+    """`TASKS[task]`, or a `ValueError` that names the known tasks."""
+    if task not in TASKS:
+        raise ValueError(f"unknown task {task!r}; known tasks: {', '.join(sorted(TASKS))}")
+    return TASKS[task]
+
 
 def generate_dataset(task: str, seed: int, n: int, knobs: dict | None = None) -> list[TaskInstance]:
     """Deterministic-in-seed instance generation for one task family.
 
-    knobs: ``templates`` restricts/weights the template cycle; ``layout`` and
-    ``rules`` steer puzzle generation.
+    knobs: ``templates`` names the templates to cycle through (by default
+    all of the task's, in name order); every other knob, such as raven's
+    ``layout`` and ``rules``, is passed to each template as a keyword.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    knobs = knobs or {}
+    templates = task_spec(task).templates
+    knobs = dict(knobs or {})
+    names = knobs.pop("templates", None) or sorted(templates)
+    for name in names:
+        if name not in templates:
+            known = ", ".join(sorted(templates))
+            raise ValueError(f"task {task!r} has no template {name!r}; its templates: {known}")
     rng = random.Random(f"{task}:{seed}")
-    instances: list[TaskInstance] = []
-    if task == "vqa":
-        names = knobs.get("templates") or sorted(VQA_TEMPLATES)
-        table = VQA_TEMPLATES
-    elif task == "grounding":
-        names = knobs.get("templates") or sorted(GROUNDING_TEMPLATES)
-        table = GROUNDING_TEMPLATES
-    elif task == "tagging":
-        names = knobs.get("templates") or sorted(TAGGING_TEMPLATES)
-        table = TAGGING_TEMPLATES
-    elif task == "editing":
-        names, table = ["edit"], {"edit": _editing_instance}
-    elif task == "raven":
-        layout = knobs.get("layout", "center")
-        rules = knobs.get("rules")
-        out = []
-        for i in range(n):
-            instance = _raven_instance(rng, f"{task}-{seed}-{i:04d}", layout=layout, rules=rules)
-            out.append(_finish(instance))
-        return out
-    elif task == "mewl-analog":
-        return [_finish(_mewl_instance(rng, f"{task}-{seed}-{i:04d}")) for i in range(n)]
-    else:
-        raise ValueError(f"unknown task {task!r}")
-
-    for i in range(n):
-        name = names[i % len(names)]
-        instance = table[name](rng, f"{task}-{seed}-{i:04d}")
-        instances.append(_finish(instance))
-    return instances
+    return [
+        _finish(templates[names[i % len(names)]](rng, f"{task}-{seed}-{i:04d}", **knobs))
+        for i in range(n)
+    ]
 
 
 def save_dataset(instances, path) -> None:

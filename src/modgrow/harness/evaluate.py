@@ -1,10 +1,12 @@
-"""Evaluation over generated datasets: per-task judging, reports, ablation.
+"""Evaluation over generated datasets: reports and ablation.
 
-For program tasks the stage-3 prompt (which carries the current module
-catalogue) is completed through the gateway, parsed, validated and executed;
-split-layout puzzle instances run through a per-region module driver instead
-since the straight-line program language has no loops. Instance failures are
-recorded as incorrect outcomes, never raised.
+Each instance's stage-3 prompt (which carries the current module catalogue)
+is completed through the gateway, parsed, validated against the instance's
+bindings and executed, and the task's judge in `datasets.TASKS` scores the
+result. Instances the task marks as split-layout puzzles run through a
+per-region module driver instead, since the straight-line program language
+has no loops. Instance failures are recorded as incorrect outcomes, never
+raised.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from ..executor import execute_program
 from ..gateway import LlmGateway, TailSlotPrompt, load_template, parse_program_response
 from ..registry import ExecutionRegistry, Library, signature_prompt_text
 from ..scene import ImageHandle
-from ..synthesis import compare_values, run_synthesis
-from .datasets import GOLD_COMPARATOR, TaskInstance, _gold_value, binding_tags, build_bindings
-from .metrics import iou, match_region_sets, match_tag, precision_recall_f1
+from ..synthesis import run_synthesis
+from .datasets import TaskInstance, build_bindings, task_spec
+from .metrics import precision_recall_f1
 
 
 @dataclass
@@ -151,67 +153,6 @@ def _trace_docs(trace) -> list:
     ]
 
 
-def _boxes_of(value: V.Value):
-    if value is not None and value.tag in ("box-list", "mask"):
-        return [list(b) for b in value.payload]
-    return []
-
-
-def _judge_vqa(final: V.Value, gold: dict) -> bool:
-    return compare_values(final, _gold_value(gold), GOLD_COMPARATOR[gold["type"]])
-
-
-def _judge_grounding(outcome: InstanceOutcome, final: V.Value, gold: dict) -> None:
-    predictions = _boxes_of(final)
-    gold_boxes = [gold["value"]] if gold["value"] else []
-    outcome.predicted_regions = len(predictions)
-    outcome.gold_regions = len(gold_boxes)
-    outcome.correct_pairs = match_region_sets(
-        predictions, gold_boxes, lambda p, g: iou(p, g) >= 0.5
-    )
-    outcome.correct = bool(predictions) and bool(gold_boxes) and iou(predictions[0], gold_boxes[0]) >= 0.5
-    outcome.predicted = json.dumps(predictions[:1])
-
-
-def _judge_tagging(outcome: InstanceOutcome, final: V.Value, gold: dict) -> None:
-    regions = []
-    if final is not None and final.tag == "image":
-        regions = [(list(ov.box), ov.label) for ov in final.payload.overlays]
-    gold_regions = gold["value"]
-    outcome.predicted_regions = len(regions)
-    outcome.gold_regions = len(gold_regions)
-    outcome.correct_pairs = match_region_sets(
-        regions,
-        gold_regions,
-        lambda p, g: iou(p[0], g["box"]) >= 0.5 and match_tag(p[1], g["label"]),
-    )
-    outcome.correct = (
-        outcome.correct_pairs == len(gold_regions) and len(regions) == len(gold_regions)
-    )
-    outcome.predicted = json.dumps([[b, l] for b, l in regions])
-
-
-def _judge_editing(final: V.Value, gold: dict) -> bool:
-    if final is None or final.tag != "image":
-        return False
-    handle = final.payload
-    spec = gold["value"]
-    if spec["kind"] == "emoji":
-        return any(
-            match_tag(ov.label, spec["label"]) and iou(list(ov.box), spec["region"]) >= 0.5
-            for ov in handle.overlays
-        )
-    for edit in handle.edits:
-        if edit.kind != spec["kind"] or not edit.boxes:
-            continue
-        if iou(list(edit.boxes[0]), spec["region"]) < 0.5:
-            continue
-        if spec["kind"] == "replace" and spec.get("category", "") not in edit.prompt.lower():
-            continue
-        return True
-    return False
-
-
 def _prefixed(record, prefix: str):
     return [[f"{prefix}_{key}", value] for key, value in record]
 
@@ -278,7 +219,13 @@ def evaluate(
     model_id: str = "default-model",
     limits=None,
 ) -> EvalReport:
-    """Run every instance, judge per task, aggregate metrics into a report."""
+    """Run every instance, judge it by its task, aggregate metrics into a report.
+
+    Raises `ValueError` for an unknown task or an instance of another task."""
+    spec = task_spec(task)
+    for instance in dataset:
+        if instance.task != task:
+            raise ValueError(f"instance {instance.id} is of task {instance.task!r}, not {task!r}")
     registry = ExecutionRegistry(lib, limits=limits)
     prompts = TailSlotPrompt(
         load_template("execution"),
@@ -294,7 +241,7 @@ def evaluate(
             id=instance.id, query=instance.query, correct=False, predicted="", gold=instance.gold
         )
         try:
-            if instance.task == "raven" and instance.puzzle.layout != "center":
+            if spec.split_layout is not None and spec.split_layout(instance):
                 answer = solve_puzzle_with_modules(instance.puzzle, registry, backend)
                 outcome.predicted = str(answer)
                 outcome.correct = answer == instance.gold["value"]
@@ -302,41 +249,28 @@ def evaluate(
                 continue
             request, key = prompts.request(instance.query)
             response = gateway.complete(request, key)
-            program_text = parse_program_response(response)
-            program = parse_program(program_text)
-            diagnostics = validate_program(program, sigs, binding_tags(instance.task))
+            program = parse_program(parse_program_response(response))
+            env = build_bindings(instance)
+            tags = {name: value.tag for name, value in env.bindings.items()}
+            diagnostics = validate_program(program, sigs, tags)
             if diagnostics:
                 outcome.error = f"validation: {diagnostics[0].code} {diagnostics[0].message}"
                 outcomes.append(outcome)
                 continue
-            result = execute_program(program, build_bindings(instance), registry, backend)
+            result = execute_program(program, env, registry, backend)
             outcome.trace = _trace_docs(result.trace)
             if result.status != "ok":
                 outcome.error = f"{result.error.kind}: {result.error.message}"
                 outcomes.append(outcome)
                 continue
-            final = result.final
-            if instance.task in ("vqa", "mewl-analog", "raven"):
-                outcome.correct = _judge_vqa(final, instance.gold)
-                outcome.predicted = V.summarize(final)
-            elif instance.task == "grounding":
-                _judge_grounding(outcome, final, instance.gold)
-            elif instance.task == "tagging":
-                _judge_tagging(outcome, final, instance.gold)
-            elif instance.task == "editing":
-                outcome.correct = _judge_editing(final, instance.gold)
-                outcome.predicted = V.summarize(final)
-            else:
-                outcome.error = f"unknown task {instance.task!r}"
-        except ModgrowError as exc:
-            outcome.error = f"{type(exc).__name__}: {exc}"
+            spec.judge(outcome, result.final, instance.gold)
         except Exception as exc:  # instance failures are data, not crashes
             outcome.error = f"{type(exc).__name__}: {exc}"
         outcomes.append(outcome)
 
     n = len(outcomes)
     metrics = {"accuracy": sum(1 for o in outcomes if o.correct) / n if n else 0.0}
-    if task in ("grounding", "tagging"):
+    if spec.regions:
         correct = sum(o.correct_pairs for o in outcomes)
         predicted = sum(o.predicted_regions for o in outcomes)
         gold = sum(o.gold_regions for o in outcomes)

@@ -1,7 +1,8 @@
-"""Evaluation metrics: IoU, tag matching, precision/recall/F1."""
+"""Evaluation metrics: IoU, value comparators, tag matching, precision/recall/F1."""
 
 from __future__ import annotations
 
+import json
 import re
 
 
@@ -15,6 +16,38 @@ def iou(a, b) -> float:
     area_a = (a[2] - a[0]) * (a[3] - a[1])
     area_b = (b[2] - b[0]) * (b[3] - b[1])
     return inter / (area_a + area_b - inter)
+
+
+def _normalize_text(s: str) -> str:
+    return " ".join(s.lower().split())
+
+
+def compare_values(final, expected, comparator: str) -> bool:
+    """Whether a program's final `Value` matches the expected one under the
+    named comparator: exact-text, numeric-eq, iou-at-0.5 or set-eq."""
+    if comparator == "exact-text":
+        if final.tag == "list" and expected.tag == "list":
+            return [_normalize_text(str(x)) for x in final.payload] == [
+                _normalize_text(str(x)) for x in expected.payload
+            ]
+        return _normalize_text(str(final.payload)) == _normalize_text(str(expected.payload))
+    if comparator == "numeric-eq":
+        try:
+            return abs(float(final.payload) - float(expected.payload)) < 1e-9
+        except (TypeError, ValueError):
+            return False
+    if comparator == "iou-at-0.5":
+        if final.tag not in ("box-list", "mask") or not final.payload:
+            return False
+        gold = expected.payload[0] if expected.tag in ("box-list", "mask") else expected.payload
+        return iou(final.payload[0], gold) >= 0.5
+    if comparator == "set-eq":
+        def canon(value):
+            items = value.payload if value.tag in ("box-list", "mask", "list") else [value.payload]
+            return sorted(json.dumps(x, sort_keys=True) for x in items)
+
+        return canon(final) == canon(expected)
+    raise ValueError(f"unknown comparator {comparator!r}")
 
 
 _ARTICLES = {"a", "an", "the"}

@@ -228,58 +228,6 @@ SORT_SPATIAL_SOURCE = '''class SORT_SPATIAL():
         return self.predict(img,box_list,location,index)
 '''
 
-COMPARE_ATTRIBUTE_SOURCE = '''class COMPARE_ATTRIBUTE():
-    """
-    Tell whether two object regions share the named attribute value.
-    Input:
-        image: an image object
-        box1: a list of bounding boxes
-        box2: a list of bounding boxes
-        object1: a string
-        object2: a string
-        attribute: a string
-        question: a string
-    Output:
-        result: a string
-    Examples:
-        Question: Do the towel and the box have a different colors?
-        BOX0=LOC(image=IMAGE,object='towel')
-        BOX1=LOC(image=IMAGE,object='box')
-        ANSWER0=COMPARE_ATTRIBUTE(image=IMAGE,box1=BOX0,box2=BOX1,object1='towel',object2='box',attribute='color',question=QUESTION)
-        FINAL_RESULT=RESULT(var=ANSWER0)
-    """
-    step_name = 'COMPARE_ATTRIBUTE'
-
-    def expand_box(self,box,img_size,factor=1.5):
-        W,H = img_size
-        x1,y1,x2,y2 = box
-        dw = int(factor*(x2-x1)/2)
-        dh = int(factor*(y2-y1)/2)
-        cx = int((x1 + x2) / 2)
-        cy = int((y1 + y2) / 2)
-        return [max(0,cx - dw), max(0,cy - dh), min(cx + dw,W), min(cy + dh,H)]
-
-    def crop_first(self,img,boxes):
-        if len(boxes) > 0:
-            return img.crop(self.expand_box(boxes[0], img.size))
-        return img
-
-    def execute(self,img,boxes1,boxes2,obj1,obj2,attribute,question):
-        out_img1 = self.crop_first(img, boxes1)
-        out_img2 = self.crop_first(img, boxes2)
-        value1 = API.vqa(out_img1, f'What {attribute} is the {obj1}?')
-        value2 = API.vqa(out_img2, f'What {attribute} is the {obj2}?')
-        if attribute == 'color':
-            prompt = f'Can the {value1} be regarded as the same color as {value2}? You should just reply yes or no without any other words.'
-            temp = API.gpt3(prompt, 'gpt3_general')
-            same = 'yes' in temp.lower()
-        else:
-            same = value1 == value2
-        if 'different' in question.lower():
-            return 'yes' if not same else 'no'
-        return 'yes' if same else 'no'
-'''
-
 DETECT_SHAPE_SOURCE = '''class DETECT_SHAPE():
     """
     Read the shape, color and size of the single object in a puzzle panel.
@@ -426,36 +374,6 @@ INDUCE_WORD_SOURCE = '''class INDUCE_WORD():
         return 'unknown'
 '''
 
-VERIFY_ATTRIBUTE_SOURCE = '''class VERIFY_ATTRIBUTE():
-    """
-    Check whether the object region clearly shows the attribute.
-    Input:
-        image: an image object
-        box: a list of bounding boxes
-        attribute: a string
-        object: a string
-        question: a string
-    Output:
-        flag: True if the region shows the attribute else False
-    Examples:
-        ANSWER0=VERIFY_ATTRIBUTE(image=IMAGE,box=BOX0,attribute='wooden',object='chair',question=QUESTION)
-    """
-    step_name = 'VERIFY_ATTRIBUTE'
-
-    def execute(self,img,boxes,attribute,obj,question):
-        if len(boxes) > 0:
-            x1, y1, x2, y2 = boxes[0]
-            w, h = img.size
-            dw = int(1.5 * (x2 - x1) / 2)
-            dh = int(1.5 * (y2 - y1) / 2)
-            cx, cy = int((x1 + x2) / 2), int((y1 + y2) / 2)
-            out_img = img.crop([max(0, cx - dw), max(0, cy - dh), min(cx + dw, w), min(cy + dh, h)])
-        else:
-            out_img = img
-        score = API.clip(out_img, f'a {attribute} {obj}')
-        return score > 0.5
-'''
-
 VERIFY_MATERIAL_SOURCE = '''class VERIFY_MATERIAL():
     """
     Check whether the object in the region is made of the material.
@@ -490,47 +408,14 @@ VERIFY_MATERIAL_SOURCE = '''class VERIFY_MATERIAL():
         return found.lower() == material.lower()
 '''
 
-VERIFY_COLOR_SOURCE = '''class VERIFY_COLOR():
-    """
-    Check whether the object in the region has the named color.
-    Input:
-        image: an image object
-        box: a list of bounding boxes
-        color: a string
-        object: a string
-        question: a string
-    Output:
-        flag: True if the color matches else False
-    Examples:
-        ANSWER0=VERIFY_COLOR(image=IMAGE,box=BOX0,color='black',object='coat',question=QUESTION)
-    """
-    step_name = 'VERIFY_COLOR'
-
-    def execute(self,img,boxes,color,obj,question):
-        if len(boxes) > 0:
-            x1, y1, x2, y2 = boxes[0]
-            w, h = img.size
-            dw = int(1.5 * (x2 - x1) / 2)
-            dh = int(1.5 * (y2 - y1) / 2)
-            cx, cy = int((x1 + x2) / 2), int((y1 + y2) / 2)
-            out_img = img.crop([max(0, cx - dw), max(0, cy - dh), min(cx + dw, w), min(cy + dh, h)])
-        else:
-            out_img = img
-        found = API.vqa(out_img, f'What color is the {obj}?')
-        return found.lower() == color.lower()
-'''
-
 FIXTURE_SOURCES: dict[str, str] = {
     "CHOOSE_ATTRIBUTE": CHOOSE_ATTRIBUTE_SOURCE,
     "COMPARE_COLOR": COMPARE_COLOR_SOURCE,
     "SORT_SPATIAL": SORT_SPATIAL_SOURCE,
-    "COMPARE_ATTRIBUTE": COMPARE_ATTRIBUTE_SOURCE,
     "DETECT_SHAPE": DETECT_SHAPE_SOURCE,
     "SOLVER": SOLVER_SOURCE,
     "INDUCE_WORD": INDUCE_WORD_SOURCE,
-    "VERIFY_ATTRIBUTE": VERIFY_ATTRIBUTE_SOURCE,
     "VERIFY_MATERIAL": VERIFY_MATERIAL_SOURCE,
-    "VERIFY_COLOR": VERIFY_COLOR_SOURCE,
 }
 
 

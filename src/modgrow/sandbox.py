@@ -17,7 +17,6 @@ be interrupted; deep recursion ends as `RecursionError`, reported as `timeout`.
 `API` is a `SandboxApi`: the six short aliases the stage-2 prompt teaches,
 each a direct backend call, and the canonical names of `backends.OPERATIONS`,
 the one definition of the tool surface, which are the backend's own methods.
-A record or replay backend serves them through the shared `modgrow.cache`.
 
 This is a test-harness isolation layer, not a hardened security boundary.
 """

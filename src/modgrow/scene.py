@@ -9,7 +9,6 @@ operations pure.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -279,17 +278,11 @@ class EditRecord:
     boxes: tuple[Box, ...]  # absolute scene coordinates
     prompt: str = ""
 
-    def to_doc(self) -> dict:
-        return {"kind": self.kind, "boxes": [list(b) for b in self.boxes], "prompt": self.prompt}
-
 
 @dataclass(frozen=True)
 class Overlay:
     box: Box  # absolute scene coordinates
     label: str
-
-    def to_doc(self) -> dict:
-        return {"box": list(self.box), "label": self.label}
 
 
 @dataclass(frozen=True)
@@ -373,53 +366,3 @@ class ImageHandle:
     def with_edit(self, kind: str, boxes_rel, prompt: str = "") -> "ImageHandle":
         rec = EditRecord(kind=kind, boxes=tuple(self.to_absolute(b) for b in boxes_rel), prompt=prompt)
         return ImageHandle(self.scene, self.crop_box, self.overlays, self.edits + (rec,))
-
-    def to_doc(self) -> dict:
-        return {
-            "scene": self.scene.to_doc(),
-            "crop_box": list(self.crop_box),
-            "overlays": [o.to_doc() for o in self.overlays],
-            "edits": [e.to_doc() for e in self.edits],
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "ImageHandle":
-        return cls(
-            scene=load_scene(doc["scene"]),
-            crop_box=tuple(doc["crop_box"]),
-            overlays=tuple(Overlay(box=tuple(o["box"]), label=o["label"]) for o in doc["overlays"]),
-            edits=tuple(
-                EditRecord(kind=e["kind"], boxes=tuple(tuple(b) for b in e["boxes"]), prompt=e["prompt"])
-                for e in doc["edits"]
-            ),
-        )
-
-    def fingerprint(self) -> str:
-        payload = json.dumps(self.to_doc(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def render_scene_ppm(handle: ImageHandle, path: str) -> None:
-    """Optional report rasterizer: draw object and overlay rectangles to a PPM file."""
-    w, h = handle.width, handle.height
-    pix = [[(235, 235, 235) for _ in range(w)] for _ in range(h)]
-    palette = [(200, 60, 60), (60, 120, 200), (60, 170, 90), (180, 140, 40), (140, 80, 180)]
-
-    def draw_rect(box: Box, color):
-        x1, y1, x2, y2 = (max(0, box[0]), max(0, box[1]), min(w - 1, box[2] - 1), min(h - 1, box[3] - 1))
-        for x in range(x1, x2 + 1):
-            pix[y1][x] = color
-            pix[y2][x] = color
-        for y in range(y1, y2 + 1):
-            pix[y][x1] = color
-            pix[y][x2] = color
-
-    for i, (_, clipped) in enumerate(handle.visible_objects()):
-        draw_rect(handle.to_relative(clipped), palette[i % len(palette)])
-    for ov in handle.overlays:
-        draw_rect(handle.to_relative(ov.box), (20, 20, 20))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"P3\n{w} {h}\n255\n")
-        for row in pix:
-            fh.write(" ".join(f"{r} {g} {b}" for r, g, b in row))
-            fh.write("\n")

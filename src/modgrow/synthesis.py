@@ -11,7 +11,7 @@ feed the captured errors back into the prompt.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import values as V
 from .dsl import ModuleSignature, parse_program, validate_program
@@ -20,7 +20,6 @@ from .executor import Environment, execute_program
 from .gateway import (
     DEFAULT_API_DOC,
     CompletionRequest,
-    InitializationDecision,
     LlmGateway,
     TailSlotPrompt,
     extract_module_source,
@@ -29,7 +28,7 @@ from .gateway import (
     render_prompt,
 )
 from .harness.datasets import build_bindings
-from .harness.metrics import iou
+from .harness.metrics import compare_values
 from .registry import (
     EPOCH_TIMESTAMP,
     ExecutionRegistry,
@@ -102,46 +101,6 @@ class Proposal:
     signature: ModuleSignature
     header: str
     first_seen_example: str
-
-
-def _normalize_text(s: str) -> str:
-    return " ".join(s.lower().split())
-
-
-def compare_values(final: V.Value, expected: V.Value, comparator: str) -> bool:
-    if comparator == "exact-text":
-        if final.tag == "list" and expected.tag == "list":
-            return [_normalize_text(str(x)) for x in final.payload] == [
-                _normalize_text(str(x)) for x in expected.payload
-            ]
-        return _normalize_text(str(final.payload)) == _normalize_text(str(expected.payload))
-    if comparator == "numeric-eq":
-        try:
-            return abs(float(final.payload) - float(expected.payload)) < 1e-9
-        except (TypeError, ValueError):
-            return False
-    if comparator == "iou-at-0.5":
-        if final.tag not in ("box-list", "mask") or not final.payload:
-            return False
-        gold = expected.payload[0] if expected.tag in ("box-list", "mask") else expected.payload
-        return iou(final.payload[0], gold) >= 0.5
-    if comparator == "set-eq":
-        import json
-
-        def canon(value):
-            items = value.payload if value.tag in ("box-list", "mask", "list") else [value.payload]
-            return sorted(json.dumps(_plainify(x), sort_keys=True) for x in items)
-
-        return canon(final) == canon(expected)
-    raise ValueError(f"unknown comparator {comparator!r}")
-
-
-def _plainify(x):
-    if isinstance(x, tuple):
-        return [_plainify(v) for v in x]
-    if isinstance(x, list):
-        return [_plainify(v) for v in x]
-    return x
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,6 @@ from .scene import ImageHandle, is_valid_box
 
 VALUE_TAGS = ("image", "box-list", "mask", "number", "text", "boolean", "list", "null")
 
-# Signature-level semantic tags (masks are declared as box lists; null never
-# appears in signatures).
-SIGNATURE_TAGS = ("image", "box-list", "text", "number", "boolean", "template", "list")
-
 
 @dataclass(frozen=True)
 class Value:

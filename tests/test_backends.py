@@ -1,16 +1,13 @@
 from __future__ import annotations
 
-import json
 import random
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modgrow.backends import HttpToolBackend, RecordingToolBackend, ReplayToolBackend, SyntheticBackend
-from modgrow.errors import BackendError, CacheMissError
+from modgrow.backends import SyntheticBackend
+from modgrow.errors import BackendError
 from modgrow.scene import ImageHandle, intersect_boxes
 
 from conftest import make_scene, obj
@@ -198,112 +195,3 @@ class TestDeterminismAndComposition:
         for box in backend.locate(cropped, "cat"):
             assert 0 <= box[0] < box[2] <= cropped.width
             assert 0 <= box[1] < box[3] <= cropped.height
-
-
-class TestRecordReplay:
-    def test_round_trip_byte_identical(self, tmp_path, backend, coat_image):
-        cache = tmp_path / "tools.jsonl"
-        recorder = RecordingToolBackend(backend, str(cache))
-        live = [
-            recorder.locate(coat_image, "coat"),
-            recorder.answer_question(coat_image, "What color is the coat?"),
-            recorder.score_alignment(coat_image, ["a thick coat"]),
-            recorder.depth_of(coat_image),
-            recorder.general_text("Name 2 kinds of fruit."),
-            recorder.inpaint_region(coat_image, [(200, 150, 380, 330)], "a red coat"),
-        ]
-        replay = ReplayToolBackend(str(cache))
-        assert replay.locate(coat_image, "coat") == [tuple(b) for b in live[0]]
-        assert replay.answer_question(coat_image, "What color is the coat?") == live[1]
-        assert replay.score_alignment(coat_image, ["a thick coat"]) == live[2]
-        assert replay.depth_of(coat_image) == live[3]
-        assert replay.general_text("Name 2 kinds of fruit.") == live[4]
-        assert replay.inpaint_region(coat_image, [(200, 150, 380, 330)], "a red coat") == live[5]
-
-    def test_arguments_bind_by_parameter_name(self, tmp_path, backend, coat_image):
-        recorder = RecordingToolBackend(backend, str(tmp_path / "tools.jsonl"))
-        assert recorder.locate(image=coat_image, name="coat") == recorder.locate(coat_image, "coat")
-        replay = ReplayToolBackend(str(tmp_path / "tools.jsonl"))
-        assert replay.locate(coat_image, name="coat") == [(200, 150, 380, 330)]
-        for bad_call in (lambda: replay.locate(coat_image), lambda: replay.locate(coat_image, "coat", 1),
-                         lambda: replay.locate(coat_image, "coat", name="coat")):
-            with pytest.raises(TypeError):
-                bad_call()
-
-    def test_cache_miss_is_error(self, tmp_path, backend, coat_image):
-        cache = tmp_path / "tools.jsonl"
-        RecordingToolBackend(backend, str(cache)).locate(coat_image, "coat")
-        replay = ReplayToolBackend(str(cache))
-        with pytest.raises(CacheMissError):
-            replay.locate(coat_image, "dog")
-
-    def test_depth_record_holds_layers(self, tmp_path, backend, coat_image):
-        cache = tmp_path / "tools.jsonl"
-        RecordingToolBackend(backend, str(cache)).depth_of(coat_image)
-        line = cache.read_bytes()
-        assert (coat_image.width, coat_image.height) == (640, 480)
-        assert len(line) < 1024
-        response = json.loads(line)["response"]
-        assert response == {"width": 640, "height": 480, "layers": [[[200, 150, 380, 330], 0.5]]}
-
-    def test_dense_depth_record_asks_to_rerecord(self, tmp_path, backend, coat_image):
-        cache = tmp_path / "tools.jsonl"
-        RecordingToolBackend(backend, str(cache)).depth_of(coat_image)
-        record = json.loads(cache.read_text())
-        record["response"] = {"width": 640, "height": 480,
-                              "values": list(backend.depth_of(coat_image).values)}
-        cache.write_text(json.dumps(record) + "\n")
-        with pytest.raises(ValueError, match="re-record"):
-            ReplayToolBackend(str(cache)).depth_of(coat_image)
-
-
-class _Handler(BaseHTTPRequestHandler):
-    def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        if body["operation"] == "locate":
-            payload = {"result": [[1, 2, 3, 4]]}
-            self.send_response(200)
-        elif body["operation"] == "general_text":
-            payload = {"result": "pong"}
-            self.send_response(200)
-        else:
-            self.send_response(500)
-            self.end_headers()
-            return
-        data = json.dumps(payload).encode()
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture()
-def http_server():
-    server = HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}/"
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
-    assert not thread.is_alive()
-
-
-class TestHttpBackend:
-    def test_round_trip(self, http_server, coat_image):
-        backend = HttpToolBackend(url=http_server)
-        assert backend.locate(coat_image, "coat") == [(1, 2, 3, 4)]
-        assert backend.general_text("ping") == "pong"
-
-    def test_non_2xx_maps_to_backend_error(self, http_server, coat_image):
-        backend = HttpToolBackend(url=http_server)
-        with pytest.raises(BackendError):
-            backend.depth_of(coat_image)
-
-    def test_unconfigured_endpoint(self, monkeypatch):
-        monkeypatch.delenv("TOOL_API_URL", raising=False)
-        with pytest.raises(BackendError):
-            HttpToolBackend()

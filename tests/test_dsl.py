@@ -28,8 +28,17 @@ from modgrow.registry import builtin_library, signatures
 from program_corpus import CORPUS, PURSE_PROGRAM
 
 
+# the towel-box program calls a module that no fixture implements
+COMPARE_ATTRIBUTE = dsl.ModuleSignature(
+    name="COMPARE_ATTRIBUTE",
+    params=(("image", "image"), ("box1", "box-list"), ("box2", "box-list"), ("object1", "text"),
+            ("object2", "text"), ("attribute", "text"), ("question", "text")),
+    returns="text",
+)
+
+
 def corpus_signatures():
-    sigs = signatures(builtin_library()) + fixture_signatures()
+    sigs = signatures(builtin_library()) + fixture_signatures() + [COMPARE_ATTRIBUTE]
     template = load_template("initialization")
     sigs.append(dsl.parse_signature_block(template.body))  # COMPARE_SIZE header
     return sigs

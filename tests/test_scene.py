@@ -10,7 +10,6 @@ from modgrow.scene import (
     ImageHandle,
     SceneObject,
     load_scene,
-    render_scene_ppm,
     singularize,
 )
 
@@ -91,18 +90,6 @@ def test_overlays_and_edits_are_append_only():
     assert len(edited.edits) == 1 and len(tagged.edits) == 0
 
 
-def test_handle_doc_round_trip():
-    handle = (
-        ImageHandle.of_scene(make_scene(obj("a", "cat", (10, 10, 30, 30), color="black")))
-        .crop((5, 5, 200, 200))
-        .with_overlay((1, 1, 9, 9), "pet")
-        .with_edit("bgblur", [(2, 2, 8, 8)])
-    )
-    again = ImageHandle.from_doc(handle.to_doc())
-    assert again == handle
-    assert again.fingerprint() == handle.fingerprint()
-
-
 def test_depth_grid_region_clips_and_defaults():
     grid = DepthGrid(width=4, height=3, layers=(((0, 0, 4, 3), 0.5),))
     assert grid.region((0, 0, 2, 2)) == [0.5] * 4
@@ -116,13 +103,3 @@ def test_depth_grid_at_outside_the_grid_raises():
     for x, y in ((3, 0), (-1, 0), (0, 2), (0, -1), (3, 2), (-1, -1)):
         with pytest.raises(IndexError):
             grid.at(x, y)
-
-
-def test_rasterizer_writes_ppm(tmp_path):
-    handle = ImageHandle.of_scene(
-        make_scene(obj("a", "cat", (4, 4, 20, 20)), width=32, height=24)
-    ).with_overlay((6, 6, 12, 12), "x")
-    path = tmp_path / "scene.ppm"
-    render_scene_ppm(handle, str(path))
-    header = path.read_text().splitlines()[:2]
-    assert header == ["P3", "32 24"]
