@@ -2,8 +2,8 @@
 
 `ToolBackend` is the contract; the deterministic `SyntheticBackend`, which
 answers from scene-graph ground truth, is the one implementation.
-`OPERATIONS` names each of the six operations once, with its parameters;
-the sandbox serves generated modules exactly these names.
+`OPERATIONS` holds the names of its six operations, read from
+`ToolBackend`; the sandbox serves generated modules exactly these names.
 """
 
 from __future__ import annotations
@@ -48,16 +48,8 @@ class ToolBackend(Protocol):
     def general_text(self, prompt: str) -> str: ...
 
 
-# The tool surface, each operation once, with its parameters as the
-# `ToolBackend` methods name them.
-OPERATIONS = {
-    "locate": ("image", "name"),
-    "answer_question": ("image", "question"),
-    "score_alignment": ("image", "texts"),
-    "depth_of": ("image",),
-    "inpaint_region": ("image", "mask", "prompt"),
-    "general_text": ("prompt",),
-}
+# The tool surface: the names of the `ToolBackend` methods.
+OPERATIONS = frozenset(name for name in vars(ToolBackend) if not name.startswith("_"))
 
 
 def _content_words(text: str) -> list[str]:

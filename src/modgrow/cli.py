@@ -1,4 +1,10 @@
-"""Operator entry points: learn, eval, run, library, cache."""
+"""Operator entry points: learn, eval, run, library, cache.
+
+Only `cache seed` takes a task, because it generates the splits. `learn`
+and `eval` read it from the instances of their split: a learned module
+records the tasks of its test cases, and `eval` refuses a split that is
+empty, mixes tasks or names an unknown one.
+"""
 
 from __future__ import annotations
 
@@ -57,9 +63,7 @@ def cmd_learn(args) -> int:
         return 2
 
     try:
-        lib_after, report = run_synthesis(
-            train, lib, gateway, SyntheticBackend(), cfg, origin_task=args.task or ""
-        )
+        lib_after, report = run_synthesis(train, lib, gateway, SyntheticBackend(), cfg)
     except ModgrowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -98,6 +102,7 @@ def cmd_eval(args) -> int:
         gateway = _gateway_from_args(args)
         lib = load_library(args.library) if args.library else builtin_library()
         dataset = ds.load_dataset(args.dataset)
+        task = ds.split_task(dataset)
     except (ModgrowError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -111,7 +116,7 @@ def cmd_eval(args) -> int:
             train = ds.load_dataset(args.train_dataset) if args.train_dataset else []
             cfg = _config_from_args(args)
             report = run_ablation(
-                grid, train, dataset, lib, gateway, backend, cfg, task=args.task
+                grid, train, dataset, lib, gateway, backend, cfg, task=task
             )
         except (ModgrowError, OSError, KeyError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -126,11 +131,10 @@ def cmd_eval(args) -> int:
             (root / "ablation.txt").write_text(report.render_table() + "\n", encoding="utf-8")
         return 0
 
-    try:
-        report = evaluate(args.task, dataset, lib, backend, gateway, model_id=model_id)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = evaluate(
+        task, dataset, lib, backend, gateway, model_id=model_id,
+        limits=Limits(wall_time_ms=args.wall_time_ms),
+    )
     print(report.render_table())
     if args.report:
         _write_report(report, args.report)
@@ -235,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--task", choices=sorted(ds.TASKS), default="vqa")
         p.add_argument("--mode", choices=["live", "replay", "record"], default=None)
         p.add_argument("--cache", default=None)
         p.add_argument("--model", default=None)

@@ -62,10 +62,6 @@ class Statement:
 @dataclass(frozen=True)
 class Program:
     statements: tuple[Statement, ...]
-    source_text: str = ""
-
-    def targets(self) -> list[str]:
-        return [s.target for s in self.statements]
 
 
 @dataclass(frozen=True)
@@ -299,7 +295,7 @@ def parse_program(source: str) -> Program:
             diagnostics.extend(exc.diagnostics)
     if diagnostics:
         raise DslSyntaxError(diagnostics)
-    return Program(statements=tuple(statements), source_text=source)
+    return Program(statements=tuple(statements))
 
 
 # ---------------------------------------------------------------------------

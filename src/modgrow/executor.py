@@ -477,7 +477,7 @@ def execute_program(program: Program, init: Environment, registry, backend) -> E
     return ExecutionResult(final=final, trace=tuple(trace), status="ok")
 
 
-def trace_to_jsonl(trace, include_timings: bool = True) -> str:
+def trace_to_jsonl(trace) -> str:
     """Render step records as JSON lines for the CLI trace dump."""
     lines = []
     for step in trace:
@@ -487,8 +487,7 @@ def trace_to_jsonl(trace, include_timings: bool = True) -> str:
             "module_kind": step.module_kind,
             "resolved_inputs": step.resolved_inputs,
             "output": step.output,
+            "elapsed_ms": round(step.elapsed_ms, 3),
         }
-        if include_timings:
-            doc["elapsed_ms"] = round(step.elapsed_ms, 3)
         lines.append(json.dumps(doc, sort_keys=True))
     return "\n".join(lines)

@@ -32,7 +32,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 from .cache import append_record, load_responses
@@ -344,7 +344,6 @@ class InitializationDecision:
     feasible: bool
     program: str | None
     proposals: tuple[tuple[ModuleSignature, str], ...]
-    raw: str = field(repr=False, default="")
 
 
 def _first_program_block(lines: list[str]) -> str | None:
@@ -393,7 +392,7 @@ def parse_initialization_response(text: str) -> InitializationDecision:
         program = _first_program_block(lines[decision_idx + 1 :])
         if program is None:
             raise ResponseParseError("UNPARSEABLE_DECISION", "feasible response carries no program")
-        return InitializationDecision(feasible=True, program=program, proposals=(), raw=text)
+        return InitializationDecision(feasible=True, program=program, proposals=())
 
     proposals: list[tuple[ModuleSignature, str]] = []
     for block in _class_blocks("\n".join(lines[decision_idx + 1 :])):
@@ -407,7 +406,7 @@ def parse_initialization_response(text: str) -> InitializationDecision:
         raise ResponseParseError(
             "UNPARSEABLE_DECISION", "infeasible response carries no parseable module header"
         )
-    return InitializationDecision(feasible=False, program=None, proposals=tuple(proposals), raw=text)
+    return InitializationDecision(feasible=False, program=None, proposals=tuple(proposals))
 
 
 def extract_module_source(text: str) -> str:

@@ -154,7 +154,7 @@ def _scene(objects) -> SceneGraph:
     return SceneGraph(width=WIDTH, height=HEIGHT, objects=tuple(objects))
 
 
-def _row_boxes(rng: random.Random, count: int, y_band=(180, 300)) -> list[tuple]:
+def _row_boxes(rng: random.Random, count: int) -> list[tuple]:
     """Disjoint boxes spread left to right with varied sizes."""
     slots = sorted(rng.sample(range(count * 2), count))
     boxes = []
@@ -163,7 +163,7 @@ def _row_boxes(rng: random.Random, count: int, y_band=(180, 300)) -> list[tuple]
         w = rng.randint(30, min(90, slot_w - 6))
         h = rng.randint(40, 100)
         x1 = slot * slot_w + rng.randint(0, max(1, slot_w - w - 4))
-        y1 = rng.randint(*y_band)
+        y1 = rng.randint(180, 300)
         boxes.append((x1, y1, x1 + w, y1 + h))
     return boxes
 
@@ -188,7 +188,7 @@ GOLD_COMPARATOR = {"text": "exact-text", "number": "numeric-eq", "box": "iou-at-
                    "list": "exact-text", "index": "numeric-eq"}
 
 
-def _default_case(instance: TaskInstance, module: str) -> dict:
+def _default_case(instance: TaskInstance) -> dict:
     gold_value = _gold_value(instance.gold)
     return {
         "program": instance.canonical_program,
@@ -203,15 +203,13 @@ def _listify(payload):
     return payload
 
 
-def _finish(instance: TaskInstance, modules: tuple[str, ...] = ()) -> TaskInstance:
-    """Sanity-check against the oracle and attach default module cases."""
+def _finish(instance: TaskInstance) -> TaskInstance:
+    """Sanity-check the planted gold against the oracle."""
     recomputed = oracle_mod.oracle_answer(instance)
     if recomputed != instance.gold:
         raise AssertionError(
             f"{instance.id}: planted gold {instance.gold} != oracle {recomputed}"
         )
-    for module in modules:
-        instance.module_cases.setdefault(module, _default_case(instance, module))
     return instance
 
 
@@ -382,7 +380,7 @@ def _vqa_attr_choice(rng: random.Random, iid: str) -> TaskInstance:
         fallback_program=fallback,
         scene=scene,
     )
-    instance.module_cases["CHOOSE_ATTRIBUTE"] = _default_case(instance, "CHOOSE_ATTRIBUTE")
+    instance.module_cases["CHOOSE_ATTRIBUTE"] = _default_case(instance)
     return instance
 
 
@@ -422,7 +420,7 @@ def _vqa_color_compare(rng: random.Random, iid: str) -> TaskInstance:
         fallback_program=fallback,
         scene=scene,
     )
-    instance.module_cases["COMPARE_COLOR"] = _default_case(instance, "COMPARE_COLOR")
+    instance.module_cases["COMPARE_COLOR"] = _default_case(instance)
     return instance
 
 
@@ -512,7 +510,7 @@ def _vqa_material_verify(rng: random.Random, iid: str) -> TaskInstance:
         fallback_program=fallback,
         scene=scene,
     )
-    instance.module_cases["VERIFY_MATERIAL"] = _default_case(instance, "VERIFY_MATERIAL")
+    instance.module_cases["VERIFY_MATERIAL"] = _default_case(instance)
     return instance
 
 
@@ -599,7 +597,7 @@ def _grounding_ordinal(rng: random.Random, iid: str) -> TaskInstance:
         fallback_program=fallback,
         scene=scene,
     )
-    instance.module_cases["SORT_SPATIAL"] = _default_case(instance, "SORT_SPATIAL")
+    instance.module_cases["SORT_SPATIAL"] = _default_case(instance)
     return instance
 
 
@@ -672,7 +670,7 @@ def _grounding_depth(rng: random.Random, iid: str) -> TaskInstance:
         fallback_program=fallback,
         scene=scene,
     )
-    instance.module_cases["SORT_SPATIAL"] = _default_case(instance, "SORT_SPATIAL")
+    instance.module_cases["SORT_SPATIAL"] = _default_case(instance)
     return instance
 
 
@@ -1095,7 +1093,7 @@ def _mewl_instance(rng: random.Random, iid: str) -> TaskInstance:
         example_pairs=pairs,
         query_scene=query_scene,
     )
-    instance.module_cases["INDUCE_WORD"] = _default_case(instance, "INDUCE_WORD")
+    instance.module_cases["INDUCE_WORD"] = _default_case(instance)
     return instance
 
 
@@ -1289,6 +1287,15 @@ def task_spec(task: str) -> TaskSpec:
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}; known tasks: {', '.join(sorted(TASKS))}")
     return TASKS[task]
+
+
+def split_task(instances) -> str:
+    """The one known task every instance of a split names, or a `ValueError`."""
+    tasks = sorted({instance.task for instance in instances})
+    if len(tasks) != 1:
+        raise ValueError(f"the split mixes tasks {', '.join(tasks)}" if tasks else "the split is empty")
+    task_spec(tasks[0])
+    return tasks[0]
 
 
 def generate_dataset(task: str, seed: int, n: int, knobs: dict | None = None) -> list[TaskInstance]:

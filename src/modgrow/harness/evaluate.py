@@ -330,7 +330,6 @@ def run_ablation(
     backend,
     cfg,
     task: str,
-    clock=None,
 ) -> AblationReport:
     """One evaluate() per grid cell; cells name a library variant and train size."""
     if not grid:
@@ -350,14 +349,12 @@ def run_ablation(
                 label += f" [{model_id}]"
             subset = train[:size]
             try:
-                lib, _ = run_synthesis(
-                    subset, base_lib, gateway, backend, _with_model(cfg, model_id), clock=clock
-                )
+                lib, _ = run_synthesis(subset, base_lib, gateway, backend, _with_model(cfg, model_id))
             except ModgrowError as exc:
                 rows.append(AblationRow(label=label, accuracy=0.0, modules=0, error=str(exc)))
                 continue
         try:
-            report = evaluate(task, test, lib, backend, gateway, model_id=model_id)
+            report = evaluate(task, test, lib, backend, gateway, model_id=model_id, limits=cfg.limits)
             accuracy = report.metrics["accuracy"]
             rows.append(AblationRow(label=label, accuracy=accuracy, modules=len(lib)))
             if variant != "wo-ml" and model_id == cfg.model_id:

@@ -58,13 +58,9 @@ def normalize_tag(text: str) -> str:
     return " ".join(words)
 
 
-def match_tag(pred: str, gold: str, matcher="normalized-exact") -> bool:
-    """Tag comparison: normalized exact match, or any scorer at threshold 0.5."""
-    if matcher == "normalized-exact":
-        return normalize_tag(pred) == normalize_tag(gold)
-    if callable(matcher):
-        return matcher(pred, gold) > 0.5
-    raise ValueError(f"unknown matcher {matcher!r}")
+def match_tag(pred: str, gold: str) -> bool:
+    """Tag comparison: exact match after `normalize_tag`."""
+    return normalize_tag(pred) == normalize_tag(gold)
 
 
 def precision_recall_f1(correct: int, predicted: int, gold: int) -> dict[str, float]:

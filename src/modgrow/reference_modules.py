@@ -141,11 +141,6 @@ COMPARE_COLOR_SOURCE = '''class COMPARE_COLOR():
         return result
 '''
 
-# Inverted same/different branches; used to exercise the gate and repair loop.
-COMPARE_COLOR_MUTATED_SOURCE = COMPARE_COLOR_SOURCE.replace(
-    "if 'same' == compare_type:", "if 'different' == compare_type:", 1
-).replace("elif 'different' == compare_type:", "elif 'same' == compare_type:", 1)
-
 SORT_SPATIAL_SOURCE = '''class SORT_SPATIAL():
     """
     Select objects from the image that match the spatial location.

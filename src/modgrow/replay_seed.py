@@ -4,10 +4,10 @@ A SyntheticResponder acts as the live endpoint during record mode: it reads
 the rendered prompt, works out which stage is being asked, and answers the
 way a competent code generator would — stage-1 feasibility decisions from
 each instance's canonical program against the catalogue in the prompt,
-stage-2 implementations from the shipped fixture sources, stage-3 programs
-(canonical when the catalogue suffices, builtin fallback otherwise). Running
-the normal pipeline in record mode against it produces a replay cache that
-later runs consume without any transport at all.
+stage-2 implementations and repairs from the shipped fixture sources,
+stage-3 programs (canonical when the catalogue suffices, builtin fallback
+otherwise). Running the normal pipeline in record mode against it produces
+a replay cache that later runs consume without any transport at all.
 """
 
 from __future__ import annotations
@@ -19,7 +19,11 @@ from .gateway import CompletionRequest, LlmGateway
 from .reference_modules import FIXTURE_SOURCES, fixture_header
 
 _QUESTION_RE = re.compile(r"^Question:\s*(.+)$", re.MULTILINE)
-_MODULE_ASK_RE = re.compile(r"could you write a new module, ([A-Za-z_][A-Za-z0-9_]*)(?:\(\))?\?")
+# a stage-2 prompt asks for a module; a repair prompt names the one to fix
+_MODULE_ASK_RE = re.compile(
+    r"(?:could you write a new module, |You previously wrote a module, )"
+    r"([A-Za-z_][A-Za-z0-9_]*)(?:\(\))?[?,]"
+)
 _CLASS_NAME_RE = re.compile(r"^class\s+([A-Z][A-Z0-9_]*)\s*\(", re.MULTILINE)
 _STATEMENT_MODULE_RE = re.compile(r"^[A-Z][A-Z0-9_]*=([A-Z][A-Z0-9_]*)\(", re.MULTILINE)
 
@@ -45,8 +49,8 @@ class SyntheticResponder:
             self._by_query.setdefault(instance.query, instance)
 
     def override_source(self, name: str, sources) -> None:
-        """Queue replacement stage-2 responses for one module (used to seed
-        failing-then-repaired candidate sequences)."""
+        """Queue replacement stage-2 and repair responses for one module
+        (used to seed failing-then-repaired candidate sequences)."""
         self._source_overrides.setdefault(name, deque()).extend(sources)
 
     def _available_modules(self, prompt: str) -> set[str]:
@@ -66,7 +70,7 @@ class SyntheticResponder:
     def __call__(self, req: CompletionRequest) -> str:
         self.calls += 1
         prompt = req.prompt
-        if "could you write a new module" in prompt:
+        if "could you write a new module" in prompt or "You previously wrote a module" in prompt:
             name = _MODULE_ASK_RE.findall(prompt)[-1]
             queue = self._source_overrides.get(name)
             if queue:

@@ -15,8 +15,8 @@ unbudgeted, so a single long C-level call such as `sum(range(10**9))` cannot
 be interrupted; deep recursion ends as `RecursionError`, reported as `timeout`.
 
 `API` is a `SandboxApi`: the six short aliases the stage-2 prompt teaches,
-each a direct backend call, and the canonical names of `backends.OPERATIONS`,
-the one definition of the tool surface, which are the backend's own methods.
+each a direct backend call, and the operation names of `backends.OPERATIONS`,
+which `backends.ToolBackend` defines once, served as the backend's own methods.
 
 This is a test-harness isolation layer, not a hardened security boundary.
 """

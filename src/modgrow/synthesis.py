@@ -42,6 +42,11 @@ from .sandbox import CandidateHandle, CapturedError, Limits, load_candidate
 
 logger = logging.getLogger(__name__)
 
+# Stage-2 and repair samples are drawn at SAMPLE_TEMPERATURE; stage-1 and
+# stage-2 requests allow MAX_TOKENS. Cache keys hash both.
+SAMPLE_TEMPERATURE = 0.7
+MAX_TOKENS = 2048
+
 
 @dataclass(frozen=True)
 class SynthesisConfig:
@@ -49,9 +54,7 @@ class SynthesisConfig:
     k_candidates: int = 5
     r_repairs: int = 3
     limits: Limits = field(default_factory=Limits)
-    sample_temperature: float = 0.7
     model_id: str = "default-model"
-    max_tokens: int = 2048
 
     def __post_init__(self):
         if not (0.0 < self.eta <= 1.0):
@@ -100,7 +103,6 @@ class FailureReport:
 class Proposal:
     signature: ModuleSignature
     header: str
-    first_seen_example: str
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +122,7 @@ def initialize_modules(train_examples, lib: Library, gateway: LlmGateway, cfg: S
         {"MODULE_SIGNATURES": signature_prompt_text(lib)},
         "NEW_QUESTION",
         model_id=cfg.model_id,
-        max_tokens=cfg.max_tokens,
+        max_tokens=MAX_TOKENS,
     )
     proposals: dict[str, Proposal] = {}
     errors: list[tuple[str, str]] = []
@@ -136,9 +138,7 @@ def initialize_modules(train_examples, lib: Library, gateway: LlmGateway, cfg: S
             continue
         for sig, header in decision.proposals:
             if sig.name not in proposals and not contains(lib, sig.name):
-                proposals[sig.name] = Proposal(
-                    signature=sig, header=header, first_seen_example=example.id
-                )
+                proposals[sig.name] = Proposal(signature=sig, header=header)
     return list(proposals.values()), errors
 
 
@@ -257,8 +257,6 @@ def generate_module(
     gateway: LlmGateway,
     lib: Library,
     backend,
-    origin_task: str = "",
-    clock=None,
 ):
     """Sample, gate and (on success) build a registrable record for one proposal.
 
@@ -308,10 +306,7 @@ def generate_module(
     index = 0
     for _ in range(cfg.k_candidates):
         request = CompletionRequest(
-            prompt=prompt,
-            model_id=cfg.model_id,
-            temperature=cfg.sample_temperature,
-            max_tokens=cfg.max_tokens,
+            prompt=prompt, model_id=cfg.model_id, temperature=SAMPLE_TEMPERATURE, max_tokens=MAX_TOKENS
         )
         try:
             response = gateway.complete(request)
@@ -328,24 +323,22 @@ def generate_module(
         return max(outs, key=lambda o: (o.pass_rate, -o.candidate_index))
 
     current_best = best(outcomes)
-    round_no = 0
+    round_no = 0  # repair rounds that scored a candidate
     while not current_best.accepted and round_no < cfg.r_repairs:
-        round_no += 1
         report = render_error_report(current_best)
         repair_prompt = render_prompt(repair_template, {**base_slots, "ERROR_REPORT": report})
         request = CompletionRequest(
-            prompt=repair_prompt,
-            model_id=cfg.model_id,
-            temperature=cfg.sample_temperature,
-            max_tokens=cfg.max_tokens,
+            prompt=repair_prompt, model_id=cfg.model_id, temperature=SAMPLE_TEMPERATURE,
+            max_tokens=MAX_TOKENS,
         )
         try:
             response = gateway.complete(request)
         except CacheMissError:
             raise
         except Exception as exc:
-            logger.warning("repair round %d failed at the gateway: %s", round_no, exc)
+            logger.warning("repair round %d failed at the gateway: %s", round_no + 1, exc)
             break
+        round_no += 1
         outcomes.append(score_source(response, index, round_no))
         index += 1
         current_best = best(outcomes)
@@ -363,10 +356,10 @@ def generate_module(
         signature=proposal.signature,
         source=current_best.source,
         kind="generated",
-        origin_task=origin_task,
+        origin_task=",".join(sorted({c.example.task for c in cases})),
         pass_rate=current_best.pass_rate,
         eta_at_acceptance=cfg.eta,
-        created_at=clock() if clock else EPOCH_TIMESTAMP,
+        created_at=EPOCH_TIMESTAMP,
         version=1,
         test_case_ids=tuple(c.id for c in cases),
     )
@@ -388,11 +381,12 @@ def run_synthesis(
     gateway: LlmGateway,
     backend,
     cfg: SynthesisConfig,
-    origin_task: str = "",
-    clock=None,
 ) -> tuple[Library, SynthesisReport]:
     """The full learn pipeline: initialize, then generate per proposal in
-    first-mention order so later proposals can call earlier accepted modules."""
+    first-mention order so later proposals can call earlier accepted modules.
+
+    Each accepted module records as its `origin_task` the tasks of the
+    training examples its test cases come from, sorted and comma-joined."""
     proposals, init_errors = initialize_modules(train_examples, lib, gateway, cfg)
     accepted: list[str] = []
     failed: list[FailureReport] = []
@@ -403,9 +397,7 @@ def run_synthesis(
         except NoCasesError as exc:
             failed.append(FailureReport(name=proposal.signature.name, reason=str(exc), outcomes=()))
             continue
-        result, outs = generate_module(
-            proposal, cases, cfg, gateway, lib, backend, origin_task=origin_task, clock=clock
-        )
+        result, outs = generate_module(proposal, cases, cfg, gateway, lib, backend)
         outcomes[proposal.signature.name] = tuple(outs)
         if isinstance(result, FailureReport):
             failed.append(result)

@@ -305,5 +305,3 @@ class TestExecuteProgram:
         line = json.loads(trace_to_jsonl(result.trace))
         assert line["statement"] == "FINAL_RESULT=RESULT(var=IMAGE)"
         assert "elapsed_ms" in line
-        bare = json.loads(trace_to_jsonl(result.trace, include_timings=False))
-        assert "elapsed_ms" not in bare

@@ -66,10 +66,6 @@ class TestMatchTag:
         assert not match_tag("Obama", "Biden")
         assert match_tag("A  Cat!", "cat")
 
-    def test_plugin_scorer_threshold(self):
-        assert match_tag("x", "y", matcher=lambda p, g: 0.6)
-        assert not match_tag("x", "y", matcher=lambda p, g: 0.5)
-
     def test_greedy_matching_consumes_gold_once(self):
         preds = [([0, 0, 10, 10], "a"), ([0, 0, 10, 10], "a")]
         golds = [{"box": [0, 0, 10, 10], "label": "a"}]

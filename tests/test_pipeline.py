@@ -67,9 +67,9 @@ def test_seed_learn_eval_in_replay_mode(tmp_path, task):
     steps = [
         ["cache", "seed", "--task", task, "--n-train", "12", "--n-test", "8", *budget,
          "--train-out", str(train), "--test-out", str(test), "--cache", str(cache)],
-        ["learn", "--task", task, "--mode", "replay", "--cache", str(cache), *budget,
+        ["learn", "--mode", "replay", "--cache", str(cache), *budget,
          "--dataset", str(train), "--out", str(tmp_path / "lib")],
-        ["eval", "--task", task, "--mode", "replay", "--cache", str(cache), *budget,
+        ["eval", "--mode", "replay", "--cache", str(cache), *budget,
          "--dataset", str(test), "--library", str(tmp_path / "lib"), "--report", str(tmp_path / "report")],
     ]
     for argv in steps:

@@ -35,7 +35,7 @@ def with_first_statement(statement: str) -> tuple[str, int]:
 @pytest.fixture(scope="module")
 def cases():
     train = ds.generate_dataset("vqa", 7, 12)
-    proposal = Proposal(rm.fixture_signature(NAME), rm.fixture_header(NAME), train[0].id)
+    proposal = Proposal(rm.fixture_signature(NAME), rm.fixture_header(NAME))
     return build_test_cases(proposal, train)
 
 
@@ -102,3 +102,37 @@ def test_scenes_are_loaded_once_per_dataset(tmp_path, monkeypatch, builtin_lib, 
     assert report.accepted and sum(len(o) for o in report.outcomes.values()) > 0
     assert evaluate(task, test, lib, backend, gateway).metrics["accuracy"] == 1.0
     assert calls == []
+
+
+def test_the_stock_responder_answers_a_repair_prompt(tmp_path, builtin_lib, backend):
+    """A raising first sample is rejected and the repair round's fixture accepted."""
+    train = ds.generate_dataset("grounding", 4, 4, {"templates": ["ordinal"]})
+    lines = rm.FIXTURE_SOURCES["SORT_SPATIAL"].split("\n")
+    at = next(i for i, line in enumerate(lines) if line.lstrip().startswith("def execute("))
+    lines.insert(at + 1, "        raise ValueError('injected fault')")
+    responder = SyntheticResponder(train)
+    responder.override_source("SORT_SPATIAL", ["\n".join(lines)])
+    gateway = LlmGateway(mode="record", cache_path=str(tmp_path / "cache.jsonl"), transport=responder)
+    cfg = SynthesisConfig(k_candidates=1, r_repairs=1)
+    _, report = run_synthesis(train, builtin_lib, gateway, backend, cfg)
+    assert report.accepted == ("SORT_SPATIAL",)
+    assert [(o.repair_round, o.accepted) for o in report.outcomes["SORT_SPATIAL"]] == [
+        (0, False), (1, True)
+    ]
+
+
+def test_a_failed_repair_request_is_not_counted(tmp_path, builtin_lib, backend):
+    """The reason counts only repair rounds that scored a candidate."""
+    train = ds.generate_dataset("grounding", 4, 4, {"templates": ["ordinal"]})
+    responder = SyntheticResponder(train)
+    responder.override_source("SORT_SPATIAL", ["no code here"])
+
+    def refusing(request):
+        if "You previously wrote a module" in request.prompt:
+            raise LookupError("no answer")
+        return responder(request)
+
+    gateway = LlmGateway(mode="record", cache_path=str(tmp_path / "cache.jsonl"), transport=refusing)
+    _, report = run_synthesis(train, builtin_lib, gateway, backend, SynthesisConfig(k_candidates=1))
+    (failure,) = report.failed
+    assert failure.reason == "no candidate reached pass rate 0.80 (best 0.00 after 0 repair rounds)"

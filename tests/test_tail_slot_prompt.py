@@ -28,7 +28,7 @@ from modgrow.harness.datasets import generate_dataset
 from modgrow.harness.evaluate import evaluate
 from modgrow.registry import builtin_library, signature_prompt_text
 from modgrow.replay_seed import SyntheticResponder
-from modgrow.synthesis import SynthesisConfig, initialize_modules
+from modgrow.synthesis import MAX_TOKENS, SynthesisConfig, initialize_modules
 
 ODD_TEXT = 'quote " back \\ slash\nline\ttab\x01 naïve 日本 \U0001f600  \x7f'
 CATALOGUES = (
@@ -142,10 +142,10 @@ def test_evaluate_replays_a_cache_recorded_plainly(tmp_path, full_lib, backend):
 def test_initialize_modules_replays_a_cache_recorded_plainly(tmp_path):
     train = generate_dataset("vqa", 12, 12)
     lib = builtin_library()
-    cfg = SynthesisConfig(model_id="model-x", max_tokens=300)
+    cfg = SynthesisConfig(model_id="model-x")
     cache = _record_plainly(
         tmp_path, "initialization", train, signature_prompt_text(lib),
-        model_id=cfg.model_id, temperature=0.0, max_tokens=cfg.max_tokens,
+        model_id=cfg.model_id, temperature=0.0, max_tokens=MAX_TOKENS,
     )
     replay = LlmGateway(mode="replay", cache_path=cache)
     proposals, errors = initialize_modules(train, lib, replay, cfg)
@@ -201,7 +201,7 @@ def test_initialize_modules_escapes_the_catalogue_once(tmp_path, monkeypatch):
     catalogue = signature_prompt_text(lib)
     cache = _record_plainly(
         tmp_path, "initialization", train, catalogue,
-        model_id=cfg.model_id, max_tokens=cfg.max_tokens,
+        model_id=cfg.model_id, max_tokens=MAX_TOKENS,
     )
     replay = LlmGateway(mode="replay", cache_path=cache)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from modgrow import cli
@@ -9,6 +11,7 @@ from modgrow.gateway import LlmGateway
 from modgrow.harness.datasets import TASKS, build_bindings, generate_dataset, save_dataset
 from modgrow.harness.evaluate import evaluate
 from modgrow.replay_seed import SyntheticResponder
+from modgrow.synthesis import SynthesisConfig, run_synthesis
 
 
 # the names stage-3 programs read, as the execution prompt's examples use them
@@ -57,20 +60,60 @@ def test_evaluate_refuses_an_instance_of_another_task(tmp_path, builtin_lib, bac
 
 def test_cli_refuses_an_unknown_task(tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_info:
-        cli.main(["eval", "--task", "nope", "--dataset", str(tmp_path / "test.jsonl")])
+        cli.main(["cache", "seed", "--task", "nope", "--train-out", str(tmp_path / "train.jsonl"),
+                  "--test-out", str(tmp_path / "test.jsonl"), "--cache", str(tmp_path / "cache.jsonl")])
     assert exit_info.value.code == 2
     assert "error: argument --task: invalid choice: 'nope'" in capsys.readouterr().err
 
 
-def test_cli_eval_refuses_a_split_of_another_task(tmp_path, capsys):
+def unknown_task_split():
+    (instance,) = generate_dataset("editing", 1, 1)
+    instance.task = "nope"
+    return [instance]
+
+
+@pytest.mark.parametrize("make_split, message", [
+    (list, "the split is empty"),
+    (lambda: generate_dataset("vqa", 1, 1) + generate_dataset("editing", 1, 1),
+     "the split mixes tasks editing, vqa"),
+    (unknown_task_split, f"unknown task 'nope'; known tasks: {', '.join(sorted(TASKS))}"),
+], ids=["empty", "mixed", "unknown"])
+def test_cli_eval_refuses_a_split_without_one_known_task(tmp_path, capsys, make_split, message):
     split, cache = tmp_path / "test.jsonl", tmp_path / "cache.jsonl"
-    save_dataset(generate_dataset("editing", 1, 2), split)
+    save_dataset(make_split(), split)
     cache.write_text("", encoding="utf-8")
-    argv = ["eval", "--task", "vqa", "--mode", "replay", "--cache", str(cache), "--dataset", str(split)]
-    assert cli.main(argv) == 2
+    assert cli.main(["eval", "--mode", "replay", "--cache", str(cache), "--dataset", str(split)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: instance editing-1-0000 is of task 'editing', not 'vqa'\n"
+    assert captured.err == f"error: {message}\n"
+
+
+def test_learn_and_eval_read_the_task_from_the_split(tmp_path):
+    train, test, cache = tmp_path / "train.jsonl", tmp_path / "test.jsonl", tmp_path / "cache.jsonl"
+    replay = ["--mode", "replay", "--cache", str(cache), "--k", "2", "--repairs", "1"]
+    steps = [
+        ["cache", "seed", "--task", "grounding", "--templates", "ordinal", "--n-train", "2",
+         "--n-test", "2", "--train-out", str(train), "--test-out", str(test), "--cache", str(cache)],
+        ["learn", *replay, "--dataset", str(train), "--out", str(tmp_path / "lib")],
+        ["eval", *replay, "--dataset", str(test), "--library", str(tmp_path / "lib"),
+         "--report", str(tmp_path / "report")],
+    ]
+    for argv in steps:
+        assert cli.main(argv) == 0, argv
+    module = json.loads((tmp_path / "lib" / "SORT_SPATIAL.json").read_text(encoding="utf-8"))
+    assert module["origin_task"] == "grounding"
+    report = json.loads((tmp_path / "report" / "report.json").read_text(encoding="utf-8"))
+    assert (report["task"], report["n"], report["metrics"]["accuracy"]) == ("grounding", 2, 1.0)
+
+
+def test_a_module_records_the_tasks_of_its_cases(tmp_path, builtin_lib, backend):
+    train = [*generate_dataset("tagging", 1, 2, {"templates": ["ordinal"]}),
+             *generate_dataset("grounding", 1, 2, {"templates": ["ordinal"]})]
+    gateway = LlmGateway(mode="record", cache_path=str(tmp_path / "cache.jsonl"),
+                         transport=SyntheticResponder(train))
+    lib, report = run_synthesis(train, builtin_lib, gateway, backend, SynthesisConfig(k_candidates=1))
+    assert report.accepted == ("SORT_SPATIAL",)
+    assert lib.records["SORT_SPATIAL"].origin_task == "grounding,tagging"
 
 
 @pytest.mark.parametrize("task, templates", [("vqa", "count,bogus"), ("raven", "bogus"),
