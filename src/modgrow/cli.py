@@ -3,7 +3,9 @@
 Only `cache seed` takes a task, because it generates the splits. `learn`
 and `eval` read it from the instances of their split: a learned module
 records the tasks of its test cases, and `eval` refuses a split that is
-empty, mixes tasks or names an unknown one.
+empty, mixes tasks or names an unknown one. Only the commands that grow a
+library take η, K and R: `cache seed`, `learn` and `eval --ablation`. Plain
+`eval` refuses them, and `--train-dataset`, which only an ablation reads.
 """
 
 from __future__ import annotations
@@ -42,11 +44,15 @@ def _gateway_from_args(args) -> LlmGateway:
     return LlmGateway(mode=mode, cache_path=cache)
 
 
+# options that set a SynthesisConfig field for `learn` and `eval --ablation`,
+# the commands that grow a library; one left out keeps the field's default
+SYNTHESIS_FIELDS = {"eta": "eta", "k": "k_candidates", "repairs": "r_repairs"}
+
+
 def _config_from_args(args) -> SynthesisConfig:
     return SynthesisConfig(
-        eta=args.eta,
-        k_candidates=args.k,
-        r_repairs=args.repairs,
+        **{field: getattr(args, name) for name, field in SYNTHESIS_FIELDS.items()
+           if getattr(args, name) is not None},
         limits=Limits(wall_time_ms=args.wall_time_ms),
         model_id=args.model or os.environ.get("LLM_MODEL_ID", "default-model"),
     )
@@ -98,6 +104,13 @@ def _write_report(report, out_dir: str) -> None:
 
 
 def cmd_eval(args) -> int:
+    if not args.ablation:
+        # plain eval grows nothing, so it has no use for these
+        given = [f"--{name}" for name in SYNTHESIS_FIELDS if getattr(args, name) is not None]
+        given += ["--train-dataset"] if args.train_dataset is not None else []
+        if given:
+            print(f"error: {', '.join(given)} only apply with --ablation", file=sys.stderr)
+            return 2
     try:
         gateway = _gateway_from_args(args)
         lib = load_library(args.library) if args.library else builtin_library()
@@ -207,6 +220,7 @@ def cmd_cache_seed(args) -> int:
     """Generate seeded datasets and record the matching completion cache."""
     knobs = {"templates": args.templates.split(",")} if args.templates else None
     try:
+        cfg = SynthesisConfig(eta=args.eta, k_candidates=args.k, r_repairs=args.repairs)
         lib = load_library(args.library) if args.library else builtin_library()
         train = ds.generate_dataset(args.task, seed=args.seed, n=args.n_train, knobs=knobs)
         test = ds.generate_dataset(args.task, seed=args.seed + 1, n=args.n_test, knobs=knobs)
@@ -215,7 +229,6 @@ def cmd_cache_seed(args) -> int:
         return 2
     ds.save_dataset(train, args.train_out)
     ds.save_dataset(test, args.test_out)
-    cfg = SynthesisConfig(eta=args.eta, k_candidates=args.k, r_repairs=args.repairs)
     if os.path.exists(args.cache):
         os.unlink(args.cache)
     seed_learn_and_eval(train, test, lib, SyntheticBackend(), cfg, args.cache)
@@ -242,9 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=["live", "replay", "record"], default=None)
         p.add_argument("--cache", default=None)
         p.add_argument("--model", default=None)
-        p.add_argument("--eta", type=float, default=0.8)
-        p.add_argument("--k", type=int, default=5)
-        p.add_argument("--repairs", type=int, default=3)
+        p.add_argument("--eta", type=float, default=None)
+        p.add_argument("--k", type=int, default=None)
+        p.add_argument("--repairs", type=int, default=None)
         p.add_argument("--wall-time-ms", type=int, default=2000)
 
     learn = sub.add_parser("learn", help="grow a library from a training split")

@@ -5,11 +5,19 @@ runs, seed records for transfer experiments, and subjects of the
 fixture-vs-oracle agreement tests. Each FIXTURE_SOURCES entry must load
 cleanly in the sandbox; each oracle recomputes the same answer straight from
 scene ground truth without touching the sandbox or the backend.
+
+`median_depth_oracle`, which ranks boxes by depth for SORT_SPATIAL gold
+answers, does not visit pixels: it cuts a box into cells along the object
+edges, gives each cell the smallest depth of the objects that cover it, and
+takes the median from the cells' (depth, pixel count) pairs. A minimum over
+objects, not painted layers, keeps it independent of `scene.DepthGrid`,
+which serves the backend's depth maps.
 """
 
 from __future__ import annotations
 
-import statistics
+import math
+from operator import itemgetter
 
 from .dsl import ModuleSignature, parse_signature_block
 from .registry import ModuleRecord
@@ -472,22 +480,62 @@ def compare_color_oracle(scene: SceneGraph, obj1: str, obj2: str, compare_type: 
     return "yes" if same else "no"
 
 
-def _depth_at(scene: SceneGraph, x: int, y: int) -> float:
-    best = 1.0
-    for obj in scene.objects:
-        x1, y1, x2, y2 = obj.box
-        if x1 <= x < x2 and y1 <= y < y2 and obj.depth < best:
-            best = obj.depth
-    return best
-
-
 def median_depth_oracle(scene: SceneGraph, box) -> float:
-    values = [
-        _depth_at(scene, x, y)
-        for y in range(max(0, int(box[1])), min(scene.height, int(box[3])))
-        for x in range(max(0, int(box[0])), min(scene.width, int(box[2])))
-    ]
-    return statistics.median(values) if values else 1.0
+    """The median depth of the pixels of `box`, clipped to the scene.
+
+    A pixel (x, y) lies in an object when x1 <= x < x2 and y1 <= y < y2 for
+    the object's box, and takes the smallest depth below 1.0 among the
+    objects it lies in, else 1.0 (background). Rather than visit each
+    pixel, the oracle cuts the clipped box into cells along the object
+    edges: every pixel of a cell lies in the same objects, so a cell takes
+    one depth for all its pixels. The median then comes from the sorted
+    (depth, pixel count) pairs by the rule `statistics.median` applies to
+    the pixel values: the middle value, or the mean of the two middle
+    values. An empty box has median 1.0.
+
+    This is a minimum over the objects, not the painter's order of
+    `scene.DepthGrid`, so it stays an independent check of the backend's
+    depth maps.
+    """
+    x1, y1 = max(0, int(box[0])), max(0, int(box[1]))
+    x2, y2 = min(scene.width, int(box[2])), min(scene.height, int(box[3]))
+    if x1 >= x2 or y1 >= y2:
+        return 1.0
+    # each object that can set a depth, as the pixel span it covers in the
+    # box: pixel x lies in [ox1, ox2) exactly when ceil(ox1) <= x < ceil(ox2),
+    # and an edge clamped into the box first stays finite
+    spans = []
+    for obj in scene.objects:
+        if not obj.depth < 1.0:
+            continue
+        ox1, oy1, ox2, oy2 = obj.box
+        left, right = math.ceil(min(max(ox1, x1), x2)), math.ceil(min(max(ox2, x1), x2))
+        top, bottom = math.ceil(min(max(oy1, y1), y2)), math.ceil(min(max(oy2, y1), y2))
+        if left < right and top < bottom:
+            spans.append((left, top, right, bottom, obj.depth))
+    cells = []  # (depth, pixel count)
+    rows = sorted({y1, y2}.union(*((s[1], s[3]) for s in spans)))
+    for top, bottom in zip(rows, rows[1:]):
+        band = [s for s in spans if s[1] <= top and bottom <= s[3]]
+        cols = sorted({x1, x2}.union(*((s[0], s[2]) for s in band)))
+        for left, right in zip(cols, cols[1:]):
+            depth = 1.0
+            for s in band:
+                if s[0] <= left and right <= s[2] and s[4] < depth:
+                    depth = s[4]
+            cells.append((depth, (right - left) * (bottom - top)))
+    cells.sort(key=itemgetter(0))
+    n = (x2 - x1) * (y2 - y1)
+
+    def nth(k: int):
+        for depth, count in cells:
+            if k < count:
+                return depth
+            k -= count
+
+    if n % 2:
+        return nth(n // 2)
+    return (nth(n // 2 - 1) + nth(n // 2)) / 2
 
 
 def sort_spatial_oracle(scene: SceneGraph, boxes, location: str, index: int):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
+from functools import lru_cache
 
 from .gateway import CompletionRequest, LlmGateway
 from .reference_modules import FIXTURE_SOURCES, fixture_header
@@ -35,8 +36,49 @@ def program_modules(program_text: str) -> set[str]:
     return set(_STATEMENT_MODULE_RE.findall(program_text))
 
 
+def _last_match(pattern: re.Pattern, text: str, pos: int = 0) -> re.Match | None:
+    found = None
+    for found in pattern.finditer(text, pos):
+        pass
+    return found
+
+
+def _last_question(prompt: str) -> re.Match | None:
+    """The last match of `_QUESTION_RE` in `prompt`, found from its end.
+
+    A match runs from a ``Question:`` line through any whitespace after the
+    colon, newlines included, to the end of a line. So one from further up
+    can swallow the last ``Question:`` line only across lines of whitespace
+    or other ``Question:`` lines; the scan starts above those, below the
+    nearest other line, which every earlier match ends before. Only if the
+    lines from there match nothing is the whole prompt scanned.
+    """
+    start = prompt.rfind("\nQuestion:") + 1
+    while start:
+        above = prompt.rfind("\n", 0, start - 1) + 1
+        line = prompt[above : start - 1]
+        if line.strip() and not line.startswith("Question:"):
+            break
+        start = above
+    return _last_match(_QUESTION_RE, prompt, start) or _last_match(_QUESTION_RE, prompt)
+
+
+@lru_cache(maxsize=64)
+def _head_modules(head: str) -> frozenset[str]:
+    """Class names declared in a prompt head: the catalogue and examples."""
+    return frozenset(_CLASS_NAME_RE.findall(head))
+
+
 class SyntheticResponder:
-    """Callable transport producing ideal responses for known dataset queries."""
+    """Callable transport producing ideal responses for known dataset queries.
+
+    It reads a prompt from its end. The question is the last ``Question:``
+    line's, found by `_last_question` without scanning the catalogue before
+    it. The modules on offer are the classes the prompt declares, less the
+    static examples' COMPARE_SIZE; those of the head before the question
+    line are read once per distinct head by `_head_modules`, a cache keyed
+    on the head text alone, never on a question or a response.
+    """
 
     def __init__(self, instances=()):
         self._by_query: dict[str, object] = {}
@@ -53,19 +95,20 @@ class SyntheticResponder:
         (used to seed failing-then-repaired candidate sequences)."""
         self._source_overrides.setdefault(name, deque()).extend(sources)
 
-    def _available_modules(self, prompt: str) -> set[str]:
-        names = set(_CLASS_NAME_RE.findall(prompt))
-        return names - _EXAMPLE_HEADER_NAMES
-
     def _lookup(self, prompt: str):
-        questions = _QUESTION_RE.findall(prompt)
-        if not questions:
+        """The instance the prompt's last question asks about, and the
+        modules the prompt declares (less those of static examples)."""
+        match = _last_question(prompt)
+        if match is None:
             raise LookupError("prompt carries no question line")
-        question = questions[-1].strip()
+        question = match.group(1).strip()
         instance = self._by_query.get(question)
         if instance is None:
             raise LookupError(f"no dataset instance for question {question!r}")
-        return instance
+        # no class declaration runs across the start of a Question: line
+        head = match.start()
+        available = _head_modules(prompt[:head]).union(_CLASS_NAME_RE.findall(prompt, head))
+        return instance, available - _EXAMPLE_HEADER_NAMES
 
     def __call__(self, req: CompletionRequest) -> str:
         self.calls += 1
@@ -80,8 +123,7 @@ class SyntheticResponder:
                 return f"I do not know how to implement {name}."
             return source
         if "could you identify whether it is possible" in prompt:
-            instance = self._lookup(prompt)
-            available = self._available_modules(prompt)
+            instance, available = self._lookup(prompt)
             needed = program_modules(instance.canonical_program)
             missing = [m for m in _ordered(needed, instance.canonical_program) if m not in available]
             if not missing:
@@ -95,8 +137,7 @@ class SyntheticResponder:
                 parts.append(fixture_header(name) if name in FIXTURE_SOURCES else f"class {name}():")
             return "\n".join(parts)
         if prompt.rstrip().endswith("Program:") or "Think step by step" in prompt:
-            instance = self._lookup(prompt)
-            available = self._available_modules(prompt)
+            instance, available = self._lookup(prompt)
             needed = program_modules(instance.canonical_program)
             if needed <= available:
                 return instance.canonical_program

@@ -6,6 +6,8 @@ import argparse
 import dataclasses
 import json
 
+import pytest
+
 from modgrow import cli
 from modgrow import reference_modules as rm
 from modgrow.gateway import LlmGateway
@@ -70,3 +72,53 @@ def test_eval_runs_under_the_given_wall_time(tmp_path, backend):
     assert [o["error"] for o in report["per_instance"]] == [
         "sandbox: timeout: wall time budget of 50 ms exceeded"
     ] * 2
+
+
+@pytest.mark.parametrize("setting, message", [
+    (["--eta", "0"], "eta must be in (0, 1]"),
+    (["--k", "0"], "k_candidates must be >= 1 and r_repairs >= 0"),
+    (["--repairs", "-1"], "k_candidates must be >= 1 and r_repairs >= 0"),
+])
+def test_cache_seed_refuses_a_bad_setting_before_writing(tmp_path, capsys, setting, message):
+    outputs = [tmp_path / name for name in ("train.jsonl", "test.jsonl", "cache.jsonl")]
+    argv = ["cache", "seed", "--task", "grounding", "--n-train", "2", "--n-test", "2", *setting,
+            "--train-out", str(outputs[0]), "--test-out", str(outputs[1]), "--cache", str(outputs[2])]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(path.exists() for path in outputs)
+
+
+@pytest.mark.parametrize("given", [
+    ["--eta", "0.5"], ["--k", "5"], ["--repairs", "1"], ["--train-dataset", "train.jsonl"],
+    ["--k", "2", "--train-dataset", "train.jsonl", "--eta", "0.9"],
+])
+def test_plain_eval_refuses_the_settings_of_ablation(tmp_path, capsys, given):
+    argv = ["eval", "--mode", "replay", "--cache", str(tmp_path / "cache.jsonl"),
+            "--dataset", str(tmp_path / "test.jsonl"), *given]
+    assert cli.main(argv) == 2
+    named = ", ".join(o for o in ("--eta", "--k", "--repairs", "--train-dataset") if o in given)
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {named} only apply with --ablation\n")
+
+
+def test_eval_ablation_keeps_the_synthesis_defaults(tmp_path, monkeypatch):
+    split, cache, grid = tmp_path / "test.jsonl", tmp_path / "cache.jsonl", tmp_path / "grid.json"
+    save_dataset(generate_dataset("grounding", 3, 1, {"templates": ["ordinal"]}), split)
+    cache.write_text("", encoding="utf-8")
+    grid.write_text(json.dumps({"cells": []}), encoding="utf-8")
+    configs = []
+
+    class Stop(Exception):
+        pass
+
+    def capture(grid, train, test, lib, gateway, backend, cfg, task):
+        configs.append(cfg)
+        raise Stop
+
+    monkeypatch.setattr(cli, "run_ablation", capture)
+    base = ["eval", "--mode", "replay", "--cache", str(cache), "--dataset", str(split),
+            "--ablation", str(grid)]
+    for argv in (base, [*base, "--k", "2", "--repairs", "0", "--eta", "0.5"]):
+        with pytest.raises(Stop):
+            cli.main(argv)
+    assert [(c.eta, c.k_candidates, c.r_repairs) for c in configs] == [(0.8, 5, 3), (0.5, 2, 0)]

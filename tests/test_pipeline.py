@@ -69,7 +69,7 @@ def test_seed_learn_eval_in_replay_mode(tmp_path, task):
          "--train-out", str(train), "--test-out", str(test), "--cache", str(cache)],
         ["learn", "--mode", "replay", "--cache", str(cache), *budget,
          "--dataset", str(train), "--out", str(tmp_path / "lib")],
-        ["eval", "--mode", "replay", "--cache", str(cache), *budget,
+        ["eval", "--mode", "replay", "--cache", str(cache),
          "--dataset", str(test), "--library", str(tmp_path / "lib"), "--report", str(tmp_path / "report")],
     ]
     for argv in steps:

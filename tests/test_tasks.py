@@ -90,11 +90,12 @@ def test_cli_eval_refuses_a_split_without_one_known_task(tmp_path, capsys, make_
 
 def test_learn_and_eval_read_the_task_from_the_split(tmp_path):
     train, test, cache = tmp_path / "train.jsonl", tmp_path / "test.jsonl", tmp_path / "cache.jsonl"
-    replay = ["--mode", "replay", "--cache", str(cache), "--k", "2", "--repairs", "1"]
+    replay = ["--mode", "replay", "--cache", str(cache)]
     steps = [
         ["cache", "seed", "--task", "grounding", "--templates", "ordinal", "--n-train", "2",
          "--n-test", "2", "--train-out", str(train), "--test-out", str(test), "--cache", str(cache)],
-        ["learn", *replay, "--dataset", str(train), "--out", str(tmp_path / "lib")],
+        ["learn", *replay, "--k", "2", "--repairs", "1", "--dataset", str(train),
+         "--out", str(tmp_path / "lib")],
         ["eval", *replay, "--dataset", str(test), "--library", str(tmp_path / "lib"),
          "--report", str(tmp_path / "report")],
     ]
