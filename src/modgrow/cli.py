@@ -11,6 +11,7 @@ library take η, K and R: `cache seed`, `learn` and `eval --ablation`. Plain
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -18,11 +19,11 @@ from pathlib import Path
 
 from . import values as V
 from .backends import SyntheticBackend
-from .cache import load_responses
+from .cache import read_records, whole_request
 from .dsl import parse_program, validate_program
 from .errors import DslSyntaxError, ModgrowError
 from .executor import Environment, execute_program, trace_to_jsonl
-from .gateway import LlmGateway
+from .gateway import LlmGateway, doc_key
 from .harness import datasets as ds
 from .harness.evaluate import evaluate, run_ablation
 from .registry import ExecutionRegistry, builtin_library, load_library, save_library
@@ -59,6 +60,11 @@ def _config_from_args(args) -> SynthesisConfig:
 
 
 def cmd_learn(args) -> int:
+    out_dir = args.library if args.in_place else args.out
+    if not out_dir:
+        print("error: provide --out DIR (or --in-place to overwrite the input library)",
+              file=sys.stderr)
+        return 2
     try:
         cfg = _config_from_args(args)
         gateway = _gateway_from_args(args)
@@ -69,7 +75,8 @@ def cmd_learn(args) -> int:
         return 2
 
     try:
-        lib_after, report = run_synthesis(train, lib, gateway, SyntheticBackend(), cfg)
+        with gateway:
+            lib_after, report = run_synthesis(train, lib, gateway, SyntheticBackend(), cfg)
     except ModgrowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -84,11 +91,6 @@ def cmd_learn(args) -> int:
     if not report.proposals:
         print("0 proposals: the current library already covers the training split")
 
-    out_dir = args.library if args.in_place else args.out
-    if not out_dir:
-        print("error: provide --out DIR (or --in-place to overwrite the input library)",
-              file=sys.stderr)
-        return 2
     save_library(lib_after, out_dir)
     print(f"library saved to {out_dir} ({len(lib_after)} modules)")
     if report.proposals and not report.accepted:
@@ -128,9 +130,10 @@ def cmd_eval(args) -> int:
             grid = json.loads(Path(args.ablation).read_text(encoding="utf-8"))["cells"]
             train = ds.load_dataset(args.train_dataset) if args.train_dataset else []
             cfg = _config_from_args(args)
-            report = run_ablation(
-                grid, train, dataset, lib, gateway, backend, cfg, task=task
-            )
+            with gateway:
+                report = run_ablation(
+                    grid, train, dataset, lib, gateway, backend, cfg, task=task
+                )
         except (ModgrowError, OSError, KeyError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -144,10 +147,11 @@ def cmd_eval(args) -> int:
             (root / "ablation.txt").write_text(report.render_table() + "\n", encoding="utf-8")
         return 0
 
-    report = evaluate(
-        task, dataset, lib, backend, gateway, model_id=model_id,
-        limits=Limits(wall_time_ms=args.wall_time_ms),
-    )
+    with gateway:
+        report = evaluate(
+            task, dataset, lib, backend, gateway, model_id=model_id,
+            limits=Limits(wall_time_ms=args.wall_time_ms),
+        )
     print(report.render_table())
     if args.report:
         _write_report(report, args.report)
@@ -236,14 +240,42 @@ def cmd_cache_seed(args) -> int:
     return 0
 
 
+def _first_fault(records) -> str | None:
+    """Where the first record lies whose head is missing or altered, or
+    whose rebuilt request does not hash to its key; None if none does."""
+    heads: dict[str, str] = {}
+    for number, record in records:
+        if "head" in record:
+            if hashlib.sha256(record["head"].encode("utf-8")).hexdigest() != record.get("head_sha256"):
+                return f"line {number}: head text does not match its hash"
+            heads[record["head_sha256"]] = record["head"]
+            continue
+        if "request" not in record:
+            return f"line {number}: key {record['key'][:12]}… has no request"
+        try:
+            request = whole_request(record, heads)
+        except KeyError:
+            return f"line {number}: head {record['head_sha256'][:12]}… is missing"
+        if doc_key(request) != record["key"]:
+            return f"line {number}: key {record['key'][:12]}… does not match its request"
+    return None
+
+
 def cmd_cache_show(args) -> int:
     try:
-        responses = load_responses(args.cache)
+        records = list(read_records(args.cache))
+        calls = [record["key"] for _, record in records if "head" not in record]
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    records = sum(len(r) for r in responses.values())
-    print(f"{records} records under {len(responses)} distinct keys")
+    heads = len(records) - len(calls)
+    print(f"{len(calls)} records under {len(set(calls))} distinct keys, {heads} head records")
+    if args.verify:
+        fault = _first_fault(records)
+        if fault:
+            print(f"error: {args.cache}: {fault}", file=sys.stderr)
+            return 1
+        print("every key matches its rebuilt request")
     return 0
 
 
@@ -309,6 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     seedp.set_defaults(func=cmd_cache_seed)
     showp = cache_sub.add_parser("show", help="summarize a cache file")
     showp.add_argument("--cache", required=True)
+    showp.add_argument("--verify", action="store_true",
+                       help="rebuild each request from its head and check its key")
     showp.set_defaults(func=cmd_cache_show)
 
     return parser

@@ -2,9 +2,10 @@
 
 Prompts are plain-text template files with ``__SLOT__`` markers filled by
 byte-exact substitution. Completions run in one of three modes: ``live``
-(POST to a configured endpoint), ``record`` (live, then persisted keyed by a
-request hash, in the record format of `modgrow.cache`) and ``replay``
-(served from the cache only; a miss is an error). Because sampled
+(POST to a configured endpoint), ``record`` (live, then appended to the
+cache file keyed by a request hash, each prompt head stored once in the
+format of `modgrow.cache`; `LlmGateway.close` releases the file) and
+``replay`` (served from the cache only; a miss is an error). Because sampled
 candidates share one prompt, the cache keeps a FIFO of responses per key
 and replay consumes them in call order.
 
@@ -35,7 +36,7 @@ import urllib.request
 from dataclasses import dataclass
 from importlib import resources
 
-from .cache import append_record, load_responses
+from .cache import CacheWriter, load_responses
 from .dsl import ModuleSignature, parse_signature_block
 from .errors import (
     AuthMissingError,
@@ -173,7 +174,13 @@ def _key_json(doc: dict) -> str:
 
 
 def cache_key(req: CompletionRequest) -> str:
-    return hashlib.sha256(_key_json(request_doc(req)).encode("utf-8")).hexdigest()
+    return doc_key(request_doc(req))
+
+
+def doc_key(doc: dict) -> str:
+    """The key of a request given as its `request_doc`, such as a cache
+    record's rebuilt request."""
+    return hashlib.sha256(_key_json(doc).encode("utf-8")).hexdigest()
 
 
 _escape = json.encoder.encode_basestring_ascii
@@ -265,6 +272,8 @@ class LlmGateway:
     max_tokens, stop); repeated sampling of one prompt therefore appends
     multiple records under one key, and replay serves them in call order.
     Identical in-flight requests are single-flighted in live/record modes.
+    A record-mode gateway holds its cache file open once it has appended;
+    close it with `close` or by using it as a context manager.
     """
 
     def __init__(self, mode: str = "replay", cache_path: str | None = None, transport=None):
@@ -279,6 +288,18 @@ class LlmGateway:
         self._inflight: dict[str, threading.Lock] = {}
         if cache_path and os.path.exists(cache_path):
             self._cache = load_responses(cache_path)
+        self._writer = CacheWriter(cache_path) if mode == "record" and cache_path else None
+
+    def close(self) -> None:
+        """Close the cache file that record mode appends to."""
+        if self._writer is not None:
+            self._writer.close()
+
+    def __enter__(self) -> LlmGateway:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def reset_replay_cursors(self) -> None:
         with self._lock:
@@ -291,8 +312,8 @@ class LlmGateway:
             "response": response,
             "timestamp": int(time.time()),  # whole seconds: same work, same bytes
         }
-        if self.cache_path:
-            append_record(self.cache_path, record)
+        if self._writer is not None:
+            self._writer.append(record)
         self._cache.setdefault(key, []).append(response)
 
     def complete(self, req: CompletionRequest, key: str | None = None) -> str:

@@ -179,11 +179,11 @@ def seed_learn_and_eval(
     responder = responder or SyntheticResponder()
     responder.add(train)
     responder.add(test)
-    gateway = record_gateway(cache_path, responder)
-    lib_after, report = run_synthesis(train, lib, gateway, backend, cfg)
     by_task: dict[str, list] = {}
     for instance in test:
         by_task.setdefault(instance.task, []).append(instance)
-    for task, instances in sorted(by_task.items()):
-        evaluate(task, instances, lib_after, backend, gateway, model_id=cfg.model_id)
+    with record_gateway(cache_path, responder) as gateway:
+        lib_after, report = run_synthesis(train, lib, gateway, backend, cfg)
+        for task, instances in sorted(by_task.items()):
+            evaluate(task, instances, lib_after, backend, gateway, model_id=cfg.model_id)
     return lib_after, report

@@ -29,7 +29,7 @@ OPTIONS = {
     "cache": (),
     "cache seed": ("--task", "--seed", "--n-train", "--n-test", "--templates", "--library",
                    "--train-out", "--test-out", "--cache", "--eta", "--k", "--repairs"),
-    "cache show": ("--cache",),
+    "cache show": ("--cache", "--verify"),
 }
 
 
@@ -57,8 +57,8 @@ def test_eval_runs_under_the_given_wall_time(tmp_path, backend):
     save_dataset(test, split)
     fixture = rm.fixture_record("SORT_SPATIAL")
     # the catalogue shows signatures only, so the fixture's cache serves the looping module
-    recorder = LlmGateway(mode="record", cache_path=str(cache), transport=SyntheticResponder(test))
-    evaluate("grounding", test, register(builtin_library(), fixture), backend, recorder)
+    with LlmGateway(mode="record", cache_path=str(cache), transport=SyntheticResponder(test)) as recorder:
+        evaluate("grounding", test, register(builtin_library(), fixture), backend, recorder)
     lines = fixture.source.split("\n")
     at = next(i for i, line in enumerate(lines) if line.lstrip().startswith("def execute("))
     lines[at + 1 : at + 1] = ["        while True:", "            pass"]
@@ -122,3 +122,20 @@ def test_eval_ablation_keeps_the_synthesis_defaults(tmp_path, monkeypatch):
         with pytest.raises(Stop):
             cli.main(argv)
     assert [(c.eta, c.k_candidates, c.r_repairs) for c in configs] == [(0.8, 5, 3), (0.5, 2, 0)]
+
+
+@pytest.mark.parametrize("given", [[], ["--in-place"]])
+def test_learn_refuses_a_missing_output_before_any_model_call(tmp_path, capsys, monkeypatch, given):
+    split, cache = tmp_path / "train.jsonl", tmp_path / "cache.jsonl"
+    save_dataset(generate_dataset("grounding", 3, 2, {"templates": ["ordinal"]}), split)
+    monkeypatch.setenv("LLM_API_URL", "http://localhost:9")
+    monkeypatch.setenv("LLM_API_KEY", "k")
+    calls = []
+    monkeypatch.setattr("modgrow.gateway.http_transport", calls.append)
+    argv = ["learn", "--mode", "record", "--cache", str(cache), "--dataset", str(split), *given]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: provide --out DIR (or --in-place to overwrite the input library)\n"
+    )
+    assert calls == []
+    assert not cache.exists()

@@ -80,10 +80,10 @@ class TestCache:
     def test_record_then_replay_byte_identical(self, tmp_path):
         cache = str(tmp_path / "llm.jsonl")
         responses = iter(["first response", "second response"])
-        recorder = LlmGateway(mode="record", cache_path=cache, transport=lambda req: next(responses))
         req = CompletionRequest(prompt="hello", model_id="m", temperature=0.7)
-        assert recorder.complete(req) == "first response"
-        assert recorder.complete(req) == "second response"
+        with LlmGateway(mode="record", cache_path=cache, transport=lambda req: next(responses)) as recorder:
+            assert recorder.complete(req) == "first response"
+            assert recorder.complete(req) == "second response"
 
         replay = LlmGateway(mode="replay", cache_path=cache)
         assert replay.complete(req) == "first response"
@@ -92,9 +92,8 @@ class TestCache:
 
     def test_replay_never_touches_transport(self, tmp_path):
         cache = str(tmp_path / "llm.jsonl")
-        LlmGateway(mode="record", cache_path=cache, transport=lambda req: "x").complete(
-            CompletionRequest(prompt="p", model_id="m")
-        )
+        with LlmGateway(mode="record", cache_path=cache, transport=lambda req: "x") as recorder:
+            recorder.complete(CompletionRequest(prompt="p", model_id="m"))
         calls = []
 
         def transport(req):
@@ -121,10 +120,10 @@ class TestCache:
             return f"answer-{len(calls)}"
 
         req = CompletionRequest(prompt="p", model_id="m")
-        first = LlmGateway(mode="record", cache_path=cache, transport=transport)
-        assert first.complete(req) == "answer-1"
-        second = LlmGateway(mode="record", cache_path=cache, transport=transport)
-        assert second.complete(req) == "answer-1"
+        with LlmGateway(mode="record", cache_path=cache, transport=transport) as first:
+            assert first.complete(req) == "answer-1"
+        with LlmGateway(mode="record", cache_path=cache, transport=transport) as second:
+            assert second.complete(req) == "answer-1"
         assert calls == ["p"]
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from modgrow import cli
 from modgrow import reference_modules as rm
+from modgrow.cache import read_records, whole_request
 from modgrow.gateway import LlmGateway
 from modgrow.harness.datasets import generate_dataset
 from modgrow.harness.evaluate import evaluate
@@ -17,19 +18,28 @@ TASKS = ("vqa", "grounding", "tagging", "editing", "raven", "mewl-analog")
 
 # First 16 hex digits of the SHA-256 of each output of the run below. A
 # change that alters a dataset, a cache record, a saved library or a report
-# by one byte changes one of these.
+# by one byte changes one of these. "cache" covers the call records rebuilt
+# with whole requests, the form every record had before heads were stored
+# apart, so it holding shows that storing them apart lost nothing;
+# "cache_stored" covers the stored records.
 OUTPUT_DIGESTS = {
     "vqa": {"train": "a9b4e588ef754c6d", "test": "bb3fb86ad4b27835", "cache": "f75715d7eb85a5a5",
+            "cache_stored": "7d9aa09c5ab9410b",
             "library": "d609997608725c28", "report": "70b2269ae346bcc2"},
     "grounding": {"train": "f0ecc2d7b0da25d2", "test": "21e31d30fb54575f", "cache": "035382676fa499e3",
+                  "cache_stored": "fb4bb159c761b9a6",
                   "library": "9d9385dfc37c36cf", "report": "72caf6b90eb4d5cb"},
     "tagging": {"train": "6860703fa7136036", "test": "ba03bd81a7caf523", "cache": "ac7f5c4bbdb48db9",
+                "cache_stored": "a2aa6db8a9718836",
                 "library": "562026ae241d3411", "report": "cf07c83dd3ffb922"},
     "editing": {"train": "83e5b9757b5910ff", "test": "3150c89c911ab8b4", "cache": "d740fd755c4a9bb3",
+                "cache_stored": "34f8f89c7ff9fe58",
                 "library": "66ae8c84a6a799d9", "report": "4cb6b5b10333adb1"},
     "raven": {"train": "59f7ec106f095eac", "test": "47e609ccb84ee9f7", "cache": "3c82a25353b40ef7",
+              "cache_stored": "38ba881a542c9937",
               "library": "f7e70f515d19e599", "report": "2026d303a20d17dc"},
     "mewl-analog": {"train": "ca4d7ea05b847c52", "test": "5a250d98d175b5f2", "cache": "07ce923045198499",
+                    "cache_stored": "bb8a67d87978d657",
                     "library": "ccd92c614414cea8", "report": "54581805fde39a18"},
 }
 SPLIT_LAYOUT_REPORT_DIGEST = "df999438c0817076"
@@ -40,13 +50,19 @@ def digest(data: bytes) -> str:
 
 
 def output_digests(tmp_path) -> dict[str, str]:
-    """Digests of the splits, the cache without its timestamps, the library
-    files (name and bytes, in name order) and the report."""
-    records = []
-    for line in (tmp_path / "cache.jsonl").read_text(encoding="utf-8").splitlines():
-        record = json.loads(line)
-        del record["timestamp"]
-        records.append(json.dumps(record, sort_keys=True))
+    """Digests of the splits, the cache without its timestamps (rebuilt and
+    stored), the library files (name and bytes, in name order) and the
+    report."""
+    heads, rebuilt, stored = {}, [], []
+    for _, record in read_records(tmp_path / "cache.jsonl"):
+        record.pop("timestamp", None)
+        stored.append(json.dumps(record, sort_keys=True))
+        if "head" in record:
+            heads[record["head_sha256"]] = record["head"]
+            continue
+        record["request"] = whole_request(record, heads)
+        del record["head_sha256"]
+        rebuilt.append(json.dumps(record, sort_keys=True))
     library = b"".join(
         path.name.encode("utf-8") + b"\0" + path.read_bytes() + b"\0"
         for path in sorted((tmp_path / "lib").iterdir())
@@ -54,7 +70,8 @@ def output_digests(tmp_path) -> dict[str, str]:
     return {
         "train": digest((tmp_path / "train.jsonl").read_bytes()),
         "test": digest((tmp_path / "test.jsonl").read_bytes()),
-        "cache": digest("\n".join(records).encode("utf-8")),
+        "cache": digest("\n".join(rebuilt).encode("utf-8")),
+         "cache_stored": digest("\n".join(stored).encode("utf-8")),
         "library": digest(library),
         "report": digest((tmp_path / "report" / "report.json").read_bytes()),
     }
@@ -74,6 +91,7 @@ def test_seed_learn_eval_in_replay_mode(tmp_path, task):
     ]
     for argv in steps:
         assert cli.main(argv) == 0, argv
+    assert cli.main(["cache", "show", "--cache", str(cache), "--verify"]) == 0
     report = json.loads((tmp_path / "report" / "report.json").read_text(encoding="utf-8"))
     assert report["n"] == 8
     assert report["metrics"]["accuracy"] == 1.0

@@ -27,8 +27,8 @@ def test_eval_reports_match_json_dumps(tmp_path, full_lib, backend, task, knobs)
     test = generate_dataset(task, 9, 6, knobs)
     responder = SyntheticResponder()
     responder.add(test)
-    gateway = LlmGateway(mode="record", cache_path=str(tmp_path / "cache.jsonl"), transport=responder)
-    report = evaluate(task, test, full_lib, backend, gateway)
+    with LlmGateway(mode="record", cache_path=str(tmp_path / "cache.jsonl"), transport=responder) as gateway:
+        report = evaluate(task, test, full_lib, backend, gateway)
     # an instance that failed, with a message that needs escaping
     report.per_instance[0].error = 'CacheMissError: no "record" for\tprompt\n…'
     assert report.to_json() == reference(report.to_doc())

@@ -95,12 +95,11 @@ def test_scenes_are_loaded_once_per_dataset(tmp_path, monkeypatch, builtin_lib, 
     responder = SyntheticResponder()
     responder.add(train)
     responder.add(test)
-    gateway = LlmGateway(mode="record", cache_path=str(tmp_path / "cache.jsonl"), transport=responder)
-
     calls.clear()
-    lib, report = run_synthesis(train, builtin_lib, gateway, backend, SynthesisConfig(k_candidates=2))
-    assert report.accepted and sum(len(o) for o in report.outcomes.values()) > 0
-    assert evaluate(task, test, lib, backend, gateway).metrics["accuracy"] == 1.0
+    with LlmGateway(mode="record", cache_path=str(tmp_path / "cache.jsonl"), transport=responder) as gateway:
+        lib, report = run_synthesis(train, builtin_lib, gateway, backend, SynthesisConfig(k_candidates=2))
+        assert report.accepted and sum(len(o) for o in report.outcomes.values()) > 0
+        assert evaluate(task, test, lib, backend, gateway).metrics["accuracy"] == 1.0
     assert calls == []
 
 
@@ -112,9 +111,9 @@ def test_the_stock_responder_answers_a_repair_prompt(tmp_path, builtin_lib, back
     lines.insert(at + 1, "        raise ValueError('injected fault')")
     responder = SyntheticResponder(train)
     responder.override_source("SORT_SPATIAL", ["\n".join(lines)])
-    gateway = LlmGateway(mode="record", cache_path=str(tmp_path / "cache.jsonl"), transport=responder)
     cfg = SynthesisConfig(k_candidates=1, r_repairs=1)
-    _, report = run_synthesis(train, builtin_lib, gateway, backend, cfg)
+    with LlmGateway(mode="record", cache_path=str(tmp_path / "cache.jsonl"), transport=responder) as gateway:
+        _, report = run_synthesis(train, builtin_lib, gateway, backend, cfg)
     assert report.accepted == ("SORT_SPATIAL",)
     assert [(o.repair_round, o.accepted) for o in report.outcomes["SORT_SPATIAL"]] == [
         (0, False), (1, True)
@@ -132,7 +131,7 @@ def test_a_failed_repair_request_is_not_counted(tmp_path, builtin_lib, backend):
             raise LookupError("no answer")
         return responder(request)
 
-    gateway = LlmGateway(mode="record", cache_path=str(tmp_path / "cache.jsonl"), transport=refusing)
-    _, report = run_synthesis(train, builtin_lib, gateway, backend, SynthesisConfig(k_candidates=1))
+    with LlmGateway(mode="record", cache_path=str(tmp_path / "cache.jsonl"), transport=refusing) as gateway:
+        _, report = run_synthesis(train, builtin_lib, gateway, backend, SynthesisConfig(k_candidates=1))
     (failure,) = report.failed
     assert failure.reason == "no candidate reached pass rate 0.80 (best 0.00 after 0 repair rounds)"

@@ -104,19 +104,19 @@ def _record_plainly(tmp_path, stage, instances, catalogue, **fields):
     """A cache recorded through `render_prompt` and `complete(request)`."""
     responder = SyntheticResponder(instances)
     cache = str(tmp_path / f"{stage}.jsonl")
-    recorder = LlmGateway(mode="record", cache_path=cache, transport=responder)
     template = load_template(stage)
-    for instance in instances:
-        prompt = render_prompt(template, {"MODULE_SIGNATURES": catalogue, "NEW_QUESTION": instance.query})
-        recorder.complete(CompletionRequest(prompt=prompt, **fields))
+    with LlmGateway(mode="record", cache_path=cache, transport=responder) as recorder:
+        for instance in instances:
+            prompt = render_prompt(template, {"MODULE_SIGNATURES": catalogue, "NEW_QUESTION": instance.query})
+            recorder.complete(CompletionRequest(prompt=prompt, **fields))
     return cache
 
 
 def _records(path):
-    """Cache records without their timestamps."""
+    """Cache records, head records included, without their timestamps."""
     docs = [json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines()]
     for doc in docs:
-        del doc["timestamp"]
+        doc.pop("timestamp", None)
     return docs
 
 
@@ -132,10 +132,10 @@ def test_evaluate_replays_a_cache_recorded_plainly(tmp_path, full_lib, backend):
     assert report.metrics["accuracy"] == 1.0
 
     recorded = tmp_path / "through-evaluate.jsonl"
-    recorder = LlmGateway(mode="record", cache_path=str(recorded), transport=SyntheticResponder(test))
-    evaluate("vqa", test, full_lib, backend, recorder, model_id="model-x")
-    assert sorted(_records(recorded), key=lambda d: d["key"]) == sorted(
-        _records(cache), key=lambda d: d["key"]
+    with LlmGateway(mode="record", cache_path=str(recorded), transport=SyntheticResponder(test)) as recorder:
+        evaluate("vqa", test, full_lib, backend, recorder, model_id="model-x")
+    assert sorted(_records(recorded), key=lambda d: d.get("key", "")) == sorted(
+        _records(cache), key=lambda d: d.get("key", "")
     )
 
 
@@ -153,8 +153,8 @@ def test_initialize_modules_replays_a_cache_recorded_plainly(tmp_path):
     assert proposals
 
     recorded = tmp_path / "through-initialize.jsonl"
-    recorder = LlmGateway(mode="record", cache_path=str(recorded), transport=SyntheticResponder(train))
-    assert initialize_modules(train, lib, recorder, cfg) == (proposals, errors)
+    with LlmGateway(mode="record", cache_path=str(recorded), transport=SyntheticResponder(train)) as recorder:
+        assert initialize_modules(train, lib, recorder, cfg) == (proposals, errors)
     assert _records(recorded) == _records(cache)
 
 

@@ -110,9 +110,9 @@ def test_learn_and_eval_read_the_task_from_the_split(tmp_path):
 def test_a_module_records_the_tasks_of_its_cases(tmp_path, builtin_lib, backend):
     train = [*generate_dataset("tagging", 1, 2, {"templates": ["ordinal"]}),
              *generate_dataset("grounding", 1, 2, {"templates": ["ordinal"]})]
-    gateway = LlmGateway(mode="record", cache_path=str(tmp_path / "cache.jsonl"),
-                         transport=SyntheticResponder(train))
-    lib, report = run_synthesis(train, builtin_lib, gateway, backend, SynthesisConfig(k_candidates=1))
+    with LlmGateway(mode="record", cache_path=str(tmp_path / "cache.jsonl"),
+                    transport=SyntheticResponder(train)) as gateway:
+        lib, report = run_synthesis(train, builtin_lib, gateway, backend, SynthesisConfig(k_candidates=1))
     assert report.accepted == ("SORT_SPATIAL",)
     assert lib.records["SORT_SPATIAL"].origin_task == "grounding,tagging"
 
