@@ -22,7 +22,7 @@ from typing import Callable
 
 from .. import values as V
 from ..executor import Environment
-from ..reference_modules import solver_violations
+from ..reference_modules import RAVEN_SCALES, solver_check
 from ..scene import KNOWLEDGE_LISTS, ImageHandle, SceneGraph, SceneObject, load_scene
 from . import oracle as oracle_mod
 from .metrics import compare_values, iou, match_region_sets, match_tag
@@ -35,10 +35,6 @@ MATERIALS = ["ceramic", "wood", "metal", "plastic", "fabric", "leather"]
 TAG_LABELS = ["Ada Lovelace", "Alan Turing", "Grace Hopper", "Eiffel Tower", "Mount Fuji"]
 EMOJIS = ["smiling_face", "winking_face", "heart_eyes"]
 
-SHAPE_SCALE = ["triangle", "square", "pentagon", "hexagon", "circle"]
-COLOR_SCALE = ["red", "orange", "yellow", "green", "blue", "purple"]
-SIZE_SCALE = ["small", "medium", "large"]
-RAVEN_SCALES = {"shape": SHAPE_SCALE, "color": COLOR_SCALE, "size": SIZE_SCALE}
 MEWL_WORDS = ["dax", "wug", "blicket", "fep", "zorp"]
 MEWL_MATERIALS = ["rubber", "metal", "wood", "glass"]
 
@@ -887,6 +883,13 @@ def _editing_instance(rng: random.Random, iid: str) -> TaskInstance:
 
 PANEL = 160
 _SIZE_EDGE = {"small": 30, "medium": 48, "large": 70}
+RAVEN_RULES = ("constant", "progression", "distribute-three")
+# each layout's key prefix per panel region
+RAVEN_LAYOUTS = {
+    "center": [""],
+    "left-right": ["left_", "right_"],
+    "up-down": ["top_", "bottom_"],
+}
 
 
 def _panel_scene(records: list[dict], layout: str) -> SceneGraph:
@@ -927,19 +930,33 @@ def _rule_rows(rng: random.Random, rule: str, scale: list[str]) -> list[list[str
     return rows
 
 
+def _check_raven_knobs(layout, rules) -> None:
+    unknown = [f"layout {layout!r}"] if layout not in RAVEN_LAYOUTS else []
+    for dim, rule in (rules or {}).items():
+        if dim not in RAVEN_SCALES:
+            unknown.append(f"dimension {dim!r}")
+        elif rule not in RAVEN_RULES:
+            unknown.append(f"rule {rule!r} for {dim}")
+    if unknown:
+        raise ValueError(
+            f"unknown raven {', '.join(unknown)}; layouts: {', '.join(RAVEN_LAYOUTS)}; "
+            f"dimensions: {', '.join(RAVEN_SCALES)}; rules: {', '.join(RAVEN_RULES)}"
+        )
+
+
 def generate_raven_puzzle(rng: random.Random, layout: str = "center", rules=None) -> RavenPuzzle:
-    regions = 1 if layout == "center" else 2
-    prefixes = {
-        "center": [""],
-        "left-right": ["left_", "right_"],
-        "up-down": ["top_", "bottom_"],
-    }[layout]
+    """One puzzle in `layout`. Each region follows, per dimension, the rule
+    `rules` ({dimension: rule}) names, or else one drawn at random. An
+    unknown layout, dimension or rule raises `ValueError` before any draw."""
+    _check_raven_knobs(layout, rules)
+    prefixes = RAVEN_LAYOUTS[layout]
+    regions = len(prefixes)
     grids = []  # per region: {dim: rows}
     chosen_rules: dict[str, str] = {}
     for r in range(regions):
         region_rules = {}
         for dim, scale in RAVEN_SCALES.items():
-            rule = (rules or {}).get(dim) or rng.choice(["constant", "progression", "distribute-three"])
+            rule = (rules or {}).get(dim) or rng.choice(RAVEN_RULES)
             region_rules[dim] = _rule_rows(rng, rule, scale)
             chosen_rules[f"{prefixes[r]}{dim}"] = rule
         grids.append(region_rules)
@@ -980,16 +997,20 @@ def generate_raven_puzzle(rng: random.Random, layout: str = "center", rules=None
             out[region][dim] = rng.choice([v for v in scale if v != current])
         return out
 
+    def seen_key(records: list[dict]) -> tuple:
+        return tuple(tuple(sorted(r.items())) for r in records)
+
+    violations = solver_check(panel_pairs)
     candidates = [answer]
-    seen = {json.dumps(answer, sort_keys=True)}
+    seen = {seen_key(answer)}
     attempts = 0
     while len(candidates) < 8:
         attempts += 1
         # a distractor must break the matrix under every rule reading, not
         # just the planted one, or the puzzle has two defensible answers
         distractor = perturb(answer, dims=1 if attempts < 200 else 2)
-        key = json.dumps(distractor, sort_keys=True)
-        if key in seen or solver_violations(panel_pairs, flatten(distractor)) == 0:
+        key = seen_key(distractor)
+        if key in seen or violations(flatten(distractor)) == 0:
             continue
         seen.add(key)
         candidates.append(distractor)
@@ -1053,7 +1074,7 @@ def _mewl_scene(rng: random.Random, attrs: dict) -> SceneGraph:
 
 def _mewl_instance(rng: random.Random, iid: str) -> TaskInstance:
     binding_key = rng.choice(["shape", "color", "material"])
-    pools = {"shape": SHAPE_SCALE, "color": COLOR_SCALE, "material": MEWL_MATERIALS}
+    pools = {"shape": RAVEN_SCALES["shape"], "color": RAVEN_SCALES["color"], "material": MEWL_MATERIALS}
     bound_values = rng.sample(pools[binding_key], 2)
     words = rng.sample(MEWL_WORDS, 2)
 

@@ -565,7 +565,9 @@ def sort_spatial_oracle(scene: SceneGraph, boxes, location: str, index: int):
     return [list(ranked[index - 1])]
 
 
-_RULE_SCALES = {
+# The attribute scales of raven puzzles, in the order the generator draws
+# them. The SOLVER fixture keeps its own copy, since it is candidate source.
+RAVEN_SCALES = {
     "shape": ["triangle", "square", "pentagon", "hexagon", "circle"],
     "color": ["red", "orange", "yellow", "green", "blue", "purple"],
     "size": ["small", "medium", "large"],
@@ -573,57 +575,69 @@ _RULE_SCALES = {
 
 
 def _scale_for_key(key: str):
-    for name, scale in _RULE_SCALES.items():
+    for name, scale in RAVEN_SCALES.items():
         if key == name or key.endswith("_" + name):
             return scale
     return None
 
 
-def solver_violations(panel_records, candidate_record) -> int:
-    """Brute force: place the candidate in the empty cell and count attribute
-    dimensions left without any coherent full-grid rule.
+def _last_cell_fits(cells: list, scale) -> set:
+    """The values of the last cell that make every row of one attribute a
+    constant, a progression on `scale` or a distribute-three row, given
+    the first eight cells in row order."""
+    row1, row2, (left, middle) = cells[0:3], cells[3:6], cells[6:8]
+    fits = set()
+    if row1[0] == row1[1] == row1[2] and row2[0] == row2[1] == row2[2] and left == middle:
+        fits.add(middle)
+    if scale is not None and all(v in scale for v in cells):
+        def steps_up(row) -> bool:
+            return all(scale.index(b) - scale.index(a) == 1 for a, b in zip(row, row[1:]))
 
-    This verifies rules over all three completed rows per dimension, a
-    different procedure from the induce-then-predict fixture.
+        if steps_up(row1) and steps_up(row2) and steps_up((left, middle)) and middle != scale[-1]:
+            fits.add(scale[scale.index(middle) + 1])
+    values = set(row1)
+    rest = values - {left, middle}
+    if len(values) == 3 and set(row2) == values and len(rest) == 1:
+        fits |= rest
+    return fits
+
+
+def solver_check(panel_records):
+    """A counter of the attribute keys a candidate for the empty cell leaves
+    without any coherent full-grid rule.
+
+    A key of the eight panel records holds when all three rows, the
+    candidate completing the last, are constant, or step up the key's scale
+    (its name or its ``_name`` suffix picks the scale), or each use the same
+    three distinct values. Only the last cell differs between candidates,
+    and the two complete rows and the two cells left of the empty one admit
+    at most one last value per rule: the cell to its left, the next step on
+    the scale, or the one value of the first row not yet used. So those
+    values are found once per key here, and the counter returned scores a
+    candidate record by set membership, with the same count as placing it
+    in the grid and checking every row again. This verifies rules over the
+    completed rows, a different procedure from the induce-then-predict
+    fixture, which commits to the first rule it reads and predicts one
+    value.
     """
     panels = [dict(r) for r in panel_records]
-    keys: list[str] = []
-    for rec in panels:
-        for key in rec:
-            if key not in keys:
-                keys.append(key)
-    cand = dict(candidate_record)
-    grid = [
-        [panels[0], panels[1], panels[2]],
-        [panels[3], panels[4], panels[5]],
-        [panels[6], panels[7], cand],
+    keys = dict.fromkeys(key for panel in panels for key in panel)
+    fits = [
+        (key, _last_cell_fits([panels[i].get(key) for i in range(8)], _scale_for_key(key)))
+        for key in keys
     ]
-    bad = 0
-    for key in keys:
-        rows = [[grid[r][c].get(key) for c in range(3)] for r in range(3)]
-        scale = _scale_for_key(key)
-        constant = all(row[0] == row[1] == row[2] for row in rows)
-        progression = scale is not None and all(
-            all(v in scale for v in row)
-            and scale.index(row[1]) - scale.index(row[0]) == 1
-            and scale.index(row[2]) - scale.index(row[1]) == 1
-            for row in rows
-        )
-        distribute = (
-            all(len(set(row)) == 3 for row in rows)
-            and set(rows[0]) == set(rows[1]) == set(rows[2])
-        )
-        if not (constant or progression or distribute):
-            bad += 1
-    return bad
+
+    def violations(candidate_record) -> int:
+        candidate = dict(candidate_record)
+        return sum(1 for key, values in fits if candidate.get(key) not in values)
+
+    return violations
 
 
 def solver_oracle(panel_records, candidate_records) -> int:
-    scored = [
-        (solver_violations(panel_records, c), i) for i, c in enumerate(candidate_records)
-    ]
-    scored.sort()
-    return scored[0][1] + 1
+    violations = solver_check(panel_records)
+    scores = [violations(c) for c in candidate_records]
+    return scores.index(min(scores)) + 1
 
 
 def induce_word_oracle(example_records, query_record) -> str:

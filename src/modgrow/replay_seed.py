@@ -170,9 +170,13 @@ def seed_learn_and_eval(
     """Record a full learn-then-eval session; returns (final library, report).
 
     The produced cache lets `learn` and `eval` replay the identical session
-    offline. Raven split-layout instances never call the gateway, so no
-    seeding is needed for them.
+    offline. The eval pass runs only to record stage-3 calls, and its
+    reports are dropped. The test instances a task's `split_layout` marks
+    (raven's split-layout puzzles) are answered by the module driver, which
+    never calls the gateway, so they are left out of that pass: it would
+    record nothing for them.
     """
+    from .harness.datasets import task_spec
     from .harness.evaluate import evaluate
     from .synthesis import run_synthesis
 
@@ -181,7 +185,9 @@ def seed_learn_and_eval(
     responder.add(test)
     by_task: dict[str, list] = {}
     for instance in test:
-        by_task.setdefault(instance.task, []).append(instance)
+        split_layout = task_spec(instance.task).split_layout
+        if split_layout is None or not split_layout(instance):
+            by_task.setdefault(instance.task, []).append(instance)
     with record_gateway(cache_path, responder) as gateway:
         lib_after, report = run_synthesis(train, lib, gateway, backend, cfg)
         for task, instances in sorted(by_task.items()):

@@ -7,12 +7,15 @@ import pytest
 
 from modgrow import cli
 from modgrow import reference_modules as rm
+from modgrow.backends import SyntheticBackend
 from modgrow.cache import read_records, whole_request
 from modgrow.gateway import LlmGateway
-from modgrow.harness.datasets import generate_dataset
+from modgrow.harness import evaluate as ev
+from modgrow.harness.datasets import generate_dataset, save_dataset
 from modgrow.harness.evaluate import evaluate
 from modgrow.registry import builtin_library, register
-from modgrow.replay_seed import SyntheticResponder
+from modgrow.replay_seed import SyntheticResponder, seed_learn_and_eval
+from modgrow.synthesis import SynthesisConfig
 
 TASKS = ("vqa", "grounding", "tagging", "editing", "raven", "mewl-analog")
 
@@ -43,18 +46,23 @@ OUTPUT_DIGESTS = {
                     "library": "ccd92c614414cea8", "report": "54581805fde39a18"},
 }
 SPLIT_LAYOUT_REPORT_DIGEST = "df999438c0817076"
+# `save_dataset` bytes of split-layout raven splits: the distractor draws and
+# the rule check that rejects a second defensible answer both show here
+SPLIT_LAYOUT_DATASET_DIGESTS = {"left-right": "0c0b67e2e85bbd63", "up-down": "f911642ec2c2b322"}
+# call records, rebuilt with whole requests, of the session that
+# `test_seeding_records_no_pass_over_module_driven_puzzles` seeds
+MIXED_LAYOUT_SEED_CACHE_DIGEST = "57515ba868b9d25f"
 
 
 def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def output_digests(tmp_path) -> dict[str, str]:
-    """Digests of the splits, the cache without its timestamps (rebuilt and
-    stored), the library files (name and bytes, in name order) and the
-    report."""
+def cache_lines(path) -> tuple[list[str], list[str]]:
+    """The call records of the cache at `path` rebuilt with whole requests,
+    and its stored records, each as sorted JSON without its timestamp."""
     heads, rebuilt, stored = {}, [], []
-    for _, record in read_records(tmp_path / "cache.jsonl"):
+    for _, record in read_records(path):
         record.pop("timestamp", None)
         stored.append(json.dumps(record, sort_keys=True))
         if "head" in record:
@@ -63,6 +71,14 @@ def output_digests(tmp_path) -> dict[str, str]:
         record["request"] = whole_request(record, heads)
         del record["head_sha256"]
         rebuilt.append(json.dumps(record, sort_keys=True))
+    return rebuilt, stored
+
+
+def output_digests(tmp_path) -> dict[str, str]:
+    """Digests of the splits, the cache without its timestamps (rebuilt and
+    stored), the library files (name and bytes, in name order) and the
+    report."""
+    rebuilt, stored = cache_lines(tmp_path / "cache.jsonl")
     library = b"".join(
         path.name.encode("utf-8") + b"\0" + path.read_bytes() + b"\0"
         for path in sorted((tmp_path / "lib").iterdir())
@@ -71,7 +87,7 @@ def output_digests(tmp_path) -> dict[str, str]:
         "train": digest((tmp_path / "train.jsonl").read_bytes()),
         "test": digest((tmp_path / "test.jsonl").read_bytes()),
         "cache": digest("\n".join(rebuilt).encode("utf-8")),
-         "cache_stored": digest("\n".join(stored).encode("utf-8")),
+        "cache_stored": digest("\n".join(stored).encode("utf-8")),
         "library": digest(library),
         "report": digest((tmp_path / "report" / "report.json").read_bytes()),
     }
@@ -110,3 +126,30 @@ def split_layout_report(tmp_path, backend) -> str:
 
 def test_split_layout_report_is_pinned(tmp_path, backend):
     assert digest(split_layout_report(tmp_path, backend).encode("utf-8")) == SPLIT_LAYOUT_REPORT_DIGEST
+
+
+@pytest.mark.parametrize("layout", sorted(SPLIT_LAYOUT_DATASET_DIGESTS))
+def test_split_layout_dataset_bytes_are_pinned(tmp_path, layout):
+    save_dataset(generate_dataset("raven", 23, 30, {"layout": layout}), tmp_path / "split.jsonl")
+    assert digest((tmp_path / "split.jsonl").read_bytes()) == SPLIT_LAYOUT_DATASET_DIGESTS[layout]
+
+
+def test_seeding_records_no_pass_over_module_driven_puzzles(tmp_path, monkeypatch):
+    """The module driver answers split-layout puzzles without the gateway, so
+    seeding leaves them out; the center test puzzles are still recorded."""
+    driven = []
+    solve = ev.solve_puzzle_with_modules
+
+    def counting(*args, **kwargs):
+        driven.append(args[0])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(ev, "solve_puzzle_with_modules", counting)
+    train = generate_dataset("raven", 31, 6)
+    test = generate_dataset("raven", 32, 3) + generate_dataset("raven", 33, 4, {"layout": "left-right"})
+    cache = tmp_path / "cache.jsonl"
+    seed_learn_and_eval(train, test, builtin_library(), SyntheticBackend(),
+                        SynthesisConfig(k_candidates=2, r_repairs=1), str(cache))
+    assert driven == []
+    rebuilt, _ = cache_lines(cache)
+    assert digest("\n".join(rebuilt).encode("utf-8")) == MIXED_LAYOUT_SEED_CACHE_DIGEST

@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
 from modgrow import cli
 from modgrow.gateway import LlmGateway
-from modgrow.harness.datasets import TASKS, build_bindings, generate_dataset, save_dataset
+from modgrow.harness.datasets import (
+    TASKS,
+    build_bindings,
+    generate_dataset,
+    generate_raven_puzzle,
+    save_dataset,
+)
 from modgrow.harness.evaluate import evaluate
 from modgrow.replay_seed import SyntheticResponder
 from modgrow.synthesis import SynthesisConfig, run_synthesis
@@ -45,6 +52,27 @@ def test_unknown_template_lists_the_task_templates():
 def test_unknown_task_is_refused():
     with pytest.raises(ValueError, match="unknown task 'nope'"):
         generate_dataset("nope", 1, 2)
+
+
+KNOWN_RAVEN_KNOBS = (
+    "layouts: center, left-right, up-down; dimensions: shape, color, size; "
+    "rules: constant, progression, distribute-three$"
+)
+
+
+@pytest.mark.parametrize("knobs, unknown", [
+    ({"rules": {"shape": "bogus", "colour": "constant"}}, "rule 'bogus' for shape, dimension 'colour'"),
+    ({"rules": {"colour": "constant"}}, "dimension 'colour'"),
+    ({"layout": "diagonal"}, "layout 'diagonal'"),
+])
+def test_unknown_raven_knobs_are_refused_before_any_draw(knobs, unknown):
+    with pytest.raises(ValueError, match=f"^unknown raven {unknown}; {KNOWN_RAVEN_KNOBS}"):
+        generate_dataset("raven", 1, 1, knobs)
+    rng = random.Random(7)
+    state = rng.getstate()
+    with pytest.raises(ValueError):
+        generate_raven_puzzle(rng, **knobs)
+    assert rng.getstate() == state
 
 
 def test_evaluate_refuses_an_instance_of_another_task(tmp_path, builtin_lib, backend):
