@@ -235,7 +235,12 @@ def cmd_cache_seed(args) -> int:
     ds.save_dataset(test, args.test_out)
     if os.path.exists(args.cache):
         os.unlink(args.cache)
-    seed_learn_and_eval(train, test, lib, SyntheticBackend(), cfg, args.cache)
+    try:
+        seed_learn_and_eval(train, test, lib, SyntheticBackend(), cfg, args.cache)
+    except (LookupError, ModgrowError) as exc:
+        Path(args.cache).unlink(missing_ok=True)  # a partial cache replays misses as zeros
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {args.train_out} ({len(train)}), {args.test_out} ({len(test)}), cache {args.cache}")
     return 0
 

@@ -15,6 +15,7 @@ and name no task themselves.
 
 from __future__ import annotations
 
+import inspect
 import json
 import random
 from dataclasses import dataclass, field
@@ -931,6 +932,10 @@ def _rule_rows(rng: random.Random, rule: str, scale: list[str]) -> list[list[str
 
 
 def _check_raven_knobs(layout, rules) -> None:
+    known = (f"layouts: {', '.join(RAVEN_LAYOUTS)}; dimensions: {', '.join(RAVEN_SCALES)}; "
+             f"rules: {', '.join(RAVEN_RULES)}")
+    if rules is not None and not isinstance(rules, dict):
+        raise ValueError(f"raven rules must map a dimension to a rule, not a {type(rules).__name__}; {known}")
     unknown = [f"layout {layout!r}"] if layout not in RAVEN_LAYOUTS else []
     for dim, rule in (rules or {}).items():
         if dim not in RAVEN_SCALES:
@@ -938,10 +943,7 @@ def _check_raven_knobs(layout, rules) -> None:
         elif rule not in RAVEN_RULES:
             unknown.append(f"rule {rule!r} for {dim}")
     if unknown:
-        raise ValueError(
-            f"unknown raven {', '.join(unknown)}; layouts: {', '.join(RAVEN_LAYOUTS)}; "
-            f"dimensions: {', '.join(RAVEN_SCALES)}; rules: {', '.join(RAVEN_RULES)}"
-        )
+        raise ValueError(f"unknown raven {', '.join(unknown)}; {known}")
 
 
 def generate_raven_puzzle(rng: random.Random, layout: str = "center", rules=None) -> RavenPuzzle:
@@ -1324,7 +1326,9 @@ def generate_dataset(task: str, seed: int, n: int, knobs: dict | None = None) ->
 
     knobs: ``templates`` names the templates to cycle through (by default
     all of the task's, in name order); every other knob, such as raven's
-    ``layout`` and ``rules``, is passed to each template as a keyword.
+    ``layout`` and ``rules``, is passed to each template as a keyword. A
+    knob that not every named template takes raises `ValueError`, which
+    names the knobs they do take, before any draw.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -1335,6 +1339,13 @@ def generate_dataset(task: str, seed: int, n: int, knobs: dict | None = None) ->
         if name not in templates:
             known = ", ".join(sorted(templates))
             raise ValueError(f"task {task!r} has no template {name!r}; its templates: {known}")
+    # a template's knobs are its keywords after (rng, iid)
+    taken = set.intersection(*(set(list(inspect.signature(templates[name]).parameters)[2:])
+                               for name in names))
+    for knob in knobs:
+        if knob not in taken:
+            known = ", ".join(sorted(taken | {"templates"}))
+            raise ValueError(f"task {task!r} has no knob {knob!r}; its knobs: {known}")
     rng = random.Random(f"{task}:{seed}")
     return [
         _finish(templates[names[i % len(names)]](rng, f"{task}-{seed}-{i:04d}", **knobs))

@@ -210,6 +210,17 @@ def _config_digest(task: str, lib: Library, gateway_mode: str, model_id: str) ->
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
+def program_prompts(lib: Library, model_id: str) -> TailSlotPrompt:
+    """The stage-3 requests over `lib`'s catalogue: `request(query)` returns
+    the request that asks for a program answering `query`, and its key."""
+    return TailSlotPrompt(
+        load_template("execution"),
+        {"MODULE_SIGNATURES": signature_prompt_text(lib)},
+        "NEW_QUESTION",
+        model_id=model_id,
+    )
+
+
 def evaluate(
     task: str,
     dataset: list[TaskInstance],
@@ -227,12 +238,7 @@ def evaluate(
         if instance.task != task:
             raise ValueError(f"instance {instance.id} is of task {instance.task!r}, not {task!r}")
     registry = ExecutionRegistry(lib, limits=limits)
-    prompts = TailSlotPrompt(
-        load_template("execution"),
-        {"MODULE_SIGNATURES": signature_prompt_text(lib)},
-        "NEW_QUESTION",
-        model_id=model_id,
-    )
+    prompts = program_prompts(lib, model_id)
     sigs = registry.signatures()
     outcomes: list[InstanceOutcome] = []
 

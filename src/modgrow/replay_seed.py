@@ -6,8 +6,11 @@ way a competent code generator would — stage-1 feasibility decisions from
 each instance's canonical program against the catalogue in the prompt,
 stage-2 implementations and repairs from the shipped fixture sources,
 stage-3 programs (canonical when the catalogue suffices, builtin fallback
-otherwise). Running the normal pipeline in record mode against it produces
-a replay cache that later runs consume without any transport at all.
+otherwise). `seed_learn_and_eval` records a replay cache against it: the
+calls of a record-mode `run_synthesis`, then the stage-3 request of every
+test question a program answers. It runs none of those programs, since
+only their requests and responses go into the cache. Later `learn` and
+`eval` runs consume the cache without any transport at all.
 """
 
 from __future__ import annotations
@@ -17,7 +20,10 @@ from collections import deque
 from functools import lru_cache
 
 from .gateway import CompletionRequest, LlmGateway
+from .harness.datasets import task_spec
+from .harness.evaluate import program_prompts
 from .reference_modules import FIXTURE_SOURCES, fixture_header
+from .synthesis import run_synthesis
 
 _QUESTION_RE = re.compile(r"^Question:\s*(.+)$", re.MULTILINE)
 # a stage-2 prompt asks for a module; a repair prompt names the one to fix
@@ -170,26 +176,27 @@ def seed_learn_and_eval(
     """Record a full learn-then-eval session; returns (final library, report).
 
     The produced cache lets `learn` and `eval` replay the identical session
-    offline. The eval pass runs only to record stage-3 calls, and its
-    reports are dropped. The test instances a task's `split_layout` marks
-    (raven's split-layout puzzles) are answered by the module driver, which
-    never calls the gateway, so they are left out of that pass: it would
-    record nothing for them.
+    offline. After `run_synthesis` has recorded the learn calls, the stage-3
+    request of each test instance is sent over the grown library's catalogue
+    in the order `evaluate` sends it: tasks by name, then instances by `id`.
+    No program is parsed or run. The test instances a task's `split_layout`
+    marks (raven's split-layout puzzles) are answered by the module driver,
+    which never calls the gateway, so no request is sent for them. An error
+    of the transport, such as the `LookupError` of a responder that does not
+    know a question, propagates.
     """
-    from .harness.datasets import task_spec
-    from .harness.evaluate import evaluate
-    from .synthesis import run_synthesis
-
     responder = responder or SyntheticResponder()
     responder.add(train)
     responder.add(test)
-    by_task: dict[str, list] = {}
+    asked = []
     for instance in test:
         split_layout = task_spec(instance.task).split_layout
         if split_layout is None or not split_layout(instance):
-            by_task.setdefault(instance.task, []).append(instance)
+            asked.append(instance)
     with record_gateway(cache_path, responder) as gateway:
         lib_after, report = run_synthesis(train, lib, gateway, backend, cfg)
-        for task, instances in sorted(by_task.items()):
-            evaluate(task, instances, lib_after, backend, gateway, model_id=cfg.model_id)
+        if asked:  # the catalogue text is built only when a request carries it
+            prompts = program_prompts(lib_after, cfg.model_id)
+            for instance in sorted(asked, key=lambda i: (i.task, i.id)):
+                gateway.complete(*prompts.request(instance.query))
     return lib_after, report

@@ -5,17 +5,18 @@ import json
 
 import pytest
 
-from modgrow import cli
+from modgrow import cli, replay_seed, synthesis
 from modgrow import reference_modules as rm
 from modgrow.backends import SyntheticBackend
 from modgrow.cache import read_records, whole_request
+from modgrow.errors import EndpointError
 from modgrow.gateway import LlmGateway
 from modgrow.harness import evaluate as ev
-from modgrow.harness.datasets import generate_dataset, save_dataset
+from modgrow.harness.datasets import generate_dataset, save_dataset, task_spec
 from modgrow.harness.evaluate import evaluate
 from modgrow.registry import builtin_library, register
 from modgrow.replay_seed import SyntheticResponder, seed_learn_and_eval
-from modgrow.synthesis import SynthesisConfig
+from modgrow.synthesis import SynthesisConfig, run_synthesis
 
 TASKS = ("vqa", "grounding", "tagging", "editing", "raven", "mewl-analog")
 
@@ -153,3 +154,119 @@ def test_seeding_records_no_pass_over_module_driven_puzzles(tmp_path, monkeypatc
     assert driven == []
     rebuilt, _ = cache_lines(cache)
     assert digest("\n".join(rebuilt).encode("utf-8")) == MIXED_LAYOUT_SEED_CACHE_DIGEST
+
+
+def is_stage3(prompt: str) -> bool:
+    return prompt.startswith("Think step by step")
+
+
+class FailingResponder(SyntheticResponder):
+    """The stock responder, except that it raises `error` on the stage-3
+    request for `query`."""
+
+    def __init__(self, query: str, error: Exception):
+        super().__init__()
+        self.query, self.error = query, error
+
+    def __call__(self, req):
+        if is_stage3(req.prompt) and req.prompt.rstrip().endswith(f"Question: {self.query}\nProgram:"):
+            raise self.error
+        return super().__call__(req)
+
+
+@pytest.mark.parametrize("error", [LookupError("no dataset instance for question"),
+                                   EndpointError("endpoint closed the connection")])
+def test_a_seeding_failure_is_raised_and_fails_cache_seed(tmp_path, monkeypatch, capsys, error):
+    train, test = generate_dataset("vqa", 41, 6), generate_dataset("vqa", 42, 4)
+    query = test[2].query
+    assert query not in {instance.query for instance in train}
+
+    with pytest.raises(type(error)):
+        seed_learn_and_eval(train, test, builtin_library(), SyntheticBackend(), SynthesisConfig(),
+                            str(tmp_path / "direct.jsonl"), responder=FailingResponder(query, error))
+
+    monkeypatch.setattr(replay_seed, "SyntheticResponder", lambda: FailingResponder(query, error))
+    cache = tmp_path / "cache.jsonl"
+    argv = ["cache", "seed", "--task", "vqa", "--seed", "41", "--n-train", "6", "--n-test", "4",
+            "--train-out", str(tmp_path / "train.jsonl"), "--test-out", str(tmp_path / "test.jsonl"),
+            "--cache", str(cache)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not cache.exists()
+
+
+@pytest.mark.parametrize("task", ["vqa", "raven"])
+def test_seeding_runs_no_program(tmp_path, monkeypatch, task):
+    """Seeding executes what learning alone executes, and sends one stage-3
+    request per test instance a program answers."""
+    train = generate_dataset(task, 51, 8)
+    programmed = generate_dataset(task, 52, 5)
+    driven = generate_dataset("raven", 53, 3, {"layout": "left-right"}) if task == "raven" else []
+    executions, stage3 = [], []
+    execute = synthesis.execute_program
+
+    def counting_execute(*args, **kwargs):
+        executions.append(args[0])
+        return execute(*args, **kwargs)
+
+    complete = LlmGateway.complete
+
+    def counting_complete(self, req, key=None):
+        if is_stage3(req.prompt):
+            stage3.append(req)
+        return complete(self, req, key)
+
+    for module in (synthesis, ev):  # the modules that bind execute_program
+        monkeypatch.setattr(module, "execute_program", counting_execute)
+    monkeypatch.setattr(LlmGateway, "complete", counting_complete)
+    cfg = SynthesisConfig(k_candidates=2, r_repairs=1)
+    with LlmGateway(mode="record", transport=SyntheticResponder(train)) as gateway:
+        run_synthesis(train, builtin_library(), gateway, SyntheticBackend(), cfg)
+    learned = len(executions)
+    assert learned and not stage3
+
+    seed_learn_and_eval(train, programmed + driven, builtin_library(), SyntheticBackend(), cfg,
+                        str(tmp_path / "cache.jsonl"))
+    assert len(executions) == 2 * learned
+    assert len(stage3) == len(programmed)
+
+
+def reference_seed(train, test, lib, backend, cfg, cache_path: str) -> None:
+    """Seeding by a record-mode `evaluate` per task, which also runs each
+    program: the reference for the records `seed_learn_and_eval` writes."""
+    responder = SyntheticResponder()
+    responder.add(train)
+    responder.add(test)
+    by_task: dict[str, list] = {}
+    for instance in test:
+        split_layout = task_spec(instance.task).split_layout
+        if split_layout is None or not split_layout(instance):
+            by_task.setdefault(instance.task, []).append(instance)
+    with LlmGateway(mode="record", cache_path=cache_path, transport=responder) as gateway:
+        lib_after, _ = run_synthesis(train, lib, gateway, backend, cfg)
+        for task, instances in sorted(by_task.items()):
+            evaluate(task, instances, lib_after, backend, gateway, model_id=cfg.model_id)
+
+
+@pytest.mark.parametrize("learned", [True, False], ids=["learned", "builtin-only"])
+@pytest.mark.parametrize("seed", [61, 71])
+@pytest.mark.parametrize("task", [*TASKS, "all"])
+def test_seeding_records_what_a_record_mode_evaluate_records(tmp_path, task, seed, learned):
+    """"all" mixes every task in one split, given in reverse name order.
+    Without training the library stays builtin-only, so the stage-3 answers
+    include fallback programs: on every task but editing, whose canonical
+    programs need no learned module."""
+    tasks = TASKS[::-1] if task == "all" else (task,)
+    n = 3 if task == "all" else 8
+    train = [i for t in tasks for i in generate_dataset(t, seed, n)] if learned else []
+    test = [i for t in tasks for i in generate_dataset(t, seed + 1, n)]
+    if "raven" in tasks:
+        test += generate_dataset("raven", seed + 2, 2, {"layout": "up-down"})
+    cfg = SynthesisConfig(k_candidates=2, r_repairs=1)
+    reference, seeded = tmp_path / "reference.jsonl", tmp_path / "seeded.jsonl"
+    reference_seed(train, test, builtin_library(), SyntheticBackend(), cfg, str(reference))
+    seed_learn_and_eval(train, test, builtin_library(), SyntheticBackend(), cfg, str(seeded))
+    assert cache_lines(seeded) == cache_lines(reference)
+    if not learned and task != "editing":
+        fallbacks = {instance.fallback_program for instance in test}
+        assert any(json.loads(line)["response"] in fallbacks for line in cache_lines(seeded)[0])

@@ -75,6 +75,25 @@ def test_unknown_raven_knobs_are_refused_before_any_draw(knobs, unknown):
     assert rng.getstate() == state
 
 
+@pytest.mark.parametrize("task, knobs, message", [
+    ("raven", {"layuot": "up-down"}, "task 'raven' has no knob 'layuot'; its knobs: layout, rules, templates$"),
+    ("vqa", {"layout": "x"}, "task 'vqa' has no knob 'layout'; its knobs: templates$"),
+    ("raven", {"rules": ["constant"]}, f"raven rules must map a dimension to a rule, not a list; {KNOWN_RAVEN_KNOBS}"),
+])
+def test_a_knob_the_templates_do_not_take_is_refused_before_any_draw(monkeypatch, task, knobs, message):
+    made = []
+
+    class Watched(random.Random):
+        def __init__(self, x=None):
+            super().__init__(x)
+            made.append((self, self.getstate()))
+
+    monkeypatch.setattr(random, "Random", Watched)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        generate_dataset(task, 1, 1, knobs)
+    assert all(rng.getstate() == state for rng, state in made)
+
+
 def test_evaluate_refuses_an_instance_of_another_task(tmp_path, builtin_lib, backend):
     test = generate_dataset("editing", 1, 2)
     gateway = LlmGateway(mode="record", cache_path=str(tmp_path / "cache.jsonl"),
