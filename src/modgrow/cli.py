@@ -20,9 +20,8 @@ from pathlib import Path
 from . import values as V
 from .backends import SyntheticBackend
 from .cache import read_records, whole_request
-from .dsl import parse_program, validate_program
 from .errors import DslSyntaxError, ModgrowError
-from .executor import Environment, execute_program, trace_to_jsonl
+from .executor import Environment, run_program, trace_to_jsonl
 from .gateway import LlmGateway, doc_key
 from .harness import datasets as ds
 from .harness.evaluate import evaluate, run_ablation
@@ -34,15 +33,14 @@ from .synthesis import SynthesisConfig, run_synthesis
 
 
 def _gateway_from_args(args) -> LlmGateway:
-    mode = args.mode or os.environ.get("LLM_MODE", "replay")
-    cache = getattr(args, "cache", None)
-    if mode == "replay":
+    cache = args.cache
+    if args.mode == "replay":
         if not cache or not os.path.exists(cache):
             raise ModgrowError(f"replay mode requires an existing cache file (got {cache!r})")
-    if mode in ("live", "record"):
+    if args.mode in ("live", "record"):
         if not os.environ.get("LLM_API_URL") or not os.environ.get("LLM_API_KEY"):
-            raise ModgrowError(f"{mode} mode requires LLM_API_URL and LLM_API_KEY")
-    return LlmGateway(mode=mode, cache_path=cache)
+            raise ModgrowError(f"{args.mode} mode requires LLM_API_URL and LLM_API_KEY")
+    return LlmGateway(mode=args.mode, cache_path=cache)
 
 
 # options that set a SynthesisConfig field for `learn` and `eval --ablation`,
@@ -55,7 +53,7 @@ def _config_from_args(args) -> SynthesisConfig:
         **{field: getattr(args, name) for name, field in SYNTHESIS_FIELDS.items()
            if getattr(args, name) is not None},
         limits=Limits(wall_time_ms=args.wall_time_ms),
-        model_id=args.model or os.environ.get("LLM_MODEL_ID", "default-model"),
+        model_id=args.model,
     )
 
 
@@ -123,7 +121,6 @@ def cmd_eval(args) -> int:
         return 2
 
     backend = SyntheticBackend()
-    model_id = args.model or os.environ.get("LLM_MODEL_ID", "default-model")
 
     if args.ablation:
         try:
@@ -149,7 +146,7 @@ def cmd_eval(args) -> int:
 
     with gateway:
         report = evaluate(
-            task, dataset, lib, backend, gateway, model_id=model_id,
+            task, dataset, lib, backend, gateway, model_id=args.model,
             limits=Limits(wall_time_ms=args.wall_time_ms),
         )
     print(report.render_table())
@@ -170,32 +167,20 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    registry = ExecutionRegistry(lib)
-    try:
-        program = parse_program(source)
-    except DslSyntaxError as exc:
-        for diag in exc.diagnostics:
-            print(f"line {diag.line_no}: {diag.code}: {diag.message}", file=sys.stderr)
-        return 1
-
     bindings = {"IMAGE": V.image(ImageHandle.of_scene(scene))}
-    tags = {"IMAGE": "image"}
-    if args.question is not None:
-        bindings["QUESTION"] = V.text(args.question)
-        tags["QUESTION"] = "text"
-    if args.expression is not None:
-        bindings["EXPRESSION"] = V.text(args.expression)
-        tags["EXPRESSION"] = "text"
-    if args.instruction is not None:
-        bindings["INSTRUCTION"] = V.text(args.instruction)
-        tags["INSTRUCTION"] = "text"
-
-    diagnostics = validate_program(program, registry.signatures(), tags)
+    for name, given in (("QUESTION", args.question), ("EXPRESSION", args.expression),
+                        ("INSTRUCTION", args.instruction)):
+        if given is not None:
+            bindings[name] = V.text(given)
+    try:
+        result = run_program(source, Environment(bindings), ExecutionRegistry(lib), SyntheticBackend())
+        diagnostics = result.diagnostics
+    except DslSyntaxError as exc:
+        diagnostics = exc.diagnostics
     if diagnostics:
         for diag in diagnostics:
             print(f"line {diag.line_no}: {diag.code}: {diag.message}", file=sys.stderr)
         return 1
-    result = execute_program(program, Environment(bindings), registry, SyntheticBackend())
     if args.trace:
         Path(args.trace).write_text(trace_to_jsonl(result.trace) + "\n", encoding="utf-8")
     if result.status != "ok":
@@ -289,9 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--mode", choices=["live", "replay", "record"], default=None)
+        p.add_argument("--mode", choices=["live", "replay", "record"], default="replay")
         p.add_argument("--cache", default=None)
-        p.add_argument("--model", default=None)
+        p.add_argument("--model", default="default-model")
         p.add_argument("--eta", type=float, default=None)
         p.add_argument("--k", type=int, default=None)
         p.add_argument("--repairs", type=int, default=None)

@@ -1,5 +1,7 @@
 """Step-by-step interpreter for parsed programs.
 
+`run_program` parses, validates and executes program text; a program that
+does not validate runs nothing and fails with an error of kind `validation`.
 Each statement resolves its arguments against the environment, dispatches to
 a builtin implementation or a registered generated module, binds its target
 once, and appends a step record so every run leaves a complete trace.
@@ -14,9 +16,18 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import values as V
-from .dsl import PLACEHOLDER_RE, Arg, Program, Statement, serialize_statement
+from .dsl import (
+    PLACEHOLDER_RE,
+    Arg,
+    Diagnostic,
+    Program,
+    Statement,
+    parse_program,
+    serialize_statement,
+    validate_program,
+)
 from .errors import BackendError, TemplateEvalError
-from .scene import ImageHandle
+from .scene import half_box
 from .values import Value
 
 
@@ -65,7 +76,7 @@ class StepRecord:
 @dataclass(frozen=True)
 class ExecutionError:
     line_no: int
-    kind: str
+    kind: str  # validation | backend | sandbox | type | template
     message: str
     captured: object | None = None  # the sandbox's CapturedError, for kind "sandbox"
 
@@ -76,6 +87,7 @@ class ExecutionResult:
     trace: tuple[StepRecord, ...]
     status: str  # ok | error
     error: ExecutionError | None = None
+    diagnostics: tuple[Diagnostic, ...] = ()  # every one, when the error is of kind validation
 
 
 # ---------------------------------------------------------------------------
@@ -232,16 +244,6 @@ def _first_box_or_none(value: Value):
     return value.payload[0] if value.payload else None
 
 
-def _half_image_box(handle: ImageHandle, which: str):
-    w, h = handle.width, handle.height
-    return {
-        "TOP": (0, 0, w, h // 2),
-        "BOTTOM": (0, h // 2, w, h),
-        "LEFT": (0, 0, w // 2, h),
-        "RIGHT": (w // 2, 0, w, h),
-    }[which]
-
-
 def _crop_builtin(which: str):
     def run(args, backend):
         handle = _expect(args, "image", ("image",)).payload
@@ -268,7 +270,7 @@ def _builtin_loc(args, backend):
     handle = _expect(args, "image", ("image",)).payload
     name = _expect(args, "object", ("text",)).payload
     if name in ("TOP", "BOTTOM", "LEFT", "RIGHT"):
-        return V.box_list([_half_image_box(handle, name)])
+        return V.box_list([half_box(handle.width, handle.height, name.lower())])
     return V.box_list(backend.locate(handle, name))
 
 
@@ -429,7 +431,7 @@ def _execute_statement(st: Statement, env: Environment, registry, backend) -> tu
             raise ExecutorRuntimeError("type", "RESULT requires a var argument")
         return resolved["var"], resolved, "builtin"
 
-    if registry is not None and registry.is_generated(st.module_name):
+    if registry.is_generated(st.module_name):
         value = registry.invoke_generated(st.module_name, resolved, backend)
         return value, resolved, "generated"
 
@@ -475,6 +477,29 @@ def execute_program(program: Program, init: Environment, registry, backend) -> E
             error=ExecutionError(line_no=last_line, kind="type", message="no RESULT statement executed"),
         )
     return ExecutionResult(final=final, trace=tuple(trace), status="ok")
+
+
+def run_program(source: str, init: Environment, registry, backend) -> ExecutionResult:
+    """Parse `source`, validate it, and execute it if it validates.
+
+    A line that does not parse raises `DslSyntaxError`. The program is
+    checked against `registry.signatures()` and the tags of `init`'s
+    bindings; if any check fails nothing runs, and the result is an error
+    of kind `validation` whose message is the first diagnostic's code and
+    message, with an empty trace and every diagnostic kept."""
+    program = parse_program(source)
+    tags = {name: value.tag for name, value in init.bindings.items()}
+    diagnostics = validate_program(program, registry.signatures(), tags)
+    if diagnostics:
+        first = diagnostics[0]
+        return ExecutionResult(
+            final=None,
+            trace=(),
+            status="error",
+            error=ExecutionError(first.line_no, "validation", f"{first.code} {first.message}"),
+            diagnostics=tuple(diagnostics),
+        )
+    return execute_program(program, init, registry, backend)
 
 
 def trace_to_jsonl(trace) -> str:

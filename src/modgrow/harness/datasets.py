@@ -23,7 +23,7 @@ from typing import Callable
 
 from .. import values as V
 from ..executor import Environment
-from ..reference_modules import RAVEN_SCALES, solver_check
+from ..reference_modules import RAVEN_LAYOUTS, RAVEN_SCALES, raven_regions, solver_check
 from ..scene import KNOWLEDGE_LISTS, ImageHandle, SceneGraph, SceneObject, load_scene
 from . import oracle as oracle_mod
 from .metrics import compare_values, iou, match_region_sets, match_tag
@@ -885,24 +885,14 @@ def _editing_instance(rng: random.Random, iid: str) -> TaskInstance:
 PANEL = 160
 _SIZE_EDGE = {"small": 30, "medium": 48, "large": 70}
 RAVEN_RULES = ("constant", "progression", "distribute-three")
-# each layout's key prefix per panel region
-RAVEN_LAYOUTS = {
-    "center": [""],
-    "left-right": ["left_", "right_"],
-    "up-down": ["top_", "bottom_"],
-}
 
 
 def _panel_scene(records: list[dict], layout: str) -> SceneGraph:
-    """One panel: a centered object, or one object per half for split layouts."""
-    if layout == "center":
-        centers = [(PANEL // 2, PANEL // 2)]
-    elif layout == "left-right":
-        centers = [(PANEL // 4, PANEL // 2), (3 * PANEL // 4, PANEL // 2)]
-    else:
-        centers = [(PANEL // 2, PANEL // 4), (PANEL // 2, 3 * PANEL // 4)]
+    """One panel: one object centred in each region of the layout."""
     objects = []
-    for i, (record, (cx, cy)) in enumerate(zip(records, centers)):
+    regions = raven_regions(layout, PANEL, PANEL)
+    for i, (record, (_, (x1, y1, x2, y2))) in enumerate(zip(records, regions)):
+        cx, cy = (x1 + x2) // 2, (y1 + y2) // 2
         edge = _SIZE_EDGE[record["size"]]
         half = min(edge // 2, PANEL // 4 - 2)
         box = (cx - half, cy - half, cx + half, cy + half)
@@ -951,7 +941,7 @@ def generate_raven_puzzle(rng: random.Random, layout: str = "center", rules=None
     `rules` ({dimension: rule}) names, or else one drawn at random. An
     unknown layout, dimension or rule raises `ValueError` before any draw."""
     _check_raven_knobs(layout, rules)
-    prefixes = RAVEN_LAYOUTS[layout]
+    prefixes = [prefix for prefix, _ in raven_regions(layout, PANEL, PANEL)]
     regions = len(prefixes)
     grids = []  # per region: {dim: rows}
     chosen_rules: dict[str, str] = {}

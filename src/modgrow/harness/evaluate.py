@@ -1,25 +1,26 @@
 """Evaluation over generated datasets: reports and ablation.
 
 Each instance's stage-3 prompt (which carries the current module catalogue)
-is completed through the gateway, parsed, validated against the instance's
-bindings and executed, and the task's judge in `datasets.TASKS` scores the
-result. Instances the task marks as split-layout puzzles run through a
-per-region module driver instead, since the straight-line program language
-has no loops. Instance failures are recorded as incorrect outcomes, never
-raised.
+is completed through the gateway, `executor.run_program` runs the program
+over the instance's bindings, and the task's judge in `datasets.TASKS`
+scores the result; a failed run reads `<kind>: <message>`, such as
+`validation: UNKNOWN_MODULE ...`. Instances the task marks as split-layout
+puzzles run through a per-region module driver instead, since the
+straight-line program language has no loops. Instance failures are
+recorded as incorrect outcomes, never raised.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .. import values as V
-from ..dsl import parse_program, validate_program
 from ..errors import EmptyGridError, ModgrowError
-from ..executor import execute_program
+from ..executor import run_program
 from ..gateway import LlmGateway, TailSlotPrompt, load_template, parse_program_response
+from ..reference_modules import raven_regions
 from ..registry import ExecutionRegistry, Library, signature_prompt_text
 from ..scene import ImageHandle
 from ..synthesis import run_synthesis
@@ -153,40 +154,22 @@ def _trace_docs(trace) -> list:
     ]
 
 
-def _prefixed(record, prefix: str):
-    return [[f"{prefix}_{key}", value] for key, value in record]
-
-
 def solve_puzzle_with_modules(puzzle, registry: ExecutionRegistry, backend) -> int:
     """Drive DETECT_SHAPE per panel region and SOLVER once, via the registry.
 
-    Split layouts read each half viewport separately and combine the records
-    under prefixed keys, which is how center-trained modules transfer without
-    re-synthesis.
+    Each region of a split-layout panel is read as its own viewport and the
+    records are combined under the region's key prefix, which is how
+    center-trained modules transfer without re-synthesis.
     """
-    layout = puzzle.layout
 
     def records_for(scene) -> list:
         handle = ImageHandle.of_scene(scene)
-        if layout == "center":
-            value = registry.invoke_generated("DETECT_SHAPE", {"image": V.image(handle)}, backend)
-            return list(value.payload)
-        if layout == "left-right":
-            halves = [
-                ("left", (0, 0, handle.width // 2, handle.height)),
-                ("right", (handle.width // 2, 0, handle.width, handle.height)),
-            ]
-        else:
-            halves = [
-                ("top", (0, 0, handle.width, handle.height // 2)),
-                ("bottom", (0, handle.height // 2, handle.width, handle.height)),
-            ]
         combined = []
-        for prefix, box in halves:
-            value = registry.invoke_generated(
+        for prefix, box in raven_regions(puzzle.layout, handle.width, handle.height):
+            read = registry.invoke_generated(
                 "DETECT_SHAPE", {"image": V.image(handle.crop(box))}, backend
             )
-            combined.extend(_prefixed([list(p) for p in value.payload], prefix))
+            combined.extend([f"{prefix}{key}", value] for key, value in read.payload)
         return combined
 
     panel_records = [records_for(p) for p in puzzle.panels]
@@ -239,7 +222,6 @@ def evaluate(
             raise ValueError(f"instance {instance.id} is of task {instance.task!r}, not {task!r}")
     registry = ExecutionRegistry(lib, limits=limits)
     prompts = program_prompts(lib, model_id)
-    sigs = registry.signatures()
     outcomes: list[InstanceOutcome] = []
 
     for instance in sorted(dataset, key=lambda i: i.id):
@@ -255,15 +237,9 @@ def evaluate(
                 continue
             request, key = prompts.request(instance.query)
             response = gateway.complete(request, key)
-            program = parse_program(parse_program_response(response))
-            env = build_bindings(instance)
-            tags = {name: value.tag for name, value in env.bindings.items()}
-            diagnostics = validate_program(program, sigs, tags)
-            if diagnostics:
-                outcome.error = f"validation: {diagnostics[0].code} {diagnostics[0].message}"
-                outcomes.append(outcome)
-                continue
-            result = execute_program(program, env, registry, backend)
+            result = run_program(
+                parse_program_response(response), build_bindings(instance), registry, backend
+            )
             outcome.trace = _trace_docs(result.trace)
             if result.status != "ok":
                 outcome.error = f"{result.error.kind}: {result.error.message}"
@@ -293,6 +269,10 @@ def evaluate(
 # ---------------------------------------------------------------------------
 # Ablation
 # ---------------------------------------------------------------------------
+
+
+# a cell's library variant ("wo-ml" or "full") and a full library's train size
+GRID_KEYS = ("library", "train_size")
 
 
 @dataclass
@@ -337,34 +317,37 @@ def run_ablation(
     cfg,
     task: str,
 ) -> AblationReport:
-    """One evaluate() per grid cell; cells name a library variant and train size."""
+    """One evaluate() per grid cell; cells name a library variant and train size.
+
+    Raises `EmptyGridError` for a grid without cells and `ValueError` for a
+    cell key other than those two, before any cell runs."""
     if not grid:
         raise EmptyGridError("ablation grid has no cells")
+    unknown = sorted({key for cell in grid for key in cell} - set(GRID_KEYS))
+    if unknown:
+        raise ValueError(f"unknown ablation cell key {', '.join(map(repr, unknown))}; "
+                         f"known keys: {', '.join(GRID_KEYS)}")
     rows: list[AblationRow] = []
     sized_accuracy: list[tuple[int, float]] = []
     for cell in grid:
         variant = cell.get("library", "full")
-        model_id = cell.get("model_id", cfg.model_id)
         if variant == "wo-ml":
             label = "w/o module learning"
             lib = base_lib
         else:
             size = int(cell.get("train_size", len(train)))
             label = f"full ({size} train examples)"
-            if model_id != cfg.model_id:
-                label += f" [{model_id}]"
-            subset = train[:size]
             try:
-                lib, _ = run_synthesis(subset, base_lib, gateway, backend, _with_model(cfg, model_id))
+                lib, _ = run_synthesis(train[:size], base_lib, gateway, backend, cfg)
             except ModgrowError as exc:
                 rows.append(AblationRow(label=label, accuracy=0.0, modules=0, error=str(exc)))
                 continue
         try:
-            report = evaluate(task, test, lib, backend, gateway, model_id=model_id, limits=cfg.limits)
+            report = evaluate(task, test, lib, backend, gateway, model_id=cfg.model_id, limits=cfg.limits)
             accuracy = report.metrics["accuracy"]
             rows.append(AblationRow(label=label, accuracy=accuracy, modules=len(lib)))
-            if variant != "wo-ml" and model_id == cfg.model_id:
-                sized_accuracy.append((int(cell.get("train_size", len(train))), accuracy))
+            if variant != "wo-ml":
+                sized_accuracy.append((size, accuracy))
         except ModgrowError as exc:
             rows.append(AblationRow(label=label, accuracy=0.0, modules=len(lib), error=str(exc)))
     sized_accuracy.sort()
@@ -373,7 +356,3 @@ def run_ablation(
         for i in range(len(sized_accuracy) - 1)
     )
     return AblationReport(rows=rows, trend_ok=trend_ok)
-
-
-def _with_model(cfg, model_id: str):
-    return replace(cfg, model_id=model_id) if model_id != cfg.model_id else cfg

@@ -3,12 +3,13 @@
 Every generated task instance stores a structured query spec; this module
 recomputes the gold answer for it by direct enumeration over the scene,
 sharing only the documented geometric conventions (box-center half planes,
-crop expansion) with the executor, never its code path or the backend.
+crop expansion, `scene.half_box` for image halves) with the executor, never
+its code path or the backend.
 """
 
 from __future__ import annotations
 
-from ..reference_modules import induce_word_oracle, solver_oracle, sort_spatial_oracle
+from ..reference_modules import induce_word_oracle, raven_regions, solver_oracle, sort_spatial_oracle
 from ..scene import KNOWLEDGE_LISTS, SceneGraph, box_area, singularize
 
 
@@ -178,16 +179,10 @@ def _mewl(scene, spec, instance):
 
 
 def panel_record(panel: SceneGraph, layout: str):
-    """Flatten a puzzle panel into attribute pairs, prefixing keys per region."""
-    if layout == "center":
-        obj = panel.objects[0]
-        return [[k, obj.attributes.get(k, "unknown")] for k in ("shape", "color", "size")]
-    if layout == "left-right":
-        halves = [("left", 0, 0, panel.width // 2, panel.height), ("right", panel.width // 2, 0, panel.width, panel.height)]
-    else:  # up-down
-        halves = [("top", 0, 0, panel.width, panel.height // 2), ("bottom", 0, panel.height // 2, panel.width, panel.height)]
+    """Flatten a puzzle panel into attribute pairs: per region of its layout,
+    those of the first object centred in it, under the region's key prefix."""
     record = []
-    for prefix, x1, y1, x2, y2 in halves:
+    for prefix, (x1, y1, x2, y2) in raven_regions(layout, panel.width, panel.height):
         inside = [
             o
             for o in panel.objects
@@ -195,7 +190,7 @@ def panel_record(panel: SceneGraph, layout: str):
         ]
         obj = inside[0]
         for key in ("shape", "color", "size"):
-            record.append([f"{prefix}_{key}", obj.attributes.get(key, "unknown")])
+            record.append([f"{prefix}{key}", obj.attributes.get(key, "unknown")])
     return record
 
 

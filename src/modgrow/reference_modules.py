@@ -21,7 +21,7 @@ from operator import itemgetter
 
 from .dsl import ModuleSignature, parse_signature_block
 from .registry import ModuleRecord
-from .scene import SceneGraph, box_area
+from .scene import SceneGraph, box_area, half_box
 
 CHOOSE_ATTRIBUTE_SOURCE = '''class CHOOSE_ATTRIBUTE():
     """
@@ -572,6 +572,23 @@ RAVEN_SCALES = {
     "color": ["red", "orange", "yellow", "green", "blue", "purple"],
     "size": ["small", "medium", "large"],
 }
+
+
+# The regions of a raven panel in each layout: the whole panel, or one image
+# half per object, named by the half. Record keys of a half carry its name.
+RAVEN_LAYOUTS = {
+    "center": (None,),
+    "left-right": ("left", "right"),
+    "up-down": ("top", "bottom"),
+}
+
+
+def raven_regions(layout: str, width: int, height: int) -> list[tuple[str, tuple]]:
+    """(record key prefix, box) of each region of a width x height panel."""
+    return [
+        ("", (0, 0, width, height)) if half is None else (f"{half}_", half_box(width, height, half))
+        for half in RAVEN_LAYOUTS[layout]
+    ]
 
 
 def _scale_for_key(key: str):

@@ -224,14 +224,14 @@ class ExecutionRegistry:
         self.limits = limits or Limits()
         self.overlay = dict(overlay or {})  # name -> CandidateHandle
         self._handles: dict[str, object] = {}
+        # the library's signatures, then those of overlay names it lacks
+        self._signatures = tuple(signatures(lib)) + tuple(
+            handle.signature for name, handle in self.overlay.items()
+            if name not in lib.records and getattr(handle, "signature", None) is not None
+        )
 
-    def signatures(self) -> list[ModuleSignature]:
-        sigs = signatures(self.lib)
-        have = {s.name for s in sigs}
-        for name, handle in self.overlay.items():
-            if name not in have and getattr(handle, "signature", None) is not None:
-                sigs.append(handle.signature)
-        return sigs
+    def signatures(self) -> tuple[ModuleSignature, ...]:
+        return self._signatures
 
     def is_generated(self, name: str) -> bool:
         if name in self.overlay:

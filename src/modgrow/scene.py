@@ -94,6 +94,16 @@ def box_area(box: Box) -> int:
     return max(0, box[2] - box[0]) * max(0, box[3] - box[1])
 
 
+def half_box(width: int, height: int, half: str) -> Box:
+    """The box of one half of a width x height image: left, right, top or bottom."""
+    return {
+        "left": (0, 0, width // 2, height),
+        "right": (width // 2, 0, width, height),
+        "top": (0, 0, width, height // 2),
+        "bottom": (0, height // 2, width, height),
+    }[half]
+
+
 def intersect_boxes(a: Box, b: Box) -> Box | None:
     x1, y1 = max(a[0], b[0]), max(a[1], b[1])
     x2, y2 = min(a[2], b[2]), min(a[3], b[3])

@@ -5,7 +5,9 @@ library suffices; infeasible examples yield module proposals. Stage 2 samples
 K implementations per proposal, scores each against executable test cases
 derived from the training examples, accepts the best candidate whose pass
 rate clears the threshold, and otherwise loops through repair rounds that
-feed the captured errors back into the prompt.
+feed the captured errors back into the prompt. Case programs run through
+`executor.run_program`; one that does not parse or fails with a
+`validation` error fails its case as a runtime error.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ import logging
 from dataclasses import dataclass, field
 
 from . import values as V
-from .dsl import ModuleSignature, parse_program, validate_program
-from .errors import CacheMissError, NoCasesError, ResponseParseError
-from .executor import Environment, execute_program
+from .dsl import ModuleSignature
+from .errors import CacheMissError, DslSyntaxError, NoCasesError, ResponseParseError
+from .executor import run_program
 from .gateway import (
     DEFAULT_API_DOC,
     CompletionRequest,
@@ -70,9 +72,6 @@ class TestCase:
     program: str
     expected: V.Value
     comparator: str  # exact-text | numeric-eq | iou-at-0.5 | set-eq
-
-    def initial_environment(self) -> Environment:
-        return build_bindings(self.example)
 
 
 @dataclass(frozen=True)
@@ -188,15 +187,11 @@ def _tupleize(payload):
 def _case_error(case: TestCase, registry: ExecutionRegistry, backend) -> CapturedError | None:
     """Run one case program: the error that fails it, or None if it passes."""
     try:
-        program = parse_program(case.program)
-    except Exception as exc:
+        outcome = run_program(case.program, build_bindings(case.example), registry, backend)
+    except DslSyntaxError as exc:
         return CapturedError("runtime", f"bad case program: {exc}")
-    env = case.initial_environment()
-    binding_tags = {name: value.tag for name, value in env.bindings.items()}
-    diags = validate_program(program, registry.signatures(), binding_tags)
-    if diags:
-        return CapturedError("runtime", f"case program invalid: {diags[0].message}")
-    outcome = execute_program(program, env, registry, backend)
+    if outcome.diagnostics:
+        return CapturedError("runtime", f"case program invalid: {outcome.diagnostics[0].message}")
     if outcome.status != "ok":
         # a sandbox failure keeps the sandbox's own kind, message and
         # candidate line; any other failure is a runtime error of the case

@@ -139,3 +139,72 @@ def test_learn_refuses_a_missing_output_before_any_model_call(tmp_path, capsys, 
     )
     assert calls == []
     assert not cache.exists()
+
+
+def ablation_splits(tmp_path, monkeypatch):
+    """Saved grounding splits, and a record-mode endpoint that is the stock
+    responder over both: (train path, test path, calls it answered)."""
+    train = generate_dataset("grounding", 3, 4, {"templates": ["ordinal"]})
+    test = generate_dataset("grounding", 4, 3, {"templates": ["ordinal"]})
+    paths = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+    save_dataset(train, paths[0])
+    save_dataset(test, paths[1])
+    responder = SyntheticResponder()
+    responder.add(train)
+    responder.add(test)
+    calls = []
+
+    def endpoint(request):
+        calls.append(request)
+        return responder(request)
+
+    monkeypatch.setenv("LLM_API_URL", "http://localhost:9")
+    monkeypatch.setenv("LLM_API_KEY", "k")
+    monkeypatch.setattr("modgrow.gateway.http_transport", endpoint)
+    return *paths, calls
+
+
+def test_eval_ablation_in_record_mode(tmp_path, monkeypatch, capsys):
+    train, test, calls = ablation_splits(tmp_path, monkeypatch)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"cells": [{"library": "wo-ml"}, {"train_size": 0}, {"train_size": 4}]}),
+                    encoding="utf-8")
+    argv = ["eval", "--mode", "record", "--cache", str(tmp_path / "cache.jsonl"), "--dataset", str(test),
+            "--ablation", str(grid), "--train-dataset", str(train), "--k", "2", "--repairs", "1",
+            "--report", str(tmp_path / "report")]
+    assert cli.main(argv) == 0
+    assert calls
+    doc = json.loads((tmp_path / "report" / "ablation.json").read_text(encoding="utf-8"))
+    assert [(r["label"], r["modules"], r["error"]) for r in doc["rows"]] == [
+        ("w/o module learning", 22, None),
+        ("full (0 train examples)", 22, None),
+        ("full (4 train examples)", 23, None),
+    ]
+    assert [r["accuracy"] for r in doc["rows"]] == [0.0, 0.0, 1.0]
+    assert doc["trend_non_decreasing"] is True
+    table = (tmp_path / "report" / "ablation.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == table
+    assert table.endswith("train-size trend non-decreasing: pass\n")
+
+
+def test_eval_ablation_refuses_an_unknown_cell_key(tmp_path, monkeypatch, capsys):
+    train, test, calls = ablation_splits(tmp_path, monkeypatch)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"cells": [{"train_size": 4}, {"train_size": 4, "model_id": "other"}]}),
+                    encoding="utf-8")
+    argv = ["eval", "--mode", "record", "--cache", str(tmp_path / "cache.jsonl"), "--dataset", str(test),
+            "--ablation", str(grid), "--train-dataset", str(train)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown ablation cell key 'model_id'; known keys: library, train_size\n"
+    )
+    assert calls == []
+
+
+def test_the_environment_sets_neither_mode_nor_model(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("LLM_MODE", "record")
+    monkeypatch.setenv("LLM_MODEL_ID", "other")
+    args = cli.build_parser().parse_args(["learn", "--dataset", "train.jsonl"])
+    assert (args.mode, cli._config_from_args(args).model_id) == ("replay", "default-model")
+    assert cli.main(["eval", "--dataset", str(tmp_path / "test.jsonl")]) == 2
+    assert capsys.readouterr().err == "error: replay mode requires an existing cache file (got None)\n"

@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 from modgrow import values as V
 from modgrow.backends import SyntheticBackend
 from modgrow.dsl import parse_program, serialize_program
-from modgrow.errors import TemplateEvalError
+from modgrow.errors import DslSyntaxError, TemplateEvalError
 from modgrow.executor import (
     Environment,
+    ExecutionError,
     eval_template,
     execute_program,
     expand_box,
     run_builtin,
+    run_program,
     trace_to_jsonl,
 )
 from modgrow.registry import ExecutionRegistry
@@ -305,3 +307,39 @@ class TestExecuteProgram:
         line = json.loads(trace_to_jsonl(result.trace))
         assert line["statement"] == "FINAL_RESULT=RESULT(var=IMAGE)"
         assert "elapsed_ms" in line
+
+
+class TestRunProgram:
+    def test_runs_a_valid_program_as_execute_program_does(self, purse_scene, builtin_lib, backend):
+        env = {"IMAGE": V.image(ImageHandle.of_scene(purse_scene)), "QUESTION": V.text("q")}
+        registry = ExecutionRegistry(builtin_lib)
+        ran = run_program(PURSE_PROGRAM, Environment(dict(env)), registry, backend)
+        executed = execute_program(parse_program(PURSE_PROGRAM), Environment(dict(env)), registry, backend)
+        assert (ran.status, ran.final, ran.diagnostics) == ("ok", executed.final, ())
+        assert [s.output for s in ran.trace] == [s.output for s in executed.trace]
+
+    def test_a_program_that_does_not_validate_runs_nothing(self, builtin_lib, coat_image):
+        class Untouchable:
+            def __getattr__(self, name):
+                raise AssertionError(f"the backend was asked for {name}")
+
+        source = "BOX0=LOC(image=IMAGE,object='coat')\nANSWER0=NOPE(box=BOX0)\nFINAL_RESULT=RESULT(var=ANSWER1)"
+        env = Environment({"IMAGE": V.image(coat_image)})
+        result = run_program(source, env, ExecutionRegistry(builtin_lib), Untouchable())
+        assert (result.status, result.final, result.trace) == ("error", None, ())
+        assert result.error == ExecutionError(2, "validation", "UNKNOWN_MODULE unknown module NOPE")
+        assert [(d.line_no, d.code) for d in result.diagnostics] == [
+            (2, "UNKNOWN_MODULE"), (3, "UNDEFINED_VAR")
+        ]
+
+    def test_validates_against_the_tags_of_the_bindings(self, builtin_lib, backend, coat_image):
+        source = "ANSWER0=VQA(image=IMAGE,question=QUESTION)\nFINAL_RESULT=RESULT(var=ANSWER0)"
+        env = Environment({"IMAGE": V.image(coat_image), "QUESTION": V.number(3)})
+        result = run_program(source, env, ExecutionRegistry(builtin_lib), backend)
+        assert result.error.kind == "validation"
+        assert [d.code for d in result.diagnostics] == ["TYPE_MISMATCH"]
+
+    def test_a_line_that_does_not_parse_raises(self, builtin_lib, backend, coat_image):
+        with pytest.raises(DslSyntaxError, match="line 2: "):
+            run_program("FINAL_RESULT=RESULT(var=IMAGE)\nnot a statement",
+                        Environment({"IMAGE": V.image(coat_image)}), ExecutionRegistry(builtin_lib), backend)

@@ -5,13 +5,12 @@ import json
 
 import pytest
 
-from modgrow import cli, replay_seed, synthesis
+from modgrow import cli, executor, replay_seed
 from modgrow import reference_modules as rm
 from modgrow.backends import SyntheticBackend
 from modgrow.cache import read_records, whole_request
 from modgrow.errors import EndpointError
 from modgrow.gateway import LlmGateway
-from modgrow.harness import evaluate as ev
 from modgrow.harness.datasets import generate_dataset, save_dataset, task_spec
 from modgrow.harness.evaluate import evaluate
 from modgrow.registry import builtin_library, register
@@ -135,23 +134,14 @@ def test_split_layout_dataset_bytes_are_pinned(tmp_path, layout):
     assert digest((tmp_path / "split.jsonl").read_bytes()) == SPLIT_LAYOUT_DATASET_DIGESTS[layout]
 
 
-def test_seeding_records_no_pass_over_module_driven_puzzles(tmp_path, monkeypatch):
+def test_seeding_records_no_pass_over_module_driven_puzzles(tmp_path):
     """The module driver answers split-layout puzzles without the gateway, so
     seeding leaves them out; the center test puzzles are still recorded."""
-    driven = []
-    solve = ev.solve_puzzle_with_modules
-
-    def counting(*args, **kwargs):
-        driven.append(args[0])
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(ev, "solve_puzzle_with_modules", counting)
     train = generate_dataset("raven", 31, 6)
     test = generate_dataset("raven", 32, 3) + generate_dataset("raven", 33, 4, {"layout": "left-right"})
     cache = tmp_path / "cache.jsonl"
     seed_learn_and_eval(train, test, builtin_library(), SyntheticBackend(),
                         SynthesisConfig(k_candidates=2, r_repairs=1), str(cache))
-    assert driven == []
     rebuilt, _ = cache_lines(cache)
     assert digest("\n".join(rebuilt).encode("utf-8")) == MIXED_LAYOUT_SEED_CACHE_DIGEST
 
@@ -203,7 +193,7 @@ def test_seeding_runs_no_program(tmp_path, monkeypatch, task):
     programmed = generate_dataset(task, 52, 5)
     driven = generate_dataset("raven", 53, 3, {"layout": "left-right"}) if task == "raven" else []
     executions, stage3 = [], []
-    execute = synthesis.execute_program
+    execute = executor.execute_program
 
     def counting_execute(*args, **kwargs):
         executions.append(args[0])
@@ -216,8 +206,7 @@ def test_seeding_runs_no_program(tmp_path, monkeypatch, task):
             stage3.append(req)
         return complete(self, req, key)
 
-    for module in (synthesis, ev):  # the modules that bind execute_program
-        monkeypatch.setattr(module, "execute_program", counting_execute)
+    monkeypatch.setattr(executor, "execute_program", counting_execute)
     monkeypatch.setattr(LlmGateway, "complete", counting_complete)
     cfg = SynthesisConfig(k_candidates=2, r_repairs=1)
     with LlmGateway(mode="record", transport=SyntheticResponder(train)) as gateway:

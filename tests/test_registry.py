@@ -7,6 +7,7 @@ import pytest
 from modgrow import reference_modules as rm
 from modgrow.errors import GateViolationError, LibraryFormatError, NameCollisionError, NotFoundError
 from modgrow.registry import (
+    ExecutionRegistry,
     builtin_library,
     libraries_equal,
     load_library,
@@ -14,7 +15,9 @@ from modgrow.registry import (
     register,
     save_library,
     signature_prompt_text,
+    signatures,
 )
+from modgrow.sandbox import load_candidate
 
 
 def sort_spatial_record(**overrides):
@@ -140,3 +143,13 @@ class TestPersistence:
         names = {p.name for p in (tmp_path / "lib").iterdir()}
         assert "manifest.json" in names
         assert "SORT_SPATIAL.py" in names and "SORT_SPATIAL.json" in names
+
+
+def test_execution_signatures_are_the_library_then_new_overlay_names(builtin_lib):
+    lib = register(builtin_lib, sort_spatial_record())
+    overlay = {
+        name: load_candidate(rm.FIXTURE_SOURCES[name], signature=replace(rm.fixture_signature(name), doc=name))
+        for name in ("SORT_SPATIAL", "DETECT_SHAPE")
+    }
+    registry = ExecutionRegistry(lib, overlay=overlay)
+    assert registry.signatures() == (*signatures(lib), overlay["DETECT_SHAPE"].signature)
