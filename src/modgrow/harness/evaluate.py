@@ -320,9 +320,12 @@ def run_ablation(
     """One evaluate() per grid cell; cells name a library variant and train size.
 
     Raises `EmptyGridError` for a grid without cells and `ValueError` for a
-    cell key other than those two, before any cell runs."""
+    cell that is not a mapping or sets a key other than those two, before
+    any cell runs."""
     if not grid:
         raise EmptyGridError("ablation grid has no cells")
+    if not all(isinstance(cell, dict) for cell in grid):
+        raise ValueError("each ablation cell must be an object")
     unknown = sorted({key for cell in grid for key in cell} - set(GRID_KEYS))
     if unknown:
         raise ValueError(f"unknown ablation cell key {', '.join(map(repr, unknown))}; "

@@ -187,17 +187,19 @@ def test_eval_ablation_in_record_mode(tmp_path, monkeypatch, capsys):
     assert table.endswith("train-size trend non-decreasing: pass\n")
 
 
-def test_eval_ablation_refuses_an_unknown_cell_key(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("cells, message", [
+    ([{"train_size": 4}, {"train_size": 4, "model_id": "other"}],
+     "unknown ablation cell key 'model_id'; known keys: library, train_size"),
+    ([{"train_size": 4}, "full"], "each ablation cell must be an object"),
+])
+def test_eval_ablation_refuses_a_bad_cell_before_any_model_call(tmp_path, monkeypatch, capsys, cells, message):
     train, test, calls = ablation_splits(tmp_path, monkeypatch)
     grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps({"cells": [{"train_size": 4}, {"train_size": 4, "model_id": "other"}]}),
-                    encoding="utf-8")
+    grid.write_text(json.dumps({"cells": cells}), encoding="utf-8")
     argv = ["eval", "--mode", "record", "--cache", str(tmp_path / "cache.jsonl"), "--dataset", str(test),
             "--ablation", str(grid), "--train-dataset", str(train)]
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err == (
-        "error: unknown ablation cell key 'model_id'; known keys: library, train_size\n"
-    )
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert calls == []
 
 
