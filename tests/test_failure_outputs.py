@@ -21,7 +21,11 @@ from conftest import make_scene, obj
 
 UNPARSEABLE = "ANSWER0=VQA(image=IMAGE,question=)\nFINAL_RESULT=RESULT(var=ANSWER0)"
 INVALID = "ANSWER0=NOPE(image=IMAGE)\nFINAL_RESULT=RESULT(var=ANSWER1)"
-FAILING = "BOX0=LOC(image=IMAGE,object='coat')\nANSWER0=FILTER_SPATIAL(image=IMAGE,box=BOX0,location='middle')\nFINAL_RESULT=RESULT(var=ANSWER0)"
+FAILING = (
+    "BOX0=LOC(image=IMAGE,object='coat')\n"
+    "ANSWER0=FILTER_SPATIAL(image=IMAGE,box=BOX0,location='middle')\n"
+    "FINAL_RESULT=RESULT(var=ANSWER0)"
+)
 
 
 @pytest.mark.parametrize("response, error", [
