@@ -73,18 +73,27 @@ _DESCRIPTION_FIXTURES = {
 
 @lru_cache(maxsize=1024)
 def _question_form(q: str) -> tuple[str, ...]:
-    """What a normalised perception question asks: ("count", name),
-    ("who", tag), ("attribute", attribute, name) or ("unknown",)."""
+    """What a normalised perception question asks: ("count", noun),
+    ("who", tag), ("attribute", attribute, noun) or ("unknown",). The noun
+    is kept singular, so it is singularized once per distinct question."""
     m = _HOW_MANY_RE.match(q)
     if m:
-        return ("count", m.group(1).strip())
+        return ("count", singularize(m.group(1)))
     m = _WHO_RE.match(q)
     if m:
         return ("who", f"{m.group(1)} the {m.group(2).strip()}")
     m = _ATTR_QUESTION_RE.match(q)
     if m:
-        return ("attribute", m.group(1), m.group(2).strip())
+        return ("attribute", m.group(1), singularize(m.group(2)))
     return ("unknown",)
+
+
+_WILDCARD_NOUNS = frozenset(("object", "thing", "item"))
+
+
+def _largest_first(pair: tuple[SceneObject, Box]) -> tuple:
+    """Sort key of a match: larger clipped area first, then the box itself."""
+    return (-box_area(pair[1]), pair[1])
 
 
 class SyntheticBackend:
@@ -93,42 +102,43 @@ class SyntheticBackend:
     Perception reads a viewport's objects from `ImageHandle.visible_objects`,
     which scans the scene once per handle and keeps the result for the
     handle's lifetime; the four questions `DETECT_SHAPE` asks of one crop
-    share one scan. What a question asks, and the singular of a noun, depend
-    on the text alone and are kept in bounded LRU caches. All of it is safe
-    to keep because handles, scenes and the cached tuples are immutable.
+    share one scan. What a question asks, with its noun already singular,
+    and the singular of any other word depend on the text alone and are
+    kept in bounded LRU caches. All of it is safe to keep because handles,
+    scenes and the cached tuples are immutable.
     """
 
-    def _matching(self, image: ImageHandle, name: str) -> list[tuple[SceneObject, Box]]:
-        wanted = singularize(name)
-        wildcard = wanted in ("object", "thing", "item")
-        out = []
-        for obj, clipped in image.visible_objects():
-            if wildcard or singularize(obj.name) == wanted:
-                out.append((obj, clipped))
-        return out
+    def _matching(self, image: ImageHandle, wanted: str):
+        """The visible (object, clipped box) pairs, in scan order, that the
+        singular noun `wanted` names; "object", "thing" and "item" name all."""
+        visible = image.visible_objects()
+        if wanted in _WILDCARD_NOUNS:
+            return visible
+        return [pair for pair in visible if singularize(pair[0].name) == wanted]
 
     def locate(self, image: ImageHandle, name: str) -> list[Box]:
         if not name:
             return []
-        found = self._matching(image, name)
-        found.sort(key=lambda pair: (-box_area(pair[1]), pair[1]))
+        found = sorted(self._matching(image, singularize(name)), key=_largest_first)
         return [image.to_relative(clipped) for _, clipped in found]
 
     def answer_question(self, image: ImageHandle, question: str) -> str:
         form = _question_form(question.lower().strip().rstrip("?").strip())
-        if form[0] == "count":
+        kind = form[0]
+        if kind == "count":
             return str(len(self._matching(image, form[1])))
-        if form[0] == "who":
+        if kind == "who":
             for obj, _ in image.visible_objects():
                 if any(t.lower() == form[1] for t in obj.tags):
                     return obj.name.lower()
             return "unknown"
-        if form[0] == "attribute":
+        if kind == "attribute":
             found = self._matching(image, form[2])
             if not found:
                 return "unknown"
-            found.sort(key=lambda pair: (-box_area(pair[1]), pair[1]))
-            return found[0][0].attributes.get(form[1], "unknown").lower()
+            # `min` returns the first of equal keys, as a stable sort puts first
+            obj = found[0][0] if len(found) == 1 else min(found, key=_largest_first)[0]
+            return obj.attributes.get(form[1], "unknown").lower()
         return "unknown"
 
     def score_alignment(self, image: ImageHandle, texts: list[str]) -> list[float]:

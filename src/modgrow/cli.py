@@ -178,6 +178,8 @@ def cmd_run(args) -> int:
     except DslSyntaxError as exc:
         diagnostics = exc.diagnostics
     if diagnostics:
+        if args.trace:  # nothing ran, so no trace of an earlier run may stay
+            Path(args.trace).unlink(missing_ok=True)
         for diag in diagnostics:
             print(f"line {diag.line_no}: {diag.code}: {diag.message}", file=sys.stderr)
         return 1

@@ -271,8 +271,9 @@ def evaluate(
 # ---------------------------------------------------------------------------
 
 
-# a cell's library variant ("wo-ml" or "full") and a full library's train size
+# a cell's library variant and a full library's train size
 GRID_KEYS = ("library", "train_size")
+LIBRARY_VARIANTS = ("full", "wo-ml")
 
 
 @dataclass
@@ -320,8 +321,8 @@ def run_ablation(
     """One evaluate() per grid cell; cells name a library variant and train size.
 
     Raises `EmptyGridError` for a grid without cells and `ValueError` for a
-    cell that is not a mapping or sets a key other than those two, before
-    any cell runs."""
+    cell that is not a mapping, sets a key other than those two or names a
+    library variant other than "full" and "wo-ml", before any cell runs."""
     if not grid:
         raise EmptyGridError("ablation grid has no cells")
     if not all(isinstance(cell, dict) for cell in grid):
@@ -330,6 +331,10 @@ def run_ablation(
     if unknown:
         raise ValueError(f"unknown ablation cell key {', '.join(map(repr, unknown))}; "
                          f"known keys: {', '.join(GRID_KEYS)}")
+    unknown = [cell["library"] for cell in grid if cell.get("library", "full") not in LIBRARY_VARIANTS]
+    if unknown:
+        raise ValueError(f"unknown ablation library {unknown[0]!r}; "
+                         f"known values: {', '.join(LIBRARY_VARIANTS)}")
     rows: list[AblationRow] = []
     sized_accuracy: list[tuple[int, float]] = []
     for cell in grid:

@@ -224,6 +224,8 @@ class ExecutionRegistry:
         self.limits = limits or Limits()
         self.overlay = dict(overlay or {})  # name -> CandidateHandle
         self._handles: dict[str, object] = {}
+        # name -> (loaded handle, signature), looked up on the first call
+        self._loaded: dict[str, tuple] = {}
         # the library's signatures, then those of overlay names it lacks
         self._signatures = tuple(signatures(lib)) + tuple(
             handle.signature for name, handle in self.overlay.items()
@@ -249,11 +251,14 @@ class ExecutionRegistry:
         return self._handles[name]
 
     def invoke_generated(self, name: str, resolved_args: dict, backend):
-        handle = self._handle_for(name)
-        if handle.load_state != "loaded":
-            err = handle.error or CapturedError("compile", "candidate failed to load")
-            raise ExecutorRuntimeError("sandbox", err.render(), err)
-        sig = self._signature_for(name)
+        entry = self._loaded.get(name)
+        if entry is None:
+            handle = self._handle_for(name)
+            if handle.load_state != "loaded":
+                err = handle.error or CapturedError("compile", "candidate failed to load")
+                raise ExecutorRuntimeError("sandbox", err.render(), err)
+            entry = self._loaded[name] = (handle, self._signature_for(name))
+        handle, sig = entry
         ordered = []
         for pname, _ in sig.params:
             if pname not in resolved_args:

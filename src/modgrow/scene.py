@@ -78,8 +78,9 @@ def _singular(w: str) -> str:
 def is_valid_box(box, width: int | None = None, height: int | None = None) -> bool:
     if not (isinstance(box, (list, tuple)) and len(box) == 4):
         return False
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in box):
-        return False
+    for v in box:
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            return False
     x1, y1, x2, y2 = box
     if not (x1 < x2 and y1 < y2):
         return False
@@ -159,7 +160,11 @@ class SceneGraph:
 def load_scene(document: str | dict) -> SceneGraph:
     """Parse and validate a scene document (JSON text or already-decoded dict).
 
-    Raises SceneSchemaError naming the first violating field.
+    Raises SceneSchemaError naming the first violating field. Each object is
+    checked field by field in document order, in one pass that also builds
+    its values: a message's `objects[i]` prefix is formatted only when a
+    check fails, and the attribute dict built here becomes the object's
+    read-only view without a second copy, since no caller holds it.
     """
     if isinstance(document, str):
         try:
@@ -184,45 +189,51 @@ def load_scene(document: str | dict) -> SceneGraph:
     seen_ids: set[str] = set()
     objects: list[SceneObject] = []
     for i, raw in enumerate(raw_objects):
-        where = f"objects[{i}]"
         if not isinstance(raw, dict):
-            raise SceneSchemaError(f"{where}: expected an object")
+            raise SceneSchemaError(f"objects[{i}]: expected an object")
         oid = raw.get("id")
         if not isinstance(oid, str) or not oid:
-            raise SceneSchemaError(f"{where}.id: must be a nonempty string")
+            raise SceneSchemaError(f"objects[{i}].id: must be a nonempty string")
         if oid in seen_ids:
-            raise SceneSchemaError(f"{where}.id: duplicate object id {oid!r}")
+            raise SceneSchemaError(f"objects[{i}].id: duplicate object id {oid!r}")
         seen_ids.add(oid)
         name = raw.get("name")
         if not isinstance(name, str) or not name:
-            raise SceneSchemaError(f"{where}.name: must be a nonempty string")
+            raise SceneSchemaError(f"objects[{i}].name: must be a nonempty string")
         box = raw.get("box")
         if not is_valid_box(box, width, height):
             raise SceneSchemaError(
-                f"{where}.box: must be [x1,y1,x2,y2] with x1<x2, y1<y2 inside image bounds"
+                f"objects[{i}].box: must be [x1,y1,x2,y2] with x1<x2, y1<y2 inside image bounds"
             )
-        attributes = raw.get("attributes", {})
-        if not isinstance(attributes, dict):
-            raise SceneSchemaError(f"{where}.attributes: must be a mapping")
-        for key in attributes:
+        x1, y1, x2, y2 = box
+        raw_attributes = raw.get("attributes", {})
+        if not isinstance(raw_attributes, dict):
+            raise SceneSchemaError(f"objects[{i}].attributes: must be a mapping")
+        attributes = {}
+        for key, value in raw_attributes.items():
             if not isinstance(key, str) or key != key.lower():
-                raise SceneSchemaError(f"{where}.attributes: keys must be lowercase strings")
+                raise SceneSchemaError(f"objects[{i}].attributes: keys must be lowercase strings")
+            attributes[key] = str(value)
         depth = raw.get("depth", 1.0)
         if not isinstance(depth, (int, float)) or not (0.0 < float(depth) <= 1.0):
-            raise SceneSchemaError(f"{where}.depth: must be a float in (0, 1]")
+            raise SceneSchemaError(f"objects[{i}].depth: must be a float in (0, 1]")
         tags = raw.get("tags", [])
         if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
-            raise SceneSchemaError(f"{where}.tags: must be a list of strings")
-        objects.append(
-            SceneObject(
-                id=oid,
-                name=name,
-                box=tuple(int(v) for v in box),
-                attributes={k: str(v) for k, v in attributes.items()},
-                depth=float(depth),
-                tags=tuple(tags),
-            )
-        )
+            raise SceneSchemaError(f"objects[{i}].tags: must be a list of strings")
+        # the fields `SceneObject.__init__` sets, without the copy its
+        # `__post_init__` makes of a dict a caller may still hold; set one by
+        # one in field order, so the instance dict keeps sharing its keys
+        # with other objects' (`__dict__.update` would make each one a
+        # separate table, about 200 bytes more per object)
+        obj = object.__new__(SceneObject)
+        fields = obj.__dict__
+        fields["id"] = oid
+        fields["name"] = name
+        fields["box"] = (int(x1), int(y1), int(x2), int(y2))
+        fields["attributes"] = MappingProxyType(attributes)
+        fields["depth"] = float(depth)
+        fields["tags"] = tuple(tags)
+        objects.append(obj)
     return SceneGraph(width=width, height=height, objects=tuple(objects), caption=caption)
 
 

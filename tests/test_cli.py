@@ -191,6 +191,10 @@ def test_eval_ablation_in_record_mode(tmp_path, monkeypatch, capsys):
     ([{"train_size": 4}, {"train_size": 4, "model_id": "other"}],
      "unknown ablation cell key 'model_id'; known keys: library, train_size"),
     ([{"train_size": 4}, "full"], "each ablation cell must be an object"),
+    ([{"train_size": 4}, {"library": "wo_ml"}],
+     "unknown ablation library 'wo_ml'; known values: full, wo-ml"),
+    ([{"library": "full"}, {"library": None, "train_size": 4}],
+     "unknown ablation library None; known values: full, wo-ml"),
 ])
 def test_eval_ablation_refuses_a_bad_cell_before_any_model_call(tmp_path, monkeypatch, capsys, cells, message):
     train, test, calls = ablation_splits(tmp_path, monkeypatch)

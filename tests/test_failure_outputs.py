@@ -100,6 +100,23 @@ def test_run_lists_every_diagnostic_and_runs_nothing(run, program, err):
     assert run(program) == (1, "", err, None)
 
 
+@pytest.mark.parametrize("program", [UNPARSEABLE, INVALID])
+def test_run_that_runs_nothing_leaves_no_earlier_trace(tmp_path, program):
+    """A trace file means the program ran: one left by an earlier run goes."""
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(make_scene(obj("c", "coat", (200, 150, 380, 330))).to_doc()),
+                     encoding="utf-8")
+    trace = tmp_path / "trace.jsonl"
+    argv = ["run", "--scene", str(scene), "--trace", str(trace), "--question", "What color is the coat?"]
+    answered = "ANSWER0=VQA(image=IMAGE,question=QUESTION)\nFINAL_RESULT=RESULT(var=ANSWER0)"
+    assert cli.main([*argv, "--program", answered]) == 0
+    assert len(trace.read_text(encoding="utf-8").splitlines()) == 2
+    assert cli.main([*argv, "--program", program]) == 1
+    assert not trace.exists()
+    assert cli.main([*argv, "--program", program]) == 1  # and with no file there
+    assert not trace.exists()
+
+
 def test_run_reports_a_runtime_error_with_the_partial_trace(run):
     code, out, err, lines = run(FAILING)
     assert (code, out, err) == (1, "", "line 2: RUNTIME_ERROR(type): unknown spatial location 'middle'\n")

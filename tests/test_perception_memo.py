@@ -3,10 +3,11 @@
 `reference_visible_objects`, `reference_matching`, `reference_answer_question`
 and `reference_singularize` are `ImageHandle.visible_objects`,
 `SyntheticBackend._matching`, `SyntheticBackend.answer_question` and
-`scene.singularize` as they were before a handle kept its scan and the
-question and noun parsers were cached; `locate`, `score_alignment` and
-`depth_of` are rebuilt on them. Every answer of the memoized backend must
-equal theirs, also when a handle is asked again.
+`scene.singularize` as they were before a handle kept its scan, the
+question and noun parsers were cached and the question cache kept each
+question's noun singular; `locate`, `score_alignment` and `depth_of` are
+rebuilt on them. Every answer of the memoized backend must equal theirs, also
+when a handle is asked again.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from modgrow.scene import (
     intersect_boxes,
     singularize,
 )
+
+from conftest import make_scene, obj
 
 TASKS = ("vqa", "grounding", "tagging", "editing", "raven", "mewl-analog")
 
@@ -211,6 +214,70 @@ def test_memoized_perception_matches_reference(task):
                 checked += 1
     assert checked >= 6 * 12
     assert len(answers) > 4  # counts and attributes, not only "unknown"
+
+
+def tied_scene() -> SceneGraph:
+    """Boxes, knives and people, with matches that tie by area: two boxes of
+    equal area, two knives with the same box, and a person whose box the
+    image edge clips to the area of the other person's."""
+    return make_scene(
+        obj("b1", "box", (10, 10, 50, 50), color="red", material="wood"),
+        obj("b2", "box", (100, 10, 120, 90), color="blue", material="metal"),
+        obj("k1", "knife", (200, 200, 240, 260), color="gray"),
+        obj("k2", "knife", (200, 200, 240, 260), color="black", size="large"),
+        obj("p1", "person", (600, 300, 700, 400), color="green"),
+        obj("p2", "person", (300, 300, 340, 400), color="yellow", tags=("holding the knife",)),
+        obj("g", "glass", (400, 20, 440, 60), color="white"),
+        obj("s", "sandwich", (450, 20, 500, 60), color="brown"),
+    )
+
+
+PLURAL_AND_WILDCARD_NOUNS = [
+    "box", "boxes", "Boxes", "knife", "knives", "KNIVES", "person", "people", "persons",
+    "glass", "glasses", "sandwich", "sandwiches", "object", "objects", "things", "items",
+    "Things", "item", "thing", "coat", "coats", "man", "men",
+]
+
+
+def test_plural_wildcard_and_tied_matches_match_reference():
+    backend = SyntheticBackend()
+    full = ImageHandle.of_scene(tied_scene())
+    handles = [full, full.crop((0, 0, 640, 480)), full.crop((0, 0, 210, 240)),
+               full.crop((90, 0, 645, 380)), full.crop((305, 300, 640, 480))]
+    questions = []
+    for noun in PLURAL_AND_WILDCARD_NOUNS:
+        questions += [f"How many {noun} are there?", f"how many {noun}", f"How many {noun} is in the image?"]
+        questions += [f"What {attr} is the {noun}?" for attr in ATTRIBUTE_LEXICON]
+        questions += [f"What material is the {noun} made of?", f"what color is the  {noun} ?"]
+    answers = set()
+    for image in handles:
+        for _ in range(2):
+            for question in questions:
+                answer = backend.answer_question(image, question)
+                assert answer == reference_answer_question(image, question), question
+                answers.add(answer)
+            for noun in PLURAL_AND_WILDCARD_NOUNS:
+                assert backend.locate(image, noun) == reference_locate(image, noun), noun
+    # equal areas fall to the smaller box, and equal boxes to the first object
+    assert backend.answer_question(full, "What color is the boxes?") == "red"
+    assert backend.answer_question(full, "What color is the people?") == "yellow"
+    assert backend.answer_question(full, "What color is the knives?") == "gray"
+    assert backend.answer_question(full, "What size is the knives?") == "unknown"
+    assert backend.answer_question(full.crop((0, 0, 640, 480)), "How many people are there?") == "2"
+    assert {"2", "8", "red", "gray", "unknown"} <= answers
+
+
+@pytest.mark.parametrize("question, error", [
+    (5, AttributeError), (None, AttributeError), (["How many objects are there?"], AttributeError),
+    (b"how many objects", TypeError),  # bytes have `lower`, but not `rstrip("?")`
+])
+def test_a_question_that_is_not_a_string_fails_as_before(question, error):
+    image = ImageHandle.of_scene(tied_scene())
+    with pytest.raises(error) as expected:
+        reference_answer_question(image, question)
+    with pytest.raises(error) as actual:
+        SyntheticBackend().answer_question(image, question)
+    assert str(actual.value) == str(expected.value)
 
 
 def test_singularize_matches_reference():
