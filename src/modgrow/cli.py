@@ -124,7 +124,10 @@ def cmd_eval(args) -> int:
 
     if args.ablation:
         try:
-            grid = json.loads(Path(args.ablation).read_text(encoding="utf-8"))["cells"]
+            doc = json.loads(Path(args.ablation).read_text(encoding="utf-8"))
+            grid = doc.get("cells") if isinstance(doc, dict) else None
+            if not isinstance(grid, list):
+                raise ValueError('an ablation grid is an object whose "cells" is a list')
             train = ds.load_dataset(args.train_dataset) if args.train_dataset else []
             cfg = _config_from_args(args)
             with gateway:

@@ -13,12 +13,20 @@ references, and f"..." expression templates with {VAR} placeholders. Blanks
 and tabs are allowed between tokens; the serializer emits none (no spaces
 outside string payloads), and its canonical form round-trips through the
 parser.
+
+`parse_program` keeps the parses of the last 1,024 distinct program texts it
+was given, so a text that comes back (the same question form asked of many
+images, or one candidate's program over all its test cases) is parsed once.
+Sharing a parse is safe because `Program`, `Statement` and `Arg` are frozen
+and hold only tuples, strings and numbers. A text that does not parse is not
+kept, and raises afresh on every call.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import DslSyntaxError, SignatureParseError
 from .values import tags_compatible
@@ -280,10 +288,17 @@ def parse_program(source: str) -> Program:
 
     Blank lines are ignored but counted for line numbers. Structural rules
     (RESULT terminator, reference resolution, assign-once) are checked by
-    validate_program, not here.
+    validate_program, not here. The Program of each of the last 1,024
+    distinct texts is kept and returned again for the same text; callers
+    share it, which its frozen classes make safe.
     """
     if not source or not source.strip():
         raise DslSyntaxError([Diagnostic("SYNTAX", "empty program", 1)])
+    return _parse_program(source)
+
+
+@lru_cache(maxsize=1024)
+def _parse_program(source: str) -> Program:
     statements: list[Statement] = []
     diagnostics: list[Diagnostic] = []
     for i, line in enumerate(source.split("\n"), start=1):
@@ -328,16 +343,6 @@ def serialize_statement(st: Statement) -> str:
 def serialize_program(program: Program) -> str:
     """Canonical text: one statement per line, no incidental whitespace."""
     return "\n".join(serialize_statement(s) for s in program.statements)
-
-
-def programs_equal(a: Program, b: Program) -> bool:
-    """Structural equality, ignoring the original source text."""
-    if len(a.statements) != len(b.statements):
-        return False
-    for sa, sb in zip(a.statements, b.statements):
-        if (sa.target, sa.module_name, sa.args) != (sb.target, sb.module_name, sb.args):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -476,20 +481,6 @@ def _check_arg(st: Statement, pname: str, arg: Arg, declared: str, bound) -> lis
             )
         )
     return diags
-
-
-def check_program(
-    source: str,
-    known_signatures,
-    initial_bindings=None,
-    require_result: bool = True,
-) -> list[Diagnostic]:
-    """Parse-then-validate convenience; syntax failures become diagnostics."""
-    try:
-        program = parse_program(source)
-    except DslSyntaxError as exc:
-        return list(exc.diagnostics)
-    return validate_program(program, known_signatures, initial_bindings, require_result)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ import json
 import logging
 import os
 import re
-import threading
 import time
 import urllib.error
 import urllib.request
@@ -271,7 +270,6 @@ class LlmGateway:
     The cache key is a pure function of (prompt, model_id, temperature,
     max_tokens, stop); repeated sampling of one prompt therefore appends
     multiple records under one key, and replay serves them in call order.
-    Identical in-flight requests are single-flighted in live/record modes.
     A record-mode gateway holds its cache file open once it has appended;
     close it with `close` or by using it as a context manager.
     """
@@ -284,8 +282,6 @@ class LlmGateway:
         self.transport = transport or http_transport
         self._cache: dict[str, list[str]] = {}
         self._cursors: dict[str, int] = {}
-        self._lock = threading.Lock()
-        self._inflight: dict[str, threading.Lock] = {}
         if cache_path and os.path.exists(cache_path):
             self._cache = load_responses(cache_path)
         self._writer = CacheWriter(cache_path) if mode == "record" and cache_path else None
@@ -302,8 +298,7 @@ class LlmGateway:
         self.close()
 
     def reset_replay_cursors(self) -> None:
-        with self._lock:
-            self._cursors = {}
+        self._cursors = {}
 
     def _append_record(self, key: str, req: CompletionRequest, response: str) -> None:
         record = {
@@ -322,33 +317,27 @@ class LlmGateway:
         if key is None:
             key = cache_key(req)
         if self.mode == "replay":
-            with self._lock:
-                responses = self._cache.get(key)
-                if not responses:
-                    raise CacheMissError(f"no recorded response for request {key[:12]}…")
-                cursor = self._cursors.get(key, 0)
-                # repeated identical requests replay the recorded sequence,
-                # then stick on the final response
-                response = responses[min(cursor, len(responses) - 1)]
-                self._cursors[key] = cursor + 1
+            responses = self._cache.get(key)
+            if not responses:
+                raise CacheMissError(f"no recorded response for request {key[:12]}…")
+            cursor = self._cursors.get(key, 0)
+            # repeated identical requests replay the recorded sequence,
+            # then stick on the final response
+            response = responses[min(cursor, len(responses) - 1)]
+            self._cursors[key] = cursor + 1
             return response
 
-        with self._lock:
-            gate = self._inflight.setdefault(key, threading.Lock())
-        with gate:
-            if self.mode == "record":
-                with self._lock:
-                    cursor = self._cursors.get(key, 0)
-                    cached = self._cache.get(key, [])
-                    if cursor < len(cached):
-                        self._cursors[key] = cursor + 1
-                        return cached[cursor]
-            response = self.transport(req)
-            if self.mode == "record":
-                with self._lock:
-                    self._append_record(key, req, response)
-                    self._cursors[key] = self._cursors.get(key, 0) + 1
-            return response
+        if self.mode == "record":
+            cursor = self._cursors.get(key, 0)
+            cached = self._cache.get(key, [])
+            if cursor < len(cached):
+                self._cursors[key] = cursor + 1
+                return cached[cursor]
+        response = self.transport(req)
+        if self.mode == "record":
+            self._append_record(key, req, response)
+            self._cursors[key] = self._cursors.get(key, 0) + 1
+        return response
 
 
 # ---------------------------------------------------------------------------

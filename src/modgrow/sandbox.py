@@ -425,7 +425,3 @@ def invoke_candidate(handle: CandidateHandle, args, backend, limits: Limits | No
         return V.infer_value(raw)
     except TypeError as exc:
         return CapturedError("wrong_output", str(exc), actual=f"<{type(raw).__name__}>")
-
-
-def is_error(result) -> bool:
-    return isinstance(result, CapturedError)

@@ -195,11 +195,14 @@ def test_eval_ablation_in_record_mode(tmp_path, monkeypatch, capsys):
      "unknown ablation library 'wo_ml'; known values: full, wo-ml"),
     ([{"library": "full"}, {"library": None, "train_size": 4}],
      "unknown ablation library None; known values: full, wo-ml"),
+    # a string is the whole grid file, not its cells
+    ('[{"train_size": 4}]', 'an ablation grid is an object whose "cells" is a list'),
+    ('{"cells": 5}', 'an ablation grid is an object whose "cells" is a list'),
 ])
 def test_eval_ablation_refuses_a_bad_cell_before_any_model_call(tmp_path, monkeypatch, capsys, cells, message):
     train, test, calls = ablation_splits(tmp_path, monkeypatch)
     grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps({"cells": cells}), encoding="utf-8")
+    grid.write_text(cells if isinstance(cells, str) else json.dumps({"cells": cells}), encoding="utf-8")
     argv = ["eval", "--mode", "record", "--cache", str(tmp_path / "cache.jsonl"), "--dataset", str(test),
             "--ablation", str(grid), "--train-dataset", str(train)]
     assert cli.main(argv) == 2

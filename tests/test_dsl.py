@@ -74,6 +74,27 @@ class TestParse:
         with pytest.raises(DslSyntaxError):
             dsl.parse_program("   \n  ")
 
+    def test_a_text_parsed_again_gives_an_equal_program(self):
+        first = dsl.parse_program(PURSE_PROGRAM)
+        again = dsl.parse_program(PURSE_PROGRAM)
+        assert again == first
+        assert [dsl.serialize_statement(s) for s in again.statements] == PURSE_PROGRAM.split("\n")
+
+    @pytest.mark.parametrize("text", [
+        "BOX0=LOC(image=IMAGE\nFINAL_RESULT=RESULT(var=BOX0)\nANSWER0=COUNT(box=)",
+        "",
+        "   \n  ",
+    ])
+    def test_a_text_that_does_not_parse_raises_on_every_call(self, text):
+        raised = []
+        for _ in range(3):
+            with pytest.raises(DslSyntaxError) as err:
+                dsl.parse_program(text)
+            raised.append(err.value)
+        assert raised[0] is not raised[1] is not raised[2]
+        assert raised[0].diagnostics == raised[1].diagnostics == raised[2].diagnostics
+        assert str(raised[0]) == str(raised[1]) == str(raised[2])
+
     def test_duplicate_keyword_rejected(self):
         with pytest.raises(DslSyntaxError):
             dsl.parse_program("BOX0=LOC(image=IMAGE,image=IMAGE)")
@@ -99,7 +120,7 @@ class TestSerialize:
     def test_reparse_structural_equality(self):
         program = dsl.parse_program(PURSE_PROGRAM)
         again = dsl.parse_program(dsl.serialize_program(program))
-        assert dsl.programs_equal(program, again)
+        assert again.statements == program.statements
 
     def test_minimal_exact(self):
         text = "FINAL_RESULT=RESULT(var=ANSWER0)"
@@ -110,12 +131,14 @@ class TestValidate:
     def test_corpus_validates_clean(self):
         sigs = corpus_signatures()
         for name, text, full, bindings in CORPUS:
-            diags = dsl.check_program(text, sigs, bindings, require_result=full)
+            diags = dsl.validate_program(dsl.parse_program(text), sigs, bindings, require_result=full)
             assert diags == [], (name, diags)
 
     def test_unknown_module_flagged(self, builtin_lib):
-        diags = dsl.check_program(
-            "FLAG0=COMPARE_SIZE(image=IMAGE,box0=BOX0,box1=BOX0)\nFINAL_RESULT=RESULT(var=FLAG0)",
+        diags = dsl.validate_program(
+            dsl.parse_program(
+                "FLAG0=COMPARE_SIZE(image=IMAGE,box0=BOX0,box1=BOX0)\nFINAL_RESULT=RESULT(var=FLAG0)"
+            ),
             signatures(builtin_lib),
             {"IMAGE": "image", "BOX0": "box-list"},
         )
@@ -123,13 +146,13 @@ class TestValidate:
         assert diags[0].line_no == 1
 
     def test_undefined_var_and_missing_result(self, builtin_lib):
-        diags = dsl.check_program("ANSWER0=COUNT(box=BOX9)", signatures(builtin_lib), {})
+        diags = dsl.validate_program(dsl.parse_program("ANSWER0=COUNT(box=BOX9)"), signatures(builtin_lib), {})
         codes = {d.code for d in diags}
         assert codes == {"UNDEFINED_VAR", "MISSING_RESULT"}
 
     def test_misspelled_keyword_is_arity_mismatch(self, builtin_lib):
-        diags = dsl.check_program(
-            "BOX0=LOC(image=IMAGE,objct='cat')\nFINAL_RESULT=RESULT(var=BOX0)",
+        diags = dsl.validate_program(
+            dsl.parse_program("BOX0=LOC(image=IMAGE,objct='cat')\nFINAL_RESULT=RESULT(var=BOX0)"),
             signatures(builtin_lib),
             {"IMAGE": "image"},
         )
@@ -137,25 +160,27 @@ class TestValidate:
         assert "ARITY_MISMATCH" in codes  # unknown objct and missing object
 
     def test_reassignment_flagged(self, builtin_lib):
-        diags = dsl.check_program(
-            "BOX0=LOC(image=IMAGE,object='cat')\nBOX0=LOC(image=IMAGE,object='dog')\n"
-            "FINAL_RESULT=RESULT(var=BOX0)",
+        diags = dsl.validate_program(
+            dsl.parse_program(
+                "BOX0=LOC(image=IMAGE,object='cat')\nBOX0=LOC(image=IMAGE,object='dog')\n"
+                "FINAL_RESULT=RESULT(var=BOX0)"
+            ),
             signatures(builtin_lib),
             {"IMAGE": "image"},
         )
         assert any(d.code == "REASSIGNMENT" and d.line_no == 2 for d in diags)
 
     def test_type_mismatch_flagged(self, builtin_lib):
-        diags = dsl.check_program(
-            "ANSWER0=COUNT(box='cat')\nFINAL_RESULT=RESULT(var=ANSWER0)",
+        diags = dsl.validate_program(
+            dsl.parse_program("ANSWER0=COUNT(box='cat')\nFINAL_RESULT=RESULT(var=ANSWER0)"),
             signatures(builtin_lib),
             {},
         )
         assert any(d.code == "TYPE_MISMATCH" for d in diags)
 
     def test_template_on_non_template_param(self, builtin_lib):
-        diags = dsl.check_program(
-            'BOX0=LOC(image=IMAGE,object=f"{IMAGE}")\nFINAL_RESULT=RESULT(var=BOX0)',
+        diags = dsl.validate_program(
+            dsl.parse_program('BOX0=LOC(image=IMAGE,object=f"{IMAGE}")\nFINAL_RESULT=RESULT(var=BOX0)'),
             signatures(builtin_lib),
             {"IMAGE": "image"},
         )
@@ -250,7 +275,7 @@ def _program(draw):
 def test_round_trip_property(program):
     text = dsl.serialize_program(program)
     parsed = dsl.parse_program(text)
-    assert dsl.programs_equal(parsed, program)
+    assert parsed.statements == program.statements
     assert dsl.serialize_program(parsed) == text
 
 

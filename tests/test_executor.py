@@ -339,6 +339,18 @@ class TestRunProgram:
         assert result.error.kind == "validation"
         assert [d.code for d in result.diagnostics] == ["TYPE_MISMATCH"]
 
+    def test_one_text_validates_against_the_bindings_of_each_run(self, builtin_lib, backend, coat_image):
+        source = "ANSWER0=VQA(image=IMAGE,question=QUESTION)\nFINAL_RESULT=RESULT(var=ANSWER0)"
+        registry = ExecutionRegistry(builtin_lib)
+        runs = [
+            run_program(source, Environment({"IMAGE": V.image(coat_image), "QUESTION": question}),
+                        registry, backend)
+            for question in (V.text("what is the coat made of?"), V.number(3), V.text("what color?"))
+        ]
+        assert [r.status for r in runs] == ["ok", "error", "ok"]
+        assert runs[1].error.kind == "validation"
+        assert [d.code for d in runs[1].diagnostics] == ["TYPE_MISMATCH"]
+
     def test_a_line_that_does_not_parse_raises(self, builtin_lib, backend, coat_image):
         with pytest.raises(DslSyntaxError, match="line 2: "):
             run_program("FINAL_RESULT=RESULT(var=IMAGE)\nnot a statement",

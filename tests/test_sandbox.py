@@ -10,7 +10,6 @@ from modgrow.sandbox import (
     CapturedError,
     Limits,
     invoke_candidate,
-    is_error,
     load_candidate,
 )
 from modgrow.scene import ImageHandle
@@ -192,13 +191,13 @@ class TestInvoke:
         source = simple_source("while True:\n    pass")
         handle = load_candidate(source, signature=sig_of(source))
         out = invoke_candidate(handle, [probe_image], backend, Limits(wall_time_ms=150))
-        assert is_error(out) and out.kind == "timeout"
+        assert isinstance(out, CapturedError) and out.kind == "timeout"
 
     def test_one_line_loop_times_out(self, backend, probe_image):
         source = simple_source("while True: pass")
         handle = load_candidate(source, signature=sig_of(source))
         out = invoke_candidate(handle, [probe_image], backend, Limits(wall_time_ms=100))
-        assert is_error(out) and out.kind == "timeout"
+        assert isinstance(out, CapturedError) and out.kind == "timeout"
 
     @pytest.mark.parametrize("body", [
         "return str(len([i for i in range(10**9)]))",
@@ -212,7 +211,7 @@ class TestInvoke:
         source = simple_source(body)
         handle = load_candidate(source, signature=sig_of(source))
         out = invoke_candidate(handle, [probe_image], backend, Limits(wall_time_ms=60_000, max_steps=5000))
-        assert is_error(out) and out.kind == "timeout"
+        assert isinstance(out, CapturedError) and out.kind == "timeout"
 
     def test_caller_tracer_stays_installed(self, backend, probe_image):
         source = simple_source("return 'x'")
@@ -237,13 +236,13 @@ class TestInvoke:
         source = simple_source("n = 0\nfor i in range(10**9):\n    n = n + 1\nreturn 'x'")
         handle = load_candidate(source, signature=sig_of(source))
         out = invoke_candidate(handle, [probe_image], backend, Limits(wall_time_ms=60_000, max_steps=5000))
-        assert is_error(out) and out.kind == "timeout"
+        assert isinstance(out, CapturedError) and out.kind == "timeout"
 
     def test_wrong_output_tag(self, backend, probe_image):
         source = simple_source("return img")  # image where the signature says string
         handle = load_candidate(source, signature=sig_of(source))
         out = invoke_candidate(handle, [probe_image], backend)
-        assert is_error(out) and out.kind == "wrong_output"
+        assert isinstance(out, CapturedError) and out.kind == "wrong_output"
         assert out.expected == "text"
         assert "image" in out.actual
 
@@ -267,13 +266,13 @@ class TestInvoke:
         )
         handle = load_candidate(source, signature=sig_of(source))
         out = invoke_candidate(handle, [probe_image], backend)
-        assert is_error(out) and out.kind == "forbidden_access"
+        assert isinstance(out, CapturedError) and out.kind == "forbidden_access"
 
     def test_forbidden_survives_bare_except(self, backend, probe_image):
         source = simple_source("try:\n    open('/etc/passwd')\nexcept:\n    pass\nreturn 'clean'")
         handle = load_candidate(source, signature=sig_of(source))
         out = invoke_candidate(handle, [probe_image], backend)
-        assert is_error(out) and out.kind == "forbidden_access"
+        assert isinstance(out, CapturedError) and out.kind == "forbidden_access"
         assert "open" in out.message
         assert out.location == source.split("\n").index("            open('/etc/passwd')") + 1
         # the attempt belongs to that call only
@@ -296,7 +295,7 @@ class TestInvoke:
         handle = load_candidate(source, signature=sig_of(source))
         for _ in range(2):
             out = invoke_candidate(handle, [probe_image], backend)
-            assert is_error(out) and out.kind == "runtime"
+            assert isinstance(out, CapturedError) and out.kind == "runtime"
             assert "does not support item assignment" in out.message
         assert probe_image.scene.objects[0].attributes == {"color": "black"}
 
@@ -316,7 +315,7 @@ class TestInvoke:
         source = simple_source(f"seen = img.visible_objects()\n{write}\nreturn 'written'")
         handle = load_candidate(source, signature=sig_of(source))
         out = invoke_candidate(handle, [probe_image], backend)
-        assert is_error(out) and out.kind == "runtime" and message in out.message
+        assert isinstance(out, CapturedError) and out.kind == "runtime" and message in out.message
         assert invoke_candidate(asker, [probe_image], backend).payload == "1"
         assert [o.id for o, _ in probe_image.visible_objects()] == ["c"]
 
@@ -353,7 +352,7 @@ class TestInvoke:
         source = simple_source("return API.open_file(img)")
         handle = load_candidate(source, signature=sig_of(source))
         out = invoke_candidate(handle, [probe_image], backend)
-        assert is_error(out) and out.kind == "runtime"
+        assert isinstance(out, CapturedError) and out.kind == "runtime"
         assert "open_file" in out.message
 
     def test_error_messages_render_for_repair_prompts(self):
