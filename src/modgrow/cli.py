@@ -20,7 +20,7 @@ from pathlib import Path
 from . import values as V
 from .backends import SyntheticBackend
 from .cache import read_records, whole_request
-from .errors import DslSyntaxError, ModgrowError
+from .errors import ModgrowError
 from .executor import Environment, run_program, trace_to_jsonl
 from .gateway import LlmGateway, doc_key
 from .harness import datasets as ds
@@ -37,9 +37,9 @@ def _gateway_from_args(args) -> LlmGateway:
     if args.mode == "replay":
         if not cache or not os.path.exists(cache):
             raise ModgrowError(f"replay mode requires an existing cache file (got {cache!r})")
-    if args.mode in ("live", "record"):
+    if args.mode == "record":
         if not os.environ.get("LLM_API_URL") or not os.environ.get("LLM_API_KEY"):
-            raise ModgrowError(f"{args.mode} mode requires LLM_API_URL and LLM_API_KEY")
+            raise ModgrowError("record mode requires LLM_API_URL and LLM_API_KEY")
     return LlmGateway(mode=args.mode, cache_path=cache)
 
 
@@ -175,24 +175,18 @@ def cmd_run(args) -> int:
                         ("INSTRUCTION", args.instruction)):
         if given is not None:
             bindings[name] = V.text(given)
-    try:
-        result = run_program(source, Environment(bindings), ExecutionRegistry(lib), SyntheticBackend())
-        diagnostics = result.diagnostics
-    except DslSyntaxError as exc:
-        diagnostics = exc.diagnostics
-    if diagnostics:
+    result = run_program(source, Environment(bindings), ExecutionRegistry(lib), SyntheticBackend())
+    if result.diagnostics:
         if args.trace:  # nothing ran, so no trace of an earlier run may stay
             Path(args.trace).unlink(missing_ok=True)
-        for diag in diagnostics:
+        for diag in result.diagnostics:
             print(f"line {diag.line_no}: {diag.code}: {diag.message}", file=sys.stderr)
         return 1
     if args.trace:
         Path(args.trace).write_text(trace_to_jsonl(result.trace) + "\n", encoding="utf-8")
-    if result.status != "ok":
-        print(
-            f"line {result.error.line_no}: RUNTIME_ERROR({result.error.kind}): {result.error.message}",
-            file=sys.stderr,
-        )
+    if result.error is not None:
+        print(f"line {result.line_no}: RUNTIME_ERROR({result.error.kind}): {result.error.message}",
+              file=sys.stderr)
         return 1
     print(V.summarize(result.final))
     return 0
@@ -279,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--mode", choices=["live", "replay", "record"], default="replay")
+        p.add_argument("--mode", choices=["replay", "record"], default="replay")
         p.add_argument("--cache", default=None)
         p.add_argument("--model", default="default-model")
         p.add_argument("--eta", type=float, default=None)

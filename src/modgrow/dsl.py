@@ -39,7 +39,7 @@ PLACEHOLDER_RE = re.compile(r"\{([A-Z][A-Z0-9_]*)\}")
 DYNAMIC_RETURN_MODULES = {"EVAL", "RESULT"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arg:
     """A single keyword-argument payload.
 
@@ -56,7 +56,7 @@ class Arg:
         return PLACEHOLDER_RE.findall(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Statement:
     target: str
     module_name: str
@@ -67,7 +67,7 @@ class Statement:
         return dict(self.args)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Program:
     statements: tuple[Statement, ...]
 

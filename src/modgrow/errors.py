@@ -1,6 +1,42 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `CapturedError`, the one
+record of a failure from the sandbox that catches it to the report that
+counts it."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+
+# every kind of failure a run records as data instead of raising
+KINDS = (
+    # the sandbox's: a generated module did not load, or failed in a call
+    "compile", "runtime", "timeout", "forbidden_access", "wrong_output",
+    # the program's: it did not validate or parse, or a statement failed
+    "validation", "syntax", "type", "template", "backend",
+    # the gateway's: no response, one without code, or a failed endpoint
+    "cache_miss", "response_parse", "endpoint",
+)
+
+
+@dataclass(frozen=True)
+class CapturedError:
+    """One failure. `location` is a line of a candidate's source; `expected`
+    and `actual` describe the value of a `wrong_output`."""
+
+    kind: str
+    message: str
+    location: int | None = None
+    expected: str | None = None
+    actual: str | None = None
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown failure kind {self.kind!r}")
+
+    def render(self) -> str:
+        where = f" (line {self.location})" if self.location else ""
+        if self.kind == "wrong_output":
+            return f"wrong_output{where}: expected {self.expected}, got {self.actual}"
+        return f"{self.kind}{where}: {self.message}"
 
 
 class ModgrowError(Exception):
@@ -38,11 +74,11 @@ class CacheMissError(ModgrowError):
 
 
 class EndpointError(ModgrowError):
-    """ENDPOINT_ERROR: live completion endpoint failed or is misconfigured."""
+    """ENDPOINT_ERROR: the completion endpoint failed or is misconfigured."""
 
 
 class AuthMissingError(ModgrowError):
-    """AUTH_MISSING: live/record mode requires an endpoint credential."""
+    """AUTH_MISSING: record mode requires an endpoint credential."""
 
 
 class MissingSlotError(ModgrowError):
@@ -91,3 +127,28 @@ class NoCasesError(ModgrowError):
 
 class EmptyGridError(ModgrowError):
     """EMPTY_GRID: an ablation grid without cells."""
+
+
+class ExecutorRuntimeError(ModgrowError):
+    """A program statement failed; `error` is its record, which for a failure
+    inside a generated module is the sandbox's own."""
+
+    def __init__(self, error: CapturedError):
+        self.error = error
+        super().__init__(error.message)
+
+
+# the kind of each gateway exception that a run records instead of raising
+FAILURE_KINDS = {
+    CacheMissError: "cache_miss", ResponseParseError: "response_parse", EndpointError: "endpoint"
+}
+# what `evaluate` records as an instance's failure; anything else propagates
+RECORDED = (ExecutorRuntimeError, *FAILURE_KINDS)
+
+
+def record_of(exc: ModgrowError) -> CapturedError:
+    """The record of an exception that `RECORDED` names."""
+    if isinstance(exc, ExecutorRuntimeError):
+        return exc.error
+    kind = next(kind for cls, kind in FAILURE_KINDS.items() if isinstance(exc, cls))
+    return CapturedError(kind, str(exc))

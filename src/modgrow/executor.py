@@ -1,10 +1,13 @@
 """Step-by-step interpreter for parsed programs.
 
 `run_program` parses, validates and executes program text; a program that
-does not validate runs nothing and fails with an error of kind `validation`.
-Each statement resolves its arguments against the environment, dispatches to
-a builtin implementation or a registered generated module, binds its target
-once, and appends a step record so every run leaves a complete trace.
+does not parse or validate runs nothing and fails with an error of kind
+`syntax` or `validation`. Each statement resolves its arguments against the
+environment, dispatches to a builtin implementation or a registered
+generated module, binds its target once, and appends a step record so every
+run leaves a complete trace. A failed statement ends the run with its
+`CapturedError`, which for a failure inside a generated module is the
+sandbox's own.
 """
 
 from __future__ import annotations
@@ -26,19 +29,13 @@ from .dsl import (
     serialize_statement,
     validate_program,
 )
-from .errors import BackendError, TemplateEvalError
+from .errors import BackendError, CapturedError, DslSyntaxError, ExecutorRuntimeError, TemplateEvalError
 from .scene import half_box
 from .values import Value
 
 
-class ExecutorRuntimeError(Exception):
-    """Internal signal carrying (kind, message) for a failed statement; a
-    sandbox failure also carries the sandbox's own CapturedError."""
-
-    def __init__(self, kind: str, message: str, captured=None):
-        self.kind = kind  # backend | sandbox | type | template
-        self.captured = captured
-        super().__init__(message)
+def _type_error(message: str) -> ExecutorRuntimeError:
+    return ExecutorRuntimeError(CapturedError("type", message))
 
 
 @dataclass
@@ -49,12 +46,12 @@ class Environment:
 
     def lookup(self, name: str) -> Value:
         if name not in self.bindings:
-            raise ExecutorRuntimeError("type", f"unbound variable {name}")
+            raise _type_error(f"unbound variable {name}")
         return self.bindings[name]
 
     def bind(self, name: str, value: Value) -> None:
         if name in self.bindings:
-            raise ExecutorRuntimeError("type", f"variable {name} already bound")
+            raise _type_error(f"variable {name} already bound")
         self.bindings[name] = value
 
 
@@ -74,20 +71,15 @@ class StepRecord:
 
 
 @dataclass(frozen=True)
-class ExecutionError:
-    line_no: int
-    kind: str  # validation | backend | sandbox | type | template
-    message: str
-    captured: object | None = None  # the sandbox's CapturedError, for kind "sandbox"
-
-
-@dataclass(frozen=True)
 class ExecutionResult:
+    """A run failed exactly when `error` is set; `line_no` is then the
+    program line of the failing statement."""
+
     final: Value | None
     trace: tuple[StepRecord, ...]
-    status: str  # ok | error
-    error: ExecutionError | None = None
-    diagnostics: tuple[Diagnostic, ...] = ()  # every one, when the error is of kind validation
+    error: CapturedError | None = None
+    line_no: int | None = None
+    diagnostics: tuple[Diagnostic, ...] = ()  # every one, when the error is of kind syntax or validation
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +226,7 @@ def expand_box(box, img_size, factor: float = EXPAND_FACTOR):
 def _expect(args: dict[str, Value], name: str, tags: tuple[str, ...]) -> Value:
     value = args[name]
     if value.tag not in tags:
-        raise ExecutorRuntimeError(
-            "type", f"argument {name!r} must be {' or '.join(tags)}, got {value.tag}"
-        )
+        raise _type_error(f"argument {name!r} must be {' or '.join(tags)}, got {value.tag}")
     return value
 
 
@@ -312,7 +302,7 @@ def _builtin_filter_spatial(args, backend):
             return cy < h / 2
         if location == "bottom":
             return cy > h / 2
-        raise ExecutorRuntimeError("type", f"unknown spatial location {location!r}")
+        raise _type_error(f"unknown spatial location {location!r}")
 
     return V.box_list([b for b in boxes if keep(b)])
 
@@ -386,11 +376,11 @@ def run_builtin(name: str, args: dict[str, Value], backend) -> Value:
     """Execute one builtin by name over already-resolved argument values."""
     impl = BUILTIN_IMPLS.get(name)
     if impl is None:
-        raise ExecutorRuntimeError("type", f"UNKNOWN_BUILTIN: {name}")
+        raise _type_error(f"UNKNOWN_BUILTIN: {name}")
     try:
         return impl(args, backend)
     except BackendError as exc:
-        raise ExecutorRuntimeError("backend", str(exc)) from exc
+        raise ExecutorRuntimeError(CapturedError("backend", str(exc))) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -405,22 +395,22 @@ def _resolve_arg(arg: Arg, env: Environment) -> Value:
         return V.number(arg.value)
     if arg.kind in ("string-literal", "identifier-constant"):
         return V.text(arg.value)
-    raise ExecutorRuntimeError("type", "template arguments are resolved by EVAL itself")
+    raise _type_error("template arguments are resolved by EVAL itself")
 
 
 def _execute_statement(st: Statement, env: Environment, registry, backend) -> tuple[Value, dict, str]:
     if st.module_name == "EVAL":
         arg = st.arg_map().get("expr")
         if arg is None:
-            raise ExecutorRuntimeError("type", "EVAL requires an expr argument")
+            raise _type_error("EVAL requires an expr argument")
         template = arg.value if arg.kind in ("template-string", "string-literal") else None
         if template is None:
-            raise ExecutorRuntimeError("type", "EVAL expr must be a template")
+            raise _type_error("EVAL expr must be a template")
         inputs = {ph: env.lookup(ph) for ph in PLACEHOLDER_RE.findall(template)}
         try:
             return eval_template(template, env), inputs, "builtin"
         except TemplateEvalError as exc:
-            raise ExecutorRuntimeError("template", str(exc)) from exc
+            raise ExecutorRuntimeError(CapturedError("template", str(exc))) from exc
 
     resolved: dict[str, Value] = {}
     for pname, arg in st.args:
@@ -428,7 +418,7 @@ def _execute_statement(st: Statement, env: Environment, registry, backend) -> tu
 
     if st.module_name == "RESULT":
         if "var" not in resolved:
-            raise ExecutorRuntimeError("type", "RESULT requires a var argument")
+            raise _type_error("RESULT requires a var argument")
         return resolved["var"], resolved, "builtin"
 
     if registry.is_generated(st.module_name):
@@ -449,12 +439,7 @@ def execute_program(program: Program, init: Environment, registry, backend) -> E
             value, inputs, kind = _execute_statement(st, env, registry, backend)
             env.bind(st.target, value)
         except ExecutorRuntimeError as exc:
-            return ExecutionResult(
-                final=None,
-                trace=tuple(trace),
-                status="error",
-                error=ExecutionError(st.line_no, exc.kind, str(exc), exc.captured),
-            )
+            return ExecutionResult(None, tuple(trace), exc.error, st.line_no)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         trace.append(
             StepRecord(
@@ -471,35 +456,34 @@ def execute_program(program: Program, init: Environment, registry, backend) -> E
     if final is None:
         last_line = program.statements[-1].line_no if program.statements else 1
         return ExecutionResult(
-            final=None,
-            trace=tuple(trace),
-            status="error",
-            error=ExecutionError(line_no=last_line, kind="type", message="no RESULT statement executed"),
+            None, tuple(trace), CapturedError("type", "no RESULT statement executed"), last_line
         )
-    return ExecutionResult(final=final, trace=tuple(trace), status="ok")
+    return ExecutionResult(final, tuple(trace))
 
 
 def run_program(source: str, init: Environment, registry, backend) -> ExecutionResult:
     """Parse `source`, validate it, and execute it if it validates.
 
-    A line that does not parse raises `DslSyntaxError`. The program is
-    checked against `registry.signatures()` and the tags of `init`'s
-    bindings; if any check fails nothing runs, and the result is an error
-    of kind `validation` whose message is the first diagnostic's code and
-    message, with an empty trace and every diagnostic kept."""
-    program = parse_program(source)
+    The program is checked against `registry.signatures()` and the tags of
+    `init`'s bindings. A program with a line that does not parse, or one
+    that fails a check, runs nothing: the result is an error of kind
+    `syntax` or `validation` whose message is the first diagnostic's code
+    and message, with an empty trace and every diagnostic kept."""
+    try:
+        program = parse_program(source)
+    except DslSyntaxError as exc:
+        return _refused("syntax", exc.diagnostics)
     tags = {name: value.tag for name, value in init.bindings.items()}
     diagnostics = validate_program(program, registry.signatures(), tags)
     if diagnostics:
-        first = diagnostics[0]
-        return ExecutionResult(
-            final=None,
-            trace=(),
-            status="error",
-            error=ExecutionError(first.line_no, "validation", f"{first.code} {first.message}"),
-            diagnostics=tuple(diagnostics),
-        )
+        return _refused("validation", diagnostics)
     return execute_program(program, init, registry, backend)
+
+
+def _refused(kind: str, diagnostics) -> ExecutionResult:
+    first = diagnostics[0]
+    error = CapturedError(kind, f"{first.code} {first.message}")
+    return ExecutionResult(None, (), error, first.line_no, tuple(diagnostics))
 
 
 def trace_to_jsonl(trace) -> str:

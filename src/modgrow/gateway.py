@@ -1,11 +1,12 @@
 """Completion gateway: prompt rendering, cached calls, response parsing.
 
 Prompts are plain-text template files with ``__SLOT__`` markers filled by
-byte-exact substitution. Completions run in one of three modes: ``live``
-(POST to a configured endpoint), ``record`` (live, then appended to the
-cache file keyed by a request hash, each prompt head stored once in the
-format of `modgrow.cache`; `LlmGateway.close` releases the file) and
-``replay`` (served from the cache only; a miss is an error). Because sampled
+byte-exact substitution. Completions run in one of two modes: ``replay``
+(served from the cache only; a miss is an error) and ``record`` (served
+from the cache while it holds a response, else from the transport, by
+default a POST to a configured endpoint, and appended to the cache file
+keyed by a request hash, each prompt head stored once in the format of
+`modgrow.cache`; `LlmGateway.close` releases the file). Because sampled
 candidates share one prompt, the cache keeps a FIFO of responses per key
 and replay consumes them in call order.
 
@@ -232,7 +233,7 @@ class TailSlotPrompt:
 
 
 def http_transport(req: CompletionRequest) -> str:
-    """Default live transport: JSON POST to LLM_API_URL with a bearer key."""
+    """Default record-mode transport: JSON POST to LLM_API_URL with a bearer key."""
     url = os.environ.get("LLM_API_URL", "")
     if not url:
         raise EndpointError("no completion endpoint configured (LLM_API_URL)")
@@ -275,7 +276,7 @@ class LlmGateway:
     """
 
     def __init__(self, mode: str = "replay", cache_path: str | None = None, transport=None):
-        if mode not in ("live", "replay", "record"):
+        if mode not in ("replay", "record"):
             raise ValueError(f"unknown gateway mode {mode!r}")
         self.mode = mode
         self.cache_path = cache_path
@@ -327,16 +328,14 @@ class LlmGateway:
             self._cursors[key] = cursor + 1
             return response
 
-        if self.mode == "record":
-            cursor = self._cursors.get(key, 0)
-            cached = self._cache.get(key, [])
-            if cursor < len(cached):
-                self._cursors[key] = cursor + 1
-                return cached[cursor]
+        cursor = self._cursors.get(key, 0)
+        cached = self._cache.get(key, [])
+        if cursor < len(cached):
+            self._cursors[key] = cursor + 1
+            return cached[cursor]
         response = self.transport(req)
-        if self.mode == "record":
-            self._append_record(key, req, response)
-            self._cursors[key] = self._cursors.get(key, 0) + 1
+        self._append_record(key, req, response)
+        self._cursors[key] = cursor + 1
         return response
 
 

@@ -3,11 +3,13 @@
 Each instance's stage-3 prompt (which carries the current module catalogue)
 is completed through the gateway, `executor.run_program` runs the program
 over the instance's bindings, and the task's judge in `datasets.TASKS`
-scores the result; a failed run reads `<kind>: <message>`, such as
-`validation: UNKNOWN_MODULE ...`. Instances the task marks as split-layout
-puzzles run through a per-region module driver instead, since the
-straight-line program language has no loops. Instance failures are
-recorded as incorrect outcomes, never raised.
+scores the result. Instances the task marks as split-layout puzzles run
+through a per-region module driver instead, since the straight-line
+program language has no loops. An instance that fails is an incorrect
+outcome whose `error` is the failure's `CapturedError`: the run's own, or
+the record of a cache miss, a response without a program, an endpoint
+failure or a failed driver call (`errors.RECORDED`). Any other exception
+is a fault of the program and propagates.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 
 from .. import values as V
-from ..errors import EmptyGridError, ModgrowError
+from ..errors import RECORDED, CapturedError, EmptyGridError, ModgrowError, record_of
 from ..executor import run_program
 from ..gateway import LlmGateway, TailSlotPrompt, load_template, parse_program_response
 from ..reference_modules import raven_regions
@@ -35,7 +37,7 @@ class InstanceOutcome:
     correct: bool
     predicted: str
     gold: dict
-    error: str | None = None
+    error: CapturedError | None = None
     trace: list = field(default_factory=list)
     correct_pairs: int = 0
     predicted_regions: int = 0
@@ -48,7 +50,7 @@ class InstanceOutcome:
             "correct": self.correct,
             "predicted": self.predicted,
             "gold": self.gold,
-            "error": self.error,
+            "error": self.error and {"kind": self.error.kind, "message": self.error.message},
             "trace": self.trace,
         }
 
@@ -228,27 +230,23 @@ def evaluate(
         outcome = InstanceOutcome(
             id=instance.id, query=instance.query, correct=False, predicted="", gold=instance.gold
         )
+        outcomes.append(outcome)
         try:
             if spec.split_layout is not None and spec.split_layout(instance):
                 answer = solve_puzzle_with_modules(instance.puzzle, registry, backend)
                 outcome.predicted = str(answer)
                 outcome.correct = answer == instance.gold["value"]
-                outcomes.append(outcome)
                 continue
             request, key = prompts.request(instance.query)
-            response = gateway.complete(request, key)
-            result = run_program(
-                parse_program_response(response), build_bindings(instance), registry, backend
-            )
-            outcome.trace = _trace_docs(result.trace)
-            if result.status != "ok":
-                outcome.error = f"{result.error.kind}: {result.error.message}"
-                outcomes.append(outcome)
-                continue
+            source = parse_program_response(gateway.complete(request, key))
+        except RECORDED as exc:
+            outcome.error = record_of(exc)
+            continue
+        result = run_program(source, build_bindings(instance), registry, backend)
+        outcome.trace = _trace_docs(result.trace)
+        outcome.error = result.error
+        if result.error is None:
             spec.judge(outcome, result.final, instance.gold)
-        except Exception as exc:  # instance failures are data, not crashes
-            outcome.error = f"{type(exc).__name__}: {exc}"
-        outcomes.append(outcome)
 
     n = len(outcomes)
     metrics = {"accuracy": sum(1 for o in outcomes if o.correct) / n if n else 0.0}

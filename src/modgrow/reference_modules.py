@@ -1,10 +1,10 @@
 """Executable fixture modules and their independent oracles.
 
-These sources play three roles: canned code-generation responses for replay
-runs, seed records for transfer experiments, and subjects of the
-fixture-vs-oracle agreement tests. Each FIXTURE_SOURCES entry must load
-cleanly in the sandbox; each oracle recomputes the same answer straight from
-scene ground truth without touching the sandbox or the backend.
+These sources play two roles: canned code-generation responses for replay
+runs, and subjects of the fixture-vs-oracle agreement tests. Each
+FIXTURE_SOURCES entry must load cleanly in the sandbox; each oracle
+recomputes the same answer straight from scene ground truth without
+touching the sandbox or the backend.
 
 `median_depth_oracle`, which ranks boxes by depth for SORT_SPATIAL gold
 answers, does not visit pixels: it cuts a box into cells along the object
@@ -20,8 +20,7 @@ import math
 from operator import itemgetter
 
 from .dsl import ModuleSignature, parse_signature_block
-from .registry import ModuleRecord
-from .scene import SceneGraph, box_area, half_box
+from .scene import SceneGraph, half_box
 
 CHOOSE_ATTRIBUTE_SOURCE = '''class CHOOSE_ATTRIBUTE():
     """
@@ -426,10 +425,6 @@ def fixture_signature(name: str) -> ModuleSignature:
     return parse_signature_block(FIXTURE_SOURCES[name])
 
 
-def fixture_signatures() -> list[ModuleSignature]:
-    return [fixture_signature(name) for name in FIXTURE_SOURCES]
-
-
 def fixture_header(name: str) -> str:
     """The class line plus docstring of a fixture, as a stage-1 proposal header."""
     source = FIXTURE_SOURCES[name]
@@ -437,47 +432,9 @@ def fixture_header(name: str) -> str:
     return source[: close + 3]
 
 
-def fixture_record(name: str, origin_task: str = "fixture", eta: float = 0.8) -> ModuleRecord:
-    return ModuleRecord(
-        signature=fixture_signature(name),
-        source=FIXTURE_SOURCES[name],
-        kind="generated",
-        origin_task=origin_task,
-        pass_rate=1.0,
-        eta_at_acceptance=eta,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Independent oracles (pure scene-graph procedures, no backend, no sandbox)
 # ---------------------------------------------------------------------------
-
-
-def _largest_named(scene: SceneGraph, name: str):
-    matches = [o for o in scene.objects if o.name == name]
-    if not matches:
-        return None
-    return max(matches, key=lambda o: box_area(o.box))
-
-
-def choose_attribute_oracle(scene: SceneGraph, obj_name: str, attr1: str, attr2: str) -> str:
-    obj = _largest_named(scene, obj_name)
-    values = set(obj.attributes.values()) if obj else set()
-    if attr1 in values and attr2 not in values:
-        return attr1
-    return attr2  # ties and misses fall to the second attribute
-
-
-def compare_color_oracle(scene: SceneGraph, obj1: str, obj2: str, compare_type: str) -> str:
-    a, b = _largest_named(scene, obj1), _largest_named(scene, obj2)
-    same = (
-        a is not None
-        and b is not None
-        and a.attributes.get("color") == b.attributes.get("color")
-    )
-    if compare_type == "different":
-        return "yes" if not same else "no"
-    return "yes" if same else "no"
 
 
 def median_depth_oracle(scene: SceneGraph, box) -> float:

@@ -16,9 +16,9 @@ from pathlib import Path
 from . import values as V
 from .builtins_catalog import BUILTIN_SIGNATURES
 from .dsl import ModuleSignature, render_signature_block
-from .errors import GateViolationError, LibraryFormatError, NameCollisionError, NotFoundError
-from .executor import ExecutorRuntimeError
-from .sandbox import CapturedError, Limits, invoke_candidate, load_candidate
+from .errors import (CapturedError, ExecutorRuntimeError, GateViolationError, LibraryFormatError,
+                     NameCollisionError, NotFoundError)
+from .sandbox import Limits, invoke_candidate, load_candidate
 
 EPOCH_TIMESTAMP = "1970-01-01T00:00:00Z"
 
@@ -255,18 +255,17 @@ class ExecutionRegistry:
         if entry is None:
             handle = self._handle_for(name)
             if handle.load_state != "loaded":
-                err = handle.error or CapturedError("compile", "candidate failed to load")
-                raise ExecutorRuntimeError("sandbox", err.render(), err)
+                raise ExecutorRuntimeError(handle.error or CapturedError("compile", "candidate failed to load"))
             entry = self._loaded[name] = (handle, self._signature_for(name))
         handle, sig = entry
         ordered = []
         for pname, _ in sig.params:
             if pname not in resolved_args:
-                raise ExecutorRuntimeError("type", f"{name} missing argument {pname!r}")
+                raise ExecutorRuntimeError(CapturedError("type", f"{name} missing argument {pname!r}"))
             ordered.append(V.to_plain(resolved_args[pname]))
         result = invoke_candidate(handle, ordered, backend, self.limits)
         if isinstance(result, CapturedError):
-            raise ExecutorRuntimeError("sandbox", result.render(), result)
+            raise ExecutorRuntimeError(result)
         return result
 
     def _signature_for(self, name: str) -> ModuleSignature:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 from . import values as V
 from .backends import OPERATIONS
-from .errors import BackendError
+from .errors import BackendError, CapturedError
 from .values import Value
 
 
@@ -49,21 +49,6 @@ class Limits:
     def __post_init__(self):
         if self.wall_time_ms <= 0 or self.max_steps <= 0:
             raise ValueError("limits must be positive")
-
-
-@dataclass(frozen=True)
-class CapturedError:
-    kind: str  # compile | runtime | timeout | forbidden_access | wrong_output
-    message: str
-    location: int | None = None
-    expected: str | None = None
-    actual: str | None = None
-
-    def render(self) -> str:
-        where = f" (line {self.location})" if self.location else ""
-        if self.kind == "wrong_output":
-            return f"wrong_output{where}: expected {self.expected}, got {self.actual}"
-        return f"{self.kind}{where}: {self.message}"
 
 
 class _SandboxInterrupt(BaseException):

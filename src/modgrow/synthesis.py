@@ -6,8 +6,8 @@ K implementations per proposal, scores each against executable test cases
 derived from the training examples, accepts the best candidate whose pass
 rate clears the threshold, and otherwise loops through repair rounds that
 feed the captured errors back into the prompt. Case programs run through
-`executor.run_program`; one that does not parse or fails with a
-`validation` error fails its case as a runtime error.
+`executor.run_program`, and a case fails with the run's own error, such as
+`syntax` for a case program that does not parse.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 from . import values as V
 from .dsl import ModuleSignature
-from .errors import CacheMissError, DslSyntaxError, NoCasesError, ResponseParseError
+from .errors import (CacheMissError, CapturedError, EndpointError, NoCasesError, ResponseParseError,
+                     record_of)
 from .executor import run_program
 from .gateway import (
     DEFAULT_API_DOC,
@@ -40,7 +41,7 @@ from .registry import (
     register,
     signature_prompt_text,
 )
-from .sandbox import CandidateHandle, CapturedError, Limits, load_candidate
+from .sandbox import CandidateHandle, Limits, load_candidate
 
 logger = logging.getLogger(__name__)
 
@@ -186,18 +187,9 @@ def _tupleize(payload):
 
 def _case_error(case: TestCase, registry: ExecutionRegistry, backend) -> CapturedError | None:
     """Run one case program: the error that fails it, or None if it passes."""
-    try:
-        outcome = run_program(case.program, build_bindings(case.example), registry, backend)
-    except DslSyntaxError as exc:
-        return CapturedError("runtime", f"bad case program: {exc}")
-    if outcome.diagnostics:
-        return CapturedError("runtime", f"case program invalid: {outcome.diagnostics[0].message}")
-    if outcome.status != "ok":
-        # a sandbox failure keeps the sandbox's own kind, message and
-        # candidate line; any other failure is a runtime error of the case
-        return outcome.error.captured or CapturedError(
-            "runtime", outcome.error.message, location=outcome.error.line_no
-        )
+    outcome = run_program(case.program, build_bindings(case.example), registry, backend)
+    if outcome.error is not None:
+        return outcome.error
     if compare_values(outcome.final, case.expected, case.comparator):
         return None
     return CapturedError(
@@ -284,7 +276,7 @@ def generate_module(
         try:
             source = extract_module_source(response_text)
         except ResponseParseError as exc:
-            return failed(index, response_text, CapturedError("compile", str(exc)), round_no)
+            return failed(index, response_text, record_of(exc), round_no)
         handle = load_candidate(source, signature=proposal.signature)
         if handle.load_state != "loaded":
             return failed(index, source, handle.error, round_no)
@@ -305,10 +297,8 @@ def generate_module(
         )
         try:
             response = gateway.complete(request)
-        except CacheMissError as exc:
-            raise
-        except Exception as exc:  # endpoint hiccups are data, not fatal
-            outcomes.append(failed(index, "", CapturedError("runtime", f"gateway error: {exc}"), 0))
+        except EndpointError as exc:  # endpoint hiccups are data, not fatal
+            outcomes.append(failed(index, "", record_of(exc), 0))
             index += 1
             continue
         outcomes.append(score_source(response, index, 0))

@@ -4,8 +4,28 @@ import pytest
 
 from modgrow import reference_modules as rm
 from modgrow.backends import SyntheticBackend
-from modgrow.registry import ExecutionRegistry, builtin_library, register
+from modgrow.registry import ExecutionRegistry, ModuleRecord, builtin_library, register
 from modgrow.scene import ImageHandle, SceneGraph, SceneObject
+
+
+def fixture_record(name: str, origin_task: str = "fixture", eta: float = 0.8) -> ModuleRecord:
+    """A generated record of the fixture `name`, as if it passed every case."""
+    return ModuleRecord(
+        signature=rm.fixture_signature(name),
+        source=rm.FIXTURE_SOURCES[name],
+        kind="generated",
+        origin_task=origin_task,
+        pass_rate=1.0,
+        eta_at_acceptance=eta,
+    )
+
+
+def with_first_statement(name: str, statement: str) -> str:
+    """The fixture source of `name` with `statement` first in `execute`."""
+    lines = rm.FIXTURE_SOURCES[name].split("\n")
+    at = next(i for i, line in enumerate(lines) if line.lstrip().startswith("def execute("))
+    lines.insert(at + 1, " " * 8 + statement)
+    return "\n".join(lines)
 
 
 @pytest.fixture()
@@ -22,7 +42,7 @@ def builtin_lib():
 def full_lib(builtin_lib):
     lib = builtin_lib
     for name in rm.FIXTURE_SOURCES:
-        lib = register(lib, rm.fixture_record(name))
+        lib = register(lib, fixture_record(name))
     return lib
 
 

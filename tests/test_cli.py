@@ -9,26 +9,29 @@ import json
 import pytest
 
 from modgrow import cli
-from modgrow import reference_modules as rm
 from modgrow.gateway import LlmGateway
 from modgrow.harness.datasets import generate_dataset, save_dataset
 from modgrow.harness.evaluate import evaluate
 from modgrow.registry import builtin_library, register, save_library
 from modgrow.replay_seed import SyntheticResponder
 
-# Every option each subcommand declares, in declaration order. A new option
-# is a new setting to keep, so it shows up here as a diff.
+from conftest import fixture_record
+
+# Every option each subcommand declares, in declaration order, with the values
+# it accepts if it names them. A new option or value is a new setting to keep,
+# so it shows up here as a diff.
 OPTIONS = {
-    "learn": ("--mode", "--cache", "--model", "--eta", "--k", "--repairs", "--wall-time-ms",
-              "--dataset", "--library", "--out", "--in-place"),
-    "eval": ("--mode", "--cache", "--model", "--eta", "--k", "--repairs", "--wall-time-ms",
-             "--dataset", "--library", "--report", "--ablation", "--train-dataset"),
+    "learn": ("--mode {replay,record}", "--cache", "--model", "--eta", "--k", "--repairs",
+              "--wall-time-ms", "--dataset", "--library", "--out", "--in-place"),
+    "eval": ("--mode {replay,record}", "--cache", "--model", "--eta", "--k", "--repairs",
+             "--wall-time-ms", "--dataset", "--library", "--report", "--ablation", "--train-dataset"),
     "run": ("--program", "--scene", "--library", "--question", "--expression", "--instruction",
             "--trace"),
     "library": ("--library",),
     "cache": (),
-    "cache seed": ("--task", "--seed", "--n-train", "--n-test", "--templates", "--library",
-                   "--train-out", "--test-out", "--cache", "--eta", "--k", "--repairs"),
+    "cache seed": ("--task {editing,grounding,mewl-analog,raven,tagging,vqa}", "--seed", "--n-train",
+                   "--n-test", "--templates", "--library", "--train-out", "--test-out", "--cache",
+                   "--eta", "--k", "--repairs"),
     "cache show": ("--cache", "--verify"),
 }
 
@@ -41,7 +44,8 @@ def declared_options(parser, command=()) -> dict:
                 found.update(declared_options(sub, (*command, name)))
     if command:
         found[" ".join(command)] = tuple(
-            option for action in parser._actions for option in action.option_strings
+            option + (" {" + ",".join(action.choices) + "}" if action.choices else "")
+            for action in parser._actions for option in action.option_strings
             if option not in ("-h", "--help")
         )
     return found
@@ -55,7 +59,7 @@ def test_eval_runs_under_the_given_wall_time(tmp_path, backend):
     test = generate_dataset("grounding", 3, 2, {"templates": ["ordinal"]})
     split, cache, library = tmp_path / "test.jsonl", tmp_path / "cache.jsonl", tmp_path / "lib"
     save_dataset(test, split)
-    fixture = rm.fixture_record("SORT_SPATIAL")
+    fixture = fixture_record("SORT_SPATIAL")
     # the catalogue shows signatures only, so the fixture's cache serves the looping module
     with LlmGateway(mode="record", cache_path=str(cache), transport=SyntheticResponder(test)) as recorder:
         evaluate("grounding", test, register(builtin_library(), fixture), backend, recorder)
@@ -70,7 +74,7 @@ def test_eval_runs_under_the_given_wall_time(tmp_path, backend):
     assert cli.main(argv) == 0
     report = json.loads((tmp_path / "report" / "report.json").read_text(encoding="utf-8"))
     assert [o["error"] for o in report["per_instance"]] == [
-        "sandbox: timeout: wall time budget of 50 ms exceeded"
+        {"kind": "timeout", "message": "wall time budget of 50 ms exceeded"}
     ] * 2
 
 

@@ -20,8 +20,9 @@ from modgrow.gateway import load_template
 from modgrow.harness.datasets import generate_dataset
 from modgrow.reference_modules import (
     CHOOSE_ATTRIBUTE_SOURCE,
+    FIXTURE_SOURCES,
     SORT_SPATIAL_SOURCE,
-    fixture_signatures,
+    fixture_signature,
 )
 from modgrow.registry import builtin_library, signatures
 
@@ -38,7 +39,8 @@ COMPARE_ATTRIBUTE = dsl.ModuleSignature(
 
 
 def corpus_signatures():
-    sigs = signatures(builtin_library()) + fixture_signatures() + [COMPARE_ATTRIBUTE]
+    sigs = signatures(builtin_library()) + [fixture_signature(name) for name in FIXTURE_SOURCES]
+    sigs.append(COMPARE_ATTRIBUTE)
     template = load_template("initialization")
     sigs.append(dsl.parse_signature_block(template.body))  # COMPARE_SIZE header
     return sigs

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 from modgrow import values as V
 from modgrow.backends import SyntheticBackend
 from modgrow.dsl import parse_program, serialize_program
-from modgrow.errors import DslSyntaxError, TemplateEvalError
+from modgrow.errors import CapturedError, TemplateEvalError
 from modgrow.executor import (
     Environment,
-    ExecutionError,
     eval_template,
     execute_program,
     expand_box,
@@ -23,6 +22,13 @@ from modgrow.scene import ImageHandle
 
 from conftest import make_scene, obj
 from program_corpus import PURSE_PROGRAM
+
+
+class Untouchable:
+    """A backend for a program that must run nothing."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the backend was asked for {name}")
 
 
 def image_value(*objects, width=640, height=480):
@@ -217,7 +223,7 @@ class TestBuiltins:
 
         with pytest.raises(ExecutorRuntimeError) as err:
             run_builtin("COUNT", {"box": V.text("oops")}, backend)
-        assert err.value.kind == "type"
+        assert err.value.error.kind == "type"
 
 
 class TestExecuteProgram:
@@ -230,7 +236,7 @@ class TestExecuteProgram:
             }
         )
         result = execute_program(program, env, ExecutionRegistry(builtin_lib), backend)
-        assert result.status == "ok"
+        assert result.error is None
         assert result.final == V.text("left")
         assert len(result.trace) == 6
         assert [s.module_kind for s in result.trace] == ["builtin"] * 6
@@ -240,7 +246,7 @@ class TestExecuteProgram:
         program = parse_program("FINAL_RESULT=RESULT(var=IMAGE)")
         env = Environment({"IMAGE": V.image(coat_image)})
         result = execute_program(program, env, ExecutionRegistry(builtin_lib), backend)
-        assert result.status == "ok"
+        assert result.error is None
         assert result.final.tag == "image"
         assert len(result.trace) == 1
 
@@ -269,9 +275,8 @@ class TestExecuteProgram:
         )
         env = Environment({"IMAGE": image_value(obj("c", "coat", (10, 10, 50, 50)))})
         result = execute_program(program, env, registry, backend)
-        assert result.status == "error"
-        assert result.error.kind == "sandbox"
-        assert result.error.line_no == 2
+        assert result.error == CapturedError("runtime", "ValueError: boom", location=10)
+        assert result.line_no == 2
         assert len(result.trace) == 1
 
     def test_serialization_invariance(self, purse_scene, builtin_lib, backend):
@@ -315,19 +320,15 @@ class TestRunProgram:
         registry = ExecutionRegistry(builtin_lib)
         ran = run_program(PURSE_PROGRAM, Environment(dict(env)), registry, backend)
         executed = execute_program(parse_program(PURSE_PROGRAM), Environment(dict(env)), registry, backend)
-        assert (ran.status, ran.final, ran.diagnostics) == ("ok", executed.final, ())
+        assert (ran.error, ran.final, ran.diagnostics) == (None, executed.final, ())
         assert [s.output for s in ran.trace] == [s.output for s in executed.trace]
 
     def test_a_program_that_does_not_validate_runs_nothing(self, builtin_lib, coat_image):
-        class Untouchable:
-            def __getattr__(self, name):
-                raise AssertionError(f"the backend was asked for {name}")
-
         source = "BOX0=LOC(image=IMAGE,object='coat')\nANSWER0=NOPE(box=BOX0)\nFINAL_RESULT=RESULT(var=ANSWER1)"
         env = Environment({"IMAGE": V.image(coat_image)})
         result = run_program(source, env, ExecutionRegistry(builtin_lib), Untouchable())
-        assert (result.status, result.final, result.trace) == ("error", None, ())
-        assert result.error == ExecutionError(2, "validation", "UNKNOWN_MODULE unknown module NOPE")
+        assert (result.final, result.trace, result.line_no) == (None, (), 2)
+        assert result.error == CapturedError("validation", "UNKNOWN_MODULE unknown module NOPE")
         assert [(d.line_no, d.code) for d in result.diagnostics] == [
             (2, "UNKNOWN_MODULE"), (3, "UNDEFINED_VAR")
         ]
@@ -347,11 +348,13 @@ class TestRunProgram:
                         registry, backend)
             for question in (V.text("what is the coat made of?"), V.number(3), V.text("what color?"))
         ]
-        assert [r.status for r in runs] == ["ok", "error", "ok"]
-        assert runs[1].error.kind == "validation"
+        assert [r.error and r.error.kind for r in runs] == [None, "validation", None]
         assert [d.code for d in runs[1].diagnostics] == ["TYPE_MISMATCH"]
 
-    def test_a_line_that_does_not_parse_raises(self, builtin_lib, backend, coat_image):
-        with pytest.raises(DslSyntaxError, match="line 2: "):
-            run_program("FINAL_RESULT=RESULT(var=IMAGE)\nnot a statement",
-                        Environment({"IMAGE": V.image(coat_image)}), ExecutionRegistry(builtin_lib), backend)
+    def test_a_line_that_does_not_parse_runs_nothing(self, builtin_lib, coat_image):
+        source = "FINAL_RESULT=RESULT(var=IMAGE)\nnot a statement"
+        env = Environment({"IMAGE": V.image(coat_image)})
+        result = run_program(source, env, ExecutionRegistry(builtin_lib), Untouchable())
+        assert (result.final, result.trace, result.line_no) == (None, (), 2)
+        assert result.error.kind == "syntax"
+        assert [(d.line_no, d.code) for d in result.diagnostics] == [(2, "SYNTAX")]

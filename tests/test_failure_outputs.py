@@ -1,5 +1,5 @@
 """What a program that does not parse, validate or run leaves behind: the
-error of an `evaluate` report, the captured error of a gated case, and the
+error record of an `evaluate` report, the error of a gated case, and the
 output, exit code and trace of `modgrow run`."""
 
 from __future__ import annotations
@@ -14,10 +14,11 @@ from modgrow import reference_modules as rm
 from modgrow.gateway import LlmGateway
 from modgrow.harness.datasets import generate_dataset
 from modgrow.harness.evaluate import evaluate
+from modgrow.registry import builtin_library, register, save_library
 from modgrow.sandbox import CapturedError, load_candidate
 from modgrow.synthesis import Proposal, build_test_cases, compute_pass_rate
 
-from conftest import make_scene, obj
+from conftest import fixture_record, make_scene, obj, with_first_statement
 
 UNPARSEABLE = "ANSWER0=VQA(image=IMAGE,question=)\nFINAL_RESULT=RESULT(var=ANSWER0)"
 INVALID = "ANSWER0=NOPE(image=IMAGE)\nFINAL_RESULT=RESULT(var=ANSWER1)"
@@ -28,27 +29,30 @@ FAILING = (
 )
 
 
-@pytest.mark.parametrize("response, error", [
-    (UNPARSEABLE, "DslSyntaxError: line 1: unexpected character ')' in argument value"),
-    (INVALID, "validation: UNKNOWN_MODULE unknown module NOPE"),
+@pytest.mark.parametrize("response, kind, message", [
+    (UNPARSEABLE, "syntax", "SYNTAX unexpected character ')' in argument value"),
+    (INVALID, "validation", "UNKNOWN_MODULE unknown module NOPE"),
     ('ANSWER0=EVAL(expr=f"1/0")\nFINAL_RESULT=RESULT(var=ANSWER0)',
-     "template: TEMPLATE_SYNTAX: expression failed: division by zero"),
+     "template", "TEMPLATE_SYNTAX: expression failed: division by zero"),
 ])
-def test_evaluate_records_a_stage3_program_that_fails(builtin_lib, backend, response, error):
+def test_evaluate_records_a_stage3_program_that_fails(builtin_lib, backend, response, kind, message):
     test = generate_dataset("vqa", 3, 2)
     with LlmGateway(mode="record", transport=lambda request: response) as gateway:
         report = evaluate("vqa", test, builtin_lib, backend, gateway)
     assert [(o.correct, o.predicted, o.error, o.trace) for o in report.per_instance] == [
-        (False, "", error, [])
+        (False, "", CapturedError(kind, message), [])
     ] * 2
+    assert [o["error"] for o in report.to_doc()["per_instance"]] == [{"kind": kind, "message": message}] * 2
 
 
-@pytest.mark.parametrize("program, message", [
-    (UNPARSEABLE, "bad case program: line 1: unexpected character ')' in argument value"),
-    ("", "bad case program: line 1: empty program"),
-    (INVALID, "case program invalid: unknown module NOPE"),
+@pytest.mark.parametrize("program, kind, message", [
+    (UNPARSEABLE, "syntax", "SYNTAX unexpected character ')' in argument value"),
+    ("", "syntax", "SYNTAX empty program"),
+    (INVALID, "validation", "UNKNOWN_MODULE unknown module NOPE"),
 ])
-def test_a_case_program_that_fails_to_parse_or_validate_fails_its_case(builtin_lib, backend, program, message):
+def test_a_case_program_that_fails_to_parse_or_validate_fails_its_case(
+    builtin_lib, backend, program, kind, message
+):
     name = "CHOOSE_ATTRIBUTE"
     proposal = Proposal(rm.fixture_signature(name), rm.fixture_header(name))
     cases = build_test_cases(proposal, generate_dataset("vqa", 7, 12))
@@ -56,7 +60,7 @@ def test_a_case_program_that_fails_to_parse_or_validate_fails_its_case(builtin_l
     broken = [dataclasses.replace(case, program=program) for case in cases]
     rate, results = compute_pass_rate(handle, [cases[0], *broken], builtin_lib, backend)
     assert rate == 1 / (1 + len(broken))
-    assert [r.error for r in results] == [None] + [CapturedError("runtime", message)] * len(broken)
+    assert [r.error for r in results] == [None] + [CapturedError(kind, message)] * len(broken)
 
 
 @pytest.fixture()
@@ -121,3 +125,18 @@ def test_run_reports_a_runtime_error_with_the_partial_trace(run):
     code, out, err, lines = run(FAILING)
     assert (code, out, err) == (1, "", "line 2: RUNTIME_ERROR(type): unknown spatial location 'middle'\n")
     assert [json.loads(line)["statement"] for line in lines] == ["BOX0=LOC(image=IMAGE,object='coat')"]
+
+
+def test_run_reports_a_module_failure_by_the_sandbox_kind(run, tmp_path):
+    record = dataclasses.replace(fixture_record("CHOOSE_ATTRIBUTE"), source=with_first_statement(
+        "CHOOSE_ATTRIBUTE", "raise ValueError('injected fault')"))
+    library = tmp_path / "lib"
+    save_library(register(builtin_library(), record), library)
+    program = (
+        "BOX0=LOC(image=IMAGE,object='coat')\n"
+        "ANSWER0=CHOOSE_ATTRIBUTE(image=IMAGE,box=BOX0,object='coat',attribute1='black',attribute2='white')\n"
+        "FINAL_RESULT=RESULT(var=ANSWER0)"
+    )
+    code, out, err, lines = run(program, "--library", str(library))
+    assert (code, out, err) == (1, "", "line 2: RUNTIME_ERROR(runtime): ValueError: injected fault\n")
+    assert len(lines) == 1

@@ -6,7 +6,6 @@ import json
 import pytest
 
 from modgrow import cli, executor, replay_seed
-from modgrow import reference_modules as rm
 from modgrow.backends import SyntheticBackend
 from modgrow.cache import read_records, whole_request
 from modgrow.errors import EndpointError
@@ -16,6 +15,8 @@ from modgrow.harness.evaluate import evaluate
 from modgrow.registry import builtin_library, register
 from modgrow.replay_seed import SyntheticResponder, seed_learn_and_eval
 from modgrow.synthesis import SynthesisConfig, run_synthesis
+
+from conftest import fixture_record
 
 TASKS = ("vqa", "grounding", "tagging", "editing", "raven", "mewl-analog")
 
@@ -117,7 +118,7 @@ def test_seed_learn_eval_in_replay_mode(tmp_path, task):
 def split_layout_report(tmp_path, backend) -> str:
     lib = builtin_library()
     for name in ("DETECT_SHAPE", "SOLVER"):
-        lib = register(lib, rm.fixture_record(name))
+        lib = register(lib, fixture_record(name))
     test = generate_dataset("raven", 5, 8, {"layout": "left-right"})
     gateway = LlmGateway(mode="record", cache_path=str(tmp_path / "cache.jsonl"),
                          transport=SyntheticResponder(test))

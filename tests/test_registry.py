@@ -19,9 +19,11 @@ from modgrow.registry import (
 )
 from modgrow.sandbox import load_candidate
 
+from conftest import fixture_record
+
 
 def sort_spatial_record(**overrides):
-    record = rm.fixture_record("SORT_SPATIAL", origin_task="grounding")
+    record = fixture_record("SORT_SPATIAL", origin_task="grounding")
     return replace(record, **overrides) if overrides else record
 
 
@@ -61,7 +63,7 @@ class TestRegister:
         lib = builtin_lib
         for name in ("SORT_SPATIAL", "COMPARE_COLOR"):
             before = dict(lib.records)
-            lib = register(lib, rm.fixture_record(name))
+            lib = register(lib, fixture_record(name))
             for key, value in before.items():
                 assert lib.records[key] == value
 
@@ -89,7 +91,7 @@ class TestPromptText:
 
     def test_appended_module_renders_after_existing(self, builtin_lib):
         before = signature_prompt_text(builtin_lib)
-        lib = register(builtin_lib, rm.fixture_record("COMPARE_COLOR"))
+        lib = register(builtin_lib, fixture_record("COMPARE_COLOR"))
         after = signature_prompt_text(lib)
         assert after.startswith(before)
         assert "class COMPARE_COLOR():" in after
@@ -107,7 +109,7 @@ class TestPersistence:
     def test_round_trip_identity(self, tmp_path, builtin_lib):
         lib = builtin_lib
         for name in ("SORT_SPATIAL", "COMPARE_COLOR", "CHOOSE_ATTRIBUTE"):
-            lib = register(lib, rm.fixture_record(name))
+            lib = register(lib, fixture_record(name))
         save_library(lib, tmp_path / "lib")
         loaded = load_library(tmp_path / "lib")
         assert libraries_equal(lib, loaded)

@@ -12,6 +12,7 @@ from modgrow.gateway import LlmGateway
 from modgrow.harness.datasets import generate_dataset
 from modgrow.harness.evaluate import evaluate, report_json
 from modgrow.replay_seed import SyntheticResponder
+from modgrow.sandbox import CapturedError
 
 
 def reference(doc) -> str:
@@ -30,7 +31,7 @@ def test_eval_reports_match_json_dumps(tmp_path, full_lib, backend, task, knobs)
     with LlmGateway(mode="record", cache_path=str(tmp_path / "cache.jsonl"), transport=responder) as gateway:
         report = evaluate(task, test, full_lib, backend, gateway)
     # an instance that failed, with a message that needs escaping
-    report.per_instance[0].error = 'CacheMissError: no "record" for\tprompt\n…'
+    report.per_instance[0].error = CapturedError("cache_miss", 'no "record" for\tprompt\n…')
     assert report.to_json() == reference(report.to_doc())
 
 
