@@ -58,11 +58,6 @@ def _config_from_args(args) -> SynthesisConfig:
 
 
 def cmd_learn(args) -> int:
-    out_dir = args.library if args.in_place else args.out
-    if not out_dir:
-        print("error: provide --out DIR (or --in-place to overwrite the input library)",
-              file=sys.stderr)
-        return 2
     try:
         cfg = _config_from_args(args)
         gateway = _gateway_from_args(args)
@@ -89,8 +84,8 @@ def cmd_learn(args) -> int:
     if not report.proposals:
         print("0 proposals: the current library already covers the training split")
 
-    save_library(lib_after, out_dir)
-    print(f"library saved to {out_dir} ({len(lib_after)} modules)")
+    save_library(lib_after, args.out)
+    print(f"library saved to {args.out} ({len(lib_after)} modules)")
     if report.proposals and not report.accepted:
         return 1
     return 0
@@ -185,8 +180,7 @@ def cmd_run(args) -> int:
     if args.trace:
         Path(args.trace).write_text(trace_to_jsonl(result.trace) + "\n", encoding="utf-8")
     if result.error is not None:
-        print(f"line {result.line_no}: RUNTIME_ERROR({result.error.kind}): {result.error.message}",
-              file=sys.stderr)
+        print(f"line {result.line_no}: RUNTIME_ERROR: {result.error.render()}", file=sys.stderr)
         return 1
     print(V.summarize(result.final))
     return 0
@@ -285,8 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(learn)
     learn.add_argument("--dataset", required=True)
     learn.add_argument("--library", default=None)
-    learn.add_argument("--out", default=None)
-    learn.add_argument("--in-place", action="store_true")
+    learn.add_argument("--out", required=True)
     learn.set_defaults(func=cmd_learn)
 
     evalp = sub.add_parser("eval", help="evaluate a library on a test split")

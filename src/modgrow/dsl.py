@@ -14,18 +14,20 @@ and tabs are allowed between tokens; the serializer emits none (no spaces
 outside string payloads), and its canonical form round-trips through the
 parser.
 
-`parse_program` keeps the parses of the last 1,024 distinct program texts it
-was given, so a text that comes back (the same question form asked of many
-images, or one candidate's program over all its test cases) is parsed once.
-Sharing a parse is safe because `Program`, `Statement` and `Arg` are frozen
-and hold only tuples, strings and numbers. A text that does not parse is not
-kept, and raises afresh on every call.
+One token-by-token scanner, `_LineScanner`, parses each line, and names the
+first fault of a line that does not parse. `parse_program` keeps the parses
+of the last 1,024 distinct program texts it was given, so a text that comes
+back (the same question form asked of many images, or one candidate's
+program over all its test cases) is scanned once. Sharing a parse is safe
+because `Program`, `Statement` and `Arg` are frozen and hold only tuples,
+strings and numbers. A text that does not parse is not kept, and raises
+afresh on every call.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DslSyntaxError, SignatureParseError
@@ -84,27 +86,11 @@ class ModuleSignature:
         return dict(self.params)
 
 
-_SEVERITY = {
-    "SYNTAX": "error",
-    "UNKNOWN_MODULE": "error",
-    "UNDEFINED_VAR": "error",
-    "ARITY_MISMATCH": "error",
-    "TYPE_MISMATCH": "error",
-    "MISSING_RESULT": "error",
-    "REASSIGNMENT": "error",
-}
-
-
 @dataclass(frozen=True)
 class Diagnostic:
     code: str
     message: str
     line_no: int
-    severity: str = field(default="")
-
-    def __post_init__(self):
-        if not self.severity:
-            object.__setattr__(self, "severity", _SEVERITY.get(self.code, "error"))
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +99,8 @@ class Diagnostic:
 
 
 class _LineScanner:
-    """Token-by-token walk of one line. It names the syntax error of a line
-    that _STATEMENT_RE rejects."""
+    """Token-by-token walk of one line: the statement it holds, or a
+    `DslSyntaxError` with one `SYNTAX` diagnostic naming the first fault."""
 
     def __init__(self, line: str, line_no: int):
         self.text = line
@@ -241,46 +227,9 @@ class _LineScanner:
         return Statement(target, module_name, tuple(args), self.line_no)
 
 
-# One statement, matched whole; blanks and tabs may separate any two tokens.
-# The value alternatives start with distinct characters (an identifier value
-# `f` fails on the `"` after it), and a string body is runs of plain
-# characters between escapes, so a failed match backtracks at most one token
-# at a time and the regex stays linear in the line's length.
-_BLANK = r"[ \t]*"
-_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-_KWARG = (
-    rf"({_NAME}){_BLANK}={_BLANK}"
-    rf"""(?:'([^'\\]*(?:\\['\\][^'\\]*)*)'|f"([^"]*)"|(-?\d+(?:\.\d+)?)|({_NAME}))"""
-)
-_STATEMENT_RE = re.compile(
-    rf"{_BLANK}([A-Z][A-Z0-9_]*){_BLANK}={_BLANK}([A-Z][A-Z0-9_]*){_BLANK}\({_BLANK}"
-    rf"((?:{_KWARG}(?:{_BLANK},{_BLANK}{_KWARG})*{_BLANK})?)\){_BLANK}"
-)
-_KWARG_RE = re.compile(_KWARG)
-# the value kind of each of _KWARG's value groups, by group number
-_VALUE_KINDS = {2: "string-literal", 3: "template-string", 4: "number", 5: "identifier"}
-_ESCAPE_RE = re.compile(r"\\(['\\])")
-
-
 def parse_statement(line: str, line_no: int) -> Statement:
-    """Parse one statement. A line that _STATEMENT_RE rejects, or that repeats
-    a keyword, is walked by _LineScanner, which raises the syntax error."""
-    m = _STATEMENT_RE.fullmatch(line)
-    if m is None:
-        return _LineScanner(line, line_no).statement()
-    args = []
-    for kw in _KWARG_RE.finditer(m.group(3)):
-        kind, raw = _VALUE_KINDS[kw.lastindex], kw.group(kw.lastindex)
-        if kind == "string-literal" and "\\" in raw:
-            raw = _ESCAPE_RE.sub(r"\1", raw)
-        elif kind == "number":
-            raw = float(raw) if "." in raw else int(raw)
-        elif kind == "identifier":
-            kind = "variable-reference" if IDENT_RE.fullmatch(raw) else "identifier-constant"
-        args.append((kw.group(1), Arg(kind, raw)))
-    if len({name for name, _ in args}) < len(args):
-        return _LineScanner(line, line_no).statement()
-    return Statement(m.group(1), m.group(2), tuple(args), line_no)
+    """Parse one statement; raises DslSyntaxError naming the first fault."""
+    return _LineScanner(line, line_no).statement()
 
 
 def parse_program(source: str) -> Program:

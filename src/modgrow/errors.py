@@ -32,6 +32,14 @@ class CapturedError:
         if self.kind not in KINDS:
             raise ValueError(f"unknown failure kind {self.kind!r}")
 
+    def to_doc(self) -> dict:
+        """`kind` and `message`, and each of the other fields that is set."""
+        doc = {"kind": self.kind, "message": self.message}
+        for name in ("location", "expected", "actual"):
+            if getattr(self, name) is not None:
+                doc[name] = getattr(self, name)
+        return doc
+
     def render(self) -> str:
         where = f" (line {self.location})" if self.location else ""
         if self.kind == "wrong_output":

@@ -10,6 +10,9 @@ outcome whose `error` is the failure's `CapturedError`: the run's own, or
 the record of a cache miss, a response without a program, an endpoint
 failure or a failed driver call (`errors.RECORDED`). Any other exception
 is a fault of the program and propagates.
+
+`EvalReport.to_json` writes the report as one line of JSON with sorted
+keys, each instance's `error` as `CapturedError.to_doc` gives it.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ class InstanceOutcome:
             "correct": self.correct,
             "predicted": self.predicted,
             "gold": self.gold,
-            "error": self.error and {"kind": self.error.kind, "message": self.error.message},
+            "error": self.error and self.error.to_doc(),
             "trace": self.trace,
         }
 
@@ -73,76 +76,15 @@ class EvalReport:
         }
 
     def to_json(self) -> str:
-        return report_json(self.to_doc())
+        """The report as one line of JSON with sorted keys; `report.txt`
+        is the human-readable view."""
+        return json.dumps(self.to_doc(), sort_keys=True) + "\n"
 
     def render_table(self) -> str:
         parts = [f"task={self.task} n={self.n}"]
         for key in sorted(self.metrics):
             parts.append(f"{key}={self.metrics[key]:.4f}")
         return "  ".join(parts)
-
-
-def report_json(doc) -> str:
-    """`json.dumps(doc, sort_keys=True, indent=2) + "\\n"`, byte for byte.
-
-    With `indent`, `json.dumps` runs the pure-Python encoder; this one
-    writes the JSON types a report holds by joining strings, escaping them
-    with the C `encode_basestring_ascii`. Anything else, such as a dict with
-    a key that is not a string or a subclass of a JSON type, is written by
-    `json.dumps` itself, which also raises what it raises on an unknown
-    type; a document deeper than the recursion limit or circular goes to
-    `json.dumps` whole, which fails on it as it would have.
-    """
-    try:
-        return _json_text(doc, "\n") + "\n"
-    except RecursionError:
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-_escape = json.encoder.encode_basestring_ascii
-_INFINITY = float("inf")
-
-
-def _json_text(value, newline: str) -> str:
-    """`value` as `json.dumps(value, sort_keys=True, indent=2)` writes it,
-    nested after `newline` (a line break and the current indent)."""
-    kind = type(value)
-    if kind is str:
-        return _escape(value)
-    if kind is dict and all(type(key) is str for key in value):
-        if not value:
-            return "{}"
-        inner = newline + "  "
-        # string leaves, most of a report, are escaped here without a call
-        return "{" + inner + ("," + inner).join([
-            _escape(key) + ": " + (_escape(item) if type(item) is str else _json_text(item, inner))
-            for key, item in sorted(value.items())
-        ]) + newline + "}"
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        return "[" + inner + ("," + inner).join([
-            _escape(item) if type(item) is str else _json_text(item, inner) for item in value
-        ]) + newline + "]"
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if kind is int:
-        return int.__repr__(value)
-    if kind is float:
-        if value != value:
-            return "NaN"
-        if value == _INFINITY:
-            return "Infinity"
-        if value == -_INFINITY:
-            return "-Infinity"
-        return float.__repr__(value)
-    # json.dumps starts its text at indent 0; its strings hold no raw line break
-    return json.dumps(value, sort_keys=True, indent=2).replace("\n", newline)
 
 
 def _trace_docs(trace) -> list:

@@ -12,7 +12,6 @@ feed the captured errors back into the prompt. Case programs run through
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 from . import values as V
@@ -42,8 +41,6 @@ from .registry import (
     signature_prompt_text,
 )
 from .sandbox import CandidateHandle, Limits, load_candidate
-
-logger = logging.getLogger(__name__)
 
 # Stage-2 and repair samples are drawn at SAMPLE_TEMPERATURE; stage-1 and
 # stage-2 requests allow MAX_TOKENS. Cache keys hash both.
@@ -290,42 +287,32 @@ def generate_module(
             repair_round=round_no,
         )
 
-    index = 0
-    for _ in range(cfg.k_candidates):
+    def attempt(request_prompt: str, round_no: int) -> None:
+        """Request one candidate and score it; a failed endpoint fails the
+        candidate, and any other exception propagates."""
         request = CompletionRequest(
-            prompt=prompt, model_id=cfg.model_id, temperature=SAMPLE_TEMPERATURE, max_tokens=MAX_TOKENS
+            prompt=request_prompt, model_id=cfg.model_id, temperature=SAMPLE_TEMPERATURE,
+            max_tokens=MAX_TOKENS,
         )
+        index = len(outcomes)
         try:
             response = gateway.complete(request)
-        except EndpointError as exc:  # endpoint hiccups are data, not fatal
-            outcomes.append(failed(index, "", record_of(exc), 0))
-            index += 1
-            continue
-        outcomes.append(score_source(response, index, 0))
-        index += 1
+        except EndpointError as exc:
+            outcomes.append(failed(index, "", record_of(exc), round_no))
+        else:
+            outcomes.append(score_source(response, index, round_no))
 
     def best(outs):
         return max(outs, key=lambda o: (o.pass_rate, -o.candidate_index))
 
+    for _ in range(cfg.k_candidates):
+        attempt(prompt, 0)
     current_best = best(outcomes)
-    round_no = 0  # repair rounds that scored a candidate
+    round_no = 0
     while not current_best.accepted and round_no < cfg.r_repairs:
-        report = render_error_report(current_best)
-        repair_prompt = render_prompt(repair_template, {**base_slots, "ERROR_REPORT": report})
-        request = CompletionRequest(
-            prompt=repair_prompt, model_id=cfg.model_id, temperature=SAMPLE_TEMPERATURE,
-            max_tokens=MAX_TOKENS,
-        )
-        try:
-            response = gateway.complete(request)
-        except CacheMissError:
-            raise
-        except Exception as exc:
-            logger.warning("repair round %d failed at the gateway: %s", round_no + 1, exc)
-            break
         round_no += 1
-        outcomes.append(score_source(response, index, round_no))
-        index += 1
+        report = render_error_report(current_best)
+        attempt(render_prompt(repair_template, {**base_slots, "ERROR_REPORT": report}), round_no)
         current_best = best(outcomes)
 
     if not current_best.accepted:

@@ -22,7 +22,7 @@ from conftest import fixture_record
 # so it shows up here as a diff.
 OPTIONS = {
     "learn": ("--mode {replay,record}", "--cache", "--model", "--eta", "--k", "--repairs",
-              "--wall-time-ms", "--dataset", "--library", "--out", "--in-place"),
+              "--wall-time-ms", "--dataset", "--library", "--out"),
     "eval": ("--mode {replay,record}", "--cache", "--model", "--eta", "--k", "--repairs",
              "--wall-time-ms", "--dataset", "--library", "--report", "--ablation", "--train-dataset"),
     "run": ("--program", "--scene", "--library", "--question", "--expression", "--instruction",
@@ -137,10 +137,10 @@ def test_learn_refuses_a_missing_output_before_any_model_call(tmp_path, capsys, 
     calls = []
     monkeypatch.setattr("modgrow.gateway.http_transport", calls.append)
     argv = ["learn", "--mode", "record", "--cache", str(cache), "--dataset", str(split), *given]
-    assert cli.main(argv) == 2
-    assert capsys.readouterr().err == (
-        "error: provide --out DIR (or --in-place to overwrite the input library)\n"
-    )
+    with pytest.raises(SystemExit) as exit:
+        cli.main(argv)
+    assert exit.value.code == 2
+    assert capsys.readouterr().err.endswith("error: the following arguments are required: --out\n")
     assert calls == []
     assert not cache.exists()
 
@@ -217,7 +217,7 @@ def test_eval_ablation_refuses_a_bad_cell_before_any_model_call(tmp_path, monkey
 def test_the_environment_sets_neither_mode_nor_model(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("LLM_MODE", "record")
     monkeypatch.setenv("LLM_MODEL_ID", "other")
-    args = cli.build_parser().parse_args(["learn", "--dataset", "train.jsonl"])
+    args = cli.build_parser().parse_args(["learn", "--dataset", "train.jsonl", "--out", "lib"])
     assert (args.mode, cli._config_from_args(args).model_id) == ("replay", "default-model")
     assert cli.main(["eval", "--dataset", str(tmp_path / "test.jsonl")]) == 2
     assert capsys.readouterr().err == "error: replay mode requires an existing cache file (got None)\n"

@@ -1,14 +1,6 @@
-"""The DSL: parsing, serialization, validation and signature blocks.
-
-`ReferenceScanner` and `reference_parse_statement` are the token-by-token
-statement parser that `dsl.parse_statement` used before it matched whole
-lines with one compiled regex; every statement and every syntax diagnostic
-the regex parser gives must equal theirs.
-"""
+"""The DSL: parsing, serialization, validation and signature blocks."""
 
 from __future__ import annotations
-
-import re
 
 import pytest
 from hypothesis import given, settings
@@ -281,148 +273,25 @@ def test_round_trip_property(program):
     assert dsl.serialize_program(parsed) == text
 
 
-# --- the regex parser against the scanner it replaced ----------------------
+# --- statement lines: pinned edge cases and generated lines ---------------
 
 
-class ReferenceScanner:
-    def __init__(self, line: str, line_no: int):
-        self.text = line
-        self.pos = 0
-        self.line_no = line_no
-
-    def error(self, message: str) -> DslSyntaxError:
-        return DslSyntaxError([dsl.Diagnostic("SYNTAX", message, self.line_no)])
-
-    def eof(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def skip_spaces(self) -> None:
-        while not self.eof() and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def expect(self, ch: str) -> None:
-        self.skip_spaces()
-        if self.eof() or self.text[self.pos] != ch:
-            got = self.peek() or "end of line"
-            raise self.error(f"expected {ch!r}, found {got!r}")
-        self.pos += 1
-
-    def ident(self, what: str) -> str:
-        self.skip_spaces()
-        m = re.match(r"[A-Za-z_][A-Za-z0-9_]*", self.text[self.pos :])
-        if not m:
-            raise self.error(f"expected {what}")
-        self.pos += m.end()
-        return m.group(0)
-
-    def string_literal(self) -> str:
-        out = []
-        while True:
-            if self.eof():
-                raise self.error("unterminated string literal")
-            ch = self.text[self.pos]
-            self.pos += 1
-            if ch == "\\":
-                if self.eof():
-                    raise self.error("dangling escape in string literal")
-                nxt = self.text[self.pos]
-                self.pos += 1
-                if nxt in ("'", "\\"):
-                    out.append(nxt)
-                else:
-                    raise self.error(f"unsupported escape \\{nxt} in string literal")
-            elif ch == "'":
-                return "".join(out)
-            else:
-                out.append(ch)
-
-    def template_body(self) -> str:
-        start = self.pos
-        while not self.eof() and self.text[self.pos] != '"':
-            self.pos += 1
-        if self.eof():
-            raise self.error("unterminated template string")
-        body = self.text[start : self.pos]
-        self.pos += 1
-        return body
-
-    def value(self) -> dsl.Arg:
-        self.skip_spaces()
-        if self.eof():
-            raise self.error("expected a value")
-        ch = self.text[self.pos]
-        if ch == "'":
-            self.pos += 1
-            return dsl.Arg("string-literal", self.string_literal())
-        if ch == "f" and self.text[self.pos : self.pos + 2] == 'f"':
-            self.pos += 2
-            return dsl.Arg("template-string", self.template_body())
-        m = re.match(r"-?\d+\.\d+|-?\d+", self.text[self.pos :])
-        if m:
-            raw = m.group(0)
-            self.pos += m.end()
-            return dsl.Arg("number", float(raw) if "." in raw else int(raw))
-        m = re.match(r"[A-Za-z_][A-Za-z0-9_]*", self.text[self.pos :])
-        if m:
-            word = m.group(0)
-            self.pos += m.end()
-            if dsl.IDENT_RE.fullmatch(word):
-                return dsl.Arg("variable-reference", word)
-            return dsl.Arg("identifier-constant", word)
-        raise self.error(f"unexpected character {ch!r} in argument value")
-
-
-def reference_parse_statement(line: str, line_no: int) -> dsl.Statement:
-    sc = ReferenceScanner(line, line_no)
-    target = sc.ident("a target variable name")
-    if not dsl.IDENT_RE.fullmatch(target):
-        raise sc.error(f"target {target!r} must be uppercase alphanumeric")
-    sc.expect("=")
-    module_name = sc.ident("a module name")
-    if not dsl.IDENT_RE.fullmatch(module_name):
-        raise sc.error(f"module name {module_name!r} must match [A-Z][A-Z0-9_]*")
-    sc.expect("(")
-    args = []
-    seen = set()
-    sc.skip_spaces()
-    if sc.peek() == ")":
-        sc.pos += 1
-    else:
-        while True:
-            pname = sc.ident("a parameter name")
-            if pname in seen:
-                raise sc.error(f"duplicate keyword argument {pname!r}")
-            seen.add(pname)
-            sc.expect("=")
-            args.append((pname, sc.value()))
-            sc.skip_spaces()
-            if sc.peek() == ",":
-                sc.pos += 1
-                continue
-            sc.expect(")")
-            break
-    sc.skip_spaces()
-    if not sc.eof():
-        raise sc.error(f"trailing text after statement: {sc.text[sc.pos:]!r}")
-    return dsl.Statement(target=target, module_name=module_name, args=tuple(args), line_no=line_no)
-
-
-def parse_outcome(parse, line: str):
-    """The statement a parser returns, or the diagnostics it raises."""
+def parse_outcome(line: str):
+    """The statement `parse_statement` returns for `line` as line 7, or the
+    diagnostics it raises."""
     try:
-        return parse(line, 7)
+        return dsl.parse_statement(line, 7)
     except DslSyntaxError as exc:
         return exc.diagnostics
 
 
-def assert_parses_as_reference(line: str) -> None:
-    expected = parse_outcome(reference_parse_statement, line)
-    assert parse_outcome(dsl.parse_statement, line) == expected
-    if isinstance(expected, dsl.Statement):  # a valid line never needs the scanner
-        assert dsl._STATEMENT_RE.fullmatch(line), line
+def statement(*args) -> dsl.Statement:
+    """`A=B(...)` at line 7 with the given (name, kind, value) arguments."""
+    return dsl.Statement("A", "B", tuple((name, dsl.Arg(kind, value)) for name, kind, value in args), 7)
+
+
+def syntax(message: str) -> list:
+    return [dsl.Diagnostic("SYNTAX", message, 7)]
 
 
 _blank = st.sampled_from(["", "", " ", "\t", " \t "])
@@ -478,25 +347,48 @@ def _line(draw):
 
 @given(_line())
 @settings(max_examples=600, deadline=None)
-def test_regex_parser_matches_reference_scanner(line):
-    assert_parses_as_reference(line)
+def test_a_generated_line_parses_to_a_canonical_statement_or_one_syntax_error(line):
+    outcome = parse_outcome(line)
+    if isinstance(outcome, dsl.Statement):
+        assert parse_outcome(dsl.serialize_statement(outcome)) == outcome
+    else:
+        assert [(d.code, d.line_no) for d in outcome] == [("SYNTAX", 7)]
 
 
-@pytest.mark.parametrize("line", [
-    "A=B()", " A =\tB ( ) ", "A=B(a=1,a=2)", "A=B(a='x\\'y\\\\z', b=f\"{C}+1\", c=-0.5, d=left)",
-    "A=B(a='x\\n')", "A=B(a='x", "A=B(a=f\"x)", "A=B(a=1.)", "A=B(a=1)x", "a=B()", "A=b()",
-    "A=B(a=1,)", "A=B(,a=1)", "A=B(a=)", "A=B", "", "A=B(a='x' b=1)",
-])
+# what each line parses to, or the one diagnostic it raises
+EDGE_LINES = {
+    "A=B()": statement(),
+    " A =\tB ( ) ": statement(),
+    "A=B(a=1,a=2)": syntax("duplicate keyword argument 'a'"),
+    "A=B(a='x\\'y\\\\z', b=f\"{C}+1\", c=-0.5, d=left)": statement(
+        ("a", "string-literal", "x'y\\z"), ("b", "template-string", "{C}+1"), ("c", "number", -0.5),
+        ("d", "identifier-constant", "left"),
+    ),
+    "A=B(a='x\\n')": syntax("unsupported escape \\n in string literal"),
+    "A=B(a='x": syntax("unterminated string literal"),
+    "A=B(a=f\"x)": syntax("unterminated template string"),
+    "A=B(a=1.)": syntax("expected ')', found '.'"),
+    "A=B(a=1)x": syntax("trailing text after statement: 'x'"),
+    "a=B()": syntax("target 'a' must be uppercase alphanumeric"),
+    "A=b()": syntax("module name 'b' must match [A-Z][A-Z0-9_]*"),
+    "A=B(a=1,)": syntax("expected a parameter name"),
+    "A=B(,a=1)": syntax("expected a parameter name"),
+    "A=B(a=)": syntax("unexpected character ')' in argument value"),
+    "A=B": syntax("expected '(', found 'end of line'"),
+    "": syntax("expected a target variable name"),
+    "A=B(a='x' b=1)": syntax("expected ')', found 'b'"),
+}
+
+
+@pytest.mark.parametrize("line", EDGE_LINES)
 def test_regex_parser_edge_lines(line):
-    assert_parses_as_reference(line)
+    assert parse_outcome(line) == EDGE_LINES[line]
 
 
-def test_generated_programs_parse_as_reference():
+def test_generated_programs_parse():
     for task in ("vqa", "grounding", "tagging", "editing", "raven", "mewl-analog"):
         for instance in generate_dataset(task, 3, 40):
             programs = [instance.canonical_program, instance.fallback_program]
             programs += [case["program"] for case in instance.module_cases.values()]
             for program in programs:
-                for line in program.split("\n"):
-                    if line.strip():
-                        assert_parses_as_reference(line.strip())
+                dsl.parse_program(program)

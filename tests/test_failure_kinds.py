@@ -139,3 +139,14 @@ def test_a_builtin_library_replayed_against_a_learned_cache_misses_every_request
     gateway = LlmGateway(mode="replay", cache_path=str(cache))
     report = evaluate("vqa", test, builtin_library(), SyntheticBackend(), gateway)
     assert Counter(o.error.kind for o in report.per_instance if o.error) == {"cache_miss": len(test)}
+
+
+@pytest.mark.parametrize("error, doc", [
+    (CapturedError("cache_miss", "no record"), {"kind": "cache_miss", "message": "no record"}),
+    (CapturedError("runtime", "ValueError: boom", location=3),
+     {"kind": "runtime", "message": "ValueError: boom", "location": 3}),
+    (CapturedError("wrong_output", "output does not match", expected="text", actual="null"),
+     {"kind": "wrong_output", "message": "output does not match", "expected": "text", "actual": "null"}),
+])
+def test_a_record_writes_the_fields_it_has(error, doc):
+    assert error.to_doc() == doc

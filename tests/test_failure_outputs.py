@@ -123,20 +123,26 @@ def test_run_that_runs_nothing_leaves_no_earlier_trace(tmp_path, program):
 
 def test_run_reports_a_runtime_error_with_the_partial_trace(run):
     code, out, err, lines = run(FAILING)
-    assert (code, out, err) == (1, "", "line 2: RUNTIME_ERROR(type): unknown spatial location 'middle'\n")
+    assert (code, out, err) == (1, "", "line 2: RUNTIME_ERROR: type: unknown spatial location 'middle'\n")
     assert [json.loads(line)["statement"] for line in lines] == ["BOX0=LOC(image=IMAGE,object='coat')"]
 
 
 def test_run_reports_a_module_failure_by_the_sandbox_kind(run, tmp_path):
-    record = dataclasses.replace(fixture_record("CHOOSE_ATTRIBUTE"), source=with_first_statement(
-        "CHOOSE_ATTRIBUTE", "raise ValueError('injected fault')"))
-    library = tmp_path / "lib"
-    save_library(register(builtin_library(), record), library)
+    """The whole sandbox record: a `runtime` names its candidate line, and a
+    `wrong_output` gives the expected and actual values."""
     program = (
         "BOX0=LOC(image=IMAGE,object='coat')\n"
         "ANSWER0=CHOOSE_ATTRIBUTE(image=IMAGE,box=BOX0,object='coat',attribute1='black',attribute2='white')\n"
         "FINAL_RESULT=RESULT(var=ANSWER0)"
     )
-    code, out, err, lines = run(program, "--library", str(library))
-    assert (code, out, err) == (1, "", "line 2: RUNTIME_ERROR(runtime): ValueError: injected fault\n")
-    assert len(lines) == 1
+    for fault, message in [
+        ("raise ValueError('injected fault')", "runtime (line 56): ValueError: injected fault"),
+        ("return None", "wrong_output: expected text, got null"),
+    ]:
+        record = dataclasses.replace(fixture_record("CHOOSE_ATTRIBUTE"),
+                                     source=with_first_statement("CHOOSE_ATTRIBUTE", fault))
+        library = tmp_path / "lib"
+        save_library(register(builtin_library(), record), library)
+        code, out, err, lines = run(program, "--library", str(library))
+        assert (code, out, err) == (1, "", f"line 2: RUNTIME_ERROR: {message}\n")
+        assert len(lines) == 1

@@ -29,24 +29,24 @@ TASKS = ("vqa", "grounding", "tagging", "editing", "raven", "mewl-analog")
 OUTPUT_DIGESTS = {
     "vqa": {"train": "a9b4e588ef754c6d", "test": "bb3fb86ad4b27835", "cache": "f75715d7eb85a5a5",
             "cache_stored": "7d9aa09c5ab9410b",
-            "library": "d609997608725c28", "report": "70b2269ae346bcc2"},
+            "library": "d609997608725c28", "report": "4b8b468ce4c94464"},
     "grounding": {"train": "f0ecc2d7b0da25d2", "test": "21e31d30fb54575f", "cache": "035382676fa499e3",
                   "cache_stored": "fb4bb159c761b9a6",
-                  "library": "9d9385dfc37c36cf", "report": "72caf6b90eb4d5cb"},
+                  "library": "9d9385dfc37c36cf", "report": "a1a200237d6cb408"},
     "tagging": {"train": "6860703fa7136036", "test": "ba03bd81a7caf523", "cache": "ac7f5c4bbdb48db9",
                 "cache_stored": "a2aa6db8a9718836",
-                "library": "562026ae241d3411", "report": "cf07c83dd3ffb922"},
+                "library": "562026ae241d3411", "report": "8c72f2a00d2b4f95"},
     "editing": {"train": "83e5b9757b5910ff", "test": "3150c89c911ab8b4", "cache": "d740fd755c4a9bb3",
                 "cache_stored": "34f8f89c7ff9fe58",
-                "library": "66ae8c84a6a799d9", "report": "4cb6b5b10333adb1"},
+                "library": "66ae8c84a6a799d9", "report": "b78d649571ad5737"},
     "raven": {"train": "59f7ec106f095eac", "test": "47e609ccb84ee9f7", "cache": "3c82a25353b40ef7",
               "cache_stored": "38ba881a542c9937",
-              "library": "f7e70f515d19e599", "report": "2026d303a20d17dc"},
+              "library": "f7e70f515d19e599", "report": "fe8508f5566ff151"},
     "mewl-analog": {"train": "ca4d7ea05b847c52", "test": "5a250d98d175b5f2", "cache": "07ce923045198499",
                     "cache_stored": "bb8a67d87978d657",
-                    "library": "ccd92c614414cea8", "report": "54581805fde39a18"},
+                    "library": "ccd92c614414cea8", "report": "af7257fd65c5a199"},
 }
-SPLIT_LAYOUT_REPORT_DIGEST = "df999438c0817076"
+SPLIT_LAYOUT_REPORT_DIGEST = "a087b627f46c7940"
 # `save_dataset` bytes of split-layout raven splits: the distractor draws and
 # the rule check that rejects a second defensible answer both show here
 SPLIT_LAYOUT_DATASET_DIGESTS = {"left-right": "0c0b67e2e85bbd63", "up-down": "f911642ec2c2b322"}

@@ -6,6 +6,7 @@ import pytest
 
 from modgrow import reference_modules as rm
 from modgrow import scene
+from modgrow.errors import EndpointError
 from modgrow.gateway import LlmGateway
 from modgrow.harness import datasets as ds
 from modgrow.harness.evaluate import evaluate
@@ -120,18 +121,29 @@ def test_the_stock_responder_answers_a_repair_prompt(tmp_path, builtin_lib, back
     ]
 
 
-def test_a_failed_repair_request_is_not_counted(tmp_path, builtin_lib, backend):
-    """The reason counts only repair rounds that scored a candidate."""
+def test_a_failed_repair_request_is_an_endpoint_outcome_or_propagates(builtin_lib, backend):
+    """An `EndpointError` on a repair prompt fails that round's candidate as
+    `endpoint`, and the round counts; any other transport error propagates."""
     train = ds.generate_dataset("grounding", 4, 4, {"templates": ["ordinal"]})
-    responder = SyntheticResponder(train)
-    responder.override_source("SORT_SPATIAL", ["no code here"])
 
-    def refusing(request):
-        if "You previously wrote a module" in request.prompt:
-            raise LookupError("no answer")
-        return responder(request)
+    def synthesize(error):
+        responder = SyntheticResponder(train)
+        responder.override_source("SORT_SPATIAL", ["no code here"])
 
-    with LlmGateway(mode="record", cache_path=str(tmp_path / "cache.jsonl"), transport=refusing) as gateway:
-        _, report = run_synthesis(train, builtin_lib, gateway, backend, SynthesisConfig(k_candidates=1))
+        def refusing(request):
+            if "You previously wrote a module" in request.prompt:
+                raise error
+            return responder(request)
+
+        with LlmGateway(mode="record", transport=refusing) as gateway:
+            cfg = SynthesisConfig(k_candidates=1, r_repairs=2)
+            return run_synthesis(train, builtin_lib, gateway, backend, cfg)[1]
+
+    with pytest.raises(LookupError, match="no answer"):
+        synthesize(LookupError("no answer"))
+    report = synthesize(EndpointError("endpoint closed the connection"))
     (failure,) = report.failed
-    assert failure.reason == "no candidate reached pass rate 0.80 (best 0.00 after 0 repair rounds)"
+    assert failure.reason == "no candidate reached pass rate 0.80 (best 0.00 after 2 repair rounds)"
+    assert [(o.repair_round, {r.error.kind for r in o.per_case}) for o in report.outcomes["SORT_SPATIAL"]] == [
+        (0, {"response_parse"}), (1, {"endpoint"}), (2, {"endpoint"})
+    ]
