@@ -3,8 +3,8 @@
 These are the modules available before any learning happens: object
 localization, counting, crops, question answering, region filtering, image
 edits and output formatting. Implementations live in the executor; this
-module only declares names, parameters and usage examples so the registry
-can render them into prompts.
+module only declares names, parameters and usage examples, which the
+registry renders into prompts and the executor checks arguments against.
 """
 
 from __future__ import annotations

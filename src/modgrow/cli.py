@@ -27,9 +27,9 @@ from .harness import datasets as ds
 from .harness.evaluate import evaluate, run_ablation
 from .registry import ExecutionRegistry, builtin_library, load_library, save_library
 from .replay_seed import seed_learn_and_eval
-from .sandbox import Limits
+from .sandbox import DEFAULT_WALL_TIME_MS, Limits
 from .scene import ImageHandle, load_scene
-from .synthesis import SynthesisConfig, run_synthesis
+from .synthesis import DEFAULT_MODEL_ID, SynthesisConfig, run_synthesis
 
 
 def _gateway_from_args(args) -> LlmGateway:
@@ -43,17 +43,20 @@ def _gateway_from_args(args) -> LlmGateway:
     return LlmGateway(mode=args.mode, cache_path=cache)
 
 
-# options that set a SynthesisConfig field for `learn` and `eval --ablation`,
-# the commands that grow a library; one left out keeps the field's default
+# options that set a SynthesisConfig field for `cache seed`, `learn` and
+# `eval --ablation`, the commands that grow a library; one left out keeps the
+# field's default
 SYNTHESIS_FIELDS = {"eta": "eta", "k": "k_candidates", "repairs": "r_repairs"}
+
+
+def _given_fields(args) -> dict:
+    return {field: getattr(args, name) for name, field in SYNTHESIS_FIELDS.items()
+            if getattr(args, name) is not None}
 
 
 def _config_from_args(args) -> SynthesisConfig:
     return SynthesisConfig(
-        **{field: getattr(args, name) for name, field in SYNTHESIS_FIELDS.items()
-           if getattr(args, name) is not None},
-        limits=Limits(wall_time_ms=args.wall_time_ms),
-        model_id=args.model,
+        **_given_fields(args), limits=Limits(wall_time_ms=args.wall_time_ms), model_id=args.model
     )
 
 
@@ -202,7 +205,7 @@ def cmd_cache_seed(args) -> int:
     """Generate seeded datasets and record the matching completion cache."""
     knobs = {"templates": args.templates.split(",")} if args.templates else None
     try:
-        cfg = SynthesisConfig(eta=args.eta, k_candidates=args.k, r_repairs=args.repairs)
+        cfg = SynthesisConfig(**_given_fields(args))
         lib = load_library(args.library) if args.library else builtin_library()
         train = ds.generate_dataset(args.task, seed=args.seed, n=args.n_train, knobs=knobs)
         test = ds.generate_dataset(args.task, seed=args.seed + 1, n=args.n_test, knobs=knobs)
@@ -266,14 +269,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="modgrow")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--mode", choices=["replay", "record"], default="replay")
-        p.add_argument("--cache", default=None)
-        p.add_argument("--model", default="default-model")
+    def add_synthesis(p):  # the options of SYNTHESIS_FIELDS
         p.add_argument("--eta", type=float, default=None)
         p.add_argument("--k", type=int, default=None)
         p.add_argument("--repairs", type=int, default=None)
-        p.add_argument("--wall-time-ms", type=int, default=2000)
+
+    def add_common(p):
+        p.add_argument("--mode", choices=["replay", "record"], default="replay")
+        p.add_argument("--cache", default=None)
+        p.add_argument("--model", default=DEFAULT_MODEL_ID)
+        add_synthesis(p)
+        p.add_argument("--wall-time-ms", type=int, default=DEFAULT_WALL_TIME_MS)
 
     learn = sub.add_parser("learn", help="grow a library from a training split")
     add_common(learn)
@@ -317,9 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     seedp.add_argument("--train-out", required=True)
     seedp.add_argument("--test-out", required=True)
     seedp.add_argument("--cache", required=True)
-    seedp.add_argument("--eta", type=float, default=0.8)
-    seedp.add_argument("--k", type=int, default=2)
-    seedp.add_argument("--repairs", type=int, default=1)
+    add_synthesis(seedp)
     seedp.set_defaults(func=cmd_cache_seed)
     showp = cache_sub.add_parser("show", help="summarize a cache file")
     showp.add_argument("--cache", required=True)

@@ -35,6 +35,11 @@ from .values import tags_compatible
 
 IDENT_RE = re.compile(r"[A-Z][A-Z0-9_]*")
 PLACEHOLDER_RE = re.compile(r"\{([A-Z][A-Z0-9_]*)\}")
+# a line shaped like one statement, with the blanks `_LineScanner` skips around
+# `=` and before `(`; group 1 is the module name, and `^`/`$` match at each line
+STATEMENT_LINE_RE = re.compile(
+    r"^[ \t]*[A-Z][A-Z0-9_]*[ \t]*=[ \t]*([A-Z][A-Z0-9_]*)[ \t]*\(.*\)[ \t]*$", re.MULTILINE
+)
 
 # Modules whose outputs depend on their inputs' runtime types; the validator
 # treats their targets as dynamically typed.
@@ -305,18 +310,13 @@ _LITERAL_KIND_TO_TAG = {
 }
 
 
-def validate_program(
-    program: Program,
-    known_signatures,
-    initial_bindings=None,
-    require_result: bool = True,
-) -> list[Diagnostic]:
+def validate_program(program: Program, known_signatures, initial_bindings=None) -> list[Diagnostic]:
     """Check a parsed program against a signature catalogue.
 
     Returns an empty list iff every module is known, every keyword matches
     the signature, every reference resolves, semantic types line up, targets
-    are assign-once and (when required) the program ends in
-    FINAL_RESULT=RESULT(...). Never raises.
+    are assign-once and the program ends in FINAL_RESULT=RESULT(...). Never
+    raises.
     """
     diags: list[Diagnostic] = []
     sigs = {s.name: s for s in known_signatures}
@@ -370,17 +370,10 @@ def validate_program(
         else:
             bound[st.target] = result_tag
 
-    if require_result:
-        last = program.statements[-1] if program.statements else None
-        if last is None or last.module_name != "RESULT" or last.target != "FINAL_RESULT":
-            line = last.line_no if last else 1
-            diags.append(
-                Diagnostic(
-                    "MISSING_RESULT",
-                    "program must end with FINAL_RESULT=RESULT(...)",
-                    line,
-                )
-            )
+    last = program.statements[-1] if program.statements else None
+    if last is None or last.module_name != "RESULT" or last.target != "FINAL_RESULT":
+        line = last.line_no if last else 1
+        diags.append(Diagnostic("MISSING_RESULT", "program must end with FINAL_RESULT=RESULT(...)", line))
     return diags
 
 
@@ -439,7 +432,6 @@ def _check_arg(st: Statement, pname: str, arg: Arg, declared: str, bound) -> lis
 _CLASS_RE = re.compile(r"^\s*class\s+([A-Za-z_][A-Za-z0-9_]*)\s*(\(\s*\))?\s*:", re.MULTILINE)
 _SECTION_RE = re.compile(r"^(Input|Output|Examples)\s*:\s*$")
 _PARAM_LINE_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(.+)$")
-_STATEMENT_LINE_RE = re.compile(r"^[A-Z][A-Z0-9_]*=[A-Z][A-Z0-9_]*\(.*\)$")
 
 
 def infer_semantic_tag(description: str) -> str:
@@ -516,7 +508,7 @@ def parse_signature_block(source: str) -> ModuleSignature:
 
     usage: list[str] = []
     for line in sections.get("Examples", []):
-        if _STATEMENT_LINE_RE.match(line):
+        if STATEMENT_LINE_RE.match(line):
             usage.append(line)
 
     free_doc = " ".join(l for l in sections[""] if l).strip()

@@ -106,7 +106,7 @@ class RegistryError(ModgrowError):
 
 
 class NameCollisionError(RegistryError):
-    """NAME_COLLISION: same name, different source, no version bump."""
+    """NAME_COLLISION: a registered name given a different source."""
 
 
 class GateViolationError(RegistryError):

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import ast
 import json
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Callable
 
 from . import values as V
+from .builtins_catalog import BUILTIN_SIGNATURES
 from .dsl import (
     PLACEHOLDER_RE,
     Arg,
@@ -102,8 +104,16 @@ def _render_literal(value: Value) -> str:
     )
 
 
-_ALLOWED_BINOPS = {ast.Add, ast.Sub, ast.Mult, ast.Div}
-_ALLOWED_CMPOPS = {ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.In, ast.NotIn}
+# one table per operator kind: the operators a template may use, and what each does
+_UNARY_OPS = {ast.Not: operator.not_, ast.USub: operator.neg, ast.UAdd: operator.pos}
+_ARITHMETIC_OPS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv
+}
+_COMPARISON_OPS = {
+    ast.Eq: operator.eq, ast.NotEq: operator.ne, ast.Lt: operator.lt, ast.LtE: operator.le,
+    ast.Gt: operator.gt, ast.GtE: operator.ge,
+    ast.In: lambda left, right: left in right, ast.NotIn: lambda left, right: left not in right,
+}
 
 
 def _eval_node(node: ast.AST):
@@ -114,24 +124,15 @@ def _eval_node(node: ast.AST):
             return node.value
         raise TemplateEvalError("TEMPLATE_SYNTAX", f"unsupported literal {node.value!r}")
     if isinstance(node, ast.UnaryOp):
-        if isinstance(node.op, ast.Not):
-            return not _eval_node(node.operand)
-        if isinstance(node.op, ast.USub):
-            return -_eval_node(node.operand)
-        if isinstance(node.op, ast.UAdd):
-            return +_eval_node(node.operand)
-        raise TemplateEvalError("TEMPLATE_SYNTAX", "unsupported unary operator")
+        op = _UNARY_OPS.get(type(node.op))
+        if op is None:
+            raise TemplateEvalError("TEMPLATE_SYNTAX", "unsupported unary operator")
+        return op(_eval_node(node.operand))
     if isinstance(node, ast.BinOp):
-        if type(node.op) not in _ALLOWED_BINOPS:
+        op = _ARITHMETIC_OPS.get(type(node.op))
+        if op is None:
             raise TemplateEvalError("TEMPLATE_SYNTAX", "unsupported arithmetic operator")
-        left, right = _eval_node(node.left), _eval_node(node.right)
-        if isinstance(node.op, ast.Add):
-            return left + right
-        if isinstance(node.op, ast.Sub):
-            return left - right
-        if isinstance(node.op, ast.Mult):
-            return left * right
-        return left / right
+        return op(_eval_node(node.left), _eval_node(node.right))
     if isinstance(node, ast.BoolOp):
         if isinstance(node.op, ast.And):
             result = True
@@ -148,27 +149,12 @@ def _eval_node(node: ast.AST):
         return result
     if isinstance(node, ast.Compare):
         left = _eval_node(node.left)
-        for op, comparator in zip(node.ops, node.comparators):
-            if type(op) not in _ALLOWED_CMPOPS:
+        for op_node, comparator in zip(node.ops, node.comparators):
+            op = _COMPARISON_OPS.get(type(op_node))
+            if op is None:
                 raise TemplateEvalError("TEMPLATE_SYNTAX", "unsupported comparison operator")
             right = _eval_node(comparator)
-            if isinstance(op, ast.Eq):
-                ok = left == right
-            elif isinstance(op, ast.NotEq):
-                ok = left != right
-            elif isinstance(op, ast.Lt):
-                ok = left < right
-            elif isinstance(op, ast.LtE):
-                ok = left <= right
-            elif isinstance(op, ast.Gt):
-                ok = left > right
-            elif isinstance(op, ast.GtE):
-                ok = left >= right
-            elif isinstance(op, ast.In):
-                ok = left in right
-            else:
-                ok = left not in right
-            if not ok:
+            if not op(left, right):
                 return False
             left = right
         return True
@@ -223,23 +209,12 @@ def expand_box(box, img_size, factor: float = EXPAND_FACTOR):
     return [max(0, cx - dw), max(0, cy - dh), min(cx + dw, W), min(cy + dh, H)]
 
 
-def _expect(args: dict[str, Value], name: str, tags: tuple[str, ...]) -> Value:
-    value = args[name]
-    if value.tag not in tags:
-        raise _type_error(f"argument {name!r} must be {' or '.join(tags)}, got {value.tag}")
-    return value
-
-
-def _first_box_or_none(value: Value):
-    return value.payload[0] if value.payload else None
-
-
 def _crop_builtin(which: str):
     def run(args, backend):
-        handle = _expect(args, "image", ("image",)).payload
-        first = _first_box_or_none(_expect(args, "box", ("box-list", "mask")))
-        if first is None:
+        handle, boxes = args["image"].payload, args["box"].payload
+        if not boxes:
             return V.image(handle.crop((0, 0, handle.width, handle.height)))
+        first = boxes[0]
         if which == "around":
             return V.image(handle.crop(expand_box(first, handle.size)))
         cx = (first[0] + first[2]) // 2
@@ -257,17 +232,17 @@ def _crop_builtin(which: str):
 
 
 def _builtin_loc(args, backend):
-    handle = _expect(args, "image", ("image",)).payload
-    name = _expect(args, "object", ("text",)).payload
+    handle = args["image"].payload
+    name = args["object"].payload
     if name in ("TOP", "BOTTOM", "LEFT", "RIGHT"):
         return V.box_list([half_box(handle.width, handle.height, name.lower())])
     return V.box_list(backend.locate(handle, name))
 
 
 def _builtin_select(args, backend):
-    handle = _expect(args, "image", ("image",)).payload
-    boxes = _expect(args, "box", ("box-list", "mask")).payload
-    query = _expect(args, "query", ("text",)).payload
+    handle = args["image"].payload
+    boxes = args["box"].payload
+    query = args["query"].payload
     if not boxes:
         return V.box_list([])
     scores = [backend.score_alignment(handle.crop(b), [query])[0] for b in boxes]
@@ -276,9 +251,9 @@ def _builtin_select(args, backend):
 
 
 def _builtin_filter_property(args, backend):
-    handle = _expect(args, "image", ("image",)).payload
-    boxes = _expect(args, "box", ("box-list", "mask")).payload
-    prop = _expect(args, "property", ("text",)).payload
+    handle = args["image"].payload
+    boxes = args["box"].payload
+    prop = args["property"].payload
     kept = [
         b for b in boxes if backend.score_alignment(handle.crop(b), [prop])[0] > 0.5
     ]
@@ -286,9 +261,9 @@ def _builtin_filter_property(args, backend):
 
 
 def _builtin_filter_spatial(args, backend):
-    handle = _expect(args, "image", ("image",)).payload
-    boxes = _expect(args, "box", ("box-list", "mask")).payload
-    location = _expect(args, "location", ("text",)).payload.lower()
+    handle = args["image"].payload
+    boxes = args["box"].payload
+    location = args["location"].payload.lower()
     w, h = handle.width, handle.height
 
     def keep(box):
@@ -308,16 +283,16 @@ def _builtin_filter_spatial(args, backend):
 
 
 def _builtin_replace(args, backend):
-    handle = _expect(args, "image", ("image",)).payload
-    mask = _expect(args, "mask", ("box-list", "mask")).payload
-    prompt = _expect(args, "prompt", ("text",)).payload
+    handle = args["image"].payload
+    mask = args["mask"].payload
+    prompt = args["prompt"].payload
     return V.image(backend.inpaint_region(handle, list(mask), prompt))
 
 
 def _edit_builtin(kind: str):
     def run(args, backend):
-        handle = _expect(args, "image", ("image",)).payload
-        mask = _expect(args, "mask", ("box-list", "mask")).payload
+        handle = args["image"].payload
+        mask = args["mask"].payload
         return V.image(handle.with_edit(kind, list(mask)))
 
     return run
@@ -325,9 +300,9 @@ def _edit_builtin(kind: str):
 
 def _overlay_builtin(label_param: str):
     def run(args, backend):
-        handle = _expect(args, "image", ("image",)).payload
-        boxes = _expect(args, "box", ("box-list", "mask")).payload
-        label = _expect(args, label_param, ("text",)).payload
+        handle = args["image"].payload
+        boxes = args["box"].payload
+        label = args[label_param].payload
         for box in boxes:
             handle = handle.with_overlay(box, label)
         return V.image(handle)
@@ -336,24 +311,22 @@ def _overlay_builtin(label_param: str):
 
 
 def _builtin_list(args, backend):
-    query = _expect(args, "query", ("text",)).payload
-    limit = _expect(args, "max", ("number",)).payload
+    query = args["query"].payload
+    limit = args["max"].payload
     lines = [l.strip() for l in backend.general_text(query).split("\n") if l.strip()]
     return V.list_value(lines[: int(limit)])
 
 
 BUILTIN_IMPLS: dict[str, Callable] = {
     "LOC": _builtin_loc,
-    "COUNT": lambda args, backend: V.number(len(_expect(args, "box", ("box-list", "mask")).payload)),
+    "COUNT": lambda args, backend: V.number(len(args["box"].payload)),
     "CROP": _crop_builtin("around"),
     "CROP_LEFTOF": _crop_builtin("leftof"),
     "CROP_RIGHTOF": _crop_builtin("rightof"),
     "CROP_ABOVE": _crop_builtin("above"),
     "CROP_BELOW": _crop_builtin("below"),
     "VQA": lambda args, backend: V.text(
-        backend.answer_question(
-            _expect(args, "image", ("image",)).payload, _expect(args, "question", ("text",)).payload
-        )
+        backend.answer_question(args["image"].payload, args["question"].payload)
     ),
     "SELECT": _builtin_select,
     "FILTER_PROPERTY": _builtin_filter_property,
@@ -363,20 +336,33 @@ BUILTIN_IMPLS: dict[str, Callable] = {
     "BGBLUR": _edit_builtin("bgblur"),
     "TAG": _overlay_builtin("label"),
     "EMOJI": _overlay_builtin("emoji"),
-    "FACEDET": lambda args, backend: V.box_list(
-        backend.locate(_expect(args, "image", ("image",)).payload, "face")
-    ),
+    "FACEDET": lambda args, backend: V.box_list(backend.locate(args["image"].payload, "face")),
     "LIST": _builtin_list,
-    "BOX2MASK": lambda args, backend: V.mask(_expect(args, "box", ("box-list", "mask")).payload),
-    "MASK2BOX": lambda args, backend: V.box_list(_expect(args, "mask", ("box-list", "mask")).payload),
+    "BOX2MASK": lambda args, backend: V.mask(args["box"].payload),
+    "MASK2BOX": lambda args, backend: V.box_list(args["mask"].payload),
+}
+
+
+# each builtin's parameters in signature order, with the runtime tags its declared tag accepts
+_BUILTIN_PARAMS = {
+    sig.name: tuple(
+        (pname, tuple(tag for tag in V.VALUE_TAGS if V.tags_compatible(declared, tag)))
+        for pname, declared in sig.params
+    )
+    for sig in BUILTIN_SIGNATURES if sig.name in BUILTIN_IMPLS
 }
 
 
 def run_builtin(name: str, args: dict[str, Value], backend) -> Value:
-    """Execute one builtin by name over already-resolved argument values."""
+    """Execute one builtin by name over already-resolved argument values,
+    each checked against the tag its `BUILTIN_SIGNATURES` entry declares."""
     impl = BUILTIN_IMPLS.get(name)
     if impl is None:
         raise _type_error(f"UNKNOWN_BUILTIN: {name}")
+    for pname, accepted in _BUILTIN_PARAMS[name]:
+        tag = args[pname].tag
+        if tag not in accepted:
+            raise _type_error(f"argument {pname!r} must be {' or '.join(accepted)}, got {tag}")
     try:
         return impl(args, backend)
     except BackendError as exc:

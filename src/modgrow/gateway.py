@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .cache import CacheWriter, load_responses
-from .dsl import ModuleSignature, parse_signature_block
+from .dsl import STATEMENT_LINE_RE, ModuleSignature, parse_signature_block
 from .errors import (
     AuthMissingError,
     CacheMissError,
@@ -343,7 +343,6 @@ class LlmGateway:
 # Response parsing
 # ---------------------------------------------------------------------------
 
-_STATEMENT_LINE = re.compile(r"^[A-Z][A-Z0-9_]*=[A-Z][A-Z0-9_]*\(.*\)\s*$")
 _CLASS_LINE = re.compile(r"^class\s+([A-Za-z_][A-Za-z0-9_]*)\s*(\(\s*\))?\s*:\s*$")
 _FENCE_RE = re.compile(r"```(?:[a-zA-Z0-9_]+)?\n(.*?)```", re.DOTALL)
 
@@ -358,7 +357,7 @@ class InitializationDecision:
 def _first_program_block(lines: list[str]) -> str | None:
     block: list[str] = []
     for line in lines:
-        if _STATEMENT_LINE.match(line.strip()):
+        if STATEMENT_LINE_RE.match(line.strip()):
             block.append(line.strip())
         elif block:
             break

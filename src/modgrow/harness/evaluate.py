@@ -28,7 +28,7 @@ from ..gateway import LlmGateway, TailSlotPrompt, load_template, parse_program_r
 from ..reference_modules import raven_regions
 from ..registry import ExecutionRegistry, Library, signature_prompt_text
 from ..scene import ImageHandle
-from ..synthesis import run_synthesis
+from ..synthesis import DEFAULT_MODEL_ID, run_synthesis
 from .datasets import TaskInstance, build_bindings, task_spec
 from .metrics import precision_recall_f1
 
@@ -154,7 +154,7 @@ def evaluate(
     lib: Library,
     backend,
     gateway: LlmGateway,
-    model_id: str = "default-model",
+    model_id: str = DEFAULT_MODEL_ID,
     limits=None,
 ) -> EvalReport:
     """Run every instance, judge it by its task, aggregate metrics into a report.

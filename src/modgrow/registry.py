@@ -2,9 +2,9 @@
 
 A library maps module names to records (signature + source + provenance +
 gated pass rate) and keeps a manifest in registration order so prompt text
-stays stable as the library grows. On disk a library is a directory with a
-manifest, one source file and one metadata file per module: human-auditable
-and diff-friendly.
+stays stable as the library grows. A registered record is never replaced.
+On disk a library is a directory with a manifest, one source file and one
+metadata file per module: human-auditable and diff-friendly.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .builtins_catalog import BUILTIN_SIGNATURES
 from .dsl import ModuleSignature, render_signature_block
 from .errors import (CapturedError, ExecutorRuntimeError, GateViolationError, LibraryFormatError,
                      NameCollisionError, NotFoundError)
-from .sandbox import Limits, invoke_candidate, load_candidate
+from .sandbox import CandidateHandle, Limits, invoke_candidate, load_candidate
 
 EPOCH_TIMESTAMP = "1970-01-01T00:00:00Z"
 
@@ -48,9 +48,6 @@ class Library:
     def copy(self) -> "Library":
         return Library(records=dict(self.records), manifest=list(self.manifest))
 
-    def names(self) -> list[str]:
-        return list(self.manifest)
-
     def __len__(self) -> int:
         return len(self.manifest)
 
@@ -59,8 +56,9 @@ def register(lib: Library, rec: ModuleRecord) -> Library:
     """Store a record, returning an updated copy of the library.
 
     A generated record must carry a pass rate at or above the threshold it
-    claims it was gated at. Re-registering an identical source is a no-op;
-    a different source under an existing name needs an explicit version bump.
+    claims it was gated at. Re-registering an identical source is a no-op; a
+    registered module is never replaced, so a different source under its
+    name raises `NameCollisionError`.
     """
     if rec.kind == "generated" and rec.pass_rate < rec.eta_at_acceptance:
         raise GateViolationError(
@@ -70,14 +68,7 @@ def register(lib: Library, rec: ModuleRecord) -> Library:
     if existing is not None:
         if existing.source == rec.source:
             return lib
-        if rec.version != existing.version + 1:
-            raise NameCollisionError(
-                f"{rec.name} already registered with different source; "
-                f"bump version to {existing.version + 1} to replace it"
-            )
-        updated = lib.copy()
-        updated.records[rec.name] = rec
-        return updated
+        raise NameCollisionError(f"{rec.name} already registered with different source")
     updated = lib.copy()
     updated.records[rec.name] = rec
     updated.manifest.append(rec.name)
@@ -217,19 +208,17 @@ def libraries_equal(a: Library, b: Library) -> bool:
 class ExecutionRegistry:
     """Resolves module names for the executor, loading generated modules into
     sandbox handles on first use. A temporary overlay lets synthesis score a
-    candidate under a proposal name without touching the library."""
+    candidate under a proposal name without touching the library. A call
+    takes its arguments in the order of its handle's signature."""
 
     def __init__(self, lib: Library, limits=None, overlay: dict | None = None):
         self.lib = lib
         self.limits = limits or Limits()
         self.overlay = dict(overlay or {})  # name -> CandidateHandle
-        self._handles: dict[str, object] = {}
-        # name -> (loaded handle, signature), looked up on the first call
-        self._loaded: dict[str, tuple] = {}
+        self._loaded: dict[str, CandidateHandle] = {}  # name -> handle that loaded, on first call
         # the library's signatures, then those of overlay names it lacks
         self._signatures = tuple(signatures(lib)) + tuple(
-            handle.signature for name, handle in self.overlay.items()
-            if name not in lib.records and getattr(handle, "signature", None) is not None
+            handle.signature for name, handle in self.overlay.items() if name not in lib.records
         )
 
     def signatures(self) -> tuple[ModuleSignature, ...]:
@@ -241,25 +230,18 @@ class ExecutionRegistry:
         rec = self.lib.records.get(name)
         return rec is not None and rec.kind == "generated"
 
-    def _handle_for(self, name: str):
-        if name in self.overlay:
-            return self.overlay[name]
-        if name not in self._handles:
-            rec = lookup(self.lib, name)
-            handle = load_candidate(rec.source, signature=rec.signature)
-            self._handles[name] = handle
-        return self._handles[name]
-
     def invoke_generated(self, name: str, resolved_args: dict, backend):
-        entry = self._loaded.get(name)
-        if entry is None:
-            handle = self._handle_for(name)
+        handle = self._loaded.get(name)
+        if handle is None:
+            handle = self.overlay.get(name)
+            if handle is None:
+                rec = lookup(self.lib, name)
+                handle = load_candidate(rec.source, rec.signature)
             if handle.load_state != "loaded":
-                raise ExecutorRuntimeError(handle.error or CapturedError("compile", "candidate failed to load"))
-            entry = self._loaded[name] = (handle, self._signature_for(name))
-        handle, sig = entry
+                raise ExecutorRuntimeError(handle.error)
+            self._loaded[name] = handle
         ordered = []
-        for pname, _ in sig.params:
+        for pname, _ in handle.signature.params:
             if pname not in resolved_args:
                 raise ExecutorRuntimeError(CapturedError("type", f"{name} missing argument {pname!r}"))
             ordered.append(V.to_plain(resolved_args[pname]))
@@ -267,11 +249,3 @@ class ExecutionRegistry:
         if isinstance(result, CapturedError):
             raise ExecutorRuntimeError(result)
         return result
-
-    def _signature_for(self, name: str) -> ModuleSignature:
-        if name in self.overlay:
-            handle = self.overlay[name]
-            sig = getattr(handle, "signature", None)
-            if sig is not None:
-                return sig
-        return lookup(self.lib, name).signature

@@ -19,6 +19,7 @@ import re
 from collections import deque
 from functools import lru_cache
 
+from .dsl import STATEMENT_LINE_RE
 from .gateway import CompletionRequest, LlmGateway
 from .harness.datasets import task_spec
 from .harness.evaluate import program_prompts
@@ -32,14 +33,13 @@ _MODULE_ASK_RE = re.compile(
     r"([A-Za-z_][A-Za-z0-9_]*)(?:\(\))?[?,]"
 )
 _CLASS_NAME_RE = re.compile(r"^class\s+([A-Z][A-Z0-9_]*)\s*\(", re.MULTILINE)
-_STATEMENT_MODULE_RE = re.compile(r"^[A-Z][A-Z0-9_]*=([A-Z][A-Z0-9_]*)\(", re.MULTILINE)
 
 # header names that appear in static prompt examples, never in the catalogue
 _EXAMPLE_HEADER_NAMES = {"COMPARE_SIZE"}
 
 
 def program_modules(program_text: str) -> set[str]:
-    return set(_STATEMENT_MODULE_RE.findall(program_text))
+    return set(STATEMENT_LINE_RE.findall(program_text))
 
 
 def _last_match(pattern: re.Pattern, text: str, pos: int = 0) -> re.Match | None:
@@ -152,7 +152,7 @@ class SyntheticResponder:
 
 
 def _ordered(names: set[str], program_text: str) -> list[str]:
-    order = _STATEMENT_MODULE_RE.findall(program_text)
+    order = STATEMENT_LINE_RE.findall(program_text)
     out = []
     for name in order:
         if name in names and name not in out:

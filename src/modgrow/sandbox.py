@@ -6,6 +6,10 @@ and dunder access attempts are rejected (statically at load where possible,
 dynamically via guard builtins otherwise), and every failure is captured as a
 structured error the repair loop can feed back to the code generator.
 
+A candidate is always loaded against its `ModuleSignature`: the signature
+names the class to take, fixes the number of `execute`'s parameters, and
+gives the return tag that every call's output is checked against.
+
 Loops are bounded by a step budget and a wall clock compiled into the
 candidate: at load, every loop body, function body, lambda and comprehension
 item of the candidate's own code gets a call to the reserved name `__tick__`,
@@ -34,8 +38,10 @@ from dataclasses import dataclass, field
 
 from . import values as V
 from .backends import OPERATIONS
+from .dsl import ModuleSignature
 from .errors import BackendError, CapturedError
-from .values import Value
+
+DEFAULT_WALL_TIME_MS = 2000
 
 
 @dataclass(frozen=True)
@@ -43,7 +49,7 @@ class Limits:
     """Budget of one candidate call. A step is one loop pass, one function or
     lambda call, or one comprehension item in the candidate's own code."""
 
-    wall_time_ms: int = 2000
+    wall_time_ms: int = DEFAULT_WALL_TIME_MS
     max_steps: int = 2_000_000
 
     def __post_init__(self):
@@ -188,16 +194,18 @@ class SandboxApi:
 
 @dataclass
 class CandidateHandle:
-    name: str
     source: str
-    load_state: str  # loaded | compile_error
+    signature: ModuleSignature
+    load_state: str = "compile_error"  # loaded | compile_error
     error: CapturedError | None = None
-    expected_return: str | None = None
-    signature: object | None = None
     prints: list[str] = field(default_factory=list)
     _instance: object | None = None
     _namespace: dict | None = None
     _filename: str = ""
+
+    @property
+    def name(self) -> str:
+        return self.signature.name
 
 
 def _format_fields(text: str):
@@ -249,24 +257,22 @@ def _budget_failure(budget: _Budget) -> CapturedError | None:
     return budget.refused
 
 
-def load_candidate(source: str, signature=None) -> CandidateHandle:
+def load_candidate(source: str, signature: ModuleSignature) -> CandidateHandle:
     """Compile and define a candidate in an isolated namespace.
 
     Loading runs class/function definitions only; module logic executes later
-    via invoke_candidate. When `signature` is given, the candidate must define
-    a class with that exact name whose ``execute`` entry point takes the same
-    number of parameters, and its output will be checked against the declared
-    return tag on every invocation.
+    via invoke_candidate. The candidate must define a class named
+    `signature.name` whose ``execute`` entry point takes as many parameters
+    as the signature declares; every invocation checks its output against
+    the signature's return tag.
     """
-    name = signature.name if signature is not None else None
-    handle = CandidateHandle(
-        name=name or "<candidate>", source=source, load_state="compile_error", signature=signature
-    )
+    name = signature.name
+    handle = CandidateHandle(source=source, signature=signature)
     if not source or not source.strip():
         handle.error = CapturedError("compile", "empty candidate source")
         return handle
 
-    filename = f"<candidate:{name or 'anonymous'}>"
+    filename = f"<candidate:{name}>"
     try:
         tree = ast.parse(source, filename=filename)
     except SyntaxError as exc:
@@ -306,15 +312,6 @@ def load_candidate(source: str, signature=None) -> CandidateHandle:
         return handle
 
     classes = {k: v for k, v in namespace.items() if isinstance(v, type)}
-    if name is None:
-        # no signature given: take the single defined class
-        if len(classes) != 1:
-            handle.error = CapturedError(
-                "compile", f"expected exactly one module class, found {sorted(classes)}"
-            )
-            return handle
-        name = next(iter(classes))
-        handle.name = name
     if name not in classes:
         handle.error = CapturedError(
             "compile", f"candidate must define a class named {name}, found {sorted(classes)}"
@@ -326,7 +323,7 @@ def load_candidate(source: str, signature=None) -> CandidateHandle:
         handle.error = CapturedError("compile", f"class {name} has no execute entry point")
         return handle
     arg_count = execute.__code__.co_argcount - 1  # minus self
-    if signature is not None and arg_count != len(signature.params):
+    if arg_count != len(signature.params):
         handle.error = CapturedError(
             "compile",
             f"execute takes {arg_count} parameters but the signature declares "
@@ -344,8 +341,6 @@ def load_candidate(source: str, signature=None) -> CandidateHandle:
     namespace[_TICK] = None
 
     handle.load_state = "loaded"
-    handle.error = None
-    handle.expected_return = signature.returns if signature is not None else None
     handle._instance = instance
     handle._namespace = namespace
     handle._filename = filename
@@ -360,14 +355,15 @@ def _candidate_line(filename: str) -> int | None:
 
 
 def invoke_candidate(handle: CandidateHandle, args, backend, limits: Limits | None = None):
-    """Call a loaded candidate's entry point; returns a Value or CapturedError.
+    """Call a loaded candidate's entry point; returns a Value of the
+    signature's return tag, or a CapturedError.
 
     The invocation is hermetic: the only reachable capability is the backend
     passed in, and the candidate's own steps (see `Limits`) are budgeted
     against the step and wall-clock limits.
     """
     if handle.load_state != "loaded":
-        return handle.error or CapturedError("compile", "candidate not loaded")
+        return handle.error
     budget = _Budget(limits or Limits())
     handle.prints.clear()
     namespace, filename = handle._namespace, handle._filename
@@ -391,22 +387,14 @@ def invoke_candidate(handle: CandidateHandle, args, backend, limits: Limits | No
     if failure := _budget_failure(budget) or error:  # also when the candidate swallowed it
         return failure
 
-    if handle.expected_return is not None:
-        coerced = V.coerce_to_tag(raw, handle.expected_return)
-        if coerced is None:
-            try:
-                actual = V.infer_value(raw)
-                actual_desc = V.summarize(actual)
-            except TypeError:
-                actual_desc = f"<{type(raw).__name__}>"
-            return CapturedError(
-                "wrong_output",
-                "output does not match the declared return type",
-                expected=handle.expected_return,
-                actual=actual_desc,
-            )
+    returns = handle.signature.returns
+    coerced = V.coerce_to_tag(raw, returns)
+    if coerced is not None:
         return coerced
     try:
-        return V.infer_value(raw)
-    except TypeError as exc:
-        return CapturedError("wrong_output", str(exc), actual=f"<{type(raw).__name__}>")
+        actual = V.summarize(V.infer_value(raw))
+    except TypeError:
+        actual = f"<{type(raw).__name__}>"
+    return CapturedError(
+        "wrong_output", "output does not match the declared return type", expected=returns, actual=actual
+    )

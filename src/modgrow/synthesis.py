@@ -46,15 +46,17 @@ from .sandbox import CandidateHandle, Limits, load_candidate
 # stage-2 requests allow MAX_TOKENS. Cache keys hash both.
 SAMPLE_TEMPERATURE = 0.7
 MAX_TOKENS = 2048
+# the model every request names unless a run names another
+DEFAULT_MODEL_ID = "default-model"
 
 
 @dataclass(frozen=True)
 class SynthesisConfig:
     eta: float = 0.8
-    k_candidates: int = 5
-    r_repairs: int = 3
+    k_candidates: int = 2
+    r_repairs: int = 1
     limits: Limits = field(default_factory=Limits)
-    model_id: str = "default-model"
+    model_id: str = DEFAULT_MODEL_ID
 
     def __post_init__(self):
         if not (0.0 < self.eta <= 1.0):

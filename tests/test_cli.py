@@ -5,15 +5,19 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
+from collections import Counter
 
 import pytest
 
 from modgrow import cli
+from modgrow.cache import read_records
 from modgrow.gateway import LlmGateway
-from modgrow.harness.datasets import generate_dataset, save_dataset
+from modgrow.harness.datasets import generate_dataset, load_dataset, save_dataset
 from modgrow.harness.evaluate import evaluate
 from modgrow.registry import builtin_library, register, save_library
 from modgrow.replay_seed import SyntheticResponder
+from modgrow.synthesis import SynthesisConfig, run_synthesis
 
 from conftest import fixture_record
 
@@ -122,10 +126,25 @@ def test_eval_ablation_keeps_the_synthesis_defaults(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_ablation", capture)
     base = ["eval", "--mode", "replay", "--cache", str(cache), "--dataset", str(split),
             "--ablation", str(grid)]
-    for argv in (base, [*base, "--k", "2", "--repairs", "0", "--eta", "0.5"]):
+    for argv in (base, [*base, "--k", "3", "--repairs", "0", "--eta", "0.5"]):
         with pytest.raises(Stop):
             cli.main(argv)
-    assert [(c.eta, c.k_candidates, c.r_repairs) for c in configs] == [(0.8, 5, 3), (0.5, 2, 0)]
+    assert configs == [SynthesisConfig(), SynthesisConfig(eta=0.5, k_candidates=3, r_repairs=0)]
+
+
+def test_a_default_seed_records_the_samples_a_default_learn_asks_for(tmp_path, backend):
+    train, test, cache = (tmp_path / name for name in ("train.jsonl", "test.jsonl", "cache.jsonl"))
+    argv = ["cache", "seed", "--task", "grounding", "--seed", "4", "--n-train", "4", "--n-test", "1",
+            "--templates", "ordinal", "--train-out", str(train), "--test-out", str(test),
+            "--cache", str(cache)]
+    assert cli.main(argv) == 0
+    asks = (re.search(r"could you write a new module, ([A-Z0-9_]+)", record["request"]["prompt"])
+            for _, record in read_records(cache) if "request" in record)
+    recorded = Counter(ask.group(1) for ask in asks if ask)
+    with LlmGateway(mode="replay", cache_path=str(cache)) as gateway:
+        _, report = run_synthesis(load_dataset(train), builtin_library(), gateway, backend, SynthesisConfig())
+    sampled = {name: sum(o.repair_round == 0 for o in outs) for name, outs in report.outcomes.items()}
+    assert recorded and sampled == dict(recorded)
 
 
 @pytest.mark.parametrize("given", [[], ["--in-place"]])

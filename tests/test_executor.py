@@ -105,6 +105,38 @@ class TestEvalTemplate:
         env = Environment({"S": V.text("left")})
         assert eval_template("{S} == 'left'", env) == V.boolean(True)
 
+    @pytest.mark.parametrize(
+        "expr, expected",
+        [
+            ("1 < 2 <= 2 < 3", True),
+            ("1 < 3 < 2", False),
+            ("'a' in 'cat'", True),
+            ("'a' not in 'cat'", False),
+            ("not 0", True),
+            ("-{A} + 1", -1),
+            ("+{A}", 2),
+            ("7 / 2 - 1 * 3", 0.5),
+            ("'yes' if 2 != 2 else 'no'", "no"),
+        ],
+    )
+    def test_operators(self, expr, expected):
+        assert eval_template(expr, Environment({"A": V.number(2)})).payload == expected
+
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            ("2 ** 3", "TEMPLATE_SYNTAX: unsupported arithmetic operator"),
+            ("7 // 2", "TEMPLATE_SYNTAX: unsupported arithmetic operator"),
+            ("None is None", "TEMPLATE_SYNTAX: unsupported comparison operator"),
+            ("1 < 2 is None", "TEMPLATE_SYNTAX: unsupported comparison operator"),
+            ("~1", "TEMPLATE_SYNTAX: unsupported unary operator"),
+        ],
+    )
+    def test_unsupported_operators(self, expr, message):
+        with pytest.raises(TemplateEvalError) as err:
+            eval_template(expr, Environment({}))
+        assert str(err.value) == message
+
 
 class TestBuiltins:
     def test_count_empty(self, backend):
@@ -350,6 +382,26 @@ class TestRunProgram:
         ]
         assert [r.error and r.error.kind for r in runs] == [None, "validation", None]
         assert [d.code for d in runs[1].diagnostics] == ["TYPE_MISMATCH"]
+
+    @pytest.mark.parametrize(
+        "source, error",
+        [
+            ("A=EVAL(expr=f\"'x'\")\nB=COUNT(box=A)\nFINAL_RESULT=RESULT(var=B)",
+             CapturedError("type", "argument 'box' must be box-list or mask, got text")),
+            ("A=EVAL(expr=f\"2\")\nBOX0=LOC(image=IMAGE,object='coat')\n"
+             "B=CROP(image=A,box=BOX0)\nFINAL_RESULT=RESULT(var=B)",
+             CapturedError("type", "argument 'image' must be image, got number")),
+            ("A=EVAL(expr=f\"2 ** 3\")\nFINAL_RESULT=RESULT(var=A)",
+             CapturedError("template", "TEMPLATE_SYNTAX: unsupported arithmetic operator")),
+        ],
+    )
+    def test_a_value_typed_only_at_run_time_fails_by_its_tag(self, builtin_lib, backend, coat_image,
+                                                              source, error):
+        env = Environment({"IMAGE": V.image(coat_image)})
+        result = run_program(source, env, ExecutionRegistry(builtin_lib), backend)
+        assert result.diagnostics == ()
+        assert result.error == error
+        assert result.line_no == source.count("\n")
 
     def test_a_line_that_does_not_parse_runs_nothing(self, builtin_lib, coat_image):
         source = "FINAL_RESULT=RESULT(var=IMAGE)\nnot a statement"

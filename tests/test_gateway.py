@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from modgrow import values as V
 from modgrow.errors import CacheMissError, MissingSlotError, ResponseParseError
 from modgrow.gateway import (
     CompletionRequest,
@@ -13,8 +14,9 @@ from modgrow.gateway import (
     parse_program_response,
     render_prompt,
 )
+from modgrow.executor import Environment, run_program
 from modgrow.reference_modules import COMPARE_COLOR_SOURCE, fixture_header
-from modgrow.registry import builtin_library, signature_prompt_text
+from modgrow.registry import ExecutionRegistry, builtin_library, signature_prompt_text
 
 from program_corpus import COMPARE_SIZE_PROGRAM, PURSE_PROGRAM
 
@@ -198,3 +200,11 @@ class TestSourceExtraction:
         assert parse_program_response("Program:\n" + PURSE_PROGRAM + "\n\nDone.") == PURSE_PROGRAM
         with pytest.raises(ResponseParseError):
             parse_program_response("no statements here")
+
+    def test_a_program_with_blanks_around_its_tokens_is_extracted_and_runs(self, coat_image, backend):
+        program = "BOX0 = LOC(image=IMAGE, object='coat')\nFINAL_RESULT = RESULT(var=BOX0)"
+        assert parse_program_response("Program:\n" + program + "\n") == program
+        env = Environment({"IMAGE": V.image(coat_image)})
+        result = run_program(program, env, ExecutionRegistry(builtin_library()), backend)
+        assert result.error is None
+        assert result.final == V.box_list([(200, 150, 380, 330)])

@@ -41,18 +41,10 @@ class TestRegister:
 
     def test_collision_without_version_bump(self, builtin_lib):
         lib = register(builtin_lib, sort_spatial_record())
-        changed = replace(sort_spatial_record(), source=rm.SORT_SPATIAL_SOURCE + "\n# v2\n")
-        with pytest.raises(NameCollisionError):
-            register(lib, changed)
-
-    def test_version_bump_replaces_in_place(self, builtin_lib):
-        lib = register(builtin_lib, sort_spatial_record())
-        bumped = replace(
-            sort_spatial_record(), source=rm.SORT_SPATIAL_SOURCE + "\n# v2\n", version=2
-        )
-        lib2 = register(lib, bumped)
-        assert lookup(lib2, "SORT_SPATIAL").version == 2
-        assert lib2.manifest == lib.manifest  # manifest order stable
+        for version in (1, 2):  # a version bump does not replace a module either
+            changed = sort_spatial_record(source=rm.SORT_SPATIAL_SOURCE + "\n# v2\n", version=version)
+            with pytest.raises(NameCollisionError):
+                register(lib, changed)
 
     def test_gate_violation_rejected(self, builtin_lib):
         forged = replace(sort_spatial_record(), pass_rate=0.5, eta_at_acceptance=0.8)

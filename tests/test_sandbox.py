@@ -53,7 +53,8 @@ class TestLoad:
         assert params == ["image", "box_list", "location", "index"]
 
     def test_unbalanced_delimiters_compile_error(self):
-        handle = load_candidate("class X():\n    def execute(self:\n        pass")
+        handle = load_candidate("class X():\n    def execute(self:\n        pass",
+                                signature=rm.fixture_signature("SORT_SPATIAL"))
         assert handle.load_state == "compile_error"
         assert handle.error.kind == "compile"
 
