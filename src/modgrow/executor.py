@@ -2,12 +2,13 @@
 
 `run_program` parses, validates and executes program text; a program that
 does not parse or validate runs nothing and fails with an error of kind
-`syntax` or `validation`. Each statement resolves its arguments against the
-environment, dispatches to a builtin implementation or a registered
-generated module, binds its target once, and appends a step record so every
-run leaves a complete trace. A failed statement ends the run with its
-`CapturedError`, which for a failure inside a generated module is the
-sandbox's own.
+`syntax` or `validation`. An `ExecutionRegistry`, whose signatures are fixed
+and which lives for one `evaluate()`, `compute_pass_rate` or `modgrow run`,
+keeps each distinct (text, binding names and tags) checked and lowered to
+steps. Each step resolves its arguments, dispatches to a builtin or a
+generated module, binds its target once and appends a step record, so every
+run leaves a complete trace. A failed step ends the run with its
+`CapturedError`, for a failure inside a generated module the sandbox's own.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ import json
 import operator
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from typing import Callable
 
 from . import values as V
 from .builtins_catalog import BUILTIN_SIGNATURES
 from .dsl import (
     PLACEHOLDER_RE,
-    Arg,
     Diagnostic,
     Program,
     Statement,
@@ -165,6 +166,10 @@ def _eval_node(node: ast.AST):
     )
 
 
+# the trees of the last 1,024 distinct substituted templates; a bad text raises anew
+_parse_expression = lru_cache(maxsize=1024)(partial(ast.parse, mode="eval"))
+
+
 def eval_template(template: str, env: Environment) -> Value:
     """Substitute {VAR} placeholders, then evaluate under a restricted grammar.
 
@@ -181,7 +186,7 @@ def eval_template(template: str, env: Environment) -> Value:
 
     expr = PLACEHOLDER_RE.sub(substitute, template)
     try:
-        tree = ast.parse(expr, mode="eval")
+        tree = _parse_expression(expr)
     except SyntaxError as exc:
         raise TemplateEvalError("TEMPLATE_SYNTAX", f"bad expression {expr!r}: {exc.msg}") from exc
     try:
@@ -360,6 +365,8 @@ def run_builtin(name: str, args: dict[str, Value], backend) -> Value:
     if impl is None:
         raise _type_error(f"UNKNOWN_BUILTIN: {name}")
     for pname, accepted in _BUILTIN_PARAMS[name]:
+        if pname not in args:
+            raise _type_error(f"{name} missing argument {pname!r}")
         tag = args[pname].tag
         if tag not in accepted:
             raise _type_error(f"argument {pname!r} must be {' or '.join(accepted)}, got {tag}")
@@ -374,73 +381,87 @@ def run_builtin(name: str, args: dict[str, Value], backend) -> Value:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_arg(arg: Arg, env: Environment) -> Value:
-    if arg.kind == "variable-reference":
-        return env.lookup(arg.value)
-    if arg.kind == "number":
-        return V.number(arg.value)
-    if arg.kind in ("string-literal", "identifier-constant"):
-        return V.text(arg.value)
-    raise _type_error("template arguments are resolved by EVAL itself")
+@dataclass(frozen=True, slots=True)
+class Step:
+    """One statement lowered to run: variable names and constant `Value`s as
+    arguments, and a `fault` raised as a type error once they resolve."""
+
+    statement: str  # canonical text, for the trace
+    target: str
+    module_name: str
+    line_no: int
+    args: tuple[tuple[str, str | Value], ...]
+    template: str | None = None
+    fault: str | None = None
 
 
-def _execute_statement(st: Statement, env: Environment, registry, backend) -> tuple[Value, dict, str]:
+def _lower_statement(st: Statement) -> Step:
+    args: list[tuple[str, str | Value]] = []
+    template = fault = None
     if st.module_name == "EVAL":
-        arg = st.arg_map().get("expr")
-        if arg is None:
-            raise _type_error("EVAL requires an expr argument")
-        template = arg.value if arg.kind in ("template-string", "string-literal") else None
-        if template is None:
-            raise _type_error("EVAL expr must be a template")
-        inputs = {ph: env.lookup(ph) for ph in PLACEHOLDER_RE.findall(template)}
+        expr = st.arg_map().get("expr")
+        if expr is None:
+            fault = "EVAL requires an expr argument"
+        elif expr.kind not in ("template-string", "string-literal"):
+            fault = "EVAL expr must be a template"
+        else:
+            template = expr.value
+            args = [(ph, ph) for ph in PLACEHOLDER_RE.findall(template)]
+    else:
+        for pname, arg in st.args:
+            if arg.kind == "template-string":  # the arguments after it are never resolved
+                fault = "template arguments are resolved by EVAL itself"
+                break
+            if arg.kind == "variable-reference":
+                args.append((pname, arg.value))
+            else:
+                args.append((pname, V.number(arg.value) if arg.kind == "number" else V.text(arg.value)))
+        if fault is None and st.module_name == "RESULT" and "var" not in st.arg_map():
+            fault = "RESULT requires a var argument"
+    return Step(serialize_statement(st), st.target, st.module_name, st.line_no, tuple(args), template, fault)
+
+
+def lower_program(program: Program) -> tuple[Step, ...]:
+    """The steps of `program`, one per statement, in order."""
+    return tuple(_lower_statement(st) for st in program.statements)
+
+
+def _run_step(step: Step, env: Environment, registry, backend) -> tuple[Value, dict, str]:
+    inputs = {pname: env.lookup(ref) if isinstance(ref, str) else ref for pname, ref in step.args}
+    if step.fault is not None:
+        raise _type_error(step.fault)
+    if step.template is not None:
         try:
-            return eval_template(template, env), inputs, "builtin"
+            return eval_template(step.template, env), inputs, "builtin"
         except TemplateEvalError as exc:
             raise ExecutorRuntimeError(CapturedError("template", str(exc))) from exc
-
-    resolved: dict[str, Value] = {}
-    for pname, arg in st.args:
-        resolved[pname] = _resolve_arg(arg, env)
-
-    if st.module_name == "RESULT":
-        if "var" not in resolved:
-            raise _type_error("RESULT requires a var argument")
-        return resolved["var"], resolved, "builtin"
-
-    if registry.is_generated(st.module_name):
-        value = registry.invoke_generated(st.module_name, resolved, backend)
-        return value, resolved, "generated"
-
-    return run_builtin(st.module_name, resolved, backend), resolved, "builtin"
+    if step.module_name == "RESULT":
+        return inputs["var"], inputs, "builtin"
+    if registry.is_generated(step.module_name):
+        return registry.invoke_generated(step.module_name, inputs, backend), inputs, "generated"
+    return run_builtin(step.module_name, inputs, backend), inputs, "builtin"
 
 
-def execute_program(program: Program, init: Environment, registry, backend) -> ExecutionResult:
-    """Run a validated program; on failure the partial trace is retained."""
+def execute_program(program: Program | tuple[Step, ...], init: Environment, registry,
+                    backend) -> ExecutionResult:
+    """Run a validated program, parsed or lowered; on failure the partial trace is kept."""
+    steps = lower_program(program) if isinstance(program, Program) else program
     env = Environment(bindings=dict(init.bindings))
     trace: list[StepRecord] = []
     final: Value | None = None
-    for st in program.statements:
+    for step in steps:
         started = time.perf_counter()
         try:
-            value, inputs, kind = _execute_statement(st, env, registry, backend)
-            env.bind(st.target, value)
+            value, inputs, kind = _run_step(step, env, registry, backend)
+            env.bind(step.target, value)
         except ExecutorRuntimeError as exc:
-            return ExecutionResult(None, tuple(trace), exc.error, st.line_no)
+            return ExecutionResult(None, tuple(trace), exc.error, step.line_no)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
-        trace.append(
-            StepRecord(
-                statement=serialize_statement(st),
-                line_no=st.line_no,
-                module_kind=kind,
-                inputs=inputs,
-                output=V.summarize(value),
-                elapsed_ms=elapsed_ms,
-            )
-        )
-        if st.module_name == "RESULT":
+        trace.append(StepRecord(step.statement, step.line_no, kind, inputs, V.summarize(value), elapsed_ms))
+        if step.module_name == "RESULT":
             final = value
     if final is None:
-        last_line = program.statements[-1].line_no if program.statements else 1
+        last_line = steps[-1].line_no if steps else 1
         return ExecutionResult(
             None, tuple(trace), CapturedError("type", "no RESULT statement executed"), last_line
         )
@@ -454,16 +475,21 @@ def run_program(source: str, init: Environment, registry, backend) -> ExecutionR
     `init`'s bindings. A program with a line that does not parse, or one
     that fails a check, runs nothing: the result is an error of kind
     `syntax` or `validation` whose message is the first diagnostic's code
-    and message, with an empty trace and every diagnostic kept."""
+    and message, with an empty trace and every diagnostic kept. The outcome of
+    the check is kept in `registry.checked` under (source, the bindings' tags)."""
     try:
         program = parse_program(source)
     except DslSyntaxError as exc:
         return _refused("syntax", exc.diagnostics)
-    tags = {name: value.tag for name, value in init.bindings.items()}
-    diagnostics = validate_program(program, registry.signatures(), tags)
-    if diagnostics:
-        return _refused("validation", diagnostics)
-    return execute_program(program, init, registry, backend)
+    tags = tuple((name, value.tag) for name, value in init.bindings.items())
+    checked = registry.checked.get((source, tags))
+    if checked is None:
+        diagnostics = validate_program(program, registry.signatures(), dict(tags))
+        checked = _refused("validation", diagnostics) if diagnostics else lower_program(program)
+        registry.checked[(source, tags)] = checked
+    if isinstance(checked, ExecutionResult):
+        return checked
+    return execute_program(checked, init, registry, backend)
 
 
 def _refused(kind: str, diagnostics) -> ExecutionResult:

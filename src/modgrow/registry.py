@@ -209,7 +209,10 @@ class ExecutionRegistry:
     """Resolves module names for the executor, loading generated modules into
     sandbox handles on first use. A temporary overlay lets synthesis score a
     candidate under a proposal name without touching the library. A call
-    takes its arguments in the order of its handle's signature."""
+    takes its arguments in the order of its handle's signature.
+
+    It owns `executor.run_program`'s memo of checked programs, `checked`, sound
+    as the signatures are fixed here, and unbounded as a registry is short-lived."""
 
     def __init__(self, lib: Library, limits=None, overlay: dict | None = None):
         self.lib = lib
@@ -220,6 +223,7 @@ class ExecutionRegistry:
         self._signatures = tuple(signatures(lib)) + tuple(
             handle.signature for name, handle in self.overlay.items() if name not in lib.records
         )
+        self.checked: dict[tuple[str, tuple[tuple[str, str], ...]], object] = {}
 
     def signatures(self) -> tuple[ModuleSignature, ...]:
         return self._signatures

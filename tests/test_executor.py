@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from modgrow import values as V
 from modgrow.backends import SyntheticBackend
 from modgrow.dsl import parse_program, serialize_program
-from modgrow.errors import CapturedError, TemplateEvalError
+from modgrow import executor
+from modgrow.errors import CapturedError, ExecutorRuntimeError, TemplateEvalError
 from modgrow.executor import (
     Environment,
     eval_template,
@@ -21,7 +22,7 @@ from modgrow.registry import ExecutionRegistry
 from modgrow.scene import ImageHandle
 
 from conftest import make_scene, obj
-from program_corpus import PURSE_PROGRAM
+from program_corpus import COAT_PROGRAM, CORPUS, PURSE_PROGRAM
 
 
 class Untouchable:
@@ -136,6 +137,17 @@ class TestEvalTemplate:
         with pytest.raises(TemplateEvalError) as err:
             eval_template(expr, Environment({}))
         assert str(err.value) == message
+
+    def test_a_text_that_does_not_parse_raises_on_every_call(self):
+        env = Environment({"A": V.number(2)})
+        raised = []
+        for _ in range(3):
+            with pytest.raises(TemplateEvalError) as err:
+                eval_template("{A} +", env)
+            raised.append(err.value)
+        assert raised[0] is not raised[1] is not raised[2]
+        assert str(raised[0]) == str(raised[1]) == str(raised[2])
+        assert str(raised[0]).startswith("TEMPLATE_SYNTAX: bad expression '2 +': ")
 
 
 class TestBuiltins:
@@ -257,6 +269,11 @@ class TestBuiltins:
             run_builtin("COUNT", {"box": V.text("oops")}, backend)
         assert err.value.error.kind == "type"
 
+    def test_a_missing_argument_is_a_type_error(self, backend):
+        with pytest.raises(ExecutorRuntimeError) as err:
+            run_builtin("COUNT", {}, backend)
+        assert err.value.error == CapturedError("type", "COUNT missing argument 'box'")
+
 
 class TestExecuteProgram:
     def test_purse_program_traces(self, purse_scene, builtin_lib, backend):
@@ -346,6 +363,32 @@ class TestExecuteProgram:
         assert "elapsed_ms" in line
 
 
+    @pytest.mark.parametrize(
+        "source, message, line_no, steps",
+        [
+            ("A=EVAL(x=1)", "EVAL requires an expr argument", 1, 0),
+            ("A=EVAL(expr=IMAGE)", "EVAL expr must be a template", 1, 0),
+            ("A=EVAL(expr=f\"{B} + 1\")", "unbound variable B", 1, 0),
+            ("A=COUNT(box=f\"x\")", "template arguments are resolved by EVAL itself", 1, 0),
+            ("A=RESULT(x=f\"x\",var=C)", "template arguments are resolved by EVAL itself", 1, 0),
+            ("A=RESULT(x=C)", "unbound variable C", 1, 0),
+            ("A=RESULT(x=IMAGE)", "RESULT requires a var argument", 1, 0),
+            ("IMAGE=RESULT(var=IMAGE)", "variable IMAGE already bound", 1, 0),
+            ("A=RESULT(var=IMAGE)\n\nB=COUNT(box=C)", "unbound variable C", 3, 1),
+            ("A=EVAL(expr=f\"1\")", "no RESULT statement executed", 1, 1),
+        ],
+    )
+    def test_a_statement_validation_would_refuse_fails_when_it_runs(self, coat_image, builtin_lib,
+                                                                    source, message, line_no, steps):
+        env = Environment({"IMAGE": V.image(coat_image)})
+        result = execute_program(parse_program(source), env, ExecutionRegistry(builtin_lib),
+                                 Untouchable())
+        assert (result.final, result.error, result.line_no) == (
+            None, CapturedError("type", message), line_no
+        )
+        assert len(result.trace) == steps
+
+
 class TestRunProgram:
     def test_runs_a_valid_program_as_execute_program_does(self, purse_scene, builtin_lib, backend):
         env = {"IMAGE": V.image(ImageHandle.of_scene(purse_scene)), "QUESTION": V.text("q")}
@@ -410,3 +453,71 @@ class TestRunProgram:
         assert (result.final, result.trace, result.line_no) == (None, (), 2)
         assert result.error.kind == "syntax"
         assert [(d.line_no, d.code) for d in result.diagnostics] == [(2, "SYNTAX")]
+
+
+def run_signature(result):
+    """What a run shows: its outcome, and each step's text, kind and output."""
+    steps = [(step.statement, step.module_kind, step.output) for step in result.trace]
+    return (result.final, result.error, result.line_no, result.diagnostics), steps
+
+
+class TestCheckedProgramMemo:
+    def test_one_text_with_one_set_of_tags_validates_once_per_registry(self, monkeypatch, builtin_lib,
+                                                                       backend, purse_scene):
+        validated = []
+        validate = executor.validate_program
+
+        def counting_validate(*args, **kwargs):
+            validated.append(args[0])
+            return validate(*args, **kwargs)
+
+        monkeypatch.setattr(executor, "validate_program", counting_validate)
+        image = V.image(ImageHandle.of_scene(purse_scene))
+        for registry in (ExecutionRegistry(builtin_lib), ExecutionRegistry(builtin_lib)):
+            for question in ("q", "another q", "a third q"):
+                env = Environment({"IMAGE": image, "QUESTION": V.text(question)})
+                assert run_program(PURSE_PROGRAM, env, registry, backend).final == V.text("left")
+        assert len(validated) == 2
+
+    def test_a_learned_module_is_known_only_to_a_registry_over_its_library(self, builtin_lib, full_lib,
+                                                                            backend, coat_image):
+        env = {"IMAGE": V.image(coat_image)}
+        refused = run_program(COAT_PROGRAM, Environment(dict(env)), ExecutionRegistry(builtin_lib),
+                              Untouchable())
+        assert refused.error == CapturedError("validation",
+                                              "UNKNOWN_MODULE unknown module CHOOSE_ATTRIBUTE")
+        ran = run_program(COAT_PROGRAM, Environment(dict(env)), ExecutionRegistry(full_lib), backend)
+        assert (ran.error, ran.final) == (None, V.text("thick"))
+        assert [step.module_kind for step in ran.trace] == ["builtin", "generated", "builtin"]
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "FINAL_RESULT=RESULT(var=IMAGE)\nnot a statement",
+            "BOX0=LOC(image=IMAGE,object='coat')\nANSWER0=NOPE(box=BOX0)\nFINAL_RESULT=RESULT(var=ANSWER1)",
+        ],
+    )
+    def test_a_refused_program_is_refused_alike_on_every_run(self, builtin_lib, coat_image, source):
+        registry = ExecutionRegistry(builtin_lib)
+        runs = [
+            run_program(source, Environment({"IMAGE": V.image(coat_image)}), registry, Untouchable())
+            for _ in range(3)
+        ]
+        assert runs[0].error is not None
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize(
+        "source, tags", [(text, tags) for _, text, full, tags in CORPUS if full]
+    )
+    def test_a_program_run_again_on_one_registry_runs_as_on_a_fresh_one(self, full_lib, backend,
+                                                                         purse_scene, source, tags):
+        image = ImageHandle.of_scene(purse_scene)
+        values = {"image": V.image(image), "text": V.text("Which side is the purse on?")}
+
+        def env():
+            return Environment({name: values[tag] for name, tag in tags.items()})
+
+        registry = ExecutionRegistry(full_lib)
+        fresh = run_signature(run_program(source, env(), ExecutionRegistry(full_lib), backend))
+        assert run_signature(run_program(source, env(), registry, backend)) == fresh
+        assert run_signature(run_program(source, env(), registry, backend)) == fresh
