@@ -211,8 +211,8 @@ class ExecutionRegistry:
     candidate under a proposal name without touching the library. A call
     takes its arguments in the order of its handle's signature.
 
-    It owns `executor.run_program`'s memo of checked programs, `checked`, sound
-    as the signatures are fixed here, and unbounded as a registry is short-lived."""
+    It owns `checked`, the memo of `executor.run_program`: sound because the
+    signatures are fixed here, and unbounded because a registry is short-lived."""
 
     def __init__(self, lib: Library, limits=None, overlay: dict | None = None):
         self.lib = lib

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modgrow import executor
 from modgrow import values as V
 from modgrow.backends import SyntheticBackend
 from modgrow.dsl import parse_program, serialize_program
-from modgrow import executor
 from modgrow.errors import CapturedError, ExecutorRuntimeError, TemplateEvalError
 from modgrow.executor import (
     Environment,
@@ -362,7 +362,6 @@ class TestExecuteProgram:
         assert line["statement"] == "FINAL_RESULT=RESULT(var=IMAGE)"
         assert "elapsed_ms" in line
 
-
     @pytest.mark.parametrize(
         "source, message, line_no, steps",
         [
@@ -371,6 +370,7 @@ class TestExecuteProgram:
             ("A=EVAL(expr=f\"{B} + 1\")", "unbound variable B", 1, 0),
             ("A=COUNT(box=f\"x\")", "template arguments are resolved by EVAL itself", 1, 0),
             ("A=RESULT(x=f\"x\",var=C)", "template arguments are resolved by EVAL itself", 1, 0),
+            ("A=RESULT(x=f\"x\")", "template arguments are resolved by EVAL itself", 1, 0),
             ("A=RESULT(x=C)", "unbound variable C", 1, 0),
             ("A=RESULT(x=IMAGE)", "RESULT requires a var argument", 1, 0),
             ("IMAGE=RESULT(var=IMAGE)", "variable IMAGE already bound", 1, 0),
@@ -378,7 +378,7 @@ class TestExecuteProgram:
             ("A=EVAL(expr=f\"1\")", "no RESULT statement executed", 1, 1),
         ],
     )
-    def test_a_statement_validation_would_refuse_fails_when_it_runs(self, coat_image, builtin_lib,
+    def test_a_run_time_fault_keeps_its_text_line_and_partial_trace(self, coat_image, builtin_lib,
                                                                     source, message, line_no, steps):
         env = Environment({"IMAGE": V.image(coat_image)})
         result = execute_program(parse_program(source), env, ExecutionRegistry(builtin_lib),
