@@ -106,7 +106,13 @@ class SyntheticBackend:
     and the singular of any other word depend on the text alone and are
     kept in bounded LRU caches. All of it is safe to keep because handles,
     scenes and the cached tuples are immutable.
+
+    It holds no state of its own, and no slot for any: a generated module
+    reaches the backend through its `API`, and every later candidate and eval
+    call shares the instance, so nothing may rebind its methods.
     """
+
+    __slots__ = ()
 
     def _matching(self, image: ImageHandle, wanted: str):
         """The visible (object, clipped box) pairs, in scan order, that the

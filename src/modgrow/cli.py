@@ -11,7 +11,6 @@ library take η, K and R: `cache seed`, `learn` and `eval --ablation`. Plain
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -19,7 +18,7 @@ from pathlib import Path
 
 from . import values as V
 from .backends import SyntheticBackend
-from .cache import read_records, whole_request
+from .cache import Resolver, read_records
 from .errors import ModgrowError
 from .executor import Environment, run_program, trace_to_jsonl
 from .gateway import LlmGateway, doc_key
@@ -226,40 +225,34 @@ def cmd_cache_seed(args) -> int:
     return 0
 
 
-def _first_fault(records) -> str | None:
-    """Where the first record lies whose head is missing or altered, or
-    whose rebuilt request does not hash to its key; None if none does."""
-    heads: dict[str, str] = {}
-    for number, record in records:
-        if "head" in record:
-            if hashlib.sha256(record["head"].encode("utf-8")).hexdigest() != record.get("head_sha256"):
-                return f"line {number}: head text does not match its hash"
-            heads[record["head_sha256"]] = record["head"]
-            continue
-        if "request" not in record:
-            return f"line {number}: key {record['key'][:12]}… has no request"
-        try:
-            request = whole_request(record, heads)
-        except KeyError:
-            return f"line {number}: head {record['head_sha256'][:12]}… is missing"
-        if doc_key(request) != record["key"]:
-            return f"line {number}: key {record['key'][:12]}… does not match its request"
+def _first_fault(path, records) -> str | None:
+    """What is wrong with the first of the `records` of the cache at `path`
+    whose head is missing or altered, whose key or response is missing, or
+    whose rebuilt request does not hash to its key, after the path and the
+    line; None if none is."""
+    resolver = Resolver(path)
+    try:
+        for number, record, _ in resolver.calls(records):
+            if doc_key(resolver.request(number, record)) != record["key"]:
+                return f"{path}: line {number}: key {record['key'][:12]}… does not match its request"
+    except ValueError as exc:
+        return str(exc)
     return None
 
 
 def cmd_cache_show(args) -> int:
     try:
         records = list(read_records(args.cache))
-        calls = [record["key"] for _, record in records if "head" not in record]
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    calls = [record.get("key") for _, record in records if "head" not in record]
     heads = len(records) - len(calls)
     print(f"{len(calls)} records under {len(set(calls))} distinct keys, {heads} head records")
     if args.verify:
-        fault = _first_fault(records)
+        fault = _first_fault(args.cache, records)
         if fault:
-            print(f"error: {args.cache}: {fault}", file=sys.stderr)
+            print(f"error: {fault}", file=sys.stderr)
             return 1
         print("every key matches its rebuilt request")
     return 0
@@ -328,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     showp = cache_sub.add_parser("show", help="summarize a cache file")
     showp.add_argument("--cache", required=True)
     showp.add_argument("--verify", action="store_true",
-                       help="rebuild each request from its head and check its key")
+                       help="rebuild each request and response and check its key")
     showp.set_defaults(func=cmd_cache_show)
 
     return parser

@@ -5,10 +5,10 @@ byte-exact substitution. Completions run in one of two modes: ``replay``
 (served from the cache only; a miss is an error) and ``record`` (served
 from the cache while it holds a response, else from the transport, by
 default a POST to a configured endpoint, and appended to the cache file
-keyed by a request hash, each prompt head stored once in the format of
-`modgrow.cache`; `LlmGateway.close` releases the file). Because sampled
-candidates share one prompt, the cache keeps a FIFO of responses per key
-and replay consumes them in call order.
+keyed by a request hash, each prompt head and each response text stored
+once in the format of `modgrow.cache`; `LlmGateway.close` releases the
+file). Because sampled candidates share one prompt, the cache keeps a FIFO
+of responses per key and replay consumes them in call order.
 
 A request's key is the SHA-256 of its `request_doc` as compact JSON with
 sorted keys (`cache_key`). Stage-1 and stage-3 prompts repeat one long head,

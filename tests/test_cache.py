@@ -12,10 +12,11 @@ from modgrow import reference_modules as rm
 from modgrow.cache import (
     HEAD_MARKERS,
     CacheWriter,
+    Resolver,
     load_responses,
     read_records,
     split_prompt,
-    whole_request,
+    text_sha256,
 )
 from modgrow.errors import CacheMissError
 from modgrow.gateway import CompletionRequest, LlmGateway, cache_key, request_doc
@@ -116,6 +117,40 @@ class TestTornLastLine:
         ]
         assert show(cache, "--verify") == 0
 
+    def test_a_torn_response_whose_only_inline_copy_it_was_is_written_again(self, tmp_path, caplog):
+        cache = tmp_path / "llm.jsonl"
+        writer = CacheWriter(cache)
+        with closing(writer):
+            writer.append({"key": "a", "response": "one"})
+            writer.append({"key": "b", "response": "two"})
+        tear(cache)  # the only inline copy of "two"
+        with caplog.at_level(logging.WARNING, logger="modgrow.cache"), closing(writer):
+            writer.append({"key": "b", "response": "two"})  # the same writer, opened again
+            writer.append({"key": "c", "response": "two"})
+            assert "cutting torn last line" in caplog.text
+        assert lines_of(cache) == [
+            {"key": "a", "response": "one"}, {"key": "b", "response": "two"},
+            {"key": "c", "response_sha256": text_sha256("two")},
+        ]
+        assert load_responses(cache) == {"a": ["one"], "b": ["two"], "c": ["two"]}
+
+
+class TestResponses:
+    def test_each_distinct_text_is_stored_inline_once_and_served_as_one_str(self, tmp_path):
+        cache = tmp_path / "llm.jsonl"
+        with LlmGateway(mode="record", cache_path=str(cache), transport=lambda req: "same") as gateway:
+            for prompt in (*PROMPTS, *HEADED):
+                gateway.complete(request(prompt))
+        records = [rec for rec in lines_of(cache) if "key" in rec]
+        assert records[0]["response"] == "same" and "response_sha256" not in records[0]
+        assert all("response" not in rec and rec["response_sha256"] == text_sha256("same")
+                   for rec in records[1:])
+        replay = LlmGateway(mode="replay", cache_path=str(cache))
+        served = [replay.complete(request(p)) for p in (*PROMPTS, *HEADED)]
+        assert served == ["same"] * 5
+        assert all(text is served[0] for text in served)
+        assert show(cache, "--verify") == 0
+
 
 class TestHeads:
     def test_round_trip_of_every_stage(self, tmp_path, builtin_lib, backend):
@@ -140,14 +175,12 @@ class TestHeads:
             evaluate("grounding", test, lib, backend, gateway)
         assert [o.repair_round for o in report.outcomes["SORT_SPATIAL"]] == [0, 0, 1]
 
-        heads, rebuilt = {}, []
-        for _, rec in read_records(cache):
-            if "head" in rec:
-                assert rec["head"] not in heads.values()
-                heads[rec["head_sha256"]] = rec["head"]
-            else:
-                rebuilt.append(whole_request(rec, heads))
-                assert len(rec["request"]["prompt"]) < len(rebuilt[-1]["prompt"])
+        heads = [rec["head"] for _, rec in read_records(cache) if "head" in rec]
+        assert len(set(heads)) == len(heads)
+        resolver, rebuilt = Resolver(cache), []
+        for number, rec, _ in resolver.calls(read_records(cache)):
+            rebuilt.append(resolver.request(number, rec))
+            assert len(rec["request"]["prompt"]) < len(rebuilt[-1]["prompt"])
         assert rebuilt == [request_doc(req) for req in asked]
         tails = [split_prompt(req.prompt)[1] for req in asked]
         assert {m for m in HEAD_MARKERS for tail in tails if tail.startswith(m)} == set(HEAD_MARKERS)
@@ -207,6 +240,38 @@ class TestOneFormat:
             "every key matches its rebuilt request",
         ]
 
+    def test_a_cache_with_every_response_inline_replays_and_grows(self, tmp_path, capsys):
+        """A cache written before responses were stored once holds a repeated
+        text inline each time; it replays as before, and record mode appends
+        a repeated text as a reference to the first inline copy."""
+        cache = tmp_path / "llm.jsonl"
+        cache.write_text("".join(
+            f'{{"key": "{cache_key(request(p))}", "request": {{"max_tokens": 1024, "model_id": "m", '
+            f'"prompt": "{p}", "stop": null, "temperature": 0.0}}, '
+            f'"response": "{text}", "timestamp": 1234}}\n'
+            for p, text in (("p", "same"), ("q", "other"), ("r", "same"))
+        ), encoding="utf-8")
+        replay = LlmGateway(mode="replay", cache_path=str(cache))
+        served = [replay.complete(request(p)) for p in ("p", "q", "r")]
+        assert served == ["same", "other", "same"]
+        assert served[0] is served[2]
+        with LlmGateway(mode="record", cache_path=str(cache), transport=lambda req: "same") as gateway:
+            assert [gateway.complete(request(p)) for p in ("p", "s", *HEADED)] == ["same"] * 4
+        appended = lines_of(cache)[3:]
+        assert [rec.get("head") for rec in appended] == [None, "head", None, None]
+        assert all("response" not in rec and rec["response_sha256"] == text_sha256("same")
+                   for rec in appended if "key" in rec)
+        assert lines_of(cache)[0]["response"] == "same"
+        replay = LlmGateway(mode="replay", cache_path=str(cache))
+        assert [replay.complete(request(p)) for p in ("p", "q", "r", "s", *HEADED)] == [
+            "same", "other", "same", "same", "same", "same"
+        ]
+        assert show(cache, "--verify") == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "6 records under 6 distinct keys, 1 head records",
+            "every key matches its rebuilt request",
+        ]
+
     def test_cache_show_summarizes_both_caches(self, tmp_path, capsys):
         repeats, llm = tmp_path / "repeats.jsonl", tmp_path / "llm.jsonl"
         with closing(CacheWriter(repeats)) as writer:
@@ -236,7 +301,25 @@ def _alter_head(records):
     return "line 1: head text does not match its hash", ""
 
 
-@pytest.mark.parametrize("tamper", [_alter_tail, _dangle_head, _alter_head])
+def _drop_response(records):
+    del records[2]["response"]
+    return "line 3: key", "has no response"
+
+
+def _dangle_response(records):
+    records[2]["response_sha256"] = "0" * 64
+    del records[2]["response"]
+    return "line 3: response 000000000000… has no earlier inline copy", ""
+
+
+def _drop_key(records):
+    del records[2]["key"]
+    return "line 3: call record has no key", ""
+
+
+@pytest.mark.parametrize(
+    "tamper", [_alter_tail, _dangle_head, _alter_head, _drop_response, _dangle_response, _drop_key]
+)
 def test_cache_show_verify_names_the_first_fault(tmp_path, capsys, tamper):
     cache = tmp_path / "llm.jsonl"
     record(cache, HEADED)
@@ -250,3 +333,24 @@ def test_cache_show_verify_names_the_first_fault(tmp_path, capsys, tamper):
     assert captured.out == "2 records under 2 distinct keys, 1 head records\n"
     assert captured.err.startswith(f"error: {cache}: {start}")
     assert captured.err.endswith(f"{end}\n")
+
+
+@pytest.mark.parametrize(
+    "line, fault",
+    [
+        ('{"key": "abc"}', "line 1: key abc… has no response"),
+        ('{"response": "x"}', "line 1: call record has no key"),
+        (f'{{"key": "abc", "response_sha256": "{"0" * 64}"}}',
+         "line 1: response 000000000000… has no earlier inline copy"),
+    ],
+)
+@pytest.mark.parametrize("command", ["learn", "eval"])
+def test_a_call_record_that_does_not_resolve_fails_learn_and_eval(tmp_path, capsys, line, fault, command):
+    cache = tmp_path / "llm.jsonl"
+    cache.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=fault):
+        load_responses(cache)
+    out = ["--out", str(tmp_path / "lib")] if command == "learn" else []
+    argv = [command, "--mode", "replay", "--cache", str(cache), "--dataset", str(tmp_path / "split.jsonl"), *out]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {cache}: {fault}\n"

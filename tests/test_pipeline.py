@@ -7,7 +7,7 @@ import pytest
 
 from modgrow import cli, executor, replay_seed
 from modgrow.backends import SyntheticBackend
-from modgrow.cache import read_records, whole_request
+from modgrow.cache import Resolver, read_records
 from modgrow.errors import EndpointError
 from modgrow.gateway import LlmGateway
 from modgrow.harness.datasets import generate_dataset, save_dataset, task_spec
@@ -23,27 +23,27 @@ TASKS = ("vqa", "grounding", "tagging", "editing", "raven", "mewl-analog")
 # First 16 hex digits of the SHA-256 of each output of the run below. A
 # change that alters a dataset, a cache record, a saved library or a report
 # by one byte changes one of these. "cache" covers the call records rebuilt
-# with whole requests, the form every record had before heads were stored
-# apart, so it holding shows that storing them apart lost nothing;
-# "cache_stored" covers the stored records.
+# with whole requests and inline responses, the form every record had before
+# heads and repeated responses were stored apart, so it holding shows that
+# storing them apart lost nothing; "cache_stored" covers the stored records.
 OUTPUT_DIGESTS = {
     "vqa": {"train": "a9b4e588ef754c6d", "test": "bb3fb86ad4b27835", "cache": "f75715d7eb85a5a5",
-            "cache_stored": "7d9aa09c5ab9410b",
+            "cache_stored": "59a3a06bdf3f58d4",
             "library": "d609997608725c28", "report": "4b8b468ce4c94464"},
     "grounding": {"train": "f0ecc2d7b0da25d2", "test": "21e31d30fb54575f", "cache": "035382676fa499e3",
-                  "cache_stored": "fb4bb159c761b9a6",
+                  "cache_stored": "f9ce9f3c9960dddb",
                   "library": "9d9385dfc37c36cf", "report": "a1a200237d6cb408"},
     "tagging": {"train": "6860703fa7136036", "test": "ba03bd81a7caf523", "cache": "ac7f5c4bbdb48db9",
-                "cache_stored": "a2aa6db8a9718836",
+                "cache_stored": "f23ccde8437edefb",
                 "library": "562026ae241d3411", "report": "8c72f2a00d2b4f95"},
     "editing": {"train": "83e5b9757b5910ff", "test": "3150c89c911ab8b4", "cache": "d740fd755c4a9bb3",
-                "cache_stored": "34f8f89c7ff9fe58",
+                "cache_stored": "964e92aede926552",
                 "library": "66ae8c84a6a799d9", "report": "b78d649571ad5737"},
     "raven": {"train": "59f7ec106f095eac", "test": "47e609ccb84ee9f7", "cache": "3c82a25353b40ef7",
-              "cache_stored": "38ba881a542c9937",
+              "cache_stored": "a157c476b2df7dea",
               "library": "f7e70f515d19e599", "report": "fe8508f5566ff151"},
     "mewl-analog": {"train": "ca4d7ea05b847c52", "test": "5a250d98d175b5f2", "cache": "07ce923045198499",
-                    "cache_stored": "bb8a67d87978d657",
+                    "cache_stored": "5a8009737a16b23d",
                     "library": "ccd92c614414cea8", "report": "af7257fd65c5a199"},
 }
 SPLIT_LAYOUT_REPORT_DIGEST = "a087b627f46c7940"
@@ -60,18 +60,19 @@ def digest(data: bytes) -> str:
 
 
 def cache_lines(path) -> tuple[list[str], list[str]]:
-    """The call records of the cache at `path` rebuilt with whole requests,
-    and its stored records, each as sorted JSON without its timestamp."""
-    heads, rebuilt, stored = {}, [], []
+    """The call records of the cache at `path` rebuilt with whole requests
+    and responses, and its stored records, each as sorted JSON without its
+    timestamp."""
+    stored = []
     for _, record in read_records(path):
         record.pop("timestamp", None)
         stored.append(json.dumps(record, sort_keys=True))
-        if "head" in record:
-            heads[record["head_sha256"]] = record["head"]
-            continue
-        record["request"] = whole_request(record, heads)
-        del record["head_sha256"]
-        rebuilt.append(json.dumps(record, sort_keys=True))
+    resolver, rebuilt = Resolver(path), []
+    for number, record, response in resolver.calls(read_records(path)):
+        rebuilt.append(json.dumps(
+            {"key": record["key"], "request": resolver.request(number, record), "response": response},
+            sort_keys=True,
+        ))
     return rebuilt, stored
 
 

@@ -320,6 +320,21 @@ class TestInvoke:
         assert invoke_candidate(asker, [probe_image], backend).payload == "1"
         assert [o.id for o, _ in probe_image.visible_objects()] == ["c"]
 
+    def test_backend_methods_cannot_be_rebound(self, backend, probe_image):
+        source = simple_source(
+            "API._backend.answer_question = lambda image, question: 'poisoned'\nreturn 'ok'"
+        )
+        handle = load_candidate(source, signature=sig_of(source))
+        out = invoke_candidate(handle, [probe_image], backend)
+        assert isinstance(out, CapturedError) and out.kind == "runtime"
+        assert "answer_question" in out.message
+        assert backend.answer_question(probe_image, "How many cats are there?") == "1"
+
+    def test_own_attributes_stay_legal(self, backend, probe_image):
+        source = simple_source("self._seen = API.vqa(img, 'How many cats are there?')\nreturn self._seen")
+        handle = load_candidate(source, signature=sig_of(source))
+        assert invoke_candidate(handle, [probe_image], backend).payload == "1"
+
     def test_determinism_over_synthetic_backend(self, backend, coat_image):
         handle = load_candidate(
             rm.CHOOSE_ATTRIBUTE_SOURCE, signature=rm.fixture_signature("CHOOSE_ATTRIBUTE")
