@@ -4,11 +4,16 @@
 answers from scene-graph ground truth, is the one implementation.
 `OPERATIONS` holds the names of its six operations, read from
 `ToolBackend`; the sandbox serves generated modules exactly these names.
+`shared_perception` opens a block in which `SyntheticBackend` answers each
+question about a registered handle once.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from functools import lru_cache
 from typing import Protocol
 
@@ -96,6 +101,54 @@ def _largest_first(pair: tuple[SceneObject, Box]) -> tuple:
     return (-box_area(pair[1]), pair[1])
 
 
+class PerceptionMemo:
+    """The answers `SyntheticBackend.answer_question` and `locate` gave about
+    each registered handle, kept while `shared_perception` is open.
+
+    An entry is found by the handle's identity and holds the handle, so no
+    other object can take its id while the memo lives. Only exact `str`
+    requests are kept; answers are strings and tuples, and `locate` hands out
+    a fresh list of them each time.
+    """
+
+    __slots__ = ("_entries",)
+
+    def __init__(self):
+        self._entries: dict[int, tuple[ImageHandle, dict[str, str], dict[str, tuple]]] = {}
+
+    def register(self, handle: ImageHandle) -> None:
+        if id(handle) not in self._entries:
+            self._entries[id(handle)] = (handle, {}, {})
+
+    def kept(self) -> Iterator[tuple[str, ImageHandle, str, object]]:
+        """Every kept (operation, handle, request, answer)."""
+        for handle, answers, boxes in self._entries.values():
+            for question, answer in answers.items():
+                yield "answer_question", handle, question, answer
+            for name, found in boxes.items():
+                yield "locate", handle, name, list(found)
+
+
+_SHARED: ContextVar[PerceptionMemo | None] = ContextVar("shared_perception", default=None)
+
+
+@contextmanager
+def shared_perception() -> Iterator[PerceptionMemo]:
+    """A block in which `SyntheticBackend` answers each question, and locates
+    each name, once per handle registered with the yielded memo.
+
+    The memo lives in a context variable of this module, not on a handle or
+    a backend, so generated modules, which reach only their arguments and
+    `API`, cannot read or change it; it is dropped when the block ends.
+    """
+    memo = PerceptionMemo()
+    token = _SHARED.set(memo)
+    try:
+        yield memo
+    finally:
+        _SHARED.reset(token)
+
+
 class SyntheticBackend:
     """Pure ground-truth backend: every answer is a function of (scene, request).
 
@@ -105,11 +158,12 @@ class SyntheticBackend:
     share one scan. What a question asks, with its noun already singular,
     and the singular of any other word depend on the text alone and are
     kept in bounded LRU caches. All of it is safe to keep because handles,
-    scenes and the cached tuples are immutable.
+    scenes and the cached tuples are immutable. Inside `shared_perception`,
+    `answer_question` and `locate` also read and fill the open block's memo.
 
-    It holds no state of its own, and no slot for any: a generated module
-    reaches the backend through its `API`, and every later candidate and eval
-    call shares the instance, so nothing may rebind its methods.
+    The backend holds no state of its own, and no slot for any: a generated
+    module reaches the backend through its `API`, and every later candidate
+    and eval call shares the instance, so nothing may rebind its methods.
     """
 
     __slots__ = ()
@@ -123,12 +177,32 @@ class SyntheticBackend:
         return [pair for pair in visible if singularize(pair[0].name) == wanted]
 
     def locate(self, image: ImageHandle, name: str) -> list[Box]:
+        memo = _SHARED.get()
+        entry = None if memo is None else memo._entries.get(id(image))
+        if entry is None or type(name) is not str:
+            return self._locate(image, name)
+        boxes = entry[2].get(name)
+        if boxes is None:
+            boxes = entry[2][name] = tuple(self._locate(image, name))
+        return list(boxes)
+
+    def _locate(self, image: ImageHandle, name: str) -> list[Box]:
         if not name:
             return []
         found = sorted(self._matching(image, singularize(name)), key=_largest_first)
         return [image.to_relative(clipped) for _, clipped in found]
 
     def answer_question(self, image: ImageHandle, question: str) -> str:
+        memo = _SHARED.get()
+        entry = None if memo is None else memo._entries.get(id(image))
+        if entry is None or type(question) is not str:
+            return self._answer_question(image, question)
+        answer = entry[1].get(question)
+        if answer is None:
+            answer = entry[1][question] = self._answer_question(image, question)
+        return answer
+
+    def _answer_question(self, image: ImageHandle, question: str) -> str:
         form = _question_form(question.lower().strip().rstrip("?").strip())
         kind = form[0]
         if kind == "count":

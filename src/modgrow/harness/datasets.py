@@ -129,11 +129,14 @@ class TaskInstance:
         )
 
 
-def build_bindings(instance: TaskInstance) -> Environment:
-    """Initial environment of an instance: its loaded scenes and its query.
+def build_bindings(instance: TaskInstance, image_of=ImageHandle.of_scene) -> Environment:
+    """Initial environment of an instance: a handle on each of its scenes,
+    which `image_of(scene)` gives, and its query.
 
-    Scenes are immutable, so every run of the instance binds the same ones."""
-    return Environment(bindings=task_spec(instance.task).bind(instance))
+    Scenes and handles are immutable, and a run copies the bindings before it
+    binds its own variables, so runs may share one environment, and
+    instances may share handles on equal scenes."""
+    return Environment(bindings=task_spec(instance.task).bind(instance, image_of))
 
 
 # ---------------------------------------------------------------------------
@@ -1115,30 +1118,30 @@ def _mewl_instance(rng: random.Random, iid: str) -> TaskInstance:
 # ---------------------------------------------------------------------------
 
 
-def _bind_image(text_name: str) -> Callable[[TaskInstance], dict]:
+def _bind_image(text_name: str) -> Callable[..., dict]:
     """Binder of a one-image task whose query is bound to `text_name`."""
 
-    def bind(instance: TaskInstance) -> dict:
+    def bind(instance: TaskInstance, image_of) -> dict:
         return {
-            "IMAGE": V.image(ImageHandle.of_scene(instance.scene)),
+            "IMAGE": V.image(image_of(instance.scene)),
             text_name: V.text(instance.query),
         }
 
     return bind
 
 
-def _bind_puzzle(instance: TaskInstance) -> dict:
+def _bind_puzzle(instance: TaskInstance, image_of) -> dict:
     puzzle = instance.puzzle
     return {
-        "PANELS": V.list_value(ImageHandle.of_scene(p) for p in puzzle.panels),
-        "CANDIDATES": V.list_value(ImageHandle.of_scene(c) for c in puzzle.candidates),
+        "PANELS": V.list_value(image_of(p) for p in puzzle.panels),
+        "CANDIDATES": V.list_value(image_of(c) for c in puzzle.candidates),
     }
 
 
-def _bind_examples(instance: TaskInstance) -> dict:
+def _bind_examples(instance: TaskInstance, image_of) -> dict:
     return {
-        "EXAMPLES": V.list_value((ImageHandle.of_scene(s), w) for s, w in instance.example_pairs),
-        "QUERY": V.image(ImageHandle.of_scene(instance.query_scene)),
+        "EXAMPLES": V.list_value((image_of(s), w) for s, w in instance.example_pairs),
+        "QUERY": V.image(image_of(instance.query_scene)),
     }
 
 
@@ -1222,8 +1225,9 @@ class TaskSpec:
     """One task family.
 
     `templates` maps a template name to ``template(rng, iid, **knobs)``,
-    which returns one instance. `bind(instance)` returns the instance's
-    initial bindings by name. `judge(outcome, final, gold)` scores a
+    which returns one instance. `bind(instance, image_of)` returns the
+    instance's initial bindings by name, with `image_of(scene)` as the
+    handle on each scene. `judge(outcome, final, gold)` scores a
     program's final value. `regions` adds region precision, recall and F1 to
     the task's report. `split_layout(instance)`, when set, is true for the
     instances `evaluate.solve_puzzle_with_modules` answers instead of a
@@ -1231,7 +1235,7 @@ class TaskSpec:
     """
 
     templates: dict[str, Callable[..., TaskInstance]]
-    bind: Callable[[TaskInstance], dict]
+    bind: Callable[..., dict]
     judge: Callable[..., None]
     regions: bool = False
     split_layout: Callable[[TaskInstance], bool] | None = None

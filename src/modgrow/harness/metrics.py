@@ -42,12 +42,15 @@ def compare_values(final, expected, comparator: str) -> bool:
         gold = expected.payload[0] if expected.tag in ("box-list", "mask") else expected.payload
         return iou(final.payload[0], gold) >= 0.5
     if comparator == "set-eq":
-        def canon(value):
-            items = value.payload if value.tag in ("box-list", "mask", "list") else [value.payload]
-            return sorted(json.dumps(x, sort_keys=True) for x in items)
-
-        return canon(final) == canon(expected)
+        return set_items(final) == set_items(expected)
     raise ValueError(f"unknown comparator {comparator!r}")
+
+
+def set_items(value) -> list[str]:
+    """What `set-eq` compares: the items of a list-like value, or the value
+    alone, each as canonical JSON, sorted."""
+    items = value.payload if value.tag in ("box-list", "mask", "list") else [value.payload]
+    return sorted(json.dumps(x, sort_keys=True) for x in items)
 
 
 _ARTICLES = {"a", "an", "the"}

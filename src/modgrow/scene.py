@@ -156,6 +156,15 @@ class SceneGraph:
             doc["caption"] = self.caption
         return doc
 
+    def content_key(self) -> tuple:
+        """Every field of the scene and its objects, as a hashable tuple:
+        scenes with equal keys get equal answers from every backend
+        operation. `load_scene` refuses booleans where numbers belong, so
+        no loaded scene's key equates `true` with 1."""
+        return (self.width, self.height, self.caption, tuple(
+            (o.id, o.name, o.box, tuple(o.attributes.items()), o.depth, o.tags) for o in self.objects
+        ))
+
 
 def load_scene(document: str | dict) -> SceneGraph:
     """Parse and validate a scene document (JSON text or already-decoded dict).
@@ -176,9 +185,10 @@ def load_scene(document: str | dict) -> SceneGraph:
     if not isinstance(doc, dict):
         raise SceneSchemaError("document: expected an object")
     width, height = doc.get("width"), doc.get("height")
-    if not isinstance(width, int) or width <= 0:
+    # JSON `true` and `false` decode as bool, a subclass of int: not numbers here
+    if not isinstance(width, int) or isinstance(width, bool) or width <= 0:
         raise SceneSchemaError("width: must be a positive integer")
-    if not isinstance(height, int) or height <= 0:
+    if not isinstance(height, int) or isinstance(height, bool) or height <= 0:
         raise SceneSchemaError("height: must be a positive integer")
     caption = doc.get("caption")
     if caption is not None and not isinstance(caption, str):
@@ -215,7 +225,8 @@ def load_scene(document: str | dict) -> SceneGraph:
                 raise SceneSchemaError(f"objects[{i}].attributes: keys must be lowercase strings")
             attributes[key] = str(value)
         depth = raw.get("depth", 1.0)
-        if not isinstance(depth, (int, float)) or not (0.0 < float(depth) <= 1.0):
+        if (not isinstance(depth, (int, float)) or isinstance(depth, bool)
+                or not (0.0 < float(depth) <= 1.0)):
             raise SceneSchemaError(f"objects[{i}].depth: must be a float in (0, 1]")
         tags = raw.get("tags", [])
         if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
@@ -368,6 +379,8 @@ class ImageHandle:
         result is a tuple of frozen objects and box tuples, so no caller,
         sandboxed candidates included, can alter what later calls read.
         Every crop, overlay or edit makes a new handle, which scans afresh.
+        Stage-2 gating binds training scenes of equal content to one handle,
+        so all their case runs share its scan.
         """
         return self._visible
 

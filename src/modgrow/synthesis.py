@@ -8,17 +8,25 @@ rate clears the threshold, and otherwise loops through repair rounds that
 feed the captured errors back into the prompt. Case programs run through
 `executor.run_program`, and a case fails with the run's own error, such as
 `syntax` for a case program that does not parse.
+
+Every case run of one `run_synthesis` call sees the same training examples,
+so the call builds each example's bindings once, binds scenes of equal
+content to one full-scene handle, and runs stage 2 inside
+`backends.shared_perception`: each question about such a handle is answered
+once for all candidates, repair rounds and proposals of the call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import values as V
+from .backends import PerceptionMemo, shared_perception
 from .dsl import ModuleSignature
 from .errors import (CacheMissError, CapturedError, EndpointError, NoCasesError, ResponseParseError,
                      record_of)
-from .executor import run_program
+from .executor import Environment, run_program
 from .gateway import (
     DEFAULT_API_DOC,
     CompletionRequest,
@@ -30,7 +38,7 @@ from .gateway import (
     render_prompt,
 )
 from .harness.datasets import build_bindings
-from .harness.metrics import compare_values
+from .harness.metrics import compare_values, set_items
 from .registry import (
     EPOCH_TIMESTAMP,
     ExecutionRegistry,
@@ -41,6 +49,7 @@ from .registry import (
     signature_prompt_text,
 )
 from .sandbox import CandidateHandle, Limits, load_candidate
+from .scene import ImageHandle, SceneGraph
 
 # Stage-2 and repair samples are drawn at SAMPLE_TEMPERATURE; stage-1 and
 # stage-2 requests allow MAX_TOKENS. Cache keys hash both.
@@ -72,6 +81,17 @@ class TestCase:
     program: str
     expected: V.Value
     comparator: str  # exact-text | numeric-eq | iou-at-0.5 | set-eq
+    bindings: Environment  # the example's, shared by every run of the case
+
+    def passes(self, final: V.Value) -> bool:
+        """Whether a run's final value matches `expected` under `comparator`."""
+        if self.comparator == "set-eq":
+            return set_items(final) == self._expected_items
+        return compare_values(final, self.expected, self.comparator)
+
+    @cached_property
+    def _expected_items(self) -> list[str]:
+        return set_items(self.expected)
 
 
 @dataclass(frozen=True)
@@ -146,13 +166,16 @@ def initialize_modules(train_examples, lib: Library, gateway: LlmGateway, cfg: S
 # ---------------------------------------------------------------------------
 
 
-def build_test_cases(proposal: Proposal, train_examples) -> list[TestCase]:
+def build_test_cases(proposal: Proposal, train_examples, bind=None) -> list[TestCase]:
     """One executable case per training example that exercises the module.
 
     Each dataset instance carries per-module case programs (the reasoning
     chain truncated at the module's last call) with oracle expectations, so a
     proposal can be gated before later modules in the same chain exist.
+    `bind(example)` gives a case's bindings; by default each case builds its
+    own with `build_bindings`.
     """
+    bind = bind or build_bindings
     cases: list[TestCase] = []
     name = proposal.signature.name
     for example in train_examples:
@@ -166,6 +189,7 @@ def build_test_cases(proposal: Proposal, train_examples) -> list[TestCase]:
                 program=case_spec["program"],
                 expected=V.Value(case_spec["expected"]["tag"], _tupleize(case_spec["expected"]["payload"])),
                 comparator=case_spec["comparator"],
+                bindings=bind(example),
             )
         )
     if not cases:
@@ -179,6 +203,30 @@ def _tupleize(payload):
     return payload
 
 
+def _shared_binder(memo: PerceptionMemo):
+    """A `bind` for `build_test_cases` that builds each example's bindings
+    once and binds scenes of equal content to one full-scene handle, which
+    it registers with `memo`."""
+    handles: dict[tuple, ImageHandle] = {}
+    bindings: dict[int, Environment] = {}  # by example identity
+
+    def image_of(scene: SceneGraph) -> ImageHandle:
+        key = scene.content_key()
+        handle = handles.get(key)
+        if handle is None:
+            handle = handles[key] = ImageHandle.of_scene(scene)
+            memo.register(handle)
+        return handle
+
+    def bind(example) -> Environment:
+        env = bindings.get(id(example))
+        if env is None:
+            env = bindings[id(example)] = build_bindings(example, image_of)
+        return env
+
+    return bind
+
+
 # ---------------------------------------------------------------------------
 # Stage 2: generation with the gated accept/repair loop
 # ---------------------------------------------------------------------------
@@ -186,10 +234,10 @@ def _tupleize(payload):
 
 def _case_error(case: TestCase, registry: ExecutionRegistry, backend) -> CapturedError | None:
     """Run one case program: the error that fails it, or None if it passes."""
-    outcome = run_program(case.program, build_bindings(case.example), registry, backend)
+    outcome = run_program(case.program, case.bindings, registry, backend)
     if outcome.error is not None:
         return outcome.error
-    if compare_values(outcome.final, case.expected, case.comparator):
+    if case.passes(outcome.final):
         return None
     return CapturedError(
         "wrong_output",
@@ -360,24 +408,30 @@ def run_synthesis(
     first-mention order so later proposals can call earlier accepted modules.
 
     Each accepted module records as its `origin_task` the tasks of the
-    training examples its test cases come from, sorted and comma-joined."""
+    training examples its test cases come from, sorted and comma-joined.
+
+    The cases of all proposals share each example's bindings and the
+    perception answers about them, for this call only (see the module
+    docstring)."""
     proposals, init_errors = initialize_modules(train_examples, lib, gateway, cfg)
     accepted: list[str] = []
     failed: list[FailureReport] = []
     outcomes: dict[str, tuple[CandidateOutcome, ...]] = {}
-    for proposal in proposals:
-        try:
-            cases = build_test_cases(proposal, train_examples)
-        except NoCasesError as exc:
-            failed.append(FailureReport(name=proposal.signature.name, reason=str(exc), outcomes=()))
-            continue
-        result, outs = generate_module(proposal, cases, cfg, gateway, lib, backend)
-        outcomes[proposal.signature.name] = tuple(outs)
-        if isinstance(result, FailureReport):
-            failed.append(result)
-            continue
-        lib = register(lib, result)
-        accepted.append(result.name)
+    with shared_perception() as memo:
+        bind = _shared_binder(memo)
+        for proposal in proposals:
+            try:
+                cases = build_test_cases(proposal, train_examples, bind)
+            except NoCasesError as exc:
+                failed.append(FailureReport(name=proposal.signature.name, reason=str(exc), outcomes=()))
+                continue
+            result, outs = generate_module(proposal, cases, cfg, gateway, lib, backend)
+            outcomes[proposal.signature.name] = tuple(outs)
+            if isinstance(result, FailureReport):
+                failed.append(result)
+                continue
+            lib = register(lib, result)
+            accepted.append(result.name)
     report = SynthesisReport(
         proposals=tuple(p.signature.name for p in proposals),
         accepted=tuple(accepted),

@@ -6,7 +6,8 @@ an error's location only on failure and filled each `SceneObject` without a
 second copy of its attributes. The loader must return an equal scene, with
 the same field types and read-only attributes, for every scene of generated
 datasets of all six tasks, and raise the same error for every malformed
-document.
+document. Both refuse JSON `true` and `false` wherever a number belongs, so a
+scene's content never equates `true` with 1.
 """
 
 from __future__ import annotations
@@ -51,9 +52,9 @@ def reference_load_scene(document: str | dict) -> SceneGraph:
     if not isinstance(doc, dict):
         raise SceneSchemaError("document: expected an object")
     width, height = doc.get("width"), doc.get("height")
-    if not isinstance(width, int) or width <= 0:
+    if not isinstance(width, int) or isinstance(width, bool) or width <= 0:
         raise SceneSchemaError("width: must be a positive integer")
-    if not isinstance(height, int) or height <= 0:
+    if not isinstance(height, int) or isinstance(height, bool) or height <= 0:
         raise SceneSchemaError("height: must be a positive integer")
     caption = doc.get("caption")
     if caption is not None and not isinstance(caption, str):
@@ -88,7 +89,7 @@ def reference_load_scene(document: str | dict) -> SceneGraph:
             if not isinstance(key, str) or key != key.lower():
                 raise SceneSchemaError(f"{where}.attributes: keys must be lowercase strings")
         depth = raw.get("depth", 1.0)
-        if not isinstance(depth, (int, float)) or not (0.0 < float(depth) <= 1.0):
+        if not isinstance(depth, (int, float)) or isinstance(depth, bool) or not (0.0 < float(depth) <= 1.0):
             raise SceneSchemaError(f"{where}.depth: must be a float in (0, 1]")
         tags = raw.get("tags", [])
         if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
@@ -201,14 +202,17 @@ MALFORMED = [
     document(depth="0.5"), document(depth=None), document(depth=[0.5]), document(depth=math.nan),
     document(tags="sitting"), document(tags=["sitting", 3]), document(tags=[None]),
     document(tags=("sitting",)),
+    # JSON `true` and `false` are not numbers, although Python's bool is an int
+    with_top(width=True, height=True, objects=[]), with_top(width=100, height=True),
+    with_top(width=False), document(depth=True), document(depth=False),
 ]
 
 WELL_FORMED = [
     document(), with_top(caption=...), with_top(objects=...), with_top(objects=[]),
-    with_top(width=True, height=True, objects=[]),
+    with_top(width=1, height=1, objects=[]),
     document(box=[50.5, 20.25, 90.75, 70.999]), document(box=(50, 20, 90, 70)),
     document(box=[Coordinate(50), Coordinate(20), Coordinate(90), 70]),
-    document(box=[0, 0, 100, 80]), document(depth=True), document(depth=1), document(depth=1.0),
+    document(box=[0, 0, 100, 80]), document(depth=Coordinate(1)), document(depth=1), document(depth=1.0),
     document(depth=0.0001), document(attributes={"color": 3, "size": None, "shape": ["x"]}),
     document(attributes=..., depth=..., tags=...), document(attributes={}), document(tags=[]),
     document(attributes={"color": "Red", "": "empty"}),
@@ -241,3 +245,17 @@ def test_json_text_loads_as_the_reference_loads_it():
     text = json.dumps(document(box=[50.5, 20, 90, 70], depth=1, attributes={"size": 2}))
     assert_same_scene(load_scene(text), reference_load_scene(text), None)
     assert outcome(load_scene, text[:-1]) == outcome(reference_load_scene, text[:-1])
+
+
+@pytest.mark.parametrize("doc, message", [
+    (with_top(width=True, height=True, objects=[]), "width: must be a positive integer"),
+    (with_top(height=True), "height: must be a positive integer"),
+    (with_top(width=False), "width: must be a positive integer"),
+    (document(depth=True), "objects[1].depth: must be a float in (0, 1]"),
+    (document(depth=False), "objects[1].depth: must be a float in (0, 1]"),
+])
+def test_a_boolean_is_not_a_number(doc, message):
+    for source in (doc, json.dumps(doc)):
+        with pytest.raises(SceneSchemaError) as refused:
+            load_scene(source)
+        assert str(refused.value) == message
