@@ -20,6 +20,6 @@ from .dsl import (  # noqa: F401
     serialize_program,
     validate_program,
 )
-from .executor import Environment, ExecutionResult, execute_program  # noqa: F401
+from .executor import ExecutionResult  # noqa: F401
 from .registry import Library, ModuleRecord, builtin_library, load_library, save_library  # noqa: F401
 from .values import Value  # noqa: F401

@@ -20,7 +20,7 @@ from . import values as V
 from .backends import SyntheticBackend
 from .cache import Resolver, read_records
 from .errors import ModgrowError
-from .executor import Environment, run_program, trace_to_jsonl
+from .executor import run_program, trace_to_jsonl
 from .gateway import LlmGateway, doc_key
 from .harness import datasets as ds
 from .harness.evaluate import evaluate, run_ablation
@@ -109,6 +109,7 @@ def cmd_eval(args) -> int:
             print(f"error: {', '.join(given)} only apply with --ablation", file=sys.stderr)
             return 2
     try:
+        limits = Limits(wall_time_ms=args.wall_time_ms)
         gateway = _gateway_from_args(args)
         lib = load_library(args.library) if args.library else builtin_library()
         dataset = ds.load_dataset(args.dataset)
@@ -145,10 +146,7 @@ def cmd_eval(args) -> int:
         return 0
 
     with gateway:
-        report = evaluate(
-            task, dataset, lib, backend, gateway, model_id=args.model,
-            limits=Limits(wall_time_ms=args.wall_time_ms),
-        )
+        report = evaluate(task, dataset, lib, backend, gateway, model_id=args.model, limits=limits)
     print(report.render_table())
     if args.report:
         _write_report(report, args.report)
@@ -172,7 +170,7 @@ def cmd_run(args) -> int:
                         ("INSTRUCTION", args.instruction)):
         if given is not None:
             bindings[name] = V.text(given)
-    result = run_program(source, Environment(bindings), ExecutionRegistry(lib), SyntheticBackend())
+    result = run_program(source, bindings, ExecutionRegistry(lib), SyntheticBackend())
     if result.diagnostics:
         if args.trace:  # nothing ran, so no trace of an earlier run may stay
             Path(args.trace).unlink(missing_ok=True)
@@ -196,7 +194,7 @@ def cmd_library(args) -> int:
         return 2
     for name in lib.manifest:
         rec = lib.records[name]
-        print(f"{name:24s} {rec.kind:9s} pass_rate={rec.pass_rate:.2f} v{rec.version}")
+        print(f"{name:24s} {rec.kind:9s} pass_rate={rec.pass_rate:.2f}")
     return 0
 
 
@@ -329,7 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # an output path the file system refuses, such as one under a file
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,6 +14,9 @@ and tabs are allowed between tokens; the serializer emits none (no spaces
 outside string payloads), and its canonical form round-trips through the
 parser.
 
+`validate_program` is the only check on a statement's shape: the executor
+runs only programs it accepts, and checks none of its rules again.
+
 One token-by-token scanner, `_LineScanner`, parses each line, and names the
 first fault of a line that does not parse. `parse_program` keeps the parses
 of the last 1,024 distinct program texts it was given, so a text that comes
@@ -378,9 +381,11 @@ def validate_program(program: Program, known_signatures, initial_bindings=None) 
 
 
 def _check_arg(st: Statement, pname: str, arg: Arg, declared: str, bound) -> list[Diagnostic]:
+    """The faults of one argument. Only EVAL resolves a template string, and a
+    `template` parameter takes only a template string or a quoted text."""
     diags: list[Diagnostic] = []
     if arg.kind == "template-string":
-        if declared != "template":
+        if declared != "template" or st.module_name != "EVAL":
             diags.append(
                 Diagnostic(
                     "TYPE_MISMATCH",
@@ -400,7 +405,9 @@ def _check_arg(st: Statement, pname: str, arg: Arg, declared: str, bound) -> lis
             diags.append(Diagnostic("UNDEFINED_VAR", f"undefined variable {name}", st.line_no))
             return diags
         actual = bound[name]
-        if st.module_name == "RESULT" or actual == "any" or declared == "template":
+        if declared == "template":  # whatever its tag, a variable is no template
+            actual = f"variable {name}"
+        elif st.module_name == "RESULT" or actual == "any":
             return diags
         if not tags_compatible(declared, actual):
             diags.append(
@@ -412,8 +419,8 @@ def _check_arg(st: Statement, pname: str, arg: Arg, declared: str, bound) -> lis
             )
         return diags
     literal_tag = _LITERAL_KIND_TO_TAG[arg.kind]
-    if declared == "template" and literal_tag == "text":
-        return diags  # a literal with no placeholders is a degenerate template
+    if declared == "template" and arg.kind == "string-literal":
+        return diags  # a quoted text with no placeholders is a degenerate template
     if not tags_compatible(declared, literal_tag):
         diags.append(
             Diagnostic(

@@ -1,14 +1,16 @@
-"""Step-by-step interpreter for parsed programs.
+"""Step-by-step interpreter for validated programs.
 
-`run_program` parses, validates and executes program text; a program that
-does not parse or validate runs nothing and fails with an error of kind
-`syntax` or `validation`. An `ExecutionRegistry`, whose signatures are fixed
-and which lives for one `evaluate()`, `compute_pass_rate` or `modgrow run`,
-keeps each distinct (text, binding names and tags) checked and lowered to
-steps. Each step resolves its arguments, dispatches to a builtin or a
-generated module, binds its target once and appends a step record, so every
-run leaves a complete trace. A failed step ends the run with its
-`CapturedError`, for a failure inside a generated module the sandbox's own.
+`run_program` is the one way to run a program: it parses, validates and
+executes program text, and a program that does not parse or validate runs
+nothing and fails with an error of kind `syntax` or `validation`. An
+`ExecutionRegistry`, whose modules are fixed and which lives for one
+`evaluate()`, `compute_pass_rate` or `modgrow run`, keeps each distinct
+(text, binding names and tags) checked and lowered to steps, each of which
+records what runs it: a template, RESULT, a generated module or a builtin.
+Each step resolves its arguments, runs, binds its target and appends a step
+record, so every run leaves a complete trace. A failed step ends the run
+with its `CapturedError`, for a failure inside a generated module the
+sandbox's own.
 """
 
 from __future__ import annotations
@@ -17,21 +19,13 @@ import ast
 import json
 import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable
 
 from . import values as V
 from .builtins_catalog import BUILTIN_SIGNATURES
-from .dsl import (
-    PLACEHOLDER_RE,
-    Diagnostic,
-    Program,
-    Statement,
-    parse_program,
-    serialize_statement,
-    validate_program,
-)
+from .dsl import PLACEHOLDER_RE, Diagnostic, Statement, parse_program, serialize_statement, validate_program
 from .errors import BackendError, CapturedError, DslSyntaxError, ExecutorRuntimeError, TemplateEvalError
 from .scene import half_box
 from .values import Value
@@ -39,23 +33,6 @@ from .values import Value
 
 def _type_error(message: str) -> ExecutorRuntimeError:
     return ExecutorRuntimeError(CapturedError("type", message))
-
-
-@dataclass
-class Environment:
-    """Assign-once variable bindings for one execution."""
-
-    bindings: dict[str, Value] = field(default_factory=dict)
-
-    def lookup(self, name: str) -> Value:
-        if name not in self.bindings:
-            raise _type_error(f"unbound variable {name}")
-        return self.bindings[name]
-
-    def bind(self, name: str, value: Value) -> None:
-        if name in self.bindings:
-            raise _type_error(f"variable {name} already bound")
-        self.bindings[name] = value
 
 
 @dataclass(frozen=True)
@@ -170,8 +147,9 @@ def _eval_node(node: ast.AST):
 _parse_expression = lru_cache(maxsize=1024)(partial(ast.parse, mode="eval"))
 
 
-def eval_template(template: str, env: Environment) -> Value:
-    """Substitute {VAR} placeholders, then evaluate under a restricted grammar.
+def eval_template(template: str, bindings: dict[str, Value]) -> Value:
+    """Substitute {VAR} placeholders from `bindings`, then evaluate under a
+    restricted grammar.
 
     Only literals, comparisons, arithmetic, boolean connectives, text
     membership and conditional expressions are permitted; name lookups,
@@ -180,9 +158,9 @@ def eval_template(template: str, env: Environment) -> Value:
 
     def substitute(match):
         name = match.group(1)
-        if name not in env.bindings:
+        if name not in bindings:
             raise TemplateEvalError("UNBOUND_PLACEHOLDER", f"placeholder {{{name}}} is unbound")
-        return _render_literal(env.bindings[name])
+        return _render_literal(bindings[name])
 
     expr = PLACEHOLDER_RE.sub(substitute, template)
     try:
@@ -383,109 +361,88 @@ def run_builtin(name: str, args: dict[str, Value], backend) -> Value:
 
 @dataclass(frozen=True, slots=True)
 class Step:
-    """One statement lowered to run: variable names and constant `Value`s as
-    arguments, and a `fault` raised as a type error once they resolve."""
+    """One statement of a validated program, lowered to run: variable names
+    and constant `Value`s as arguments, and what runs it."""
 
     statement: str  # canonical text, for the trace
     target: str
     module_name: str
     line_no: int
     args: tuple[tuple[str, str | Value], ...]
+    runs: str  # template | result | generated | builtin
     template: str | None = None
-    fault: str | None = None
 
 
-def _lower_statement(st: Statement) -> Step:
-    args: list[tuple[str, str | Value]] = []
-    template = fault = None
-    if st.module_name == "EVAL":
-        expr = st.arg_map().get("expr")
-        if expr is None:
-            fault = "EVAL requires an expr argument"
-        elif expr.kind not in ("template-string", "string-literal"):
-            fault = "EVAL expr must be a template"
-        else:
-            template = expr.value
-            args = [(ph, ph) for ph in PLACEHOLDER_RE.findall(template)]
-    else:
-        for pname, arg in st.args:
-            if arg.kind == "template-string":  # the arguments after it are never resolved
-                fault = "template arguments are resolved by EVAL itself"
-                break
-            if arg.kind == "variable-reference":
-                args.append((pname, arg.value))
-            else:
-                args.append((pname, V.number(arg.value) if arg.kind == "number" else V.text(arg.value)))
-        if fault is None and st.module_name == "RESULT" and "var" not in st.arg_map():
-            fault = "RESULT requires a var argument"
-    return Step(serialize_statement(st), st.target, st.module_name, st.line_no, tuple(args), template, fault)
+def _lower_statement(st: Statement, registry) -> Step:
+    statement = serialize_statement(st)
+    if st.module_name == "EVAL":  # validated: `expr` is its one argument, a template or quoted text
+        template = st.args[0][1].value
+        args = tuple((ph, ph) for ph in PLACEHOLDER_RE.findall(template))
+        return Step(statement, st.target, st.module_name, st.line_no, args, "template", template)
+    args = tuple(
+        (pname, arg.value if arg.kind == "variable-reference"
+         else V.number(arg.value) if arg.kind == "number" else V.text(arg.value))
+        for pname, arg in st.args
+    )
+    runs = ("result" if st.module_name == "RESULT"
+            else "generated" if registry.is_generated(st.module_name) else "builtin")
+    return Step(statement, st.target, st.module_name, st.line_no, args, runs)
 
 
-def lower_program(program: Program) -> tuple[Step, ...]:
-    """The steps of `program`, one per statement, in order."""
-    return tuple(_lower_statement(st) for st in program.statements)
-
-
-def _run_step(step: Step, env: Environment, registry, backend) -> tuple[Value, dict, str]:
-    inputs = {pname: env.lookup(ref) if isinstance(ref, str) else ref for pname, ref in step.args}
-    if step.fault is not None:
-        raise _type_error(step.fault)
-    if step.template is not None:
+def _run_step(step: Step, bindings: dict[str, Value], registry, backend) -> tuple[Value, dict]:
+    inputs = {pname: bindings[ref] if isinstance(ref, str) else ref for pname, ref in step.args}
+    if step.runs == "template":
         try:
-            return eval_template(step.template, env), inputs, "builtin"
+            return eval_template(step.template, bindings), inputs
         except TemplateEvalError as exc:
             raise ExecutorRuntimeError(CapturedError("template", str(exc))) from exc
-    if step.module_name == "RESULT":
-        return inputs["var"], inputs, "builtin"
-    if registry.is_generated(step.module_name):
-        return registry.invoke_generated(step.module_name, inputs, backend), inputs, "generated"
-    return run_builtin(step.module_name, inputs, backend), inputs, "builtin"
+    if step.runs == "result":
+        return inputs["var"], inputs
+    if step.runs == "generated":
+        return registry.invoke_generated(step.module_name, inputs, backend), inputs
+    return run_builtin(step.module_name, inputs, backend), inputs
 
 
-def execute_program(program: Program | tuple[Step, ...], init: Environment, registry,
+def execute_program(steps: tuple[Step, ...], init: dict[str, Value], registry,
                     backend) -> ExecutionResult:
-    """Run a validated program, parsed or lowered; on failure the partial trace is kept."""
-    steps = lower_program(program) if isinstance(program, Program) else program
-    env = Environment(bindings=dict(init.bindings))
+    """Run the steps that `run_program` lowered from a validated program over
+    a copy of `init`. Validation makes the last step FINAL_RESULT=RESULT(...),
+    so its value is the final one; on failure the partial trace is kept."""
+    bindings = dict(init)
     trace: list[StepRecord] = []
-    final: Value | None = None
     for step in steps:
         started = time.perf_counter()
         try:
-            value, inputs, kind = _run_step(step, env, registry, backend)
-            env.bind(step.target, value)
+            value, inputs = _run_step(step, bindings, registry, backend)
         except ExecutorRuntimeError as exc:
             return ExecutionResult(None, tuple(trace), exc.error, step.line_no)
+        bindings[step.target] = value
         elapsed_ms = (time.perf_counter() - started) * 1000.0
+        kind = "generated" if step.runs == "generated" else "builtin"
         trace.append(StepRecord(step.statement, step.line_no, kind, inputs, V.summarize(value), elapsed_ms))
-        if step.module_name == "RESULT":
-            final = value
-    if final is None:
-        last_line = steps[-1].line_no if steps else 1
-        return ExecutionResult(
-            None, tuple(trace), CapturedError("type", "no RESULT statement executed"), last_line
-        )
-    return ExecutionResult(final, tuple(trace))
+    return ExecutionResult(value, tuple(trace))
 
 
-def run_program(source: str, init: Environment, registry, backend) -> ExecutionResult:
+def run_program(source: str, init: dict[str, Value], registry, backend) -> ExecutionResult:
     """Parse `source`, validate it, and execute it if it validates.
 
     The program is checked against `registry.signatures()` and the tags of
-    `init`'s bindings. A program with a line that does not parse, or one
+    the `init` bindings. A program with a line that does not parse, or one
     that fails a check, runs nothing: the result is an error of kind
     `syntax` or `validation` whose message is the first diagnostic's code
     and message, with an empty trace and every diagnostic kept. The outcome of
-    the check is kept in `registry.checked` under (source, the bindings' tags)."""
+    the check, the refusal or the lowered steps, is kept in `registry.checked`
+    under (source, the bindings' tags)."""
     try:
         program = parse_program(source)
     except DslSyntaxError as exc:
         return _refused("syntax", exc.diagnostics)
-    tags = tuple((name, value.tag) for name, value in init.bindings.items())
+    tags = tuple((name, value.tag) for name, value in init.items())
     checked = registry.checked.get((source, tags))
     if checked is None:
         diagnostics = validate_program(program, registry.signatures(), dict(tags))
-        checked = _refused("validation", diagnostics) if diagnostics else lower_program(program)
+        checked = (_refused("validation", diagnostics) if diagnostics
+                   else tuple(_lower_statement(st, registry) for st in program.statements))
         registry.checked[(source, tags)] = checked
     if isinstance(checked, ExecutionResult):
         return checked

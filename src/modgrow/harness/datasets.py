@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .. import values as V
-from ..executor import Environment
 from ..reference_modules import RAVEN_LAYOUTS, RAVEN_SCALES, raven_regions, solver_check
 from ..scene import KNOWLEDGE_LISTS, ImageHandle, SceneGraph, SceneObject, load_scene
 from . import oracle as oracle_mod
@@ -129,14 +128,14 @@ class TaskInstance:
         )
 
 
-def build_bindings(instance: TaskInstance, image_of=ImageHandle.of_scene) -> Environment:
-    """Initial environment of an instance: a handle on each of its scenes,
-    which `image_of(scene)` gives, and its query.
+def build_bindings(instance: TaskInstance, image_of=ImageHandle.of_scene) -> dict[str, V.Value]:
+    """The initial bindings of an instance's program, by variable name: a
+    handle on each of its scenes, which `image_of(scene)` gives, and its query.
 
     Scenes and handles are immutable, and a run copies the bindings before it
-    binds its own variables, so runs may share one environment, and
+    binds its own variables, so runs may share one dict of bindings, and
     instances may share handles on equal scenes."""
-    return Environment(bindings=task_spec(instance.task).bind(instance, image_of))
+    return task_spec(instance.task).bind(instance, image_of)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ class ModuleRecord:
     pass_rate: float = 1.0
     eta_at_acceptance: float = 1.0
     created_at: str = EPOCH_TIMESTAMP
-    version: int = 1
     test_case_ids: tuple[str, ...] = ()
 
     @property
@@ -152,7 +151,6 @@ def save_library(lib: Library, path: str | Path) -> None:
             "pass_rate": rec.pass_rate,
             "eta_at_acceptance": rec.eta_at_acceptance,
             "created_at": rec.created_at,
-            "version": rec.version,
             "test_case_ids": list(rec.test_case_ids),
         }
         (root / f"{name}.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
@@ -172,6 +170,11 @@ def load_library(path: str | Path) -> Library:
         raise LibraryFormatError(f"{root}: manifest.json lacks a modules list")
     lib = Library()
     for name in names:
+        # a name is a file stem inside `root`, so it must be an identifier
+        if not isinstance(name, str) or not name.isidentifier():
+            raise LibraryFormatError(f"{root}: manifest entry {name!r} is not a module name")
+        if name in lib.records:
+            raise LibraryFormatError(f"{root}: manifest lists {name} twice")
         source_path = root / f"{name}.py"
         meta_path = root / f"{name}.json"
         if not source_path.exists() or not meta_path.exists():
@@ -186,11 +189,12 @@ def load_library(path: str | Path) -> Library:
                 pass_rate=float(meta["pass_rate"]),
                 eta_at_acceptance=float(meta["eta_at_acceptance"]),
                 created_at=meta.get("created_at", EPOCH_TIMESTAMP),
-                version=int(meta.get("version", 1)),
                 test_case_ids=tuple(meta.get("test_case_ids", [])),
             )
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             raise LibraryFormatError(f"{root}: corrupt metadata for {name}: {exc}") from exc
+        if rec.name != name:
+            raise LibraryFormatError(f"{root}: manifest names {name} but its signature names {rec.name}")
         lib.records[name] = rec
         lib.manifest.append(name)
     return lib
@@ -212,7 +216,8 @@ class ExecutionRegistry:
     takes its arguments in the order of its handle's signature.
 
     It owns `checked`, the memo of `executor.run_program`: sound because the
-    signatures are fixed here, and unbounded because a registry is short-lived."""
+    signatures and the kind of each module are fixed here, and unbounded
+    because a registry is short-lived."""
 
     def __init__(self, lib: Library, limits=None, overlay: dict | None = None):
         self.lib = lib

@@ -26,7 +26,7 @@ from .backends import PerceptionMemo, shared_perception
 from .dsl import ModuleSignature
 from .errors import (CacheMissError, CapturedError, EndpointError, NoCasesError, ResponseParseError,
                      record_of)
-from .executor import Environment, run_program
+from .executor import run_program
 from .gateway import (
     DEFAULT_API_DOC,
     CompletionRequest,
@@ -81,7 +81,7 @@ class TestCase:
     program: str
     expected: V.Value
     comparator: str  # exact-text | numeric-eq | iou-at-0.5 | set-eq
-    bindings: Environment  # the example's, shared by every run of the case
+    bindings: dict[str, V.Value]  # the example's, shared by every run of the case
 
     def passes(self, final: V.Value) -> bool:
         """Whether a run's final value matches `expected` under `comparator`."""
@@ -208,7 +208,7 @@ def _shared_binder(memo: PerceptionMemo):
     once and binds scenes of equal content to one full-scene handle, which
     it registers with `memo`."""
     handles: dict[tuple, ImageHandle] = {}
-    bindings: dict[int, Environment] = {}  # by example identity
+    bindings: dict[int, dict[str, V.Value]] = {}  # by example identity
 
     def image_of(scene: SceneGraph) -> ImageHandle:
         key = scene.content_key()
@@ -218,7 +218,7 @@ def _shared_binder(memo: PerceptionMemo):
             memo.register(handle)
         return handle
 
-    def bind(example) -> Environment:
+    def bind(example) -> dict[str, V.Value]:
         env = bindings.get(id(example))
         if env is None:
             env = bindings[id(example)] = build_bindings(example, image_of)
@@ -382,7 +382,6 @@ def generate_module(
         pass_rate=current_best.pass_rate,
         eta_at_acceptance=cfg.eta,
         created_at=EPOCH_TIMESTAMP,
-        version=1,
         test_case_ids=tuple(c.id for c in cases),
     )
     return record, outcomes

@@ -6,12 +6,17 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import modgrow.errors
 import modgrow.sandbox
+from modgrow import values as V
+from modgrow.backends import SyntheticBackend
+from modgrow.executor import run_program
+from modgrow.registry import ExecutionRegistry
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -38,3 +43,36 @@ def test_every_traced_method_is_defined_on_its_class(spans):
 
 def test_the_bench_counts_the_one_failure_record():
     assert modgrow.sandbox.CapturedError is modgrow.errors.CapturedError
+
+
+# one builtin step, one generated step, an EVAL step and RESULT
+COUNTED_PROGRAM = (
+    "BOX0=LOC(image=IMAGE,object='coat')\n"
+    "ANSWER0=CHOOSE_ATTRIBUTE(image=IMAGE,box=BOX0,object='coat',attribute1='thick',"
+    "attribute2='thin')\n"
+    "ANSWER1=EVAL(expr=f\"'yes' if {ANSWER0} == 'thick' else 'no'\")\n"
+    "FINAL_RESULT=RESULT(var=ANSWER1)"
+)
+# the spans two runs of it through one registry open
+COUNTED_CALLS = {
+    "dsl.parse_program": 2,
+    "dsl.validate_program": 1,
+    "executor.execute_program": 2,
+    "executor.run_builtin": 2,
+    "registry.invoke_generated": 2,
+    "sandbox.load_candidate": 1,
+}
+
+
+def test_two_runs_through_one_registry_make_the_calls_the_bench_counts(spans, full_lib, coat_image):
+    """`perfbench/measure.py` checks these per-run counts under `--trace 1`; a
+    refactor that inlines one of the callees fails here first."""
+    registry = ExecutionRegistry(full_lib)
+    env = {"IMAGE": V.image(coat_image)}
+    with spans.traced(spans.SpanRecorder(), []) as rec:
+        finals = [run_program(COUNTED_PROGRAM, env, registry, SyntheticBackend()).final
+                  for _ in range(2)]
+    assert finals == [V.text("yes")] * 2
+    calls = Counter(name for name, *_ in rec.spans)
+    assert {name: calls[name] for name in COUNTED_CALLS} == COUNTED_CALLS
+

@@ -7,6 +7,7 @@ import dataclasses
 import json
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +20,7 @@ from modgrow.registry import builtin_library, register, save_library
 from modgrow.replay_seed import SyntheticResponder
 from modgrow.synthesis import SynthesisConfig, run_synthesis
 
-from conftest import fixture_record
+from conftest import fixture_record, make_scene, obj
 
 # Every option each subcommand declares, in declaration order, with the values
 # it accepts if it names them. A new option or value is a new setting to keep,
@@ -240,3 +241,66 @@ def test_the_environment_sets_neither_mode_nor_model(tmp_path, monkeypatch, caps
     assert (args.mode, cli._config_from_args(args).model_id) == ("replay", "default-model")
     assert cli.main(["eval", "--dataset", str(tmp_path / "test.jsonl")]) == 2
     assert capsys.readouterr().err == "error: replay mode requires an existing cache file (got None)\n"
+
+
+@pytest.fixture(scope="module")
+def seeded(tmp_path_factory):
+    """A recorded grounding split pair, its cache and a scene: their paths."""
+    root = tmp_path_factory.mktemp("seeded")
+    paths = {name: root / name for name in ("train.jsonl", "test.jsonl", "cache.jsonl", "scene.json", "grid.json")}
+    argv = ["cache", "seed", "--task", "grounding", "--seed", "4", "--n-train", "4", "--n-test", "1",
+            "--templates", "ordinal", "--train-out", str(paths["train.jsonl"]),
+            "--test-out", str(paths["test.jsonl"]), "--cache", str(paths["cache.jsonl"])]
+    assert cli.main(argv) == 0
+    paths["scene.json"].write_text(json.dumps(make_scene(obj("c", "coat", (20, 15, 38, 33))).to_doc()),
+                                   encoding="utf-8")
+    paths["grid.json"].write_text(json.dumps({"cells": [{"library": "wo-ml"}]}), encoding="utf-8")
+    return paths
+
+
+def writing_to(seeded, target) -> dict[str, list[str]]:
+    """A command line per output option, each writing to `target`."""
+    cache, train, test = (str(seeded[name]) for name in ("cache.jsonl", "train.jsonl", "test.jsonl"))
+    return {
+        "learn --out": ["learn", "--cache", cache, "--dataset", train, "--out", target],
+        "eval --report": ["eval", "--cache", cache, "--dataset", test, "--report", target],
+        "eval --ablation --report": ["eval", "--cache", cache, "--dataset", test,
+                                     "--ablation", str(seeded["grid.json"]), "--report", target],
+        "run --trace": ["run", "--program", "FINAL_RESULT=RESULT(var=IMAGE)",
+                        "--scene", str(seeded["scene.json"]), "--trace", target],
+        "cache seed --train-out": ["cache", "seed", "--n-train", "1", "--n-test", "1", "--train-out", target,
+                                   "--test-out", str(Path(target).parent / "test.jsonl"),
+                                   "--cache", str(Path(target).parent / "cache.jsonl")],
+    }
+
+
+@pytest.mark.parametrize("option", ["learn --out", "eval --report", "eval --ablation --report",
+                                    "run --trace", "cache seed --train-out"])
+@pytest.mark.parametrize("where", ["an existing file", "a path under a file", "an existing directory"])
+def test_an_output_path_the_file_system_refuses_is_an_error_line(tmp_path, capsys, seeded, option, where):
+    a_file, a_dir = tmp_path / "a_file", tmp_path / "a_dir"
+    a_file.write_text("kept\n", encoding="utf-8")
+    a_dir.mkdir()
+    target = {"an existing file": a_file, "a path under a file": a_file / "out",
+              "an existing directory": a_dir}[where]
+    refused = {"an existing file": option.split()[0] in ("learn", "eval"),
+               "a path under a file": True,
+               "an existing directory": option.split()[0] in ("run", "cache")}[where]
+    code = cli.main(writing_to(seeded, str(target))[option])
+    err = capsys.readouterr().err
+    if refused:
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(target) in err
+        assert a_file.read_text(encoding="utf-8") == "kept\n"
+    else:  # a file is overwritten, a directory is written into
+        assert "error" not in err and code in (0, 1)
+
+
+@pytest.mark.parametrize("command", ["learn", "eval"])
+def test_a_wall_time_that_is_not_positive_is_an_error_line(capsys, seeded, command):
+    split = seeded["train.jsonl" if command == "learn" else "test.jsonl"]
+    argv = [command, "--cache", str(seeded["cache.jsonl"]), "--dataset", str(split), "--wall-time-ms", "0"]
+    if command == "learn":
+        argv += ["--out", str(split.parent / "never")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: limits must be positive\n"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from modgrow import dsl
 from modgrow.errors import DslSyntaxError, SignatureParseError
 from modgrow.gateway import load_template
-from modgrow.harness.datasets import generate_dataset
+from modgrow.harness.datasets import build_bindings, generate_dataset
 from modgrow.reference_modules import (
     CHOOSE_ATTRIBUTE_SOURCE,
     FIXTURE_SOURCES,
@@ -388,9 +388,15 @@ def test_regex_parser_edge_lines(line):
 
 
 def test_generated_programs_parse():
+    """Every program a dataset carries parses, and validates against its
+    instance's binding tags: canonical and case programs over the builtins
+    and fixtures, fallback programs over the builtins alone."""
+    builtins = signatures(builtin_library())
+    full = builtins + [fixture_signature(name) for name in FIXTURE_SOURCES]
     for task in ("vqa", "grounding", "tagging", "editing", "raven", "mewl-analog"):
         for instance in generate_dataset(task, 3, 40):
-            programs = [instance.canonical_program, instance.fallback_program]
-            programs += [case["program"] for case in instance.module_cases.values()]
-            for program in programs:
-                dsl.parse_program(program)
+            tags = {name: value.tag for name, value in build_bindings(instance).items()}
+            programs = [(instance.canonical_program, full), (instance.fallback_program, builtins)]
+            programs += [(case["program"], full) for case in instance.module_cases.values()]
+            for program, sigs in programs:
+                assert dsl.validate_program(dsl.parse_program(program), sigs, tags) == [], program

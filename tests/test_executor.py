@@ -7,18 +7,16 @@ from hypothesis import strategies as st
 from modgrow import executor
 from modgrow import values as V
 from modgrow.backends import SyntheticBackend
-from modgrow.dsl import parse_program, serialize_program
+from modgrow.dsl import parse_program, serialize_program, validate_program
 from modgrow.errors import CapturedError, ExecutorRuntimeError, TemplateEvalError
 from modgrow.executor import (
-    Environment,
     eval_template,
-    execute_program,
     expand_box,
     run_builtin,
     run_program,
     trace_to_jsonl,
 )
-from modgrow.registry import ExecutionRegistry
+from modgrow.registry import ExecutionRegistry, builtin_library
 from modgrow.scene import ImageHandle
 
 from conftest import make_scene, obj
@@ -50,28 +48,28 @@ class TestExpandBox:
 
 class TestEvalTemplate:
     def test_conditional_positive(self):
-        env = Environment({"ANSWER0": V.number(2)})
+        env = {"ANSWER0": V.number(2)}
         assert eval_template("'yes' if {ANSWER0} > 0 else 'no'", env) == V.text("yes")
 
     def test_conditional_zero(self):
-        env = Environment({"ANSWER0": V.number(0)})
+        env = {"ANSWER0": V.number(0)}
         assert eval_template("'left' if {ANSWER0} > 0 else 'right'", env) == V.text("right")
 
     def test_arithmetic(self):
-        env = Environment({"A": V.number(2), "B": V.number(3)})
+        env = {"A": V.number(2), "B": V.number(3)}
         assert eval_template("{A} + {B}", env) == V.number(5)
 
     def test_boolean_substitution(self):
-        env = Environment({"FLAG0": V.boolean(True)})
+        env = {"FLAG0": V.boolean(True)}
         assert eval_template("'sphere' if {FLAG0} else 'blue cube'", env) == V.text("sphere")
 
     def test_membership(self):
-        env = Environment({"T": V.text("dark blue")})
+        env = {"T": V.text("dark blue")}
         assert eval_template("'yes' if 'blue' in {T} else 'no'", env) == V.text("yes")
 
     def test_unbound_placeholder(self):
         with pytest.raises(TemplateEvalError) as err:
-            eval_template("{MISSING} + 1", Environment({}))
+            eval_template("{MISSING} + 1", {})
         assert err.value.kind == "UNBOUND_PLACEHOLDER"
 
     @pytest.mark.parametrize(
@@ -87,7 +85,7 @@ class TestEvalTemplate:
     )
     def test_rejects_calls_names_and_attributes(self, expr):
         with pytest.raises(TemplateEvalError) as err:
-            eval_template(expr, Environment({}))
+            eval_template(expr, {})
         assert err.value.kind == "TEMPLATE_SYNTAX"
 
     @given(
@@ -97,13 +95,13 @@ class TestEvalTemplate:
     )
     @settings(max_examples=120, deadline=None)
     def test_matches_manual_substitution(self, a, b, op):
-        env = Environment({"A": V.number(a), "B": V.number(b)})
+        env = {"A": V.number(a), "B": V.number(b)}
         template = f"{{A}} {op} {{B}}"
         expected = eval("{} {} {}".format(a, op, b))
         assert eval_template(template, env).payload == expected
 
     def test_text_rendering_is_quoted(self):
-        env = Environment({"S": V.text("left")})
+        env = {"S": V.text("left")}
         assert eval_template("{S} == 'left'", env) == V.boolean(True)
 
     @pytest.mark.parametrize(
@@ -121,7 +119,7 @@ class TestEvalTemplate:
         ],
     )
     def test_operators(self, expr, expected):
-        assert eval_template(expr, Environment({"A": V.number(2)})).payload == expected
+        assert eval_template(expr, {"A": V.number(2)}).payload == expected
 
     @pytest.mark.parametrize(
         "expr, message",
@@ -135,11 +133,11 @@ class TestEvalTemplate:
     )
     def test_unsupported_operators(self, expr, message):
         with pytest.raises(TemplateEvalError) as err:
-            eval_template(expr, Environment({}))
+            eval_template(expr, {})
         assert str(err.value) == message
 
     def test_a_text_that_does_not_parse_raises_on_every_call(self):
-        env = Environment({"A": V.number(2)})
+        env = {"A": V.number(2)}
         raised = []
         for _ in range(3):
             with pytest.raises(TemplateEvalError) as err:
@@ -277,31 +275,26 @@ class TestBuiltins:
 
 class TestExecuteProgram:
     def test_purse_program_traces(self, purse_scene, builtin_lib, backend):
-        program = parse_program(PURSE_PROGRAM)
-        env = Environment(
-            {
-                "IMAGE": V.image(ImageHandle.of_scene(purse_scene)),
-                "QUESTION": V.text("Is the purse to the left or to the right of the person?"),
-            }
-        )
-        result = execute_program(program, env, ExecutionRegistry(builtin_lib), backend)
-        assert result.error is None
+        env = {
+            "IMAGE": V.image(ImageHandle.of_scene(purse_scene)),
+            "QUESTION": V.text("Is the purse to the left or to the right of the person?"),
+        }
+        result = run_program(PURSE_PROGRAM, env, ExecutionRegistry(builtin_lib), backend)
+        assert (result.error, result.diagnostics) == (None, ())
         assert result.final == V.text("left")
         assert len(result.trace) == 6
         assert [s.module_kind for s in result.trace] == ["builtin"] * 6
         assert result.trace[3].resolved_inputs["box"].startswith("box-list")
 
     def test_identity_result(self, backend, builtin_lib, coat_image):
-        program = parse_program("FINAL_RESULT=RESULT(var=IMAGE)")
-        env = Environment({"IMAGE": V.image(coat_image)})
-        result = execute_program(program, env, ExecutionRegistry(builtin_lib), backend)
+        env = {"IMAGE": V.image(coat_image)}
+        result = run_program("FINAL_RESULT=RESULT(var=IMAGE)", env, ExecutionRegistry(builtin_lib), backend)
         assert result.error is None
         assert result.final.tag == "image"
         assert len(result.trace) == 1
 
     def test_sandbox_fault_halts_with_partial_trace(self, backend, full_lib):
         from modgrow.dsl import parse_signature_block
-        from modgrow.registry import ExecutionRegistry
         from modgrow.sandbox import load_candidate
 
         bad_source = (
@@ -318,35 +311,33 @@ class TestExecuteProgram:
         )
         handle = load_candidate(bad_source, signature=parse_signature_block(bad_source))
         registry = ExecutionRegistry(full_lib, overlay={"BROKEN": handle})
-        program = parse_program(
+        source = (
             "BOX0=LOC(image=IMAGE,object='coat')\nANSWER0=BROKEN(image=IMAGE)\n"
             "FINAL_RESULT=RESULT(var=ANSWER0)"
         )
-        env = Environment({"IMAGE": image_value(obj("c", "coat", (10, 10, 50, 50)))})
-        result = execute_program(program, env, registry, backend)
+        env = {"IMAGE": image_value(obj("c", "coat", (10, 10, 50, 50)))}
+        result = run_program(source, env, registry, backend)
         assert result.error == CapturedError("runtime", "ValueError: boom", location=10)
         assert result.line_no == 2
         assert len(result.trace) == 1
 
     def test_serialization_invariance(self, purse_scene, builtin_lib, backend):
-        program = parse_program(PURSE_PROGRAM)
-        again = parse_program(serialize_program(program))
+        again = serialize_program(parse_program(PURSE_PROGRAM))
         env = {
             "IMAGE": V.image(ImageHandle.of_scene(purse_scene)),
             "QUESTION": V.text("q"),
         }
-        first = execute_program(program, Environment(dict(env)), ExecutionRegistry(builtin_lib), backend)
-        second = execute_program(again, Environment(dict(env)), ExecutionRegistry(builtin_lib), backend)
+        first = run_program(PURSE_PROGRAM, dict(env), ExecutionRegistry(builtin_lib), backend)
+        second = run_program(again, dict(env), ExecutionRegistry(builtin_lib), backend)
         assert first.final == second.final
 
     def test_pure_over_synthetic_backend(self, purse_scene, builtin_lib, backend):
-        program = parse_program(PURSE_PROGRAM)
         env = {
             "IMAGE": V.image(ImageHandle.of_scene(purse_scene)),
             "QUESTION": V.text("q"),
         }
         runs = [
-            execute_program(program, Environment(dict(env)), ExecutionRegistry(builtin_lib), backend)
+            run_program(PURSE_PROGRAM, dict(env), ExecutionRegistry(builtin_lib), backend)
             for _ in range(2)
         ]
         assert runs[0].final == runs[1].final
@@ -355,52 +346,89 @@ class TestExecuteProgram:
     def test_trace_jsonl_export(self, purse_scene, builtin_lib, backend):
         import json
 
-        program = parse_program("FINAL_RESULT=RESULT(var=IMAGE)")
-        env = Environment({"IMAGE": V.image(ImageHandle.of_scene(purse_scene))})
-        result = execute_program(program, env, ExecutionRegistry(builtin_lib), backend)
+        env = {"IMAGE": V.image(ImageHandle.of_scene(purse_scene))}
+        result = run_program("FINAL_RESULT=RESULT(var=IMAGE)", env, ExecutionRegistry(builtin_lib), backend)
         line = json.loads(trace_to_jsonl(result.trace))
         assert line["statement"] == "FINAL_RESULT=RESULT(var=IMAGE)"
         assert "elapsed_ms" in line
 
     @pytest.mark.parametrize(
-        "source, message, line_no, steps",
+        "source, codes, line_no",
         [
-            ("A=EVAL(x=1)", "EVAL requires an expr argument", 1, 0),
-            ("A=EVAL(expr=IMAGE)", "EVAL expr must be a template", 1, 0),
-            ("A=EVAL(expr=f\"{B} + 1\")", "unbound variable B", 1, 0),
-            ("A=COUNT(box=f\"x\")", "template arguments are resolved by EVAL itself", 1, 0),
-            ("A=RESULT(x=f\"x\",var=C)", "template arguments are resolved by EVAL itself", 1, 0),
-            ("A=RESULT(x=f\"x\")", "template arguments are resolved by EVAL itself", 1, 0),
-            ("A=RESULT(x=C)", "unbound variable C", 1, 0),
-            ("A=RESULT(x=IMAGE)", "RESULT requires a var argument", 1, 0),
-            ("IMAGE=RESULT(var=IMAGE)", "variable IMAGE already bound", 1, 0),
-            ("A=RESULT(var=IMAGE)\n\nB=COUNT(box=C)", "unbound variable C", 3, 1),
-            ("A=EVAL(expr=f\"1\")", "no RESULT statement executed", 1, 1),
+            ("A=EVAL(x=1)", ["ARITY_MISMATCH", "ARITY_MISMATCH", "MISSING_RESULT"], 1),
+            ("A=EVAL(expr=IMAGE)", ["TYPE_MISMATCH", "MISSING_RESULT"], 1),
+            ("A=EVAL(expr=f\"{B} + 1\")", ["UNDEFINED_VAR", "MISSING_RESULT"], 1),
+            ("A=COUNT(box=f\"x\")", ["TYPE_MISMATCH", "MISSING_RESULT"], 1),
+            ("A=RESULT(x=f\"x\",var=C)", ["ARITY_MISMATCH", "UNDEFINED_VAR", "MISSING_RESULT"], 1),
+            ("A=RESULT(x=f\"x\")", ["ARITY_MISMATCH", "ARITY_MISMATCH", "MISSING_RESULT"], 1),
+            ("A=RESULT(x=C)", ["ARITY_MISMATCH", "ARITY_MISMATCH", "MISSING_RESULT"], 1),
+            ("A=RESULT(x=IMAGE)", ["ARITY_MISMATCH", "ARITY_MISMATCH", "MISSING_RESULT"], 1),
+            ("IMAGE=RESULT(var=IMAGE)", ["REASSIGNMENT", "MISSING_RESULT"], 1),
+            ("A=RESULT(var=IMAGE)\n\nB=COUNT(box=C)", ["UNDEFINED_VAR", "MISSING_RESULT"], 3),
+            ("A=EVAL(expr=f\"1\")", ["MISSING_RESULT"], 1),
         ],
     )
-    def test_a_run_time_fault_keeps_its_text_line_and_partial_trace(self, coat_image, builtin_lib,
-                                                                    source, message, line_no, steps):
-        env = Environment({"IMAGE": V.image(coat_image)})
-        result = execute_program(parse_program(source), env, ExecutionRegistry(builtin_lib),
-                                 Untouchable())
-        assert (result.final, result.error, result.line_no) == (
-            None, CapturedError("type", message), line_no
+    def test_a_statement_of_the_wrong_shape_is_refused_before_any_step_runs(
+            self, coat_image, builtin_lib, source, codes, line_no):
+        result = run_program(source, {"IMAGE": V.image(coat_image)}, ExecutionRegistry(builtin_lib),
+                             Untouchable())
+        assert (result.final, result.trace, result.error.kind, result.line_no) == (
+            None, (), "validation", line_no
         )
-        assert len(result.trace) == steps
+        assert [d.code for d in result.diagnostics] == codes
+
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            ("IMAGE", "TYPE_MISMATCH parameter 'expr' of EVAL expects template, got variable IMAGE"),
+            ("A", "TYPE_MISMATCH parameter 'expr' of EVAL expects template, got variable A"),
+            ("yes", "TYPE_MISMATCH parameter 'expr' of EVAL expects template, got text"),
+            ("2", "TYPE_MISMATCH parameter 'expr' of EVAL expects template, got number"),
+        ],
+    )
+    def test_eval_takes_only_a_template_or_a_quoted_text(self, coat_image, builtin_lib, expr, message):
+        source = f"A=EVAL(expr=f\"1\")\nB=EVAL(expr={expr})\nFINAL_RESULT=RESULT(var=B)"
+        result = run_program(source, {"IMAGE": V.image(coat_image)}, ExecutionRegistry(builtin_lib),
+                             Untouchable())
+        assert (result.error, result.line_no, result.trace) == (CapturedError("validation", message), 2, ())
+
+    def test_a_quoted_text_is_a_template_without_placeholders(self, builtin_lib, coat_image):
+        result = run_program("A=EVAL(expr='1 + 1')\nFINAL_RESULT=RESULT(var=A)",
+                             {"IMAGE": V.image(coat_image)}, ExecutionRegistry(builtin_lib), Untouchable())
+        assert (result.error, result.final) == (None, V.number(2))
+
+    def test_only_eval_resolves_a_template(self, backend, builtin_lib, coat_image):
+        from modgrow.dsl import parse_signature_block
+        from modgrow.sandbox import load_candidate
+
+        source = (
+            "class ECHO():\n"
+            '    """\n'
+            "    Echo.\n"
+            "    Input:\n"
+            "        expr: an expression template\n"
+            "    Output:\n"
+            "        result: a string\n"
+            '    """\n'
+            "    def execute(self,expr):\n"
+            "        return expr\n"
+        )
+        handle = load_candidate(source, signature=parse_signature_block(source))
+        assert handle.signature.params == (("expr", "template"),)
+        registry = ExecutionRegistry(builtin_lib, overlay={"ECHO": handle})
+        env = {"IMAGE": V.image(coat_image)}
+        refused = run_program("A=ECHO(expr=f\"1\")\nFINAL_RESULT=RESULT(var=A)", env, registry, Untouchable())
+        assert refused.error == CapturedError(
+            "validation", "TYPE_MISMATCH parameter 'expr' of ECHO does not take a template"
+        )
+        ran = run_program("A=ECHO(expr='1')\nFINAL_RESULT=RESULT(var=A)", env, registry, backend)
+        assert (ran.error, ran.final) == (None, V.text("1"))
 
 
 class TestRunProgram:
-    def test_runs_a_valid_program_as_execute_program_does(self, purse_scene, builtin_lib, backend):
-        env = {"IMAGE": V.image(ImageHandle.of_scene(purse_scene)), "QUESTION": V.text("q")}
-        registry = ExecutionRegistry(builtin_lib)
-        ran = run_program(PURSE_PROGRAM, Environment(dict(env)), registry, backend)
-        executed = execute_program(parse_program(PURSE_PROGRAM), Environment(dict(env)), registry, backend)
-        assert (ran.error, ran.final, ran.diagnostics) == (None, executed.final, ())
-        assert [s.output for s in ran.trace] == [s.output for s in executed.trace]
-
     def test_a_program_that_does_not_validate_runs_nothing(self, builtin_lib, coat_image):
         source = "BOX0=LOC(image=IMAGE,object='coat')\nANSWER0=NOPE(box=BOX0)\nFINAL_RESULT=RESULT(var=ANSWER1)"
-        env = Environment({"IMAGE": V.image(coat_image)})
+        env = {"IMAGE": V.image(coat_image)}
         result = run_program(source, env, ExecutionRegistry(builtin_lib), Untouchable())
         assert (result.final, result.trace, result.line_no) == (None, (), 2)
         assert result.error == CapturedError("validation", "UNKNOWN_MODULE unknown module NOPE")
@@ -410,7 +438,7 @@ class TestRunProgram:
 
     def test_validates_against_the_tags_of_the_bindings(self, builtin_lib, backend, coat_image):
         source = "ANSWER0=VQA(image=IMAGE,question=QUESTION)\nFINAL_RESULT=RESULT(var=ANSWER0)"
-        env = Environment({"IMAGE": V.image(coat_image), "QUESTION": V.number(3)})
+        env = {"IMAGE": V.image(coat_image), "QUESTION": V.number(3)}
         result = run_program(source, env, ExecutionRegistry(builtin_lib), backend)
         assert result.error.kind == "validation"
         assert [d.code for d in result.diagnostics] == ["TYPE_MISMATCH"]
@@ -419,7 +447,7 @@ class TestRunProgram:
         source = "ANSWER0=VQA(image=IMAGE,question=QUESTION)\nFINAL_RESULT=RESULT(var=ANSWER0)"
         registry = ExecutionRegistry(builtin_lib)
         runs = [
-            run_program(source, Environment({"IMAGE": V.image(coat_image), "QUESTION": question}),
+            run_program(source, {"IMAGE": V.image(coat_image), "QUESTION": question},
                         registry, backend)
             for question in (V.text("what is the coat made of?"), V.number(3), V.text("what color?"))
         ]
@@ -440,7 +468,7 @@ class TestRunProgram:
     )
     def test_a_value_typed_only_at_run_time_fails_by_its_tag(self, builtin_lib, backend, coat_image,
                                                               source, error):
-        env = Environment({"IMAGE": V.image(coat_image)})
+        env = {"IMAGE": V.image(coat_image)}
         result = run_program(source, env, ExecutionRegistry(builtin_lib), backend)
         assert result.diagnostics == ()
         assert result.error == error
@@ -448,7 +476,7 @@ class TestRunProgram:
 
     def test_a_line_that_does_not_parse_runs_nothing(self, builtin_lib, coat_image):
         source = "FINAL_RESULT=RESULT(var=IMAGE)\nnot a statement"
-        env = Environment({"IMAGE": V.image(coat_image)})
+        env = {"IMAGE": V.image(coat_image)}
         result = run_program(source, env, ExecutionRegistry(builtin_lib), Untouchable())
         assert (result.final, result.trace, result.line_no) == (None, (), 2)
         assert result.error.kind == "syntax"
@@ -475,18 +503,18 @@ class TestCheckedProgramMemo:
         image = V.image(ImageHandle.of_scene(purse_scene))
         for registry in (ExecutionRegistry(builtin_lib), ExecutionRegistry(builtin_lib)):
             for question in ("q", "another q", "a third q"):
-                env = Environment({"IMAGE": image, "QUESTION": V.text(question)})
+                env = {"IMAGE": image, "QUESTION": V.text(question)}
                 assert run_program(PURSE_PROGRAM, env, registry, backend).final == V.text("left")
         assert len(validated) == 2
 
     def test_a_learned_module_is_known_only_to_a_registry_over_its_library(self, builtin_lib, full_lib,
                                                                             backend, coat_image):
         env = {"IMAGE": V.image(coat_image)}
-        refused = run_program(COAT_PROGRAM, Environment(dict(env)), ExecutionRegistry(builtin_lib),
+        refused = run_program(COAT_PROGRAM, dict(env), ExecutionRegistry(builtin_lib),
                               Untouchable())
         assert refused.error == CapturedError("validation",
                                               "UNKNOWN_MODULE unknown module CHOOSE_ATTRIBUTE")
-        ran = run_program(COAT_PROGRAM, Environment(dict(env)), ExecutionRegistry(full_lib), backend)
+        ran = run_program(COAT_PROGRAM, dict(env), ExecutionRegistry(full_lib), backend)
         assert (ran.error, ran.final) == (None, V.text("thick"))
         assert [step.module_kind for step in ran.trace] == ["builtin", "generated", "builtin"]
 
@@ -500,7 +528,7 @@ class TestCheckedProgramMemo:
     def test_a_refused_program_is_refused_alike_on_every_run(self, builtin_lib, coat_image, source):
         registry = ExecutionRegistry(builtin_lib)
         runs = [
-            run_program(source, Environment({"IMAGE": V.image(coat_image)}), registry, Untouchable())
+            run_program(source, {"IMAGE": V.image(coat_image)}, registry, Untouchable())
             for _ in range(3)
         ]
         assert runs[0].error is not None
@@ -515,9 +543,74 @@ class TestCheckedProgramMemo:
         values = {"image": V.image(image), "text": V.text("Which side is the purse on?")}
 
         def env():
-            return Environment({name: values[tag] for name, tag in tags.items()})
+            return {name: values[tag] for name, tag in tags.items()}
 
         registry = ExecutionRegistry(full_lib)
         fresh = run_signature(run_program(source, env(), ExecutionRegistry(full_lib), backend))
         assert run_signature(run_program(source, env(), registry, backend)) == fresh
         assert run_signature(run_program(source, env(), registry, backend)) == fresh
+
+
+# straight-line programs over IMAGE and QUESTION, a few builtins, EVAL and
+# RESULT. A reference mostly names a variable of the declared tag, but may
+# name one of another tag or one never bound, and a target may be bound twice.
+# Each call's parameters with their tags, or a quoted literal, and its result
+# tag ("any": typed only at run time).
+_CALLS = {
+    "LOC": ((("image", "image"), ("object", "'coat'")), "box-list"),
+    "VQA": ((("image", "image"), ("question", "text")), "text"),
+    "COUNT": ((("box", "box-list"),), "number"),
+    "CROP": ((("image", "image"), ("box", "box-list")), "image"),
+    "EVAL": ((("expr", "template"),), "any"),
+    "RESULT": ((("var", "any"),), "any"),
+}
+_TEMPLATES = ("f\"'yes' if {%s} > 0 else 'no'\"", "f\"{%s} + 1\"", "f\"{%s} == 'coat'\"", "'1 + 1'",
+              "%s", "yes")
+
+
+@st.composite
+def _programs(draw):
+    tags = {"IMAGE": "image", "QUESTION": "text"}
+
+    def ref(tag):
+        fitting = [name for name, bound in tags.items() if tag in (bound, "any") or bound == "any"]
+        return draw(st.sampled_from(fitting * 8 + list(tags) + ["UNBOUND"]))
+
+    def value(tag):
+        if tag.startswith("'"):
+            return draw(st.sampled_from((tag, "'TOP'")))
+        if tag == "template":
+            return draw(st.sampled_from(_TEMPLATES)).replace("%s", ref("any"))
+        return ref(tag)
+
+    lines = []
+    for i in range(draw(st.integers(min_value=0, max_value=5))):
+        call = draw(st.sampled_from(list(_CALLS)))
+        params, returns = _CALLS[call]
+        target = draw(st.sampled_from([f"V{i}"] * 12 + list(tags)))
+        lines.append(f"{target}={call}({','.join(f'{name}={value(tag)}' for name, tag in params)})")
+        tags[target] = returns
+    return "\n".join([*lines, f"FINAL_RESULT=RESULT(var={ref('any')})"])
+
+
+_BINDINGS = {
+    "IMAGE": image_value(obj("c", "coat", (200, 150, 380, 330), color="black")),
+    "QUESTION": V.text("What color is the coat?"),
+}
+
+
+@given(source=_programs())
+@settings(max_examples=300, deadline=None)
+def test_a_program_that_validates_runs_to_a_value_or_a_recorded_error(source):
+    registry = ExecutionRegistry(builtin_library())
+    tags = {name: value.tag for name, value in _BINDINGS.items()}
+    if validate_program(parse_program(source), registry.signatures(), tags):
+        return
+    result = run_program(source, dict(_BINDINGS), registry, SyntheticBackend())
+    assert result.diagnostics == ()
+    if result.error is None:
+        assert len(result.trace) == source.count("\n") + 1
+        assert V.summarize(result.final) == result.trace[-1].output
+    else:
+        assert result.error.kind not in ("syntax", "validation")
+        assert result.final is None and len(result.trace) == result.line_no - 1

@@ -14,7 +14,7 @@ from modgrow.gateway import (
     parse_program_response,
     render_prompt,
 )
-from modgrow.executor import Environment, run_program
+from modgrow.executor import run_program
 from modgrow.reference_modules import COMPARE_COLOR_SOURCE, fixture_header
 from modgrow.registry import ExecutionRegistry, builtin_library, signature_prompt_text
 
@@ -204,7 +204,7 @@ class TestSourceExtraction:
     def test_a_program_with_blanks_around_its_tokens_is_extracted_and_runs(self, coat_image, backend):
         program = "BOX0 = LOC(image=IMAGE, object='coat')\nFINAL_RESULT = RESULT(var=BOX0)"
         assert parse_program_response("Program:\n" + program + "\n") == program
-        env = Environment({"IMAGE": V.image(coat_image)})
+        env = {"IMAGE": V.image(coat_image)}
         result = run_program(program, env, ExecutionRegistry(builtin_library()), backend)
         assert result.error is None
         assert result.final == V.box_list([(200, 150, 380, 330)])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -39,12 +40,11 @@ class TestRegister:
         again = register(lib, sort_spatial_record())
         assert libraries_equal(lib, again)
 
-    def test_collision_without_version_bump(self, builtin_lib):
+    def test_collision_on_a_different_source(self, builtin_lib):
         lib = register(builtin_lib, sort_spatial_record())
-        for version in (1, 2):  # a version bump does not replace a module either
-            changed = sort_spatial_record(source=rm.SORT_SPATIAL_SOURCE + "\n# v2\n", version=version)
-            with pytest.raises(NameCollisionError):
-                register(lib, changed)
+        changed = sort_spatial_record(source=rm.SORT_SPATIAL_SOURCE + "\n# v2\n")
+        with pytest.raises(NameCollisionError):
+            register(lib, changed)
 
     def test_gate_violation_rejected(self, builtin_lib):
         forged = replace(sort_spatial_record(), pass_rate=0.5, eta_at_acceptance=0.8)
@@ -130,6 +130,48 @@ class TestPersistence:
         record = lookup(loaded, "SORT_SPATIAL")
         assert record.origin_task == "grounding"
         assert record.source == rm.SORT_SPATIAL_SOURCE
+
+    def test_a_library_saved_with_a_version_key_still_loads(self, tmp_path, builtin_lib):
+        lib = register(builtin_lib, sort_spatial_record())
+        save_library(lib, tmp_path / "lib")
+        meta_path = tmp_path / "lib" / "SORT_SPATIAL.json"
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        assert "version" not in meta
+        meta_path.write_text(json.dumps({**meta, "version": 1}, indent=2) + "\n", encoding="utf-8")
+        assert libraries_equal(load_library(tmp_path / "lib"), lib)
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (["LOC", "COUNT", "LOC"], "manifest lists LOC twice"),
+            (["LOC", "../evil"], "manifest entry '../evil' is not a module name"),
+            (["LOC", "sub/LOC"], "manifest entry 'sub/LOC' is not a module name"),
+            (["LOC", ""], "manifest entry '' is not a module name"),
+            (["LOC", 3], "manifest entry 3 is not a module name"),
+            (["LOC", ["COUNT"]], "manifest entry ['COUNT'] is not a module name"),
+        ],
+    )
+    def test_a_manifest_entry_that_is_no_single_module_name_is_refused(self, tmp_path, builtin_lib,
+                                                                       entries, message):
+        root = tmp_path / "lib"
+        save_library(builtin_lib, root)
+        # files a `..` entry would read, were it followed out of the library directory
+        (tmp_path / "evil.py").write_text(rm.SORT_SPATIAL_SOURCE, encoding="utf-8")
+        (tmp_path / "evil.json").write_text((root / "LOC.json").read_text(encoding="utf-8"), encoding="utf-8")
+        (root / "manifest.json").write_text(json.dumps({"modules": entries}), encoding="utf-8")
+        with pytest.raises(LibraryFormatError) as err:
+            load_library(root)
+        assert str(err.value) == f"{root}: {message}"
+
+    def test_a_module_saved_under_another_name_is_refused(self, tmp_path, builtin_lib):
+        root = tmp_path / "lib"
+        save_library(builtin_lib, root)
+        meta = json.loads((root / "LOC.json").read_text(encoding="utf-8"))
+        meta["signature"]["name"] = "LOCX"
+        (root / "LOC.json").write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(LibraryFormatError) as err:
+            load_library(root)
+        assert str(err.value) == f"{root}: manifest names LOC but its signature names LOCX"
 
     def test_library_files_are_auditable(self, tmp_path, builtin_lib):
         lib = register(builtin_lib, sort_spatial_record())

@@ -38,7 +38,7 @@ def test_every_template_generates_and_binds_its_task():
         for name in spec.templates:
             (instance,) = generate_dataset(task, 1, 1, {"templates": [name]})
             assert instance.task == task
-            bindings = build_bindings(instance).bindings
+            bindings = build_bindings(instance)
             assert {key: value.tag for key, value in bindings.items()} == BINDING_TAGS[task]
 
 
