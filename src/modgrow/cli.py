@@ -65,7 +65,7 @@ def cmd_learn(args) -> int:
         gateway = _gateway_from_args(args)
         lib = load_library(args.library) if args.library else builtin_library()
         train = ds.load_dataset(args.dataset)
-    except (ModgrowError, OSError, ValueError) as exc:
+    except (ModgrowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -114,7 +114,7 @@ def cmd_eval(args) -> int:
         lib = load_library(args.library) if args.library else builtin_library()
         dataset = ds.load_dataset(args.dataset)
         task = ds.split_task(dataset)
-    except (ModgrowError, OSError, ValueError) as exc:
+    except (ModgrowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -132,7 +132,7 @@ def cmd_eval(args) -> int:
                 report = run_ablation(
                     grid, train, dataset, lib, gateway, backend, cfg, task=task
                 )
-        except (ModgrowError, OSError, KeyError, ValueError) as exc:
+        except (ModgrowError, KeyError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         print(report.render_table())
@@ -161,7 +161,7 @@ def cmd_run(args) -> int:
     try:
         lib = load_library(args.library) if args.library else builtin_library()
         scene = load_scene(Path(args.scene).read_text(encoding="utf-8"))
-    except (ModgrowError, OSError) as exc:
+    except ModgrowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -241,7 +241,7 @@ def _first_fault(path, records) -> str | None:
 def cmd_cache_show(args) -> int:
     try:
         records = list(read_records(args.cache))
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     calls = [record.get("key") for _, record in records if "head" not in record]
@@ -329,7 +329,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:  # an output path the file system refuses, such as one under a file
+    except OSError as exc:  # a path the file system refuses: missing, or an output under a file
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -404,10 +404,17 @@ def _check_arg(st: Statement, pname: str, arg: Arg, declared: str, bound) -> lis
         if name not in bound:
             diags.append(Diagnostic("UNDEFINED_VAR", f"undefined variable {name}", st.line_no))
             return diags
-        actual = bound[name]
         if declared == "template":  # whatever its tag, a variable is no template
-            actual = f"variable {name}"
-        elif st.module_name == "RESULT" or actual == "any":
+            diags.append(
+                Diagnostic(
+                    "TYPE_MISMATCH",
+                    f"parameter {pname!r} of {st.module_name} expects template, got variable {name}",
+                    st.line_no,
+                )
+            )
+            return diags
+        actual = bound[name]
+        if st.module_name == "RESULT" or actual == "any":
             return diags
         if not tags_compatible(declared, actual):
             diags.append(
@@ -420,7 +427,12 @@ def _check_arg(st: Statement, pname: str, arg: Arg, declared: str, bound) -> lis
         return diags
     literal_tag = _LITERAL_KIND_TO_TAG[arg.kind]
     if declared == "template" and arg.kind == "string-literal":
-        return diags  # a quoted text with no placeholders is a degenerate template
+        # EVAL resolves a quoted text as a template, so its placeholders must be bound
+        return [
+            Diagnostic("UNDEFINED_VAR", f"undefined variable {ph}", st.line_no)
+            for ph in PLACEHOLDER_RE.findall(arg.value)
+            if st.module_name == "EVAL" and ph not in bound
+        ]
     if not tags_compatible(declared, literal_tag):
         diags.append(
             Diagnostic(

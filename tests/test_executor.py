@@ -358,6 +358,7 @@ class TestExecuteProgram:
             ("A=EVAL(x=1)", ["ARITY_MISMATCH", "ARITY_MISMATCH", "MISSING_RESULT"], 1),
             ("A=EVAL(expr=IMAGE)", ["TYPE_MISMATCH", "MISSING_RESULT"], 1),
             ("A=EVAL(expr=f\"{B} + 1\")", ["UNDEFINED_VAR", "MISSING_RESULT"], 1),
+            ("A=EVAL(expr='{B} + 1')\nFINAL_RESULT=RESULT(var=A)", ["UNDEFINED_VAR"], 1),
             ("A=COUNT(box=f\"x\")", ["TYPE_MISMATCH", "MISSING_RESULT"], 1),
             ("A=RESULT(x=f\"x\",var=C)", ["ARITY_MISMATCH", "UNDEFINED_VAR", "MISSING_RESULT"], 1),
             ("A=RESULT(x=f\"x\")", ["ARITY_MISMATCH", "ARITY_MISMATCH", "MISSING_RESULT"], 1),
@@ -392,10 +393,11 @@ class TestExecuteProgram:
                              Untouchable())
         assert (result.error, result.line_no, result.trace) == (CapturedError("validation", message), 2, ())
 
-    def test_a_quoted_text_is_a_template_without_placeholders(self, builtin_lib, coat_image):
-        result = run_program("A=EVAL(expr='1 + 1')\nFINAL_RESULT=RESULT(var=A)",
-                             {"IMAGE": V.image(coat_image)}, ExecutionRegistry(builtin_lib), Untouchable())
-        assert (result.error, result.final) == (None, V.number(2))
+    def test_eval_resolves_a_quoted_text_as_a_template(self, builtin_lib, coat_image):
+        source = "A=EVAL(expr='1 + 1')\nB=EVAL(expr='{A} + 1')\nFINAL_RESULT=RESULT(var=B)"
+        result = run_program(source, {"IMAGE": V.image(coat_image)}, ExecutionRegistry(builtin_lib),
+                             Untouchable())
+        assert (result.error, result.final) == (None, V.number(3))
 
     def test_only_eval_resolves_a_template(self, backend, builtin_lib, coat_image):
         from modgrow.dsl import parse_signature_block
@@ -421,8 +423,8 @@ class TestExecuteProgram:
         assert refused.error == CapturedError(
             "validation", "TYPE_MISMATCH parameter 'expr' of ECHO does not take a template"
         )
-        ran = run_program("A=ECHO(expr='1')\nFINAL_RESULT=RESULT(var=A)", env, registry, backend)
-        assert (ran.error, ran.final) == (None, V.text("1"))
+        ran = run_program("A=ECHO(expr='{B}')\nFINAL_RESULT=RESULT(var=A)", env, registry, backend)
+        assert (ran.error, ran.final) == (None, V.text("{B}"))
 
 
 class TestRunProgram:
@@ -565,7 +567,7 @@ _CALLS = {
     "RESULT": ((("var", "any"),), "any"),
 }
 _TEMPLATES = ("f\"'yes' if {%s} > 0 else 'no'\"", "f\"{%s} + 1\"", "f\"{%s} == 'coat'\"", "'1 + 1'",
-              "%s", "yes")
+              "'{%s} + 1'", "%s", "yes")
 
 
 @st.composite
@@ -579,13 +581,14 @@ def _programs(draw):
     def value(tag):
         if tag.startswith("'"):
             return draw(st.sampled_from((tag, "'TOP'")))
-        if tag == "template":
-            return draw(st.sampled_from(_TEMPLATES)).replace("%s", ref("any"))
+        if tag == "template":  # a placeholder names any variable or, half the time, one never bound
+            name = draw(st.sampled_from(list(tags)) | st.just("UNBOUND"))
+            return draw(st.sampled_from(_TEMPLATES)).replace("%s", name)
         return ref(tag)
 
     lines = []
     for i in range(draw(st.integers(min_value=0, max_value=5))):
-        call = draw(st.sampled_from(list(_CALLS)))
+        call = draw(st.sampled_from([*_CALLS, "EVAL", "EVAL"]))  # EVAL most, for its templates
         params, returns = _CALLS[call]
         target = draw(st.sampled_from([f"V{i}"] * 12 + list(tags)))
         lines.append(f"{target}={call}({','.join(f'{name}={value(tag)}' for name, tag in params)})")
@@ -600,7 +603,7 @@ _BINDINGS = {
 
 
 @given(source=_programs())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 def test_a_program_that_validates_runs_to_a_value_or_a_recorded_error(source):
     registry = ExecutionRegistry(builtin_library())
     tags = {name: value.tag for name, value in _BINDINGS.items()}
