@@ -59,8 +59,19 @@ def _config_from_args(args) -> SynthesisConfig:
     )
 
 
+def _check_output_dir(path: str) -> None:
+    """Refuse an output directory the file system would refuse, one that is
+    or lies under a file, before a run whose completions would be lost."""
+    for existing in (Path(path), *Path(path).parents):
+        if existing.exists():
+            if not existing.is_dir():
+                raise ModgrowError(f"cannot write to {path}: {existing} is not a directory")
+            return
+
+
 def cmd_learn(args) -> int:
     try:
+        _check_output_dir(args.out)
         cfg = _config_from_args(args)
         gateway = _gateway_from_args(args)
         lib = load_library(args.library) if args.library else builtin_library()
@@ -109,6 +120,8 @@ def cmd_eval(args) -> int:
             print(f"error: {', '.join(given)} only apply with --ablation", file=sys.stderr)
             return 2
     try:
+        if args.report:
+            _check_output_dir(args.report)
         limits = Limits(wall_time_ms=args.wall_time_ms)
         gateway = _gateway_from_args(args)
         lib = load_library(args.library) if args.library else builtin_library()

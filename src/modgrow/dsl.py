@@ -44,9 +44,12 @@ STATEMENT_LINE_RE = re.compile(
     r"^[ \t]*[A-Z][A-Z0-9_]*[ \t]*=[ \t]*([A-Z][A-Z0-9_]*)[ \t]*\(.*\)[ \t]*$", re.MULTILINE
 )
 
-# Modules whose outputs depend on their inputs' runtime types; the validator
-# treats their targets as dynamically typed.
-DYNAMIC_RETURN_MODULES = {"EVAL", "RESULT"}
+# the two modules the language itself gives meaning to: EVAL resolves an
+# expression template, and RESULT ends every program. Their outputs depend on
+# their inputs' runtime types, so the validator treats their targets as
+# dynamically typed.
+EVAL, RESULT = "EVAL", "RESULT"
+DYNAMIC_RETURN_MODULES = {EVAL, RESULT}
 
 
 @dataclass(frozen=True, slots=True)
@@ -374,7 +377,7 @@ def validate_program(program: Program, known_signatures, initial_bindings=None) 
             bound[st.target] = result_tag
 
     last = program.statements[-1] if program.statements else None
-    if last is None or last.module_name != "RESULT" or last.target != "FINAL_RESULT":
+    if last is None or last.module_name != RESULT or last.target != "FINAL_RESULT":
         line = last.line_no if last else 1
         diags.append(Diagnostic("MISSING_RESULT", "program must end with FINAL_RESULT=RESULT(...)", line))
     return diags
@@ -385,7 +388,7 @@ def _check_arg(st: Statement, pname: str, arg: Arg, declared: str, bound) -> lis
     `template` parameter takes only a template string or a quoted text."""
     diags: list[Diagnostic] = []
     if arg.kind == "template-string":
-        if declared != "template" or st.module_name != "EVAL":
+        if declared != "template" or st.module_name != EVAL:
             diags.append(
                 Diagnostic(
                     "TYPE_MISMATCH",
@@ -414,7 +417,7 @@ def _check_arg(st: Statement, pname: str, arg: Arg, declared: str, bound) -> lis
             )
             return diags
         actual = bound[name]
-        if st.module_name == "RESULT" or actual == "any":
+        if st.module_name == RESULT or actual == "any":
             return diags
         if not tags_compatible(declared, actual):
             diags.append(
@@ -431,7 +434,7 @@ def _check_arg(st: Statement, pname: str, arg: Arg, declared: str, bound) -> lis
         return [
             Diagnostic("UNDEFINED_VAR", f"undefined variable {ph}", st.line_no)
             for ph in PLACEHOLDER_RE.findall(arg.value)
-            if st.module_name == "EVAL" and ph not in bound
+            if st.module_name == EVAL and ph not in bound
         ]
     if not tags_compatible(declared, literal_tag):
         diags.append(
@@ -540,7 +543,8 @@ def parse_signature_block(source: str) -> ModuleSignature:
     )
 
 
-_TAG_DESCRIPTIONS = {
+# the tags a signature may declare, and how a prompt describes each
+TAG_DESCRIPTIONS = {
     "image": "an image object",
     "box-list": "a list of bounding boxes",
     "text": "a text string",
@@ -562,9 +566,9 @@ def render_signature_block(sig: ModuleSignature) -> str:
         lines.append(f"    {sig.doc}")
     lines.append("    Input:")
     for pname, tag in sig.params:
-        lines.append(f"        {pname}: {_TAG_DESCRIPTIONS[tag]}")
+        lines.append(f"        {pname}: {TAG_DESCRIPTIONS[tag]}")
     lines.append("    Output:")
-    lines.append(f"        result: {_TAG_DESCRIPTIONS[sig.returns]}")
+    lines.append(f"        result: {TAG_DESCRIPTIONS[sig.returns]}")
     if sig.usage_examples:
         lines.append("    Examples:")
         for ex in sig.usage_examples:

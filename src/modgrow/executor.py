@@ -11,6 +11,10 @@ Each step resolves its arguments, runs, binds its target and appends a step
 record, so every run leaves a complete trace. A failed step ends the run
 with its `CapturedError`, for a failure inside a generated module the
 sandbox's own.
+
+`BUILTINS` is the one definition of the builtin catalogue, each builtin's
+signature beside its implementation; every library starts from its
+`BUILTIN_SIGNATURES`.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from functools import lru_cache, partial
 from typing import Callable
 
 from . import values as V
-from .builtins_catalog import BUILTIN_SIGNATURES
-from .dsl import PLACEHOLDER_RE, Diagnostic, Statement, parse_program, serialize_statement, validate_program
+from .dsl import (EVAL, PLACEHOLDER_RE, RESULT, Diagnostic, ModuleSignature, Statement, parse_program,
+                  serialize_statement, validate_program)
 from .errors import BackendError, CapturedError, DslSyntaxError, ExecutorRuntimeError, TemplateEvalError
 from .scene import half_box
 from .values import Value
@@ -300,49 +304,101 @@ def _builtin_list(args, backend):
     return V.list_value(lines[: int(limit)])
 
 
-BUILTIN_IMPLS: dict[str, Callable] = {
-    "LOC": _builtin_loc,
-    "COUNT": lambda args, backend: V.number(len(args["box"].payload)),
-    "CROP": _crop_builtin("around"),
-    "CROP_LEFTOF": _crop_builtin("leftof"),
-    "CROP_RIGHTOF": _crop_builtin("rightof"),
-    "CROP_ABOVE": _crop_builtin("above"),
-    "CROP_BELOW": _crop_builtin("below"),
-    "VQA": lambda args, backend: V.text(
-        backend.answer_question(args["image"].payload, args["question"].payload)
-    ),
-    "SELECT": _builtin_select,
-    "FILTER_PROPERTY": _builtin_filter_property,
-    "FILTER_SPATIAL": _builtin_filter_spatial,
-    "REPLACE": _builtin_replace,
-    "COLORPOP": _edit_builtin("colorpop"),
-    "BGBLUR": _edit_builtin("bgblur"),
-    "TAG": _overlay_builtin("label"),
-    "EMOJI": _overlay_builtin("emoji"),
-    "FACEDET": lambda args, backend: V.box_list(backend.locate(args["image"].payload, "face")),
-    "LIST": _builtin_list,
-    "BOX2MASK": lambda args, backend: V.mask(args["box"].payload),
-    "MASK2BOX": lambda args, backend: V.box_list(args["mask"].payload),
-}
+# The builtin catalogue, the modules every library starts with, in the order
+# prompts list them: name, parameters, return tag, doc, usage example and
+# implementation. EVAL and RESULT have none: `_run_step` runs them itself.
+BUILTINS: tuple[tuple[str, tuple[tuple[str, str], ...], str, str, str, Callable | None], ...] = (
+    ("LOC", (("image", "image"), ("object", "text")), "box-list",
+     "Generate boxes of the object on the image.",
+     "BOX0=LOC(image=IMAGE,object='camel')", _builtin_loc),
+    ("COUNT", (("box", "box-list"),), "number",
+     "Count the number of boxes in the list.",
+     "ANSWER0=COUNT(box=BOX1)", lambda args, backend: V.number(len(args["box"].payload))),
+    ("CROP", (("image", "image"), ("box", "box-list")), "image",
+     "Crop the image to the first box, expanded for context.",
+     "IMAGE0=CROP(image=IMAGE,box=BOX0)", _crop_builtin("around")),
+    ("CROP_LEFTOF", (("image", "image"), ("box", "box-list")), "image",
+     "Crop the image region left of the first box center.",
+     "IMAGE0=CROP_LEFTOF(image=IMAGE,box=BOX0)", _crop_builtin("leftof")),
+    ("CROP_RIGHTOF", (("image", "image"), ("box", "box-list")), "image",
+     "Crop the image region right of the first box center.",
+     "IMAGE0=CROP_RIGHTOF(image=IMAGE,box=BOX0)", _crop_builtin("rightof")),
+    ("CROP_ABOVE", (("image", "image"), ("box", "box-list")), "image",
+     "Crop the image region above the first box center.",
+     "IMAGE0=CROP_ABOVE(image=IMAGE,box=BOX0)", _crop_builtin("above")),
+    ("CROP_BELOW", (("image", "image"), ("box", "box-list")), "image",
+     "Crop the image region below the first box center.",
+     "IMAGE0=CROP_BELOW(image=IMAGE,box=BOX0)", _crop_builtin("below")),
+    ("VQA", (("image", "image"), ("question", "text")), "text",
+     "Answer a simple question about the image.",
+     "ANSWER0=VQA(image=IMAGE0,question='Who is carrying the umbrella?')",
+     lambda args, backend: V.text(backend.answer_question(args["image"].payload, args["question"].payload))),
+    (EVAL, (("expr", "template"),), "text",
+     "Evaluate an expression template over bound variables.",
+     "ANSWER1=EVAL(expr=f\"'yes' if {ANSWER0} > 0 else 'no'\")", None),
+    (RESULT, (("var", "text"),), "text",
+     "Return the named variable as the final result.",
+     "FINAL_RESULT=RESULT(var=ANSWER0)", None),
+    ("SELECT", (("image", "image"), ("box", "box-list"), ("query", "text")), "box-list",
+     "Keep the boxes whose content matches the query best.",
+     "BOX1=SELECT(image=IMAGE,box=BOX0,query='red cup')", _builtin_select),
+    ("FILTER_PROPERTY", (("image", "image"), ("box", "box-list"), ("property", "text")), "box-list",
+     "Keep the boxes whose content clearly shows the property.",
+     "BOX1=FILTER_PROPERTY(image=IMAGE,box=BOX0,property='red')", _builtin_filter_property),
+    ("FILTER_SPATIAL", (("image", "image"), ("box", "box-list"), ("location", "text")), "box-list",
+     "Keep the boxes whose center lies in the named half of the image.",
+     "BOX1=FILTER_SPATIAL(image=IMAGE,box=BOX0,location='left')", _builtin_filter_spatial),
+    ("REPLACE", (("image", "image"), ("mask", "box-list"), ("prompt", "text")), "image",
+     "Replace the masked region according to the prompt.",
+     "IMAGE0=REPLACE(image=IMAGE,mask=MASK0,prompt='a cat')", _builtin_replace),
+    ("COLORPOP", (("image", "image"), ("mask", "box-list")), "image",
+     "Keep color in the masked region and gray out the rest.",
+     "IMAGE0=COLORPOP(image=IMAGE,mask=MASK0)", _edit_builtin("colorpop")),
+    ("BGBLUR", (("image", "image"), ("mask", "box-list")), "image",
+     "Blur the background outside the masked region.",
+     "IMAGE0=BGBLUR(image=IMAGE,mask=MASK0)", _edit_builtin("bgblur")),
+    ("TAG", (("image", "image"), ("box", "box-list"), ("label", "text")), "image",
+     "Annotate each box region with the label.",
+     "IMAGE0=TAG(image=IMAGE,box=BOX0,label='Ada Lovelace')", _overlay_builtin("label")),
+    ("EMOJI", (("image", "image"), ("box", "box-list"), ("emoji", "text")), "image",
+     "Overlay the named emoji on each box region.",
+     "IMAGE0=EMOJI(image=IMAGE,box=BOX0,emoji='smiling_face')", _overlay_builtin("emoji")),
+    ("FACEDET", (("image", "image"),), "box-list",
+     "Detect faces on the image.",
+     "BOX0=FACEDET(image=IMAGE)",
+     lambda args, backend: V.box_list(backend.locate(args["image"].payload, "face"))),
+    ("LIST", (("query", "text"), ("max", "number")), "list",
+     "Retrieve a short list of factual answers for the query.",
+     "ANSWER0=LIST(query='Name 3 kinds of fruit.',max=3)", _builtin_list),
+    ("BOX2MASK", (("box", "box-list"),), "box-list",
+     "Treat the bounding boxes as a mask region set.",
+     "MASK0=BOX2MASK(box=BOX0)", lambda args, backend: V.mask(args["box"].payload)),
+    ("MASK2BOX", (("mask", "box-list"),), "box-list",
+     "Convert a mask region set back into bounding boxes.",
+     "BOX0=MASK2BOX(mask=MASK0)", lambda args, backend: V.box_list(args["mask"].payload)),
+)
 
-
-# each builtin's parameters in signature order, with the runtime tags its declared tag accepts
-_BUILTIN_PARAMS = {
-    sig.name: tuple(
-        (pname, tuple(tag for tag in V.VALUE_TAGS if V.tags_compatible(declared, tag)))
-        for pname, declared in sig.params
-    )
-    for sig in BUILTIN_SIGNATURES if sig.name in BUILTIN_IMPLS
+BUILTIN_SIGNATURES = tuple(
+    ModuleSignature(name, params, returns, doc, (example,))
+    for name, params, returns, doc, example, _ in BUILTINS
+)
+# each implemented builtin's implementation, and its parameters in signature
+# order with the runtime tags its declared tag accepts
+_BUILTIN_RUNS = {
+    name: (impl, tuple((pname, tuple(tag for tag in V.VALUE_TAGS if V.tags_compatible(declared, tag)))
+                       for pname, declared in params))
+    for name, params, _, _, _, impl in BUILTINS if impl is not None
 }
 
 
 def run_builtin(name: str, args: dict[str, Value], backend) -> Value:
     """Execute one builtin by name over already-resolved argument values,
-    each checked against the tag its `BUILTIN_SIGNATURES` entry declares."""
-    impl = BUILTIN_IMPLS.get(name)
-    if impl is None:
+    each checked against the tag its `BUILTINS` entry declares."""
+    run = _BUILTIN_RUNS.get(name)
+    if run is None:
         raise _type_error(f"UNKNOWN_BUILTIN: {name}")
-    for pname, accepted in _BUILTIN_PARAMS[name]:
+    impl, params = run
+    for pname, accepted in params:
         if pname not in args:
             raise _type_error(f"{name} missing argument {pname!r}")
         tag = args[pname].tag
@@ -375,7 +431,7 @@ class Step:
 
 def _lower_statement(st: Statement, registry) -> Step:
     statement = serialize_statement(st)
-    if st.module_name == "EVAL":  # validated: `expr` is its one argument, a template or quoted text
+    if st.module_name == EVAL:  # validated: `expr` is its one argument, a template or quoted text
         template = st.args[0][1].value
         args = tuple((ph, ph) for ph in PLACEHOLDER_RE.findall(template))
         return Step(statement, st.target, st.module_name, st.line_no, args, "template", template)
@@ -384,7 +440,7 @@ def _lower_statement(st: Statement, registry) -> Step:
          else V.number(arg.value) if arg.kind == "number" else V.text(arg.value))
         for pname, arg in st.args
     )
-    runs = ("result" if st.module_name == "RESULT"
+    runs = ("result" if st.module_name == RESULT
             else "generated" if registry.is_generated(st.module_name) else "builtin")
     return Step(statement, st.target, st.module_name, st.line_no, args, runs)
 

@@ -148,6 +148,17 @@ def program_prompts(lib: Library, model_id: str) -> TailSlotPrompt:
     )
 
 
+def stage3_plan(dataset: list[TaskInstance]) -> list[tuple[TaskInstance, bool]]:
+    """Each instance in the order `evaluate` runs it, by task and then by id,
+    and whether it asks the gateway for a program: the split-layout puzzles
+    its task marks are answered by the module driver instead."""
+    plan = []
+    for instance in sorted(dataset, key=lambda i: (i.task, i.id)):
+        split_layout = task_spec(instance.task).split_layout
+        plan.append((instance, split_layout is None or not split_layout(instance)))
+    return plan
+
+
 def evaluate(
     task: str,
     dataset: list[TaskInstance],
@@ -168,13 +179,13 @@ def evaluate(
     prompts = program_prompts(lib, model_id)
     outcomes: list[InstanceOutcome] = []
 
-    for instance in sorted(dataset, key=lambda i: i.id):
+    for instance, asks in stage3_plan(dataset):
         outcome = InstanceOutcome(
             id=instance.id, query=instance.query, correct=False, predicted="", gold=instance.gold
         )
         outcomes.append(outcome)
         try:
-            if spec.split_layout is not None and spec.split_layout(instance):
+            if not asks:
                 answer = solve_puzzle_with_modules(instance.puzzle, registry, backend)
                 outcome.predicted = str(answer)
                 outcome.correct = answer == instance.gold["value"]

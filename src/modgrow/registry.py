@@ -3,8 +3,10 @@
 A library maps module names to records (signature + source + provenance +
 gated pass rate) and keeps a manifest in registration order so prompt text
 stays stable as the library grows. A registered record is never replaced.
-On disk a library is a directory with a manifest, one source file and one
-metadata file per module: human-auditable and diff-friendly.
+Every library starts with the builtin catalogue, which is defined in code
+(`executor.BUILTINS`). On disk a library is a directory that holds only the
+learned modules: a manifest listing them in library order, and one source
+file and one metadata file per module, human-auditable and diff-friendly.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import values as V
-from .builtins_catalog import BUILTIN_SIGNATURES
-from .dsl import ModuleSignature, render_signature_block
+from .dsl import TAG_DESCRIPTIONS, ModuleSignature, render_signature_block
 from .errors import (CapturedError, ExecutorRuntimeError, GateViolationError, LibraryFormatError,
                      NameCollisionError, NotFoundError)
+from .executor import BUILTIN_SIGNATURES
 from .sandbox import CandidateHandle, Limits, invoke_candidate, load_candidate
 
 EPOCH_TIMESTAMP = "1970-01-01T00:00:00Z"
@@ -136,17 +138,17 @@ def _signature_from_doc(doc: dict) -> ModuleSignature:
 
 
 def save_library(lib: Library, path: str | Path) -> None:
+    """Write the learned modules of `lib`; the builtins are not saved, since
+    `load_library` takes them from the code."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    (root / "manifest.json").write_text(
-        json.dumps({"modules": lib.manifest}, indent=2) + "\n", encoding="utf-8"
-    )
-    for name in lib.manifest:
+    learned = [name for name in lib.manifest if lib.records[name].kind == "generated"]
+    (root / "manifest.json").write_text(json.dumps({"modules": learned}, indent=2) + "\n", encoding="utf-8")
+    for name in learned:
         rec = lib.records[name]
         (root / f"{name}.py").write_text(rec.source, encoding="utf-8")
         meta = {
             "signature": _signature_to_doc(rec.signature),
-            "kind": rec.kind,
             "origin_task": rec.origin_task,
             "pass_rate": rec.pass_rate,
             "eta_at_acceptance": rec.eta_at_acceptance,
@@ -157,6 +159,10 @@ def save_library(lib: Library, path: str | Path) -> None:
 
 
 def load_library(path: str | Path) -> Library:
+    """The builtin library followed by the learned modules saved at `path`,
+    in manifest order. Raises `LibraryFormatError` for a directory that
+    `save_library` would not write, such as one whose manifest names a
+    builtin, as a library saved with its builtins does."""
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
@@ -165,14 +171,17 @@ def load_library(path: str | Path) -> Library:
         manifest_doc = json.loads(manifest_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise LibraryFormatError(f"{root}: manifest.json is not valid JSON: {exc}") from exc
-    names = manifest_doc.get("modules")
+    names = manifest_doc.get("modules") if isinstance(manifest_doc, dict) else None
     if not isinstance(names, list):
         raise LibraryFormatError(f"{root}: manifest.json lacks a modules list")
-    lib = Library()
+    lib = builtin_library()
+    builtins = set(lib.manifest)
     for name in names:
         # a name is a file stem inside `root`, so it must be an identifier
         if not isinstance(name, str) or not name.isidentifier():
             raise LibraryFormatError(f"{root}: manifest entry {name!r} is not a module name")
+        if name in builtins:
+            raise LibraryFormatError(f"{root}: manifest names the builtin {name}")
         if name in lib.records:
             raise LibraryFormatError(f"{root}: manifest lists {name} twice")
         source_path = root / f"{name}.py"
@@ -184,7 +193,7 @@ def load_library(path: str | Path) -> Library:
             rec = ModuleRecord(
                 signature=_signature_from_doc(meta["signature"]),
                 source=source_path.read_text(encoding="utf-8"),
-                kind=meta["kind"],
+                kind="generated",
                 origin_task=meta.get("origin_task", ""),
                 pass_rate=float(meta["pass_rate"]),
                 eta_at_acceptance=float(meta["eta_at_acceptance"]),
@@ -195,6 +204,10 @@ def load_library(path: str | Path) -> Library:
             raise LibraryFormatError(f"{root}: corrupt metadata for {name}: {exc}") from exc
         if rec.name != name:
             raise LibraryFormatError(f"{root}: manifest names {name} but its signature names {rec.name}")
+        tags = (*(tag for _, tag in rec.signature.params), rec.signature.returns)
+        unknown = [tag for tag in tags if not (isinstance(tag, str) and tag in TAG_DESCRIPTIONS)]
+        if unknown:  # a prompt could not describe it
+            raise LibraryFormatError(f"{root}: {name}.json declares the unknown tag {unknown[0]!r}")
         lib.records[name] = rec
         lib.manifest.append(name)
     return lib

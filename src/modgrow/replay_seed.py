@@ -21,8 +21,7 @@ from functools import lru_cache
 
 from .dsl import STATEMENT_LINE_RE
 from .gateway import CompletionRequest, LlmGateway
-from .harness.datasets import task_spec
-from .harness.evaluate import program_prompts
+from .harness.evaluate import program_prompts, stage3_plan
 from .reference_modules import FIXTURE_SOURCES, fixture_header
 from .synthesis import run_synthesis
 
@@ -177,26 +176,20 @@ def seed_learn_and_eval(
 
     The produced cache lets `learn` and `eval` replay the identical session
     offline. After `run_synthesis` has recorded the learn calls, the stage-3
-    request of each test instance is sent over the grown library's catalogue
-    in the order `evaluate` sends it: tasks by name, then instances by `id`.
-    No program is parsed or run. The test instances a task's `split_layout`
-    marks (raven's split-layout puzzles) are answered by the module driver,
-    which never calls the gateway, so no request is sent for them. An error
+    request of each test instance that `evaluate` asks one for is sent over
+    the grown library's catalogue, in the order `evaluate` sends it: both
+    follow `stage3_plan`. No program is parsed or run. An error
     of the transport, such as the `LookupError` of a responder that does not
     know a question, propagates.
     """
     responder = responder or SyntheticResponder()
     responder.add(train)
     responder.add(test)
-    asked = []
-    for instance in test:
-        split_layout = task_spec(instance.task).split_layout
-        if split_layout is None or not split_layout(instance):
-            asked.append(instance)
+    asked = [instance for instance, asks in stage3_plan(test) if asks]
     with record_gateway(cache_path, responder) as gateway:
         lib_after, report = run_synthesis(train, lib, gateway, backend, cfg)
         if asked:  # the catalogue text is built only when a request carries it
             prompts = program_prompts(lib_after, cfg.model_id)
-            for instance in sorted(asked, key=lambda i: (i.task, i.id)):
+            for instance in asked:
                 gateway.complete(*prompts.request(instance.query))
     return lib_after, report

@@ -115,7 +115,6 @@ class CandidateOutcome:
 class FailureReport:
     name: str
     reason: str
-    outcomes: tuple[CandidateOutcome, ...]
 
 
 @dataclass(frozen=True)
@@ -294,8 +293,9 @@ def generate_module(
 ):
     """Sample, gate and (on success) build a registrable record for one proposal.
 
-    Returns (ModuleRecord | FailureReport, outcomes). The caller registers
-    the record; rejected candidates never leak into the library.
+    Returns (ModuleRecord | FailureReport, each candidate's outcome in request
+    order). The caller registers the record; rejected candidates never leak
+    into the library.
     """
     template = load_template("generation")
     repair_template = load_template("repair")
@@ -370,9 +370,8 @@ def generate_module(
             name=proposal.signature.name,
             reason=f"no candidate reached pass rate {cfg.eta:.2f} "
             f"(best {current_best.pass_rate:.2f} after {round_no} repair rounds)",
-            outcomes=tuple(outcomes),
         )
-        return report, outcomes
+        return report, tuple(outcomes)
 
     record = ModuleRecord(
         signature=proposal.signature,
@@ -384,7 +383,7 @@ def generate_module(
         created_at=EPOCH_TIMESTAMP,
         test_case_ids=tuple(c.id for c in cases),
     )
-    return record, outcomes
+    return record, tuple(outcomes)
 
 
 @dataclass(frozen=True)
@@ -422,10 +421,10 @@ def run_synthesis(
             try:
                 cases = build_test_cases(proposal, train_examples, bind)
             except NoCasesError as exc:
-                failed.append(FailureReport(name=proposal.signature.name, reason=str(exc), outcomes=()))
+                failed.append(FailureReport(name=proposal.signature.name, reason=str(exc)))
                 continue
             result, outs = generate_module(proposal, cases, cfg, gateway, lib, backend)
-            outcomes[proposal.signature.name] = tuple(outs)
+            outcomes[proposal.signature.name] = outs
             if isinstance(result, FailureReport):
                 failed.append(result)
                 continue

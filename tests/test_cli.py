@@ -277,7 +277,8 @@ def writing_to(seeded, target) -> dict[str, list[str]]:
 @pytest.mark.parametrize("option", ["learn --out", "eval --report", "eval --ablation --report",
                                     "run --trace", "cache seed --train-out"])
 @pytest.mark.parametrize("where", ["an existing file", "a path under a file", "an existing directory"])
-def test_an_output_path_the_file_system_refuses_is_an_error_line(tmp_path, capsys, seeded, option, where):
+def test_an_output_path_the_file_system_refuses_is_an_error_line(tmp_path, capsys, monkeypatch, seeded,
+                                                                  option, where):
     a_file, a_dir = tmp_path / "a_file", tmp_path / "a_dir"
     a_file.write_text("kept\n", encoding="utf-8")
     a_dir.mkdir()
@@ -286,14 +287,29 @@ def test_an_output_path_the_file_system_refuses_is_an_error_line(tmp_path, capsy
     refused = {"an existing file": option.split()[0] in ("learn", "eval"),
                "a path under a file": True,
                "an existing directory": option.split()[0] in ("run", "cache")}[where]
-    code = cli.main(writing_to(seeded, str(target))[option])
-    err = capsys.readouterr().err
+    argv = writing_to(seeded, str(target))[option]
+    calls = []
+    if argv[0] in ("learn", "eval"):  # in record mode over an empty cache, every completion is a call
+        responder = SyntheticResponder(load_dataset(seeded["train.jsonl"]) + load_dataset(seeded["test.jsonl"]))
+
+        def endpoint(request):
+            calls.append(request)
+            return responder(request)
+
+        monkeypatch.setenv("LLM_API_URL", "http://localhost:9")
+        monkeypatch.setenv("LLM_API_KEY", "k")
+        monkeypatch.setattr("modgrow.gateway.http_transport", endpoint)
+        argv = [*argv, "--mode", "record", "--cache", str(tmp_path / "record.jsonl")]
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
     if refused:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1 and str(target) in err
         assert a_file.read_text(encoding="utf-8") == "kept\n"
+        assert calls == [] and "accepted" not in out
     else:  # a file is overwritten, a directory is written into
         assert "error" not in err and code in (0, 1)
+        assert bool(calls) == (argv[0] in ("learn", "eval"))
 
 
 @pytest.mark.parametrize("command", ["learn", "eval"])

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import ast
+from collections import Counter
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -271,6 +275,21 @@ class TestBuiltins:
         with pytest.raises(ExecutorRuntimeError) as err:
             run_builtin("COUNT", {}, backend)
         assert err.value.error == CapturedError("type", "COUNT missing argument 'box'")
+
+
+def test_the_builtin_catalogue_is_defined_once():
+    """Each builtin's name is one string literal in the package's code: its
+    `BUILTINS` entry, or for EVAL and RESULT the constant the language
+    names them by. Every other builtin entry has its implementation."""
+    literals = Counter(
+        node.value
+        for path in Path(executor.__file__).parent.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    )
+    names = [sig.name for sig in executor.BUILTIN_SIGNATURES]
+    assert {name: literals[name] for name in names} == dict.fromkeys(names, 1)
+    assert [name for name, *_, impl in executor.BUILTINS if impl is None] == ["EVAL", "RESULT"]
 
 
 class TestExecuteProgram:

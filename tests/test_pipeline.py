@@ -29,22 +29,22 @@ TASKS = ("vqa", "grounding", "tagging", "editing", "raven", "mewl-analog")
 OUTPUT_DIGESTS = {
     "vqa": {"train": "a9b4e588ef754c6d", "test": "bb3fb86ad4b27835", "cache": "f75715d7eb85a5a5",
             "cache_stored": "59a3a06bdf3f58d4",
-            "library": "bf50781d342ad6aa", "report": "4b8b468ce4c94464"},
+            "library": "facfa3ee1421f65f", "report": "4b8b468ce4c94464"},
     "grounding": {"train": "f0ecc2d7b0da25d2", "test": "21e31d30fb54575f", "cache": "035382676fa499e3",
                   "cache_stored": "f9ce9f3c9960dddb",
-                  "library": "29c186c76e098a71", "report": "a1a200237d6cb408"},
+                  "library": "1499e03bd3e0f3d4", "report": "a1a200237d6cb408"},
     "tagging": {"train": "6860703fa7136036", "test": "ba03bd81a7caf523", "cache": "ac7f5c4bbdb48db9",
                 "cache_stored": "f23ccde8437edefb",
-                "library": "14e1f5a86178071c", "report": "8c72f2a00d2b4f95"},
+                "library": "4eea2b41467efe15", "report": "8c72f2a00d2b4f95"},
     "editing": {"train": "83e5b9757b5910ff", "test": "3150c89c911ab8b4", "cache": "d740fd755c4a9bb3",
                 "cache_stored": "964e92aede926552",
-                "library": "0bd7787bab5659a5", "report": "b78d649571ad5737"},
+                "library": "2788eeb900af78e7", "report": "b78d649571ad5737"},
     "raven": {"train": "59f7ec106f095eac", "test": "47e609ccb84ee9f7", "cache": "3c82a25353b40ef7",
               "cache_stored": "a157c476b2df7dea",
-              "library": "dc7f4ef214dc1c67", "report": "fe8508f5566ff151"},
+              "library": "96c8ee1239da0fc6", "report": "fe8508f5566ff151"},
     "mewl-analog": {"train": "ca4d7ea05b847c52", "test": "5a250d98d175b5f2", "cache": "07ce923045198499",
                     "cache_stored": "5a8009737a16b23d",
-                    "library": "4e85eedd0907b160", "report": "af7257fd65c5a199"},
+                    "library": "137b483d25e83a29", "report": "af7257fd65c5a199"},
 }
 SPLIT_LAYOUT_REPORT_DIGEST = "a087b627f46c7940"
 # `save_dataset` bytes of split-layout raven splits: the distractor draws and

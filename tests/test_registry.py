@@ -97,18 +97,42 @@ class TestPromptText:
         assert signature_prompt_text(builtin_lib) == signature_prompt_text(builtin_lib)
 
 
+def saved_learned_library(root, *names):
+    """`root` holding the builtin library grown by the fixture modules `names`
+    (SORT_SPATIAL when none is given), as `save_library` writes it; the library."""
+    lib = builtin_library()
+    for name in names or ("SORT_SPATIAL",):
+        lib = register(lib, fixture_record(name))
+    save_library(lib, root)
+    return lib
+
+
 class TestPersistence:
-    def test_round_trip_identity(self, tmp_path, builtin_lib):
-        lib = builtin_lib
-        for name in ("SORT_SPATIAL", "COMPARE_COLOR", "CHOOSE_ATTRIBUTE"):
-            lib = register(lib, fixture_record(name))
-        save_library(lib, tmp_path / "lib")
+    def test_round_trip_identity(self, tmp_path):
+        lib = saved_learned_library(tmp_path / "lib", "SORT_SPATIAL", "COMPARE_COLOR", "CHOOSE_ATTRIBUTE")
         loaded = load_library(tmp_path / "lib")
         assert libraries_equal(lib, loaded)
 
-    def test_missing_module_file_is_schema_error(self, tmp_path, builtin_lib):
+    def test_a_builtin_library_saves_an_empty_manifest(self, tmp_path, builtin_lib):
         save_library(builtin_lib, tmp_path / "lib")
-        (tmp_path / "lib" / "LOC.py").unlink()
+        assert [p.name for p in (tmp_path / "lib").iterdir()] == ["manifest.json"]
+        assert json.loads((tmp_path / "lib" / "manifest.json").read_text(encoding="utf-8")) == {"modules": []}
+        assert libraries_equal(load_library(tmp_path / "lib"), builtin_lib)
+
+    def test_library_files_are_auditable(self, tmp_path):
+        # the learned modules only: the builtins come from the code
+        learned = ("SORT_SPATIAL", "COMPARE_COLOR", "CHOOSE_ATTRIBUTE")
+        saved_learned_library(tmp_path / "lib", *learned)
+        names = {p.name for p in (tmp_path / "lib").iterdir()}
+        assert names == {"manifest.json", *(f"{n}.py" for n in learned), *(f"{n}.json" for n in learned)}
+        manifest = json.loads((tmp_path / "lib" / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest == {"modules": list(learned)}
+        meta = json.loads((tmp_path / "lib" / "SORT_SPATIAL.json").read_text(encoding="utf-8"))
+        assert "kind" not in meta
+
+    def test_missing_module_file_is_schema_error(self, tmp_path):
+        saved_learned_library(tmp_path / "lib")
+        (tmp_path / "lib" / "SORT_SPATIAL.py").unlink()
         with pytest.raises(LibraryFormatError):
             load_library(tmp_path / "lib")
 
@@ -116,24 +140,45 @@ class TestPersistence:
         with pytest.raises(LibraryFormatError):
             load_library(tmp_path)
 
-    def test_corrupt_metadata(self, tmp_path, builtin_lib):
-        save_library(builtin_lib, tmp_path / "lib")
-        (tmp_path / "lib" / "LOC.json").write_text("{}", encoding="utf-8")
+    def test_a_manifest_that_is_no_object_is_refused(self, tmp_path):
+        root = tmp_path / "lib"
+        saved_learned_library(root)
+        (root / "manifest.json").write_text(json.dumps(["SORT_SPATIAL"]), encoding="utf-8")
+        with pytest.raises(LibraryFormatError) as err:
+            load_library(root)
+        assert str(err.value) == f"{root}: manifest.json lacks a modules list"
+
+    def test_corrupt_metadata(self, tmp_path):
+        saved_learned_library(tmp_path / "lib")
+        (tmp_path / "lib" / "SORT_SPATIAL.json").write_text("{}", encoding="utf-8")
         with pytest.raises(LibraryFormatError):
             load_library(tmp_path / "lib")
 
-    def test_transfer_between_tasks(self, tmp_path, builtin_lib, backend):
+    @pytest.mark.parametrize("where", ["params", "returns"])
+    def test_a_saved_signature_with_an_undeclared_tag_is_refused(self, tmp_path, where):
+        root = tmp_path / "lib"
+        saved_learned_library(root)
+        meta = json.loads((root / "SORT_SPATIAL.json").read_text(encoding="utf-8"))
+        if where == "params":
+            meta["signature"]["params"][0][1] = "boxes"
+        else:
+            meta["signature"]["returns"] = "boxes"
+        (root / "SORT_SPATIAL.json").write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(LibraryFormatError) as err:
+            load_library(root)
+        assert str(err.value) == f"{root}: SORT_SPATIAL.json declares the unknown tag 'boxes'"
+
+    def test_transfer_between_tasks(self, tmp_path):
         # a library saved after grounding learning is usable unmodified elsewhere
-        lib = register(builtin_lib, sort_spatial_record())
+        lib = register(builtin_library(), sort_spatial_record())
         save_library(lib, tmp_path / "lib")
         loaded = load_library(tmp_path / "lib")
         record = lookup(loaded, "SORT_SPATIAL")
         assert record.origin_task == "grounding"
         assert record.source == rm.SORT_SPATIAL_SOURCE
 
-    def test_a_library_saved_with_a_version_key_still_loads(self, tmp_path, builtin_lib):
-        lib = register(builtin_lib, sort_spatial_record())
-        save_library(lib, tmp_path / "lib")
+    def test_a_library_saved_with_a_version_key_still_loads(self, tmp_path):
+        lib = saved_learned_library(tmp_path / "lib")
         meta_path = tmp_path / "lib" / "SORT_SPATIAL.json"
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
         assert "version" not in meta
@@ -143,42 +188,38 @@ class TestPersistence:
     @pytest.mark.parametrize(
         "entries, message",
         [
-            (["LOC", "COUNT", "LOC"], "manifest lists LOC twice"),
-            (["LOC", "../evil"], "manifest entry '../evil' is not a module name"),
-            (["LOC", "sub/LOC"], "manifest entry 'sub/LOC' is not a module name"),
-            (["LOC", ""], "manifest entry '' is not a module name"),
-            (["LOC", 3], "manifest entry 3 is not a module name"),
-            (["LOC", ["COUNT"]], "manifest entry ['COUNT'] is not a module name"),
+            (["SORT_SPATIAL", "COMPARE_COLOR", "SORT_SPATIAL"], "manifest lists SORT_SPATIAL twice"),
+            (["SORT_SPATIAL", "../evil"], "manifest entry '../evil' is not a module name"),
+            (["SORT_SPATIAL", "sub/LOC"], "manifest entry 'sub/LOC' is not a module name"),
+            (["SORT_SPATIAL", ""], "manifest entry '' is not a module name"),
+            (["SORT_SPATIAL", 3], "manifest entry 3 is not a module name"),
+            (["SORT_SPATIAL", ["COUNT"]], "manifest entry ['COUNT'] is not a module name"),
+            # as in a library saved with its builtins
+            (["LOC", "SORT_SPATIAL"], "manifest names the builtin LOC"),
+            (["SORT_SPATIAL", "COUNT"], "manifest names the builtin COUNT"),
         ],
     )
-    def test_a_manifest_entry_that_is_no_single_module_name_is_refused(self, tmp_path, builtin_lib,
-                                                                       entries, message):
+    def test_a_manifest_entry_that_is_no_single_module_name_is_refused(self, tmp_path, entries, message):
         root = tmp_path / "lib"
-        save_library(builtin_lib, root)
+        saved_learned_library(root, "SORT_SPATIAL", "COMPARE_COLOR")
         # files a `..` entry would read, were it followed out of the library directory
         (tmp_path / "evil.py").write_text(rm.SORT_SPATIAL_SOURCE, encoding="utf-8")
-        (tmp_path / "evil.json").write_text((root / "LOC.json").read_text(encoding="utf-8"), encoding="utf-8")
+        (tmp_path / "evil.json").write_text((root / "SORT_SPATIAL.json").read_text(encoding="utf-8"),
+                                            encoding="utf-8")
         (root / "manifest.json").write_text(json.dumps({"modules": entries}), encoding="utf-8")
         with pytest.raises(LibraryFormatError) as err:
             load_library(root)
         assert str(err.value) == f"{root}: {message}"
 
-    def test_a_module_saved_under_another_name_is_refused(self, tmp_path, builtin_lib):
+    def test_a_module_saved_under_another_name_is_refused(self, tmp_path):
         root = tmp_path / "lib"
-        save_library(builtin_lib, root)
-        meta = json.loads((root / "LOC.json").read_text(encoding="utf-8"))
-        meta["signature"]["name"] = "LOCX"
-        (root / "LOC.json").write_text(json.dumps(meta), encoding="utf-8")
+        saved_learned_library(root)
+        meta = json.loads((root / "SORT_SPATIAL.json").read_text(encoding="utf-8"))
+        meta["signature"]["name"] = "SORT_SPATIALX"
+        (root / "SORT_SPATIAL.json").write_text(json.dumps(meta), encoding="utf-8")
         with pytest.raises(LibraryFormatError) as err:
             load_library(root)
-        assert str(err.value) == f"{root}: manifest names LOC but its signature names LOCX"
-
-    def test_library_files_are_auditable(self, tmp_path, builtin_lib):
-        lib = register(builtin_lib, sort_spatial_record())
-        save_library(lib, tmp_path / "lib")
-        names = {p.name for p in (tmp_path / "lib").iterdir()}
-        assert "manifest.json" in names
-        assert "SORT_SPATIAL.py" in names and "SORT_SPATIAL.json" in names
+        assert str(err.value) == f"{root}: manifest names SORT_SPATIAL but its signature names SORT_SPATIALX"
 
 
 def test_execution_signatures_are_the_library_then_new_overlay_names(builtin_lib):
