@@ -34,6 +34,7 @@ import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 
 from .cache import CacheWriter, load_responses
@@ -380,8 +381,14 @@ def _class_blocks(text: str) -> list[str]:
     return blocks
 
 
+@lru_cache(maxsize=256)
 def parse_initialization_response(text: str) -> InitializationDecision:
-    """Structure a stage-1 response: feasible-with-program or new proposals."""
+    """Structure a stage-1 response: feasible-with-program or new proposals.
+
+    The decision of each of the last 256 distinct texts is kept and returned
+    again for the same text, so an unparseable proposal block is logged once
+    per distinct text; callers share the decision, which its frozen classes
+    make safe. A `ResponseParseError` is raised again on every call."""
     lines = text.split("\n")
     decision_idx = None
     decision = None

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .. import values as V
+from ..errors import SceneSchemaError
 from ..reference_modules import RAVEN_LAYOUTS, RAVEN_SCALES, raven_regions, solver_check
 from ..scene import KNOWLEDGE_LISTS, ImageHandle, SceneGraph, SceneObject, load_scene
 from . import oracle as oracle_mod
@@ -55,25 +56,6 @@ class RavenPuzzle:
     answer_index: int
     layout: str  # center | left-right | up-down
 
-    def to_doc(self) -> dict:
-        return {
-            "panels": [p.to_doc() for p in self.panels],
-            "candidates": [c.to_doc() for c in self.candidates],
-            "rules": dict(self.rules),
-            "answer_index": self.answer_index,
-            "layout": self.layout,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "RavenPuzzle":
-        return cls(
-            panels=tuple(load_scene(p) for p in doc["panels"]),
-            candidates=tuple(load_scene(c) for c in doc["candidates"]),
-            rules=dict(doc["rules"]),
-            answer_index=doc["answer_index"],
-            layout=doc["layout"],
-        )
-
 
 @dataclass
 class TaskInstance:
@@ -90,7 +72,9 @@ class TaskInstance:
     query_scene: SceneGraph | None = None
     module_cases: dict = field(default_factory=dict)
 
-    def to_doc(self) -> dict:
+    def to_doc(self, table: SceneTable | None = None) -> dict:
+        """The instance as one split-file line. Each scene slot holds
+        `table.slot(scene)`, or with no table the scene's whole document."""
         doc = {
             "id": self.id,
             "task": self.task,
@@ -101,17 +85,30 @@ class TaskInstance:
             "module_cases": self.module_cases,
         }
         if self.scene is not None:
-            doc["scene"] = self.scene.to_doc()
+            doc["scene"] = self.scene
         if self.puzzle is not None:
-            doc["puzzle"] = self.puzzle.to_doc()
+            puzzle = self.puzzle
+            doc["puzzle"] = {
+                "panels": list(puzzle.panels),
+                "candidates": list(puzzle.candidates),
+                "rules": dict(puzzle.rules),
+                "answer_index": puzzle.answer_index,
+                "layout": puzzle.layout,
+            }
         if self.example_pairs:
-            doc["examples"] = [[s.to_doc(), w] for s, w in self.example_pairs]
+            doc["examples"] = [[s, w] for s, w in self.example_pairs]
         if self.query_scene is not None:
-            doc["query_scene"] = self.query_scene.to_doc()
+            doc["query_scene"] = self.query_scene
+        write = SceneGraph.to_doc if table is None else table.slot
+        for holder, key, _ in _scene_slots(doc):
+            holder[key] = write(holder[key])
         return doc
 
     @classmethod
     def from_doc(cls, doc: dict) -> "TaskInstance":
+        """The instance of a split-file line whose scene slots `load_dataset`
+        has filled with loaded scenes."""
+        puzzle = doc.get("puzzle")
         return cls(
             id=doc["id"],
             task=doc["task"],
@@ -120,12 +117,58 @@ class TaskInstance:
             gold=doc["gold"],
             canonical_program=doc["programs"]["canonical"],
             fallback_program=doc["programs"]["fallback"],
-            scene=load_scene(doc["scene"]) if "scene" in doc else None,
-            puzzle=RavenPuzzle.from_doc(doc["puzzle"]) if "puzzle" in doc else None,
-            example_pairs=[(load_scene(s), w) for s, w in doc.get("examples", [])],
-            query_scene=load_scene(doc["query_scene"]) if "query_scene" in doc else None,
+            scene=doc.get("scene"),
+            puzzle=None if puzzle is None else RavenPuzzle(
+                panels=tuple(puzzle["panels"]),
+                candidates=tuple(puzzle["candidates"]),
+                rules=dict(puzzle["rules"]),
+                answer_index=puzzle["answer_index"],
+                layout=puzzle["layout"],
+            ),
+            example_pairs=[(s, w) for s, w in doc.get("examples", [])],
+            query_scene=doc.get("query_scene"),
             module_cases=doc.get("module_cases", {}),
         )
+
+
+def _scene_slots(doc: dict) -> list[tuple[object, object, str]]:
+    """Each scene slot of an instance document as (holder, key, name), in
+    the one reading order that `save_dataset` numbers scenes in and
+    `load_dataset` reads them: `scene`, the puzzle's `panels`, its
+    `candidates`, the scene of each of `examples`, `query_scene`."""
+    slots = [(doc, "scene", "scene")] if "scene" in doc else []
+    if "puzzle" in doc:
+        for part in ("panels", "candidates"):
+            scenes = doc["puzzle"][part]
+            slots += [(scenes, i, f"puzzle.{part}[{i}]") for i in range(len(scenes))]
+    slots += [(pair, 0, f"examples[{i}]") for i, pair in enumerate(doc.get("examples", ()))]
+    if "query_scene" in doc:
+        slots.append((doc, "query_scene", "query_scene"))
+    return slots
+
+
+class SceneTable:
+    """The scenes written so far to one split file, numbered in reading
+    order. An equal scene written before is found by object identity first,
+    and only then by `SceneGraph.content_key`."""
+
+    def __init__(self):
+        self._numbers: dict[tuple, int] = {}  # content key -> number
+        self._known: dict[int, tuple[SceneGraph, int]] = {}  # id(scene) -> (scene, number)
+
+    def slot(self, scene: SceneGraph) -> int | dict:
+        """The number of an equal scene written before, or else the scene's
+        document, which takes the next number."""
+        known = self._known.get(id(scene))
+        if known is not None:
+            return known[1]
+        key = scene.content_key()
+        number = self._numbers.get(key)
+        first = number is None
+        if first:
+            number = self._numbers[key] = len(self._numbers)
+        self._known[id(scene)] = (scene, number)  # the scene is kept so its id stays its own
+        return scene.to_doc() if first else number
 
 
 def build_bindings(instance: TaskInstance, image_of=ImageHandle.of_scene) -> dict[str, V.Value]:
@@ -1347,15 +1390,54 @@ def generate_dataset(task: str, seed: int, n: int, knobs: dict | None = None) ->
 
 
 def save_dataset(instances, path) -> None:
+    """Write one JSON line per instance. A scene slot holds the scene's
+    document the first time an equal scene occurs in the file, and after
+    that the number of that document (see `SceneTable`)."""
+    table = SceneTable()
     with open(path, "w", encoding="utf-8") as fh:
         for instance in instances:
-            fh.write(json.dumps(instance.to_doc(), sort_keys=True) + "\n")
+            fh.write(json.dumps(instance.to_doc(table), sort_keys=True) + "\n")
 
 
 def load_dataset(path) -> list[TaskInstance]:
-    out = []
+    """The instances of the split file at `path`. Each scene document is
+    loaded once, and every slot that names it by number holds that same
+    scene. A fault of a line is a ValueError whose message starts with the
+    path and the line number."""
+    out: list[TaskInstance] = []
+    scenes: list[SceneGraph] = []  # every scene document read so far, in reading order
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                out.append(TaskInstance.from_doc(json.loads(line)))
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                out.append(_read_instance(line, scenes))
+            except KeyError as exc:
+                raise ValueError(f"{path}: line {number}: missing field {exc.args[0]!r}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: line {number}: {exc}") from exc
     return out
+
+
+def _read_instance(line: str, scenes: list[SceneGraph]) -> TaskInstance:
+    try:
+        doc = json.loads(line)
+    except json.JSONDecodeError as exc:  # its own "line 1" would not be the file's line
+        raise ValueError(f"not valid JSON: {exc.msg} at column {exc.colno}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError("an instance line is a JSON object")
+    for holder, key, name in _scene_slots(doc):
+        slot = holder[key]
+        if isinstance(slot, int):
+            if type(slot) is not int or not 0 <= slot < len(scenes):
+                raise ValueError(f"{name}: scene reference {json.dumps(slot)} names no scene "
+                                 f"read before it ({len(scenes)} so far)")
+            holder[key] = scenes[slot]
+            continue
+        try:
+            scene = load_scene(slot)
+        except SceneSchemaError as exc:
+            raise ValueError(f"{name}: {exc}") from exc
+        scenes.append(scene)
+        holder[key] = scene
+    return TaskInstance.from_doc(doc)

@@ -197,24 +197,31 @@ def build_test_cases(proposal: Proposal, train_examples, bind=None) -> list[Test
 
 
 def _tupleize(payload):
-    if isinstance(payload, list):
-        return tuple(_tupleize(v) for v in payload)
-    return payload
+    """A JSON-shaped payload with each list, at any depth, as a tuple."""
+    if not isinstance(payload, list):
+        return payload
+    return tuple([_tupleize(v) if isinstance(v, list) else v for v in payload])
 
 
 def _shared_binder(memo: PerceptionMemo):
     """A `bind` for `build_test_cases` that builds each example's bindings
     once and binds scenes of equal content to one full-scene handle, which
-    it registers with `memo`."""
-    handles: dict[tuple, ImageHandle] = {}
+    it registers with `memo`. A scene object seen before is found by
+    identity, so `content_key` runs once per distinct object: the examples
+    of a loaded split share one object per distinct scene."""
+    handles: dict[tuple, ImageHandle] = {}  # by content key
+    handle_of: dict[int, ImageHandle] = {}  # by scene identity; the examples keep each scene alive
     bindings: dict[int, dict[str, V.Value]] = {}  # by example identity
 
     def image_of(scene: SceneGraph) -> ImageHandle:
-        key = scene.content_key()
-        handle = handles.get(key)
+        handle = handle_of.get(id(scene))
         if handle is None:
-            handle = handles[key] = ImageHandle.of_scene(scene)
-            memo.register(handle)
+            key = scene.content_key()
+            handle = handles.get(key)
+            if handle is None:
+                handle = handles[key] = ImageHandle.of_scene(scene)
+                memo.register(handle)
+            handle_of[id(scene)] = handle
         return handle
 
     def bind(example) -> dict[str, V.Value]:

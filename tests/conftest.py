@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from modgrow import reference_modules as rm
@@ -26,6 +28,21 @@ def with_first_statement(name: str, statement: str) -> str:
     at = next(i for i, line in enumerate(lines) if line.lstrip().startswith("def execute("))
     lines.insert(at + 1, " " * 8 + statement)
     return "\n".join(lines)
+
+
+def scene_docs(instance_doc: dict) -> list:
+    """Every scene document of an instance document written with its scenes inline."""
+    docs = [instance_doc[key] for key in ("scene", "query_scene") if key in instance_doc]
+    if "puzzle" in instance_doc:
+        docs += instance_doc["puzzle"]["panels"] + instance_doc["puzzle"]["candidates"]
+    docs += [scene for scene, _ in instance_doc.get("examples", [])]
+    return docs
+
+
+def distinct_scene_docs(instances) -> int:
+    """How many distinct scene documents the instances hold."""
+    return len({json.dumps(doc, sort_keys=True) for instance in instances
+                for doc in scene_docs(instance.to_doc())})
 
 
 @pytest.fixture()

@@ -16,7 +16,10 @@ import modgrow.sandbox
 from modgrow import values as V
 from modgrow.backends import SyntheticBackend
 from modgrow.executor import run_program
+from modgrow.harness import datasets as ds
 from modgrow.registry import ExecutionRegistry
+
+from conftest import distinct_scene_docs
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -76,3 +79,16 @@ def test_two_runs_through_one_registry_make_the_calls_the_bench_counts(spans, fu
     calls = Counter(name for name, *_ in rec.spans)
     assert {name: calls[name] for name in COUNTED_CALLS} == COUNTED_CALLS
 
+
+
+def test_loading_a_split_opens_one_load_scene_span_per_distinct_scene(spans, tmp_path):
+    """`perfbench/measure.py` requires `scene.load_scene` calls in the learn
+    phase; a loader that captured `load_scene` before the bench rebound it
+    would record none."""
+    generated = ds.generate_dataset("raven", 7, 6)
+    ds.save_dataset(generated, tmp_path / "split.jsonl")
+    with spans.traced(spans.SpanRecorder(), []) as rec:
+        ds.load_dataset(tmp_path / "split.jsonl")
+    calls = Counter(name for name, *_ in rec.spans)
+    assert calls["scene.load_scene"] == distinct_scene_docs(generated) < 6 * 16
+    assert calls["datasets.load_dataset"] == 1

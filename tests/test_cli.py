@@ -320,3 +320,47 @@ def test_a_wall_time_that_is_not_positive_is_an_error_line(capsys, seeded, comma
         argv += ["--out", str(split.parent / "never")]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == "error: limits must be positive\n"
+
+
+
+def broken_line(doc: dict, fault: str, read: int) -> str:
+    """The line of a raven instance, `doc`, with one fault in its first
+    panel; `read` scenes come before it."""
+    if fault == "bad JSON":
+        return "{oops"
+    if fault == "missing field":
+        del doc["programs"]
+    elif fault == "scene schema":
+        doc["puzzle"]["panels"][0] = {"width": -1, "height": 80, "objects": []}
+    else:  # a scene reference
+        doc["puzzle"]["panels"][0] = {"true": True, "negative": -1, "forward": read}[fault]
+    return json.dumps(doc, sort_keys=True)
+
+
+SPLIT_FAULTS = {
+    "bad JSON": "not valid JSON: Expecting property name enclosed in double quotes at column 2",
+    "missing field": "missing field 'programs'",
+    "scene schema": "puzzle.panels[0]: width: must be a positive integer",
+    "true": "puzzle.panels[0]: scene reference true names no scene read before it ({read} so far)",
+    "negative": "puzzle.panels[0]: scene reference -1 names no scene read before it ({read} so far)",
+    "forward": "puzzle.panels[0]: scene reference {read} names no scene read before it ({read} so far)",
+}
+
+
+@pytest.mark.parametrize("command", ["learn", "eval"])
+@pytest.mark.parametrize("fault", sorted(SPLIT_FAULTS))
+def test_a_malformed_split_line_is_an_error_naming_the_file_and_line(tmp_path, capsys, command, fault):
+    split, cache = tmp_path / "split.jsonl", tmp_path / "cache.jsonl"
+    save_dataset(generate_dataset("raven", 7, 3), split)
+    lines = split.read_text(encoding="utf-8").splitlines()
+    first = json.loads(lines[0])["puzzle"]
+    read = sum(isinstance(slot, dict) for slot in first["panels"] + first["candidates"])
+    lines[1] = broken_line(json.loads(lines[1]), fault, read)
+    split.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cache.write_text("", encoding="utf-8")
+    argv = [command, "--cache", str(cache), "--dataset", str(split)]
+    if command == "learn":
+        argv += ["--out", str(tmp_path / "lib")]
+    assert cli.main(argv) == 2
+    message = SPLIT_FAULTS[fault].format(read=read)
+    assert capsys.readouterr().err == f"error: {split}: line 2: {message}\n"

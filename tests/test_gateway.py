@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import logging
+
 import pytest
 
+from modgrow import gateway as gateway_module
 from modgrow import values as V
 from modgrow.errors import CacheMissError, MissingSlotError, ResponseParseError
 from modgrow.gateway import (
@@ -167,6 +170,26 @@ class TestInitializationParsing:
     def test_unparseable_decision(self):
         with pytest.raises(ResponseParseError):
             parse_initialization_response("maybe")
+
+    def test_each_distinct_response_is_parsed_once(self, monkeypatch, caplog):
+        """The decision of a text is kept, so its headers are parsed and an
+        unparseable block is logged once; a refused text is refused again."""
+        parsed = []
+        original = gateway_module.parse_signature_block
+        monkeypatch.setattr(gateway_module, "parse_signature_block",
+                            lambda block: parsed.append(block) or original(block))
+        # a module name no other test parses, so the kept decisions hold no copy
+        header = fixture_header("SOLVER").replace("SOLVER", "PARSED_ONCE")
+        body = "No. We need a new module.\n" + header + "\nclass BROKEN():\n    pass"
+        with caplog.at_level(logging.WARNING):
+            decisions = [parse_initialization_response(body) for _ in range(3)]
+        assert decisions[0] is decisions[1] is decisions[2]
+        assert [sig.name for sig, _ in decisions[0].proposals] == ["PARSED_ONCE"]
+        assert len(parsed) == 2
+        assert sum("skipping unparseable proposal block" in r.message for r in caplog.records) == 1
+        for _ in range(2):
+            with pytest.raises(ResponseParseError):
+                parse_initialization_response("No. A new module is needed, but no header follows.")
 
     def test_round_trips_program_fixture(self):
         for program in (PURSE_PROGRAM, COMPARE_SIZE_PROGRAM):

@@ -23,6 +23,8 @@ from modgrow.errors import SceneSchemaError
 from modgrow.harness.datasets import generate_dataset
 from modgrow.scene import SceneGraph, SceneObject, load_scene
 
+from conftest import scene_docs
+
 TASKS = ("vqa", "grounding", "tagging", "editing", "raven", "mewl-analog")
 
 
@@ -105,14 +107,6 @@ def reference_load_scene(document: str | dict) -> SceneGraph:
             )
         )
     return SceneGraph(width=width, height=height, objects=tuple(objects), caption=caption)
-
-
-def scene_docs(instance_doc: dict) -> list:
-    docs = [instance_doc[key] for key in ("scene", "query_scene") if key in instance_doc]
-    if "puzzle" in instance_doc:
-        docs += instance_doc["puzzle"]["panels"] + instance_doc["puzzle"]["candidates"]
-    docs += [scene for scene, _ in instance_doc.get("examples", [])]
-    return docs
 
 
 def assert_same_scene(loaded: SceneGraph, reference: SceneGraph, source) -> None:

@@ -39,17 +39,17 @@ OUTPUT_DIGESTS = {
     "editing": {"train": "83e5b9757b5910ff", "test": "3150c89c911ab8b4", "cache": "d740fd755c4a9bb3",
                 "cache_stored": "964e92aede926552",
                 "library": "2788eeb900af78e7", "report": "b78d649571ad5737"},
-    "raven": {"train": "59f7ec106f095eac", "test": "47e609ccb84ee9f7", "cache": "3c82a25353b40ef7",
+    "raven": {"train": "3375a0c7569029cc", "test": "eb26a7cb91ef5806", "cache": "3c82a25353b40ef7",
               "cache_stored": "a157c476b2df7dea",
               "library": "96c8ee1239da0fc6", "report": "fe8508f5566ff151"},
-    "mewl-analog": {"train": "ca4d7ea05b847c52", "test": "5a250d98d175b5f2", "cache": "07ce923045198499",
+    "mewl-analog": {"train": "92d13f390a2e0d49", "test": "84376d84e00a4759", "cache": "07ce923045198499",
                     "cache_stored": "5a8009737a16b23d",
                     "library": "137b483d25e83a29", "report": "af7257fd65c5a199"},
 }
 SPLIT_LAYOUT_REPORT_DIGEST = "a087b627f46c7940"
 # `save_dataset` bytes of split-layout raven splits: the distractor draws and
 # the rule check that rejects a second defensible answer both show here
-SPLIT_LAYOUT_DATASET_DIGESTS = {"left-right": "0c0b67e2e85bbd63", "up-down": "f911642ec2c2b322"}
+SPLIT_LAYOUT_DATASET_DIGESTS = {"left-right": "020a23d527e033db", "up-down": "d6ba694ab81f6607"}
 # call records, rebuilt with whole requests, of the session that
 # `test_seeding_records_no_pass_over_module_driven_puzzles` seeds
 MIXED_LAYOUT_SEED_CACHE_DIGEST = "57515ba868b9d25f"

@@ -16,11 +16,14 @@ from modgrow.synthesis import (
     CandidateOutcome,
     Proposal,
     SynthesisConfig,
+    _tupleize,
     build_test_cases,
     compute_pass_rate,
     render_error_report,
     run_synthesis,
 )
+
+from conftest import distinct_scene_docs
 
 NAME = "CHOOSE_ATTRIBUTE"
 
@@ -74,10 +77,29 @@ def test_repair_report_names_the_candidate_line(cases, builtin_lib, backend):
     assert errors == f"- runtime (line {line}): ValueError: injected fault"
 
 
+def reference_tupleize(payload):
+    """The expected-value builder that `_tupleize` replaced."""
+    if isinstance(payload, list):
+        return tuple(reference_tupleize(v) for v in payload)
+    return payload
+
+
+@pytest.mark.parametrize("task", sorted(ds.TASKS))
+def test_case_expectations_equal_the_recursive_builds(task):
+    payloads = [case["expected"]["payload"] for instance in ds.generate_dataset(task, 3, 12)
+                for case in instance.module_cases.values()]
+    payloads += [[], [[]], [1, [2, [3, "x"]], None], "text", 4.5]
+    for payload in payloads:
+        built = _tupleize(payload)
+        assert built == reference_tupleize(payload)
+        assert repr(built) == repr(reference_tupleize(payload))  # tuples all the way down
+
+
 @pytest.mark.parametrize("task", ["vqa", "raven", "mewl-analog"])
 def test_scenes_are_loaded_once_per_dataset(tmp_path, monkeypatch, builtin_lib, backend, task):
-    """Only `load_dataset` parses scene documents: neither the case runs of
-    learning nor evaluation parse a scene again."""
+    """Only `load_dataset` parses scene documents, each distinct one once per
+    split: neither the case runs of learning nor evaluation parse a scene
+    again."""
     calls = []
     original = scene.load_scene
 
@@ -89,10 +111,13 @@ def test_scenes_are_loaded_once_per_dataset(tmp_path, monkeypatch, builtin_lib, 
         if module.__name__.startswith("modgrow") and getattr(module, "load_scene", None) is original:
             monkeypatch.setattr(module, "load_scene", counting)
 
+    distinct = 0
     for name, seed in (("train", 5), ("test", 6)):
-        ds.save_dataset(ds.generate_dataset(task, seed, 8), tmp_path / f"{name}.jsonl")
+        generated = ds.generate_dataset(task, seed, 8)
+        ds.save_dataset(generated, tmp_path / f"{name}.jsonl")
+        distinct += distinct_scene_docs(generated)
     train, test = (ds.load_dataset(tmp_path / f"{name}.jsonl") for name in ("train", "test"))
-    assert calls  # load_dataset parses every scene document
+    assert len(calls) == distinct  # load_dataset parses each distinct scene document of a split once
     responder = SyntheticResponder()
     responder.add(train)
     responder.add(test)
