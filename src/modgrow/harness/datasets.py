@@ -1425,7 +1425,7 @@ def _read_instance(line: str, scenes: list[SceneGraph]) -> TaskInstance:
     except json.JSONDecodeError as exc:  # its own "line 1" would not be the file's line
         raise ValueError(f"not valid JSON: {exc.msg} at column {exc.colno}") from exc
     if not isinstance(doc, dict):
-        raise ValueError("an instance line is a JSON object")
+        raise ValueError("the line is not a JSON object")
     for holder, key, name in _scene_slots(doc):
         slot = holder[key]
         if isinstance(slot, int):

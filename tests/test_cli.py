@@ -328,6 +328,8 @@ def broken_line(doc: dict, fault: str, read: int) -> str:
     panel; `read` scenes come before it."""
     if fault == "bad JSON":
         return "{oops"
+    if fault == "not an object":
+        return "[]"
     if fault == "missing field":
         del doc["programs"]
     elif fault == "scene schema":
@@ -339,6 +341,7 @@ def broken_line(doc: dict, fault: str, read: int) -> str:
 
 SPLIT_FAULTS = {
     "bad JSON": "not valid JSON: Expecting property name enclosed in double quotes at column 2",
+    "not an object": "the line is not a JSON object",
     "missing field": "missing field 'programs'",
     "scene schema": "puzzle.panels[0]: width: must be a positive integer",
     "true": "puzzle.panels[0]: scene reference true names no scene read before it ({read} so far)",

@@ -211,8 +211,6 @@ class TestSourceExtraction:
             extract_module_source("I cannot write that module, sorry.")
 
     def test_two_blocks_keeps_first_with_warning(self, caplog):
-        import logging
-
         text = COMPARE_COLOR_SOURCE + "\n" + fixture_header("SOLVER")
         with caplog.at_level(logging.WARNING):
             source = extract_module_source(text)
