@@ -72,9 +72,9 @@ class TaskInstance:
     query_scene: SceneGraph | None = None
     module_cases: dict = field(default_factory=dict)
 
-    def to_doc(self, table: SceneTable | None = None) -> dict:
+    def to_doc(self, slot: Callable[[SceneGraph], int | dict] = SceneGraph.to_doc) -> dict:
         """The instance as one split-file line. Each scene slot holds
-        `table.slot(scene)`, or with no table the scene's whole document."""
+        `slot(scene)`, by default the scene's whole document."""
         doc = {
             "id": self.id,
             "task": self.task,
@@ -99,9 +99,8 @@ class TaskInstance:
             doc["examples"] = [[s, w] for s, w in self.example_pairs]
         if self.query_scene is not None:
             doc["query_scene"] = self.query_scene
-        write = SceneGraph.to_doc if table is None else table.slot
-        for holder, key, _ in _scene_slots(doc):
-            holder[key] = write(holder[key])
+        for holder, key, _, _ in _scene_slots(doc):
+            holder[key] = slot(holder[key])
         return doc
 
     @classmethod
@@ -131,44 +130,25 @@ class TaskInstance:
         )
 
 
-def _scene_slots(doc: dict) -> list[tuple[object, object, str]]:
-    """Each scene slot of an instance document as (holder, key, name), in
-    the one reading order that `save_dataset` numbers scenes in and
+def _scene_slots(doc: dict) -> list[tuple]:
+    """Each scene slot of an instance document as (holder, key, part, index),
+    in the one reading order that `save_dataset` numbers scenes in and
     `load_dataset` reads them: `scene`, the puzzle's `panels`, its
-    `candidates`, the scene of each of `examples`, `query_scene`."""
-    slots = [(doc, "scene", "scene")] if "scene" in doc else []
+    `candidates`, the scene of each of `examples`, `query_scene`. `part` and
+    `index` name the slot in an error message (see `_slot_name`)."""
+    slots = [(doc, "scene", "scene", None)] if "scene" in doc else []
     if "puzzle" in doc:
-        for part in ("panels", "candidates"):
+        for part, name in (("panels", "puzzle.panels"), ("candidates", "puzzle.candidates")):
             scenes = doc["puzzle"][part]
-            slots += [(scenes, i, f"puzzle.{part}[{i}]") for i in range(len(scenes))]
-    slots += [(pair, 0, f"examples[{i}]") for i, pair in enumerate(doc.get("examples", ()))]
+            slots += [(scenes, i, name, i) for i in range(len(scenes))]
+    slots += [(pair, 0, "examples", i) for i, pair in enumerate(doc.get("examples", ()))]
     if "query_scene" in doc:
-        slots.append((doc, "query_scene", "query_scene"))
+        slots.append((doc, "query_scene", "query_scene", None))
     return slots
 
 
-class SceneTable:
-    """The scenes written so far to one split file, numbered in reading
-    order. An equal scene written before is found by object identity first,
-    and only then by `SceneGraph.content_key`."""
-
-    def __init__(self):
-        self._numbers: dict[tuple, int] = {}  # content key -> number
-        self._known: dict[int, tuple[SceneGraph, int]] = {}  # id(scene) -> (scene, number)
-
-    def slot(self, scene: SceneGraph) -> int | dict:
-        """The number of an equal scene written before, or else the scene's
-        document, which takes the next number."""
-        known = self._known.get(id(scene))
-        if known is not None:
-            return known[1]
-        key = scene.content_key()
-        number = self._numbers.get(key)
-        first = number is None
-        if first:
-            number = self._numbers[key] = len(self._numbers)
-        self._known[id(scene)] = (scene, number)  # the scene is kept so its id stays its own
-        return scene.to_doc() if first else number
+def _slot_name(part: str, index: int | None) -> str:
+    return part if index is None else f"{part}[{index}]"
 
 
 def build_bindings(instance: TaskInstance, image_of=ImageHandle.of_scene) -> dict[str, V.Value]:
@@ -1391,12 +1371,22 @@ def generate_dataset(task: str, seed: int, n: int, knobs: dict | None = None) ->
 
 def save_dataset(instances, path) -> None:
     """Write one JSON line per instance. A scene slot holds the scene's
-    document the first time an equal scene occurs in the file, and after
-    that the number of that document (see `SceneTable`)."""
-    table = SceneTable()
+    document the first time an equal scene (by `SceneGraph.content_key`)
+    occurs in the file, and after that the number of that document, counting
+    documents in the reading order of `_scene_slots`."""
+    numbers: dict[tuple, int] = {}  # content key -> number of its document
+
+    def slot(scene: SceneGraph) -> int | dict:
+        key = scene.content_key()
+        number = numbers.get(key)
+        if number is not None:
+            return number
+        numbers[key] = len(numbers)
+        return scene.to_doc()
+
     with open(path, "w", encoding="utf-8") as fh:
         for instance in instances:
-            fh.write(json.dumps(instance.to_doc(table), sort_keys=True) + "\n")
+            fh.write(json.dumps(instance.to_doc(slot), sort_keys=True) + "\n")
 
 
 def load_dataset(path) -> list[TaskInstance]:
@@ -1426,18 +1416,18 @@ def _read_instance(line: str, scenes: list[SceneGraph]) -> TaskInstance:
         raise ValueError(f"not valid JSON: {exc.msg} at column {exc.colno}") from exc
     if not isinstance(doc, dict):
         raise ValueError("the line is not a JSON object")
-    for holder, key, name in _scene_slots(doc):
+    for holder, key, part, index in _scene_slots(doc):
         slot = holder[key]
         if isinstance(slot, int):
             if type(slot) is not int or not 0 <= slot < len(scenes):
-                raise ValueError(f"{name}: scene reference {json.dumps(slot)} names no scene "
-                                 f"read before it ({len(scenes)} so far)")
+                raise ValueError(f"{_slot_name(part, index)}: scene reference {json.dumps(slot)} "
+                                 f"names no scene read before it ({len(scenes)} so far)")
             holder[key] = scenes[slot]
             continue
         try:
             scene = load_scene(slot)
         except SceneSchemaError as exc:
-            raise ValueError(f"{name}: {exc}") from exc
+            raise ValueError(f"{_slot_name(part, index)}: {exc}") from exc
         scenes.append(scene)
         holder[key] = scene
     return TaskInstance.from_doc(doc)
