@@ -77,10 +77,17 @@ _DESCRIPTION_FIXTURES = {
 
 
 @lru_cache(maxsize=1024)
-def _question_form(q: str) -> tuple[str, ...]:
-    """What a normalised perception question asks: ("count", noun),
-    ("who", tag), ("attribute", attribute, noun) or ("unknown",). The noun
-    is kept singular, so it is singularized once per distinct question."""
+def _question_form(question: str) -> tuple[str, ...]:
+    """`_parse_question` of an exact `str`, kept per text, so each distinct
+    question is normalised, matched and singularized once. Only exact `str`
+    texts may enter: a subclass can hash and compare equal to another text."""
+    return _parse_question(question)
+
+
+def _parse_question(question: str) -> tuple[str, ...]:
+    """What a perception question asks: ("count", noun), ("who", tag),
+    ("attribute", attribute, noun) or ("unknown",), with the noun singular."""
+    q = question.lower().strip().rstrip("?").strip()
     m = _HOW_MANY_RE.match(q)
     if m:
         return ("count", singularize(m.group(1)))
@@ -157,7 +164,8 @@ class SyntheticBackend:
     handle's lifetime; the four questions `DETECT_SHAPE` asks of one crop
     share one scan. What a question asks, with its noun already singular,
     and the singular of any other word depend on the text alone and are
-    kept in bounded LRU caches. All of it is safe to keep because handles,
+    kept in bounded LRU caches, keyed on the raw text of an exact `str`
+    question. All of it is safe to keep because handles,
     scenes and the cached tuples are immutable. Inside `shared_perception`,
     `answer_question` and `locate` also read and fill the open block's memo.
 
@@ -203,7 +211,7 @@ class SyntheticBackend:
         return answer
 
     def _answer_question(self, image: ImageHandle, question: str) -> str:
-        form = _question_form(question.lower().strip().rstrip("?").strip())
+        form = _question_form(question) if type(question) is str else _parse_question(question)
         kind = form[0]
         if kind == "count":
             return str(len(self._matching(image, form[1])))

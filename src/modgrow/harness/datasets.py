@@ -1416,6 +1416,8 @@ def _read_instance(line: str, scenes: list[SceneGraph]) -> TaskInstance:
         raise ValueError(f"not valid JSON: {exc.msg} at column {exc.colno}") from exc
     if not isinstance(doc, dict):
         raise ValueError("the line is not a JSON object")
+    if "puzzle" in doc:
+        _check_puzzle(doc["puzzle"])
     for holder, key, part, index in _scene_slots(doc):
         slot = holder[key]
         if isinstance(slot, int):
@@ -1431,3 +1433,25 @@ def _read_instance(line: str, scenes: list[SceneGraph]) -> TaskInstance:
         scenes.append(scene)
         holder[key] = scene
     return TaskInstance.from_doc(doc)
+
+
+def _check_puzzle(puzzle) -> None:
+    """Refuse a line's `puzzle` unless each field holds what a `RavenPuzzle`
+    does, naming the first field that does not; a missing field is a
+    `KeyError`. Scene slots are read afterwards, slot by slot."""
+    if not isinstance(puzzle, dict):
+        raise ValueError("puzzle: must be an object")
+    # a three-by-three matrix without its last cell
+    if not isinstance(puzzle["panels"], list) or len(puzzle["panels"]) != 8:
+        raise ValueError("puzzle.panels: must be a list of 8 scenes")
+    candidates = puzzle["candidates"]
+    if not isinstance(candidates, list) or not candidates:
+        raise ValueError("puzzle.candidates: must be a nonempty list of scenes")
+    rules = puzzle["rules"]
+    if not isinstance(rules, dict) or not all(isinstance(rule, str) for rule in rules.values()):
+        raise ValueError("puzzle.rules: must map each dimension to a rule name")
+    answer = puzzle["answer_index"]
+    if type(answer) is not int or not 1 <= answer <= len(candidates):
+        raise ValueError(f"puzzle.answer_index: must be an integer in 1..{len(candidates)}")
+    if not isinstance(puzzle["layout"], str) or puzzle["layout"] not in RAVEN_LAYOUTS:
+        raise ValueError(f"puzzle.layout: must be one of {', '.join(RAVEN_LAYOUTS)}")

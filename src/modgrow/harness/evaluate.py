@@ -3,13 +3,16 @@
 Each instance's stage-3 prompt (which carries the current module catalogue)
 is completed through the gateway, `executor.run_program` runs the program
 over the instance's bindings, and the task's judge in `datasets.TASKS`
-scores the result. Instances the task marks as split-layout puzzles run
-through a per-region module driver instead, since the straight-line
-program language has no loops. An instance that fails is an incorrect
-outcome whose `error` is the failure's `CapturedError`: the run's own, or
-the record of a cache miss, a response without a program, an endpoint
-failure or a failed driver call (`errors.RECORDED`). Any other exception
-is a fault of the program and propagates.
+scores the result. Instances the task marks as split-layout puzzles are
+answered by a module driver instead, since the straight-line program
+language cannot crop each panel into its regions: it reads the region
+crops of all panels with one DETECT_SHAPE call, those of all candidates
+with a second, and passes the regrouped records to SOLVER. An instance
+that fails is an incorrect outcome whose `error` is the failure's
+`CapturedError`: the run's own, or the record of a cache miss, a response
+without a program, an endpoint failure, or a driver call that failed or
+returned a malformed read or answer (`errors.RECORDED`). Any other
+exception is a fault of the program and propagates.
 
 `EvalReport.to_json` writes the report as one line of JSON with sorted
 keys, each instance's `error` as `CapturedError.to_doc` gives it.
@@ -22,7 +25,7 @@ import json
 from dataclasses import dataclass, field
 
 from .. import values as V
-from ..errors import RECORDED, CapturedError, EmptyGridError, ModgrowError, record_of
+from ..errors import RECORDED, CapturedError, EmptyGridError, ExecutorRuntimeError, ModgrowError, record_of
 from ..executor import run_program
 from ..gateway import LlmGateway, TailSlotPrompt, load_template, parse_program_response
 from ..reference_modules import raven_regions
@@ -99,34 +102,66 @@ def _trace_docs(trace) -> list:
 
 
 def solve_puzzle_with_modules(puzzle, registry: ExecutionRegistry, backend) -> int:
-    """Drive DETECT_SHAPE per panel region and SOLVER once, via the registry.
+    """Read a split-layout puzzle with DETECT_SHAPE and answer it with
+    SOLVER, via the registry, as the center program does.
 
-    Each region of a split-layout panel is read as its own viewport and the
-    records are combined under the region's key prefix, which is how
+    The region crops of all panels are one `list` value, in panel-then-region
+    order, and those of all candidates another: one DETECT_SHAPE call reads
+    each side, as `ATTRS0=DETECT_SHAPE(image=PANELS)` reads the panels of a
+    center puzzle. The per-call `Limits` therefore cover one side's crops,
+    just as a gated case covers its 8 panels. Each panel's record joins the
+    records of its regions under the region's key prefix, which is how
     center-trained modules transfer without re-synthesis.
-    """
 
-    def records_for(scene) -> list:
-        handle = ImageHandle.of_scene(scene)
-        combined = []
-        for prefix, box in raven_regions(puzzle.layout, handle.width, handle.height):
-            read = registry.invoke_generated(
-                "DETECT_SHAPE", {"image": V.image(handle.crop(box))}, backend
-            )
-            combined.extend([f"{prefix}{key}", value] for key, value in read.payload)
-        return combined
+    A read that is not one record per crop, each a list of [text, text]
+    pairs, or an answer that is not an integer in 1..len(candidates), raises
+    `ExecutorRuntimeError` with a `wrong_output` record."""
 
-    panel_records = [records_for(p) for p in puzzle.panels]
-    candidate_records = [records_for(c) for c in puzzle.candidates]
+    def records_of(scenes) -> list:
+        regions = [raven_regions(puzzle.layout, s.width, s.height) for s in scenes]
+        crops = [ImageHandle.of_scene(s).crop(box) for s, rs in zip(scenes, regions) for _, box in rs]
+        reads = registry.invoke_generated("DETECT_SHAPE", {"image": V.list_value(crops)}, backend).payload
+        if type(reads) is not tuple or len(reads) != len(crops):
+            raise _wrong_output("DETECT_SHAPE did not return one record per crop",
+                                f"a list of {len(crops)} records", V.describe(reads))
+        records, at = [], 0
+        for rs in regions:
+            record = []
+            for prefix, _ in rs:
+                read = reads[at]
+                # exact types, so that no candidate-defined method runs here
+                if type(read) not in _SEQUENCES or not all(
+                    type(pair) in _SEQUENCES and len(pair) == 2
+                    and type(pair[0]) is str and type(pair[1]) is str for pair in read
+                ):
+                    raise _wrong_output(f"DETECT_SHAPE record {at} is not a list of [key, value] pairs",
+                                        "a list of [text, text] pairs", V.describe(read))
+                record.extend([prefix + key, value] for key, value in read)
+                at += 1
+            records.append(record)
+        return records
+
     answer = registry.invoke_generated(
         "SOLVER",
         {
-            "panel_attributes": V.list_value(panel_records),
-            "candidate_attributes": V.list_value(candidate_records),
+            "panel_attributes": V.list_value(records_of(puzzle.panels)),
+            "candidate_attributes": V.list_value(records_of(puzzle.candidates)),
         },
         backend,
-    )
-    return int(answer.payload)
+    ).payload
+    if type(answer) is float and answer.is_integer():
+        answer = int(answer)
+    if type(answer) is not int or not 1 <= answer <= len(puzzle.candidates):
+        raise _wrong_output("SOLVER did not answer with a candidate's number",
+                            f"an integer in 1..{len(puzzle.candidates)}", V.describe(answer))
+    return answer
+
+
+_SEQUENCES = (list, tuple)
+
+
+def _wrong_output(message: str, expected: str, actual: str) -> ExecutorRuntimeError:
+    return ExecutorRuntimeError(CapturedError("wrong_output", message, expected=expected, actual=actual))
 
 
 def _config_digest(task: str, lib: Library, gateway_mode: str, model_id: str) -> str:

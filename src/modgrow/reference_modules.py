@@ -17,6 +17,7 @@ which serves the backend's depth maps.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from operator import itemgetter
 
 from .dsl import ModuleSignature, parse_signature_block
@@ -540,12 +541,17 @@ RAVEN_LAYOUTS = {
 }
 
 
-def raven_regions(layout: str, width: int, height: int) -> list[tuple[str, tuple]]:
-    """(record key prefix, box) of each region of a width x height panel."""
-    return [
+@lru_cache(maxsize=64)
+def raven_regions(layout: str, width: int, height: int) -> tuple[tuple[str, tuple], ...]:
+    """(record key prefix, box) of each region of a width x height panel.
+
+    Kept per (layout, size), since every panel of a puzzle has the same
+    size: the result is a tuple of strings and int tuples, so callers can
+    share it."""
+    return tuple(
         ("", (0, 0, width, height)) if half is None else (f"{half}_", half_box(width, height, half))
         for half in RAVEN_LAYOUTS[layout]
-    ]
+    )
 
 
 def _scale_for_key(key: str):

@@ -391,10 +391,7 @@ def invoke_candidate(handle: CandidateHandle, args, backend, limits: Limits | No
     coerced = V.coerce_to_tag(raw, returns)
     if coerced is not None:
         return coerced
-    try:
-        actual = V.summarize(V.infer_value(raw))
-    except TypeError:
-        actual = f"<{type(raw).__name__}>"
     return CapturedError(
-        "wrong_output", "output does not match the declared return type", expected=returns, actual=actual
+        "wrong_output", "output does not match the declared return type", expected=returns,
+        actual=V.describe(raw),
     )

@@ -333,7 +333,7 @@ class ImageHandle:
 
     @classmethod
     def of_scene(cls, scene: SceneGraph) -> "ImageHandle":
-        return cls(scene=scene, crop_box=(0, 0, scene.width, scene.height))
+        return _handle(scene, (0, 0, scene.width, scene.height), (), ())
 
     @property
     def width(self) -> int:
@@ -360,7 +360,7 @@ class ImageHandle:
         if y1 >= y2:
             y2 = min(self.crop_box[3], y1 + 1)
             y1 = max(self.crop_box[1], y2 - 1)
-        return ImageHandle(self.scene, (x1, y1, x2, y2), self.overlays, self.edits)
+        return _handle(self.scene, (x1, y1, x2, y2), self.overlays, self.edits)
 
     def to_absolute(self, box) -> Box:
         ox, oy = self.crop_box[0], self.crop_box[1]
@@ -395,8 +395,23 @@ class ImageHandle:
 
     def with_overlay(self, box_rel, label: str) -> "ImageHandle":
         ov = Overlay(box=self.to_absolute(box_rel), label=label)
-        return ImageHandle(self.scene, self.crop_box, self.overlays + (ov,), self.edits)
+        return _handle(self.scene, self.crop_box, self.overlays + (ov,), self.edits)
 
     def with_edit(self, kind: str, boxes_rel, prompt: str = "") -> "ImageHandle":
         rec = EditRecord(kind=kind, boxes=tuple(self.to_absolute(b) for b in boxes_rel), prompt=prompt)
-        return ImageHandle(self.scene, self.crop_box, self.overlays, self.edits + (rec,))
+        return _handle(self.scene, self.crop_box, self.overlays, self.edits + (rec,))
+
+
+def _handle(scene: SceneGraph, crop_box: Box, overlays: tuple, edits: tuple) -> ImageHandle:
+    """The handle `ImageHandle(scene, crop_box, overlays, edits)` builds, for
+    arguments that are already a scene and tuples. A frozen dataclass's
+    `__init__` stores each field through `object.__setattr__`; these stores
+    go straight to the instance dict, one by one in field order, so it keeps
+    sharing its keys with other handles' (as `load_scene` builds objects)."""
+    handle = object.__new__(ImageHandle)
+    fields = handle.__dict__
+    fields["scene"] = scene
+    fields["crop_box"] = crop_box
+    fields["overlays"] = overlays
+    fields["edits"] = edits
+    return handle

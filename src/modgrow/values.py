@@ -117,6 +117,14 @@ def to_plain(value: Value) -> Any:
     return value.payload
 
 
+def describe(raw: Any) -> str:
+    """`summarize` of a plain value, or `<type name>` when no Value can hold it."""
+    try:
+        return summarize(infer_value(raw))
+    except TypeError:
+        return f"<{type(raw).__name__}>"
+
+
 def summarize(value: Value) -> str:
     """Short human-readable rendering used in step traces and reports."""
     if value.tag == "image":

@@ -334,12 +334,36 @@ def broken_line(doc: dict, fault: str, read: int) -> str:
         del doc["programs"]
     elif fault == "scene schema":
         doc["puzzle"]["panels"][0] = {"width": -1, "height": 80, "objects": []}
+    elif fault == "puzzle null":
+        doc["puzzle"] = None
+    elif fault in PUZZLE_FIELDS:
+        field, value = PUZZLE_FIELDS[fault]
+        doc["puzzle"][field] = value
     else:  # a scene reference
         doc["puzzle"]["panels"][0] = {"true": True, "negative": -1, "forward": read}[fault]
     return json.dumps(doc, sort_keys=True)
 
 
+# a puzzle field of the wrong JSON type or value: (field, value)
+PUZZLE_FIELDS = {
+    "panels {}": ("panels", {}),
+    "panels []": ("panels", []),
+    "panels object": ("panels", {"a": 1}),
+    "candidates text": ("candidates", "abc"),
+    "rules list": ("rules", ["constant", "progression"]),
+    "answer_index text": ("answer_index", "2"),
+    "layout unknown": ("layout", "diagonal"),
+}
+
 SPLIT_FAULTS = {
+    "puzzle null": "puzzle: must be an object",
+    "panels {}": "puzzle.panels: must be a list of 8 scenes",
+    "panels []": "puzzle.panels: must be a list of 8 scenes",
+    "panels object": "puzzle.panels: must be a list of 8 scenes",
+    "candidates text": "puzzle.candidates: must be a nonempty list of scenes",
+    "rules list": "puzzle.rules: must map each dimension to a rule name",
+    "answer_index text": "puzzle.answer_index: must be an integer in 1..8",
+    "layout unknown": "puzzle.layout: must be one of center, left-right, up-down",
     "bad JSON": "not valid JSON: Expecting property name enclosed in double quotes at column 2",
     "not an object": "the line is not a JSON object",
     "missing field": "missing field 'programs'",

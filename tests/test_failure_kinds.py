@@ -62,15 +62,22 @@ def replayed_miss(tmp_path):
     return [o.error and o.error.kind for o in report.per_instance]
 
 
-def split_layout_probe(tmp_path):
-    """A DETECT_SHAPE that raises, driven per region of split-layout puzzles."""
-    broken = dataclasses.replace(fixture_record("DETECT_SHAPE"),
-                                 source=with_first_statement("DETECT_SHAPE", "raise ValueError('boom')"))
-    lib = register(register(builtin_library(), broken), fixture_record("SOLVER"))
+def split_layout_errors(name: str, statement: str) -> list:
+    """The errors of the split-layout puzzles of an evaluation whose module
+    `name` runs `statement` first, answered by the puzzle driver."""
+    broken = dataclasses.replace(fixture_record(name), source=with_first_statement(name, statement))
+    lib = register(builtin_library(), broken)
+    for stock in {"DETECT_SHAPE", "SOLVER"} - {name}:
+        lib = register(lib, fixture_record(stock))
     test = generate_dataset("raven", 5, 2, {"layout": "left-right"})
     with LlmGateway(mode="record", transport=answering(AssertionError("no request expected"))) as gateway:
         report = evaluate("raven", test, lib, SyntheticBackend(), gateway)
-    return [o.error and o.error.kind for o in report.per_instance]
+    return [o.error for o in report.per_instance]
+
+
+def split_layout_probe(tmp_path):
+    """A DETECT_SHAPE that raises, driven over split-layout puzzles."""
+    return [error and error.kind for error in split_layout_errors("DETECT_SHAPE", "raise ValueError('boom')")]
 
 
 def stage2(response):
@@ -120,6 +127,23 @@ CASES = [
 def test_a_failure_is_recorded_under_its_kind(tmp_path, kind, run):
     kinds = run(tmp_path)
     assert kinds and set(kinds) == {kind}
+
+
+@pytest.mark.parametrize("name, statement", [
+    ("DETECT_SHAPE", "return [[1, 2, 3]]"),  # one record for 16 crops
+    ("DETECT_SHAPE", "return [5]"),
+    ("DETECT_SHAPE", "return [[1, 2, 3]] * len(image)"),  # a record of numbers
+    ("DETECT_SHAPE", "return [5] * len(image)"),
+    ("DETECT_SHAPE", "return ['ab'] * len(image)"),  # not read as key 'a', value 'b'
+    ("DETECT_SHAPE", "return [[['shape', 'circle', 'red']]] * len(image)"),
+    ("DETECT_SHAPE", "return [[['shape', 5]]] * len(image)"),
+    ("SOLVER", "return 2.5"),  # not truncated to 2
+    ("SOLVER", "return 0"),
+    ("SOLVER", "return 9"),  # 8 candidates
+])
+def test_a_malformed_driver_read_or_answer_is_recorded_as_wrong_output(name, statement):
+    errors = split_layout_errors(name, statement)
+    assert len(errors) == 2 and {error and error.kind for error in errors} == {"wrong_output"}
 
 
 def test_the_cases_cover_every_kind():

@@ -63,6 +63,21 @@ def test_a_case_program_that_fails_to_parse_or_validate_fails_its_case(
     assert [r.error for r in results] == [None] + [CapturedError(kind, message)] * len(broken)
 
 
+def test_evaluate_records_a_driver_read_that_is_not_one_record_of_pairs_per_crop(builtin_lib, backend):
+    """A DETECT_SHAPE whose records are texts is not read as key 'a', value 'b'."""
+    broken = dataclasses.replace(fixture_record("DETECT_SHAPE"),
+                                 source=with_first_statement("DETECT_SHAPE", "return ['ab'] * len(image)"))
+    lib = register(register(builtin_lib, broken), fixture_record("SOLVER"))
+    test = generate_dataset("raven", 5, 2, {"layout": "left-right"})
+    with LlmGateway(mode="record", transport=lambda request: "") as gateway:
+        report = evaluate("raven", test, lib, backend, gateway)
+    assert [(o["correct"], o["predicted"], o["error"]) for o in report.to_doc()["per_instance"]] == [
+        (False, "", {"kind": "wrong_output", "message": "DETECT_SHAPE record 0 is not a list of [key, value] pairs",
+                     "expected": "a list of [text, text] pairs", "actual": "text:'ab'"})
+    ] * 2
+    assert report.per_instance[0].error.render() == "wrong_output: expected a list of [text, text] pairs, got text:'ab'"
+
+
 @pytest.fixture()
 def run(tmp_path, capsys):
     """`modgrow run` over a one-coat scene: (exit code, stdout, stderr, trace lines or None)."""
