@@ -164,8 +164,8 @@ class SyntheticBackend:
     handle's lifetime; the four questions `DETECT_SHAPE` asks of one crop
     share one scan. What a question asks, with its noun already singular,
     and the singular of any other word depend on the text alone and are
-    kept in bounded LRU caches, keyed on the raw text of an exact `str`
-    question. All of it is safe to keep because handles,
+    kept in bounded LRU caches; a question's is keyed on its raw text, for
+    exact `str` questions only. All of it is safe to keep because handles,
     scenes and the cached tuples are immutable. Inside `shared_perception`,
     `answer_question` and `locate` also read and fill the open block's memo.
 
