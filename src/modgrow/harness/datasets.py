@@ -1438,7 +1438,8 @@ def _read_instance(line: str, scenes: list[SceneGraph]) -> TaskInstance:
 def _check_puzzle(puzzle) -> None:
     """Refuse a line's `puzzle` unless each field holds what a `RavenPuzzle`
     does, naming the first field that does not; a missing field is a
-    `KeyError`. Scene slots are read afterwards, slot by slot."""
+    `KeyError`. It runs before the scene slots are read, so that slots are
+    never looked for in a field of the wrong type."""
     if not isinstance(puzzle, dict):
         raise ValueError("puzzle: must be an object")
     # a three-by-three matrix without its last cell

@@ -72,10 +72,12 @@ def test_evaluate_records_a_driver_read_that_is_not_one_record_of_pairs_per_crop
     with LlmGateway(mode="record", transport=lambda request: "") as gateway:
         report = evaluate("raven", test, lib, backend, gateway)
     assert [(o["correct"], o["predicted"], o["error"]) for o in report.to_doc()["per_instance"]] == [
-        (False, "", {"kind": "wrong_output", "message": "DETECT_SHAPE record 0 is not a list of [key, value] pairs",
+        (False, "", {"kind": "wrong_output",
+                     "message": "DETECT_SHAPE record 0 is not a list of [key, value] pairs",
                      "expected": "a list of [text, text] pairs", "actual": "text:'ab'"})
     ] * 2
-    assert report.per_instance[0].error.render() == "wrong_output: expected a list of [text, text] pairs, got text:'ab'"
+    assert report.per_instance[0].error.render() == (
+        "wrong_output: expected a list of [text, text] pairs, got text:'ab'")
 
 
 @pytest.fixture()

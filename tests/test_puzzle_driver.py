@@ -90,4 +90,5 @@ def test_a_str_subclass_question_asked_at_eval_cannot_change_a_later_answer():
     for instance in test:
         for panel in instance.puzzle.panels:
             left = ImageHandle.of_scene(panel).crop((0, 0, panel.width // 2, panel.height))
-            assert backend.answer_question(left, POSED) == dict(panel_record(panel, "left-right"))["left_color"]
+            color = dict(panel_record(panel, "left-right"))["left_color"]
+            assert backend.answer_question(left, POSED) == color
