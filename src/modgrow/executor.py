@@ -7,10 +7,13 @@ nothing and fails with an error of kind `syntax` or `validation`. An
 `evaluate()`, `compute_pass_rate` or `modgrow run`, keeps each distinct
 (text, binding names and tags) checked and lowered to steps, each of which
 records what runs it: a template, RESULT, a generated module or a builtin.
-Each step resolves its arguments, runs, binds its target and appends a step
-record, so every run leaves a complete trace. A failed step ends the run
-with its `CapturedError`, for a failure inside a generated module the
-sandbox's own.
+Each step resolves its arguments, runs, binds its target and keeps a cheap
+record of itself: the lowered step, its inputs, its value and its elapsed
+time. A run's `StepRecord`s, with the summaries of its values, are built
+from these only when its `trace` is read, so stage-2 gating, which reads
+only the final value and the error, pays for no trace. A failed step ends
+the run with its `CapturedError`, for a failure inside a generated module
+the sandbox's own.
 
 `BUILTINS` is the one definition of the builtin catalogue, each builtin's
 signature beside its implementation; every library starts from its
@@ -22,9 +25,9 @@ from __future__ import annotations
 import ast
 import json
 import operator
-import time
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
+from time import perf_counter
 from typing import Callable
 
 from . import values as V
@@ -41,6 +44,10 @@ def _type_error(message: str) -> ExecutorRuntimeError:
 
 @dataclass(frozen=True)
 class StepRecord:
+    """One step of a run's trace, as `ExecutionResult.trace` builds it: the
+    canonical statement, its program line, what ran it, its inputs, its
+    output summarized and its wall time."""
+
     statement: str
     line_no: int
     module_kind: str  # builtin | generated
@@ -57,13 +64,25 @@ class StepRecord:
 @dataclass(frozen=True)
 class ExecutionResult:
     """A run failed exactly when `error` is set; `line_no` is then the
-    program line of the failing statement."""
+    program line of the failing statement.
+
+    `ran` holds one (step, inputs, value, elapsed seconds) record per step
+    that completed, in order. `trace` turns them into `StepRecord`s on its
+    first read, so a run whose trace nobody reads never summarizes a value."""
 
     final: Value | None
-    trace: tuple[StepRecord, ...]
+    ran: tuple[tuple[Step, dict[str, Value], Value, float], ...]
     error: CapturedError | None = None
     line_no: int | None = None
     diagnostics: tuple[Diagnostic, ...] = ()  # every one, when the error is of kind syntax or validation
+
+    @cached_property
+    def trace(self) -> tuple[StepRecord, ...]:
+        return tuple(
+            StepRecord(step.statement, step.line_no, "generated" if step.runs == "generated" else "builtin",
+                       inputs, V.summarize(value), seconds * 1000.0)
+            for step, inputs, value, seconds in self.ran
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -463,20 +482,19 @@ def execute_program(steps: tuple[Step, ...], init: dict[str, Value], registry,
                     backend) -> ExecutionResult:
     """Run the steps that `run_program` lowered from a validated program over
     a copy of `init`. Validation makes the last step FINAL_RESULT=RESULT(...),
-    so its value is the final one; on failure the partial trace is kept."""
+    so its value is the final one; on failure the steps that completed are
+    kept."""
     bindings = dict(init)
-    trace: list[StepRecord] = []
+    ran = []
     for step in steps:
-        started = time.perf_counter()
+        started = perf_counter()
         try:
             value, inputs = _run_step(step, bindings, registry, backend)
         except ExecutorRuntimeError as exc:
-            return ExecutionResult(None, tuple(trace), exc.error, step.line_no)
+            return ExecutionResult(None, tuple(ran), exc.error, step.line_no)
         bindings[step.target] = value
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
-        kind = "generated" if step.runs == "generated" else "builtin"
-        trace.append(StepRecord(step.statement, step.line_no, kind, inputs, V.summarize(value), elapsed_ms))
-    return ExecutionResult(value, tuple(trace))
+        ran.append((step, inputs, value, perf_counter() - started))
+    return ExecutionResult(value, tuple(ran))
 
 
 def run_program(source: str, init: dict[str, Value], registry, backend) -> ExecutionResult:

@@ -46,11 +46,15 @@ def compare_values(final, expected, comparator: str) -> bool:
     raise ValueError(f"unknown comparator {comparator!r}")
 
 
+# the encoder `json.dumps(x, sort_keys=True)` builds anew on every call
+_canonical_json = json.JSONEncoder(sort_keys=True).encode
+
+
 def set_items(value) -> list[str]:
     """What `set-eq` compares: the items of a list-like value, or the value
     alone, each as canonical JSON, sorted."""
     items = value.payload if value.tag in ("box-list", "mask", "list") else [value.payload]
-    return sorted(json.dumps(x, sort_keys=True) for x in items)
+    return sorted(map(_canonical_json, items))
 
 
 _ARTICLES = {"a", "an", "the"}

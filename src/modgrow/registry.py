@@ -137,13 +137,33 @@ def _signature_from_doc(doc: dict) -> ModuleSignature:
     )
 
 
+def _listed_modules(root: Path) -> list[str]:
+    """The module names of the manifest at `root`, or none when there is no
+    manifest that lists only module names."""
+    try:
+        doc = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return []
+    names = doc.get("modules") if isinstance(doc, dict) else None
+    if not isinstance(names, list) or not all(isinstance(n, str) and n.isidentifier() for n in names):
+        return []
+    return names
+
+
 def save_library(lib: Library, path: str | Path) -> None:
     """Write the learned modules of `lib`; the builtins are not saved, since
-    `load_library` takes them from the code."""
+    `load_library` takes them from the code. Into a directory that holds a
+    library already, it also removes the `.py` and `.json` files of the
+    modules the old manifest lists and the new one does not, and no other
+    file; nothing, if the old manifest cannot be read."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     learned = [name for name in lib.manifest if lib.records[name].kind == "generated"]
+    stale = [name for name in _listed_modules(root) if name not in learned]
     (root / "manifest.json").write_text(json.dumps({"modules": learned}, indent=2) + "\n", encoding="utf-8")
+    for name in stale:
+        (root / f"{name}.py").unlink(missing_ok=True)
+        (root / f"{name}.json").unlink(missing_ok=True)
     for name in learned:
         rec = lib.records[name]
         (root / f"{name}.py").write_text(rec.source, encoding="utf-8")

@@ -33,7 +33,6 @@ import statistics
 import string
 import sys
 import time
-import traceback
 from dataclasses import dataclass, field
 
 from . import values as V
@@ -105,9 +104,9 @@ def _tick_call(at: ast.AST) -> ast.Call:
 
 
 def _insert_ticks(nodes: list[ast.AST]) -> None:
-    """Call `__tick__()` first in every loop body and function body (after a
-    docstring), first in every lambda and first among the conditions of
-    every comprehension; `__tick__()` returns True."""
+    """Call `__tick__()` first in the body of each loop and function of
+    `nodes` (after a docstring), first in each lambda and first among the
+    conditions of each comprehension; `__tick__()` returns True."""
     for node in nodes:
         kind = type(node)
         if kind in (ast.For, ast.AsyncFor, ast.While, ast.FunctionDef, ast.AsyncFunctionDef):
@@ -217,36 +216,80 @@ def _format_fields(text: str):
         return []
 
 
-# the field that holds the name each kind of node binds
-_BOUND_NAME = {
-    ast.arg: "arg", ast.MatchMapping: "rest", ast.FunctionDef: "name",
-    ast.AsyncFunctionDef: "name", ast.ClassDef: "name", ast.ExceptHandler: "name",
-    ast.MatchAs: "name", ast.MatchStar: "name",
-}
+def _refuse_import(node) -> str:
+    return "import statements are not permitted inside candidate modules"
 
 
-def _scan_source(nodes: list[ast.AST]) -> str | None:
-    """Static allowlist scan; returns a refusal message or None."""
-    for node in nodes:
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            return "import statements are not permitted inside candidate modules"
-        if isinstance(node, ast.Attribute) and node.attr.startswith("__"):
-            return f"dunder attribute access ({node.attr}) is not permitted"
-        if isinstance(node, ast.Name) and node.id.startswith("__"):
-            return f"dunder name access ({node.id}) is not permitted"
-        bound = _BOUND_NAME.get(type(node))
-        if bound and getattr(node, bound) == _TICK:
-            return f"the name {_TICK} is reserved"
-        if isinstance(node, (ast.Global, ast.Nonlocal)):
-            return "global/nonlocal declarations are not permitted"
-        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "{" in node.value:
-            if any("__" in field for field in _format_fields(node.value)):
-                return "dunder access in a format field is not permitted"
-        if (isinstance(node, ast.Attribute) and node.attr in ("format", "format_map")
-                and not (isinstance(node.value, ast.Constant) and isinstance(node.value.value, str))):
-            # only a constant template has fields the scan above can read
-            return f"{node.attr} on anything but a string constant is not permitted"
+def _refuse_scope(node) -> str:
+    return "global/nonlocal declarations are not permitted"
+
+
+def _refuse_attribute(node) -> str | None:
+    if node.attr.startswith("__"):
+        return f"dunder attribute access ({node.attr}) is not permitted"
+    if (node.attr in ("format", "format_map")
+            and not (isinstance(node.value, ast.Constant) and isinstance(node.value.value, str))):
+        # only a constant template has fields the constant check can read
+        return f"{node.attr} on anything but a string constant is not permitted"
     return None
+
+
+def _refuse_name(node) -> str | None:
+    return f"dunder name access ({node.id}) is not permitted" if node.id.startswith("__") else None
+
+
+def _refuse_constant(node) -> str | None:
+    text = node.value
+    if isinstance(text, str) and "{" in text and any("__" in field for field in _format_fields(text)):
+        return "dunder access in a format field is not permitted"
+    return None
+
+
+def _refuse_binding(field: str):
+    """The check of a node kind that binds the name held in `field`."""
+    def refuse(node) -> str | None:
+        return f"the name {_TICK} is reserved" if getattr(node, field) == _TICK else None
+
+    return refuse
+
+
+# the static allowlist scan: for each node type it refuses, the check that
+# returns the refusal message, or None when the node passes
+_REFUSALS = {
+    ast.Import: _refuse_import, ast.ImportFrom: _refuse_import,
+    ast.Global: _refuse_scope, ast.Nonlocal: _refuse_scope,
+    ast.Attribute: _refuse_attribute, ast.Name: _refuse_name, ast.Constant: _refuse_constant,
+    ast.arg: _refuse_binding("arg"), ast.MatchMapping: _refuse_binding("rest"),
+    ast.FunctionDef: _refuse_binding("name"), ast.AsyncFunctionDef: _refuse_binding("name"),
+    ast.ClassDef: _refuse_binding("name"), ast.ExceptHandler: _refuse_binding("name"),
+    ast.MatchAs: _refuse_binding("name"), ast.MatchStar: _refuse_binding("name"),
+}
+# the node types that get a `__tick__()` call
+_TICKED = frozenset((ast.For, ast.AsyncFor, ast.While, ast.FunctionDef, ast.AsyncFunctionDef,
+                     ast.Lambda, ast.comprehension))
+
+
+def _scan_tree(tree: ast.AST) -> tuple[str | None, list[ast.AST], list[ast.AST]]:
+    """Walk the candidate's tree once, in `ast.walk`'s breadth-first order,
+    checking each node as it is reached. Returns the first refusal or None,
+    the nodes walked, and the nodes among them that get a tick."""
+    nodes, ticked = [tree], []
+    for node in nodes:  # the list grows as the walk goes
+        kind = type(node)
+        refuse = _REFUSALS.get(kind)
+        if refuse is not None and (refusal := refuse(node)) is not None:
+            return refusal, nodes, ticked
+        if kind in _TICKED:
+            ticked.append(node)
+        for name in node._fields:
+            child = getattr(node, name, None)
+            if isinstance(child, list):
+                for item in child:
+                    if isinstance(item, ast.AST):
+                        nodes.append(item)
+            elif isinstance(child, ast.AST):
+                nodes.append(child)
+    return None, nodes, ticked
 
 
 def _budget_failure(budget: _Budget) -> CapturedError | None:
@@ -278,13 +321,12 @@ def load_candidate(source: str, signature: ModuleSignature) -> CandidateHandle:
     except SyntaxError as exc:
         handle.error = CapturedError("compile", f"{exc.msg}", location=exc.lineno)
         return handle
-    nodes = list(ast.walk(tree))  # the candidate's own code, walked once
-    refusal = _scan_source(nodes)
+    refusal, _, ticked = _scan_tree(tree)  # the candidate's own code, walked once
     if refusal:
         handle.error = CapturedError("forbidden_access", refusal)
         return handle
 
-    _insert_ticks(nodes)
+    _insert_ticks(ticked)
     # class bodies and the constructor run now, under the default budget
     budget = _Budget(Limits())
     namespace: dict = {
@@ -347,11 +389,16 @@ def load_candidate(source: str, signature: ModuleSignature) -> CandidateHandle:
     return handle
 
 
-def _candidate_line(filename: str) -> int | None:
-    for frame in reversed(traceback.extract_tb(sys.exc_info()[2])):
-        if frame.filename == filename:
-            return frame.lineno
-    return None
+def _candidate_line(exc: BaseException, filename: str) -> int | None:
+    """The line of the innermost frame of `exc`'s traceback that runs the
+    candidate's own code, or None."""
+    line = None
+    tb = exc.__traceback__
+    while tb is not None:
+        if tb.tb_frame.f_code.co_filename == filename:
+            line = tb.tb_lineno
+        tb = tb.tb_next
+    return line
 
 
 def invoke_candidate(handle: CandidateHandle, args, backend, limits: Limits | None = None):
@@ -375,12 +422,12 @@ def invoke_candidate(handle: CandidateHandle, args, backend, limits: Limits | No
     except (_SandboxInterrupt, _ForbiddenAccess):
         pass  # budget.spent or budget.refused holds the error
     except BackendError as exc:
-        error = CapturedError("runtime", f"backend error: {exc}", location=_candidate_line(filename))
+        error = CapturedError("runtime", f"backend error: {exc}", location=_candidate_line(exc, filename))
     except RecursionError:
         error = CapturedError("timeout", "recursion limit exceeded")
     except Exception as exc:
         error = CapturedError(
-            "runtime", f"{type(exc).__name__}: {exc}", location=_candidate_line(filename)
+            "runtime", f"{type(exc).__name__}: {exc}", location=_candidate_line(exc, filename)
         )
     finally:
         namespace["API"] = namespace[_TICK] = None

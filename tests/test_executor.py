@@ -305,6 +305,20 @@ class TestExecuteProgram:
         assert [s.module_kind for s in result.trace] == ["builtin"] * 6
         assert result.trace[3].resolved_inputs["box"].startswith("box-list")
 
+    def test_the_trace_is_built_only_when_read(self, purse_scene, builtin_lib, backend, monkeypatch):
+        summarized = []
+        monkeypatch.setattr(executor.V, "summarize", lambda value: summarized.append(value) or "s")
+        env = {
+            "IMAGE": V.image(ImageHandle.of_scene(purse_scene)),
+            "QUESTION": V.text("Is the purse to the left or to the right of the person?"),
+        }
+        result = run_program(PURSE_PROGRAM, env, ExecutionRegistry(builtin_lib), backend)
+        assert result.final == V.text("left") and summarized == []
+        trace = result.trace
+        assert [step.output for step in trace] == ["s"] * 6
+        assert summarized == [value for _, _, value, _ in result.ran] and summarized[-1] == result.final
+        assert result.trace is trace and len(summarized) == 6
+
     def test_identity_result(self, backend, builtin_lib, coat_image):
         env = {"IMAGE": V.image(coat_image)}
         result = run_program("FINAL_RESULT=RESULT(var=IMAGE)", env, ExecutionRegistry(builtin_lib), backend)

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modgrow.harness.metrics import iou, match_region_sets, match_tag, precision_recall_f1
+from modgrow import values as V
+from modgrow.harness.metrics import iou, match_region_sets, match_tag, precision_recall_f1, set_items
 
 
 class TestIou:
@@ -73,3 +76,32 @@ class TestMatchTag:
             preds, golds, lambda p, g: iou(p[0], g["box"]) >= 0.5 and match_tag(p[1], g["label"])
         )
         assert correct == 1
+
+
+class TestSetItems:
+    ITEMS = (
+        {"size": "large", "color": "red", "shape": "circle"},
+        {"zeta": 1, "alpha": {"y": None, "b": [2, 1]}},
+        {"name": "café", "text": "naïve 東京 \u2028 \"quoted\""},
+        "ünïcode",
+        1, 1.0, True, False, None, 0, 0.0,
+        [], (), [[]], ((),),
+        [1, [2, [3]]], (1, (2, (3,))), [1, (2, [3])],
+        {"empty": [], "nested": {"k": ()}},
+    )
+
+    @staticmethod
+    def reference(items) -> list[str]:
+        return sorted(json.dumps(x, sort_keys=True) for x in items)
+
+    @pytest.mark.parametrize("tag", ["list", "box-list", "mask"])
+    def test_list_like_items_encode_as_json_dumps_does(self, tag):
+        assert set_items(V.Value(tag, self.ITEMS)) == self.reference(self.ITEMS)
+
+    @pytest.mark.parametrize("item", ITEMS)
+    def test_a_lone_value_encodes_as_json_dumps_does(self, item):
+        assert set_items(V.Value("text", item)) == self.reference([item])
+
+    def test_equal_numbers_of_other_types_stay_apart(self):
+        assert set_items(V.Value("list", (1, 1.0, True))) == ["1", "1.0", "true"]
+        assert set_items(V.Value("list", ((1, 2), [1, 2]))) == ["[1, 2]", "[1, 2]"]

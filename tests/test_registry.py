@@ -130,6 +130,26 @@ class TestPersistence:
         meta = json.loads((tmp_path / "lib" / "SORT_SPATIAL.json").read_text(encoding="utf-8"))
         assert "kind" not in meta
 
+    def test_saving_over_a_library_removes_only_the_modules_it_drops(self, tmp_path):
+        root = tmp_path / "lib"
+        saved_learned_library(root, "SORT_SPATIAL", "COMPARE_COLOR", "CHOOSE_ATTRIBUTE")
+        (root / "notes.txt").write_text("kept\n", encoding="utf-8")
+        lib = saved_learned_library(root, "COMPARE_COLOR")
+        assert {p.name for p in root.iterdir()} == {
+            "manifest.json", "COMPARE_COLOR.py", "COMPARE_COLOR.json", "notes.txt"}
+        assert libraries_equal(load_library(root), lib)
+
+    @pytest.mark.parametrize("manifest", [
+        "{not json", '{"modules": "SORT_SPATIAL"}', '{"modules": ["SORT_SPATIAL", "../lib"]}',
+    ])
+    def test_saving_over_an_unreadable_manifest_removes_nothing(self, tmp_path, manifest):
+        root = tmp_path / "lib"
+        saved_learned_library(root, "SORT_SPATIAL", "COMPARE_COLOR")
+        (root / "manifest.json").write_text(manifest, encoding="utf-8")
+        saved_learned_library(root, "COMPARE_COLOR")
+        assert {p.name for p in root.iterdir()} == {
+            "manifest.json", "SORT_SPATIAL.py", "SORT_SPATIAL.json", "COMPARE_COLOR.py", "COMPARE_COLOR.json"}
+
     def test_missing_module_file_is_schema_error(self, tmp_path):
         saved_learned_library(tmp_path / "lib")
         (tmp_path / "lib" / "SORT_SPATIAL.py").unlink()

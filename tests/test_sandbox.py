@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ast
+import string
 import sys
 
 import pytest
@@ -9,6 +11,7 @@ from modgrow.dsl import parse_signature_block
 from modgrow.sandbox import (
     CapturedError,
     Limits,
+    _scan_tree,
     invoke_candidate,
     load_candidate,
 )
@@ -19,6 +22,12 @@ from conftest import make_scene, obj
 
 def sig_of(source: str):
     return parse_signature_block(source)
+
+
+def line_of(source: str, text: str) -> int:
+    """The number of the one line of `source` that holds `text`."""
+    (number,) = [n for n, line in enumerate(source.split("\n"), 1) if text in line]
+    return number
 
 
 def simple_source(body: str, returns: str = "result: a string") -> str:
@@ -171,11 +180,80 @@ class TestLoad:
         handle = load_candidate(source, signature=sig_of(source))
         assert type(handle._instance).execute.__doc__ == "Return x."
 
+    def test_ticks_leave_every_docstring_as_it_was(self):
+        for name, source in rm.FIXTURE_SOURCES.items():
+            plain: dict = {"print": lambda *args: None}
+            exec(compile(source, "<plain>", "exec"), plain)
+            handle = load_candidate(source, signature=rm.fixture_signature(name))
+            ticked = type(handle._instance)
+            assert ticked.__doc__ == plain[name].__doc__ is not None
+            methods = {k for k, v in vars(plain[name]).items() if callable(v)}
+            assert methods and {k: getattr(ticked, k).__doc__ for k in methods} == {
+                k: getattr(plain[name], k).__doc__ for k in methods}
+
     def test_constructor_print_is_captured(self):
         handle = load_candidate(
             rm.CHOOSE_ATTRIBUTE_SOURCE, signature=rm.fixture_signature("CHOOSE_ATTRIBUTE")
         )
         assert handle.prints == ["Registering CHOOSE_ATTRIBUTE step"]
+
+
+def reference_scan(source: str) -> str | None:
+    """The static scan as a separate pass over `ast.walk`'s nodes: the first
+    refusal, or None."""
+    bound = {ast.arg: "arg", ast.MatchMapping: "rest", ast.FunctionDef: "name",
+             ast.AsyncFunctionDef: "name", ast.ClassDef: "name", ast.ExceptHandler: "name",
+             ast.MatchAs: "name", ast.MatchStar: "name"}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            return "import statements are not permitted inside candidate modules"
+        if isinstance(node, ast.Attribute) and node.attr.startswith("__"):
+            return f"dunder attribute access ({node.attr}) is not permitted"
+        if isinstance(node, ast.Name) and node.id.startswith("__"):
+            return f"dunder name access ({node.id}) is not permitted"
+        if type(node) in bound and getattr(node, bound[type(node)]) == "__tick__":
+            return "the name __tick__ is reserved"
+        if isinstance(node, (ast.Global, ast.Nonlocal)):
+            return "global/nonlocal declarations are not permitted"
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "{" in node.value:
+            fields = [f + (spec or "") for _, f, spec, _ in string.Formatter().parse(node.value)
+                      if f is not None]
+            if any("__" in f for f in fields):
+                return "dunder access in a format field is not permitted"
+        if (isinstance(node, ast.Attribute) and node.attr in ("format", "format_map")
+                and not (isinstance(node.value, ast.Constant) and isinstance(node.value.value, str))):
+            return f"{node.attr} on anything but a string constant is not permitted"
+    return None
+
+
+class TestScanWalk:
+    @pytest.mark.parametrize("name", sorted(rm.FIXTURE_SOURCES))
+    def test_the_walk_visits_nodes_in_ast_walk_order(self, name):
+        tree = ast.parse(rm.FIXTURE_SOURCES[name])
+        refusal, walked, ticked = _scan_tree(tree)
+        expected = list(ast.walk(tree))
+        assert refusal is None
+        assert len(walked) == len(expected) and all(a is b for a, b in zip(walked, expected))
+        assert ticked and ticked == [node for node in expected if isinstance(node, (
+            ast.For, ast.AsyncFor, ast.While, ast.FunctionDef, ast.AsyncFunctionDef,
+            ast.Lambda, ast.comprehension))]
+
+    @pytest.mark.parametrize("body", [
+        "x = img.__class__\nimport os\nreturn 'x'",  # the import sits higher in the tree
+        "import os\nx = img.__class__\nreturn 'x'",
+        "y = [img.__dict__ for _ in range(2)]\nreturn '{0.__class__}'.format(y)",
+        "def f(__tick__):\n    global g\n    return 1\nreturn __name__",
+        "t = '{x}'\nreturn t.format(x=__builtins__)",
+        "from os import path\nimport sys\nreturn 'x'",
+        "try:\n    z = __import__\nexcept Exception as __tick__:\n    pass\nreturn 'x'",
+    ])
+    def test_the_first_refusal_is_the_reference_scans(self, body):
+        source = simple_source(body)
+        expected = reference_scan(source)
+        handle = load_candidate(source, signature=sig_of(source))
+        assert expected is not None
+        assert (handle.load_state, handle.error.kind, handle.error.message) == (
+            "compile_error", "forbidden_access", expected)
 
 
 class TestInvoke:
@@ -252,8 +330,32 @@ class TestInvoke:
         handle = load_candidate(source, signature=sig_of(source))
         out = invoke_candidate(handle, [probe_image], backend)
         assert out.kind == "runtime"
-        assert out.location is not None
+        assert out.location == 11
         assert "ZeroDivisionError" in out.message
+
+    def test_runtime_error_in_a_helper_names_the_helper_line(self, backend, probe_image):
+        helper = "    def helper(self, n):\n        m = n + 1\n        return 10 // (m - 1)\n"
+        source = simple_source("return str(self.helper(0))").replace(
+            "    def execute(self,img):\n", helper + "    def execute(self,img):\n")
+        handle = load_candidate(source, signature=sig_of(source))
+        out = invoke_candidate(handle, [probe_image], backend)
+        assert out.kind == "runtime" and "ZeroDivisionError" in out.message
+        assert out.location == line_of(source, "return 10 //") == 11
+
+    def test_runtime_error_in_a_multi_line_expression_names_its_line(self, backend, probe_image):
+        source = simple_source("table = {'a': 1}\nx = (1 +\n     table['a'] +\n     table['b'])\nreturn str(x)")
+        handle = load_candidate(source, signature=sig_of(source))
+        out = invoke_candidate(handle, [probe_image], backend)
+        assert out.kind == "runtime" and out.message == "KeyError: 'b'"
+        assert out.location == line_of(source, "table['b']") == 13
+
+    def test_backend_error_names_the_line_that_called_the_api(self, backend, probe_image):
+        source = simple_source(
+            "box = [0, 0, 10000, 10000]\nedited = API.replace(img, [box], 'a dog')\nreturn 'x'")
+        handle = load_candidate(source, signature=sig_of(source))
+        out = invoke_candidate(handle, [probe_image], backend)
+        assert out.kind == "runtime" and out.message.startswith("backend error: ")
+        assert out.location == line_of(source, "API.replace") == 11
 
     def test_open_is_forbidden(self, backend, probe_image):
         source = simple_source("f = open('/etc/passwd')\nreturn f")
