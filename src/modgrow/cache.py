@@ -34,6 +34,21 @@ without its newline, a head record as well as a call record: loading drops
 it with a warning (a bad line anywhere else is an error), and the next
 append cuts it and writes a cut head, or a cut response's only inline
 copy, again when a call needs it.
+
+What an append costs: a recorded session sends many requests in a row over
+one head, so `CacheWriter` keeps the last head it cut. A prompt that starts
+with that head, with a marker right after it, is cut by searching only the
+text after the head, and its head record is looked up by the kept string
+itself, whose hash Python has already computed. So its head is compared
+once with the kept one, and is not sliced, searched or hashed again; the
+rest of the append costs the tail and the response. The cut equals
+`split_prompt`'s: that cut is the last start of any marker, and since one
+starts right after the kept head, the last start is at or after it, where
+the search looks. Any other prompt is cut by `split_prompt`.
+
+`canonical_json` is the one encoding of a record, a split-file line and
+a `set-eq` item: sorted keys, what `json.dumps(x, sort_keys=True)` gives,
+from one encoder built once rather than on every call.
 """
 
 from __future__ import annotations
@@ -53,6 +68,10 @@ HEAD_MARKERS = (
     "\nGiven the above APIs, could you write a new module, ",
     "\nYou previously wrote a module, ",
 )
+
+
+# the encoder `json.dumps(x, sort_keys=True)` builds anew on every call
+canonical_json = json.JSONEncoder(sort_keys=True).encode
 
 
 def split_prompt(prompt: str) -> tuple[str, str]:
@@ -155,7 +174,7 @@ def load_responses(path) -> dict[str, list]:
 
 
 def _line(record: dict) -> bytes:
-    return json.dumps(record, sort_keys=True).encode("utf-8") + b"\n"
+    return canonical_json(record).encode("utf-8") + b"\n"
 
 
 class CacheWriter:
@@ -164,11 +183,17 @@ class CacheWriter:
 
     The file opens on the first append and stays open until `close`; a later
     append opens it again. Each append reaches the file before it returns.
+
+    An append whose prompt starts with the last head cut, followed by a
+    marker, searches and encodes only the prompt's tail (see the module's
+    docstring for why the cut is `split_prompt`'s); any other prompt costs
+    one `split_prompt` over the whole prompt and a hash of the head it cuts.
     """
 
     def __init__(self, path):
         self.path = path
         self._fh = None
+        self._head = ""  # the last head cut
         self._heads: dict[str, str] = {}  # text -> hash of each head in the file
         self._texts: dict[str, str] = {}  # text -> hash of each response inline in the file
 
@@ -178,8 +203,17 @@ class CacheWriter:
         if self._fh is None:
             self._open()
         request = record.get("request") or {}
-        head, tail = split_prompt(request.get("prompt", ""))
+        prompt = request.get("prompt", "")
+        head = self._head
+        if head and prompt.startswith(head) and prompt.startswith(HEAD_MARKERS, len(head)):
+            cut = max(prompt.rfind(marker, len(head)) for marker in HEAD_MARKERS)
+            if cut > len(head):  # a marker in the tail moves the cut down
+                head = prompt[:cut]
+            tail = prompt[cut:]
+        else:
+            head, tail = split_prompt(prompt)
         if head:
+            self._head = head
             digest = self._heads.get(head)
             if digest is None:
                 digest = text_sha256(head)

@@ -3,7 +3,8 @@
 Only `cache seed` takes a task, because it generates the splits. `learn`
 and `eval` read it from the instances of their split: a learned module
 records the tasks of its test cases, and `eval` refuses a split that is
-empty, mixes tasks or names an unknown one. Only the commands that grow a
+empty, mixes tasks or names an unknown one. `learn` refuses an empty split
+too, since it would only save the library it was given. Only the commands that grow a
 library take η, K and R: `cache seed`, `learn` and `eval --ablation`. Plain
 `eval` refuses them, and `--train-dataset`, which only an ablation reads.
 """
@@ -76,6 +77,8 @@ def cmd_learn(args) -> int:
         gateway = _gateway_from_args(args)
         lib = load_library(args.library) if args.library else builtin_library()
         train = ds.load_dataset(args.dataset)
+        if not train:
+            raise ValueError("the split is empty")
     except (ModgrowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

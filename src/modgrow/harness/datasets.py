@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .. import values as V
+from ..cache import canonical_json
 from ..errors import SceneSchemaError
 from ..reference_modules import RAVEN_LAYOUTS, RAVEN_SCALES, raven_regions, solver_check
 from ..scene import KNOWLEDGE_LISTS, ImageHandle, SceneGraph, SceneObject, load_scene
@@ -1250,8 +1251,9 @@ class TaskSpec:
     which returns one instance. `bind(instance, image_of)` returns the
     instance's initial bindings by name, with `image_of(scene)` as the
     handle on each scene. `judge(outcome, final, gold)` scores a
-    program's final value. `regions` adds region precision, recall and F1 to
-    the task's report. `split_layout(instance)`, when set, is true for the
+    program's final value against a gold whose type is one of `gold_types`.
+    `regions` adds region precision, recall and F1 to the task's report.
+    `split_layout(instance)`, when set, is true for the
     instances `evaluate.solve_puzzle_with_modules` answers instead of a
     program.
     """
@@ -1259,6 +1261,7 @@ class TaskSpec:
     templates: dict[str, Callable[..., TaskInstance]]
     bind: Callable[..., dict]
     judge: Callable[..., None]
+    gold_types: tuple[str, ...]
     regions: bool = False
     split_layout: Callable[[TaskInstance], bool] | None = None
 
@@ -1279,6 +1282,7 @@ TASKS = {
         },
         bind=_bind_image("QUESTION"),
         judge=_judge_answer,
+        gold_types=("list", "number", "text"),
     ),
     "grounding": TaskSpec(
         templates={
@@ -1290,6 +1294,7 @@ TASKS = {
         },
         bind=_bind_image("EXPRESSION"),
         judge=_judge_grounding,
+        gold_types=("box",),
         regions=True,
     ),
     "tagging": TaskSpec(
@@ -1299,19 +1304,27 @@ TASKS = {
         },
         bind=_bind_image("EXPRESSION"),
         judge=_judge_tagging,
+        gold_types=("tagged-regions",),
         regions=True,
     ),
     "editing": TaskSpec(
-        templates={"edit": _editing_instance}, bind=_bind_image("INSTRUCTION"), judge=_judge_editing
+        templates={"edit": _editing_instance},
+        bind=_bind_image("INSTRUCTION"),
+        judge=_judge_editing,
+        gold_types=("edit",),
     ),
     "raven": TaskSpec(
         templates={"matrix": _raven_instance},
         bind=_bind_puzzle,
         judge=_judge_answer,
+        gold_types=("index",),
         split_layout=_split_layout,
     ),
     "mewl-analog": TaskSpec(
-        templates={"word": _mewl_instance}, bind=_bind_examples, judge=_judge_answer
+        templates={"word": _mewl_instance},
+        bind=_bind_examples,
+        judge=_judge_answer,
+        gold_types=("text",),
     ),
 }
 
@@ -1386,7 +1399,7 @@ def save_dataset(instances, path) -> None:
 
     with open(path, "w", encoding="utf-8") as fh:
         for instance in instances:
-            fh.write(json.dumps(instance.to_doc(slot), sort_keys=True) + "\n")
+            fh.write(canonical_json(instance.to_doc(slot)) + "\n")
 
 
 def load_dataset(path) -> list[TaskInstance]:
@@ -1416,6 +1429,7 @@ def _read_instance(line: str, scenes: list[SceneGraph]) -> TaskInstance:
         raise ValueError(f"not valid JSON: {exc.msg} at column {exc.colno}") from exc
     if not isinstance(doc, dict):
         raise ValueError("the line is not a JSON object")
+    _check_fields(doc)
     if "puzzle" in doc:
         _check_puzzle(doc["puzzle"])
     for holder, key, part, index in _scene_slots(doc):
@@ -1433,6 +1447,44 @@ def _read_instance(line: str, scenes: list[SceneGraph]) -> TaskInstance:
         scenes.append(scene)
         holder[key] = scene
     return TaskInstance.from_doc(doc)
+
+
+def _check_fields(doc: dict) -> None:
+    """Refuse a line whose fields other than its scenes and puzzle do not
+    hold what a `TaskInstance` reads from them, naming the first that does
+    not; a missing top-level field is a `KeyError`. The gold's type is
+    checked against the types its task judges only when the task is known:
+    `split_task` refuses an unknown one."""
+    for name in ("id", "task", "query"):
+        if not isinstance(doc[name], str):
+            raise ValueError(f"{name}: must be a string")
+    if not isinstance(doc["query_spec"], dict):
+        raise ValueError("query_spec: must be an object")
+    gold = doc["gold"]
+    if not isinstance(gold, dict) or "type" not in gold or "value" not in gold:
+        raise ValueError("gold: must be an object with a type and a value")
+    spec = TASKS.get(doc["task"])
+    if spec is not None and gold["type"] not in spec.gold_types:
+        raise ValueError(f"gold.type: must be one of {', '.join(spec.gold_types)}")
+    programs = doc["programs"]
+    if not isinstance(programs, dict):
+        raise ValueError("programs: must be an object")
+    for name in ("canonical", "fallback"):
+        if not isinstance(programs.get(name), str):
+            raise ValueError(f"programs.{name}: must be a string")
+    cases = doc.get("module_cases", {})
+    if not isinstance(cases, dict):
+        raise ValueError("module_cases: must be an object")
+    for name, case in cases.items():
+        if not isinstance(case, dict):
+            raise ValueError(f"module_cases.{name}: must be an object")
+        if not isinstance(case.get("program"), str):
+            raise ValueError(f"module_cases.{name}.program: must be a string")
+        expected = case.get("expected")
+        if not isinstance(expected, dict) or "tag" not in expected or "payload" not in expected:
+            raise ValueError(f"module_cases.{name}.expected: must be an object with a tag and a payload")
+        if not isinstance(case.get("comparator"), str):
+            raise ValueError(f"module_cases.{name}.comparator: must be a string")
 
 
 def _check_puzzle(puzzle) -> None:

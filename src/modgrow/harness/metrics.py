@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import json
 import re
+
+from ..cache import canonical_json
 
 
 def iou(a, b) -> float:
@@ -46,15 +47,11 @@ def compare_values(final, expected, comparator: str) -> bool:
     raise ValueError(f"unknown comparator {comparator!r}")
 
 
-# the encoder `json.dumps(x, sort_keys=True)` builds anew on every call
-_canonical_json = json.JSONEncoder(sort_keys=True).encode
-
-
 def set_items(value) -> list[str]:
     """What `set-eq` compares: the items of a list-like value, or the value
     alone, each as canonical JSON, sorted."""
     items = value.payload if value.tag in ("box-list", "mask", "list") else [value.payload]
-    return sorted(map(_canonical_json, items))
+    return sorted(map(canonical_json, items))
 
 
 _ARTICLES = {"a", "an", "the"}

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from functools import lru_cache
+from dataclasses import dataclass
 
 from .dsl import STATEMENT_LINE_RE
 from .gateway import CompletionRequest, LlmGateway
@@ -68,26 +68,51 @@ def _last_question(prompt: str) -> re.Match | None:
     return _last_match(_QUESTION_RE, prompt, start) or _last_match(_QUESTION_RE, prompt)
 
 
-@lru_cache(maxsize=64)
-def _head_modules(head: str) -> frozenset[str]:
-    """Class names declared in a prompt head: the catalogue and examples."""
-    return frozenset(_CLASS_NAME_RE.findall(head))
+# The phrases that tell the stages apart. None holds a "Q", so none runs
+# across the start of a ``Question:`` line: each is in the text above the
+# last such line or in the text from it on.
+_STAGE_PHRASES = (
+    "could you write a new module",
+    "You previously wrote a module",
+    "could you identify whether it is possible",
+    "Think step by step",
+)
+
+
+@dataclass(frozen=True)
+class _Head:
+    """What the responder reads in the part of a prompt above its last
+    ``Question:`` line: the stage phrases it holds, the names its module
+    asks name, in order, and the class names it declares. No module ask or
+    class declaration runs across the start of a ``Question:`` line either:
+    an ask holds no newline, and a declared name would stop at the "Q" of
+    "Question:", where no "(" follows."""
+
+    text: str
+    phrases: frozenset[str]
+    asks: tuple[str, ...]
+    modules: frozenset[str]
 
 
 class SyntheticResponder:
     """Callable transport producing ideal responses for known dataset queries.
 
-    It reads a prompt from its end. The question is the last ``Question:``
-    line's, found by `_last_question` without scanning the catalogue before
-    it. The modules on offer are the classes the prompt declares, less the
-    static examples' COMPARE_SIZE; those of the head before the question
-    line are read once per distinct head by `_head_modules`, a cache keyed
-    on the head text alone, never on a question or a response.
+    It reads a prompt in two parts, cut where its last ``Question:`` line
+    starts. The part above, the catalogue and the examples, is read once per
+    distinct head into a `_Head`, kept by its length: a prompt whose part
+    above has the kept length and starts with the kept text reuses it, after
+    one comparison. Each answer then searches only the part from the cut
+    on, a question and a few lines, for the stage phrases, the module ask
+    and the class names, and reads its question with `_last_question`. So a
+    stage-3 answer costs its question, not the catalogue above it. The
+    modules on offer are the classes the prompt declares, less the static
+    examples' COMPARE_SIZE.
     """
 
     def __init__(self, instances=()):
         self._by_query: dict[str, object] = {}
         self._source_overrides: dict[str, deque] = {}
+        self._heads: dict[int, _Head] = {}  # length -> the last head read of that length
         self.calls = 0
         self.add(instances)
 
@@ -100,6 +125,23 @@ class SyntheticResponder:
         (used to seed failing-then-repaired candidate sequences)."""
         self._source_overrides.setdefault(name, deque()).extend(sources)
 
+    def _head(self, prompt: str) -> tuple[_Head, int]:
+        """The `_Head` of `prompt`, and where its last ``Question:`` line
+        starts (0 when no later line starts with one)."""
+        cut = prompt.rfind("\nQuestion:") + 1
+        head = self._heads.get(cut)
+        if head is None or not prompt.startswith(head.text):
+            text = prompt[:cut]
+            if len(self._heads) >= 64:  # a responder may outlive many sessions
+                self._heads.clear()
+            head = self._heads[cut] = _Head(
+                text,
+                frozenset(phrase for phrase in _STAGE_PHRASES if phrase in text),
+                tuple(_MODULE_ASK_RE.findall(text)),
+                frozenset(_CLASS_NAME_RE.findall(text)),
+            )
+        return head, cut
+
     def _lookup(self, prompt: str):
         """The instance the prompt's last question asks about, and the
         modules the prompt declares (less those of static examples)."""
@@ -110,16 +152,18 @@ class SyntheticResponder:
         instance = self._by_query.get(question)
         if instance is None:
             raise LookupError(f"no dataset instance for question {question!r}")
-        # no class declaration runs across the start of a Question: line
-        head = match.start()
-        available = _head_modules(prompt[:head]).union(_CLASS_NAME_RE.findall(prompt, head))
+        head, cut = self._head(prompt)
+        available = head.modules.union(_CLASS_NAME_RE.findall(prompt, cut))
         return instance, available - _EXAMPLE_HEADER_NAMES
 
     def __call__(self, req: CompletionRequest) -> str:
         self.calls += 1
         prompt = req.prompt
-        if "could you write a new module" in prompt or "You previously wrote a module" in prompt:
-            name = _MODULE_ASK_RE.findall(prompt)[-1]
+        head, cut = self._head(prompt)
+        tail = prompt[cut:]
+        phrases = head.phrases.union(phrase for phrase in _STAGE_PHRASES if phrase in tail)
+        if "could you write a new module" in phrases or "You previously wrote a module" in phrases:
+            name = [*head.asks, *_MODULE_ASK_RE.findall(tail)][-1]
             queue = self._source_overrides.get(name)
             if queue:
                 return queue.popleft()
@@ -127,7 +171,7 @@ class SyntheticResponder:
             if source is None:
                 return f"I do not know how to implement {name}."
             return source
-        if "could you identify whether it is possible" in prompt:
+        if "could you identify whether it is possible" in phrases:
             instance, available = self._lookup(prompt)
             needed = program_modules(instance.canonical_program)
             missing = [m for m in _ordered(needed, instance.canonical_program) if m not in available]
@@ -141,7 +185,9 @@ class SyntheticResponder:
             for name in missing:
                 parts.append(fixture_header(name) if name in FIXTURE_SOURCES else f"class {name}():")
             return "\n".join(parts)
-        if prompt.rstrip().endswith("Program:") or "Think step by step" in prompt:
+        # the tail starts with "Question:" unless it is the whole prompt, so
+        # the prompt ends as the tail does
+        if tail.rstrip().endswith("Program:") or "Think step by step" in phrases:
             instance, available = self._lookup(prompt)
             needed = program_modules(instance.canonical_program)
             if needed <= available:

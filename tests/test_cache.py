@@ -354,3 +354,97 @@ def test_a_call_record_that_does_not_resolve_fails_learn_and_eval(tmp_path, caps
     argv = [command, "--mode", "replay", "--cache", str(cache), "--dataset", str(tmp_path / "split.jsonl"), *out]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == f"error: {cache}: {fault}\n"
+
+
+class SplittingWriter(CacheWriter):
+    """The reference: `split_prompt` cuts every prompt, as the writer first
+    did, however many prompts before it shared its head."""
+
+    def append(self, record: dict) -> None:
+        if self._fh is None:
+            self._open()
+        request = record.get("request") or {}
+        head, tail = split_prompt(request.get("prompt", ""))
+        if head:
+            digest = self._heads.get(head)
+            if digest is None:
+                digest = text_sha256(head)
+                head_record = {"head": head, "head_sha256": digest}
+                self._fh.write(json.dumps(head_record, sort_keys=True).encode() + b"\n")
+                self._heads[head] = digest
+            record = {**record, "head_sha256": digest, "request": {**request, "prompt": tail}}
+        response = record["response"]
+        digest = self._texts.get(response)
+        if digest is None:
+            self._texts[response] = text_sha256(response)
+        else:
+            record = {name: value for name, value in record.items() if name != "response"}
+            record["response_sha256"] = digest
+        self._fh.write(json.dumps(record, sort_keys=True).encode() + b"\n")
+        self._fh.flush()
+
+
+TEAR = None  # close the writer, then tear the last head record and lose the calls after it
+CATALOGUE = "Pre-defined Modules:\nclass LOC():\n    pass\n"
+OTHER = "Think step by step.\nclass COUNT():\n    pass\n"
+MODULE_ASK, REPAIR_ASK = HEAD_MARKERS[1:]
+
+WRITER_SEQUENCES = {
+    "two heads, alternating": [
+        CATALOGUE + "\nQuestion: 1", OTHER + "\nQuestion: 2", CATALOGUE + "\nQuestion: 3",
+        OTHER + "\nQuestion: 4", OTHER + "\nQuestion: 5", CATALOGUE + "\nQuestion: 6",
+    ],
+    "a head that is a proper prefix of another": [
+        CATALOGUE + "\nQuestion: 1", CATALOGUE + "\nQuestion: 1\nQuestion: 2", CATALOGUE + "\nQuestion: 3",
+        CATALOGUE + "\nQuestion: 1\nQuestion: 4", CATALOGUE + "\nQuestion: 1\nQuestion: 4\nQuestion: 5",
+        CATALOGUE + "\nQuestion: 6",
+    ],
+    "a tail holding each marker": [
+        CATALOGUE + "\nQuestion: 1", CATALOGUE + "\nQuestion: is it\nQuestion: 2",
+        CATALOGUE + "\nQuestion: 3" + MODULE_ASK + "LOC?", CATALOGUE + "\nQuestion: 4" + REPAIR_ASK + "LOC,",
+        CATALOGUE + MODULE_ASK + "COUNT?" + REPAIR_ASK + "COUNT," + "\nQuestion: 5",
+        CATALOGUE + "\nQuestion: 6",
+    ],
+    "a prompt with no marker": [
+        CATALOGUE + "\nQuestion: 1", "plain", CATALOGUE + "\nQuestion: 2", "Question: at the start",
+        CATALOGUE, CATALOGUE + "\nQuestion: 3",
+    ],
+    "the kept head without a marker right after it": [
+        CATALOGUE + "\nQuestion: 1", CATALOGUE + "    more\nQuestion: 2", CATALOGUE + "\nQuestion: 3",
+        CATALOGUE + "\nQuestion", CATALOGUE + "\n\nQuestion: 4", CATALOGUE[:-1] + "\nQuestion: 5",
+        CATALOGUE + "\nQuestion: 6",
+    ],
+    "a reopen after a torn head line": [
+        CATALOGUE + "\nQuestion: 1", OTHER + "\nQuestion: 2", TEAR, OTHER + "\nQuestion: 3",
+        CATALOGUE + "\nQuestion: 4", OTHER + "\nQuestion: 5", TEAR, OTHER + "\nQuestion: 6",
+    ],
+}
+
+
+def write_sequence(writer: CacheWriter, steps) -> dict[str, str]:
+    """Append a call for each prompt of `steps` with one writer; the prompt
+    of each call that reaches the file, by key."""
+    prompts = {}
+    for n, prompt in enumerate(steps):
+        if prompt is TEAR:
+            writer.close()
+            data = writer.path.read_bytes()
+            writer.path.write_bytes(data[:data.rfind(b'{"head": ') + 30])
+            continue
+        writer.append({"key": f"k{n}", "request": {"prompt": prompt}, "response": f"re {n % 3}"})
+        prompts[f"k{n}"] = prompt
+    writer.close()
+    return prompts
+
+
+@pytest.mark.parametrize("steps", WRITER_SEQUENCES.values(), ids=WRITER_SEQUENCES)
+def test_the_writer_writes_what_splitting_every_prompt_writes(tmp_path, steps):
+    new, old = tmp_path / "new.jsonl", tmp_path / "old.jsonl"
+    prompts = write_sequence(CacheWriter(new), steps)
+    write_sequence(SplittingWriter(old), steps)
+    assert new.read_bytes() == old.read_bytes()
+    heads = [rec["head"] for _, rec in read_records(new) if "head" in rec]
+    assert heads and len(heads) == len(set(heads))
+    resolver = Resolver(new)
+    for number, rec, _ in resolver.calls(read_records(new)):
+        assert resolver.request(number, rec)["prompt"] == prompts[rec["key"]]

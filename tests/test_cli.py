@@ -339,6 +339,15 @@ def broken_line(doc: dict, fault: str, read: int) -> str:
     elif fault in PUZZLE_FIELDS:
         field, value = PUZZLE_FIELDS[fault]
         doc["puzzle"][field] = value
+    elif fault in LINE_FIELDS:
+        *path, field, value = LINE_FIELDS[fault]
+        holder = doc
+        for key in path:
+            holder = holder[key]
+        if value is DROP:
+            del holder[field]
+        else:
+            holder[field] = value
     else:  # a scene reference
         doc["puzzle"]["panels"][0] = {"true": True, "negative": -1, "forward": read}[fault]
     return json.dumps(doc, sort_keys=True)
@@ -353,6 +362,29 @@ PUZZLE_FIELDS = {
     "rules list": ("rules", ["constant", "progression"]),
     "answer_index text": ("answer_index", "2"),
     "layout unknown": ("layout", "diagonal"),
+}
+
+DROP = object()
+# a field of the wrong JSON type or value outside the scenes and the
+# puzzle: (key, ..., field, value), where DROP deletes the field
+LINE_FIELDS = {
+    "id number": ("id", 1),
+    "task null": ("task", None),
+    "query number": ("query", 5),
+    "query_spec list": ("query_spec", []),
+    "gold null": ("gold", None),
+    "gold without value": ("gold", "value", DROP),
+    "gold type unknown": ("gold", "type", "zzz"),
+    "gold type of another task": ("gold", "type", "text"),
+    "programs null": ("programs", None),
+    "fallback missing": ("programs", "fallback", DROP),
+    "canonical number": ("programs", "canonical", 3),
+    "module_cases list": ("module_cases", []),
+    "case null": ("module_cases", "SOLVER", None),
+    "case program missing": ("module_cases", "SOLVER", "program", DROP),
+    "case without expected": ("module_cases", "DETECT_SHAPE", "expected", DROP),
+    "expected without payload": ("module_cases", "SOLVER", "expected", "payload", DROP),
+    "comparator number": ("module_cases", "SOLVER", "comparator", 1),
 }
 
 SPLIT_FAULTS = {
@@ -371,6 +403,23 @@ SPLIT_FAULTS = {
     "true": "puzzle.panels[0]: scene reference true names no scene read before it ({read} so far)",
     "negative": "puzzle.panels[0]: scene reference -1 names no scene read before it ({read} so far)",
     "forward": "puzzle.panels[0]: scene reference {read} names no scene read before it ({read} so far)",
+    "id number": "id: must be a string",
+    "task null": "task: must be a string",
+    "query number": "query: must be a string",
+    "query_spec list": "query_spec: must be an object",
+    "gold null": "gold: must be an object with a type and a value",
+    "gold without value": "gold: must be an object with a type and a value",
+    "gold type unknown": "gold.type: must be one of index",
+    "gold type of another task": "gold.type: must be one of index",
+    "programs null": "programs: must be an object",
+    "fallback missing": "programs.fallback: must be a string",
+    "canonical number": "programs.canonical: must be a string",
+    "module_cases list": "module_cases: must be an object",
+    "case null": "module_cases.SOLVER: must be an object",
+    "case program missing": "module_cases.SOLVER.program: must be a string",
+    "case without expected": "module_cases.DETECT_SHAPE.expected: must be an object with a tag and a payload",
+    "expected without payload": "module_cases.SOLVER.expected: must be an object with a tag and a payload",
+    "comparator number": "module_cases.SOLVER.comparator: must be a string",
 }
 
 

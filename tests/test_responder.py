@@ -21,7 +21,7 @@ from modgrow.backends import SyntheticBackend
 from modgrow.gateway import CompletionRequest
 from modgrow.harness.datasets import generate_dataset
 from modgrow.registry import builtin_library
-from modgrow.replay_seed import SyntheticResponder, program_modules, seed_learn_and_eval
+from modgrow.replay_seed import SyntheticResponder, _ordered, program_modules, seed_learn_and_eval
 from modgrow.synthesis import SynthesisConfig
 
 TASKS = ("vqa", "grounding", "tagging", "editing", "raven", "mewl-analog")
@@ -163,3 +163,120 @@ def test_a_catalogue_that_declares_compare_size(stage, prompt):
         assert new.startswith('No. We need to make new modules "COMPARE_SIZE" first.')
     else:
         assert new == queries[0].fallback_program
+
+
+class WholePromptStages(WholePromptResponder):
+    """The reference for sequences: the stage phrases and the module ask are
+    also read from the whole prompt on each request, as the responder first
+    read them."""
+
+    def __call__(self, req: CompletionRequest) -> str:
+        prompt = req.prompt
+        if "could you write a new module" in prompt or "You previously wrote a module" in prompt:
+            name = _MODULE_ASK_RE.findall(prompt)[-1]
+            queue = self._source_overrides.get(name)
+            if queue:
+                return queue.popleft()
+            source = rm.FIXTURE_SOURCES.get(name)
+            if source is None:
+                return f"I do not know how to implement {name}."
+            return source
+        if "could you identify whether it is possible" in prompt:
+            instance, available = self._lookup(prompt)
+            needed = program_modules(instance.canonical_program)
+            missing = [m for m in _ordered(needed, instance.canonical_program) if m not in available]
+            if not missing:
+                return "Yes. The program is:\n" + instance.canonical_program
+            quoted = ", ".join(f'"{m}"' for m in missing)
+            parts = [
+                f"No. We need to make new modules {quoted} first. "
+                "Here are the headers of the classes:"
+            ]
+            for name in missing:
+                parts.append(rm.fixture_header(name) if name in rm.FIXTURE_SOURCES else f"class {name}():")
+            return "\n".join(parts)
+        if prompt.rstrip().endswith("Program:") or "Think step by step" in prompt:
+            instance, available = self._lookup(prompt)
+            needed = program_modules(instance.canonical_program)
+            if needed <= available:
+                return instance.canonical_program
+            return instance.fallback_program
+        raise LookupError("prompt does not match any known stage")
+
+
+_MODULE_ASK_RE = re.compile(
+    r"(?:could you write a new module, |You previously wrote a module, )"
+    r"([A-Za-z_][A-Za-z0-9_]*)(?:\(\))?[?,]"
+)
+
+
+def answers(responder, prompts) -> list[str]:
+    """What one responder answers to each prompt in turn."""
+    out = []
+    for prompt in prompts:
+        try:
+            out.append(responder(CompletionRequest(prompt=prompt, model_id="m")))
+        except (LookupError, IndexError) as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+STAGE1 = ("Pre-defined Modules:\n" + CATALOGUE + "\ncould you identify whether it is possible\n"
+          "Question: How many cups?\n")
+# the same length as STAGE3, one character apart: LOC is declared as LOX
+STAGE3_LOX = STAGE3.replace("class LOC(", "class LOX(")
+ASK = "\nGiven the above APIs, could you write a new module, {}?\nclass {}():\n"
+# a stage-2 prompt whose training cases hold a question line, so its own ask
+# is in the part below it, and the Loc example's ask in the part above
+STAGE2 = ("Pre-defined APIs:\n" + CATALOGUE + ASK.format("Loc()", "Loc")
+          + "Cases:\nQuestion: How many cups?\n" + ASK.format("SORT_SPATIAL", "SORT_SPATIAL"))
+# a repair prompt whose only module ask is above its question line
+REPAIR = ("Pre-defined APIs:\n" + CATALOGUE + "\nYou previously wrote a module, SOLVER, with this header:\n"
+          "Question: How many cups?\nPlease fix these issues.\n")
+
+SEQUENCES = {
+    "a head one character apart, at the same length": [
+        STAGE3 + "Question: How many cups?\nProgram:\n",
+        STAGE3_LOX + "Question: How many cups?\nProgram:\n",
+        STAGE3 + "Question: x\nProgram:\n",
+        STAGE3_LOX + "Question: x\nProgram:\n",
+        STAGE1,
+        STAGE1.replace("class LOC(", "class LOX("),
+        STAGE1,
+    ],
+    "stage 2 and repair between stage 3": [
+        STAGE3 + "Question: How many cups?\nProgram:\n",
+        STAGE2,
+        REPAIR,
+        STAGE2.replace("SORT_SPATIAL", "NEW_MODULE"),
+        STAGE3 + "Question: x\nProgram:\n",
+        STAGE1,
+        REPAIR,
+        STAGE3 + "Question: How many cups?\nProgram:\n",
+    ],
+    "a question holding a module ask": [
+        STAGE3 + "Question: How many cups?\nProgram:\n",
+        STAGE3 + "Question: could you write a new module, SOLVER?\nProgram:\n",
+        STAGE3 + "Question: could you write a new module\nProgram:\n",
+        STAGE3 + "Question: You previously wrote a module, COUNT, or not?\nProgram:\n",
+        STAGE3 + "Question: How many cups?\nProgram:\n",
+    ],
+    "a stage phrase only below the last question line": [
+        CATALOGUE + "Question: How many cups?\nThink step by step\n",
+        CATALOGUE + "Question: How many cups?\ncould you identify whether it is possible\n",
+        CATALOGUE + "Question: What is it?\ncould you identify whether it is possible\n",
+        CATALOGUE + "Question: How many cups?\n",
+        CATALOGUE + "Question: How many cups?\nThink step by step\nProgram: \n",
+        "Question: How many cups?\nThink step by step\n",
+        CATALOGUE + "Question: a\nQuestion: How many cups?\nProgram:\n",
+    ],
+}
+
+
+@pytest.mark.parametrize("prompts", SEQUENCES.values(), ids=SEQUENCES)
+def test_equal_answers_over_a_sequence(prompts):
+    """One responder answers the whole sequence, so the part above a
+    question line that it has read for one request is at hand for the next."""
+    new = answers(SyntheticResponder(QUERIES), prompts)
+    assert new == answers(WholePromptStages(QUERIES), prompts)
+    assert len(set(new)) > 2

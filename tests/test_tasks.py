@@ -42,6 +42,14 @@ def test_every_template_generates_and_binds_its_task():
             assert {key: value.tag for key, value in bindings.items()} == BINDING_TAGS[task]
 
 
+def test_every_template_plants_a_gold_type_its_task_judges():
+    """`load_dataset` refuses a gold type outside its task's `gold_types`."""
+    for task, spec in TASKS.items():
+        planted = {instance.gold["type"] for name in spec.templates
+                   for instance in generate_dataset(task, 1, 2, {"templates": [name]})}
+        assert planted == set(spec.gold_types), task
+
+
 def test_unknown_template_lists_the_task_templates():
     with pytest.raises(ValueError, match="no template 'bogus'; its templates: edit$"):
         generate_dataset("editing", 1, 2, {"templates": ["bogus"]})
@@ -133,6 +141,18 @@ def test_cli_eval_refuses_a_split_without_one_known_task(tmp_path, capsys, make_
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_cli_learn_refuses_an_empty_split(tmp_path, capsys):
+    split, cache, out = tmp_path / "train.jsonl", tmp_path / "cache.jsonl", tmp_path / "lib"
+    save_dataset([], split)
+    cache.write_text("", encoding="utf-8")
+    argv = ["learn", "--mode", "replay", "--cache", str(cache), "--dataset", str(split), "--out", str(out)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the split is empty\n"
+    assert not out.exists()
 
 
 def test_learn_and_eval_read_the_task_from_the_split(tmp_path):
