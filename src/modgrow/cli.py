@@ -4,9 +4,10 @@ Only `cache seed` takes a task, because it generates the splits. `learn`
 and `eval` read it from the instances of their split: a learned module
 records the tasks of its test cases, and `eval` refuses a split that is
 empty, mixes tasks or names an unknown one. `learn` refuses an empty split
-too, since it would only save the library it was given. Only the commands that grow a
-library take η, K and R: `cache seed`, `learn` and `eval --ablation`. Plain
-`eval` refuses them, and `--train-dataset`, which only an ablation reads.
+too, since it would only save the library it was given. Only the commands
+that grow a library take η, K and R: `cache seed`, `learn` and `eval
+--ablation`. Plain `eval` refuses them, and `--train-dataset`, which only
+an ablation reads.
 """
 
 from __future__ import annotations
