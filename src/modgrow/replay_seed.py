@@ -112,7 +112,9 @@ class SyntheticResponder:
     def __init__(self, instances=()):
         self._by_query: dict[str, object] = {}
         self._source_overrides: dict[str, deque] = {}
-        self._heads: dict[int, _Head] = {}  # length -> the last head read of that length
+        # length -> the last head read of that length; a session's prompts
+        # have a few head lengths, and a responder serves one session
+        self._heads: dict[int, _Head] = {}
         self.calls = 0
         self.add(instances)
 
@@ -132,8 +134,6 @@ class SyntheticResponder:
         head = self._heads.get(cut)
         if head is None or not prompt.startswith(head.text):
             text = prompt[:cut]
-            if len(self._heads) >= 64:  # a responder may outlive many sessions
-                self._heads.clear()
             head = self._heads[cut] = _Head(
                 text,
                 frozenset(phrase for phrase in _STAGE_PHRASES if phrase in text),
