@@ -82,39 +82,45 @@ _STAGE_PHRASES = (
 @dataclass(frozen=True)
 class _Head:
     """What the responder reads in the part of a prompt above its last
-    ``Question:`` line: the stage phrases it holds, the names its module
-    asks name, in order, and the class names it declares. No module ask or
-    class declaration runs across the start of a ``Question:`` line either:
-    an ask holds no newline, and a declared name would stop at the "Q" of
-    "Question:", where no "(" follows."""
+    ``Question:`` line: the stage phrases it holds, the name its last module
+    ask names (None when it has none), and the class names it declares. No
+    module ask or class declaration runs across the start of a ``Question:``
+    line either: an ask holds no newline, and a declared name would stop at
+    the "Q" of "Question:", where no "(" follows."""
 
     text: str
     phrases: frozenset[str]
-    asks: tuple[str, ...]
+    last_ask: str | None
     modules: frozenset[str]
+
+
+# the part above of a prompt without a later ``Question:`` line: nothing
+_NO_HEAD = _Head("", frozenset(), None, frozenset())
 
 
 class SyntheticResponder:
     """Callable transport producing ideal responses for known dataset queries.
 
     It reads a prompt in two parts, cut where its last ``Question:`` line
-    starts. The part above, the catalogue and the examples, is read once per
-    distinct head into a `_Head`, kept by its length: a prompt whose part
-    above has the kept length and starts with the kept text reuses it, after
-    one comparison. Each answer then searches only the part from the cut
-    on, a question and a few lines, for the stage phrases, the module ask
-    and the class names, and reads its question with `_last_question`. So a
-    stage-3 answer costs its question, not the catalogue above it. The
-    modules on offer are the classes the prompt declares, less the static
-    examples' COMPARE_SIZE.
+    starts. The part above, the catalogue and the examples, is read into a
+    `_Head`, and only the last one read is kept: a prompt whose part above
+    has the kept length and starts with the kept text reuses it, after one
+    comparison. A recording session sends its requests over one catalogue
+    back to back, so that one head serves them all, and a responder holds
+    one head's text however long it lives. Each answer then searches only
+    the part from the cut on, a question and a few lines, for the stage
+    phrases, the module ask and the class names, and reads its question
+    with `_last_question`. So a stage-3 answer costs its question, not the
+    catalogue above it; a stage-1 or stage-3 answer compares the head
+    twice, once to tell the stage and once in `_lookup`, which subclasses
+    may override. The modules on offer are the classes the prompt declares,
+    less the static examples' COMPARE_SIZE.
     """
 
     def __init__(self, instances=()):
         self._by_query: dict[str, object] = {}
         self._source_overrides: dict[str, deque] = {}
-        # length -> the last head read of that length; a session's prompts
-        # have a few head lengths, and a responder serves one session
-        self._heads: dict[int, _Head] = {}
+        self._last_head = _NO_HEAD
         self.calls = 0
         self.add(instances)
 
@@ -131,13 +137,14 @@ class SyntheticResponder:
         """The `_Head` of `prompt`, and where its last ``Question:`` line
         starts (0 when no later line starts with one)."""
         cut = prompt.rfind("\nQuestion:") + 1
-        head = self._heads.get(cut)
-        if head is None or not prompt.startswith(head.text):
+        head = self._last_head
+        if len(head.text) != cut or not prompt.startswith(head.text):
             text = prompt[:cut]
-            head = self._heads[cut] = _Head(
+            asks = _MODULE_ASK_RE.findall(text)
+            head = self._last_head = _Head(
                 text,
                 frozenset(phrase for phrase in _STAGE_PHRASES if phrase in text),
-                tuple(_MODULE_ASK_RE.findall(text)),
+                asks[-1] if asks else None,
                 frozenset(_CLASS_NAME_RE.findall(text)),
             )
         return head, cut
@@ -163,7 +170,10 @@ class SyntheticResponder:
         tail = prompt[cut:]
         phrases = head.phrases.union(phrase for phrase in _STAGE_PHRASES if phrase in tail)
         if "could you write a new module" in phrases or "You previously wrote a module" in phrases:
-            name = [*head.asks, *_MODULE_ASK_RE.findall(tail)][-1]
+            asks = _MODULE_ASK_RE.findall(tail)
+            name = asks[-1] if asks else head.last_ask
+            if name is None:  # as the last of no asks in the whole prompt
+                raise IndexError("list index out of range")
             queue = self._source_overrides.get(name)
             if queue:
                 return queue.popleft()

@@ -12,6 +12,7 @@ request.
 from __future__ import annotations
 
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -280,3 +281,22 @@ def test_equal_answers_over_a_sequence(prompts):
     new = answers(SyntheticResponder(QUERIES), prompts)
     assert new == answers(WholePromptStages(QUERIES), prompts)
     assert len(set(new)) > 2
+
+
+def test_a_responder_holds_one_head_however_many_it_reads():
+    """Each of 60 stage-3 prompts has its own catalogue, each longer than the
+    last, and the responder answers them all. What it still holds after them
+    is one catalogue's text and its reading, not one per catalogue."""
+    filler = "class PAD():\n" + "    pass\n" * 1000  # about 9 KB
+    responder = SyntheticResponder(QUERIES)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(60):
+            prompt = STAGE3 + filler + " " * i + "\nQuestion: How many cups?\nProgram:\n"
+            assert responder(CompletionRequest(prompt=prompt, model_id="m")) == COUNT_PROGRAM
+        del prompt
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 3 * len(filler)
