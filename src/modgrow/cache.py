@@ -13,10 +13,11 @@ questions. So each distinct response text is stored once as well:
   record that names it.
 - A call record holds the call's ``key`` (a hash of its whole request,
   `modgrow.gateway.cache_key`), ``head_sha256``, the ``request`` with only
-  the prompt's tail after that head, its response and a ``timestamp``. The
-  first call record of a file with a given response text holds the text
-  inline, as ``response``; every later one holds only ``response_sha256``,
-  the text's SHA-256, written as ``head_sha256`` is.
+  the prompt's tail after that head, and its response. The first call
+  record of a file with a given response text holds the text inline, as
+  ``response``; every later one holds only ``response_sha256``, the text's
+  SHA-256, written as ``head_sha256`` is. A record carries no time, so the
+  same session records the same bytes.
 - A call record without ``head_sha256`` holds its whole prompt: a prompt
   with no marker is stored so, and so is every record of a cache written
   before heads were split out. Every record of a cache written before
@@ -47,8 +48,8 @@ starts right after the kept head, the last start is at or after it, where
 the search looks. Any other prompt is cut by `split_prompt`.
 
 `canonical_json` is the one encoding of a record, a split-file line and
-a `set-eq` item: sorted keys, what `json.dumps(x, sort_keys=True)` gives,
-from one encoder built once rather than on every call.
+an item of a `records` gold: sorted keys, as `json.dumps(x, sort_keys=True)`
+gives, from one encoder built once rather than on every call.
 """
 
 from __future__ import annotations

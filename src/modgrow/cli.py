@@ -143,7 +143,7 @@ def cmd_eval(args) -> int:
             grid = doc.get("cells") if isinstance(doc, dict) else None
             if not isinstance(grid, list):
                 raise ValueError('an ablation grid is an object whose "cells" is a list')
-            train = ds.load_dataset(args.train_dataset) if args.train_dataset else []
+            train = ds.load_dataset(args.train_dataset) if args.train_dataset else None
             cfg = _config_from_args(args)
             with gateway:
                 report = run_ablation(

@@ -30,7 +30,6 @@ import json
 import logging
 import os
 import re
-import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
@@ -307,7 +306,6 @@ class LlmGateway:
             "key": key,
             "request": request_doc(req),
             "response": response,
-            "timestamp": int(time.time()),  # whole seconds: same work, same bytes
         }
         if self._writer is not None:
             self._writer.append(record)

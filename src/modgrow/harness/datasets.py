@@ -3,14 +3,16 @@
 Each generated instance bundles a scene (or panel set), the natural-language
 query, a structured query spec the brute-force oracle can answer, the gold
 answer, a canonical program solving it with the full module catalogue, a
-fallback program restricted to builtins, and per-module case programs used
-to gate synthesized candidates.
+fallback program restricted to builtins, and per-module test cases used
+to gate synthesized candidates. A module case is a program and a gold of
+the same shape as an instance's, mostly the instance's own.
 
 `TASKS` holds one `TaskSpec` per task family: its templates, how an
-instance is bound, how a result is judged, whether the report carries
-region metrics, and which instances the puzzle driver answers instead of a
+instance is bound, its gold types, whether the report carries region
+metrics, and which instances the puzzle driver answers instead of a
 program. Dataset generation, binding and evaluation look a task up there
-and name no task themselves.
+and name no task themselves. `JUDGES` holds one judge per gold type, which
+scores an evaluated answer and a module case's alike.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import inspect
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .. import values as V
 from ..cache import canonical_json
@@ -27,7 +29,7 @@ from ..errors import SceneSchemaError
 from ..reference_modules import RAVEN_LAYOUTS, RAVEN_SCALES, raven_regions, solver_check
 from ..scene import KNOWLEDGE_LISTS, ImageHandle, SceneGraph, SceneObject, load_scene
 from . import oracle as oracle_mod
-from .metrics import compare_values, iou, match_region_sets, match_tag
+from .metrics import iou, match_region_sets, match_tag, set_items
 
 VQA_OBJECTS = ["coat", "towel", "box", "knife", "purse", "umbrella", "sandwich",
                "dog", "cat", "cup", "book", "bottle", "plant", "pillow", "lamp", "vase"]
@@ -191,39 +193,9 @@ def _row_boxes(rng: random.Random, count: int) -> list[tuple]:
     return boxes
 
 
-def _gold_value(gold: dict) -> V.Value:
-    kind = gold["type"]
-    value = gold["value"]
-    if kind == "text":
-        return V.text(value)
-    if kind == "number":
-        return V.number(value)
-    if kind == "box":
-        return V.box_list([value] if value else [])
-    if kind == "list":
-        return V.list_value(value)
-    if kind == "index":
-        return V.number(value)
-    raise ValueError(f"gold type {kind!r} has no value form")
-
-
-GOLD_COMPARATOR = {"text": "exact-text", "number": "numeric-eq", "box": "iou-at-0.5",
-                   "list": "exact-text", "index": "numeric-eq"}
-
-
 def _default_case(instance: TaskInstance) -> dict:
-    gold_value = _gold_value(instance.gold)
-    return {
-        "program": instance.canonical_program,
-        "expected": {"tag": gold_value.tag, "payload": _listify(gold_value.payload)},
-        "comparator": GOLD_COMPARATOR[instance.gold["type"]],
-    }
-
-
-def _listify(payload):
-    if isinstance(payload, tuple):
-        return [_listify(v) for v in payload]
-    return payload
+    """A module case that runs the instance's canonical program to its gold."""
+    return {"program": instance.canonical_program, "gold": instance.gold}
 
 
 def _finish(instance: TaskInstance) -> TaskInstance:
@@ -650,11 +622,7 @@ def _tagging_ordinal(rng: random.Random, iid: str) -> TaskInstance:
         fallback_program=fallback,
         scene=ground.scene,
     )
-    instance.module_cases["SORT_SPATIAL"] = {
-        "program": ground.canonical_program,
-        "expected": {"tag": "box-list", "payload": [ground.gold["value"]]},
-        "comparator": "iou-at-0.5",
-    }
+    instance.module_cases["SORT_SPATIAL"] = _default_case(ground)
     return instance
 
 
@@ -1066,14 +1034,9 @@ def _raven_instance(rng: random.Random, iid: str, layout: str = "center", rules=
         panel_records = [oracle_mod.panel_record(p, layout) for p in puzzle.panels]
         instance.module_cases["DETECT_SHAPE"] = {
             "program": "ATTRS0=DETECT_SHAPE(image=PANELS)\nFINAL_RESULT=RESULT(var=ATTRS0)",
-            "expected": {"tag": "list", "payload": panel_records},
-            "comparator": "set-eq",
+            "gold": {"type": "records", "value": panel_records},
         }
-        instance.module_cases["SOLVER"] = {
-            "program": program,
-            "expected": {"tag": "number", "payload": puzzle.answer_index},
-            "comparator": "numeric-eq",
-        }
+        instance.module_cases["SOLVER"] = _default_case(instance)
     return instance
 
 
@@ -1172,75 +1135,145 @@ def _split_layout(instance: TaskInstance) -> bool:
     return instance.puzzle.layout != "center"
 
 
-# A judge fills `correct` and `predicted` of an `evaluate.InstanceOutcome`
-# from a program's final value, and the region counts for region tasks.
+# ---------------------------------------------------------------------------
+# Judges, one per gold type
+# ---------------------------------------------------------------------------
 
 
-def _judge_answer(outcome, final: V.Value, gold: dict) -> None:
-    outcome.correct = compare_values(final, _gold_value(gold), GOLD_COMPARATOR[gold["type"]])
-    outcome.predicted = V.summarize(final)
+class Verdict(NamedTuple):
+    """A judge's score of one final value: whether it is right, the value as a
+    report shows it, and for a region gold the regions matched, predicted and gold."""
+
+    correct: bool
+    predicted: str
+    correct_pairs: int = 0
+    predicted_regions: int = 0
+    gold_regions: int = 0
 
 
-def _boxes_of(value: V.Value):
-    if value is not None and value.tag in ("box-list", "mask"):
-        return [list(b) for b in value.payload]
-    return []
+Judge = Callable[[V.Value], Verdict]
 
 
-def _judge_grounding(outcome, final: V.Value, gold: dict) -> None:
-    predictions = _boxes_of(final)
-    gold_boxes = [gold["value"]] if gold["value"] else []
-    outcome.predicted_regions = len(predictions)
-    outcome.gold_regions = len(gold_boxes)
-    outcome.correct_pairs = match_region_sets(
-        predictions, gold_boxes, lambda p, g: iou(p, g) >= 0.5
+def _normalize_text(s: str) -> str:
+    return " ".join(s.lower().split())
+
+
+def _judge_text(value) -> Judge:
+    """Right when equal to the gold after lower-casing and collapsing spaces."""
+    want = _normalize_text(str(value))
+    return lambda final: Verdict(_normalize_text(str(final.payload)) == want, V.summarize(final))
+
+
+def _judge_list(value) -> Judge:
+    """As `_judge_text`, item by item for a list; any other value is compared
+    with the text of the gold's items as a tuple."""
+    items = [_normalize_text(str(x)) for x in value]
+    whole = _normalize_text(str(tuple(value)))
+    return lambda final: Verdict(
+        [_normalize_text(str(x)) for x in final.payload] == items if final.tag == "list"
+        else _normalize_text(str(final.payload)) == whole,
+        V.summarize(final),
     )
-    outcome.correct = bool(predictions) and bool(gold_boxes) and iou(predictions[0], gold_boxes[0]) >= 0.5
-    outcome.predicted = json.dumps(predictions[:1])
 
 
-def _judge_tagging(outcome, final: V.Value, gold: dict) -> None:
-    regions = []
-    if final is not None and final.tag == "image":
-        regions = [(list(ov.box), ov.label) for ov in final.payload.overlays]
-    gold_regions = gold["value"]
-    outcome.predicted_regions = len(regions)
-    outcome.gold_regions = len(gold_regions)
-    outcome.correct_pairs = match_region_sets(
-        regions,
-        gold_regions,
-        lambda p, g: iou(p[0], g["box"]) >= 0.5 and match_tag(p[1], g["label"]),
-    )
-    outcome.correct = (
-        outcome.correct_pairs == len(gold_regions) and len(regions) == len(gold_regions)
-    )
-    outcome.predicted = json.dumps([[b, l] for b, l in regions])
+def _judge_number(value) -> Judge:
+    """Right when within 1e-9 of the gold; a value no float reads is wrong."""
+
+    def judge(final: V.Value) -> Verdict:
+        try:
+            correct = abs(float(final.payload) - float(value)) < 1e-9
+        except (TypeError, ValueError):
+            correct = False
+        return Verdict(correct, V.summarize(final))
+
+    return judge
 
 
-def _edit_matches(final: V.Value, gold: dict) -> bool:
-    if final is None or final.tag != "image":
+def _judge_records(value) -> Judge:
+    """Right when the value holds the gold's records in any order, each
+    compared as canonical JSON; the gold's are encoded once, here."""
+    want = sorted(map(canonical_json, value))
+    return lambda final: Verdict(set_items(final) == want, V.summarize(final))
+
+
+def _judge_box(value) -> Judge:
+    """Right when the first predicted box meets the gold at IoU >= 0.5."""
+    golds = [value] if value else []
+
+    def judge(final: V.Value) -> Verdict:
+        predictions = [list(b) for b in final.payload] if final.tag in ("box-list", "mask") else []
+        correct = bool(predictions) and bool(golds) and iou(predictions[0], golds[0]) >= 0.5
+        matched = match_region_sets(predictions, golds, lambda p, g: iou(p, g) >= 0.5)
+        return Verdict(correct, json.dumps(predictions[:1]), matched, len(predictions), len(golds))
+
+    return judge
+
+
+def _judge_tagged_regions(value) -> Judge:
+    """Right when the image's tags match the gold regions one to one, each
+    at IoU >= 0.5 with a label equal by `match_tag`."""
+
+    def judge(final: V.Value) -> Verdict:
+        regions = [(list(ov.box), ov.label) for ov in final.payload.overlays] if final.tag == "image" else []
+        matched = match_region_sets(
+            regions, value, lambda p, g: iou(p[0], g["box"]) >= 0.5 and match_tag(p[1], g["label"])
+        )
+        return Verdict(matched == len(value) == len(regions), json.dumps([[b, l] for b, l in regions]),
+                       matched, len(regions), len(value))
+
+    return judge
+
+
+def _edit_matches(final: V.Value, spec: dict) -> bool:
+    if final.tag != "image":
         return False
     handle = final.payload
-    spec = gold["value"]
     if spec["kind"] == "emoji":
-        return any(
-            match_tag(ov.label, spec["label"]) and iou(list(ov.box), spec["region"]) >= 0.5
-            for ov in handle.overlays
-        )
-    for edit in handle.edits:
-        if edit.kind != spec["kind"] or not edit.boxes:
-            continue
-        if iou(list(edit.boxes[0]), spec["region"]) < 0.5:
-            continue
-        if spec["kind"] == "replace" and spec.get("category", "") not in edit.prompt.lower():
-            continue
-        return True
-    return False
+        return any(match_tag(ov.label, spec["label"]) and iou(list(ov.box), spec["region"]) >= 0.5
+                   for ov in handle.overlays)
+    return any(
+        edit.kind == spec["kind"] and edit.boxes and iou(list(edit.boxes[0]), spec["region"]) >= 0.5
+        and (spec["kind"] != "replace" or spec.get("category", "") in edit.prompt.lower())
+        for edit in handle.edits
+    )
 
 
-def _judge_editing(outcome, final: V.Value, gold: dict) -> None:
-    outcome.correct = _edit_matches(final, gold)
-    outcome.predicted = V.summarize(final)
+def _judge_edit(value) -> Judge:
+    """Right when the image carries the gold's edit over its region, with
+    the gold's category for a replacement or its label for an emoji."""
+    return lambda final: Verdict(_edit_matches(final, value), V.summarize(final))
+
+
+# `JUDGES[type](value)` is the judge of a gold of that type: it scores a
+# program's final value against the gold's value. Evaluation judges an
+# instance's answer by it, and stage 2 a module case's.
+JUDGES: dict[str, Callable[..., Judge]] = {
+    "box": _judge_box,
+    "edit": _judge_edit,
+    "index": _judge_number,
+    "list": _judge_list,
+    "number": _judge_number,
+    "records": _judge_records,
+    "tagged-regions": _judge_tagged_regions,
+    "text": _judge_text,
+}
+
+# The value form of a gold: the `Value` a right answer is, which a failed
+# module case's `expected` summarizes. A case's gold must have one: a tagged
+# image or an edit has none.
+VALUE_FORMS: dict[str, Callable[..., V.Value]] = {
+    "box": lambda value: V.box_list([value] if value else []),
+    "index": V.number,
+    "list": V.list_value,
+    "number": V.number,
+    "records": V.list_value,
+    "text": V.text,
+}
+
+
+def judge_of(gold: dict) -> Judge:
+    """The judge of `gold`, a {"type", "value"} object."""
+    return JUDGES[gold["type"]](gold["value"])
 
 
 @dataclass(frozen=True)
@@ -1250,17 +1283,15 @@ class TaskSpec:
     `templates` maps a template name to ``template(rng, iid, **knobs)``,
     which returns one instance. `bind(instance, image_of)` returns the
     instance's initial bindings by name, with `image_of(scene)` as the
-    handle on each scene. `judge(outcome, final, gold)` scores a
-    program's final value against a gold whose type is one of `gold_types`.
-    `regions` adds region precision, recall and F1 to the task's report.
-    `split_layout(instance)`, when set, is true for the
-    instances `evaluate.solve_puzzle_with_modules` answers instead of a
-    program.
+    handle on each scene. An instance's gold is of one of `gold_types`, and
+    `JUDGES` scores an answer by that type. `regions` adds region precision,
+    recall and F1 to the task's report. `split_layout(instance)`, when set,
+    is true for the instances `evaluate.solve_puzzle_with_modules` answers
+    instead of a program.
     """
 
     templates: dict[str, Callable[..., TaskInstance]]
     bind: Callable[..., dict]
-    judge: Callable[..., None]
     gold_types: tuple[str, ...]
     regions: bool = False
     split_layout: Callable[[TaskInstance], bool] | None = None
@@ -1281,7 +1312,6 @@ TASKS = {
             "knowledge-list": _vqa_knowledge_list,
         },
         bind=_bind_image("QUESTION"),
-        judge=_judge_answer,
         gold_types=("list", "number", "text"),
     ),
     "grounding": TaskSpec(
@@ -1293,7 +1323,6 @@ TASKS = {
             "region": _grounding_region,
         },
         bind=_bind_image("EXPRESSION"),
-        judge=_judge_grounding,
         gold_types=("box",),
         regions=True,
     ),
@@ -1303,27 +1332,23 @@ TASKS = {
             "filter": _tagging_filter,
         },
         bind=_bind_image("EXPRESSION"),
-        judge=_judge_tagging,
         gold_types=("tagged-regions",),
         regions=True,
     ),
     "editing": TaskSpec(
         templates={"edit": _editing_instance},
         bind=_bind_image("INSTRUCTION"),
-        judge=_judge_editing,
         gold_types=("edit",),
     ),
     "raven": TaskSpec(
         templates={"matrix": _raven_instance},
         bind=_bind_puzzle,
-        judge=_judge_answer,
         gold_types=("index",),
         split_layout=_split_layout,
     ),
     "mewl-analog": TaskSpec(
         templates={"word": _mewl_instance},
         bind=_bind_examples,
-        judge=_judge_answer,
         gold_types=("text",),
     ),
 }
@@ -1453,19 +1478,16 @@ def _check_fields(doc: dict) -> None:
     """Refuse a line whose fields other than its scenes and puzzle do not
     hold what a `TaskInstance` reads from them, naming the first that does
     not; a missing top-level field is a `KeyError`. The gold's type is
-    checked against the types its task judges only when the task is known:
-    `split_task` refuses an unknown one."""
+    checked against its task's `gold_types` only when the task is known:
+    `split_task` refuses an unknown one. A module case's gold is checked as
+    an instance's is, and its type must have a value form."""
     for name in ("id", "task", "query"):
         if not isinstance(doc[name], str):
             raise ValueError(f"{name}: must be a string")
     if not isinstance(doc["query_spec"], dict):
         raise ValueError("query_spec: must be an object")
-    gold = doc["gold"]
-    if not isinstance(gold, dict) or "type" not in gold or "value" not in gold:
-        raise ValueError("gold: must be an object with a type and a value")
     spec = TASKS.get(doc["task"])
-    if spec is not None and gold["type"] not in spec.gold_types:
-        raise ValueError(f"gold.type: must be one of {', '.join(spec.gold_types)}")
+    _check_gold(doc["gold"], "gold", spec and spec.gold_types)
     programs = doc["programs"]
     if not isinstance(programs, dict):
         raise ValueError("programs: must be an object")
@@ -1480,11 +1502,16 @@ def _check_fields(doc: dict) -> None:
             raise ValueError(f"module_cases.{name}: must be an object")
         if not isinstance(case.get("program"), str):
             raise ValueError(f"module_cases.{name}.program: must be a string")
-        expected = case.get("expected")
-        if not isinstance(expected, dict) or "tag" not in expected or "payload" not in expected:
-            raise ValueError(f"module_cases.{name}.expected: must be an object with a tag and a payload")
-        if not isinstance(case.get("comparator"), str):
-            raise ValueError(f"module_cases.{name}.comparator: must be a string")
+        _check_gold(case.get("gold"), f"module_cases.{name}.gold", tuple(VALUE_FORMS))
+
+
+def _check_gold(gold, where: str, types: tuple[str, ...] | None) -> None:
+    """Refuse a gold that is not an object with a type and a value, or whose
+    type is not one of `types` when they are given; `where` names it."""
+    if not isinstance(gold, dict) or "type" not in gold or "value" not in gold:
+        raise ValueError(f"{where}: must be an object with a type and a value")
+    if types is not None and gold["type"] not in types:
+        raise ValueError(f"{where}.type: must be one of {', '.join(types)}")
 
 
 def _check_puzzle(puzzle) -> None:

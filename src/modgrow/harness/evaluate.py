@@ -2,12 +2,13 @@
 
 Each instance's stage-3 prompt (which carries the current module catalogue)
 is completed through the gateway, `executor.run_program` runs the program
-over the instance's bindings, and the task's judge in `datasets.TASKS`
-scores the result. Instances the task marks as split-layout puzzles are
-answered by a module driver instead, since the straight-line program
-language cannot crop each panel into its regions: it reads the region
-crops of all panels with one DETECT_SHAPE call, those of all candidates
-with a second, and passes the regrouped records to SOLVER. An instance
+over the instance's bindings, and the judge of the gold's type in
+`datasets.JUDGES` scores the result, as stage 2 scores a module case.
+Instances the task marks as split-layout puzzles are answered by a module
+driver instead, since the straight-line program language cannot crop each
+panel into its regions: it reads the region crops of all panels with one
+DETECT_SHAPE call, those of all candidates with a second, and passes the
+regrouped records to SOLVER. An instance
 that fails is an incorrect outcome whose `error` is the failure's
 `CapturedError`: the run's own, or the record of a cache miss, a response
 without a program, an endpoint failure, or a driver call that failed or
@@ -32,7 +33,7 @@ from ..reference_modules import raven_regions
 from ..registry import ExecutionRegistry, Library, signature_prompt_text
 from ..scene import ImageHandle
 from ..synthesis import DEFAULT_MODEL_ID, run_synthesis
-from .datasets import TaskInstance, build_bindings, task_spec
+from .datasets import TaskInstance, build_bindings, judge_of, task_spec
 from .metrics import precision_recall_f1
 
 
@@ -234,7 +235,8 @@ def evaluate(
         outcome.trace = _trace_docs(result.trace)
         outcome.error = result.error
         if result.error is None:
-            spec.judge(outcome, result.final, instance.gold)
+            (outcome.correct, outcome.predicted, outcome.correct_pairs, outcome.predicted_regions,
+             outcome.gold_regions) = judge_of(instance.gold)(result.final)
 
     n = len(outcomes)
     metrics = {"accuracy": sum(1 for o in outcomes if o.correct) / n if n else 0.0}
@@ -296,7 +298,7 @@ class AblationReport:
 
 def run_ablation(
     grid: list[dict],
-    train: list[TaskInstance],
+    train: list[TaskInstance] | None,
     test: list[TaskInstance],
     base_lib: Library,
     gateway: LlmGateway,
@@ -306,9 +308,11 @@ def run_ablation(
 ) -> AblationReport:
     """One evaluate() per grid cell; cells name a library variant and train size.
 
-    Raises `EmptyGridError` for a grid without cells and `ValueError` for a
-    cell that is not a mapping, sets a key other than those two or names a
-    library variant other than "full" and "wo-ml", before any cell runs."""
+    Raises `EmptyGridError` for a grid without cells and `ValueError`, before
+    any cell runs, for a cell that is not a mapping, sets a key other than
+    those two, names a library variant other than "full" and "wo-ml", gives
+    "wo-ml" a train size or "full" one that is not an integer in
+    0..len(train), or is "full" when `train` is None (no split)."""
     if not grid:
         raise EmptyGridError("ablation grid has no cells")
     if not all(isinstance(cell, dict) for cell in grid):
@@ -321,6 +325,15 @@ def run_ablation(
     if unknown:
         raise ValueError(f"unknown ablation library {unknown[0]!r}; "
                          f"known values: {', '.join(LIBRARY_VARIANTS)}")
+    for cell in grid:
+        size = cell.get("train_size")
+        if cell.get("library", "full") == "wo-ml":
+            if "train_size" in cell:
+                raise ValueError("a wo-ml ablation cell takes no train_size")
+        elif train is None:
+            raise ValueError("a full ablation cell needs a training split")
+        elif "train_size" in cell and (type(size) is not int or not 0 <= size <= len(train)):
+            raise ValueError(f"ablation train_size {json.dumps(size)} is not an integer in 0..{len(train)}")
     rows: list[AblationRow] = []
     sized_accuracy: list[tuple[int, float]] = []
     for cell in grid:
@@ -329,7 +342,7 @@ def run_ablation(
             label = "w/o module learning"
             lib = base_lib
         else:
-            size = int(cell.get("train_size", len(train)))
+            size = cell.get("train_size", len(train))
             label = f"full ({size} train examples)"
             try:
                 lib, _ = run_synthesis(train[:size], base_lib, gateway, backend, cfg)

@@ -1,4 +1,4 @@
-"""Evaluation metrics: IoU, value comparators, tag matching, precision/recall/F1."""
+"""Evaluation metrics: IoU, record sets, tag matching, precision/recall/F1."""
 
 from __future__ import annotations
 
@@ -19,37 +19,9 @@ def iou(a, b) -> float:
     return inter / (area_a + area_b - inter)
 
 
-def _normalize_text(s: str) -> str:
-    return " ".join(s.lower().split())
-
-
-def compare_values(final, expected, comparator: str) -> bool:
-    """Whether a program's final `Value` matches the expected one under the
-    named comparator: exact-text, numeric-eq, iou-at-0.5 or set-eq."""
-    if comparator == "exact-text":
-        if final.tag == "list" and expected.tag == "list":
-            return [_normalize_text(str(x)) for x in final.payload] == [
-                _normalize_text(str(x)) for x in expected.payload
-            ]
-        return _normalize_text(str(final.payload)) == _normalize_text(str(expected.payload))
-    if comparator == "numeric-eq":
-        try:
-            return abs(float(final.payload) - float(expected.payload)) < 1e-9
-        except (TypeError, ValueError):
-            return False
-    if comparator == "iou-at-0.5":
-        if final.tag not in ("box-list", "mask") or not final.payload:
-            return False
-        gold = expected.payload[0] if expected.tag in ("box-list", "mask") else expected.payload
-        return iou(final.payload[0], gold) >= 0.5
-    if comparator == "set-eq":
-        return set_items(final) == set_items(expected)
-    raise ValueError(f"unknown comparator {comparator!r}")
-
-
 def set_items(value) -> list[str]:
-    """What `set-eq` compares: the items of a list-like value, or the value
-    alone, each as canonical JSON, sorted."""
+    """What a `records` gold is compared by: the items of a list-like value,
+    or the value alone, each as canonical JSON, sorted."""
     items = value.payload if value.tag in ("box-list", "mask", "list") else [value.payload]
     return sorted(map(canonical_json, items))
 

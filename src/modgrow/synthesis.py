@@ -37,8 +37,7 @@ from .gateway import (
     parse_initialization_response,
     render_prompt,
 )
-from .harness.datasets import build_bindings
-from .harness.metrics import compare_values, set_items
+from .harness.datasets import VALUE_FORMS, build_bindings, judge_of
 from .registry import (
     EPOCH_TIMESTAMP,
     ExecutionRegistry,
@@ -79,19 +78,16 @@ class TestCase:
     id: str
     example: object  # the training TaskInstance: loaded scenes + query text
     program: str
-    expected: V.Value
-    comparator: str  # exact-text | numeric-eq | iou-at-0.5 | set-eq
+    gold: dict  # {"type": ..., "value": ...}, judged as an instance's gold is
     bindings: dict[str, V.Value]  # the example's, shared by every run of the case
 
     def passes(self, final: V.Value) -> bool:
-        """Whether a run's final value matches `expected` under `comparator`."""
-        if self.comparator == "set-eq":
-            return set_items(final) == self._expected_items
-        return compare_values(final, self.expected, self.comparator)
+        """Whether a run's final value is right by the judge of `gold`."""
+        return self._judge(final).correct
 
     @cached_property
-    def _expected_items(self) -> list[str]:
-        return set_items(self.expected)
+    def _judge(self):
+        return judge_of(self.gold)
 
 
 @dataclass(frozen=True)
@@ -169,7 +165,7 @@ def build_test_cases(proposal: Proposal, train_examples, bind=None) -> list[Test
     """One executable case per training example that exercises the module.
 
     Each dataset instance carries per-module case programs (the reasoning
-    chain truncated at the module's last call) with oracle expectations, so a
+    chain truncated at the module's last call) with oracle golds, so a
     proposal can be gated before later modules in the same chain exist.
     `bind(example)` gives a case's bindings; by default each case builds its
     own with `build_bindings`.
@@ -186,21 +182,13 @@ def build_test_cases(proposal: Proposal, train_examples, bind=None) -> list[Test
                 id=f"{example.id}:{name}",
                 example=example,
                 program=case_spec["program"],
-                expected=V.Value(case_spec["expected"]["tag"], _tupleize(case_spec["expected"]["payload"])),
-                comparator=case_spec["comparator"],
+                gold=case_spec["gold"],
                 bindings=bind(example),
             )
         )
     if not cases:
         raise NoCasesError(f"no training example exercises {name}")
     return cases
-
-
-def _tupleize(payload):
-    """A JSON-shaped payload with each list, at any depth, as a tuple."""
-    if not isinstance(payload, list):
-        return payload
-    return tuple([_tupleize(v) if isinstance(v, list) else v for v in payload])
 
 
 def _shared_binder(memo: PerceptionMemo):
@@ -248,7 +236,7 @@ def _case_error(case: TestCase, registry: ExecutionRegistry, backend) -> Capture
     return CapturedError(
         "wrong_output",
         f"case {case.id} produced a wrong answer",
-        expected=V.summarize(case.expected),
+        expected=V.summarize(VALUE_FORMS[case.gold["type"]](case.gold["value"])),
         actual=V.summarize(outcome.final),
     )
 

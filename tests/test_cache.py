@@ -3,12 +3,14 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import time
 from contextlib import closing
 
 import pytest
 
 from modgrow import cli
 from modgrow import reference_modules as rm
+from modgrow.backends import SyntheticBackend
 from modgrow.cache import (
     HEAD_MARKERS,
     CacheWriter,
@@ -22,7 +24,8 @@ from modgrow.errors import CacheMissError
 from modgrow.gateway import CompletionRequest, LlmGateway, cache_key, request_doc
 from modgrow.harness.datasets import generate_dataset
 from modgrow.harness.evaluate import evaluate
-from modgrow.replay_seed import SyntheticResponder
+from modgrow.registry import builtin_library
+from modgrow.replay_seed import SyntheticResponder, seed_learn_and_eval
 from modgrow.synthesis import SynthesisConfig, run_synthesis
 
 PROMPTS = ("first", "second", "third")
@@ -113,7 +116,7 @@ class TestTornLastLine:
             assert "cutting torn last line" in caplog.text
         assert cache.read_text(encoding="utf-8").split("\n")[0] == head_line
         assert [sorted(line) for line in lines_of(cache)] == [
-            ["head", "head_sha256"], *[["head_sha256", "key", "request", "response", "timestamp"]] * 2
+            ["head", "head_sha256"], *[["head_sha256", "key", "request", "response"]] * 2
         ]
         assert show(cache, "--verify") == 0
 
@@ -201,8 +204,7 @@ class TestHeads:
 
 
 class TestOneFormat:
-    def test_gateway_record_bytes(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("modgrow.gateway.time.time", lambda: 1234.5)
+    def test_gateway_record_bytes(self, tmp_path):
         cache = tmp_path / "llm.jsonl"
         record(cache, [HEADED[0], "p"])
         key, plain_key = cache_key(request(HEADED[0])), cache_key(request("p"))
@@ -211,11 +213,21 @@ class TestOneFormat:
             f'{{"head": "head", "head_sha256": "{head_hash}"}}\n'
             f'{{"head_sha256": "{head_hash}", "key": "{key}", "request": {{"max_tokens": 1024, '
             f'"model_id": "m", "prompt": "\\nQuestion: 1", "stop": null, "temperature": 0.0}}, '
-            f'"response": "re: head\\nQuestion: 1", "timestamp": 1234}}\n'
+            f'"response": "re: head\\nQuestion: 1"}}\n'
             f'{{"key": "{plain_key}", "request": {{"max_tokens": 1024, "model_id": "m", '
             f'"prompt": "p", "stop": null, "temperature": 0.0}}, '
-            f'"response": "re: p", "timestamp": 1234}}\n'
+            f'"response": "re: p"}}\n'
         )
+
+    def test_a_session_recorded_at_another_time_has_the_same_bytes(self, tmp_path, monkeypatch):
+        train, test = generate_dataset("vqa", 5, 6), generate_dataset("vqa", 6, 4)
+        caches = []
+        for clock in (1234.5, 2_000_000_000.0):
+            monkeypatch.setattr(time, "time", lambda clock=clock: clock)
+            caches.append(tmp_path / f"at-{clock}.jsonl")
+            seed_learn_and_eval(train, test, builtin_library(), SyntheticBackend(), SynthesisConfig(),
+                                str(caches[-1]))
+        assert caches[0].read_bytes() == caches[1].read_bytes()
 
     def test_a_cache_in_the_whole_request_format_replays_and_grows(self, tmp_path, capsys):
         """A record that holds its whole prompt, as every record did before

@@ -211,6 +211,10 @@ def test_eval_ablation_in_record_mode(tmp_path, monkeypatch, capsys):
     assert table.endswith("train-size trend non-decreasing: pass\n")
 
 
+# what a grid with a "full" cell is refused with when no training split is given
+NO_TRAIN_SPLIT = "a full ablation cell needs a training split"
+
+
 @pytest.mark.parametrize("cells, message", [
     ([{"train_size": 4}, {"train_size": 4, "model_id": "other"}],
      "unknown ablation cell key 'model_id'; known keys: library, train_size"),
@@ -222,13 +226,21 @@ def test_eval_ablation_in_record_mode(tmp_path, monkeypatch, capsys):
     # a string is the whole grid file, not its cells
     ('[{"train_size": 4}]', 'an ablation grid is an object whose "cells" is a list'),
     ('{"cells": 5}', 'an ablation grid is an object whose "cells" is a list'),
+    # the training split holds 4 examples
+    *[([{"library": "wo-ml"}, {"train_size": size}],
+       f"ablation train_size {json.dumps(size)} is not an integer in 0..4")
+      for size in (-1, -4, 1.9, True, "3", 5, 1000, None)],
+    ([{"train_size": 4}, {"library": "wo-ml", "train_size": 2}], "a wo-ml ablation cell takes no train_size"),
+    ([{"library": "wo-ml"}, {"library": "full"}], NO_TRAIN_SPLIT),
 ])
 def test_eval_ablation_refuses_a_bad_cell_before_any_model_call(tmp_path, monkeypatch, capsys, cells, message):
     train, test, calls = ablation_splits(tmp_path, monkeypatch)
     grid = tmp_path / "grid.json"
     grid.write_text(cells if isinstance(cells, str) else json.dumps({"cells": cells}), encoding="utf-8")
     argv = ["eval", "--mode", "record", "--cache", str(tmp_path / "cache.jsonl"), "--dataset", str(test),
-            "--ablation", str(grid), "--train-dataset", str(train)]
+            "--ablation", str(grid)]
+    if message != NO_TRAIN_SPLIT:
+        argv += ["--train-dataset", str(train)]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert calls == []
@@ -382,9 +394,14 @@ LINE_FIELDS = {
     "module_cases list": ("module_cases", []),
     "case null": ("module_cases", "SOLVER", None),
     "case program missing": ("module_cases", "SOLVER", "program", DROP),
-    "case without expected": ("module_cases", "DETECT_SHAPE", "expected", DROP),
-    "expected without payload": ("module_cases", "SOLVER", "expected", "payload", DROP),
-    "comparator number": ("module_cases", "SOLVER", "comparator", 1),
+    "case without gold": ("module_cases", "DETECT_SHAPE", "gold", DROP),
+    "case gold without value": ("module_cases", "SOLVER", "gold", "value", DROP),
+    "case gold type unknown": ("module_cases", "SOLVER", "gold", "type", "zzz"),
+    "case gold without a value form": ("module_cases", "DETECT_SHAPE", "gold", "type", "tagged-regions"),
+    # a case as splits held it before cases carried golds
+    "case of the old format": ("module_cases", "SOLVER", {
+        "program": "ANSWER0=EVAL(expr=f\"1\")\nFINAL_RESULT=RESULT(var=ANSWER0)",
+        "expected": {"tag": "number", "payload": 1}, "comparator": "numeric-eq"}),
 }
 
 SPLIT_FAULTS = {
@@ -417,9 +434,12 @@ SPLIT_FAULTS = {
     "module_cases list": "module_cases: must be an object",
     "case null": "module_cases.SOLVER: must be an object",
     "case program missing": "module_cases.SOLVER.program: must be a string",
-    "case without expected": "module_cases.DETECT_SHAPE.expected: must be an object with a tag and a payload",
-    "expected without payload": "module_cases.SOLVER.expected: must be an object with a tag and a payload",
-    "comparator number": "module_cases.SOLVER.comparator: must be a string",
+    "case without gold": "module_cases.DETECT_SHAPE.gold: must be an object with a type and a value",
+    "case gold without value": "module_cases.SOLVER.gold: must be an object with a type and a value",
+    "case gold type unknown": "module_cases.SOLVER.gold.type: must be one of box, index, list, number, records, text",
+    "case gold without a value form":
+        "module_cases.DETECT_SHAPE.gold.type: must be one of box, index, list, number, records, text",
+    "case of the old format": "module_cases.SOLVER.gold: must be an object with a type and a value",
 }
 
 

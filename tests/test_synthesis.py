@@ -6,17 +6,22 @@ import pytest
 
 from modgrow import reference_modules as rm
 from modgrow import scene
+from modgrow import values as V
+from modgrow.cache import canonical_json
 from modgrow.errors import EndpointError
+from modgrow.executor import run_program
 from modgrow.gateway import LlmGateway
 from modgrow.harness import datasets as ds
+from modgrow.harness import oracle
 from modgrow.harness.evaluate import evaluate
+from modgrow.harness.metrics import iou
+from modgrow.registry import ExecutionRegistry
 from modgrow.replay_seed import SyntheticResponder
 from modgrow.sandbox import Limits, load_candidate
 from modgrow.synthesis import (
     CandidateOutcome,
     Proposal,
     SynthesisConfig,
-    _tupleize,
     build_test_cases,
     compute_pass_rate,
     render_error_report,
@@ -77,22 +82,88 @@ def test_repair_report_names_the_candidate_line(cases, builtin_lib, backend):
     assert errors == f"- runtime (line {line}): ValueError: injected fault"
 
 
-def reference_tupleize(payload):
-    """The expected-value builder that `_tupleize` replaced."""
-    if isinstance(payload, list):
-        return tuple(reference_tupleize(v) for v in payload)
-    return payload
+def _normalize(s: str) -> str:
+    return " ".join(s.lower().split())
 
 
+def reference_compare(final, expected, comparator: str) -> bool:
+    """How a module case was scored when it stored an expected `Value` and a
+    comparator name instead of a gold."""
+    if comparator == "exact-text":
+        if final.tag == "list" and expected.tag == "list":
+            return [_normalize(str(x)) for x in final.payload] == [_normalize(str(x)) for x in expected.payload]
+        return _normalize(str(final.payload)) == _normalize(str(expected.payload))
+    if comparator == "numeric-eq":
+        try:
+            return abs(float(final.payload) - float(expected.payload)) < 1e-9
+        except (TypeError, ValueError):
+            return False
+    if comparator == "iou-at-0.5":
+        if final.tag not in ("box-list", "mask") or not final.payload:
+            return False
+        gold = expected.payload[0] if expected.tag in ("box-list", "mask") else expected.payload
+        return iou(final.payload[0], gold) >= 0.5
+    assert comparator == "set-eq"
+
+    def items(value):
+        return sorted(map(canonical_json, value.payload if value.tag in ("box-list", "mask", "list")
+                          else [value.payload]))
+
+    return items(final) == items(expected)
+
+
+def reference_case(instance, name: str):
+    """The (expected value, comparator) that the case tables stored for
+    `instance`'s case of module `name`, built from the instance itself."""
+    if name == "DETECT_SHAPE":
+        records = [oracle.panel_record(panel, "center") for panel in instance.puzzle.panels]
+        return V.Value("list", tuple(tuple(tuple(pair) for pair in r) for r in records)), "set-eq"
+    kind, value = instance.gold["type"], instance.gold["value"]
+    if kind == "tagged-regions":  # the grounding chain's box
+        return V.box_list([value[0]["box"]]), "iou-at-0.5"
+    if kind == "box":
+        return V.box_list([value]), "iou-at-0.5"
+    return (V.text(value), "exact-text") if kind == "text" else (V.number(value), "numeric-eq")
+
+
+PERTURBED_FINALS = (V.NULL, V.list_value(()), V.number(-1), V.text("zzz"), V.box_list(()),
+                    V.box_list([(0, 0, 1, 1)]))
+
+
+def nudged(final):
+    """The fixture's final value changed near the edge of what its gold
+    accepts: a number one higher, boxes shifted by half their width (IoU
+    1/3), a text upper-cased and padded with spaces."""
+    if final.tag == "number":
+        return V.number(final.payload + 1)
+    if final.tag == "box-list":
+        return V.box_list([(x1 + (x2 - x1) // 2, y1, x2 + (x2 - x1) // 2, y2) for x1, y1, x2, y2 in final.payload])
+    if final.tag == "text":
+        return V.text(f"  {final.payload.upper()} ")
+    return final
+
+
+@pytest.mark.parametrize("seed", [20, 21, 22])
 @pytest.mark.parametrize("task", sorted(ds.TASKS))
-def test_case_expectations_equal_the_recursive_builds(task):
-    payloads = [case["expected"]["payload"] for instance in ds.generate_dataset(task, 3, 12)
-                for case in instance.module_cases.values()]
-    payloads += [[], [[]], [1, [2, [3, "x"]], None], "text", 4.5]
-    for payload in payloads:
-        built = _tupleize(payload)
-        assert built == reference_tupleize(payload)
-        assert repr(built) == repr(reference_tupleize(payload))  # tuples all the way down
+def test_the_gold_judges_score_cases_as_their_old_comparators(full_lib, backend, task, seed):
+    """Each case's gold judge agrees with the comparator the case stored
+    before, on the fixture's final value and on changed ones, and a wrong
+    answer's expected text is the one the case gave before."""
+    registry = ExecutionRegistry(full_lib)
+    checked = 0
+    for instance in ds.generate_dataset(task, seed, 24):
+        for name, case in instance.module_cases.items():
+            expected, comparator = reference_case(instance, name)
+            assert V.summarize(ds.VALUE_FORMS[case["gold"]["type"]](case["gold"]["value"])) == \
+                V.summarize(expected), (instance.id, name)
+            judge = ds.judge_of(case["gold"])
+            run = run_program(case["program"], ds.build_bindings(instance), registry, backend)
+            assert run.error is None and judge(run.final).correct, (instance.id, name)
+            for final in (run.final, nudged(run.final), *PERTURBED_FINALS):
+                assert judge(final).correct == reference_compare(final, expected, comparator), \
+                    (instance.id, name, final)
+                checked += 1
+    assert checked or task == "editing"
 
 
 @pytest.mark.parametrize("task", ["vqa", "raven", "mewl-analog"])

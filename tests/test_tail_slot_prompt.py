@@ -113,11 +113,8 @@ def _record_plainly(tmp_path, stage, instances, catalogue, **fields):
 
 
 def _records(path):
-    """Cache records, head records included, without their timestamps."""
-    docs = [json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines()]
-    for doc in docs:
-        doc.pop("timestamp", None)
-    return docs
+    """Cache records, head records included."""
+    return [json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines()]
 
 
 def test_evaluate_replays_a_cache_recorded_plainly(tmp_path, full_lib, backend):
