@@ -37,7 +37,7 @@ from .gateway import (
     parse_initialization_response,
     render_prompt,
 )
-from .harness.datasets import VALUE_FORMS, build_bindings, judge_of
+from .harness.datasets import VALUE_FORMS, Judge, build_bindings, judge_of
 from .registry import (
     EPOCH_TIMESTAMP,
     ExecutionRegistry,
@@ -86,7 +86,7 @@ class TestCase:
         return self._judge(final).correct
 
     @cached_property
-    def _judge(self):
+    def _judge(self) -> Judge:
         return judge_of(self.gold)
 
 
