@@ -165,7 +165,7 @@ def build_bindings(instance: TaskInstance, image_of=ImageHandle.of_scene) -> dic
 
 
 # ---------------------------------------------------------------------------
-# Scene construction helpers
+# Scene, program and instance builders
 # ---------------------------------------------------------------------------
 
 
@@ -193,9 +193,51 @@ def _row_boxes(rng: random.Random, count: int) -> list[tuple]:
     return boxes
 
 
-def _default_case(instance: TaskInstance) -> dict:
-    """A module case that runs the instance's canonical program to its gold."""
-    return {"program": instance.canonical_program, "gold": instance.gold}
+def _grow_decoy(rng: random.Random, boxes: list[tuple], target: int) -> None:
+    """Make a box other than `target` clearly the largest, so that a bare
+    LOC picks it and not the target."""
+    big = rng.choice([i for i in range(len(boxes)) if i != target])
+    x1, y1, x2, y2 = boxes[big]
+    boxes[big] = (x1, y1, x2, min(HEIGHT - 5, y2 + 140))
+
+
+def _crop_vqa_program(name: str, question: str) -> str:
+    """VQA of the crop of the `name` box, asked `question`: the bound
+    QUESTION or a quoted text."""
+    return (
+        f"BOX0=LOC(image=IMAGE,object='{name}')\n"
+        "IMAGE0=CROP(image=IMAGE,box=BOX0)\n"
+        f"ANSWER0=VQA(image=IMAGE0,question={question})\n"
+        "FINAL_RESULT=RESULT(var=ANSWER0)"
+    )
+
+
+def _boxes_program(name: str, select: str | None, label: str | None) -> str:
+    """The `name` boxes LOC finds as BOXLIST0, narrowed, when `select` is
+    given, to BOXLIST1 by that call on BOXLIST0; the result is those boxes,
+    or when `label` is given the image with them tagged by it."""
+    lines = [f"BOXLIST0=LOC(image=IMAGE,object='{name}')"]
+    boxes = "BOXLIST0"
+    if select:
+        lines.append(f"BOXLIST1={select}")
+        boxes = "BOXLIST1"
+    result = boxes
+    if label:
+        lines.append(f"IMAGE0=TAG(image=IMAGE,box={boxes},label='{label}')")
+        result = "IMAGE0"
+    lines.append(f"FINAL_RESULT=RESULT(var={result})")
+    return "\n".join(lines)
+
+
+def _sort_call(location: str, index: int) -> str:
+    return f"SORT_SPATIAL(image=IMAGE,box_list=BOXLIST0,location='{location}',index={index})"
+
+
+def _with_case(instance: TaskInstance, module: str) -> TaskInstance:
+    """`instance`, with a case for `module` that runs its canonical program
+    to its gold."""
+    instance.module_cases[module] = {"program": instance.canonical_program, "gold": instance.gold}
+    return instance
 
 
 def _finish(instance: TaskInstance) -> TaskInstance:
@@ -239,82 +281,52 @@ def _vqa_count(rng: random.Random, iid: str) -> TaskInstance:
     )
 
 
-def _vqa_left_right(rng: random.Random, iid: str) -> TaskInstance:
-    subject, anchor = rng.sample(VQA_OBJECTS, 2)
-    on_left = rng.random() < 0.5
-    anchor_box = (280, 140, 400, 380)
-    subject_box = (60, 220, 170, 330) if on_left else (470, 220, 580, 330)
-    scene = _scene(
-        [_obj("a", anchor, anchor_box, color=rng.choice(COLORS)),
-         _obj("s", subject, subject_box, color=rng.choice(COLORS))]
-    )
-    if rng.random() < 0.5:
+def _vqa_relation(kind: str, question: str, anchor_box: tuple, sides: tuple) -> Callable[..., TaskInstance]:
+    """The template `kind`, asking `question` (formatted with the subject and
+    the anchor) which of two sides of an anchor its subject is on. `sides`
+    holds each side's word, the suffix of its CROP_ builtin and the
+    subject's box on that side. The program counts the subject in the crop
+    of one side, drawn independently of the answer, and names that side
+    when it finds the subject there."""
+
+    def template(rng: random.Random, iid: str) -> TaskInstance:
+        subject, anchor = rng.sample(VQA_OBJECTS, 2)
+        (answer, _, subject_box), _ = sides if rng.random() < 0.5 else sides[::-1]
+        scene = _scene(
+            [_obj("a", anchor, anchor_box, color=rng.choice(COLORS)),
+             _obj("s", subject, subject_box, color=rng.choice(COLORS))]
+        )
+        (side, crop, _), (other, _, _) = sides if rng.random() < 0.5 else sides[::-1]
         program = (
             f"BOX0=LOC(image=IMAGE,object='{anchor}')\n"
-            "IMAGE0=CROP_LEFTOF(image=IMAGE,box=BOX0)\n"
+            f"IMAGE0=CROP_{crop}(image=IMAGE,box=BOX0)\n"
             f"BOX1=LOC(image=IMAGE0,object='{subject}')\n"
             "ANSWER0=COUNT(box=BOX1)\n"
-            "ANSWER1=EVAL(expr=f\"'left' if {ANSWER0} > 0 else 'right'\")\n"
+            f"ANSWER1=EVAL(expr=f\"'{side}' if {{ANSWER0}} > 0 else '{other}'\")\n"
             "FINAL_RESULT=RESULT(var=ANSWER1)"
         )
-    else:
-        program = (
-            f"BOX0=LOC(image=IMAGE,object='{anchor}')\n"
-            "IMAGE0=CROP_RIGHTOF(image=IMAGE,box=BOX0)\n"
-            f"BOX1=LOC(image=IMAGE0,object='{subject}')\n"
-            "ANSWER0=COUNT(box=BOX1)\n"
-            "ANSWER1=EVAL(expr=f\"'right' if {ANSWER0} > 0 else 'left'\")\n"
-            "FINAL_RESULT=RESULT(var=ANSWER1)"
+        return TaskInstance(
+            id=iid,
+            task="vqa",
+            query=question.format(subject=subject, anchor=anchor),
+            query_spec={"kind": kind, "subject": subject, "anchor": anchor},
+            gold={"type": "text", "value": answer},
+            canonical_program=program,
+            fallback_program=program,
+            scene=scene,
         )
-    return TaskInstance(
-        id=iid,
-        task="vqa",
-        query=f"Is the {subject} to the left or to the right of the {anchor}?",
-        query_spec={"kind": "left-right", "subject": subject, "anchor": anchor},
-        gold={"type": "text", "value": "left" if on_left else "right"},
-        canonical_program=program,
-        fallback_program=program,
-        scene=scene,
-    )
+
+    return template
 
 
-def _vqa_above_below(rng: random.Random, iid: str) -> TaskInstance:
-    subject, anchor = rng.sample(VQA_OBJECTS, 2)
-    above = rng.random() < 0.5
-    anchor_box = (240, 190, 400, 300)
-    subject_box = (260, 30, 380, 130) if above else (260, 360, 380, 460)
-    scene = _scene(
-        [_obj("a", anchor, anchor_box, color=rng.choice(COLORS)),
-         _obj("s", subject, subject_box, color=rng.choice(COLORS))]
-    )
-    if rng.random() < 0.5:
-        program = (
-            f"BOX0=LOC(image=IMAGE,object='{anchor}')\n"
-            "IMAGE0=CROP_ABOVE(image=IMAGE,box=BOX0)\n"
-            f"BOX1=LOC(image=IMAGE0,object='{subject}')\n"
-            "ANSWER0=COUNT(box=BOX1)\n"
-            "ANSWER1=EVAL(expr=f\"'above' if {ANSWER0} > 0 else 'below'\")\n"
-            "FINAL_RESULT=RESULT(var=ANSWER1)"
-        )
-    else:
-        program = (
-            f"BOX0=LOC(image=IMAGE,object='{anchor}')\n"
-            "IMAGE0=CROP_BELOW(image=IMAGE,box=BOX0)\n"
-            f"BOX1=LOC(image=IMAGE0,object='{subject}')\n"
-            "ANSWER0=COUNT(box=BOX1)\n"
-            "ANSWER1=EVAL(expr=f\"'below' if {ANSWER0} > 0 else 'above'\")\n"
-            "FINAL_RESULT=RESULT(var=ANSWER1)"
-        )
-    return TaskInstance(
-        id=iid,
-        task="vqa",
-        query=f"Is the {subject} above or below the {anchor}?",
-        query_spec={"kind": "above-below", "subject": subject, "anchor": anchor},
-        gold={"type": "text", "value": "above" if above else "below"},
-        canonical_program=program,
-        fallback_program=program,
-        scene=scene,
-    )
+_vqa_left_right = _vqa_relation(
+    "left-right", "Is the {subject} to the left or to the right of the {anchor}?", (280, 140, 400, 380),
+    (("left", "LEFTOF", (60, 220, 170, 330)), ("right", "RIGHTOF", (470, 220, 580, 330))),
+)
+_vqa_above_below = _vqa_relation(
+    "above-below", "Is the {subject} above or below the {anchor}?", (240, 190, 400, 300),
+    (("above", "ABOVE", (260, 30, 380, 130)), ("below", "BELOW", (260, 360, 380, 460))),
+)
 
 
 def _vqa_top_check(rng: random.Random, iid: str) -> TaskInstance:
@@ -352,31 +364,22 @@ def _vqa_attr_choice(rng: random.Random, iid: str) -> TaskInstance:
     other = next(v for v in _CHOICE_ATTRS[dim] if v != value)
     attr1, attr2 = (value, other) if rng.random() < 0.5 else (other, value)
     attrs = {dim: value, "color": rng.choice(COLORS)}
-    scene = _scene([_obj("t", name, (240, 160, 400, 330), **attrs)])
     program = (
         f"BOX0=LOC(image=IMAGE,object='{name}')\n"
         f"ANSWER0=CHOOSE_ATTRIBUTE(image=IMAGE,box=BOX0,object='{name}',"
         f"attribute1='{attr1}',attribute2='{attr2}')\n"
         "FINAL_RESULT=RESULT(var=ANSWER0)"
     )
-    fallback = (
-        f"BOX0=LOC(image=IMAGE,object='{name}')\n"
-        "IMAGE0=CROP(image=IMAGE,box=BOX0)\n"
-        "ANSWER0=VQA(image=IMAGE0,question=QUESTION)\n"
-        "FINAL_RESULT=RESULT(var=ANSWER0)"
-    )
-    instance = TaskInstance(
+    return _with_case(TaskInstance(
         id=iid,
         task="vqa",
         query=f"Is the {name} {attr1} or {attr2}?",
         query_spec={"kind": "attr-choice", "name": name, "attr1": attr1, "attr2": attr2},
         gold={"type": "text", "value": value},
         canonical_program=program,
-        fallback_program=fallback,
-        scene=scene,
-    )
-    instance.module_cases["CHOOSE_ATTRIBUTE"] = _default_case(instance)
-    return instance
+        fallback_program=_crop_vqa_program(name, "QUESTION"),
+        scene=_scene([_obj("t", name, (240, 160, 400, 330), **attrs)]),
+    ), "CHOOSE_ATTRIBUTE")
 
 
 def _vqa_color_compare(rng: random.Random, iid: str) -> TaskInstance:
@@ -395,28 +398,18 @@ def _vqa_color_compare(rng: random.Random, iid: str) -> TaskInstance:
         f"object2='{name2}',compare_type='{compare_type}')\n"
         "FINAL_RESULT=RESULT(var=ANSWER0)"
     )
-    fallback = (
-        f"BOX0=LOC(image=IMAGE,object='{name1}')\n"
-        "IMAGE0=CROP(image=IMAGE,box=BOX0)\n"
-        "ANSWER0=VQA(image=IMAGE0,question=QUESTION)\n"
-        "FINAL_RESULT=RESULT(var=ANSWER0)"
-    )
     phrase = "the same color" if compare_type == "same" else "different colors"
-    same = color1 == color2
-    answer = ("yes" if same else "no") if compare_type == "same" else ("yes" if not same else "no")
-    instance = TaskInstance(
+    return _with_case(TaskInstance(
         id=iid,
         task="vqa",
         query=f"Do the {name1} and the {name2} have {phrase}?",
         query_spec={"kind": "color-compare", "name1": name1, "name2": name2,
                     "compare_type": compare_type},
-        gold={"type": "text", "value": answer},
+        gold={"type": "text", "value": "yes" if (color1 == color2) == (compare_type == "same") else "no"},
         canonical_program=program,
-        fallback_program=fallback,
+        fallback_program=_crop_vqa_program(name1, "QUESTION"),
         scene=scene,
-    )
-    instance.module_cases["COMPARE_COLOR"] = _default_case(instance)
-    return instance
+    ), "COMPARE_COLOR")
 
 
 def _vqa_who_action(rng: random.Random, iid: str) -> TaskInstance:
@@ -434,12 +427,7 @@ def _vqa_who_action(rng: random.Random, iid: str) -> TaskInstance:
         ]
     )
     question = f"Who is {verb} the {item}?"
-    program = (
-        f"BOX0=LOC(image=IMAGE,object='{item}')\n"
-        "IMAGE0=CROP(image=IMAGE,box=BOX0)\n"
-        f"ANSWER0=VQA(image=IMAGE0,question='{question}')\n"
-        "FINAL_RESULT=RESULT(var=ANSWER0)"
-    )
+    program = _crop_vqa_program(item, f"'{question}'")
     return TaskInstance(
         id=iid,
         task="vqa",
@@ -459,12 +447,7 @@ def _vqa_attr_of(rng: random.Random, iid: str) -> TaskInstance:
         [_obj("t", name, (220, 150, 400, 330), color=color, material=rng.choice(MATERIALS))]
     )
     question = f"What color is the {name}?"
-    program = (
-        f"BOX0=LOC(image=IMAGE,object='{name}')\n"
-        "IMAGE0=CROP(image=IMAGE,box=BOX0)\n"
-        f"ANSWER0=VQA(image=IMAGE0,question='{question}')\n"
-        "FINAL_RESULT=RESULT(var=ANSWER0)"
-    )
+    program = _crop_vqa_program(name, f"'{question}'")
     return TaskInstance(
         id=iid,
         task="vqa",
@@ -489,24 +472,16 @@ def _vqa_material_verify(rng: random.Random, iid: str) -> TaskInstance:
         "ANSWER1=EVAL(expr=f\"'yes' if {ANSWER0} else 'no'\")\n"
         "FINAL_RESULT=RESULT(var=ANSWER1)"
     )
-    fallback = (
-        f"BOX0=LOC(image=IMAGE,object='{name}')\n"
-        "IMAGE0=CROP(image=IMAGE,box=BOX0)\n"
-        "ANSWER0=VQA(image=IMAGE0,question=QUESTION)\n"
-        "FINAL_RESULT=RESULT(var=ANSWER0)"
-    )
-    instance = TaskInstance(
+    return _with_case(TaskInstance(
         id=iid,
         task="vqa",
         query=f"Is the {name} made of {asked}?",
         query_spec={"kind": "material-verify", "name": name, "material": asked},
         gold={"type": "text", "value": "yes" if asked == actual else "no"},
         canonical_program=program,
-        fallback_program=fallback,
+        fallback_program=_crop_vqa_program(name, "QUESTION"),
         scene=scene,
-    )
-    instance.module_cases["VERIFY_MATERIAL"] = _default_case(instance)
-    return instance
+    ), "VERIFY_MATERIAL")
 
 
 def _vqa_knowledge_list(rng: random.Random, iid: str) -> TaskInstance:
@@ -536,94 +511,57 @@ def _vqa_knowledge_list(rng: random.Random, iid: str) -> TaskInstance:
 _ORDINALS = {1: "first", 2: "second", 3: "third", 4: "fourth"}
 
 
-def _ordinal_row_scene(rng: random.Random, name: str):
-    """3-5 same-named objects; the ordinal target is never the largest box."""
-    count = rng.randint(3, 5)
-    boxes = _row_boxes(rng, count)
-    # make one non-target box clearly the largest so a bare LOC picks it
-    boxes = [list(b) for b in boxes]
-    return count, boxes
-
-
-def _pick_ordinal(rng, count, boxes, location):
-    index = rng.randint(2, min(3, count))
-    ranked = sorted(range(count), key=lambda i: boxes[i][2], reverse=(location == "right"))
-    if location == "left":
-        ranked = sorted(range(count), key=lambda i: boxes[i][0])
-    target = ranked[index - 1]
-    # grow a different box into the largest
-    big = rng.choice([i for i in range(count) if i != target])
-    boxes[big] = [boxes[big][0], boxes[big][1], boxes[big][2], min(HEIGHT - 5, boxes[big][3] + 140)]
-    return index, target
+def _ranked_grounding(rng: random.Random, iid: str, query: str, name: str, location: str, index: int,
+                      boxes: list[tuple], depths: list[float], target: int) -> TaskInstance:
+    """A grounding instance of `name` objects at `boxes` and `depths`, each
+    with a drawn color, whose answer is `target`, the `index`-th from
+    `location` as SORT_SPATIAL ranks them."""
+    objects = [
+        _obj(f"t{i}", name, boxes[i], depth=depths[i], color=rng.choice(COLORS))
+        for i in range(len(boxes))
+    ]
+    return _with_case(TaskInstance(
+        id=iid,
+        task="grounding",
+        query=query,
+        query_spec={"kind": "ordinal-ground", "name": name, "location": location, "index": index},
+        gold={"type": "box", "value": list(objects[target].box)},
+        canonical_program=_boxes_program(name, select=_sort_call(location, index), label=None),
+        fallback_program=_boxes_program(name, select=None, label=None),
+        scene=_scene(objects),
+    ), "SORT_SPATIAL")
 
 
 def _grounding_ordinal(rng: random.Random, iid: str) -> TaskInstance:
     name = rng.choice(["sandwich", "cup", "book", "bottle", "box"])
     location = rng.choice(["left", "right"])
-    count, boxes = _ordinal_row_scene(rng, name)
-    index, target = _pick_ordinal(rng, count, boxes, location)
+    count = rng.randint(3, 5)
+    boxes = _row_boxes(rng, count)
+    index = rng.randint(2, min(3, count))
+    target = index - 1 if location == "left" else count - index  # the boxes run left to right
+    _grow_decoy(rng, boxes, target)
     depths = rng.sample([0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8], count)
-    objects = [
-        _obj(f"t{i}", name, tuple(boxes[i]), depth=depths[i], color=rng.choice(COLORS))
-        for i in range(count)
-    ]
-    scene = _scene(objects)
-    expression = f"the {_ORDINALS[index]} {name} from the {location}"
-    program = (
-        f"BOXLIST0=LOC(image=IMAGE,object='{name}')\n"
-        f"BOXLIST1=SORT_SPATIAL(image=IMAGE,box_list=BOXLIST0,location='{location}',index={index})\n"
-        "FINAL_RESULT=RESULT(var=BOXLIST1)"
-    )
-    spec = {"kind": "ordinal-ground", "name": name, "location": location, "index": index}
-    gold_box = oracle_mod.oracle_answer(
-        TaskInstance(iid, "grounding", expression, spec, {}, "", "", scene=scene)
-    )
-    fallback = (
-        f"BOXLIST0=LOC(image=IMAGE,object='{name}')\n"
-        "FINAL_RESULT=RESULT(var=BOXLIST0)"
-    )
-    instance = TaskInstance(
-        id=iid,
-        task="grounding",
-        query=expression,
-        query_spec=spec,
-        gold=gold_box,
-        canonical_program=program,
-        fallback_program=fallback,
-        scene=scene,
-    )
-    instance.module_cases["SORT_SPATIAL"] = _default_case(instance)
-    return instance
+    query = f"the {_ORDINALS[index]} {name} from the {location}"
+    return _ranked_grounding(rng, iid, query, name, location, index, boxes, depths, target)
 
 
 def _tagging_ordinal(rng: random.Random, iid: str) -> TaskInstance:
     """The grounding ordinal selection chain, plus a TAG step."""
     ground = _grounding_ordinal(rng, iid)
-    name, location, index = (ground.query_spec[key] for key in ("name", "location", "index"))
-    tag_label = rng.choice(TAG_LABELS)
-    program = (
-        f"BOXLIST0=LOC(image=IMAGE,object='{name}')\n"
-        f"BOXLIST1=SORT_SPATIAL(image=IMAGE,box_list=BOXLIST0,location='{location}',index={index})\n"
-        f"IMAGE0=TAG(image=IMAGE,box=BOXLIST1,label='{tag_label}')\n"
-        "FINAL_RESULT=RESULT(var=IMAGE0)"
-    )
-    fallback = (
-        f"BOXLIST0=LOC(image=IMAGE,object='{name}')\n"
-        f"IMAGE0=TAG(image=IMAGE,box=BOXLIST0,label='{tag_label}')\n"
-        "FINAL_RESULT=RESULT(var=IMAGE0)"
-    )
-    instance = TaskInstance(
+    spec = ground.query_spec
+    label = rng.choice(TAG_LABELS)
+    return TaskInstance(
         id=iid,
         task="tagging",
-        query=f"Tag {ground.query} with '{tag_label}'",
-        query_spec={**ground.query_spec, "kind": "ordinal-tag", "label": tag_label},
-        gold={"type": "tagged-regions", "value": [{"box": ground.gold["value"], "label": tag_label}]},
-        canonical_program=program,
-        fallback_program=fallback,
+        query=f"Tag {ground.query} with '{label}'",
+        query_spec={**spec, "kind": "ordinal-tag", "label": label},
+        gold={"type": "tagged-regions", "value": [{"box": ground.gold["value"], "label": label}]},
+        canonical_program=_boxes_program(spec["name"], select=_sort_call(spec["location"], spec["index"]),
+                                         label=label),
+        fallback_program=_boxes_program(spec["name"], select=None, label=label),
         scene=ground.scene,
+        module_cases=ground.module_cases,
     )
-    instance.module_cases["SORT_SPATIAL"] = _default_case(ground)
-    return instance
 
 
 def _grounding_depth(rng: random.Random, iid: str) -> TaskInstance:
@@ -633,101 +571,51 @@ def _grounding_depth(rng: random.Random, iid: str) -> TaskInstance:
     depths = rng.sample([0.15, 0.3, 0.45, 0.6, 0.75, 0.9], count)
     location = rng.choice(["front", "behind"])
     index = rng.randint(1, 2)
-    objects = [
-        _obj(f"t{i}", name, boxes[i], depth=depths[i], color=rng.choice(COLORS))
-        for i in range(count)
-    ]
-    scene = _scene(objects)
-    ranked = sorted(range(count), key=lambda i: depths[i], reverse=(location == "behind"))
-    target = ranked[index - 1]
+    target = sorted(range(count), key=lambda i: depths[i], reverse=(location == "behind"))[index - 1]
     phrase = {"front": "nearest to the camera", "behind": "furthest from the camera"}[location]
-    ordinal = _ORDINALS[index]
-    program = (
-        f"BOXLIST0=LOC(image=IMAGE,object='{name}')\n"
-        f"BOXLIST1=SORT_SPATIAL(image=IMAGE,box_list=BOXLIST0,location='{location}',index={index})\n"
-        "FINAL_RESULT=RESULT(var=BOXLIST1)"
-    )
-    fallback = (
-        f"BOXLIST0=LOC(image=IMAGE,object='{name}')\n"
-        "FINAL_RESULT=RESULT(var=BOXLIST0)"
-    )
-    instance = TaskInstance(
-        id=iid,
-        task="grounding",
-        query=f"the {ordinal} {name} {phrase}",
-        query_spec={"kind": "ordinal-ground", "name": name, "location": location, "index": index},
-        gold={"type": "box", "value": list(objects[target].box)},
-        canonical_program=program,
-        fallback_program=fallback,
-        scene=scene,
-    )
-    instance.module_cases["SORT_SPATIAL"] = _default_case(instance)
-    return instance
+    query = f"the {_ORDINALS[index]} {name} {phrase}"
+    return _ranked_grounding(rng, iid, query, name, location, index, boxes, depths, target)
 
 
 def _grounding_select(rng: random.Random, iid: str) -> TaskInstance:
     name = rng.choice(["cup", "book", "pillow", "vase"])
     count = rng.randint(3, 4)
-    boxes = [list(b) for b in _row_boxes(rng, count)]
+    boxes = _row_boxes(rng, count)
     colors = rng.sample(COLORS, count)
     target = rng.randint(0, count - 1)
-    big = rng.choice([i for i in range(count) if i != target])
-    boxes[big][3] = min(HEIGHT - 5, boxes[big][3] + 140)
-    objects = [
-        _obj(f"t{i}", name, tuple(boxes[i]), color=colors[i]) for i in range(count)
-    ]
-    scene = _scene(objects)
-    expression = f"the {colors[target]} {name}"
-    program = (
-        f"BOXLIST0=LOC(image=IMAGE,object='{name}')\n"
-        f"BOXLIST1=SELECT(image=IMAGE,box=BOXLIST0,query='{colors[target]} {name}')\n"
-        "FINAL_RESULT=RESULT(var=BOXLIST1)"
-    )
-    fallback = (
-        f"BOXLIST0=LOC(image=IMAGE,object='{name}')\n"
-        "FINAL_RESULT=RESULT(var=BOXLIST0)"
-    )
+    _grow_decoy(rng, boxes, target)
+    wanted = f"{colors[target]} {name}"
     return TaskInstance(
         id=iid,
         task="grounding",
-        query=expression,
+        query=f"the {wanted}",
         query_spec={"kind": "select-ground", "name": name, "attr": colors[target]},
-        gold={"type": "box", "value": list(objects[target].box)},
-        canonical_program=program,
-        fallback_program=fallback,
-        scene=scene,
+        gold={"type": "box", "value": list(boxes[target])},
+        canonical_program=_boxes_program(name, select=f"SELECT(image=IMAGE,box=BOXLIST0,query='{wanted}')",
+                                         label=None),
+        fallback_program=_boxes_program(name, select=None, label=None),
+        scene=_scene(_obj(f"t{i}", name, boxes[i], color=colors[i]) for i in range(count)),
     )
 
 
 def _grounding_half(rng: random.Random, iid: str) -> TaskInstance:
     name = rng.choice(["dog", "cat", "chair", "plant"])
     location = rng.choice(["left", "right"])
-    left_box = (60, 200, 180, 330)
-    right_box = (450, 200, 570, 330)
+    boxes = {"left": (60, 200, 180, 330), "right": (450, 200, 570, 330)}
     objects = [
-        _obj("l", name, left_box, color=rng.choice(COLORS)),
-        _obj("r", name, right_box, color=rng.choice(COLORS)),
+        _obj("l", name, boxes["left"], color=rng.choice(COLORS)),
+        _obj("r", name, boxes["right"], color=rng.choice(COLORS)),
     ]
-    scene = _scene(objects)
-    program = (
-        f"BOXLIST0=LOC(image=IMAGE,object='{name}')\n"
-        f"BOXLIST1=FILTER_SPATIAL(image=IMAGE,box=BOXLIST0,location='{location}')\n"
-        "FINAL_RESULT=RESULT(var=BOXLIST1)"
-    )
-    fallback = (
-        f"BOXLIST0=LOC(image=IMAGE,object='{name}')\n"
-        "FINAL_RESULT=RESULT(var=BOXLIST0)"
-    )
-    gold_box = list(left_box if location == "left" else right_box)
     return TaskInstance(
         id=iid,
         task="grounding",
         query=f"the {name} on the {location}",
         query_spec={"kind": "half-ground", "name": name, "location": location},
-        gold={"type": "box", "value": gold_box},
-        canonical_program=program,
-        fallback_program=fallback,
-        scene=scene,
+        gold={"type": "box", "value": list(boxes[location])},
+        canonical_program=_boxes_program(
+            name, select=f"FILTER_SPATIAL(image=IMAGE,box=BOXLIST0,location='{location}')", label=None),
+        fallback_program=_boxes_program(name, select=None, label=None),
+        scene=_scene(objects),
     )
 
 
@@ -765,30 +653,17 @@ def _tagging_filter(rng: random.Random, iid: str) -> TaskInstance:
         _obj(f"t{i}", name, boxes[i], color=wanted if i in matching else other)
         for i in range(count)
     ]
-    scene = _scene(objects)
-    program = (
-        f"BOXLIST0=LOC(image=IMAGE,object='{name}')\n"
-        f"BOXLIST1=FILTER_PROPERTY(image=IMAGE,box=BOXLIST0,property='{wanted}')\n"
-        f"IMAGE0=TAG(image=IMAGE,box=BOXLIST1,label='{label}')\n"
-        "FINAL_RESULT=RESULT(var=IMAGE0)"
-    )
-    fallback = (
-        f"BOXLIST0=LOC(image=IMAGE,object='{name}')\n"
-        f"IMAGE0=TAG(image=IMAGE,box=BOXLIST0,label='{label}')\n"
-        "FINAL_RESULT=RESULT(var=IMAGE0)"
-    )
-    gold_regions = [
-        {"box": list(objects[i].box), "label": label} for i in sorted(matching)
-    ]
     return TaskInstance(
         id=iid,
         task="tagging",
         query=f"Tag all the {wanted} {pluralize(name)} with '{label}'",
         query_spec={"kind": "filter-tag", "name": name, "attr": wanted, "label": label},
-        gold={"type": "tagged-regions", "value": gold_regions},
-        canonical_program=program,
-        fallback_program=fallback,
-        scene=scene,
+        gold={"type": "tagged-regions",
+              "value": [{"box": list(boxes[i]), "label": label} for i in sorted(matching)]},
+        canonical_program=_boxes_program(
+            name, select=f"FILTER_PROPERTY(image=IMAGE,box=BOXLIST0,property='{wanted}')", label=label),
+        fallback_program=_boxes_program(name, select=None, label=label),
+        scene=_scene(objects),
     )
 
 
@@ -796,79 +671,47 @@ def _tagging_filter(rng: random.Random, iid: str) -> TaskInstance:
 # Editing templates
 # ---------------------------------------------------------------------------
 
+_EDIT_QUERIES = {
+    "bgblur": "Blur the background behind the {name}.",
+    "colorpop": "Apply a color pop effect to the {name}.",
+    "emoji": "Put a {emoji} emoji on the {name}'s face.",
+    "replace": "Replace the {name} with a {category}.",
+}
+
 
 def _editing_instance(rng: random.Random, iid: str) -> TaskInstance:
     kind = rng.choice(["replace", "colorpop", "bgblur", "emoji"])
     if kind == "emoji":
-        person = rng.choice(PEOPLE)
-        emoji = rng.choice(EMOJIS)
-        person_box = (240, 100, 400, 440)
-        face_box = (290, 120, 350, 190)
-        scene = _scene(
-            [
-                _obj("p", person, person_box, color=rng.choice(COLORS)),
-                _obj("f", "face", face_box, depth=0.3),
-            ]
-        )
-        program = (
-            "BOX0=FACEDET(image=IMAGE)\n"
-            f"IMAGE0=EMOJI(image=IMAGE,box=BOX0,emoji='{emoji}')\n"
-            "FINAL_RESULT=RESULT(var=IMAGE0)"
-        )
-        return TaskInstance(
-            id=iid,
-            task="editing",
-            query=f"Put a {emoji} emoji on the {person}'s face.",
-            query_spec={"kind": "edit", "edit_kind": "emoji", "name": person, "emoji": emoji},
-            gold={"type": "edit", "value": {"kind": "emoji", "region": list(face_box), "label": emoji}},
-            canonical_program=program,
-            fallback_program=program,
-            scene=scene,
-        )
-
-    name = rng.choice(["dog", "cat", "car", "chair", "vase"])
-    box = (220, 160, 420, 360)
-    scene = _scene([_obj("t", name, box, color=rng.choice(COLORS))])
-    if kind == "replace":
-        category = rng.choice([c for c in ("cat", "dog", "plant", "lamp") if c != name])
-        program = (
-            f"BOX0=LOC(image=IMAGE,object='{name}')\n"
-            "MASK0=BOX2MASK(box=BOX0)\n"
-            f"IMAGE0=REPLACE(image=IMAGE,mask=MASK0,prompt='a {category}')\n"
-            "FINAL_RESULT=RESULT(var=IMAGE0)"
-        )
-        query = f"Replace the {name} with a {category}."
-        spec = {"kind": "edit", "edit_kind": "replace", "name": name, "category": category}
-        gold = {"kind": "replace", "region": list(box), "category": category}
-    elif kind == "colorpop":
-        program = (
-            f"BOX0=LOC(image=IMAGE,object='{name}')\n"
-            "MASK0=BOX2MASK(box=BOX0)\n"
-            "IMAGE0=COLORPOP(image=IMAGE,mask=MASK0)\n"
-            "FINAL_RESULT=RESULT(var=IMAGE0)"
-        )
-        query = f"Apply a color pop effect to the {name}."
-        spec = {"kind": "edit", "edit_kind": "colorpop", "name": name}
-        gold = {"kind": "colorpop", "region": list(box)}
+        name, emoji = rng.choice(PEOPLE), rng.choice(EMOJIS)
+        region = (290, 120, 350, 190)  # the face
+        objects = [_obj("p", name, (240, 100, 400, 440), color=rng.choice(COLORS)),
+                   _obj("f", "face", region, depth=0.3)]
+        program = f"BOX0=FACEDET(image=IMAGE)\nIMAGE0=EMOJI(image=IMAGE,box=BOX0,emoji='{emoji}')\n"
+        asked, marked = {"emoji": emoji}, {"label": emoji}
     else:
+        name, region = rng.choice(["dog", "cat", "car", "chair", "vase"]), (220, 160, 420, 360)
+        objects = [_obj("t", name, region, color=rng.choice(COLORS))]
+        asked, prompt = {}, ""
+        if kind == "replace":
+            category = rng.choice([c for c in ("cat", "dog", "plant", "lamp") if c != name])
+            asked, prompt = {"category": category}, f",prompt='a {category}'"
+        # the builtin of each of these edits is its kind in capitals
         program = (
             f"BOX0=LOC(image=IMAGE,object='{name}')\n"
             "MASK0=BOX2MASK(box=BOX0)\n"
-            "IMAGE0=BGBLUR(image=IMAGE,mask=MASK0)\n"
-            "FINAL_RESULT=RESULT(var=IMAGE0)"
+            f"IMAGE0={kind.upper()}(image=IMAGE,mask=MASK0{prompt})\n"
         )
-        query = f"Blur the background behind the {name}."
-        spec = {"kind": "edit", "edit_kind": "bgblur", "name": name}
-        gold = {"kind": "bgblur", "region": list(box)}
+        marked = asked
+    program += "FINAL_RESULT=RESULT(var=IMAGE0)"
     return TaskInstance(
         id=iid,
         task="editing",
-        query=query,
-        query_spec=spec,
-        gold={"type": "edit", "value": gold},
+        query=_EDIT_QUERIES[kind].format(name=name, **asked),
+        query_spec={"kind": "edit", "edit_kind": kind, "name": name, **asked},
+        gold={"type": "edit", "value": {"kind": kind, "region": list(region), **marked}},
         canonical_program=program,
         fallback_program=program,
-        scene=scene,
+        scene=_scene(objects),
     )
 
 
@@ -1013,31 +856,29 @@ def generate_raven_puzzle(rng: random.Random, layout: str = "center", rules=None
 
 def _raven_instance(rng: random.Random, iid: str, layout: str = "center", rules=None) -> TaskInstance:
     puzzle = generate_raven_puzzle(rng, layout=layout, rules=rules)
-    program = (
-        "ATTRS0=DETECT_SHAPE(image=PANELS)\n"
-        "ATTRS1=DETECT_SHAPE(image=CANDIDATES)\n"
-        "ANSWER0=SOLVER(panel_attributes=ATTRS0,candidate_attributes=ATTRS1)\n"
-        "FINAL_RESULT=RESULT(var=ANSWER0)"
-    )
-    fallback = 'ANSWER0=EVAL(expr=f"1")\nFINAL_RESULT=RESULT(var=ANSWER0)'
+    detect = "ATTRS0=DETECT_SHAPE(image=PANELS)\n"
     instance = TaskInstance(
         id=iid,
         task="raven",
         query="Which candidate completes the three-by-three matrix?",
         query_spec={"kind": "raven"},
         gold={"type": "index", "value": puzzle.answer_index},
-        canonical_program=program,
-        fallback_program=fallback,
+        canonical_program=(
+            detect
+            + "ATTRS1=DETECT_SHAPE(image=CANDIDATES)\n"
+            "ANSWER0=SOLVER(panel_attributes=ATTRS0,candidate_attributes=ATTRS1)\n"
+            "FINAL_RESULT=RESULT(var=ANSWER0)"
+        ),
+        fallback_program='ANSWER0=EVAL(expr=f"1")\nFINAL_RESULT=RESULT(var=ANSWER0)',
         puzzle=puzzle,
     )
-    if layout == "center":
-        panel_records = [oracle_mod.panel_record(p, layout) for p in puzzle.panels]
-        instance.module_cases["DETECT_SHAPE"] = {
-            "program": "ATTRS0=DETECT_SHAPE(image=PANELS)\nFINAL_RESULT=RESULT(var=ATTRS0)",
-            "gold": {"type": "records", "value": panel_records},
-        }
-        instance.module_cases["SOLVER"] = _default_case(instance)
-    return instance
+    if layout != "center":
+        return instance
+    instance.module_cases["DETECT_SHAPE"] = {
+        "program": detect + "FINAL_RESULT=RESULT(var=ATTRS0)",
+        "gold": {"type": "records", "value": [oracle_mod.panel_record(p, layout) for p in puzzle.panels]},
+    }
+    return _with_case(instance, "SOLVER")
 
 
 # ---------------------------------------------------------------------------
@@ -1079,24 +920,20 @@ def _mewl_instance(rng: random.Random, iid: str) -> TaskInstance:
     query_idx = rng.randrange(2)
     query_attrs = sample_attrs(bound_values[query_idx])
     query_scene = _mewl_scene(rng, query_attrs)
-    program = (
-        "ANSWER0=INDUCE_WORD(examples=EXAMPLES,query=QUERY)\n"
-        "FINAL_RESULT=RESULT(var=ANSWER0)"
-    )
-    fallback = "ANSWER0=EVAL(expr=f\"'unknown'\")\nFINAL_RESULT=RESULT(var=ANSWER0)"
-    instance = TaskInstance(
+    return _with_case(TaskInstance(
         id=iid,
         task="mewl-analog",
         query="Which word names the object in the query image?",
         query_spec={"kind": "mewl"},
         gold={"type": "text", "value": words[query_idx]},
-        canonical_program=program,
-        fallback_program=fallback,
+        canonical_program=(
+            "ANSWER0=INDUCE_WORD(examples=EXAMPLES,query=QUERY)\n"
+            "FINAL_RESULT=RESULT(var=ANSWER0)"
+        ),
+        fallback_program="ANSWER0=EVAL(expr=f\"'unknown'\")\nFINAL_RESULT=RESULT(var=ANSWER0)",
         example_pairs=pairs,
         query_scene=query_scene,
-    )
-    instance.module_cases["INDUCE_WORD"] = _default_case(instance)
-    return instance
+    ), "INDUCE_WORD")
 
 
 # ---------------------------------------------------------------------------
@@ -1165,13 +1002,10 @@ def _judge_text(value) -> Judge:
 
 
 def _judge_list(value) -> Judge:
-    """As `_judge_text`, item by item for a list; any other value is compared
-    with the text of the gold's items as a tuple."""
+    """As `_judge_text`, item by item; a value that is not a list is wrong."""
     items = [_normalize_text(str(x)) for x in value]
-    whole = _normalize_text(str(tuple(value)))
     return lambda final: Verdict(
-        [_normalize_text(str(x)) for x in final.payload] == items if final.tag == "list"
-        else _normalize_text(str(final.payload)) == whole,
+        final.tag == "list" and [_normalize_text(str(x)) for x in final.payload] == items,
         V.summarize(final),
     )
 
@@ -1197,14 +1031,16 @@ def _judge_records(value) -> Judge:
 
 
 def _judge_box(value) -> Judge:
-    """Right when the first predicted box meets the gold at IoU >= 0.5."""
-    golds = [value] if value else []
+    """Right when the first predicted box meets the gold at IoU >= 0.5; a
+    null gold matches nothing. With one gold, the regions matched are 1 when
+    any predicted box meets it. Predicted boxes are ints, so the text of the
+    first is its JSON."""
 
     def judge(final: V.Value) -> Verdict:
-        predictions = [list(b) for b in final.payload] if final.tag in ("box-list", "mask") else []
-        correct = bool(predictions) and bool(golds) and iou(predictions[0], golds[0]) >= 0.5
-        matched = match_region_sets(predictions, golds, lambda p, g: iou(p, g) >= 0.5)
-        return Verdict(correct, json.dumps(predictions[:1]), matched, len(predictions), len(golds))
+        boxes = final.payload if final.tag in ("box-list", "mask") else ()
+        meets = [iou(box, value) >= 0.5 for box in boxes] if value else []
+        return Verdict(bool(meets) and meets[0], str([list(box) for box in boxes[:1]]),
+                       int(any(meets)), len(boxes), int(bool(value)))
 
     return judge
 
@@ -1268,6 +1104,40 @@ VALUE_FORMS: dict[str, Callable[..., V.Value]] = {
     "number": V.number,
     "records": V.list_value,
     "text": V.text,
+}
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_box(x) -> bool:
+    return isinstance(x, list) and len(x) == 4 and all(map(_is_number, x))
+
+
+def _is_edit(x) -> bool:
+    if not (isinstance(x, dict) and isinstance(x.get("kind"), str) and _is_box(x.get("region"))):
+        return False
+    named = {"emoji": "label", "replace": "category"}.get(x["kind"])
+    return named is None or isinstance(x.get(named), str)
+
+
+# What `load_dataset` requires of a gold's value, by type: a test, and what
+# a refusal says the value must be. Each type's judge reads any value that passes.
+_GOLD_VALUES: dict[str, tuple[Callable[[object], bool], str]] = {
+    "box": (lambda v: v is None or _is_box(v), "four numbers, or null"),
+    "edit": (_is_edit, "an object with a kind, a region of four numbers, "
+                       "and the label of an emoji or the category of a replacement"),
+    "index": (_is_number, "a number"),
+    "list": (lambda v: isinstance(v, list), "a list"),
+    "number": (_is_number, "a number"),
+    "records": (lambda v: isinstance(v, list), "a list"),
+    "tagged-regions": (
+        lambda v: isinstance(v, list) and all(
+            isinstance(r, dict) and _is_box(r.get("box")) and isinstance(r.get("label"), str) for r in v),
+        "a list of objects, each with a box of four numbers and a label",
+    ),
+    "text": (lambda v: isinstance(v, str), "a string"),
 }
 
 
@@ -1477,10 +1347,10 @@ def _read_instance(line: str, scenes: list[SceneGraph]) -> TaskInstance:
 def _check_fields(doc: dict) -> None:
     """Refuse a line whose fields other than its scenes and puzzle do not
     hold what a `TaskInstance` reads from them, naming the first that does
-    not; a missing top-level field is a `KeyError`. The gold's type is
-    checked against its task's `gold_types` only when the task is known:
-    `split_task` refuses an unknown one. A module case's gold is checked as
-    an instance's is, and its type must have a value form."""
+    not; a missing top-level field is a `KeyError`. The gold's type and
+    value are checked against its task's `gold_types` only when the task is
+    known: `split_task` refuses an unknown one. A module case's gold is
+    checked as an instance's is, and its type must have a value form."""
     for name in ("id", "task", "query"):
         if not isinstance(doc[name], str):
             raise ValueError(f"{name}: must be a string")
@@ -1506,12 +1376,18 @@ def _check_fields(doc: dict) -> None:
 
 
 def _check_gold(gold, where: str, types: tuple[str, ...] | None) -> None:
-    """Refuse a gold that is not an object with a type and a value, or whose
-    type is not one of `types` when they are given; `where` names it."""
+    """Refuse a gold that is not an object with a type and a value, or, when
+    `types` are given, whose type is not one of them or whose value is not
+    one its type's judge reads; `where` names it."""
     if not isinstance(gold, dict) or "type" not in gold or "value" not in gold:
         raise ValueError(f"{where}: must be an object with a type and a value")
-    if types is not None and gold["type"] not in types:
+    if types is None:
+        return
+    if gold["type"] not in types:
         raise ValueError(f"{where}.type: must be one of {', '.join(types)}")
+    test, shape = _GOLD_VALUES[gold["type"]]
+    if not test(gold["value"]):
+        raise ValueError(f"{where}.value: must be {shape}")
 
 
 def _check_puzzle(puzzle) -> None:

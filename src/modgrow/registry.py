@@ -22,8 +22,6 @@ from .errors import (CapturedError, ExecutorRuntimeError, GateViolationError, Li
 from .executor import BUILTIN_SIGNATURES
 from .sandbox import CandidateHandle, Limits, invoke_candidate, load_candidate
 
-EPOCH_TIMESTAMP = "1970-01-01T00:00:00Z"
-
 
 @dataclass(frozen=True)
 class ModuleRecord:
@@ -33,7 +31,6 @@ class ModuleRecord:
     origin_task: str = ""
     pass_rate: float = 1.0
     eta_at_acceptance: float = 1.0
-    created_at: str = EPOCH_TIMESTAMP
     test_case_ids: tuple[str, ...] = ()
 
     @property
@@ -172,7 +169,6 @@ def save_library(lib: Library, path: str | Path) -> None:
             "origin_task": rec.origin_task,
             "pass_rate": rec.pass_rate,
             "eta_at_acceptance": rec.eta_at_acceptance,
-            "created_at": rec.created_at,
             "test_case_ids": list(rec.test_case_ids),
         }
         (root / f"{name}.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
@@ -217,7 +213,6 @@ def load_library(path: str | Path) -> Library:
                 origin_task=meta.get("origin_task", ""),
                 pass_rate=float(meta["pass_rate"]),
                 eta_at_acceptance=float(meta["eta_at_acceptance"]),
-                created_at=meta.get("created_at", EPOCH_TIMESTAMP),
                 test_case_ids=tuple(meta.get("test_case_ids", [])),
             )
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:

@@ -39,7 +39,6 @@ from .gateway import (
 )
 from .harness.datasets import VALUE_FORMS, Judge, build_bindings, judge_of
 from .registry import (
-    EPOCH_TIMESTAMP,
     ExecutionRegistry,
     Library,
     ModuleRecord,
@@ -164,11 +163,13 @@ def initialize_modules(train_examples, lib: Library, gateway: LlmGateway, cfg: S
 def build_test_cases(proposal: Proposal, train_examples, bind=None) -> list[TestCase]:
     """One executable case per training example that exercises the module.
 
-    Each dataset instance carries per-module case programs (the reasoning
-    chain truncated at the module's last call) with oracle golds, so a
-    proposal can be gated before later modules in the same chain exist.
-    `bind(example)` gives a case's bindings; by default each case builds its
-    own with `build_bindings`.
+    A training instance carries, under a module's name, the case that gates
+    it: a program and a gold, judged as an instance's gold is. Mostly that
+    is the instance's canonical program and its own gold. A tagging
+    instance carries the case of the grounding chain it extends, and a
+    centre raven puzzle's DETECT_SHAPE case stops after that call, with the
+    panel records as its gold. `bind(example)` gives a case's bindings; by
+    default each case builds its own with `build_bindings`.
     """
     bind = bind or build_bindings
     cases: list[TestCase] = []
@@ -375,7 +376,6 @@ def generate_module(
         origin_task=",".join(sorted({c.example.task for c in cases})),
         pass_rate=current_best.pass_rate,
         eta_at_acceptance=cfg.eta,
-        created_at=EPOCH_TIMESTAMP,
         test_case_ids=tuple(c.id for c in cases),
     )
     return record, tuple(outcomes)

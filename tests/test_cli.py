@@ -388,6 +388,7 @@ LINE_FIELDS = {
     "gold without value": ("gold", "value", DROP),
     "gold type unknown": ("gold", "type", "zzz"),
     "gold type of another task": ("gold", "type", "text"),
+    "gold value text": ("gold", "value", "x"),
     "programs null": ("programs", None),
     "fallback missing": ("programs", "fallback", DROP),
     "canonical number": ("programs", "canonical", 3),
@@ -398,6 +399,8 @@ LINE_FIELDS = {
     "case gold without value": ("module_cases", "SOLVER", "gold", "value", DROP),
     "case gold type unknown": ("module_cases", "SOLVER", "gold", "type", "zzz"),
     "case gold without a value form": ("module_cases", "DETECT_SHAPE", "gold", "type", "tagged-regions"),
+    "case gold value number": ("module_cases", "DETECT_SHAPE", "gold", "value", 5),
+    "case gold box number": ("module_cases", "SOLVER", "gold", {"type": "box", "value": 7}),
     # a case as splits held it before cases carried golds
     "case of the old format": ("module_cases", "SOLVER", {
         "program": "ANSWER0=EVAL(expr=f\"1\")\nFINAL_RESULT=RESULT(var=ANSWER0)",
@@ -428,6 +431,7 @@ SPLIT_FAULTS = {
     "gold without value": "gold: must be an object with a type and a value",
     "gold type unknown": "gold.type: must be one of index",
     "gold type of another task": "gold.type: must be one of index",
+    "gold value text": "gold.value: must be a number",
     "programs null": "programs: must be an object",
     "fallback missing": "programs.fallback: must be a string",
     "canonical number": "programs.canonical: must be a string",
@@ -439,6 +443,8 @@ SPLIT_FAULTS = {
     "case gold type unknown": "module_cases.SOLVER.gold.type: must be one of box, index, list, number, records, text",
     "case gold without a value form":
         "module_cases.DETECT_SHAPE.gold.type: must be one of box, index, list, number, records, text",
+    "case gold value number": "module_cases.DETECT_SHAPE.gold.value: must be a list",
+    "case gold box number": "module_cases.SOLVER.gold.value: must be four numbers, or null",
     "case of the old format": "module_cases.SOLVER.gold: must be an object with a type and a value",
 }
 

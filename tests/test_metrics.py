@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modgrow import values as V
+from modgrow.harness.datasets import Verdict, judge_of
 from modgrow.harness.metrics import iou, match_region_sets, match_tag, precision_recall_f1, set_items
 
 
@@ -105,3 +106,31 @@ class TestSetItems:
     def test_equal_numbers_of_other_types_stay_apart(self):
         assert set_items(V.Value("list", (1, 1.0, True))) == ["1", "1.0", "true"]
         assert set_items(V.Value("list", ((1, 2), [1, 2]))) == ["[1, 2]", "[1, 2]"]
+
+
+class TestJudges:
+    _box = st.tuples(
+        st.integers(0, 80), st.integers(0, 80), st.integers(1, 40), st.integers(1, 40)
+    ).map(lambda t: (t[0], t[1], t[0] + t[2], t[1] + t[3]))
+
+    @given(boxes=st.lists(_box, max_size=4), gold=st.one_of(st.none(), _box.map(list)),
+           tag=st.sampled_from(["box-list", "mask"]))
+    @settings(max_examples=300, deadline=None)
+    def test_a_box_verdict_is_the_region_match_of_the_first_box(self, boxes, gold, tag):
+        """The verdict of greedy region matching, with the first box as JSON."""
+        predictions = [list(b) for b in boxes]
+        golds = [gold] if gold else []
+        matched = match_region_sets(predictions, golds, lambda p, g: iou(p, g) >= 0.5)
+        correct = bool(predictions) and bool(golds) and iou(predictions[0], golds[0]) >= 0.5
+        want = Verdict(correct, json.dumps(predictions[:1]), matched, len(predictions), len(golds))
+        assert judge_of({"type": "box", "value": gold})(V.Value(tag, tuple(boxes))) == want
+
+    def test_a_box_judge_scores_a_value_without_boxes_as_no_prediction(self):
+        verdict = judge_of({"type": "box", "value": [0, 0, 10, 10]})(V.text("[[0, 0, 10, 10]]"))
+        assert verdict == Verdict(False, "[]", 0, 0, 1)
+
+    def test_a_list_gold_is_wrong_against_a_value_that_is_not_a_list(self):
+        judge = judge_of({"type": "list", "value": ["Rose", "tulip"]})
+        assert judge(V.list_value(["rose", "  TULIP "])).correct
+        assert not judge(V.text("('rose', 'TULIP')")).correct
+        assert not judge(V.text("rose, tulip")).correct

@@ -29,22 +29,22 @@ TASKS = ("vqa", "grounding", "tagging", "editing", "raven", "mewl-analog")
 OUTPUT_DIGESTS = {
     "vqa": {"train": "54f99ec081f53509", "test": "d6d40df550d2a2f1", "cache": "f75715d7eb85a5a5",
             "cache_stored": "59a3a06bdf3f58d4",
-            "library": "facfa3ee1421f65f", "report": "4b8b468ce4c94464"},
+            "library": "b33ab1df4537e4c7", "report": "4b8b468ce4c94464"},
     "grounding": {"train": "c432398292aa8c1b", "test": "9cc6b6e1720f2546", "cache": "035382676fa499e3",
                   "cache_stored": "f9ce9f3c9960dddb",
-                  "library": "1499e03bd3e0f3d4", "report": "a1a200237d6cb408"},
+                  "library": "2077b4f9ae210acb", "report": "a1a200237d6cb408"},
     "tagging": {"train": "f4a8f93c36b2ddb5", "test": "e9d87374ceda5c5a", "cache": "ac7f5c4bbdb48db9",
                 "cache_stored": "f23ccde8437edefb",
-                "library": "4eea2b41467efe15", "report": "8c72f2a00d2b4f95"},
+                "library": "04a2f25c4c3ea9f7", "report": "8c72f2a00d2b4f95"},
     "editing": {"train": "83e5b9757b5910ff", "test": "3150c89c911ab8b4", "cache": "d740fd755c4a9bb3",
                 "cache_stored": "964e92aede926552",
                 "library": "2788eeb900af78e7", "report": "b78d649571ad5737"},
     "raven": {"train": "ef82e77dcbdc3208", "test": "75075d7d20b3e7a8", "cache": "3c82a25353b40ef7",
               "cache_stored": "a157c476b2df7dea",
-              "library": "96c8ee1239da0fc6", "report": "fe8508f5566ff151"},
+              "library": "8fa6f34d340410e6", "report": "fe8508f5566ff151"},
     "mewl-analog": {"train": "fd120ed2516057bb", "test": "d64a0e589a72471f", "cache": "07ce923045198499",
                     "cache_stored": "5a8009737a16b23d",
-                    "library": "137b483d25e83a29", "report": "af7257fd65c5a199"},
+                    "library": "c334de3c097c3ff3", "report": "af7257fd65c5a199"},
 }
 SPLIT_LAYOUT_REPORT_DIGEST = "a087b627f46c7940"
 # `save_dataset` bytes of split-layout raven splits: the distractor draws and

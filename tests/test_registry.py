@@ -205,6 +205,15 @@ class TestPersistence:
         meta_path.write_text(json.dumps({**meta, "version": 1}, indent=2) + "\n", encoding="utf-8")
         assert libraries_equal(load_library(tmp_path / "lib"), lib)
 
+    def test_a_library_saved_with_a_creation_time_still_loads(self, tmp_path):
+        lib = saved_learned_library(tmp_path / "lib")
+        meta_path = tmp_path / "lib" / "SORT_SPATIAL.json"
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        assert "created_at" not in meta
+        meta_path.write_text(json.dumps({**meta, "created_at": "1970-01-01T00:00:00Z"}, indent=2) + "\n",
+                             encoding="utf-8")
+        assert libraries_equal(load_library(tmp_path / "lib"), lib)
+
     @pytest.mark.parametrize(
         "entries, message",
         [
