@@ -71,6 +71,26 @@ def _check_output_dir(path: str) -> None:
             return
 
 
+def _candidate_lines(name: str, outcomes) -> list[str]:
+    """One line per candidate scored: its sample index, repair round, pass
+    rate and verdict, the first error that failed it, and the earlier
+    sample of the same source whose score it repeats."""
+    first_of: dict[str, int] = {}  # by source, the first sample that has it
+    lines = []
+    for o in outcomes:
+        parts = [f"candidate {name} #{o.candidate_index} round {o.repair_round}",
+                 f"pass_rate={o.pass_rate:.2f}", "accepted" if o.accepted else "rejected"]
+        error = next((r.error for r in o.per_case if r.error is not None), None)
+        if not o.accepted and error is not None:
+            parts.append(error.render())
+        if o.source:  # an endpoint failure has none
+            first = first_of.setdefault(o.source, o.candidate_index)
+            if first != o.candidate_index:
+                parts.append(f"same source as #{first}")
+        lines.append("  ".join(parts))
+    return lines
+
+
 def cmd_learn(args) -> int:
     try:
         _check_output_dir(args.out)
@@ -91,6 +111,9 @@ def cmd_learn(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    for name, outcomes in report.outcomes.items():
+        for line in _candidate_lines(name, outcomes):
+            print(line)
     for name in report.accepted:
         rec = lib_after.records[name]
         print(f"accepted {name}  pass_rate={rec.pass_rate:.2f}  eta={rec.eta_at_acceptance:.2f}")

@@ -29,7 +29,7 @@ from ..errors import SceneSchemaError
 from ..reference_modules import RAVEN_LAYOUTS, RAVEN_SCALES, raven_regions, solver_check
 from ..scene import KNOWLEDGE_LISTS, ImageHandle, SceneGraph, SceneObject, load_scene
 from . import oracle as oracle_mod
-from .metrics import iou, match_region_sets, match_tag, set_items
+from .metrics import iou, item_counts, match_region_sets, match_tag
 
 VQA_OBJECTS = ["coat", "towel", "box", "knife", "purse", "umbrella", "sandwich",
                "dog", "cat", "cup", "book", "bottle", "plant", "pillow", "lamp", "vase"]
@@ -1024,10 +1024,16 @@ def _judge_number(value) -> Judge:
 
 
 def _judge_records(value) -> Judge:
-    """Right when the value holds the gold's records in any order, each
-    compared as canonical JSON; the gold's are encoded once, here."""
-    want = sorted(map(canonical_json, value))
-    return lambda final: Verdict(set_items(final) == want, V.summarize(final))
+    """Right when the items of a list-like value, or the value alone, are
+    the gold's records in any order, each compared as its canonical JSON
+    would be; the gold's are counted once, here."""
+    want = item_counts(value)
+
+    def judge(final: V.Value) -> Verdict:
+        items = final.payload if final.tag in ("box-list", "mask", "list") else (final.payload,)
+        return Verdict(item_counts(items) == want, V.summarize(final))
+
+    return judge
 
 
 def _judge_box(value) -> Judge:

@@ -19,11 +19,46 @@ def iou(a, b) -> float:
     return inter / (area_a + area_b - inter)
 
 
-def set_items(value) -> list[str]:
-    """What a `records` gold is compared by: the items of a list-like value,
-    or the value alone, each as canonical JSON, sorted."""
-    items = value.payload if value.tag in ("box-list", "mask", "list") else [value.payload]
-    return sorted(map(canonical_json, items))
+def json_key(x):
+    """A hashable key of `x`, equal for two values exactly when
+    `cache.canonical_json` writes them as equal text. Lists, strings and
+    numbers are keyed without encoding: a list or tuple becomes the tuple of
+    its items' keys, and a number its type beside its text, so `1`, `1.0`
+    and `True` stay apart, `0.0` and `-0.0` stay apart, and every NaN is one
+    key. A dict is keyed by its text. Raises TypeError on what the encoder
+    refuses with TypeError."""
+    t = type(x)
+    if t is tuple or t is list:
+        keys = []
+        for item in x:  # a loop: before Python 3.12 a comprehension is a call of its own
+            keys.append(item if type(item) is str else json_key(item))
+        return tuple(keys)
+    if t is str or x is None:
+        return x
+    if isinstance(x, str):
+        return str.__str__(x)
+    if x is True or x is False:
+        return bool, x
+    if isinstance(x, int):
+        return int, int.__repr__(x)
+    if isinstance(x, float):
+        return float, float.__repr__(x)  # 'nan' for every NaN, as the encoder writes 'NaN'
+    if isinstance(x, (list, tuple)):
+        return tuple(map(json_key, x))
+    if isinstance(x, dict):
+        return dict, canonical_json(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def item_counts(items) -> dict:
+    """How often each item occurs, items told apart by `json_key`: two
+    sequences get equal counts exactly when their items' canonical JSON
+    texts, sorted, are equal."""
+    counts: dict = {}
+    for item in items:
+        key = json_key(item)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 _ARTICLES = {"a", "an", "the"}

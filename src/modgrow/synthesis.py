@@ -9,6 +9,14 @@ feed the captured errors back into the prompt. Case programs run through
 `executor.run_program`, and a case fails with the run's own error, such as
 `syntax` for a case program that does not parse.
 
+A proposal fixes the cases, the library, the signature and the limits, so
+within one proposal a candidate's outcome depends only on its source: a
+sample whose source was already scored, in the first round or a repair
+round, is neither loaded nor run again, and takes the earlier pass rate and
+case results (or load error). Every sample is still requested. The one
+difference from running it again is the wall clock: a sample identical to
+one that timed out reports that `timeout` without running again.
+
 Every case run of one `run_synthesis` call sees the same training examples,
 so the call builds each example's bindings once, binds scenes of equal
 content to one full-scene handle, and runs stage 2 inside
@@ -242,14 +250,22 @@ def _case_error(case: TestCase, registry: ExecutionRegistry, backend) -> Capture
     )
 
 
-def compute_pass_rate(handle: CandidateHandle, cases, lib: Library, backend, limits=None):
-    """Execute every case program with the candidate bound under its name."""
+def compute_pass_rate(handle: CandidateHandle, cases, lib: Library, backend, limits=None, scores=None):
+    """Execute every case program with the candidate bound under its name.
+
+    `scores`, when given, holds the (rate, results) of each source already
+    scored on these cases, library and limits: a handle whose source is
+    there is not run again, and a new score is added to it."""
+    if scores is not None and handle.source in scores:
+        return scores[handle.source]
     registry = ExecutionRegistry(lib, limits=limits, overlay={handle.name: handle})
     results: list[CaseResult] = []
     for case in cases:
         error = _case_error(case, registry, backend)
         results.append(CaseResult(case.id, error is None, error))
     rate = sum(1 for r in results if r.passed) / len(results)
+    if scores is not None:
+        scores[handle.source] = rate, results
     return rate, results
 
 
@@ -291,7 +307,9 @@ def generate_module(
 
     Returns (ModuleRecord | FailureReport, each candidate's outcome in request
     order). The caller registers the record; rejected candidates never leak
-    into the library.
+    into the library. A sample whose source was scored earlier in the call
+    is not loaded or run again: its outcome repeats that score under its
+    own index and round.
     """
     template = load_template("generation")
     repair_template = load_template("repair")
@@ -303,6 +321,8 @@ def generate_module(
     }
     prompt = render_prompt(template, base_slots)
     outcomes: list[CandidateOutcome] = []
+    handles: dict[str, CandidateHandle] = {}  # by source: each distinct source loads once
+    scores: dict[str, tuple[float, list[CaseResult]]] = {}  # by source, as compute_pass_rate fills it
 
     def failed(index: int, source: str, error: CapturedError, round_no: int) -> CandidateOutcome:
         """A candidate that fails every case with one error."""
@@ -320,10 +340,12 @@ def generate_module(
             source = extract_module_source(response_text)
         except ResponseParseError as exc:
             return failed(index, response_text, record_of(exc), round_no)
-        handle = load_candidate(source, signature=proposal.signature)
+        handle = handles.get(source)
+        if handle is None:
+            handle = handles[source] = load_candidate(source, signature=proposal.signature)
         if handle.load_state != "loaded":
             return failed(index, source, handle.error, round_no)
-        rate, results = compute_pass_rate(handle, cases, lib, backend, cfg.limits)
+        rate, results = compute_pass_rate(handle, cases, lib, backend, cfg.limits, scores)
         return CandidateOutcome(
             candidate_index=index,
             source=source,

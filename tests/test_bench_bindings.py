@@ -16,8 +16,11 @@ import modgrow.sandbox
 from modgrow import values as V
 from modgrow.backends import SyntheticBackend
 from modgrow.executor import run_program
+from modgrow.gateway import LlmGateway
 from modgrow.harness import datasets as ds
-from modgrow.registry import ExecutionRegistry
+from modgrow.registry import ExecutionRegistry, builtin_library
+from modgrow.replay_seed import SyntheticResponder
+from modgrow.synthesis import SynthesisConfig, run_synthesis
 
 from conftest import distinct_scene_docs
 
@@ -92,3 +95,19 @@ def test_loading_a_split_opens_one_load_scene_span_per_distinct_scene(spans, tmp
     calls = Counter(name for name, *_ in rec.spans)
     assert calls["scene.load_scene"] == distinct_scene_docs(generated) < 6 * 16
     assert calls["datasets.load_dataset"] == 1
+
+
+def test_learning_enters_compute_pass_rate_per_candidate_and_loads_each_distinct_source(spans):
+    """`perfbench/measure.py` requires one `synthesis.compute_pass_rate` span
+    per candidate scored; identical samples of a proposal share one load."""
+    train = ds.generate_dataset("vqa", 7, 12)
+    with LlmGateway(mode="record", transport=SyntheticResponder(train)) as gateway:
+        with spans.traced(spans.SpanRecorder(), []) as rec:
+            _, report = run_synthesis(train, builtin_library(), gateway, SyntheticBackend(),
+                                      SynthesisConfig(k_candidates=2))
+    calls = Counter(name for name, *_ in rec.spans)
+    outcomes = report.outcomes.values()
+    candidates = sum(len(outs) for outs in outcomes)
+    distinct = sum(len({o.source for o in outs}) for outs in outcomes)
+    assert calls["synthesis.compute_pass_rate"] == candidates == 2 * len(report.proposals)
+    assert calls["sandbox.load_candidate"] == distinct < candidates

@@ -20,7 +20,7 @@ from modgrow.registry import builtin_library, register, save_library
 from modgrow.replay_seed import SyntheticResponder
 from modgrow.synthesis import SynthesisConfig, run_synthesis
 
-from conftest import fixture_record, make_scene, obj
+from conftest import fixture_record, make_scene, obj, with_first_statement
 
 # Every option each subcommand declares, in declaration order, with the values
 # it accepts if it names them. A new option or value is a new setting to keep,
@@ -163,6 +163,32 @@ def test_learn_refuses_a_missing_output_before_any_model_call(tmp_path, capsys, 
     assert capsys.readouterr().err.endswith("error: the following arguments are required: --out\n")
     assert calls == []
     assert not cache.exists()
+
+
+def test_learn_prints_a_line_per_candidate_scored(tmp_path, capsys, monkeypatch):
+    """Each candidate's sample index, repair round, pass rate and verdict;
+    a rejected one's first error; and the sample whose score it repeats."""
+    split = tmp_path / "train.jsonl"
+    save_dataset(generate_dataset("grounding", 4, 4, {"templates": ["ordinal"]}), split)
+    faulty = with_first_statement("SORT_SPATIAL", "raise ValueError('injected fault')")
+    line = faulty.split("\n").index(" " * 8 + "raise ValueError('injected fault')") + 1
+    responder = SyntheticResponder(load_dataset(split))
+    responder.override_source("SORT_SPATIAL", [faulty, faulty, "no code here"])
+    monkeypatch.setenv("LLM_API_URL", "http://localhost:9")
+    monkeypatch.setenv("LLM_API_KEY", "k")
+    monkeypatch.setattr("modgrow.gateway.http_transport", responder)
+    argv = ["learn", "--mode", "record", "--cache", str(tmp_path / "cache.jsonl"), "--dataset", str(split),
+            "--k", "2", "--repairs", "2", "--out", str(tmp_path / "lib")]
+    assert cli.main(argv) == 0
+    fault = f"runtime (line {line}): ValueError: injected fault"
+    assert capsys.readouterr().out.splitlines()[:5] == [
+        f"candidate SORT_SPATIAL #0 round 0  pass_rate=0.00  rejected  {fault}",
+        f"candidate SORT_SPATIAL #1 round 0  pass_rate=0.00  rejected  {fault}  same source as #0",
+        "candidate SORT_SPATIAL #2 round 1  pass_rate=0.00  rejected  "
+        "response_parse: NO_CODE_FOUND: response contains no module implementation",
+        "candidate SORT_SPATIAL #3 round 2  pass_rate=1.00  accepted",
+        "accepted SORT_SPATIAL  pass_rate=1.00  eta=0.80",
+    ]
 
 
 def ablation_splits(tmp_path, monkeypatch):

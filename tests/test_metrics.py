@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import collections
+import enum
 import json
 
 import pytest
@@ -7,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modgrow import values as V
+from modgrow.cache import canonical_json
 from modgrow.harness.datasets import Verdict, judge_of
-from modgrow.harness.metrics import iou, match_region_sets, match_tag, precision_recall_f1, set_items
+from modgrow.harness.metrics import (iou, item_counts, json_key, match_region_sets, match_tag,
+                                     precision_recall_f1)
 
 
 class TestIou:
@@ -79,33 +83,118 @@ class TestMatchTag:
         assert correct == 1
 
 
-class TestSetItems:
+_NAN, _INF = float("nan"), float("inf")
+# few scalars, so that drawn values often write to equal JSON text
+_NEAR = (0, 1, 10, 0.0, -0.0, 1.0, 1e16, True, False, None, "", "1", "true", "NaN", "ü", _NAN, -_NAN, _INF, -_INF)
+_KEYS = (
+    st.sampled_from(["", "1", "10", "2", "true", "NaN", "é"]),
+    st.sampled_from([0, 1, 2, 10, True, False, 0.5, -0.0, _NAN, _INF]),
+    st.none(),
+)
+_values = st.recursive(
+    st.sampled_from(_NEAR),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        *(st.dictionaries(keys, children, max_size=3) for keys in _KEYS),
+    ),
+    max_leaves=8,
+)
+
+
+def _key_as_text(key):
+    return next(iter(json.loads(canonical_json({key: 0}))))
+
+
+def _twins(x):
+    """Values near `x`: some write to the same text, others differ in a
+    number's type or sign, a container's type or a dict key's type."""
+    if isinstance(x, (list, tuple)):
+        return st.tuples(*map(_twins, x)).flatmap(lambda items: st.sampled_from([list(items), items]))
+    if isinstance(x, dict):
+        pairs = (st.tuples(st.sampled_from([k, _key_as_text(k)]), _twins(v)) for k, v in x.items())
+        return st.tuples(*pairs).map(dict)
+    return st.one_of(st.just(x), st.sampled_from(_NEAR))
+
+
+_REFUSED = object()
+
+
+def _old_key(x):
+    """How `records` judging told items apart before `json_key`: by their
+    canonical JSON text; `_REFUSED` where the encoder refuses the value."""
+    try:
+        return canonical_json(x)
+    except TypeError:
+        return _REFUSED
+
+
+def _new_key(x):
+    try:
+        return json_key(x)
+    except TypeError:
+        return _REFUSED
+
+
+class TestJsonKey:
+    """`json_key` tells values apart exactly as their canonical JSON texts
+    are told apart, and `item_counts` compares sequences as their sorted
+    texts were compared, against the encoding itself."""
+
     ITEMS = (
         {"size": "large", "color": "red", "shape": "circle"},
         {"zeta": 1, "alpha": {"y": None, "b": [2, 1]}},
         {"name": "café", "text": "naïve 東京 \u2028 \"quoted\""},
         "ünïcode",
-        1, 1.0, True, False, None, 0, 0.0,
-        [], (), [[]], ((),),
+        1, 1.0, True, False, None, 0, 0.0, -0.0, _NAN, _INF, -_INF, "NaN",
+        [], (), [[]], ((),), {}, [{}],
         [1, [2, [3]]], (1, (2, (3,))), [1, (2, [3])],
         {"empty": [], "nested": {"k": ()}},
+        {1: "a"}, {"1": "a"}, {True: "a"}, {"true": "a"}, {1.0: "a"}, {"1.0": "a"},
+        {_NAN: 0}, {"NaN": 0}, {2: "a", 10: "b"}, {"2": "a", "10": "b"},
+        collections.namedtuple("Pair", "a b")(1, 2), [1, 2], collections.OrderedDict(b=1, a=2), {"a": 2, "b": 1},
+        enum.IntEnum("Level", "LOW")(1), type("Text", (str,), {})("circle"), "circle",
     )
 
-    @staticmethod
-    def reference(items) -> list[str]:
-        return sorted(json.dumps(x, sort_keys=True) for x in items)
-
-    @pytest.mark.parametrize("tag", ["list", "box-list", "mask"])
-    def test_list_like_items_encode_as_json_dumps_does(self, tag):
-        assert set_items(V.Value(tag, self.ITEMS)) == self.reference(self.ITEMS)
-
-    @pytest.mark.parametrize("item", ITEMS)
-    def test_a_lone_value_encodes_as_json_dumps_does(self, item):
-        assert set_items(V.Value("text", item)) == self.reference([item])
+    @pytest.mark.parametrize("a", ITEMS, ids=repr)
+    def test_example_keys_are_equal_exactly_when_the_texts_are(self, a):
+        for b in self.ITEMS:
+            assert (json_key(a) == json_key(b)) == (canonical_json(a) == canonical_json(b)), b
 
     def test_equal_numbers_of_other_types_stay_apart(self):
-        assert set_items(V.Value("list", (1, 1.0, True))) == ["1", "1.0", "true"]
-        assert set_items(V.Value("list", ((1, 2), [1, 2]))) == ["[1, 2]", "[1, 2]"]
+        assert len({json_key(x) for x in (1, 1.0, True, 0, 0.0, -0.0, False)}) == 7
+        assert json_key((1, 2)) == json_key([1, 2])
+        assert json_key(_NAN) == json_key(-_NAN)
+
+    @pytest.mark.parametrize("value", [{1}, [object()], {1: 0, "a": 0}, {(1,): 0}])
+    def test_what_the_encoder_refuses_is_refused(self, value):
+        with pytest.raises(TypeError):
+            canonical_json(value)
+        with pytest.raises(TypeError):
+            json_key(value)
+
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_keys_are_equal_exactly_when_the_texts_are(self, data):
+        a = data.draw(_values)
+        b = data.draw(_twins(a))
+        old, new = (_old_key(a), _old_key(b)), (_new_key(a), _new_key(b))
+        assert [k is _REFUSED for k in new] == [k is _REFUSED for k in old]
+        if _REFUSED not in old:
+            assert (new[0] == new[1]) == (old[0] == old[1])
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_counts_are_equal_exactly_when_the_sorted_texts_are(self, data):
+        items = data.draw(st.lists(_values, max_size=4))
+        others = data.draw(st.tuples(*map(_twins, items)).flatmap(st.permutations))
+        try:
+            old = [sorted(map(canonical_json, xs)) for xs in (items, others)]
+        except TypeError:
+            with pytest.raises(TypeError):
+                item_counts(items), item_counts(others)
+            return
+        assert (item_counts(items) == item_counts(others)) == (old[0] == old[1])
 
 
 class TestJudges:

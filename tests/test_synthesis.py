@@ -1,16 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
 import sys
 
 import pytest
 
 from modgrow import reference_modules as rm
-from modgrow import scene
+from modgrow import scene, synthesis
 from modgrow import values as V
 from modgrow.cache import canonical_json
 from modgrow.errors import EndpointError
 from modgrow.executor import run_program
-from modgrow.gateway import LlmGateway
+from modgrow.gateway import LlmGateway, extract_module_source
 from modgrow.harness import datasets as ds
 from modgrow.harness import oracle
 from modgrow.harness.evaluate import evaluate
@@ -243,3 +244,66 @@ def test_a_failed_repair_request_is_an_endpoint_outcome_or_propagates(builtin_li
     assert [(o.repair_round, {r.error.kind for r in o.per_case}) for o in report.outcomes["SORT_SPATIAL"]] == [
         (0, {"response_parse"}), (1, {"endpoint"}), (2, {"endpoint"})
     ]
+
+
+def sort_spatial_with(statement: str) -> str:
+    """The `SORT_SPATIAL` fixture with `statement` first in `execute`."""
+    lines = rm.FIXTURE_SOURCES["SORT_SPATIAL"].split("\n")
+    at = next(i for i, line in enumerate(lines) if line.lstrip().startswith("def execute("))
+    lines.insert(at + 1, " " * 8 + statement)
+    return "\n".join(lines)
+
+
+def synthesize_sort_spatial(monkeypatch, builtin_lib, backend, samples, cfg):
+    """Learn `SORT_SPATIAL` from four ordinal groundings, the responder
+    answering its stage-2 and repair prompts with `samples` in turn: (the
+    outcomes, the sources loaded, each case run's candidate source)."""
+    train = ds.generate_dataset("grounding", 4, 4, {"templates": ["ordinal"]})
+    responder = SyntheticResponder(train)
+    responder.override_source("SORT_SPATIAL", samples)
+    loaded, ran = [], []
+    load, case_error = synthesis.load_candidate, synthesis._case_error
+
+    def counting_load(source, signature):
+        loaded.append(source)
+        return load(source, signature=signature)
+
+    def counting_case_error(case, registry, backend):
+        ran.append(registry.overlay["SORT_SPATIAL"].source)
+        return case_error(case, registry, backend)
+
+    monkeypatch.setattr(synthesis, "load_candidate", counting_load)
+    monkeypatch.setattr(synthesis, "_case_error", counting_case_error)
+    with LlmGateway(mode="record", transport=responder) as gateway:
+        _, report = run_synthesis(train, builtin_lib, gateway, backend, cfg)
+    return report.outcomes["SORT_SPATIAL"], loaded, ran
+
+
+def test_each_distinct_sample_of_a_proposal_is_loaded_and_run_once(monkeypatch, builtin_lib, backend):
+    """Three identical first-round samples and a repair sample equal to them
+    load and run once, and repeat the first one's score; a different source
+    is still scored."""
+    samples = [sort_spatial_with("raise ValueError('injected fault')")] * 4 + [rm.FIXTURE_SOURCES["SORT_SPATIAL"]]
+    outcomes, loaded, ran = synthesize_sort_spatial(
+        monkeypatch, builtin_lib, backend, samples, SynthesisConfig(k_candidates=3, r_repairs=2))
+    bad, good = (extract_module_source(samples[i]) for i in (0, 4))
+    assert [(o.candidate_index, o.repair_round, o.accepted) for o in outcomes] == [
+        (0, 0, False), (1, 0, False), (2, 0, False), (3, 1, False), (4, 2, True)
+    ]
+    n_cases = len(outcomes[0].per_case)
+    assert loaded == [bad, good]
+    assert ran == [bad] * n_cases + [good] * n_cases
+    assert {r.error.kind for r in outcomes[0].per_case} == {"runtime"}
+    first = outcomes[0]
+    assert [dataclasses.replace(o, candidate_index=0, repair_round=0) for o in outcomes[1:4]] == [first] * 3
+    assert outcomes[4].pass_rate == 1.0 and all(r.passed for r in outcomes[4].per_case)
+
+
+def test_a_sample_that_does_not_compile_reports_one_load_error_each_time(monkeypatch, builtin_lib, backend):
+    broken = rm.FIXTURE_SOURCES["SORT_SPATIAL"].replace("def execute(", "def execute((", 1)
+    outcomes, loaded, ran = synthesize_sort_spatial(
+        monkeypatch, builtin_lib, backend, [broken] * 2, SynthesisConfig(k_candidates=2, r_repairs=0))
+    assert loaded == [extract_module_source(broken)] and ran == []
+    errors = [{r.error for r in o.per_case} for o in outcomes]
+    assert [[e.kind for e in es] for es in errors] == [["compile"], ["compile"]]
+    assert errors[0] == errors[1]
