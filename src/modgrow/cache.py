@@ -3,10 +3,13 @@
 Stage-1 and stage-3 prompts repeat one long head, the module catalogue and
 the worked examples, and differ only in their question; the K samples and
 the repairs of one stage-2 proposal repeat its API doc and training cases.
-So a prompt is stored as a head and a tail, cut by `split_prompt` at the
-last of its `HEAD_MARKERS`. The model's answers repeat too: one stage-1
-decision serves many training queries, one stage-3 program many test
-questions. So each distinct response text is stored once as well:
+The code that builds a prompt knows where its head ends: each request
+carries its head, the template text above the line that asks the question
+or names the module (`modgrow.gateway.TailSlotPrompt`), and the writer
+stores the prompt as that head and the tail after it. The model's answers
+repeat too: one stage-1 decision serves many training queries, one stage-3
+program many test questions. So each distinct response text is stored once
+as well:
 
 - A head record holds a head's text, ``head``, and its SHA-256,
   ``head_sha256``. A file holds each head once, before the first call
@@ -18,8 +21,8 @@ questions. So each distinct response text is stored once as well:
   ``response``; every later one holds only ``response_sha256``, the text's
   SHA-256, written as ``head_sha256`` is. A record carries no time, so the
   same session records the same bytes.
-- A call record without ``head_sha256`` holds its whole prompt: a prompt
-  with no marker is stored so, and so is every record of a cache written
+- A call record without ``head_sha256`` holds its whole prompt: a request
+  without a head is stored so, and so is every record of a cache written
   before heads were split out. Every record of a cache written before
   responses were stored once holds its response inline. Such caches load
   as before, and recording onto one appends records of this format, whose
@@ -36,17 +39,6 @@ it with a warning (a bad line anywhere else is an error), and the next
 append cuts it and writes a cut head, or a cut response's only inline
 copy, again when a call needs it.
 
-What an append costs: a recorded session sends many requests in a row over
-one head, so `CacheWriter` keeps the last head it cut. A prompt that starts
-with that head, with a marker right after it, is cut by searching only the
-text after the head, and its head record is looked up by the kept string
-itself, whose hash Python has already computed. So its head is compared
-once with the kept one, and is not sliced, searched or hashed again; the
-rest of the append costs the tail and the response. The cut equals
-`split_prompt`'s: that cut is the last start of any marker, and since one
-starts right after the kept head, the last start is at or after it, where
-the search looks. Any other prompt is cut by `split_prompt`.
-
 `canonical_json` is the one encoding of a record, a split-file line and
 an item of a `records` gold: sorted keys, as `json.dumps(x, sort_keys=True)`
 gives, from one encoder built once rather than on every call.
@@ -61,27 +53,8 @@ from collections.abc import Iterable, Iterator
 
 logger = logging.getLogger(__name__)
 
-# The last line of each template that starts its varying part: the new
-# question (stage 1 and stage 3), the module ask (stage 2) and the module to
-# fix (repair). Everything before it is the head.
-HEAD_MARKERS = (
-    "\nQuestion:",
-    "\nGiven the above APIs, could you write a new module, ",
-    "\nYou previously wrote a module, ",
-)
-
-
 # the encoder `json.dumps(x, sort_keys=True)` builds anew on every call
 canonical_json = json.JSONEncoder(sort_keys=True).encode
-
-
-def split_prompt(prompt: str) -> tuple[str, str]:
-    """(head, tail) of `prompt`, cut at the last marker; the head is empty
-    when the prompt has none."""
-    cut = max(prompt.rfind(marker) for marker in HEAD_MARKERS)
-    if cut <= 0:
-        return "", prompt
-    return prompt[:cut], prompt[cut:]
 
 
 def text_sha256(text: str) -> str:
@@ -184,42 +157,32 @@ class CacheWriter:
 
     The file opens on the first append and stays open until `close`; a later
     append opens it again. Each append reaches the file before it returns.
-
-    An append whose prompt starts with the last head cut, followed by a
-    marker, searches and encodes only the prompt's tail (see the module's
-    docstring for why the cut is `split_prompt`'s); any other prompt costs
-    one `split_prompt` over the whole prompt and a hash of the head it cuts.
     """
 
     def __init__(self, path):
         self.path = path
         self._fh = None
-        self._head = ""  # the last head cut
         self._heads: dict[str, str] = {}  # text -> hash of each head in the file
         self._texts: dict[str, str] = {}  # text -> hash of each response inline in the file
 
-    def append(self, record: dict) -> None:
+    def append(self, record: dict, head: str = "") -> None:
         """Append call `record`, whose request, if it has one, holds the whole
-        prompt, and whose ``response`` holds the whole text."""
+        prompt, and whose ``response`` holds the whole text. A `head`, a
+        prefix of that prompt (else ValueError), is written in a head record
+        unless the file holds it, and the call record holds only the prompt
+        after it; with no head the record holds the whole prompt."""
         if self._fh is None:
             self._open()
-        request = record.get("request") or {}
-        prompt = request.get("prompt", "")
-        head = self._head
-        if head and prompt.startswith(head) and prompt.startswith(HEAD_MARKERS, len(head)):
-            cut = max(prompt.rfind(marker, len(head)) for marker in HEAD_MARKERS)
-            if cut > len(head):  # a marker in the tail moves the cut down
-                head = prompt[:cut]
-            tail = prompt[cut:]
-        else:
-            head, tail = split_prompt(prompt)
         if head:
-            self._head = head
+            request = record["request"]
+            if not request["prompt"].startswith(head):
+                raise ValueError("the head is not a prefix of the prompt")
             digest = self._heads.get(head)
             if digest is None:
                 digest = text_sha256(head)
                 self._fh.write(_line({"head": head, "head_sha256": digest}))
                 self._heads[head] = digest
+            tail = request["prompt"][len(head) :]
             record = {**record, "head_sha256": digest, "request": {**request, "prompt": tail}}
         response = record.get("response")
         if isinstance(response, str):

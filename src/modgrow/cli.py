@@ -71,15 +71,19 @@ def _check_output_dir(path: str) -> None:
             return
 
 
-def _candidate_lines(name: str, outcomes) -> list[str]:
+def _candidate_lines(name: str, outcomes, registered: str | None) -> list[str]:
     """One line per candidate scored: its sample index, repair round, pass
     rate and verdict, the first error that failed it, and the earlier
-    sample of the same source whose score it repeats."""
+    sample of the same source whose score it repeats. The verdict is
+    `accepted` for the sample the library holds, the first whose source is
+    `registered`, `passed` for any other that cleared η, else `rejected`."""
+    winner = next((o.candidate_index for o in outcomes if o.source == registered), None)
     first_of: dict[str, int] = {}  # by source, the first sample that has it
     lines = []
     for o in outcomes:
+        verdict = "accepted" if o.candidate_index == winner else "passed" if o.accepted else "rejected"
         parts = [f"candidate {name} #{o.candidate_index} round {o.repair_round}",
-                 f"pass_rate={o.pass_rate:.2f}", "accepted" if o.accepted else "rejected"]
+                 f"pass_rate={o.pass_rate:.2f}", verdict]
         error = next((r.error for r in o.per_case if r.error is not None), None)
         if not o.accepted and error is not None:
             parts.append(error.render())
@@ -112,7 +116,8 @@ def cmd_learn(args) -> int:
         return 2
 
     for name, outcomes in report.outcomes.items():
-        for line in _candidate_lines(name, outcomes):
+        registered = lib_after.records[name].source if name in report.accepted else None
+        for line in _candidate_lines(name, outcomes, registered):
             print(line)
     for name in report.accepted:
         rec = lib_after.records[name]

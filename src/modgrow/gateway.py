@@ -11,16 +11,24 @@ file). Because sampled candidates share one prompt, the cache keeps a FIFO
 of responses per key and replay consumes them in call order.
 
 A request's key is the SHA-256 of its `request_doc` as compact JSON with
-sorted keys (`cache_key`). Stage-1 and stage-3 prompts repeat one long head,
-the module catalogue and the worked examples, and differ only in the
-question, which is the template's last marker. `TailSlotPrompt` keys them
-without escaping the head again: it feeds a hash with the JSON text up to
-the opening quote of ``"prompt"`` and the escaped head once, then for
-each request copies that hash and feeds the copy the escaped question, the
-escaped tail and the closing fields. This is `cache_key` of the same
-request: with sorted keys ``prompt`` follows ``max_tokens`` and
-``model_id``, and JSON escapes a string character by character, so the
-escape of a concatenation is the concatenation of the escapes.
+sorted keys (`cache_key`). Every stage builds its requests with a
+`TailSlotPrompt`, over a template whose last marker is the one slot that
+varies: the question (stage 1 and stage 3), the module header (stage 2)
+or the error report (repair). Its requests share one head, the template
+text above the line that asks the question or names the module, with the
+fixed slots filled: the module catalogue and the worked examples, or the
+API doc and the training cases. `TailSlotPrompt` finds that line in the
+template once, and each request carries its stage and that head string,
+outside its key, so the cache writer and the stand-in model take the cut
+from the request instead of searching the prompt for it. It also keys its
+requests without escaping the text before the varying slot again: it feeds
+a hash with the JSON text up to the opening quote of ``"prompt"`` and that
+text escaped once, then for each request copies that hash and feeds the
+copy the escaped value, the escaped rest of the template and the closing
+fields. This is `cache_key` of the same request: with sorted keys
+``prompt`` follows ``max_tokens`` and ``model_id``, and JSON escapes a
+string character by character, so the escape of a concatenation is the
+concatenation of the escapes.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ import os
 import re
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
@@ -57,6 +65,9 @@ _TEMPLATE_FILES = {
 }
 
 _SLOT_RE = re.compile(r"__([A-Z][A-Z0-9_]*)__")
+# the line of a template that asks the question or names the module, from
+# the newline before it
+_ASK_LINE_RE = re.compile(r"\n[^\n]*__(?:NEW_QUESTION|MODULE_NAME)__")
 
 # Documentation of the tool surface, inserted into stage-2 prompts so
 # generated modules call the right API names.
@@ -152,6 +163,11 @@ class CompletionRequest:
     temperature: float = 0.0
     max_tokens: int = 1024
     stop: tuple[str, ...] | None = None
+    # the template stage that built the prompt, and the prompt's head, a
+    # prefix of it shared by the requests of one `TailSlotPrompt` ("" for
+    # none); neither is part of the request a key hashes
+    stage: str | None = field(default=None, compare=False)
+    head: str = field(default="", compare=False, repr=False)
 
     def __post_init__(self):
         if self.temperature < 0:
@@ -190,9 +206,12 @@ class TailSlotPrompt:
     """Requests from one template whose last marker is the only slot that
     varies, keyed as `cache_key` keys them without escaping the rest again.
 
-    The head, the template up to that marker with its `fixed` slots filled,
-    is rendered by `render_prompt` and hashed once; `request(value)` returns
-    the request with `value` in the slot, and its key.
+    `head` is the template up to the newline before its ask line, the one
+    line that holds ``__NEW_QUESTION__`` or ``__MODULE_NAME__``, with its
+    `fixed` slots filled by `render_prompt` ("" for a template without an ask
+    line). The text up to the varying marker is rendered and hashed once;
+    `request(value)` returns the request with `value` in the slot, which
+    carries the template's stage and `head` itself, and its key.
     """
 
     def __init__(
@@ -211,8 +230,14 @@ class TailSlotPrompt:
             raise ValueError(
                 f"template {template.stage!r}: slot {varying!r} is not the single last marker"
             )
-        last = markers[-1]
-        self._head = render_prompt(PromptTemplate(template.stage, template.body[: last.start()]), fixed)
+        asks = [m.start() for m in _ASK_LINE_RE.finditer(template.body)]
+        if len(asks) > 1:
+            raise ValueError(f"template {template.stage!r} holds {len(asks)} ask lines")
+        cut, last = asks[0] if asks else 0, markers[-1]
+        self.stage = template.stage
+        self.head = render_prompt(PromptTemplate(self.stage, template.body[:cut]), fixed)
+        rest = render_prompt(PromptTemplate(self.stage, template.body[cut : last.start()]), fixed)
+        self._prefix = self.head + rest
         self._tail = template.body[last.end() :]
         self._fields = {
             "model_id": model_id, "temperature": temperature, "max_tokens": max_tokens, "stop": stop
@@ -220,15 +245,17 @@ class TailSlotPrompt:
         # only the key can hold this text: a string value escapes its quotes
         doc = _key_json(request_doc(CompletionRequest(prompt="", **self._fields)))
         opening, _, closing = doc.partition('"prompt":""')
-        head = opening + '"prompt":"' + _escape(self._head)[1:-1]
-        self._head_state = hashlib.sha256(head.encode("utf-8"))
+        prefix = opening + '"prompt":"' + _escape(self._prefix)[1:-1]
+        self._prefix_state = hashlib.sha256(prefix.encode("utf-8"))
         self._closing = (_escape(self._tail)[1:-1] + '"' + closing).encode("utf-8")
 
     def request(self, value: str) -> tuple[CompletionRequest, str]:
-        state = self._head_state.copy()
+        state = self._prefix_state.copy()
         state.update(_escape(value)[1:-1].encode("utf-8"))
         state.update(self._closing)
-        request = CompletionRequest(prompt=self._head + value + self._tail, **self._fields)
+        request = CompletionRequest(
+            prompt=self._prefix + value + self._tail, stage=self.stage, head=self.head, **self._fields
+        )
         return request, state.hexdigest()
 
 
@@ -308,7 +335,7 @@ class LlmGateway:
             "response": response,
         }
         if self._writer is not None:
-            self._writer.append(record)
+            self._writer.append(record, req.head)
         self._cache.setdefault(key, []).append(response)
 
     def complete(self, req: CompletionRequest, key: str | None = None) -> str:

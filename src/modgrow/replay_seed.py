@@ -1,7 +1,7 @@
 """Deterministic response seeding for replay runs.
 
 A SyntheticResponder acts as the live endpoint during record mode: it reads
-the rendered prompt, works out which stage is being asked, and answers the
+each request's stage and the prompt's tail after its head, and answers the
 way a competent code generator would — stage-1 feasibility decisions from
 each instance's canonical program against the catalogue in the prompt,
 stage-2 implementations and repairs from the shipped fixture sources,
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
 
 from .dsl import STATEMENT_LINE_RE
 from .gateway import CompletionRequest, LlmGateway
@@ -41,86 +40,26 @@ def program_modules(program_text: str) -> set[str]:
     return set(STATEMENT_LINE_RE.findall(program_text))
 
 
-def _last_match(pattern: re.Pattern, text: str, pos: int = 0) -> re.Match | None:
-    found = None
-    for found in pattern.finditer(text, pos):
-        pass
-    return found
-
-
-def _last_question(prompt: str) -> re.Match | None:
-    """The last match of `_QUESTION_RE` in `prompt`, found from its end.
-
-    A match runs from a ``Question:`` line through any whitespace after the
-    colon, newlines included, to the end of a line. So one from further up
-    can swallow the last ``Question:`` line only across lines of whitespace
-    or other ``Question:`` lines; the scan starts above those, below the
-    nearest other line, which every earlier match ends before. Only if the
-    lines from there match nothing is the whole prompt scanned.
-    """
-    start = prompt.rfind("\nQuestion:") + 1
-    while start:
-        above = prompt.rfind("\n", 0, start - 1) + 1
-        line = prompt[above : start - 1]
-        if line.strip() and not line.startswith("Question:"):
-            break
-        start = above
-    return _last_match(_QUESTION_RE, prompt, start) or _last_match(_QUESTION_RE, prompt)
-
-
-# The phrases that tell the stages apart. None holds a "Q", so none runs
-# across the start of a ``Question:`` line: each is in the text above the
-# last such line or in the text from it on.
-_STAGE_PHRASES = (
-    "could you write a new module",
-    "You previously wrote a module",
-    "could you identify whether it is possible",
-    "Think step by step",
-)
-
-
-@dataclass(frozen=True)
-class _Head:
-    """What the responder reads in the part of a prompt above its last
-    ``Question:`` line: the stage phrases it holds, the name its last module
-    ask names (None when it has none), and the class names it declares. No
-    module ask or class declaration runs across the start of a ``Question:``
-    line either: an ask holds no newline, and a declared name would stop at
-    the "Q" of "Question:", where no "(" follows."""
-
-    text: str
-    phrases: frozenset[str]
-    last_ask: str | None
-    modules: frozenset[str]
-
-
-# the part above of a prompt without a later ``Question:`` line: nothing
-_NO_HEAD = _Head("", frozenset(), None, frozenset())
-
-
 class SyntheticResponder:
     """Callable transport producing ideal responses for known dataset queries.
 
-    It reads a prompt in two parts, cut where its last ``Question:`` line
-    starts. The part above, the catalogue and the examples, is read into a
-    `_Head`, and only the last one read is kept: a prompt whose part above
-    has the kept length and starts with the kept text reuses it, after one
-    comparison. A recording session sends its requests over one catalogue
-    back to back, so that one head serves them all, and a responder holds
-    one head's text however long it lives. Each answer then searches only
-    the part from the cut on, a question and a few lines, for the stage
-    phrases, the module ask and the class names, and reads its question
-    with `_last_question`. So a stage-3 answer costs its question, not the
-    catalogue above it; a stage-1 or stage-3 answer compares the head
-    twice, once to tell the stage and once in `_lookup`, which subclasses
-    may override. The modules on offer are the classes the prompt declares,
-    less the static examples' COMPARE_SIZE.
+    It answers by the stage a request names. Every stage's request carries
+    its head, the template text above the line that asks the question or
+    names the module (`modgrow.gateway.TailSlotPrompt`), so a stage-2 or
+    repair answer reads the module ask from the prompt after the head, and a
+    stage-1 or stage-3 answer reads the question there. The modules on offer are the
+    classes the head declares, less the static examples' COMPARE_SIZE; they
+    are read once per distinct head, and only the last head's are kept, so a
+    recording session, which sends its requests over one catalogue back to
+    back, reads its catalogue once, and a responder holds one head's names
+    however long it lives. A request it cannot place, of no stage or an
+    unknown one or whose tail names no module, raises `LookupError`.
     """
 
     def __init__(self, instances=()):
         self._by_query: dict[str, object] = {}
         self._source_overrides: dict[str, deque] = {}
-        self._last_head = _NO_HEAD
+        self._declared: tuple[str, frozenset[str]] = ("", frozenset())  # the last head read, its names
         self.calls = 0
         self.add(instances)
 
@@ -133,47 +72,28 @@ class SyntheticResponder:
         (used to seed failing-then-repaired candidate sequences)."""
         self._source_overrides.setdefault(name, deque()).extend(sources)
 
-    def _head(self, prompt: str) -> tuple[_Head, int]:
-        """The `_Head` of `prompt`, and where its last ``Question:`` line
-        starts (0 when no later line starts with one)."""
-        cut = prompt.rfind("\nQuestion:") + 1
-        head = self._last_head
-        if len(head.text) != cut or not prompt.startswith(head.text):
-            text = prompt[:cut]
-            asks = _MODULE_ASK_RE.findall(text)
-            head = self._last_head = _Head(
-                text,
-                frozenset(phrase for phrase in _STAGE_PHRASES if phrase in text),
-                asks[-1] if asks else None,
-                frozenset(_CLASS_NAME_RE.findall(text)),
-            )
-        return head, cut
-
-    def _lookup(self, prompt: str):
-        """The instance the prompt's last question asks about, and the
-        modules the prompt declares (less those of static examples)."""
-        match = _last_question(prompt)
+    def _lookup(self, req: CompletionRequest):
+        """The instance the request's question asks about, and the modules
+        its head declares (less those of static examples)."""
+        match = _QUESTION_RE.search(req.prompt, len(req.head))
         if match is None:
             raise LookupError("prompt carries no question line")
         question = match.group(1).strip()
         instance = self._by_query.get(question)
         if instance is None:
             raise LookupError(f"no dataset instance for question {question!r}")
-        head, cut = self._head(prompt)
-        available = head.modules.union(_CLASS_NAME_RE.findall(prompt, cut))
-        return instance, available - _EXAMPLE_HEADER_NAMES
+        if self._declared[0] != req.head:
+            declared = frozenset(_CLASS_NAME_RE.findall(req.head)) - _EXAMPLE_HEADER_NAMES
+            self._declared = req.head, declared
+        return instance, self._declared[1]
 
     def __call__(self, req: CompletionRequest) -> str:
         self.calls += 1
-        prompt = req.prompt
-        head, cut = self._head(prompt)
-        tail = prompt[cut:]
-        phrases = head.phrases.union(phrase for phrase in _STAGE_PHRASES if phrase in tail)
-        if "could you write a new module" in phrases or "You previously wrote a module" in phrases:
-            asks = _MODULE_ASK_RE.findall(tail)
-            name = asks[-1] if asks else head.last_ask
-            if name is None:  # as the last of no asks in the whole prompt
-                raise IndexError("list index out of range")
+        if req.stage in ("generation", "repair"):
+            ask = _MODULE_ASK_RE.search(req.prompt, len(req.head))
+            if ask is None:
+                raise LookupError(f"{req.stage} prompt names no module")
+            name = ask.group(1)
             queue = self._source_overrides.get(name)
             if queue:
                 return queue.popleft()
@@ -181,8 +101,8 @@ class SyntheticResponder:
             if source is None:
                 return f"I do not know how to implement {name}."
             return source
-        if "could you identify whether it is possible" in phrases:
-            instance, available = self._lookup(prompt)
+        if req.stage == "initialization":
+            instance, available = self._lookup(req)
             needed = program_modules(instance.canonical_program)
             missing = [m for m in _ordered(needed, instance.canonical_program) if m not in available]
             if not missing:
@@ -195,15 +115,13 @@ class SyntheticResponder:
             for name in missing:
                 parts.append(fixture_header(name) if name in FIXTURE_SOURCES else f"class {name}():")
             return "\n".join(parts)
-        # the tail starts with "Question:" unless it is the whole prompt, so
-        # the prompt ends as the tail does
-        if tail.rstrip().endswith("Program:") or "Think step by step" in phrases:
-            instance, available = self._lookup(prompt)
+        if req.stage == "execution":
+            instance, available = self._lookup(req)
             needed = program_modules(instance.canonical_program)
             if needed <= available:
                 return instance.canonical_program
             return instance.fallback_program
-        raise LookupError("prompt does not match any known stage")
+        raise LookupError(f"cannot answer a request of stage {req.stage!r}")
 
 
 def _ordered(names: set[str], program_text: str) -> list[str]:

@@ -43,7 +43,6 @@ from .gateway import (
     extract_module_source,
     load_template,
     parse_initialization_response,
-    render_prompt,
 )
 from .harness.datasets import VALUE_FORMS, Judge, build_bindings, judge_of
 from .registry import (
@@ -311,15 +310,12 @@ def generate_module(
     is not loaded or run again: its outcome repeats that score under its
     own index and round.
     """
-    template = load_template("generation")
-    repair_template = load_template("repair")
-    base_slots = {
-        "API_DOC": DEFAULT_API_DOC,
-        "MODULE_NAME": proposal.signature.name,
-        "MODULE_HEAD": proposal.header,
-        "EXAMPLES": _cases_as_examples(cases),
-    }
-    prompt = render_prompt(template, base_slots)
+    fields = {"model_id": cfg.model_id, "temperature": SAMPLE_TEMPERATURE, "max_tokens": MAX_TOKENS}
+    fixed = {"API_DOC": DEFAULT_API_DOC, "MODULE_NAME": proposal.signature.name}
+    examples = {**fixed, "EXAMPLES": _cases_as_examples(cases)}
+    sample = TailSlotPrompt(load_template("generation"), examples, "MODULE_HEAD", **fields).request(
+        proposal.header
+    )
     outcomes: list[CandidateOutcome] = []
     handles: dict[str, CandidateHandle] = {}  # by source: each distinct source loads once
     scores: dict[str, tuple[float, list[CaseResult]]] = {}  # by source, as compute_pass_rate fills it
@@ -355,16 +351,12 @@ def generate_module(
             repair_round=round_no,
         )
 
-    def attempt(request_prompt: str, round_no: int) -> None:
+    def attempt(request: CompletionRequest, key: str, round_no: int) -> None:
         """Request one candidate and score it; a failed endpoint fails the
         candidate, and any other exception propagates."""
-        request = CompletionRequest(
-            prompt=request_prompt, model_id=cfg.model_id, temperature=SAMPLE_TEMPERATURE,
-            max_tokens=MAX_TOKENS,
-        )
         index = len(outcomes)
         try:
-            response = gateway.complete(request)
+            response = gateway.complete(request, key)
         except EndpointError as exc:
             outcomes.append(failed(index, "", record_of(exc), round_no))
         else:
@@ -374,13 +366,16 @@ def generate_module(
         return max(outs, key=lambda o: (o.pass_rate, -o.candidate_index))
 
     for _ in range(cfg.k_candidates):
-        attempt(prompt, 0)
+        attempt(*sample, 0)
     current_best = best(outcomes)
     round_no = 0
+    repairs = None  # the repair prompts, built for the first repair round
     while not current_best.accepted and round_no < cfg.r_repairs:
         round_no += 1
-        report = render_error_report(current_best)
-        attempt(render_prompt(repair_template, {**base_slots, "ERROR_REPORT": report}), round_no)
+        if repairs is None:
+            header = {**fixed, "MODULE_HEAD": proposal.header}
+            repairs = TailSlotPrompt(load_template("repair"), header, "ERROR_REPORT", **fields)
+        attempt(*repairs.request(render_error_report(current_best)), round_no)
         current_best = best(outcomes)
 
     if not current_best.accepted:

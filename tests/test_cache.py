@@ -11,29 +11,40 @@ import pytest
 from modgrow import cli
 from modgrow import reference_modules as rm
 from modgrow.backends import SyntheticBackend
-from modgrow.cache import (
-    HEAD_MARKERS,
-    CacheWriter,
-    Resolver,
-    load_responses,
-    read_records,
-    split_prompt,
-    text_sha256,
-)
+from modgrow.cache import CacheWriter, Resolver, load_responses, read_records, text_sha256
 from modgrow.errors import CacheMissError
 from modgrow.gateway import CompletionRequest, LlmGateway, cache_key, request_doc
 from modgrow.harness.datasets import generate_dataset
 from modgrow.harness.evaluate import evaluate
 from modgrow.registry import builtin_library
-from modgrow.replay_seed import SyntheticResponder, seed_learn_and_eval
+from modgrow.replay_seed import SyntheticResponder, program_modules, seed_learn_and_eval
 from modgrow.synthesis import SynthesisConfig, run_synthesis
 
 PROMPTS = ("first", "second", "third")
 HEADED = ("head\nQuestion: 1", "head\nQuestion: 2")
 
+# The first line of each template's varying part: the new question (stage 1
+# and stage 3), the module ask (stage 2) and the module to fix (repair). The
+# reference cut, found by searching the prompt, is at the last of them.
+MARKERS = (
+    "\nQuestion:",
+    "\nGiven the above APIs, could you write a new module, ",
+    "\nYou previously wrote a module, ",
+)
+
+
+def split(prompt: str) -> tuple[str, str]:
+    """(head, tail) of `prompt`, cut at the last marker; the head is empty
+    when the prompt has none."""
+    cut = max(prompt.rfind(marker) for marker in MARKERS)
+    if cut <= 0:
+        return "", prompt
+    return prompt[:cut], prompt[cut:]
+
 
 def request(prompt: str) -> CompletionRequest:
-    return CompletionRequest(prompt=prompt, model_id="m")
+    """A request whose head is the reference cut's."""
+    return CompletionRequest(prompt=prompt, model_id="m", head=split(prompt)[0])
 
 
 def echo(req: CompletionRequest) -> str:
@@ -185,8 +196,8 @@ class TestHeads:
             rebuilt.append(resolver.request(number, rec))
             assert len(rec["request"]["prompt"]) < len(rebuilt[-1]["prompt"])
         assert rebuilt == [request_doc(req) for req in asked]
-        tails = [split_prompt(req.prompt)[1] for req in asked]
-        assert {m for m in HEAD_MARKERS for tail in tails if tail.startswith(m)} == set(HEAD_MARKERS)
+        assert [req.head for req in asked] == [split(req.prompt)[0] for req in asked]
+        assert {req.stage for req in asked} == {"initialization", "generation", "repair", "execution"}
         # stage 1, one stage-2 proposal, its repair, stage 3
         assert len(heads) == 4
 
@@ -369,14 +380,14 @@ def test_a_call_record_that_does_not_resolve_fails_learn_and_eval(tmp_path, caps
 
 
 class SplittingWriter(CacheWriter):
-    """The reference: `split_prompt` cuts every prompt, as the writer first
-    did, however many prompts before it shared its head."""
+    """The reference: it ignores the head it is given and cuts every prompt
+    at its last marker, as the writer once did."""
 
-    def append(self, record: dict) -> None:
+    def append(self, record: dict, head: str = "") -> None:
         if self._fh is None:
             self._open()
         request = record.get("request") or {}
-        head, tail = split_prompt(request.get("prompt", ""))
+        head, tail = split(request.get("prompt", ""))
         if head:
             digest = self._heads.get(head)
             if digest is None:
@@ -396,35 +407,54 @@ class SplittingWriter(CacheWriter):
         self._fh.flush()
 
 
+TASKS = ("vqa", "grounding", "tagging", "editing", "raven", "mewl-analog")
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_a_seeded_session_writes_what_splitting_every_prompt_writes(tmp_path, task):
+    """Every request of a recorded session, its first learned module's
+    samples failing so that a repair round runs, is written as the
+    reference writes it after cutting the prompt itself."""
+    train, test = generate_dataset(task, 21, 12), generate_dataset(task, 22, 8)
+    learned = sorted(set().union(*(program_modules(i.canonical_program) for i in train))
+                     & rm.FIXTURE_SOURCES.keys())
+    responder = SyntheticResponder()
+    for name in learned[:1]:
+        responder.override_source(name, ["no code here"] * 2)
+    new, old = tmp_path / "new.jsonl", tmp_path / "old.jsonl"
+    seed_learn_and_eval(train, test, builtin_library(), SyntheticBackend(),
+                        SynthesisConfig(k_candidates=2, r_repairs=1), str(new), responder=responder)
+    resolver = Resolver(new)
+    with closing(SplittingWriter(old)) as reference:
+        for number, rec, response in resolver.calls(read_records(new)):
+            whole = resolver.request(number, rec)
+            reference.append({"key": rec["key"], "request": whole, "response": response})
+    assert new.read_bytes() == old.read_bytes()
+    # one head for stage 1 and one for stage 3, one per proposal's stage 2,
+    # and one that every repair prompt shares
+    heads = sum(1 for _, rec in read_records(new) if "head" in rec)
+    assert heads == 2 + len(learned) + (1 if learned else 0)
+
+
+def test_a_head_that_is_not_a_prefix_of_the_prompt_is_refused(tmp_path):
+    cache = tmp_path / "llm.jsonl"
+    with closing(CacheWriter(cache)) as writer, pytest.raises(ValueError, match="not a prefix"):
+        writer.append({"key": "k", "request": {"prompt": "head\nQuestion: 1"}, "response": "r"}, "heads")
+    assert cache.read_bytes() == b""
+
+
 TEAR = None  # close the writer, then tear the last head record and lose the calls after it
 CATALOGUE = "Pre-defined Modules:\nclass LOC():\n    pass\n"
 OTHER = "Think step by step.\nclass COUNT():\n    pass\n"
-MODULE_ASK, REPAIR_ASK = HEAD_MARKERS[1:]
 
 WRITER_SEQUENCES = {
     "two heads, alternating": [
         CATALOGUE + "\nQuestion: 1", OTHER + "\nQuestion: 2", CATALOGUE + "\nQuestion: 3",
         OTHER + "\nQuestion: 4", OTHER + "\nQuestion: 5", CATALOGUE + "\nQuestion: 6",
     ],
-    "a head that is a proper prefix of another": [
-        CATALOGUE + "\nQuestion: 1", CATALOGUE + "\nQuestion: 1\nQuestion: 2", CATALOGUE + "\nQuestion: 3",
-        CATALOGUE + "\nQuestion: 1\nQuestion: 4", CATALOGUE + "\nQuestion: 1\nQuestion: 4\nQuestion: 5",
-        CATALOGUE + "\nQuestion: 6",
-    ],
-    "a tail holding each marker": [
-        CATALOGUE + "\nQuestion: 1", CATALOGUE + "\nQuestion: is it\nQuestion: 2",
-        CATALOGUE + "\nQuestion: 3" + MODULE_ASK + "LOC?", CATALOGUE + "\nQuestion: 4" + REPAIR_ASK + "LOC,",
-        CATALOGUE + MODULE_ASK + "COUNT?" + REPAIR_ASK + "COUNT," + "\nQuestion: 5",
-        CATALOGUE + "\nQuestion: 6",
-    ],
-    "a prompt with no marker": [
+    "a prompt with no head": [
         CATALOGUE + "\nQuestion: 1", "plain", CATALOGUE + "\nQuestion: 2", "Question: at the start",
         CATALOGUE, CATALOGUE + "\nQuestion: 3",
-    ],
-    "the kept head without a marker right after it": [
-        CATALOGUE + "\nQuestion: 1", CATALOGUE + "    more\nQuestion: 2", CATALOGUE + "\nQuestion: 3",
-        CATALOGUE + "\nQuestion", CATALOGUE + "\n\nQuestion: 4", CATALOGUE[:-1] + "\nQuestion: 5",
-        CATALOGUE + "\nQuestion: 6",
     ],
     "a reopen after a torn head line": [
         CATALOGUE + "\nQuestion: 1", OTHER + "\nQuestion: 2", TEAR, OTHER + "\nQuestion: 3",
@@ -434,8 +464,9 @@ WRITER_SEQUENCES = {
 
 
 def write_sequence(writer: CacheWriter, steps) -> dict[str, str]:
-    """Append a call for each prompt of `steps` with one writer; the prompt
-    of each call that reaches the file, by key."""
+    """Append a call for each prompt of `steps` with one writer, with the
+    reference cut's head; the prompt of each call that reaches the file, by
+    key."""
     prompts = {}
     for n, prompt in enumerate(steps):
         if prompt is TEAR:
@@ -443,7 +474,8 @@ def write_sequence(writer: CacheWriter, steps) -> dict[str, str]:
             data = writer.path.read_bytes()
             writer.path.write_bytes(data[:data.rfind(b'{"head": ') + 30])
             continue
-        writer.append({"key": f"k{n}", "request": {"prompt": prompt}, "response": f"re {n % 3}"})
+        record = {"key": f"k{n}", "request": {"prompt": prompt}, "response": f"re {n % 3}"}
+        writer.append(record, split(prompt)[0])
         prompts[f"k{n}"] = prompt
     writer.close()
     return prompts

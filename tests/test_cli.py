@@ -12,11 +12,12 @@ from pathlib import Path
 import pytest
 
 from modgrow import cli
+from modgrow import reference_modules as rm
 from modgrow.cache import read_records
 from modgrow.gateway import LlmGateway
 from modgrow.harness.datasets import generate_dataset, load_dataset, save_dataset
 from modgrow.harness.evaluate import evaluate
-from modgrow.registry import builtin_library, register, save_library
+from modgrow.registry import builtin_library, load_library, register, save_library
 from modgrow.replay_seed import SyntheticResponder
 from modgrow.synthesis import SynthesisConfig, run_synthesis
 
@@ -189,6 +190,30 @@ def test_learn_prints_a_line_per_candidate_scored(tmp_path, capsys, monkeypatch)
         "candidate SORT_SPATIAL #3 round 2  pass_rate=1.00  accepted",
         "accepted SORT_SPATIAL  pass_rate=1.00  eta=0.80",
     ]
+
+
+def test_learn_marks_only_the_registered_sample_accepted(tmp_path, capsys, monkeypatch):
+    """The library holds the first sample of the best source, so only its
+    line reads `accepted`; every other sample that cleared η reads `passed`,
+    another source as well as a copy of the registered one."""
+    split = tmp_path / "train.jsonl"
+    save_dataset(generate_dataset("grounding", 4, 4, {"templates": ["ordinal"]}), split)
+    fixture = rm.FIXTURE_SOURCES["SORT_SPATIAL"]
+    faulty = with_first_statement("SORT_SPATIAL", "raise ValueError('injected fault')")
+    other = with_first_statement("SORT_SPATIAL", "pass")
+    responder = SyntheticResponder(load_dataset(split))
+    responder.override_source("SORT_SPATIAL", [faulty, fixture, other, fixture])
+    monkeypatch.setenv("LLM_API_URL", "http://localhost:9")
+    monkeypatch.setenv("LLM_API_KEY", "k")
+    monkeypatch.setattr("modgrow.gateway.http_transport", responder)
+    argv = ["learn", "--mode", "record", "--cache", str(tmp_path / "cache.jsonl"), "--dataset", str(split),
+            "--k", "4", "--out", str(tmp_path / "lib")]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()[:5]
+    assert [line.split("  ")[2] for line in lines[:4]] == ["rejected", "accepted", "passed", "passed"]
+    assert lines[3].endswith("passed  same source as #1")
+    assert lines[4] == "accepted SORT_SPATIAL  pass_rate=1.00  eta=0.80"
+    assert load_library(tmp_path / "lib").records["SORT_SPATIAL"].source == fixture.rstrip("\n")
 
 
 def ablation_splits(tmp_path, monkeypatch):

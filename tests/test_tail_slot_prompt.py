@@ -1,13 +1,16 @@
-"""Stage-1 and stage-3 requests keyed from a head hashed once.
+"""Requests of every stage keyed from a text hashed once.
 
 `TailSlotPrompt` must build the request `render_prompt` builds and give it
 the key `cache_key` gives it, and `evaluate` and `initialize_modules`, which
 key their requests through it, must replay a cache recorded the plain way
-while escaping the module catalogue once per run.
+while escaping the module catalogue once per run. Each request carries its
+template's stage and head, the text above the template's one ask line,
+outside its key.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -57,18 +60,83 @@ FIELDS = (
 )
 
 
-@pytest.mark.parametrize("stage", ["initialization", "execution"])
+# each template: its fixed slots, its varying slot, and the start of its ask
+# line up to the slot it names
+TEMPLATES = {
+    "initialization": (("MODULE_SIGNATURES",), "NEW_QUESTION", "Question: "),
+    "execution": (("MODULE_SIGNATURES",), "NEW_QUESTION", "Question: "),
+    "generation": (("API_DOC", "MODULE_NAME", "EXAMPLES"), "MODULE_HEAD",
+                   "Given the above APIs, could you write a new module, "),
+    "repair": (("API_DOC", "MODULE_NAME", "MODULE_HEAD"), "ERROR_REPORT", "You previously wrote a module, "),
+}
+
+
+def prompts_over(stage, fields):
+    """(prompts, fixed slots) with each of `CATALOGUES` in every fixed slot."""
+    names, varying, _ = TEMPLATES[stage]
+    for text in CATALOGUES:
+        fixed = dict.fromkeys(names, text)
+        yield TailSlotPrompt(load_template(stage), fixed, varying, **fields), fixed
+
+
+@pytest.mark.parametrize("stage", TEMPLATES)
 @pytest.mark.parametrize("fields", FIELDS)
 def test_request_and_key_equal_the_rendered_request(stage, fields):
     template = load_template(stage)
-    for catalogue in CATALOGUES:
-        prompts = TailSlotPrompt(template, {"MODULE_SIGNATURES": catalogue}, "NEW_QUESTION", **fields)
-        for question in QUESTIONS:
-            request, key = prompts.request(question)
-            slots = {"MODULE_SIGNATURES": catalogue, "NEW_QUESTION": question}
-            expected = CompletionRequest(prompt=render_prompt(template, slots), **fields)
+    varying = TEMPLATES[stage][1]
+    for prompts, fixed in prompts_over(stage, fields):
+        for value in QUESTIONS:
+            request, key = prompts.request(value)
+            expected = CompletionRequest(prompt=render_prompt(template, {**fixed, varying: value}), **fields)
             assert request == expected
             assert key == cache_key(expected)
+            assert request.stage == stage
+
+
+@pytest.mark.parametrize("stage", TEMPLATES)
+def test_the_head_ends_just_before_the_ask_line(stage):
+    ask = TEMPLATES[stage][2]
+    for prompts, fixed in prompts_over(stage, FIELDS[0]):
+        for value in QUESTIONS:
+            asked = fixed.get("MODULE_NAME", value)
+            request, _ = prompts.request(value)
+            assert request.head is prompts.head
+            assert request.prompt.startswith(request.head)
+            assert request.prompt[len(request.head):].startswith("\n" + ask + asked)
+
+
+@pytest.mark.parametrize("stage", TEMPLATES)
+def test_stage_and_head_never_change_the_key(stage):
+    for prompts, _ in prompts_over(stage, FIELDS[1]):
+        request, key = prompts.request(QUESTIONS[1])
+        for stage_, head in [(None, ""), ("other", ""), (stage, request.prompt), (None, request.head)]:
+            other = dataclasses.replace(request, stage=stage_, head=head)
+            assert other == request
+            assert cache_key(other) == key
+
+
+@pytest.mark.parametrize("stage", TEMPLATES)
+def test_each_shipped_template_holds_one_ask_line(stage):
+    """The head ends above the line that holds the question or the module
+    name, so a template that held two, or none, would move the cut and so
+    the bytes of every cache recorded from it."""
+    lines = load_template(stage).body.split("\n")
+    asks = [line for line in lines if "__NEW_QUESTION__" in line or "__MODULE_NAME__" in line]
+    assert len(asks) == 1
+    assert asks[0].startswith(TEMPLATES[stage][2])
+    assert lines.index(asks[0]) > 0
+
+
+def test_a_template_with_two_ask_lines_is_refused():
+    body = "head\nQuestion: __NEW_QUESTION__\nagain __MODULE_NAME__\n__Q__"
+    with pytest.raises(ValueError, match="2 ask lines"):
+        TailSlotPrompt(PromptTemplate("t", body), {"NEW_QUESTION": "q", "MODULE_NAME": "M"}, "Q",
+                       model_id="m")
+
+
+def test_a_template_without_an_ask_line_has_no_head():
+    request, _ = TailSlotPrompt(PromptTemplate("t", "head\n__Q__"), {}, "Q", model_id="m").request("q")
+    assert (request.prompt, request.head, request.stage) == ("head\nq", "", "t")
 
 
 @pytest.mark.parametrize(
@@ -101,14 +169,16 @@ def test_tail_text_after_the_marker_is_kept():
 
 
 def _record_plainly(tmp_path, stage, instances, catalogue, **fields):
-    """A cache recorded through `render_prompt` and `complete(request)`."""
+    """A cache recorded through `render_prompt` and `complete(request)`; the
+    request's head ends at its last question line."""
     responder = SyntheticResponder(instances)
     cache = str(tmp_path / f"{stage}.jsonl")
     template = load_template(stage)
     with LlmGateway(mode="record", cache_path=cache, transport=responder) as recorder:
         for instance in instances:
             prompt = render_prompt(template, {"MODULE_SIGNATURES": catalogue, "NEW_QUESTION": instance.query})
-            recorder.complete(CompletionRequest(prompt=prompt, **fields))
+            head = prompt[: prompt.rindex("\nQuestion: ")]
+            recorder.complete(CompletionRequest(prompt=prompt, stage=stage, head=head, **fields))
     return cache
 
 
