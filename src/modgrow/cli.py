@@ -136,11 +136,12 @@ def cmd_learn(args) -> int:
     return 0
 
 
-def _write_report(report, out_dir: str) -> None:
+def _write_report(report, out_dir: str, stem: str) -> None:
+    """Write `report` into `out_dir` as `<stem>.json` and `<stem>.txt`."""
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
-    (root / "report.json").write_text(report.to_json(), encoding="utf-8")
-    (root / "report.txt").write_text(report.render_table() + "\n", encoding="utf-8")
+    (root / f"{stem}.json").write_text(report.to_json(), encoding="utf-8")
+    (root / f"{stem}.txt").write_text(report.render_table() + "\n", encoding="utf-8")
 
 
 def cmd_eval(args) -> int:
@@ -182,19 +183,14 @@ def cmd_eval(args) -> int:
             return 2
         print(report.render_table())
         if args.report:
-            root = Path(args.report)
-            root.mkdir(parents=True, exist_ok=True)
-            (root / "ablation.json").write_text(
-                json.dumps(report.to_doc(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-            )
-            (root / "ablation.txt").write_text(report.render_table() + "\n", encoding="utf-8")
+            _write_report(report, args.report, "ablation")
         return 0
 
     with gateway:
         report = evaluate(task, dataset, lib, backend, gateway, model_id=args.model, limits=limits)
     print(report.render_table())
     if args.report:
-        _write_report(report, args.report)
+        _write_report(report, args.report, "report")
         print(f"report written to {args.report}")
     return 0
 
@@ -237,8 +233,7 @@ def cmd_library(args) -> int:
     except ModgrowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for name in lib.manifest:
-        rec = lib.records[name]
+    for name, rec in lib.records.items():
         print(f"{name:24s} {rec.kind:9s} pass_rate={rec.pass_rate:.2f}")
     return 0
 

@@ -133,10 +133,6 @@ class NoCasesError(ModgrowError):
     """NO_CASES: no training example exercises the proposed module."""
 
 
-class EmptyGridError(ModgrowError):
-    """EMPTY_GRID: an ablation grid without cells."""
-
-
 class ExecutorRuntimeError(ModgrowError):
     """A program statement failed; `error` is its record, which for a failure
     inside a generated module is the sandbox's own."""

@@ -41,7 +41,7 @@ import re
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 from importlib import resources
 
 from .cache import CacheWriter, load_responses
@@ -137,7 +137,9 @@ class PromptTemplate:
         return set(_SLOT_RE.findall(self.body))
 
 
+@cache
 def load_template(stage: str) -> PromptTemplate:
+    """The template of `stage`, read from its file once per process."""
     if stage not in _TEMPLATE_FILES:
         raise ValueError(f"unknown prompt stage {stage!r}")
     body = resources.files("modgrow.templates").joinpath(_TEMPLATE_FILES[stage]).read_text("utf-8")
@@ -329,40 +331,30 @@ class LlmGateway:
         self._cursors = {}
 
     def _append_record(self, key: str, req: CompletionRequest, response: str) -> None:
-        record = {
-            "key": key,
-            "request": request_doc(req),
-            "response": response,
-        }
         if self._writer is not None:
-            self._writer.append(record, req.head)
+            self._writer.append({"key": key, "request": request_doc(req), "response": response}, req.head)
         self._cache.setdefault(key, []).append(response)
 
     def complete(self, req: CompletionRequest, key: str | None = None) -> str:
         """Serve `req`; `key`, when given, must be `cache_key(req)`, such as
-        the key `TailSlotPrompt.request` returns with the request."""
+        the key `TailSlotPrompt.request` returns with the request.
+
+        The calls of one key are served its recorded responses in call
+        order. Past the last one, record mode asks the transport and appends
+        its answer, and replay repeats the last; a key with none is a
+        `CacheMissError` in replay."""
         if key is None:
             key = cache_key(req)
-        if self.mode == "replay":
-            responses = self._cache.get(key)
-            if not responses:
-                raise CacheMissError(f"no recorded response for request {key[:12]}…")
-            cursor = self._cursors.get(key, 0)
-            # repeated identical requests replay the recorded sequence,
-            # then stick on the final response
-            response = responses[min(cursor, len(responses) - 1)]
-            self._cursors[key] = cursor + 1
-            return response
-
+        responses = self._cache.get(key, ())
         cursor = self._cursors.get(key, 0)
-        cached = self._cache.get(key, [])
-        if cursor < len(cached):
-            self._cursors[key] = cursor + 1
-            return cached[cursor]
-        response = self.transport(req)
-        self._append_record(key, req, response)
+        if cursor >= len(responses):
+            if self.mode == "record":
+                self._append_record(key, req, self.transport(req))
+                responses = self._cache[key]
+            elif not responses:
+                raise CacheMissError(f"no recorded response for request {key[:12]}…")
         self._cursors[key] = cursor + 1
-        return response
+        return responses[min(cursor, len(responses) - 1)]
 
 
 # ---------------------------------------------------------------------------

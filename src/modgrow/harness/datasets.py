@@ -8,11 +8,12 @@ to gate synthesized candidates. A module case is a program and a gold of
 the same shape as an instance's, mostly the instance's own.
 
 `TASKS` holds one `TaskSpec` per task family: its templates, how an
-instance is bound, its gold types, whether the report carries region
-metrics, and which instances the puzzle driver answers instead of a
-program. Dataset generation, binding and evaluation look a task up there
-and name no task themselves. `JUDGES` holds one judge per gold type, which
-scores an evaluated answer and a module case's alike.
+instance is bound, its gold types, and which instances the puzzle driver
+answers instead of a program. Dataset generation, binding and evaluation
+look a task up there and name no task themselves. `GOLD_TYPES` holds the
+rules of each gold type: its judge, which scores an evaluated answer and a
+module case's alike, its value form, the check `load_dataset` makes of a
+gold value, and whether its verdicts count regions.
 """
 
 from __future__ import annotations
@@ -973,7 +974,7 @@ def _split_layout(instance: TaskInstance) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Judges, one per gold type
+# Gold types: the judge, value form and load check of each
 # ---------------------------------------------------------------------------
 
 
@@ -1086,33 +1087,6 @@ def _judge_edit(value) -> Judge:
     return lambda final: Verdict(_edit_matches(final, value), V.summarize(final))
 
 
-# `JUDGES[type](value)` is the judge of a gold of that type: it scores a
-# program's final value against the gold's value. Evaluation judges an
-# instance's answer by it, and stage 2 a module case's.
-JUDGES: dict[str, Callable[..., Judge]] = {
-    "box": _judge_box,
-    "edit": _judge_edit,
-    "index": _judge_number,
-    "list": _judge_list,
-    "number": _judge_number,
-    "records": _judge_records,
-    "tagged-regions": _judge_tagged_regions,
-    "text": _judge_text,
-}
-
-# The value form of a gold: the `Value` a right answer is, which a failed
-# module case's `expected` summarizes. A case's gold must have one: a tagged
-# image or an edit has none.
-VALUE_FORMS: dict[str, Callable[..., V.Value]] = {
-    "box": lambda value: V.box_list([value] if value else []),
-    "index": V.number,
-    "list": V.list_value,
-    "number": V.number,
-    "records": V.list_value,
-    "text": V.text,
-}
-
-
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
@@ -1128,28 +1102,53 @@ def _is_edit(x) -> bool:
     return named is None or isinstance(x.get(named), str)
 
 
-# What `load_dataset` requires of a gold's value, by type: a test, and what
-# a refusal says the value must be. Each type's judge reads any value that passes.
-_GOLD_VALUES: dict[str, tuple[Callable[[object], bool], str]] = {
-    "box": (lambda v: v is None or _is_box(v), "four numbers, or null"),
-    "edit": (_is_edit, "an object with a kind, a region of four numbers, "
-                       "and the label of an emoji or the category of a replacement"),
-    "index": (_is_number, "a number"),
-    "list": (lambda v: isinstance(v, list), "a list"),
-    "number": (_is_number, "a number"),
-    "records": (lambda v: isinstance(v, list), "a list"),
-    "tagged-regions": (
+class GoldType(NamedTuple):
+    """The rules of one gold type.
+
+    `judge(value)` is the judge of a gold of this type: it scores a
+    program's final value against the gold's value. Evaluation judges an
+    instance's answer by it, and stage 2 a module case's. `load_dataset`
+    takes a gold value only when `check(value)` holds, and a refusal says
+    it must be `shape`; the judge reads any value that passes. `form(value)`
+    is the value form, the `Value` a right answer is, which a failed module
+    case's `expected` summarizes; a case's gold must have one, and a tagged
+    image or an edit has none. `regions` tells whether the judge's verdicts
+    count regions, which puts region precision, recall and F1 in a report.
+    """
+
+    judge: Callable[..., Judge]
+    check: Callable[[object], bool]
+    shape: str
+    form: Callable[..., V.Value] | None = None
+    regions: bool = False
+
+
+GOLD_TYPES: dict[str, GoldType] = {
+    "box": GoldType(_judge_box, lambda v: v is None or _is_box(v), "four numbers, or null",
+                    form=lambda value: V.box_list([value] if value else []), regions=True),
+    "edit": GoldType(_judge_edit, _is_edit, "an object with a kind, a region of four numbers, "
+                     "and the label of an emoji or the category of a replacement"),
+    "index": GoldType(_judge_number, _is_number, "a number", form=V.number),
+    "list": GoldType(_judge_list, lambda v: isinstance(v, list), "a list", form=V.list_value),
+    "number": GoldType(_judge_number, _is_number, "a number", form=V.number),
+    "records": GoldType(_judge_records, lambda v: isinstance(v, list), "a list", form=V.list_value),
+    "tagged-regions": GoldType(
+        _judge_tagged_regions,
         lambda v: isinstance(v, list) and all(
             isinstance(r, dict) and _is_box(r.get("box")) and isinstance(r.get("label"), str) for r in v),
         "a list of objects, each with a box of four numbers and a label",
+        regions=True,
     ),
-    "text": (lambda v: isinstance(v, str), "a string"),
+    "text": GoldType(_judge_text, lambda v: isinstance(v, str), "a string", form=V.text),
 }
+
+# the gold types a module case's gold may have: those with a value form
+_CASE_GOLD_TYPES = tuple(name for name, gold_type in GOLD_TYPES.items() if gold_type.form)
 
 
 def judge_of(gold: dict) -> Judge:
     """The judge of `gold`, a {"type", "value"} object."""
-    return JUDGES[gold["type"]](gold["value"])
+    return GOLD_TYPES[gold["type"]].judge(gold["value"])
 
 
 @dataclass(frozen=True)
@@ -1160,16 +1159,14 @@ class TaskSpec:
     which returns one instance. `bind(instance, image_of)` returns the
     instance's initial bindings by name, with `image_of(scene)` as the
     handle on each scene. An instance's gold is of one of `gold_types`, and
-    `JUDGES` scores an answer by that type. `regions` adds region precision,
-    recall and F1 to the task's report. `split_layout(instance)`, when set,
-    is true for the instances `evaluate.solve_puzzle_with_modules` answers
-    instead of a program.
+    an answer is judged by that type's rules in `GOLD_TYPES`.
+    `split_layout(instance)`, when set, is true for the instances
+    `evaluate.solve_puzzle_with_modules` answers instead of a program.
     """
 
     templates: dict[str, Callable[..., TaskInstance]]
     bind: Callable[..., dict]
     gold_types: tuple[str, ...]
-    regions: bool = False
     split_layout: Callable[[TaskInstance], bool] | None = None
 
 
@@ -1200,7 +1197,6 @@ TASKS = {
         },
         bind=_bind_image("EXPRESSION"),
         gold_types=("box",),
-        regions=True,
     ),
     "tagging": TaskSpec(
         templates={
@@ -1209,7 +1205,6 @@ TASKS = {
         },
         bind=_bind_image("EXPRESSION"),
         gold_types=("tagged-regions",),
-        regions=True,
     ),
     "editing": TaskSpec(
         templates={"edit": _editing_instance},
@@ -1378,7 +1373,7 @@ def _check_fields(doc: dict) -> None:
             raise ValueError(f"module_cases.{name}: must be an object")
         if not isinstance(case.get("program"), str):
             raise ValueError(f"module_cases.{name}.program: must be a string")
-        _check_gold(case.get("gold"), f"module_cases.{name}.gold", tuple(VALUE_FORMS))
+        _check_gold(case.get("gold"), f"module_cases.{name}.gold", _CASE_GOLD_TYPES)
 
 
 def _check_gold(gold, where: str, types: tuple[str, ...] | None) -> None:
@@ -1391,9 +1386,9 @@ def _check_gold(gold, where: str, types: tuple[str, ...] | None) -> None:
         return
     if gold["type"] not in types:
         raise ValueError(f"{where}.type: must be one of {', '.join(types)}")
-    test, shape = _GOLD_VALUES[gold["type"]]
-    if not test(gold["value"]):
-        raise ValueError(f"{where}.value: must be {shape}")
+    gold_type = GOLD_TYPES[gold["type"]]
+    if not gold_type.check(gold["value"]):
+        raise ValueError(f"{where}.value: must be {gold_type.shape}")
 
 
 def _check_puzzle(puzzle) -> None:

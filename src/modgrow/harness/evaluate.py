@@ -3,7 +3,7 @@
 Each instance's stage-3 prompt (which carries the current module catalogue)
 is completed through the gateway, `executor.run_program` runs the program
 over the instance's bindings, and the judge of the gold's type in
-`datasets.JUDGES` scores the result, as stage 2 scores a module case.
+`datasets.GOLD_TYPES` scores the result, as stage 2 scores a module case.
 Instances the task marks as split-layout puzzles are answered by a module
 driver instead, since the straight-line program language cannot crop each
 panel into its regions: it reads the region crops of all panels with one
@@ -26,14 +26,14 @@ import json
 from dataclasses import dataclass, field
 
 from .. import values as V
-from ..errors import RECORDED, CapturedError, EmptyGridError, ExecutorRuntimeError, ModgrowError, record_of
+from ..errors import RECORDED, CapturedError, ExecutorRuntimeError, ModgrowError, record_of
 from ..executor import run_program
 from ..gateway import LlmGateway, TailSlotPrompt, load_template, parse_program_response
 from ..reference_modules import raven_regions
 from ..registry import ExecutionRegistry, Library, signature_prompt_text
 from ..scene import ImageHandle
 from ..synthesis import DEFAULT_MODEL_ID, run_synthesis
-from .datasets import TaskInstance, build_bindings, judge_of, task_spec
+from .datasets import GOLD_TYPES, TaskInstance, build_bindings, judge_of, task_spec
 from .metrics import precision_recall_f1
 
 
@@ -167,7 +167,7 @@ def _wrong_output(message: str, expected: str, actual: str) -> ExecutorRuntimeEr
 
 def _config_digest(task: str, lib: Library, gateway_mode: str, model_id: str) -> str:
     payload = json.dumps(
-        {"task": task, "modules": lib.manifest, "mode": gateway_mode, "model_id": model_id},
+        {"task": task, "modules": list(lib.records), "mode": gateway_mode, "model_id": model_id},
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
@@ -240,7 +240,7 @@ def evaluate(
 
     n = len(outcomes)
     metrics = {"accuracy": sum(1 for o in outcomes if o.correct) / n if n else 0.0}
-    if spec.regions:
+    if any(GOLD_TYPES[gold_type].regions for gold_type in spec.gold_types):
         correct = sum(o.correct_pairs for o in outcomes)
         predicted = sum(o.predicted_regions for o in outcomes)
         gold = sum(o.gold_regions for o in outcomes)
@@ -286,6 +286,11 @@ class AblationReport:
             "trend_non_decreasing": self.trend_ok,
         }
 
+    def to_json(self) -> str:
+        """The report as indented JSON with sorted keys; `ablation.txt` is
+        the human-readable view."""
+        return json.dumps(self.to_doc(), sort_keys=True, indent=2) + "\n"
+
     def render_table(self) -> str:
         width = max(len(r.label) for r in self.rows)
         lines = [f"{'variant'.ljust(width)}  accuracy  modules"]
@@ -308,13 +313,13 @@ def run_ablation(
 ) -> AblationReport:
     """One evaluate() per grid cell; cells name a library variant and train size.
 
-    Raises `EmptyGridError` for a grid without cells and `ValueError`, before
-    any cell runs, for a cell that is not a mapping, sets a key other than
-    those two, names a library variant other than "full" and "wo-ml", gives
-    "wo-ml" a train size or "full" one that is not an integer in
-    0..len(train), or is "full" when `train` is None (no split)."""
+    Raises `ValueError`, before any cell runs, for a grid without cells or
+    a cell that is not a mapping, sets a key other than those two, names a
+    library variant other than "full" and "wo-ml", gives "wo-ml" a train
+    size or "full" one that is not an integer in 0..len(train), or is
+    "full" when `train` is None (no split)."""
     if not grid:
-        raise EmptyGridError("ablation grid has no cells")
+        raise ValueError("ablation grid has no cells")
     if not all(isinstance(cell, dict) for cell in grid):
         raise ValueError("each ablation cell must be an object")
     unknown = sorted({key for cell in grid for key in cell} - set(GRID_KEYS))

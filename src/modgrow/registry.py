@@ -1,12 +1,13 @@
 """The growing module library: records, persistence, prompt rendering.
 
 A library maps module names to records (signature + source + provenance +
-gated pass rate) and keeps a manifest in registration order so prompt text
-stays stable as the library grows. A registered record is never replaced.
-Every library starts with the builtin catalogue, which is defined in code
-(`executor.BUILTINS`). On disk a library is a directory that holds only the
-learned modules: a manifest listing them in library order, and one source
-file and one metadata file per module, human-auditable and diff-friendly.
+gated pass rate) in registration order, which is the library's order, so
+prompt text stays stable as the library grows. A registered record is never
+replaced. Every library starts with the builtin catalogue, which is defined
+in code (`executor.BUILTINS`). On disk a library is a directory that holds
+only the learned modules: a manifest listing them in library order, and one
+source file and one metadata file per module, human-auditable and
+diff-friendly.
 """
 
 from __future__ import annotations
@@ -40,14 +41,14 @@ class ModuleRecord:
 
 @dataclass
 class Library:
+    # by name, in library order
     records: dict[str, ModuleRecord] = field(default_factory=dict)
-    manifest: list[str] = field(default_factory=list)
 
     def copy(self) -> "Library":
-        return Library(records=dict(self.records), manifest=list(self.manifest))
+        return Library(records=dict(self.records))
 
     def __len__(self) -> int:
-        return len(self.manifest)
+        return len(self.records)
 
 
 def register(lib: Library, rec: ModuleRecord) -> Library:
@@ -69,7 +70,6 @@ def register(lib: Library, rec: ModuleRecord) -> Library:
         raise NameCollisionError(f"{rec.name} already registered with different source")
     updated = lib.copy()
     updated.records[rec.name] = rec
-    updated.manifest.append(rec.name)
     return updated
 
 
@@ -84,13 +84,12 @@ def contains(lib: Library, name: str) -> bool:
 
 
 def signatures(lib: Library) -> list[ModuleSignature]:
-    return [lib.records[name].signature for name in lib.manifest]
+    return [rec.signature for rec in lib.records.values()]
 
 
 def signature_prompt_text(lib: Library) -> str:
-    """Deterministic rendering of every signature block, in manifest order."""
-    blocks = [render_signature_block(lib.records[name].signature) for name in lib.manifest]
-    return "\n".join(blocks)
+    """Deterministic rendering of every signature block, in library order."""
+    return "\n".join(render_signature_block(rec.signature) for rec in lib.records.values())
 
 
 def builtin_library() -> Library:
@@ -155,7 +154,7 @@ def save_library(lib: Library, path: str | Path) -> None:
     file; nothing, if the old manifest cannot be read."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    learned = [name for name in lib.manifest if lib.records[name].kind == "generated"]
+    learned = [name for name, rec in lib.records.items() if rec.kind == "generated"]
     stale = [name for name in _listed_modules(root) if name not in learned]
     (root / "manifest.json").write_text(json.dumps({"modules": learned}, indent=2) + "\n", encoding="utf-8")
     for name in stale:
@@ -191,7 +190,7 @@ def load_library(path: str | Path) -> Library:
     if not isinstance(names, list):
         raise LibraryFormatError(f"{root}: manifest.json lacks a modules list")
     lib = builtin_library()
-    builtins = set(lib.manifest)
+    builtins = set(lib.records)
     for name in names:
         # a name is a file stem inside `root`, so it must be an identifier
         if not isinstance(name, str) or not name.isidentifier():
@@ -224,12 +223,12 @@ def load_library(path: str | Path) -> Library:
         if unknown:  # a prompt could not describe it
             raise LibraryFormatError(f"{root}: {name}.json declares the unknown tag {unknown[0]!r}")
         lib.records[name] = rec
-        lib.manifest.append(name)
     return lib
 
 
 def libraries_equal(a: Library, b: Library) -> bool:
-    return a.manifest == b.manifest and a.records == b.records
+    """Whether `a` and `b` hold equal records in the same order."""
+    return list(a.records) == list(b.records) and a.records == b.records
 
 
 # ---------------------------------------------------------------------------

@@ -101,40 +101,24 @@ class SyntheticResponder:
             if source is None:
                 return f"I do not know how to implement {name}."
             return source
-        if req.stage == "initialization":
-            instance, available = self._lookup(req)
-            needed = program_modules(instance.canonical_program)
-            missing = [m for m in _ordered(needed, instance.canonical_program) if m not in available]
-            if not missing:
-                return "Yes. The program is:\n" + instance.canonical_program
-            quoted = ", ".join(f'"{m}"' for m in missing)
-            parts = [
-                f"No. We need to make new modules {quoted} first. "
-                "Here are the headers of the classes:"
-            ]
-            for name in missing:
-                parts.append(fixture_header(name) if name in FIXTURE_SOURCES else f"class {name}():")
-            return "\n".join(parts)
+        if req.stage not in ("initialization", "execution"):
+            raise LookupError(f"cannot answer a request of stage {req.stage!r}")
+        instance, available = self._lookup(req)
+        # the modules the canonical program calls and the catalogue lacks, in call order
+        missing = [m for m in dict.fromkeys(STATEMENT_LINE_RE.findall(instance.canonical_program))
+                   if m not in available]
         if req.stage == "execution":
-            instance, available = self._lookup(req)
-            needed = program_modules(instance.canonical_program)
-            if needed <= available:
-                return instance.canonical_program
-            return instance.fallback_program
-        raise LookupError(f"cannot answer a request of stage {req.stage!r}")
-
-
-def _ordered(names: set[str], program_text: str) -> list[str]:
-    order = STATEMENT_LINE_RE.findall(program_text)
-    out = []
-    for name in order:
-        if name in names and name not in out:
-            out.append(name)
-    return out
-
-
-def record_gateway(cache_path: str, responder: SyntheticResponder) -> LlmGateway:
-    return LlmGateway(mode="record", cache_path=cache_path, transport=responder)
+            return instance.fallback_program if missing else instance.canonical_program
+        if not missing:
+            return "Yes. The program is:\n" + instance.canonical_program
+        quoted = ", ".join(f'"{m}"' for m in missing)
+        parts = [
+            f"No. We need to make new modules {quoted} first. "
+            "Here are the headers of the classes:"
+        ]
+        for name in missing:
+            parts.append(fixture_header(name) if name in FIXTURE_SOURCES else f"class {name}():")
+        return "\n".join(parts)
 
 
 def seed_learn_and_eval(
@@ -160,7 +144,7 @@ def seed_learn_and_eval(
     responder.add(train)
     responder.add(test)
     asked = [instance for instance, asks in stage3_plan(test) if asks]
-    with record_gateway(cache_path, responder) as gateway:
+    with LlmGateway(mode="record", cache_path=cache_path, transport=responder) as gateway:
         lib_after, report = run_synthesis(train, lib, gateway, backend, cfg)
         if asked:  # the catalogue text is built only when a request carries it
             prompts = program_prompts(lib_after, cfg.model_id)

@@ -44,7 +44,7 @@ from .gateway import (
     load_template,
     parse_initialization_response,
 )
-from .harness.datasets import VALUE_FORMS, Judge, build_bindings, judge_of
+from .harness.datasets import GOLD_TYPES, Judge, build_bindings, judge_of
 from .registry import (
     ExecutionRegistry,
     Library,
@@ -244,7 +244,7 @@ def _case_error(case: TestCase, registry: ExecutionRegistry, backend) -> Capture
     return CapturedError(
         "wrong_output",
         f"case {case.id} produced a wrong answer",
-        expected=V.summarize(VALUE_FORMS[case.gold["type"]](case.gold["value"])),
+        expected=V.summarize(GOLD_TYPES[case.gold["type"]].form(case.gold["value"])),
         actual=V.summarize(outcome.final),
     )
 

@@ -283,6 +283,7 @@ NO_TRAIN_SPLIT = "a full ablation cell needs a training split"
       for size in (-1, -4, 1.9, True, "3", 5, 1000, None)],
     ([{"train_size": 4}, {"library": "wo-ml", "train_size": 2}], "a wo-ml ablation cell takes no train_size"),
     ([{"library": "wo-ml"}, {"library": "full"}], NO_TRAIN_SPLIT),
+    ([], "ablation grid has no cells"),
 ])
 def test_eval_ablation_refuses_a_bad_cell_before_any_model_call(tmp_path, monkeypatch, capsys, cells, message):
     train, test, calls = ablation_splits(tmp_path, monkeypatch)

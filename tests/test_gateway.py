@@ -35,6 +35,9 @@ class TestTemplates:
         assert "CATALOGUE" in prompt
         assert "__" not in prompt.replace("__init__", "")
 
+    def test_a_template_is_read_once(self):
+        assert load_template("repair") is load_template("repair")
+
     def test_missing_slot_raises(self):
         template = load_template("generation")
         with pytest.raises(MissingSlotError):
@@ -117,6 +120,9 @@ class TestCache:
             replay.complete(CompletionRequest(prompt="new", model_id="m"))
 
     def test_record_rerun_served_from_cache(self, tmp_path):
+        """A key with fewer recorded responses than calls is served those in
+        call order, then the transport's answers, which are appended; a
+        later record gateway serves every response from the file."""
         cache = str(tmp_path / "llm.jsonl")
         calls = []
 
@@ -128,8 +134,11 @@ class TestCache:
         with LlmGateway(mode="record", cache_path=cache, transport=transport) as first:
             assert first.complete(req) == "answer-1"
         with LlmGateway(mode="record", cache_path=cache, transport=transport) as second:
-            assert second.complete(req) == "answer-1"
-        assert calls == ["p"]
+            assert [second.complete(req) for _ in range(3)] == ["answer-1", "answer-2", "answer-3"]
+        assert calls == ["p"] * 3
+        with LlmGateway(mode="record", cache_path=cache, transport=transport) as third:
+            assert [third.complete(req) for _ in range(3)] == ["answer-1", "answer-2", "answer-3"]
+        assert calls == ["p"] * 3
 
 
 class TestInitializationParsing:

@@ -108,6 +108,9 @@ def test_seed_learn_eval_in_replay_mode(tmp_path, task):
     report = json.loads((tmp_path / "report" / "report.json").read_text(encoding="utf-8"))
     assert report["n"] == 8
     assert report["metrics"]["accuracy"] == 1.0
+    # only the tasks whose gold types count regions report them
+    regions = ["f1", "precision", "recall"] if task in ("grounding", "tagging") else []
+    assert sorted(report["metrics"]) == ["accuracy", *regions]
     assert output_digests(tmp_path) == OUTPUT_DIGESTS[task]
 
 

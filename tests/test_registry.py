@@ -76,7 +76,7 @@ class TestLookup:
 class TestPromptText:
     def test_builtin_catalogue_lists_all_blocks(self, builtin_lib):
         text = signature_prompt_text(builtin_lib)
-        for name in builtin_lib.manifest:
+        for name in builtin_lib.records:
             assert f"class {name}():" in text
         assert text.index("class LOC()") < text.index("class COUNT()")
         assert "Input:" in text and "Output:" in text

@@ -155,7 +155,7 @@ def test_the_gold_judges_score_cases_as_their_old_comparators(full_lib, backend,
     for instance in ds.generate_dataset(task, seed, 24):
         for name, case in instance.module_cases.items():
             expected, comparator = reference_case(instance, name)
-            assert V.summarize(ds.VALUE_FORMS[case["gold"]["type"]](case["gold"]["value"])) == \
+            assert V.summarize(ds.GOLD_TYPES[case["gold"]["type"]].form(case["gold"]["value"])) == \
                 V.summarize(expected), (instance.id, name)
             judge = ds.judge_of(case["gold"])
             run = run_program(case["program"], ds.build_bindings(instance), registry, backend)

@@ -10,6 +10,7 @@ import pytest
 from modgrow import cli
 from modgrow.gateway import LlmGateway
 from modgrow.harness.datasets import (
+    GOLD_TYPES,
     TASKS,
     build_bindings,
     generate_dataset,
@@ -48,6 +49,11 @@ def test_every_template_plants_a_gold_type_its_task_judges():
         planted = {instance.gold["type"] for name in spec.templates
                    for instance in generate_dataset(task, 1, 2, {"templates": [name]})}
         assert planted == set(spec.gold_types), task
+
+
+def test_every_gold_type_of_a_task_has_its_rules():
+    for task, spec in TASKS.items():
+        assert set(spec.gold_types) <= set(GOLD_TYPES), task
 
 
 def test_unknown_template_lists_the_task_templates():
