@@ -260,7 +260,7 @@ class SyntheticBackend:
         for box in mask:
             x1, y1, x2, y2 = box
             if x1 < 0 or y1 < 0 or x2 > w or y2 > h:
-                raise BackendError("OUT_OF_BOUNDS", f"mask box {list(box)} exceeds {w}x{h} viewport")
+                raise BackendError(f"OUT_OF_BOUNDS: mask box {list(box)} exceeds {w}x{h} viewport")
         words = _content_words(prompt)
         new_name = next((w for w in words if w in CATEGORY_LEXICON), None)
         new_attrs = {VALUE_TO_ATTRIBUTE[w]: w for w in words if w in VALUE_TO_ATTRIBUTE}

@@ -70,11 +70,7 @@ class SceneSchemaError(ModgrowError):
 
 
 class BackendError(ModgrowError):
-    """Tool backend failure. `kind` is OUT_OF_BOUNDS, BACKEND_ERROR or GATEWAY_UNAVAILABLE."""
-
-    def __init__(self, kind: str, message: str = ""):
-        self.kind = kind
-        super().__init__(f"{kind}: {message}" if message else kind)
+    """Tool backend failure, its message led by OUT_OF_BOUNDS, BACKEND_ERROR or GATEWAY_UNAVAILABLE."""
 
 
 class CacheMissError(ModgrowError):
@@ -96,37 +92,25 @@ class MissingSlotError(ModgrowError):
 class ResponseParseError(ModgrowError):
     """UNPARSEABLE_DECISION / NO_CODE_FOUND: an LLM response had no usable structure."""
 
-    def __init__(self, kind: str, message: str = ""):
-        self.kind = kind
-        super().__init__(f"{kind}: {message}" if message else kind)
 
-
-class RegistryError(ModgrowError):
-    """Base for module library errors."""
-
-
-class NameCollisionError(RegistryError):
+class NameCollisionError(ModgrowError):
     """NAME_COLLISION: a registered name given a different source."""
 
 
-class GateViolationError(RegistryError):
+class GateViolationError(ModgrowError):
     """GATE_VIOLATION: a generated record below its acceptance threshold."""
 
 
-class NotFoundError(RegistryError):
+class NotFoundError(ModgrowError):
     """NOT_FOUND: no record under that name."""
 
 
-class LibraryFormatError(RegistryError):
+class LibraryFormatError(ModgrowError):
     """SCHEMA_ERROR: a persisted library directory is corrupt or incomplete."""
 
 
 class TemplateEvalError(ModgrowError):
     """UNBOUND_PLACEHOLDER or TEMPLATE_SYNTAX from expression-template evaluation."""
-
-    def __init__(self, kind: str, message: str):
-        self.kind = kind
-        super().__init__(f"{kind}: {message}")
 
 
 class NoCasesError(ModgrowError):

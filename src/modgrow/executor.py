@@ -101,7 +101,7 @@ def _render_literal(value: Value) -> str:
     if value.tag == "null":
         return "None"
     raise TemplateEvalError(
-        "TEMPLATE_SYNTAX", f"a {value.tag} value cannot appear inside an expression template"
+        f"TEMPLATE_SYNTAX: a {value.tag} value cannot appear inside an expression template"
     )
 
 
@@ -123,16 +123,16 @@ def _eval_node(node: ast.AST):
     if isinstance(node, ast.Constant):
         if isinstance(node.value, (bool, int, float, str)) or node.value is None:
             return node.value
-        raise TemplateEvalError("TEMPLATE_SYNTAX", f"unsupported literal {node.value!r}")
+        raise TemplateEvalError(f"TEMPLATE_SYNTAX: unsupported literal {node.value!r}")
     if isinstance(node, ast.UnaryOp):
         op = _UNARY_OPS.get(type(node.op))
         if op is None:
-            raise TemplateEvalError("TEMPLATE_SYNTAX", "unsupported unary operator")
+            raise TemplateEvalError("TEMPLATE_SYNTAX: unsupported unary operator")
         return op(_eval_node(node.operand))
     if isinstance(node, ast.BinOp):
         op = _ARITHMETIC_OPS.get(type(node.op))
         if op is None:
-            raise TemplateEvalError("TEMPLATE_SYNTAX", "unsupported arithmetic operator")
+            raise TemplateEvalError("TEMPLATE_SYNTAX: unsupported arithmetic operator")
         return op(_eval_node(node.left), _eval_node(node.right))
     if isinstance(node, ast.BoolOp):
         if isinstance(node.op, ast.And):
@@ -153,7 +153,7 @@ def _eval_node(node: ast.AST):
         for op_node, comparator in zip(node.ops, node.comparators):
             op = _COMPARISON_OPS.get(type(op_node))
             if op is None:
-                raise TemplateEvalError("TEMPLATE_SYNTAX", "unsupported comparison operator")
+                raise TemplateEvalError("TEMPLATE_SYNTAX: unsupported comparison operator")
             right = _eval_node(comparator)
             if not op(left, right):
                 return False
@@ -161,9 +161,7 @@ def _eval_node(node: ast.AST):
         return True
     if isinstance(node, ast.IfExp):
         return _eval_node(node.body) if _eval_node(node.test) else _eval_node(node.orelse)
-    raise TemplateEvalError(
-        "TEMPLATE_SYNTAX", f"{type(node).__name__} is not allowed in expression templates"
-    )
+    raise TemplateEvalError(f"TEMPLATE_SYNTAX: {type(node).__name__} is not allowed in expression templates")
 
 
 # the trees of the last 1,024 distinct substituted templates; a bad text raises anew
@@ -182,18 +180,18 @@ def eval_template(template: str, bindings: dict[str, Value]) -> Value:
     def substitute(match):
         name = match.group(1)
         if name not in bindings:
-            raise TemplateEvalError("UNBOUND_PLACEHOLDER", f"placeholder {{{name}}} is unbound")
+            raise TemplateEvalError(f"UNBOUND_PLACEHOLDER: placeholder {{{name}}} is unbound")
         return _render_literal(bindings[name])
 
     expr = PLACEHOLDER_RE.sub(substitute, template)
     try:
         tree = _parse_expression(expr)
     except SyntaxError as exc:
-        raise TemplateEvalError("TEMPLATE_SYNTAX", f"bad expression {expr!r}: {exc.msg}") from exc
+        raise TemplateEvalError(f"TEMPLATE_SYNTAX: bad expression {expr!r}: {exc.msg}") from exc
     try:
         result = _eval_node(tree)
     except (TypeError, ZeroDivisionError) as exc:
-        raise TemplateEvalError("TEMPLATE_SYNTAX", f"expression failed: {exc}") from exc
+        raise TemplateEvalError(f"TEMPLATE_SYNTAX: expression failed: {exc}") from exc
     return V.infer_value(result)
 
 

@@ -1,10 +1,12 @@
 """Completion gateway: prompt rendering, cached calls, response parsing.
 
 Prompts are plain-text template files with ``__SLOT__`` markers filled by
-byte-exact substitution. Completions run in one of two modes: ``replay``
-(served from the cache only; a miss is an error) and ``record`` (served
-from the cache while it holds a response, else from the transport, by
-default a POST to a configured endpoint, and appended to the cache file
+byte-exact substitution, one per stage; `_STAGES` names each stage's file
+and the temperature and max_tokens of its requests, which `load_template`
+puts on the `PromptTemplate`. Completions run in one of two modes:
+``replay`` (served from the cache only; a miss is an error) and ``record``
+(served from the cache while it holds a response, else from the transport,
+by default a POST to a configured endpoint, and appended to the cache file
 keyed by a request hash, each prompt head and each response text stored
 once in the format of `modgrow.cache`; `LlmGateway.close` releases the
 file). Because sampled candidates share one prompt, the cache keeps a FIFO
@@ -18,17 +20,18 @@ or the error report (repair). Its requests share one head, the template
 text above the line that asks the question or names the module, with the
 fixed slots filled: the module catalogue and the worked examples, or the
 API doc and the training cases. `TailSlotPrompt` finds that line in the
-template once, and each request carries its stage and that head string,
-outside its key, so the cache writer and the stand-in model take the cut
-from the request instead of searching the prompt for it. It also keys its
-requests without escaping the text before the varying slot again: it feeds
-a hash with the JSON text up to the opening quote of ``"prompt"`` and that
-text escaped once, then for each request copies that hash and feeds the
-copy the escaped value, the escaped rest of the template and the closing
-fields. This is `cache_key` of the same request: with sorted keys
-``prompt`` follows ``max_tokens`` and ``model_id``, and JSON escapes a
-string character by character, so the escape of a concatenation is the
-concatenation of the escapes.
+template once, and each request carries its stage, that head string and its
+own key, none of them part of what the key hashes, so the cache writer and
+the stand-in model take the cut from the request instead of searching the
+prompt for it, and the gateway serves the key without hashing the prompt.
+It keys its requests without escaping the text before the varying slot
+again: it feeds a hash with the JSON text up to the opening quote of
+``"prompt"`` and that text escaped once, then for each request copies that
+hash and feeds the copy the escaped value, the escaped rest of the template
+and the closing fields. This is `cache_key` of the same request: with
+sorted keys ``prompt`` follows ``max_tokens`` and ``model_id``, and JSON
+escapes a string character by character, so the escape of a concatenation
+is the concatenation of the escapes.
 """
 
 from __future__ import annotations
@@ -57,11 +60,12 @@ from .errors import (
 
 logger = logging.getLogger(__name__)
 
-_TEMPLATE_FILES = {
-    "initialization": "stage1_initialization.txt",
-    "generation": "stage2_generation.txt",
-    "execution": "stage3_execution.txt",
-    "repair": "repair.txt",
+# each stage's template file, and the temperature and max_tokens of its requests
+_STAGES = {
+    "initialization": ("stage1_initialization.txt", 0.0, 2048),
+    "generation": ("stage2_generation.txt", 0.7, 2048),
+    "repair": ("repair.txt", 0.7, 2048),
+    "execution": ("stage3_execution.txt", 0.0, 1024),
 }
 
 _SLOT_RE = re.compile(r"__([A-Z][A-Z0-9_]*)__")
@@ -132,6 +136,9 @@ DEFAULT_API_DOC = '''class API():
 class PromptTemplate:
     stage: str
     body: str
+    # of the requests built from it, as `CompletionRequest` defaults them
+    temperature: float = 0.0
+    max_tokens: int = 1024
 
     def slot_names(self) -> set[str]:
         return set(_SLOT_RE.findall(self.body))
@@ -139,11 +146,13 @@ class PromptTemplate:
 
 @cache
 def load_template(stage: str) -> PromptTemplate:
-    """The template of `stage`, read from its file once per process."""
-    if stage not in _TEMPLATE_FILES:
+    """The template of `stage`, read from its file once per process, with
+    the temperature and max_tokens its `_STAGES` entry gives its requests."""
+    if stage not in _STAGES:
         raise ValueError(f"unknown prompt stage {stage!r}")
-    body = resources.files("modgrow.templates").joinpath(_TEMPLATE_FILES[stage]).read_text("utf-8")
-    return PromptTemplate(stage=stage, body=body)
+    name, temperature, max_tokens = _STAGES[stage]
+    body = resources.files("modgrow.templates").joinpath(name).read_text("utf-8")
+    return PromptTemplate(stage, body, temperature, max_tokens)
 
 
 def render_prompt(template: PromptTemplate, slots: dict[str, str]) -> str:
@@ -160,16 +169,20 @@ def render_prompt(template: PromptTemplate, slots: dict[str, str]) -> str:
 
 @dataclass(frozen=True)
 class CompletionRequest:
+    """One model request. Its first five fields are what its key hashes
+    (`request_doc`). The rest ride along: the template stage that built it,
+    its head, a prefix of the prompt shared by the requests of one
+    `TailSlotPrompt` ("" for none), and its key, `cache_key(self)` when its
+    builder computed it (None for `LlmGateway.complete` to compute)."""
+
     prompt: str
     model_id: str
     temperature: float = 0.0
     max_tokens: int = 1024
     stop: tuple[str, ...] | None = None
-    # the template stage that built the prompt, and the prompt's head, a
-    # prefix of it shared by the requests of one `TailSlotPrompt` ("" for
-    # none); neither is part of the request a key hashes
     stage: str | None = field(default=None, compare=False)
     head: str = field(default="", compare=False, repr=False)
+    key: str | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.temperature < 0:
@@ -206,32 +219,25 @@ _escape = json.encoder.encode_basestring_ascii
 
 class TailSlotPrompt:
     """Requests from one template whose last marker is the only slot that
-    varies, keyed as `cache_key` keys them without escaping the rest again.
+    varies, each carrying the key `cache_key` gives it, computed without
+    escaping the rest of the template again.
 
-    `head` is the template up to the newline before its ask line, the one
-    line that holds ``__NEW_QUESTION__`` or ``__MODULE_NAME__``, with its
-    `fixed` slots filled by `render_prompt` ("" for a template without an ask
-    line). The text up to the varying marker is rendered and hashed once;
+    The template's last marker names the varying slot; a template without
+    markers, or whose last marker also occurs earlier, is a `ValueError`.
+    Every request names `model_id` and takes its temperature and max_tokens
+    from the template, and none has stop sequences. `head` is the template up
+    to the newline before its ask line, the one line that holds
+    ``__NEW_QUESTION__`` or ``__MODULE_NAME__``, with its `fixed` slots
+    filled by `render_prompt` ("" for a template without an ask line). The
+    text up to the varying marker is rendered and hashed once;
     `request(value)` returns the request with `value` in the slot, which
-    carries the template's stage and `head` itself, and its key.
+    carries the template's stage, `head` itself and its key.
     """
 
-    def __init__(
-        self,
-        template: PromptTemplate,
-        fixed: dict[str, str],
-        varying: str,
-        model_id: str,
-        temperature: float = 0.0,
-        max_tokens: int = 1024,
-        stop: tuple[str, ...] | None = None,
-    ):
+    def __init__(self, template: PromptTemplate, fixed: dict[str, str], model_id: str):
         markers = list(_SLOT_RE.finditer(template.body))
-        names = [m.group(1) for m in markers]
-        if names[-1:] != [varying] or varying in names[:-1]:
-            raise ValueError(
-                f"template {template.stage!r}: slot {varying!r} is not the single last marker"
-            )
+        if not markers or markers[-1].group(1) in {m.group(1) for m in markers[:-1]}:
+            raise ValueError(f"template {template.stage!r} has no single last marker")
         asks = [m.start() for m in _ASK_LINE_RE.finditer(template.body)]
         if len(asks) > 1:
             raise ValueError(f"template {template.stage!r} holds {len(asks)} ask lines")
@@ -242,7 +248,7 @@ class TailSlotPrompt:
         self._prefix = self.head + rest
         self._tail = template.body[last.end() :]
         self._fields = {
-            "model_id": model_id, "temperature": temperature, "max_tokens": max_tokens, "stop": stop
+            "model_id": model_id, "temperature": template.temperature, "max_tokens": template.max_tokens
         }
         # only the key can hold this text: a string value escapes its quotes
         doc = _key_json(request_doc(CompletionRequest(prompt="", **self._fields)))
@@ -251,14 +257,14 @@ class TailSlotPrompt:
         self._prefix_state = hashlib.sha256(prefix.encode("utf-8"))
         self._closing = (_escape(self._tail)[1:-1] + '"' + closing).encode("utf-8")
 
-    def request(self, value: str) -> tuple[CompletionRequest, str]:
+    def request(self, value: str) -> CompletionRequest:
         state = self._prefix_state.copy()
         state.update(_escape(value)[1:-1].encode("utf-8"))
         state.update(self._closing)
-        request = CompletionRequest(
-            prompt=self._prefix + value + self._tail, stage=self.stage, head=self.head, **self._fields
+        return CompletionRequest(
+            prompt=self._prefix + value + self._tail, stage=self.stage, head=self.head,
+            key=state.hexdigest(), **self._fields,
         )
-        return request, state.hexdigest()
 
 
 def http_transport(req: CompletionRequest) -> str:
@@ -269,15 +275,8 @@ def http_transport(req: CompletionRequest) -> str:
     key = os.environ.get("LLM_API_KEY", "")
     if not key:
         raise AuthMissingError("no completion credential configured (LLM_API_KEY)")
-    body = json.dumps(
-        {
-            "model": req.model_id,
-            "prompt": req.prompt,
-            "temperature": req.temperature,
-            "max_tokens": req.max_tokens,
-            "stop": list(req.stop) if req.stop else None,
-        }
-    ).encode("utf-8")
+    doc = request_doc(req)
+    body = json.dumps({"model": doc.pop("model_id"), **doc}).encode("utf-8")
     request = urllib.request.Request(
         url,
         data=body,
@@ -335,14 +334,16 @@ class LlmGateway:
             self._writer.append({"key": key, "request": request_doc(req), "response": response}, req.head)
         self._cache.setdefault(key, []).append(response)
 
-    def complete(self, req: CompletionRequest, key: str | None = None) -> str:
-        """Serve `req`; `key`, when given, must be `cache_key(req)`, such as
-        the key `TailSlotPrompt.request` returns with the request.
+    def complete(self, req: CompletionRequest) -> str:
+        """Serve `req` under the key it carries, such as the one
+        `TailSlotPrompt.request` gives it, or `cache_key(req)` when it
+        carries none.
 
         The calls of one key are served its recorded responses in call
         order. Past the last one, record mode asks the transport and appends
         its answer, and replay repeats the last; a key with none is a
         `CacheMissError` in replay."""
+        key = req.key
         if key is None:
             key = cache_key(req)
         responses = self._cache.get(key, ())
@@ -418,12 +419,12 @@ def parse_initialization_response(text: str) -> InitializationDecision:
             decision, decision_idx = "no", i
             break
     if decision is None:
-        raise ResponseParseError("UNPARSEABLE_DECISION", "response starts with neither Yes nor No")
+        raise ResponseParseError("UNPARSEABLE_DECISION: response starts with neither Yes nor No")
 
     if decision == "yes":
         program = _first_program_block(lines[decision_idx + 1 :])
         if program is None:
-            raise ResponseParseError("UNPARSEABLE_DECISION", "feasible response carries no program")
+            raise ResponseParseError("UNPARSEABLE_DECISION: feasible response carries no program")
         return InitializationDecision(feasible=True, program=program, proposals=())
 
     proposals: list[tuple[ModuleSignature, str]] = []
@@ -436,7 +437,7 @@ def parse_initialization_response(text: str) -> InitializationDecision:
         proposals.append((sig, block))
     if not proposals:
         raise ResponseParseError(
-            "UNPARSEABLE_DECISION", "infeasible response carries no parseable module header"
+            "UNPARSEABLE_DECISION: infeasible response carries no parseable module header"
         )
     return InitializationDecision(feasible=False, program=None, proposals=tuple(proposals))
 
@@ -450,7 +451,7 @@ def extract_module_source(text: str) -> str:
         return fenced[0].strip("\n")
     blocks = _class_blocks(text)
     if not blocks:
-        raise ResponseParseError("NO_CODE_FOUND", "response contains no module implementation")
+        raise ResponseParseError("NO_CODE_FOUND: response contains no module implementation")
     if len(blocks) > 1:
         logger.warning("response contains %d class blocks; keeping the first", len(blocks))
     return blocks[0]
@@ -460,5 +461,5 @@ def parse_program_response(text: str) -> str:
     """Extract the program block from a stage-3 response."""
     program = _first_program_block(text.split("\n"))
     if program is None:
-        raise ResponseParseError("NO_CODE_FOUND", "response contains no program lines")
+        raise ResponseParseError("NO_CODE_FOUND: response contains no program lines")
     return program

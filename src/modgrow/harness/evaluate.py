@@ -33,7 +33,7 @@ from ..reference_modules import raven_regions
 from ..registry import ExecutionRegistry, Library, signature_prompt_text
 from ..scene import ImageHandle
 from ..synthesis import DEFAULT_MODEL_ID, run_synthesis
-from .datasets import GOLD_TYPES, TaskInstance, build_bindings, judge_of, task_spec
+from .datasets import GOLD_TYPES, TaskInstance, Verdict, build_bindings, judge_of, task_spec
 from .metrics import precision_recall_f1
 
 
@@ -41,14 +41,18 @@ from .metrics import precision_recall_f1
 class InstanceOutcome:
     id: str
     query: str
-    correct: bool
-    predicted: str
     gold: dict
+    verdict: Verdict = Verdict(False, "")  # the judge's, or the puzzle driver's
     error: CapturedError | None = None
     trace: list = field(default_factory=list)
-    correct_pairs: int = 0
-    predicted_regions: int = 0
-    gold_regions: int = 0
+
+    @property
+    def correct(self) -> bool:
+        return self.verdict.correct
+
+    @property
+    def predicted(self) -> str:
+        return self.verdict.predicted
 
     def to_doc(self) -> dict:
         return {
@@ -175,13 +179,9 @@ def _config_digest(task: str, lib: Library, gateway_mode: str, model_id: str) ->
 
 def program_prompts(lib: Library, model_id: str) -> TailSlotPrompt:
     """The stage-3 requests over `lib`'s catalogue: `request(query)` returns
-    the request that asks for a program answering `query`, and its key."""
-    return TailSlotPrompt(
-        load_template("execution"),
-        {"MODULE_SIGNATURES": signature_prompt_text(lib)},
-        "NEW_QUESTION",
-        model_id=model_id,
-    )
+    the request, key included, that asks for a program answering `query`."""
+    catalogue = {"MODULE_SIGNATURES": signature_prompt_text(lib)}
+    return TailSlotPrompt(load_template("execution"), catalogue, model_id)
 
 
 def stage3_plan(dataset: list[TaskInstance]) -> list[tuple[TaskInstance, bool]]:
@@ -216,18 +216,14 @@ def evaluate(
     outcomes: list[InstanceOutcome] = []
 
     for instance, asks in stage3_plan(dataset):
-        outcome = InstanceOutcome(
-            id=instance.id, query=instance.query, correct=False, predicted="", gold=instance.gold
-        )
+        outcome = InstanceOutcome(id=instance.id, query=instance.query, gold=instance.gold)
         outcomes.append(outcome)
         try:
             if not asks:
                 answer = solve_puzzle_with_modules(instance.puzzle, registry, backend)
-                outcome.predicted = str(answer)
-                outcome.correct = answer == instance.gold["value"]
+                outcome.verdict = Verdict(answer == instance.gold["value"], str(answer))
                 continue
-            request, key = prompts.request(instance.query)
-            source = parse_program_response(gateway.complete(request, key))
+            source = parse_program_response(gateway.complete(prompts.request(instance.query)))
         except RECORDED as exc:
             outcome.error = record_of(exc)
             continue
@@ -235,15 +231,14 @@ def evaluate(
         outcome.trace = _trace_docs(result.trace)
         outcome.error = result.error
         if result.error is None:
-            (outcome.correct, outcome.predicted, outcome.correct_pairs, outcome.predicted_regions,
-             outcome.gold_regions) = judge_of(instance.gold)(result.final)
+            outcome.verdict = judge_of(instance.gold)(result.final)
 
     n = len(outcomes)
     metrics = {"accuracy": sum(1 for o in outcomes if o.correct) / n if n else 0.0}
     if any(GOLD_TYPES[gold_type].regions for gold_type in spec.gold_types):
-        correct = sum(o.correct_pairs for o in outcomes)
-        predicted = sum(o.predicted_regions for o in outcomes)
-        gold = sum(o.gold_regions for o in outcomes)
+        correct = sum(o.verdict.correct_pairs for o in outcomes)
+        predicted = sum(o.verdict.predicted_regions for o in outcomes)
+        gold = sum(o.verdict.gold_regions for o in outcomes)
         metrics.update(precision_recall_f1(correct, predicted, gold))
     return EvalReport(
         task=task,

@@ -38,6 +38,13 @@ class ModuleRecord:
     def name(self) -> str:
         return self.signature.name
 
+    def gate_failure(self) -> str | None:
+        """Why a generated record fails the threshold it claims it was gated
+        at, or None; a NaN pass rate or threshold fails."""
+        if self.kind == "generated" and not self.pass_rate >= self.eta_at_acceptance:
+            return f"{self.name}: pass rate {self.pass_rate:.2f} below threshold {self.eta_at_acceptance:.2f}"
+        return None
+
 
 @dataclass
 class Library:
@@ -59,10 +66,9 @@ def register(lib: Library, rec: ModuleRecord) -> Library:
     registered module is never replaced, so a different source under its
     name raises `NameCollisionError`.
     """
-    if rec.kind == "generated" and rec.pass_rate < rec.eta_at_acceptance:
-        raise GateViolationError(
-            f"{rec.name}: pass rate {rec.pass_rate:.2f} below threshold {rec.eta_at_acceptance:.2f}"
-        )
+    failure = rec.gate_failure()
+    if failure:
+        raise GateViolationError(failure)
     existing = lib.records.get(rec.name)
     if existing is not None:
         if existing.source == rec.source:
@@ -177,7 +183,8 @@ def load_library(path: str | Path) -> Library:
     """The builtin library followed by the learned modules saved at `path`,
     in manifest order. Raises `LibraryFormatError` for a directory that
     `save_library` would not write, such as one whose manifest names a
-    builtin, as a library saved with its builtins does."""
+    builtin, as a library saved with its builtins does, or that holds a
+    module `register` would refuse for its pass rate."""
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
@@ -218,6 +225,9 @@ def load_library(path: str | Path) -> Library:
             raise LibraryFormatError(f"{root}: corrupt metadata for {name}: {exc}") from exc
         if rec.name != name:
             raise LibraryFormatError(f"{root}: manifest names {name} but its signature names {rec.name}")
+        failure = rec.gate_failure()
+        if failure:
+            raise LibraryFormatError(f"{root}: {failure}")
         tags = (*(tag for _, tag in rec.signature.params), rec.signature.returns)
         unknown = [tag for tag in tags if not (isinstance(tag, str) and tag in TAG_DESCRIPTIONS)]
         if unknown:  # a prompt could not describe it

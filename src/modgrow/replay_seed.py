@@ -149,5 +149,5 @@ def seed_learn_and_eval(
         if asked:  # the catalogue text is built only when a request carries it
             prompts = program_prompts(lib_after, cfg.model_id)
             for instance in asked:
-                gateway.complete(*prompts.request(instance.query))
+                gateway.complete(prompts.request(instance.query))
     return lib_after, report

@@ -56,10 +56,6 @@ from .registry import (
 from .sandbox import CandidateHandle, Limits, load_candidate
 from .scene import ImageHandle, SceneGraph
 
-# Stage-2 and repair samples are drawn at SAMPLE_TEMPERATURE; stage-1 and
-# stage-2 requests allow MAX_TOKENS. Cache keys hash both.
-SAMPLE_TEMPERATURE = 0.7
-MAX_TOKENS = 2048
 # the model every request names unless a run names another
 DEFAULT_MODEL_ID = "default-model"
 
@@ -138,18 +134,13 @@ def initialize_modules(train_examples, lib: Library, gateway: LlmGateway, cfg: S
     response proposes, keyed by module name.
     """
     prompts = TailSlotPrompt(
-        load_template("initialization"),
-        {"MODULE_SIGNATURES": signature_prompt_text(lib)},
-        "NEW_QUESTION",
-        model_id=cfg.model_id,
-        max_tokens=MAX_TOKENS,
+        load_template("initialization"), {"MODULE_SIGNATURES": signature_prompt_text(lib)}, cfg.model_id
     )
     proposals: dict[str, Proposal] = {}
     errors: list[tuple[str, str]] = []
     for example in train_examples:
-        request, key = prompts.request(example.query)
         try:
-            response = gateway.complete(request, key)
+            response = gateway.complete(prompts.request(example.query))
             decision = parse_initialization_response(response)
         except (ResponseParseError, CacheMissError) as exc:
             errors.append((example.id, str(exc)))
@@ -310,12 +301,9 @@ def generate_module(
     is not loaded or run again: its outcome repeats that score under its
     own index and round.
     """
-    fields = {"model_id": cfg.model_id, "temperature": SAMPLE_TEMPERATURE, "max_tokens": MAX_TOKENS}
     fixed = {"API_DOC": DEFAULT_API_DOC, "MODULE_NAME": proposal.signature.name}
     examples = {**fixed, "EXAMPLES": _cases_as_examples(cases)}
-    sample = TailSlotPrompt(load_template("generation"), examples, "MODULE_HEAD", **fields).request(
-        proposal.header
-    )
+    sample = TailSlotPrompt(load_template("generation"), examples, cfg.model_id).request(proposal.header)
     outcomes: list[CandidateOutcome] = []
     handles: dict[str, CandidateHandle] = {}  # by source: each distinct source loads once
     scores: dict[str, tuple[float, list[CaseResult]]] = {}  # by source, as compute_pass_rate fills it
@@ -351,12 +339,12 @@ def generate_module(
             repair_round=round_no,
         )
 
-    def attempt(request: CompletionRequest, key: str, round_no: int) -> None:
+    def attempt(request: CompletionRequest, round_no: int) -> None:
         """Request one candidate and score it; a failed endpoint fails the
         candidate, and any other exception propagates."""
         index = len(outcomes)
         try:
-            response = gateway.complete(request, key)
+            response = gateway.complete(request)
         except EndpointError as exc:
             outcomes.append(failed(index, "", record_of(exc), round_no))
         else:
@@ -366,7 +354,7 @@ def generate_module(
         return max(outs, key=lambda o: (o.pass_rate, -o.candidate_index))
 
     for _ in range(cfg.k_candidates):
-        attempt(*sample, 0)
+        attempt(sample, 0)
     current_best = best(outcomes)
     round_no = 0
     repairs = None  # the repair prompts, built for the first repair round
@@ -374,8 +362,8 @@ def generate_module(
         round_no += 1
         if repairs is None:
             header = {**fixed, "MODULE_HEAD": proposal.header}
-            repairs = TailSlotPrompt(load_template("repair"), header, "ERROR_REPORT", **fields)
-        attempt(*repairs.request(render_error_report(current_best)), round_no)
+            repairs = TailSlotPrompt(load_template("repair"), header, cfg.model_id)
+        attempt(repairs.request(render_error_report(current_best)), round_no)
         current_best = best(outcomes)
 
     if not current_best.accepted:

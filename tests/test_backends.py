@@ -131,7 +131,7 @@ class TestInpaint:
         image = ImageHandle.of_scene(make_scene(obj("d", "dog", (10, 10, 60, 60))))
         with pytest.raises(BackendError) as err:
             backend.inpaint_region(image, [(0, 0, 9999, 50)], "a cat")
-        assert err.value.kind == "OUT_OF_BOUNDS"
+        assert str(err.value).startswith("OUT_OF_BOUNDS: ")
 
     def test_attribute_rewrite(self, backend):
         image = ImageHandle.of_scene(make_scene(obj("d", "dog", (10, 10, 60, 60), color="brown")))

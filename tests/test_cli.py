@@ -84,6 +84,18 @@ def test_eval_runs_under_the_given_wall_time(tmp_path, backend):
     ] * 2
 
 
+def test_eval_refuses_a_library_module_below_its_own_threshold(tmp_path, capsys):
+    library, cache = tmp_path / "lib", tmp_path / "cache.jsonl"
+    save_library(register(builtin_library(), fixture_record("SOLVER")), library)
+    meta = json.loads((library / "SOLVER.json").read_text(encoding="utf-8"))
+    (library / "SOLVER.json").write_text(json.dumps({**meta, "pass_rate": 0.1}), encoding="utf-8")
+    cache.write_text("", encoding="utf-8")
+    argv = ["eval", "--mode", "replay", "--cache", str(cache), "--dataset", str(tmp_path / "test.jsonl"),
+            "--library", str(library)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {library}: SOLVER: pass rate 0.10 below threshold 0.80\n"
+
+
 @pytest.mark.parametrize("setting, message", [
     (["--eta", "0"], "eta must be in (0, 1]"),
     (["--k", "0"], "k_candidates must be >= 1 and r_repairs >= 0"),

@@ -74,7 +74,7 @@ class TestEvalTemplate:
     def test_unbound_placeholder(self):
         with pytest.raises(TemplateEvalError) as err:
             eval_template("{MISSING} + 1", {})
-        assert err.value.kind == "UNBOUND_PLACEHOLDER"
+        assert str(err.value).startswith("UNBOUND_PLACEHOLDER: ")
 
     @pytest.mark.parametrize(
         "expr",
@@ -90,7 +90,7 @@ class TestEvalTemplate:
     def test_rejects_calls_names_and_attributes(self, expr):
         with pytest.raises(TemplateEvalError) as err:
             eval_template(expr, {})
-        assert err.value.kind == "TEMPLATE_SYNTAX"
+        assert str(err.value).startswith("TEMPLATE_SYNTAX: ")
 
     @given(
         a=st.integers(min_value=-50, max_value=50),

@@ -38,7 +38,7 @@ def answering(response):
 
 class DownBackend(SyntheticBackend):
     def answer_question(self, image, question):
-        raise BackendError("BACKEND_ERROR", "the answering model is down")
+        raise BackendError("BACKEND_ERROR: the answering model is down")
 
 
 def stage3(response, backend=None):

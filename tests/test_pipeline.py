@@ -201,10 +201,10 @@ def test_seeding_runs_no_program(tmp_path, monkeypatch, task):
 
     complete = LlmGateway.complete
 
-    def counting_complete(self, req, key=None):
+    def counting_complete(self, req):
         if is_stage3(req.prompt):
             stage3.append(req)
-        return complete(self, req, key)
+        return complete(self, req)
 
     monkeypatch.setattr(executor, "execute_program", counting_execute)
     monkeypatch.setattr(LlmGateway, "complete", counting_complete)

@@ -51,6 +51,11 @@ class TestRegister:
         with pytest.raises(GateViolationError):
             register(builtin_lib, forged)
 
+    def test_a_nan_pass_rate_is_rejected(self, builtin_lib):
+        forged = replace(sort_spatial_record(), pass_rate=float("nan"), eta_at_acceptance=0.8)
+        with pytest.raises(GateViolationError, match="SORT_SPATIAL: pass rate nan below threshold 0.80"):
+            register(builtin_lib, forged)
+
     def test_monotone_growth(self, builtin_lib):
         lib = builtin_lib
         for name in ("SORT_SPATIAL", "COMPARE_COLOR"):
@@ -167,6 +172,17 @@ class TestPersistence:
         with pytest.raises(LibraryFormatError) as err:
             load_library(root)
         assert str(err.value) == f"{root}: manifest.json lacks a modules list"
+
+    @pytest.mark.parametrize("pass_rate, shown", [(0.1, "0.10"), (float("nan"), "nan")])
+    def test_a_saved_module_below_its_own_threshold_is_refused(self, tmp_path, pass_rate, shown):
+        root = tmp_path / "lib"
+        saved_learned_library(root, "SOLVER")
+        meta = json.loads((root / "SOLVER.json").read_text(encoding="utf-8"))
+        meta.update(pass_rate=pass_rate, eta_at_acceptance=0.8)
+        (root / "SOLVER.json").write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(LibraryFormatError) as err:
+            load_library(root)
+        assert str(err.value) == f"{root}: SOLVER: pass rate {shown} below threshold 0.80"
 
     def test_corrupt_metadata(self, tmp_path):
         saved_learned_library(tmp_path / "lib")

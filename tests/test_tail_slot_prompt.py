@@ -1,11 +1,12 @@
 """Requests of every stage keyed from a text hashed once.
 
-`TailSlotPrompt` must build the request `render_prompt` builds and give it
-the key `cache_key` gives it, and `evaluate` and `initialize_modules`, which
-key their requests through it, must replay a cache recorded the plain way
-while escaping the module catalogue once per run. Each request carries its
-template's stage and head, the text above the template's one ask line,
-outside its key.
+`TailSlotPrompt` must build the request `render_prompt` builds, with the
+temperature and max_tokens of its template, and give it the key `cache_key`
+gives it, and `evaluate` and `initialize_modules`, which key their requests
+through it, must replay a cache recorded the plain way while escaping the
+module catalogue once per run. Each request carries its template's stage,
+its head, the text above the template's one ask line, and its key, none of
+them part of what the key hashes.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from modgrow.harness.datasets import generate_dataset
 from modgrow.harness.evaluate import evaluate
 from modgrow.registry import builtin_library, signature_prompt_text
 from modgrow.replay_seed import SyntheticResponder
-from modgrow.synthesis import MAX_TOKENS, SynthesisConfig, initialize_modules
+from modgrow.synthesis import SynthesisConfig, initialize_modules
 
 ODD_TEXT = 'quote " back \\ slash\nline\ttab\x01 naïve 日本 \U0001f600  \x7f'
 CATALOGUES = (
@@ -52,12 +53,19 @@ QUESTIONS = (
     "__MODULE_SIGNATURES__",
     ODD_TEXT,
 )
+# a model, and the temperature and max_tokens that replace the template's
 FIELDS = (
     {"model_id": "default-model"},
-    {"model_id": 'model "x" \\ é', "temperature": 0.7, "max_tokens": 77,
-     "stop": ("\n\n", 'Question:"', "\U0001f600")},
-    {"model_id": "m", "temperature": 1e-07, "max_tokens": 0, "stop": ()},
+    {"model_id": 'model "x" \\ é', "temperature": 0.7, "max_tokens": 77},
+    {"model_id": "m", "temperature": 1e-07, "max_tokens": 0},
 )
+# each stage's (temperature, max_tokens), which every cache key of it hashes
+STAGE_FIELDS = {
+    "initialization": (0.0, 2048),
+    "generation": (0.7, 2048),
+    "repair": (0.7, 2048),
+    "execution": (0.0, 1024),
+}
 
 
 # each template: its fixed slots, its varying slot, and the start of its ask
@@ -71,26 +79,41 @@ TEMPLATES = {
 }
 
 
+def template_of(stage, fields):
+    """The stage's template with the temperature and max_tokens of `fields`."""
+    settings = {name: value for name, value in fields.items() if name != "model_id"}
+    return dataclasses.replace(load_template(stage), **settings)
+
+
 def prompts_over(stage, fields):
     """(prompts, fixed slots) with each of `CATALOGUES` in every fixed slot."""
-    names, varying, _ = TEMPLATES[stage]
+    names = TEMPLATES[stage][0]
     for text in CATALOGUES:
         fixed = dict.fromkeys(names, text)
-        yield TailSlotPrompt(load_template(stage), fixed, varying, **fields), fixed
+        yield TailSlotPrompt(template_of(stage, fields), fixed, fields["model_id"]), fixed
 
 
 @pytest.mark.parametrize("stage", TEMPLATES)
 @pytest.mark.parametrize("fields", FIELDS)
 def test_request_and_key_equal_the_rendered_request(stage, fields):
-    template = load_template(stage)
+    template = template_of(stage, fields)
     varying = TEMPLATES[stage][1]
     for prompts, fixed in prompts_over(stage, fields):
         for value in QUESTIONS:
-            request, key = prompts.request(value)
-            expected = CompletionRequest(prompt=render_prompt(template, {**fixed, varying: value}), **fields)
+            request = prompts.request(value)
+            expected = CompletionRequest(
+                prompt=render_prompt(template, {**fixed, varying: value}), model_id=fields["model_id"],
+                temperature=template.temperature, max_tokens=template.max_tokens,
+            )
             assert request == expected
-            assert key == cache_key(expected)
+            assert request.key == cache_key(expected)
             assert request.stage == stage
+
+
+@pytest.mark.parametrize("stage", TEMPLATES)
+def test_each_stage_asks_with_its_temperature_and_budget(stage):
+    request = TailSlotPrompt(load_template(stage), dict.fromkeys(TEMPLATES[stage][0], "x"), "m").request("v")
+    assert (request.temperature, request.max_tokens, request.stop) == (*STAGE_FIELDS[stage], None)
 
 
 @pytest.mark.parametrize("stage", TEMPLATES)
@@ -99,20 +122,20 @@ def test_the_head_ends_just_before_the_ask_line(stage):
     for prompts, fixed in prompts_over(stage, FIELDS[0]):
         for value in QUESTIONS:
             asked = fixed.get("MODULE_NAME", value)
-            request, _ = prompts.request(value)
+            request = prompts.request(value)
             assert request.head is prompts.head
             assert request.prompt.startswith(request.head)
             assert request.prompt[len(request.head):].startswith("\n" + ask + asked)
 
 
 @pytest.mark.parametrize("stage", TEMPLATES)
-def test_stage_and_head_never_change_the_key(stage):
+def test_stage_head_and_key_never_change_the_key(stage):
     for prompts, _ in prompts_over(stage, FIELDS[1]):
-        request, key = prompts.request(QUESTIONS[1])
+        request = prompts.request(QUESTIONS[1])
         for stage_, head in [(None, ""), ("other", ""), (stage, request.prompt), (None, request.head)]:
-            other = dataclasses.replace(request, stage=stage_, head=head)
+            other = dataclasses.replace(request, stage=stage_, head=head, key=None)
             assert other == request
-            assert cache_key(other) == key
+            assert cache_key(other) == request.key
 
 
 @pytest.mark.parametrize("stage", TEMPLATES)
@@ -130,42 +153,51 @@ def test_each_shipped_template_holds_one_ask_line(stage):
 def test_a_template_with_two_ask_lines_is_refused():
     body = "head\nQuestion: __NEW_QUESTION__\nagain __MODULE_NAME__\n__Q__"
     with pytest.raises(ValueError, match="2 ask lines"):
-        TailSlotPrompt(PromptTemplate("t", body), {"NEW_QUESTION": "q", "MODULE_NAME": "M"}, "Q",
-                       model_id="m")
+        TailSlotPrompt(PromptTemplate("t", body), {"NEW_QUESTION": "q", "MODULE_NAME": "M"}, "m")
 
 
 def test_a_template_without_an_ask_line_has_no_head():
-    request, _ = TailSlotPrompt(PromptTemplate("t", "head\n__Q__"), {}, "Q", model_id="m").request("q")
+    request = TailSlotPrompt(PromptTemplate("t", "head\n__Q__"), {}, "m").request("q")
     assert (request.prompt, request.head, request.stage) == ("head\nq", "", "t")
 
 
 @pytest.mark.parametrize(
     "body",
     [
-        "__Q__ then __A__",  # not last
         "__Q__ twice __Q__",
-        "__A__ only",
+        "__Q__ and __A__ and __Q__ again",
         "no markers at all",
-        "__A__ and __Q__ and __B__ after",
     ],
 )
-def test_varying_slot_must_be_the_single_last_marker(body):
-    with pytest.raises(ValueError, match="single last marker"):
-        TailSlotPrompt(PromptTemplate("t", body), {"A": "a", "B": "b"}, "Q", model_id="m")
+def test_the_last_marker_must_be_a_single_one(body):
+    with pytest.raises(ValueError, match="no single last marker"):
+        TailSlotPrompt(PromptTemplate("t", body), {"A": "a", "Q": "q"}, "m")
+
+
+@pytest.mark.parametrize(
+    "body, fixed, prompt",
+    [
+        ("__Q__ then __A__", {"Q": "q"}, "q then v"),
+        ("__A__ only", {}, "v only"),
+        ("__A__ and __Q__ and __B__ after", {"A": "a", "Q": "q"}, "a and q and v after"),
+    ],
+)
+def test_the_last_marker_is_the_varying_slot(body, fixed, prompt):
+    request = TailSlotPrompt(PromptTemplate("t", body), fixed, "m").request("v")
+    assert request.prompt == prompt
+    assert request.key == cache_key(request)
 
 
 def test_missing_fixed_slot_raises():
     with pytest.raises(MissingSlotError):
-        TailSlotPrompt(load_template("execution"), {}, "NEW_QUESTION", model_id="m")
+        TailSlotPrompt(load_template("execution"), {}, "m")
 
 
 def test_tail_text_after_the_marker_is_kept():
-    prompts = TailSlotPrompt(
-        PromptTemplate("t", '__A__ "head"\n__Q__\ttail "é"'), {"A": "\\a"}, "Q", model_id="m"
-    )
-    request, key = prompts.request("q\n")
+    prompts = TailSlotPrompt(PromptTemplate("t", '__A__ "head"\n__Q__\ttail "é"'), {"A": "\\a"}, "m")
+    request = prompts.request("q\n")
     assert request.prompt == '\\a "head"\nq\n\ttail "é"'
-    assert key == cache_key(request)
+    assert request.key == cache_key(request)
 
 
 def _record_plainly(tmp_path, stage, instances, catalogue, **fields):
@@ -212,7 +244,7 @@ def test_initialize_modules_replays_a_cache_recorded_plainly(tmp_path):
     cfg = SynthesisConfig(model_id="model-x")
     cache = _record_plainly(
         tmp_path, "initialization", train, signature_prompt_text(lib),
-        model_id=cfg.model_id, temperature=0.0, max_tokens=MAX_TOKENS,
+        model_id=cfg.model_id, temperature=0.0, max_tokens=2048,
     )
     replay = LlmGateway(mode="replay", cache_path=cache)
     proposals, errors = initialize_modules(train, lib, replay, cfg)
@@ -268,7 +300,7 @@ def test_initialize_modules_escapes_the_catalogue_once(tmp_path, monkeypatch):
     catalogue = signature_prompt_text(lib)
     cache = _record_plainly(
         tmp_path, "initialization", train, catalogue,
-        model_id=cfg.model_id, max_tokens=MAX_TOKENS,
+        model_id=cfg.model_id, max_tokens=2048,
     )
     replay = LlmGateway(mode="replay", cache_path=cache)
 
